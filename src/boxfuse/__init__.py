@@ -31,6 +31,7 @@ from .fusion import (
     forward_frame,
     fuse_frames,
     fuse_sequence,
+    sliding_windows,
     weighted_nms,
 )
 from .geometry import (

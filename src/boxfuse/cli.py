@@ -17,22 +17,15 @@ import math
 import os
 import sys
 import time
-from collections import deque
 from typing import Sequence
 
 import numpy as np
 
 from .evaluation import evaluate_enhancement
-from .fusion import Frame, FusionConfig, PRESETS, fuse_frames
+from .fusion import Frame, FusionConfig, PRESETS, fuse_frames, sliding_windows
 from .geometry import EgoPose, Pose, normalize_angle, transform_box
 from .io import FrameFormatError, dumps_line, frame_to_obj, iter_frames, read_frames, write_frames
-from .motion import (
-    Bicycle,
-    ConstantVelocity,
-    Unicycle,
-    estimate_params_from_track,
-    forward,
-)
+from .motion import MODEL_NAMES, estimate_params_from_track, forward, model_class
 from .synth import PRNG_NAME, CorruptionSpec, TrajectorySpec, corrupt, generate_mixed_scene, _motion_in_ego
 
 TOOL = "boxfuse"
@@ -50,18 +43,6 @@ _ENV_KEYS = {
     "rear_axle": "L_R",
 }
 
-_FUSION_FIELDS = (
-    ("n_history", int),
-    ("weight_decay", float),
-    ("iou_low", float),
-    ("iou_high", float),
-    ("frame_interval", float),
-    ("score_strategy", str),
-    ("score_decay_factor", float),
-    ("history_score_floor", float),
-)
-
-
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that exits with code 1 on usage errors."""
 
@@ -70,14 +51,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _opt(args: argparse.Namespace, dest: str, cast=str):
-    """Flag value if given, else the mirroring BOXFUSE_* environment variable."""
+def _opt(args: argparse.Namespace, dest: str, cast=str, default=None):
+    """Flag value if given, else the mirroring BOXFUSE_* environment variable, else `default`."""
     value = getattr(args, dest, None)
     if value is not None:
         return value
     raw = os.environ.get(ENV_PREFIX + _ENV_KEYS.get(dest, dest.upper()))
     if raw is None:
-        return None
+        return default
     return cast(raw)
 
 
@@ -102,10 +83,9 @@ def _fusion_config(args: argparse.Namespace) -> FusionConfig:
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
         values.update(file_values)
-    for dest, cast in _FUSION_FIELDS:
-        value = _opt(args, dest, cast)
-        if value is not None:
-            values[dest] = value
+    for dest in values:
+        # an environment value is cast to the type of the preset's field
+        values[dest] = _opt(args, dest, type(getattr(base, dest)), values[dest])
     return FusionConfig(**values)
 
 
@@ -135,21 +115,13 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     output_path = _required(args, "output")
     meta = {"tool": TOOL, "format": 1, "command": "fuse", "config": _config_meta(cfg)}
     latencies: list[float] = []
-    window: deque[Frame] = deque(maxlen=cfg.n_history + 1)
-    last = None
-    count = 0
     with open(output_path, "w", encoding="utf-8", newline="\n") as out:
         out.write(dumps_line({"meta": meta}) + "\n")
-        for frame in iter_frames(input_path):
-            if last is not None and frame.timestamp <= last:
-                raise ValueError(f"timestamps must strictly increase (frame {count})")
-            last = frame.timestamp
-            window.append(frame)
+        for window in sliding_windows(iter_frames(input_path), cfg.n_history + 1):
             start = time.perf_counter()
-            fused = fuse_frames(list(window), cfg)
+            fused = fuse_frames(window, cfg)
             latencies.append((time.perf_counter() - start) * 1000.0)
             out.write(dumps_line(frame_to_obj(fused)) + "\n")
-            count += 1
     if latencies:
         arr = np.array(latencies)
         print(
@@ -181,7 +153,7 @@ def _reattach_params(frames: list[Frame], model: str, rear_axle: float | None) -
             times.append(frames[fi].timestamp)
             poses.append(Pose(world.x, world.y, world.yaw))
         arm = rear_axle
-        if model == "bicycle" and arm is None:
+        if arm is None:
             lengths = sorted(frames[fi].detections[di].box.l for fi, di in locs)
             arm = lengths[len(lengths) // 2] / 4.0
         estimates = estimate_params_from_track(times, poses, model, rear_axle=arm)
@@ -213,51 +185,51 @@ def _allocate_counts(total: int, fractions: Sequence[float]) -> list[int]:
 
 
 def _synth_groups(args: argparse.Namespace) -> list[tuple[TrajectorySpec, int]]:
-    total = int(_opt(args, "vehicles", int) or 50)
+    total = _opt(args, "vehicles", int, 50)
+    if total < 1:
+        raise ValueError(f"--vehicles must be at least 1, got {total}")
     fracs = (
-        float(_opt(args, "stationary_frac", float) if _opt(args, "stationary_frac", float) is not None else 0.63),
-        float(_opt(args, "straight_frac", float) if _opt(args, "straight_frac", float) is not None else 0.31),
-        float(_opt(args, "turning_frac", float) if _opt(args, "turning_frac", float) is not None else 0.05),
+        _opt(args, "stationary_frac", float, 0.63),
+        _opt(args, "straight_frac", float, 0.31),
+        _opt(args, "turning_frac", float, 0.05),
     )
     counts = _allocate_counts(total, fracs)
     common = dict(
-        duration=float(_opt(args, "duration", float) or 2.0),
-        frame_interval=float(_opt(args, "frame_interval", float) or 0.1),
-        origin_span=float(_opt(args, "span", float) or 120.0),
+        duration=_opt(args, "duration", float, 2.0),
+        frame_interval=_opt(args, "frame_interval", float, 0.1),
+        origin_span=_opt(args, "span", float, 120.0),
     )
-    speed = (float(_opt(args, "speed_min", float) or 6.0), float(_opt(args, "speed_max", float) or 14.0))
-    radius = (float(_opt(args, "radius_min", float) or 10.0), float(_opt(args, "radius_max", float) or 24.0))
+    speed = (_opt(args, "speed_min", float, 6.0), _opt(args, "speed_max", float, 14.0))
+    radius = (_opt(args, "radius_min", float, 10.0), _opt(args, "radius_max", float, 24.0))
     rear_axle = _opt(args, "rear_axle", float)
+    turning = TrajectorySpec(
+        model="bicycle", speed_range=speed, radius_range=radius, rear_axle=rear_axle, **common
+    )
     groups = [
         (TrajectorySpec(model="cv", speed_range=(0.0, 0.0), **common), counts[0]),
         (TrajectorySpec(model="cv", speed_range=speed, **common), counts[1]),
-        (
-            TrajectorySpec(
-                model="bicycle", speed_range=speed, radius_range=radius, rear_axle=rear_axle, **common
-            ),
-            counts[2],
-        ),
+        (turning, counts[2]),
     ]
     return [(spec, count) for spec, count in groups if count > 0]
 
 
 def _corruption_spec(args: argparse.Namespace) -> CorruptionSpec:
     return CorruptionSpec(
-        sigma_xy=float(_opt(args, "sigma_xy", float) or 0.0),
-        sigma_yaw=float(_opt(args, "sigma_yaw", float) or 0.0),
-        sigma_speed=float(_opt(args, "sigma_speed", float) or 0.0),
-        sigma_turn=float(_opt(args, "sigma_turn", float) or 0.0),
-        drop_prob=float(_opt(args, "drop_prob", float) or 0.0),
-        burst_frames=int(_opt(args, "burst_frames", int) or 0),
-        burst_vehicle_frac=float(_opt(args, "burst_frac", float) or 0.0),
-        score_mean=float(_opt(args, "score_mean", float) if _opt(args, "score_mean", float) is not None else 0.85),
-        score_sigma=float(_opt(args, "score_sigma", float) if _opt(args, "score_sigma", float) is not None else 0.05),
+        sigma_xy=_opt(args, "sigma_xy", float, 0.0),
+        sigma_yaw=_opt(args, "sigma_yaw", float, 0.0),
+        sigma_speed=_opt(args, "sigma_speed", float, 0.0),
+        sigma_turn=_opt(args, "sigma_turn", float, 0.0),
+        drop_prob=_opt(args, "drop_prob", float, 0.0),
+        burst_frames=_opt(args, "burst_frames", int, 0),
+        burst_vehicle_frac=_opt(args, "burst_frac", float, 0.0),
+        score_mean=_opt(args, "score_mean", float, 0.85),
+        score_sigma=_opt(args, "score_sigma", float, 0.05),
     )
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    seed = int(_opt(args, "seed", int) or 0)
-    model = _opt(args, "model") or "cv"
+    seed = _opt(args, "seed", int, 0)
+    model = _opt(args, "model", default="cv")
     spec_path = _opt(args, "spec")
     if spec_path:
         with open(spec_path, "r", encoding="utf-8") as fh:
@@ -297,7 +269,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_inverse(args: argparse.Namespace) -> int:
-    model = _opt(args, "model") or "cv"
+    model = _opt(args, "model", default="cv")
     frames = read_frames(_required(args, "input"))
     out = _reattach_params(frames, model, _opt(args, "rear_axle", float))
     meta = {"tool": TOOL, "format": 1, "command": "inverse", "model": model}
@@ -309,7 +281,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     gt = read_frames(_required(args, "gt"))
     raw = read_frames(_required(args, "raw"))
     fused = read_frames(_required(args, "fused"))
-    threshold = float(_opt(args, "iou", float) if _opt(args, "iou", float) is not None else 0.5)
+    threshold = _opt(args, "iou", float, 0.5)
     report = evaluate_enhancement(gt, raw, fused, threshold)
     print(report.to_text())
     output = _opt(args, "output")
@@ -322,41 +294,29 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_traj_compare(args: argparse.Namespace) -> int:
-    models = [m.strip() for m in (_opt(args, "models") or "cv,unicycle,bicycle").split(",") if m.strip()]
-    gen_model = _opt(args, "gen_model") or "bicycle"
-    speed = float(_opt(args, "speed", float) if _opt(args, "speed", float) is not None else 10.0)
-    radius = _opt(args, "radius", float)
-    radius = 20.0 if radius is None else float(radius)
-    interval = float(_opt(args, "frame_interval", float) or 0.1)
-    rear_axle = float(_opt(args, "rear_axle", float) or 4.7 / 4.0)
-    horizon = float(_opt(args, "horizon", float) if _opt(args, "horizon", float) is not None else 0.4)
+    models = [m.strip() for m in _opt(args, "models", default=",".join(MODEL_NAMES)).split(",")]
+    models = [m for m in models if m]
+    gen_class = model_class(_opt(args, "gen_model", default="bicycle"))
+    speed = _opt(args, "speed", float, 10.0)
+    radius = _opt(args, "radius", float, 20.0)
+    interval = _opt(args, "frame_interval", float, 0.1)
+    rear_axle = _opt(args, "rear_axle", float, 4.7 / 4.0)
+    horizon = _opt(args, "horizon", float, 0.4)
+    duration = _opt(args, "duration", float, 0.0)
+    if interval <= 0.0:
+        raise ValueError(f"--interval must be positive, got {interval!r}")
+    if rear_axle <= 0.0:
+        raise ValueError(f"--l-r must be positive, got {rear_axle!r}")
     steps = max(1, int(round(horizon / interval)))
-    duration = float(_opt(args, "duration", float) or 0.0)
     n_frames = max(int(round(duration / interval)) + 1, 2 * steps + 3)
-    if radius <= 0:
-        gen = Unicycle(speed, 0.0) if gen_model == "unicycle" else (
-            ConstantVelocity(speed, 0.0) if gen_model == "cv" else Bicycle(speed, 0.0, rear_axle)
-        )
-    elif gen_model == "unicycle":
-        gen = Unicycle(speed, speed / radius)
-    elif gen_model == "bicycle":
-        if rear_axle >= radius:
-            raise ValueError("radius must exceed the rear axle arm")
-        gen = Bicycle(speed, math.asin(rear_axle / radius), rear_axle)
-    elif gen_model == "cv":
-        raise ValueError("constant-velocity trajectories cannot turn; pass --radius 0")
-    else:
-        raise ValueError(f"unknown generator model {gen_model!r}")
+    gen = gen_class.from_motion(speed, 0.0, radius if radius > 0 else None, rear_axle)
     times = [i * interval for i in range(n_frames)]
     poses = [forward(Pose(0.0, 0.0, 0.0), gen, t) for t in times]
     center = n_frames // 2
     rows = ["model,horizon_s,position_error_m,heading_error_rad"]
     for model in models:
         estimates = estimate_params_from_track(
-            times[center - 1 : center + 2],
-            poses[center - 1 : center + 2],
-            model,
-            rear_axle=rear_axle if model == "bicycle" else None,
+            times[center - 1 : center + 2], poses[center - 1 : center + 2], model, rear_axle=rear_axle
         )
         params = estimates[1]
         for s in range(1, steps + 1):
@@ -401,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--speed-max", dest="speed_max", type=float)
     synth.add_argument("--radius-min", dest="radius_min", type=float)
     synth.add_argument("--radius-max", dest="radius_max", type=float)
-    synth.add_argument("--model", choices=("cv", "unicycle", "bicycle"),
+    synth.add_argument("--model", choices=MODEL_NAMES,
                        help="motion parameters attached to the detection stream")
     synth.add_argument("--l-r", dest="rear_axle", type=float)
     synth.add_argument("--sigma-xy", dest="sigma_xy", type=float)
@@ -418,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     inverse = sub.add_parser("inverse", help="re-estimate motion parameters from tracks")
     inverse.add_argument("--input")
     inverse.add_argument("--output")
-    inverse.add_argument("--model", choices=("cv", "unicycle", "bicycle"))
+    inverse.add_argument("--model", choices=MODEL_NAMES)
     inverse.add_argument("--l-r", dest="rear_axle", type=float)
     inverse.set_defaults(func=_cmd_inverse)
 
@@ -431,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.set_defaults(func=_cmd_eval)
 
     traj = sub.add_parser("traj-compare", help="per-model forward-prediction error on one trajectory")
-    traj.add_argument("--models", help="comma-separated list (default cv,unicycle,bicycle)")
-    traj.add_argument("--gen-model", dest="gen_model", choices=("cv", "unicycle", "bicycle"))
+    traj.add_argument("--models", help=f"comma-separated list (default {','.join(MODEL_NAMES)})")
+    traj.add_argument("--gen-model", dest="gen_model", choices=MODEL_NAMES)
     traj.add_argument("--speed", type=float)
     traj.add_argument("--radius", type=float, help="turn radius in meters; 0 for straight")
     traj.add_argument("--l-r", dest="rear_axle", type=float)

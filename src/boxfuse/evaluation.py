@@ -27,7 +27,6 @@ import numpy as np
 
 from .fusion import Frame
 from .geometry import bev_iou, normalize_angle
-from .motion import Bicycle, ConstantVelocity, MotionParams, Unicycle
 
 #: IoU used to associate detections with a ground-truth subset.
 SUBSET_FILTER_IOU = 0.5
@@ -36,8 +35,6 @@ STATIONARY_SPEED = 0.1
 TURNING_SPEED = 1.0
 TURNING_RADIUS = 25.0
 STRICT_TURNING_SPEED = 5.0
-
-_ZERO_RATE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -147,23 +144,6 @@ def average_precision(
     return APResult(ap, aph, curve, n_gt)
 
 
-def _speed_radius(params: MotionParams) -> tuple[float, float]:
-    if isinstance(params, ConstantVelocity):
-        return math.hypot(params.vx, params.vy), math.inf
-    if isinstance(params, Unicycle):
-        speed = abs(params.speed)
-        if abs(params.yaw_rate) < _ZERO_RATE:
-            return speed, math.inf
-        return speed, abs(params.speed / params.yaw_rate)
-    if isinstance(params, Bicycle):
-        speed = abs(params.speed)
-        s = math.sin(params.slip)
-        if abs(s) < _ZERO_RATE:
-            return speed, math.inf
-        return speed, abs(params.rear_axle / s)
-    raise TypeError(f"unknown motion parameters {type(params).__name__}")
-
-
 def _track_motion_summary(gt_frames: Iterable[Frame]) -> dict[int, tuple[float, float]]:
     speeds: dict[int, list[float]] = {}
     radii: dict[int, list[float]] = {}
@@ -171,7 +151,7 @@ def _track_motion_summary(gt_frames: Iterable[Frame]) -> dict[int, tuple[float, 
         for det in frame.detections:
             if det.track_id is None:
                 raise ValueError("motion-state splits need track ids on ground truth")
-            v, r = _speed_radius(det.motion)
+            v, r = det.motion.speed_radius()
             speeds.setdefault(det.track_id, []).append(v)
             radii.setdefault(det.track_id, []).append(r)
     return {tid: (median(speeds[tid]), median(radii[tid])) for tid in speeds}

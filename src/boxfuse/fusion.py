@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Literal, Sequence
 import numpy as np
 
 from .geometry import Box3D, EgoPose, _corners, _iou_from_corners, normalize_angle, transform_box
-from .motion import Bicycle, ConstantVelocity, HALF_PI, MotionParams, Unicycle, forward_box
+from .motion import MotionParams, _wavg, forward_box
 
 ScoreStrategy = Literal["decay", "divide"]
 
@@ -30,9 +30,9 @@ class Detection:
 
     weight is the decayed voting confidence, assigned when the detection
     enters a fusion run; frame_lag counts frame intervals behind the fusion
-    target (0 = current frame). On fused outputs n_fused counts merged member
-    boxes and n_current the current-frame members among them; a fused box with
-    n_current == 0 was reconstructed purely from history.
+    target (bookkeeping only: a forwarded box has n_current 0 whatever its
+    lag). On fused outputs n_fused counts merged member boxes and n_current the
+    current-frame members among them; n_current == 0 means history only.
     """
 
     box: Box3D
@@ -133,7 +133,8 @@ def forward_frame(
     Each box is advanced by its own motion parameters over the time gap, then
     re-expressed in the target ego coordinates. Weights are set to the decayed
     confidence; motion parameters are carried unchanged and frame_lag is the
-    gap in frame intervals (rounded).
+    gap in frame intervals (rounded). Every output is a history box
+    (n_current=0), even when the gap rounds to zero intervals.
     """
     dt = target_time - frame.timestamp
     if dt < 0.0:
@@ -150,7 +151,7 @@ def forward_frame(
                 weight=decayed_weight(det.score, dt, cfg),
                 frame_lag=lag,
                 n_fused=1,
-                n_current=1 if lag == 0 else 0,
+                n_current=0,
             )
         )
     return out
@@ -161,28 +162,6 @@ def _require_single_variant(detections: Iterable[Detection]) -> None:
     if len(kinds) > 1:
         names = sorted(k.__name__ for k in kinds)
         raise ValueError(f"mixed motion-parameter variants in one fusion run: {names}")
-
-
-def _fuse_motion(members: list[Detection], weights: list[float], wsum: float) -> MotionParams:
-    first = members[0].motion
-
-    def wavg(values: list[float]) -> float:
-        return sum(w * v for w, v in zip(weights, values)) / wsum
-
-    if isinstance(first, ConstantVelocity):
-        return ConstantVelocity(
-            wavg([d.motion.vx for d in members]), wavg([d.motion.vy for d in members])
-        )
-    if isinstance(first, Unicycle):
-        return Unicycle(
-            wavg([d.motion.speed for d in members]), wavg([d.motion.yaw_rate for d in members])
-        )
-    ref = first.slip
-    slip = ref + wavg([normalize_angle(d.motion.slip - ref) for d in members])
-    slip = min(HALF_PI, max(-HALF_PI, slip))
-    return Bicycle(
-        wavg([d.motion.speed for d in members]), slip, wavg([d.motion.rear_axle for d in members])
-    )
 
 
 def _fuse_cluster(members: list[Detection]) -> Detection:
@@ -197,29 +176,26 @@ def _fuse_cluster(members: list[Detection]) -> Detection:
         weights = [1.0] * len(members)
         wsum = float(len(members))
 
-    def wavg(values: list[float]) -> float:
-        return sum(w * v for w, v in zip(weights, values)) / wsum
-
     ref_yaw = seed.box.yaw
     yaw = normalize_angle(
-        ref_yaw + wavg([normalize_angle(d.box.yaw - ref_yaw) for d in members])
+        ref_yaw + _wavg(weights, [normalize_angle(d.box.yaw - ref_yaw) for d in members], wsum)
     )
     box = Box3D(
-        x=wavg([d.box.x for d in members]),
-        y=wavg([d.box.y for d in members]),
-        z=wavg([d.box.z for d in members]),
-        w=wavg([d.box.w for d in members]),
-        l=wavg([d.box.l for d in members]),
-        h=wavg([d.box.h for d in members]),
+        x=_wavg(weights, [d.box.x for d in members], wsum),
+        y=_wavg(weights, [d.box.y for d in members], wsum),
+        z=_wavg(weights, [d.box.z for d in members], wsum),
+        w=_wavg(weights, [d.box.w for d in members], wsum),
+        l=_wavg(weights, [d.box.l for d in members], wsum),
+        h=_wavg(weights, [d.box.h for d in members], wsum),
         yaw=yaw,
     )
-    score = min(1.0, max(0.0, wavg([d.score for d in members])))
-    weight = min(1.0, max(0.0, wavg([d.weight for d in members])))
+    score = min(1.0, max(0.0, _wavg(weights, [d.score for d in members], wsum)))
+    weight = min(1.0, max(0.0, _wavg(weights, [d.weight for d in members], wsum)))
     return Detection(
         box=box,
         score=score,
         label=seed.label,
-        motion=_fuse_motion(members, weights, wsum),
+        motion=seed.motion.weighted_mean([d.motion for d in members], weights, wsum),
         weight=weight,
         frame_lag=min(d.frame_lag for d in members),
         track_id=seed.track_id,
@@ -330,10 +306,22 @@ def fuse_frames(window: Sequence[Frame], cfg: FusionConfig) -> Frame:
         dense.extend(forward_frame(frame, current.timestamp, current.ego, cfg))
     for det in current.detections:
         dense.append(replace(det, weight=det.score, frame_lag=0, n_fused=1, n_current=1))
-    _require_single_variant(dense)
     fused = apply_score_strategy(weighted_nms(dense, cfg), cfg)
     kept = [d for d in fused if d.n_current > 0 or d.score >= cfg.history_score_floor]
     return Frame(current.timestamp, current.ego, kept)
+
+
+def sliding_windows(frames: Iterable[Frame], size: int) -> Iterator[list[Frame]]:
+    """Yield each frame's trailing window of up to `size` frames, oldest first.
+
+    Raises ValueError naming the 0-based frame index unless timestamps strictly increase.
+    """
+    window: deque[Frame] = deque(maxlen=size)
+    for index, frame in enumerate(frames):
+        if window and frame.timestamp <= window[-1].timestamp:
+            raise ValueError(f"timestamps must strictly increase (frame {index})")
+        window.append(frame)
+        yield list(window)
 
 
 def fuse_sequence(frames: Iterable[Frame], cfg: FusionConfig) -> Iterator[Frame]:
@@ -343,11 +331,5 @@ def fuse_sequence(frames: Iterable[Frame], cfg: FusionConfig) -> Iterator[Frame]
     frame depend only on its trailing window; memory stays constant in the
     sequence length. Timestamps must strictly increase.
     """
-    window: deque[Frame] = deque(maxlen=cfg.n_history + 1)
-    last = None
-    for frame in frames:
-        if last is not None and frame.timestamp <= last:
-            raise ValueError("sequence timestamps must strictly increase")
-        last = frame.timestamp
-        window.append(frame)
-        yield fuse_frames(list(window), cfg)
+    for window in sliding_windows(frames, cfg.n_history + 1):
+        yield fuse_frames(window, cfg)

@@ -6,10 +6,10 @@ One frame per line:
      "detections": [{"box": [x,y,z,w,l,h,yaw], "score":, "class":,
                      "motion": {"model": "cv"|"unicycle"|"bicycle", ...}}]}
 
-Motion parameters are keyed per model: cv {vx, vy}, unicycle {v, omega},
-bicycle {v, beta, l_r}. Optional per-detection keys (track_id, weight,
-frame_lag, n_fused, n_current) are written only when they carry information,
-so parse(serialize(frame)) reproduces the frame exactly. A file may start
+Each class in motion.MODELS keys its own parameters: cv {vx, vy}, unicycle
+{v, omega}, bicycle {v, beta, l_r}. Optional per-detection keys (track_id,
+weight, frame_lag, n_fused, n_current) are written only when they carry
+information, so parse(serialize(frame)) reproduces the frame exactly. A file may start
 with one {"meta": {...}} provenance line, which readers skip. Keys are
 sorted and floats use the shortest round-trip form, making output byte-stable
 for identical inputs.
@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 from .fusion import Detection, Frame
 from .geometry import Box3D, EgoPose
-from .motion import Bicycle, ConstantVelocity, MotionParams, Unicycle
+from .motion import params_from_obj
 
 
 class FrameFormatError(ValueError):
@@ -34,33 +34,12 @@ class FrameFormatError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-def motion_to_obj(params: MotionParams) -> dict:
-    if isinstance(params, ConstantVelocity):
-        return {"model": "cv", "vx": params.vx, "vy": params.vy}
-    if isinstance(params, Unicycle):
-        return {"model": "unicycle", "v": params.speed, "omega": params.yaw_rate}
-    if isinstance(params, Bicycle):
-        return {"model": "bicycle", "v": params.speed, "beta": params.slip, "l_r": params.rear_axle}
-    raise TypeError(f"unknown motion parameters {type(params).__name__}")
-
-
-def motion_from_obj(obj: dict) -> MotionParams:
-    model = obj.get("model")
-    if model == "cv":
-        return ConstantVelocity(float(obj["vx"]), float(obj["vy"]))
-    if model == "unicycle":
-        return Unicycle(float(obj["v"]), float(obj["omega"]))
-    if model == "bicycle":
-        return Bicycle(float(obj["v"]), float(obj["beta"]), float(obj["l_r"]))
-    raise ValueError(f"unknown motion model {model!r}")
-
-
 def detection_to_obj(det: Detection) -> dict:
     obj: dict = {
         "box": det.box.to_array(),
         "score": det.score,
         "class": det.label,
-        "motion": motion_to_obj(det.motion),
+        "motion": det.motion.to_obj(),
     }
     if det.track_id is not None:
         obj["track_id"] = det.track_id
@@ -85,7 +64,7 @@ def detection_from_obj(obj: dict) -> Detection:
         box=Box3D.from_array(box),
         score=float(obj["score"]),
         label=str(obj["class"]),
-        motion=motion_from_obj(obj["motion"]),
+        motion=params_from_obj(obj["motion"]),
         weight=None if obj.get("weight") is None else float(obj["weight"]),
         frame_lag=frame_lag,
         track_id=None if obj.get("track_id") is None else int(obj["track_id"]),

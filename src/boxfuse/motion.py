@@ -9,21 +9,30 @@ arm). The turning closed forms are evaluated in chord form,
 which is algebraically identical to the usual speed/rate arc expressions but
 stays finite and smooth through zero turn rate, so no straight-motion branch
 is needed.
+
+Each parameter class owns every rule that differs between the models: its
+`name`, whether it `turns`, JSON keys (`to_obj`/`from_obj`), `forward`, `inverse`,
+`speed_radius`, detector noise (`noisy`), the fusion merge (`weighted_mean`,
+with `self` as the reference for wrapped angles), rotation into an ego frame
+(`in_ego`) and construction from speed, heading and a signed turn radius
+(`from_motion`; positive turns left, None is straight). `MODELS` maps each
+name to its class; the rest of the package consults only that table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .geometry import Box3D, Pose, normalize_angle
+from .geometry import Box3D, EgoPose, Pose, _require_finite, normalize_angle
 
 HALF_PI = 0.5 * math.pi
 
-MODEL_NAMES = ("cv", "unicycle", "bicycle")
+# turn rates (or slip sines) below this count as straight motion
+_ZERO_RATE = 1e-9
 
 
 def _sinc(z: float) -> float:
@@ -42,14 +51,16 @@ def _dsinc(z: float) -> float:
     return (math.cos(z) - math.sin(z) / z) / z
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+def _wavg(weights: Sequence[float], values: list[float], wsum: float) -> float:
+    return sum(w * v for w, v in zip(weights, values)) / wsum
 
 
 @dataclass(frozen=True)
 class ConstantVelocity:
     """Planar constant-velocity motion (m/s); heading is carried unchanged."""
+
+    name: ClassVar[str] = "cv"
+    turns: ClassVar[bool] = False
 
     vx: float
     vy: float
@@ -58,10 +69,52 @@ class ConstantVelocity:
         _require_finite("vx", self.vx)
         _require_finite("vy", self.vy)
 
+    def to_obj(self) -> dict:
+        return {"model": "cv", "vx": self.vx, "vy": self.vy}
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> ConstantVelocity:
+        return cls(float(obj["vx"]), float(obj["vy"]))
+
+    @classmethod
+    def from_motion(cls, speed: float, heading: float, radius: float | None, rear_axle: float):
+        if radius is not None:
+            raise ValueError("constant-velocity trajectories cannot turn")
+        return cls(speed * math.cos(heading), speed * math.sin(heading))
+
+    def forward(self, pose: Pose, t: float) -> Pose:
+        return forward_cv(pose, self, t)
+
+    @staticmethod
+    def inverse(p0: Pose, pt: Pose, t: float, rear_axle: float | None = None) -> ConstantVelocity:
+        return inverse_cv(p0, pt, t)
+
+    def speed_radius(self) -> tuple[float, float]:
+        return math.hypot(self.vx, self.vy), math.inf
+
+    def noisy(self, n1: float, n2: float, sigma_speed: float, sigma_turn: float) -> ConstantVelocity:
+        return ConstantVelocity(self.vx + n1 * sigma_speed, self.vy + n2 * sigma_speed)
+
+    def weighted_mean(self, members: list, weights: list[float], wsum: float) -> ConstantVelocity:
+        return ConstantVelocity(
+            _wavg(weights, [p.vx for p in members], wsum),
+            _wavg(weights, [p.vy for p in members], wsum),
+        )
+
+    def in_ego(self, ego: EgoPose) -> ConstantVelocity:
+        if ego.yaw == 0.0:
+            return self
+        c = math.cos(ego.yaw)
+        s = math.sin(ego.yaw)
+        return ConstantVelocity(c * self.vx + s * self.vy, -s * self.vx + c * self.vy)
+
 
 @dataclass(frozen=True)
 class Unicycle:
     """Single-axle motion: signed speed along the heading (m/s), yaw rate (rad/s)."""
+
+    name: ClassVar[str] = "unicycle"
+    turns: ClassVar[bool] = True
 
     speed: float
     yaw_rate: float
@@ -70,11 +123,49 @@ class Unicycle:
         _require_finite("speed", self.speed)
         _require_finite("yaw_rate", self.yaw_rate)
 
+    def to_obj(self) -> dict:
+        return {"model": "unicycle", "v": self.speed, "omega": self.yaw_rate}
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> Unicycle:
+        return cls(float(obj["v"]), float(obj["omega"]))
+
+    @classmethod
+    def from_motion(cls, speed: float, heading: float, radius: float | None, rear_axle: float):
+        return cls(speed, 0.0 if radius is None else speed / radius)
+
+    def forward(self, pose: Pose, t: float) -> Pose:
+        x, y, heading = _forward_unicycle_raw(pose.x, pose.y, pose.heading, self.speed, self.yaw_rate, t)
+        return Pose(x, y, normalize_angle(heading))
+
+    @staticmethod
+    def inverse(p0: Pose, pt: Pose, t: float, rear_axle: float | None = None) -> Unicycle:
+        return inverse_unicycle(p0, pt, t)
+
+    def speed_radius(self) -> tuple[float, float]:
+        rate = abs(self.yaw_rate)
+        return abs(self.speed), math.inf if rate < _ZERO_RATE else abs(self.speed) / rate
+
+    def noisy(self, n1: float, n2: float, sigma_speed: float, sigma_turn: float) -> Unicycle:
+        return Unicycle(self.speed + n1 * sigma_speed, self.yaw_rate + n2 * sigma_turn)
+
+    def weighted_mean(self, members: list, weights: list[float], wsum: float) -> Unicycle:
+        return Unicycle(
+            _wavg(weights, [p.speed for p in members], wsum),
+            _wavg(weights, [p.yaw_rate for p in members], wsum),
+        )
+
+    def in_ego(self, ego: EgoPose) -> Unicycle:
+        return self
+
 
 @dataclass(frozen=True)
 class Bicycle:
     """Two-axle motion: signed speed (m/s), slip angle between velocity and
     heading (rad, within [-pi/2, pi/2]), center-to-rear-axle distance (m)."""
+
+    name: ClassVar[str] = "bicycle"
+    turns: ClassVar[bool] = True
 
     speed: float
     slip: float
@@ -89,19 +180,81 @@ class Bicycle:
         if self.rear_axle <= 0.0:
             raise ValueError("rear_axle must be positive")
 
+    def to_obj(self) -> dict:
+        return {"model": "bicycle", "v": self.speed, "beta": self.slip, "l_r": self.rear_axle}
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> Bicycle:
+        return cls(float(obj["v"]), float(obj["beta"]), float(obj["l_r"]))
+
+    @classmethod
+    def from_motion(cls, speed: float, heading: float, radius: float | None, rear_axle: float):
+        if radius is None:
+            return cls(speed, 0.0, rear_axle)
+        ratio = rear_axle / abs(radius)
+        if ratio >= 1.0:
+            raise ValueError(f"turn radius {abs(radius)} must exceed the rear axle arm {rear_axle}")
+        return cls(speed, math.copysign(1.0, radius) * math.asin(ratio), rear_axle)
+
+    def forward(self, pose: Pose, t: float) -> Pose:
+        x, y, heading = _forward_bicycle_raw(
+            pose.x, pose.y, pose.heading, self.speed, self.slip, self.rear_axle, t
+        )
+        return Pose(x, y, normalize_angle(heading))
+
+    @staticmethod
+    def inverse(p0: Pose, pt: Pose, t: float, rear_axle: float | None = None) -> Bicycle:
+        if rear_axle is None or rear_axle <= 0.0:
+            raise ValueError("bicycle estimation needs a positive rear_axle")
+        # looked up at call time, so a wrapper bound at the module name sees every fit
+        return inverse_bicycle(p0, pt, t, rear_axle)[0]
+
+    def speed_radius(self) -> tuple[float, float]:
+        s = abs(math.sin(self.slip))
+        return abs(self.speed), math.inf if s < _ZERO_RATE else self.rear_axle / s
+
+    def noisy(self, n1: float, n2: float, sigma_speed: float, sigma_turn: float) -> Bicycle:
+        slip = min(HALF_PI, max(-HALF_PI, self.slip + n2 * sigma_turn))
+        return Bicycle(self.speed + n1 * sigma_speed, slip, self.rear_axle)
+
+    def weighted_mean(self, members: list, weights: list[float], wsum: float) -> Bicycle:
+        ref = self.slip
+        slip = ref + _wavg(weights, [normalize_angle(p.slip - ref) for p in members], wsum)
+        return Bicycle(
+            _wavg(weights, [p.speed for p in members], wsum),
+            min(HALF_PI, max(-HALF_PI, slip)),
+            _wavg(weights, [p.rear_axle for p in members], wsum),
+        )
+
+    def in_ego(self, ego: EgoPose) -> Bicycle:
+        return self
+
 
 MotionParams = ConstantVelocity | Unicycle | Bicycle
+
+#: Every motion model by name; the only table the rest of the package consults.
+MODELS: dict[str, type[MotionParams]] = {c.name: c for c in (ConstantVelocity, Unicycle, Bicycle)}
+MODEL_NAMES = tuple(MODELS)
+
+
+def model_class(name: str) -> type[MotionParams]:
+    """The parameter class registered under `name`; ValueError when there is none."""
+    cls = MODELS.get(name)
+    if cls is None:
+        raise ValueError(f"unknown motion model {name!r}")
+    return cls
+
+
+def params_from_obj(obj: dict) -> MotionParams:
+    """Parse the JSON form {"model": name, <model keys>} written by `to_obj`."""
+    return model_class(obj.get("model")).from_obj(obj)
 
 
 def model_name(params: MotionParams) -> str:
     """Short tag for a parameter variant: "cv", "unicycle" or "bicycle"."""
-    if isinstance(params, ConstantVelocity):
-        return "cv"
-    if isinstance(params, Unicycle):
-        return "unicycle"
-    if isinstance(params, Bicycle):
-        return "bicycle"
-    raise TypeError(f"unknown motion parameters {type(params).__name__}")
+    if not isinstance(params, MotionParams):
+        raise TypeError(f"unknown motion parameters {type(params).__name__}")
+    return params.name
 
 
 def _forward_unicycle_raw(x, y, heading, speed, yaw_rate, t):
@@ -132,10 +285,7 @@ def forward_unicycle(pose: Pose, params: Unicycle, t: float) -> Pose:
     of the circular arc; zero yaw rate reduces to straight motion along the
     heading.
     """
-    x, y, heading = _forward_unicycle_raw(
-        pose.x, pose.y, pose.heading, params.speed, params.yaw_rate, t
-    )
-    return Pose(x, y, normalize_angle(heading))
+    return params.forward(pose, t)
 
 
 def forward_bicycle(pose: Pose, params: Bicycle, t: float) -> Pose:
@@ -144,28 +294,21 @@ def forward_bicycle(pose: Pose, params: Bicycle, t: float) -> Pose:
     Velocity leads the heading by the slip angle and the heading turns at
     speed * sin(slip) / rear_axle; zero slip reduces to straight motion.
     """
-    x, y, heading = _forward_bicycle_raw(
-        pose.x, pose.y, pose.heading, params.speed, params.slip, params.rear_axle, t
-    )
-    return Pose(x, y, normalize_angle(heading))
+    return params.forward(pose, t)
 
 
 def forward(pose: Pose, params: MotionParams, t: float) -> Pose:
-    """Dispatch to the closed-form forward model for the parameter variant."""
-    if isinstance(params, ConstantVelocity):
-        return forward_cv(pose, params, t)
-    if isinstance(params, Unicycle):
-        return forward_unicycle(pose, params, t)
-    if isinstance(params, Bicycle):
-        return forward_bicycle(pose, params, t)
-    raise TypeError(f"unknown motion parameters {type(params).__name__}")
+    """Advance a pose t seconds with the closed-form forward model of `params`."""
+    if not isinstance(params, MotionParams):
+        raise TypeError(f"unknown motion parameters {type(params).__name__}")
+    return params.forward(pose, t)
 
 
 def forward_box(box: Box3D, params: MotionParams, t: float) -> Box3D:
     """Advance a box's planar pose (x, y, yaw); z and size are carried unchanged."""
     if t == 0.0:
         return box
-    return box.with_bev_pose(forward(box.bev_pose, params, t))
+    return box.with_bev_pose(params.forward(box.bev_pose, t))
 
 
 def inverse_cv(p0: Pose, pt: Pose, t: float) -> ConstantVelocity:
@@ -376,9 +519,9 @@ def estimate_params_from_track(
     """Per-pose motion parameters estimated from a time-ordered track.
 
     Interior poses use the straddling pair (i-1, i+1); the endpoints fall back
-    to their single adjacent pair. `model` selects the inverse ("cv",
-    "unicycle" or "bicycle"); the bicycle inverse additionally needs the fixed
-    rear_axle arm.
+    to their single adjacent pair. `model` names the inverse (a key of
+    MODELS); the bicycle inverse additionally needs the fixed rear_axle arm,
+    which the other models ignore.
     """
     if len(times) != len(poses):
         raise ValueError("times and poses must have equal length")
@@ -388,25 +531,11 @@ def estimate_params_from_track(
     for a, b in zip(times, times[1:]):
         if b <= a:
             raise ValueError("timestamps must strictly increase")
-    if model not in MODEL_NAMES:
-        raise ValueError(f"unknown model {model!r}")
-    if model == "bicycle" and (rear_axle is None or rear_axle <= 0.0):
-        raise ValueError("bicycle estimation needs a positive rear_axle")
+    inverse = model_class(model).inverse
     out: list[MotionParams] = []
     for i in range(n):
-        if i == 0:
-            j0, j1 = 0, 1
-        elif i == n - 1:
-            j0, j1 = n - 2, n - 1
-        else:
-            j0, j1 = i - 1, i + 1
-        dt = times[j1] - times[j0]
-        if model == "cv":
-            out.append(inverse_cv(poses[j0], poses[j1], dt))
-        elif model == "unicycle":
-            out.append(inverse_unicycle(poses[j0], poses[j1], dt))
-        else:
-            out.append(inverse_bicycle(poses[j0], poses[j1], dt, rear_axle)[0])
+        j0, j1 = max(i - 1, 0), min(i + 1, n - 1)
+        out.append(inverse(poses[j0], poses[j1], times[j1] - times[j0], rear_axle))
     return out
 
 

@@ -19,15 +19,7 @@ import numpy as np
 
 from .fusion import Detection, Frame
 from .geometry import Box3D, EgoPose, Pose, transform_box
-from .motion import (
-    Bicycle,
-    ConstantVelocity,
-    HALF_PI,
-    MotionParams,
-    Unicycle,
-    estimate_params_from_track,
-    forward,
-)
+from .motion import MotionParams, estimate_params_from_track, forward, model_class
 
 PRNG_NAME = "philox"
 
@@ -62,8 +54,7 @@ class TrajectorySpec:
     label: str = "vehicle"
 
     def __post_init__(self) -> None:
-        if self.model not in ("cv", "unicycle", "bicycle"):
-            raise ValueError(f"unknown model {self.model!r}")
+        model = model_class(self.model)
         if self.frame_interval <= 0.0:
             raise ValueError("frame_interval must be positive")
         if self.duration < self.frame_interval:
@@ -71,8 +62,8 @@ class TrajectorySpec:
         if self.speed_range[1] < self.speed_range[0]:
             raise ValueError("speed_range must be (low, high)")
         if self.radius_range is not None:
-            if self.model == "cv":
-                raise ValueError("constant-velocity trajectories cannot turn")
+            if not model.turns:
+                raise ValueError(f"{self.model} trajectories cannot turn")
             if self.radius_range[0] <= 0.0 or self.radius_range[1] < self.radius_range[0]:
                 raise ValueError("radius_range must be positive (low, high)")
         if self.rear_axle is not None and self.rear_axle <= 0.0:
@@ -173,38 +164,20 @@ def _sample_vehicle(
     heading = float(rng.uniform(spec.heading_range[0], spec.heading_range[1]))
     speed = float(rng.uniform(spec.speed_range[0], spec.speed_range[1]))
     rear_axle = spec.rear_axle_or_default
-    if spec.radius_range is None:
-        if spec.model == "cv":
-            gen: MotionParams = ConstantVelocity(speed * math.cos(heading), speed * math.sin(heading))
-        elif spec.model == "unicycle":
-            gen = Unicycle(speed, 0.0)
-        else:
-            gen = Bicycle(speed, 0.0, rear_axle)
-    else:
+    radius = None
+    if spec.radius_range is not None:
         radius = float(rng.uniform(spec.radius_range[0], spec.radius_range[1]))
-        sign = 1.0 if int(rng.integers(0, 2)) else -1.0
-        if spec.model == "unicycle":
-            gen = Unicycle(speed, sign * speed / radius)
-        else:
-            ratio = rear_axle / radius
-            if ratio >= 1.0:
-                raise ValueError(f"turn radius {radius} is shorter than the rear axle arm {rear_axle}")
-            gen = Bicycle(speed, sign * math.asin(ratio), rear_axle)
+        radius = radius if int(rng.integers(0, 2)) else -radius
+    gen = model_class(spec.model).from_motion(speed, heading, radius, rear_axle)
     p0 = Pose(slot[0] + jx, slot[1] + jy, heading)
-    poses = tuple(forward(p0, gen, t) for t in times)
-    attached = estimate_params_from_track(
-        list(times), list(poses), spec.model, rear_axle=rear_axle if spec.model == "bicycle" else None
-    )
+    poses = tuple(gen.forward(p0, t) for t in times)
+    attached = estimate_params_from_track(list(times), list(poses), spec.model, rear_axle=rear_axle)
     return _Vehicle(track_id, spec, poses, tuple(attached))
 
 
 def _motion_in_ego(params: MotionParams, ego: EgoPose) -> MotionParams:
     """Rotate frame-dependent motion components into the ego frame."""
-    if isinstance(params, ConstantVelocity) and ego.yaw != 0.0:
-        c = math.cos(ego.yaw)
-        s = math.sin(ego.yaw)
-        return ConstantVelocity(c * params.vx + s * params.vy, -s * params.vx + c * params.vy)
-    return params
+    return params.in_ego(ego)
 
 
 def generate_mixed_scene(
@@ -288,17 +261,6 @@ def generate_ground_truth(
     )
 
 
-def _noisy_motion(
-    params: MotionParams, spec: CorruptionSpec, n1: float, n2: float
-) -> MotionParams:
-    if isinstance(params, ConstantVelocity):
-        return ConstantVelocity(params.vx + n1 * spec.sigma_speed, params.vy + n2 * spec.sigma_speed)
-    if isinstance(params, Unicycle):
-        return Unicycle(params.speed + n1 * spec.sigma_speed, params.yaw_rate + n2 * spec.sigma_turn)
-    slip = min(HALF_PI, max(-HALF_PI, params.slip + n2 * spec.sigma_turn))
-    return Bicycle(params.speed + n1 * spec.sigma_speed, slip, params.rear_axle)
-
-
 def corrupt(frames: Sequence[Frame], spec: CorruptionSpec, seed: int) -> list[Frame]:
     """Simulate detector output from ground-truth frames.
 
@@ -346,7 +308,7 @@ def corrupt(frames: Sequence[Frame], spec: CorruptionSpec, seed: int) -> list[Fr
                     box.h,
                     box.yaw + float(draws[2]) * spec.sigma_yaw,
                 )
-            motion = _noisy_motion(det.motion, spec, float(draws[3]), float(draws[4]))
+            motion = det.motion.noisy(float(draws[3]), float(draws[4]), spec.sigma_speed, spec.sigma_turn)
             score = spec.score_mean + float(draws[5]) * spec.score_sigma
             score = min(0.999, max(spec.score_floor, score)) * scale
             score = min(1.0, max(0.0, score))

@@ -23,6 +23,7 @@ from boxfuse import (
     forward_frame,
     fuse_frames,
     fuse_sequence,
+    sliding_windows,
     transform_box,
     weighted_nms,
 )
@@ -422,6 +423,34 @@ class TestFuseSequence:
         frames = [Frame(0.1, EgoPose.identity(), []), Frame(0.1, EgoPose.identity(), [])]
         with pytest.raises(ValueError):
             list(fuse_sequence(frames, CFG))
+
+    def test_non_monotone_error_names_the_frame(self):
+        frames = [Frame(t, EgoPose.identity(), []) for t in (0.0, 0.1, 0.2, 0.15)]
+        with pytest.raises(ValueError, match=r"\(frame 3\)"):
+            list(sliding_windows(frames, 3))
+
+    def test_sliding_windows_trail_each_frame(self):
+        frames = [Frame(0.1 * i, EgoPose.identity(), []) for i in range(5)]
+        got = [[f.timestamp for f in w] for w in sliding_windows(frames, 3)]
+        assert got == [[0.0], [0.0, 0.1], [0.0, 0.1, 0.2], [0.1, 0.2, 0.30000000000000004],
+                       [0.2, 0.30000000000000004, 0.4]]
+
+
+class TestHistoryIdentity:
+    def test_history_box_at_20hz_is_history_only(self):
+        # 0.05 s is half the 0.1 s interval, so the lag rounds to 0; the box is history anyway
+        old = Frame(0.0, EgoPose.identity(), [make_det(x=0.0, score=0.9)])
+        current = Frame(0.05, EgoPose.identity(), [make_det(x=40.0, score=0.8)])
+        forwarded = forward_frame(old, current.timestamp, current.ego, CFG)
+        assert forwarded[0].frame_lag == 0 and forwarded[0].n_current == 0
+        out = fuse_frames([old, current], CFG)
+        lone = [d for d in out.detections if d.box.x < 20.0]
+        assert len(lone) == 1
+        assert lone[0].history_only
+        assert lone[0].score == pytest.approx(decayed_weight(0.9, 0.05, CFG))
+        assert lone[0].score < 0.9
+        fresh = [d for d in out.detections if d.box.x >= 20.0]
+        assert [(d.n_current, d.score) for d in fresh] == [(1, 0.8)]
 
 
 class TestPresets:

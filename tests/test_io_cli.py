@@ -249,6 +249,29 @@ class TestCli:
         }
         assert err["bicycle"] < err["unicycle"] < err["cv"]
 
+    def test_explicit_zero_speed_min_is_kept(self, tmp_path):
+        gt, _ = run_synth(tmp_path, extra=("--speed-min", "0", "--speed-max", "5"))
+        ranges = [g["spec"]["speed_range"] for g in read_meta(gt)["groups"]]
+        assert ranges == [[0.0, 0.0], [0.0, 5.0], [0.0, 5.0]]
+
+    def test_explicit_zero_from_environment_is_kept(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("BOXFUSE_SPAN", "0")
+        gt, _ = run_synth(tmp_path)
+        assert read_meta(gt)["groups"][0]["spec"]["origin_span"] == 0.0
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["synth", "--vehicles", "0"], "--vehicles"),
+        (["traj-compare", "--l-r", "0"], "--l-r"),
+        (["traj-compare", "--interval", "0"], "--interval"),
+    ])
+    def test_explicit_zero_is_not_replaced_by_default(self, tmp_path, capsys, argv, flag):
+        outputs = ["--output-gt", str(tmp_path / "gt.jsonl"), "--output-det", str(tmp_path / "det.jsonl")]
+        if argv[0] == "traj-compare":
+            outputs = ["--output", str(tmp_path / "traj.csv")]
+        assert main(argv + outputs) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "gt.jsonl").exists() and not (tmp_path / "traj.csv").exists()
+
     def test_env_override(self, tmp_path, monkeypatch):
         gt, det = run_synth(tmp_path)
         out_flag = tmp_path / "flag.jsonl"
