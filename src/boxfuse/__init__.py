@@ -40,6 +40,8 @@ from .geometry import (
     Pose,
     bev_corners,
     bev_iou,
+    candidate_pairs,
+    circumradius,
     normalize_angle,
     transform_box,
 )

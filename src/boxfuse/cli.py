@@ -56,10 +56,14 @@ def _opt(args: argparse.Namespace, dest: str, cast=str, default=None):
     value = getattr(args, dest, None)
     if value is not None:
         return value
-    raw = os.environ.get(ENV_PREFIX + _ENV_KEYS.get(dest, dest.upper()))
+    name = ENV_PREFIX + _ENV_KEYS.get(dest, dest.upper())
+    raw = os.environ.get(name)
     if raw is None:
         return default
-    return cast(raw)
+    try:
+        return cast(raw)
+    except ValueError as exc:
+        raise ValueError(f"environment variable {name}={raw!r}: {exc}") from None
 
 
 def _required(args: argparse.Namespace, dest: str) -> str:
@@ -309,7 +313,7 @@ def _cmd_traj_compare(args: argparse.Namespace) -> int:
         raise ValueError(f"--l-r must be positive, got {rear_axle!r}")
     steps = max(1, int(round(horizon / interval)))
     n_frames = max(int(round(duration / interval)) + 1, 2 * steps + 3)
-    gen = gen_class.from_motion(speed, 0.0, radius if radius > 0 else None, rear_axle)
+    gen = gen_class.from_motion(speed, 0.0, radius if radius != 0 else None, rear_axle)
     times = [i * interval for i in range(n_frames)]
     poses = [forward(Pose(0.0, 0.0, 0.0), gen, t) for t in times]
     center = n_frames // 2
@@ -394,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     traj.add_argument("--models", help=f"comma-separated list (default {','.join(MODEL_NAMES)})")
     traj.add_argument("--gen-model", dest="gen_model", choices=MODEL_NAMES)
     traj.add_argument("--speed", type=float)
-    traj.add_argument("--radius", type=float, help="turn radius in meters; 0 for straight")
+    traj.add_argument("--radius", type=float,
+                      help="signed turn radius in meters (positive turns left, negative right); 0 for straight")
     traj.add_argument("--l-r", dest="rear_axle", type=float)
     traj.add_argument("--interval", dest="frame_interval", type=float)
     traj.add_argument("--duration", type=float)

@@ -21,12 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import median
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .fusion import Frame
-from .geometry import bev_iou, normalize_angle
+from .geometry import bev_iou, candidate_pairs, circumradius, normalize_angle
 
 #: IoU used to associate detections with a ground-truth subset.
 SUBSET_FILTER_IOU = 0.5
@@ -46,27 +46,62 @@ class MatchResult:
     unmatched_det: tuple[int, ...]
 
 
-def match_frame(gt: Frame, det: Frame, iou_threshold: float) -> MatchResult:
-    """Greedy one-to-one matching of detections to ground truth in one frame.
+class _Overlaps(NamedTuple):
+    """IoU table of one frame.
 
-    Detections are visited by descending score (ties by input order) and each
-    takes the unmatched same-label ground-truth box of highest IoU, provided
-    that IoU exceeds the threshold.
+    Every same-label (detection index, ground-truth index, IoU) with IoU > 0,
+    sorted by detection index, then ground-truth index.
     """
+
+    det: np.ndarray
+    gt: np.ndarray
+    iou: np.ndarray
+
+
+def _frame_overlaps(gt: Frame, det: Frame) -> _Overlaps:
+    """IoU table of one frame, computing bev_iou(gt, det) only on candidate pairs."""
+    gts = gt.detections
+    dets = det.detections
+    det_index, gt_index = candidate_pairs(
+        [d.box.x for d in dets], [d.box.y for d in dets], [circumradius(d.box) for d in dets],
+        [g.box.x for g in gts], [g.box.y for g in gts], [circumradius(g.box) for g in gts],
+    )
+    kept = []
+    ious = []
+    for k, (di, gi) in enumerate(zip(det_index.tolist(), gt_index.tolist())):
+        g = gts[gi]
+        d = dets[di]
+        if g.label == d.label:
+            iou = bev_iou(g.box, d.box)
+            if iou > 0.0:
+                kept.append(k)
+                ious.append(iou)
+    return _Overlaps(det_index[kept], gt_index[kept], np.array(ious, dtype=float))
+
+
+def _require_iou_threshold(value: float) -> None:
+    # zero-IoU pairs are never looked at, so they must never pass the threshold
+    if not value >= 0.0:
+        raise ValueError(f"IoU threshold must be non-negative, got {value!r}")
+
+
+def _greedy_match(det: Frame, overlaps: _Overlaps, n_gt: int, iou_threshold: float) -> MatchResult:
+    """match_frame of a frame with n_gt ground-truth boxes, given its IoU table."""
+    _require_iou_threshold(iou_threshold)
     order = sorted(range(len(det.detections)), key=lambda i: (-det.detections[i].score, i))
-    taken = [False] * len(gt.detections)
+    bounds = np.searchsorted(overlaps.det, np.arange(len(det.detections) + 1)).tolist()
+    gt_index = overlaps.gt.tolist()
+    ious = overlaps.iou.tolist()
+    taken = [False] * n_gt
     pairs = []
     unmatched_det = []
     for di in order:
-        d = det.detections[di]
         best_gi = -1
         best_iou = iou_threshold
-        for gi, g in enumerate(gt.detections):
-            if taken[gi] or g.label != d.label:
-                continue
-            iou = bev_iou(g.box, d.box)
-            if iou > best_iou:
-                best_iou = iou
+        for k in range(bounds[di], bounds[di + 1]):
+            gi = gt_index[k]
+            if not taken[gi] and ious[k] > best_iou:
+                best_iou = ious[k]
                 best_gi = gi
         if best_gi >= 0:
             taken[best_gi] = True
@@ -75,6 +110,17 @@ def match_frame(gt: Frame, det: Frame, iou_threshold: float) -> MatchResult:
             unmatched_det.append(di)
     unmatched_gt = tuple(i for i, used in enumerate(taken) if not used)
     return MatchResult(tuple(pairs), unmatched_gt, tuple(sorted(unmatched_det)))
+
+
+def match_frame(gt: Frame, det: Frame, iou_threshold: float) -> MatchResult:
+    """Greedy one-to-one matching of detections to ground truth in one frame.
+
+    Detections are visited by descending score (ties by input order) and each
+    takes the unmatched same-label ground-truth box of highest IoU (ties by
+    input order), provided that IoU exceeds the threshold, which must be
+    non-negative.
+    """
+    return _greedy_match(det, _frame_overlaps(gt, det), len(gt.detections), iou_threshold)
 
 
 @dataclass(frozen=True)
@@ -107,12 +153,19 @@ def average_precision(
     """
     if len(gt_frames) != len(det_frames):
         raise ValueError("ground-truth and detection sequences must align")
+    matches = (match_frame(gt, det, iou_threshold) for gt, det in zip(gt_frames, det_frames))
+    return _average_precision(gt_frames, det_frames, matches)
+
+
+def _average_precision(
+    gt_frames: Sequence[Frame], det_frames: Sequence[Frame], matches: Iterable[MatchResult]
+) -> APResult:
+    """AP / heading-weighted AP of aligned frames from their per-frame matches."""
     n_gt = sum(len(f.detections) for f in gt_frames)
     if n_gt == 0:
         raise ValueError("no ground-truth boxes to evaluate against")
     events: list[tuple[float, bool, float]] = []
-    for gt, det in zip(gt_frames, det_frames):
-        result = match_frame(gt, det, iou_threshold)
+    for gt, det, result in zip(gt_frames, det_frames, matches):
         hit = {di: gi for gi, di, _ in result.pairs}
         for di, d in enumerate(det.detections):
             gi = hit.get(di)
@@ -196,17 +249,74 @@ def filter_detections_to_subset(
     subset_gt: Sequence[Frame],
     min_iou: float = SUBSET_FILTER_IOU,
 ) -> list[Frame]:
-    """Keep detections overlapping some subset ground-truth box with IoU > min_iou."""
+    """Keep detections overlapping some subset ground-truth box with IoU > min_iou (>= 0)."""
+    _require_iou_threshold(min_iou)
     out = []
     for det, gt in zip(det_frames, subset_gt):
-        kept = []
-        for d in det.detections:
-            for g in gt.detections:
-                if g.label == d.label and bev_iou(g.box, d.box) > min_iou:
-                    kept.append(d)
-                    break
-        out.append(Frame(det.timestamp, det.ego, kept))
+        overlaps = _frame_overlaps(gt, det)
+        keep = _overlapping(len(det.detections), overlaps, overlaps.iou > min_iou)
+        out.append(Frame(det.timestamp, det.ego, _select(det.detections, keep)))
     return out
+
+
+def _overlapping(n_det: int, overlaps: _Overlaps, pair_mask: np.ndarray) -> np.ndarray:
+    """Mask of the n_det detections that have at least one pair selected by pair_mask."""
+    keep = np.zeros(n_det, dtype=bool)
+    keep[overlaps.det[pair_mask]] = True
+    return keep
+
+
+def _select(items: list, mask: np.ndarray) -> list:
+    return [item for item, keep in zip(items, mask.tolist()) if keep]
+
+
+def _subset_frame(
+    gt: Frame, det: Frame, overlaps: _Overlaps, track_ids: set[int]
+) -> tuple[Frame, Frame, _Overlaps]:
+    """One frame restricted to a ground-truth subset, read from the full frame's IoU table.
+
+    The subset ground truth keeps the full frame's boxes of those tracks in
+    their order; detections are filtered as by filter_detections_to_subset,
+    and the returned table is re-indexed to the subset frames.
+    """
+    in_subset = np.array([g.track_id in track_ids for g in gt.detections], dtype=bool)
+    pair_in_subset = in_subset[overlaps.gt]
+    matched = pair_in_subset & (overlaps.iou > SUBSET_FILTER_IOU)
+    keep = _overlapping(len(det.detections), overlaps, matched)
+    pair_kept = pair_in_subset & keep[overlaps.det]
+    # a kept row's new index is the number of kept rows before it
+    table = _Overlaps(
+        (np.cumsum(keep) - 1)[overlaps.det[pair_kept]],
+        (np.cumsum(in_subset) - 1)[overlaps.gt[pair_kept]],
+        overlaps.iou[pair_kept],
+    )
+    sub_gt = Frame(gt.timestamp, gt.ego, _select(gt.detections, in_subset))
+    return sub_gt, Frame(det.timestamp, det.ego, _select(det.detections, keep)), table
+
+
+def _sequence_ap(
+    gt_frames: Sequence[Frame],
+    det_frames: Sequence[Frame],
+    tables: Sequence[_Overlaps],
+    track_ids: set[int] | None,
+    iou_threshold: float,
+) -> tuple[int, float, float]:
+    """(n_gt, AP, APH) of a sequence from its per-frame IoU tables.
+
+    track_ids None means every box; otherwise frames are restricted to that
+    ground-truth subset. The precision-recall curve is dropped here, so a
+    report holds at most one at a time.
+    """
+    if track_ids is not None:
+        gt_frames, det_frames, tables = zip(
+            *(_subset_frame(*frame, track_ids) for frame in zip(gt_frames, det_frames, tables))
+        )
+    matches = (
+        _greedy_match(det, table, len(gt.detections), iou_threshold)
+        for gt, det, table in zip(gt_frames, det_frames, tables)
+    )
+    result = _average_precision(gt_frames, det_frames, matches)
+    return result.n_gt, result.ap, result.aph
 
 
 @dataclass(frozen=True)
@@ -277,22 +387,19 @@ def evaluate_enhancement(
     if not (len(gt_frames) == len(raw_frames) == len(fused_frames)):
         raise ValueError("sequences must align")
     labels = split_motion_state(gt_frames)
+    # one IoU table per frame and stream serves the all row and every subset
+    raw_tables = [_frame_overlaps(gt, det) for gt, det in zip(gt_frames, raw_frames)]
+    fused_tables = [_frame_overlaps(gt, det) for gt, det in zip(gt_frames, fused_frames)]
     all_ids = set(labels)
     rows = []
     for name in ("all", "stationary", "straight", "turning"):
         ids = all_ids if name == "all" else {t for t, lab in labels.items() if lab == name}
         if not ids:
             continue
-        sub_gt = gt_subset(gt_frames, ids)
-        if name == "all":
-            sub_raw: Sequence[Frame] = raw_frames
-            sub_fused: Sequence[Frame] = fused_frames
-        else:
-            sub_raw = filter_detections_to_subset(raw_frames, sub_gt)
-            sub_fused = filter_detections_to_subset(fused_frames, sub_gt)
-        raw_res = average_precision(sub_gt, sub_raw, iou_threshold)
-        fused_res = average_precision(sub_gt, sub_fused, iou_threshold)
-        rows.append(
-            SubsetMetrics(name, raw_res.n_gt, raw_res.ap, fused_res.ap, raw_res.aph, fused_res.aph)
+        subset = None if name == "all" else ids
+        n_gt, ap_raw, aph_raw = _sequence_ap(gt_frames, raw_frames, raw_tables, subset, iou_threshold)
+        _, ap_fused, aph_fused = _sequence_ap(
+            gt_frames, fused_frames, fused_tables, subset, iou_threshold
         )
+        rows.append(SubsetMetrics(name, n_gt, ap_raw, ap_fused, aph_raw, aph_fused))
     return EnhancementReport(iou_threshold, tuple(rows), _REPORT_NOTES)

@@ -11,14 +11,22 @@ they cannot crowd out fresh detections.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
-from .geometry import Box3D, EgoPose, _corners, _iou_from_corners, normalize_angle, transform_box
+from .geometry import (
+    Box3D,
+    EgoPose,
+    _corners,
+    _iou_from_corners,
+    candidate_pairs,
+    circumradius,
+    normalize_angle,
+    transform_box,
+)
 from .motion import MotionParams, _wavg, forward_box
 
 ScoreStrategy = Literal["decay", "divide"]
@@ -204,28 +212,34 @@ def _fuse_cluster(members: list[Detection]) -> Detection:
     )
 
 
+def _neighbours(dets: list[Detection]) -> tuple[np.ndarray, np.ndarray]:
+    """Circumcircle self-join of the boxes, as (bounds, neighbours).
+
+    Box i's neighbours, itself included, are neighbours[bounds[i]:bounds[i + 1]]
+    in ascending index.
+    """
+    cx = np.array([d.box.x for d in dets])
+    cy = np.array([d.box.y for d in dets])
+    radius = np.array([circumradius(d.box) for d in dets])
+    rows, neighbours = candidate_pairs(cx, cy, radius, cx, cy, radius)
+    return np.searchsorted(rows, np.arange(len(dets) + 1)), neighbours
+
+
 def _nms_single_class(dets: list[Detection], cfg: FusionConfig) -> list[Detection]:
     m = len(dets)
     order = sorted(range(m), key=lambda i: (-dets[i].weight, -dets[i].score, i))
-    cx = np.array([d.box.x for d in dets])
-    cy = np.array([d.box.y for d in dets])
-    radius = np.array([0.5 * math.hypot(d.box.w, d.box.l) for d in dets])
+    bounds, neighbours = _neighbours(dets)
     corners = [_corners(d.box) for d in dets]
     areas = [d.box.w * d.box.l for d in dets]
-    alive = np.ones(m, dtype=bool)
+    alive = [True] * m
     out = []
     for seed in order:
         if not alive[seed]:
             continue
-        dx = cx - cx[seed]
-        dy = cy - cy[seed]
-        reach = radius + radius[seed]
-        near = alive & (dx * dx + dy * dy < reach * reach)
         members = [seed]
         removed = [seed]
-        for j in np.flatnonzero(near):
-            j = int(j)
-            if j == seed:
+        for j in neighbours[bounds[seed] : bounds[seed + 1]].tolist():
+            if j == seed or not alive[j]:
                 continue
             if dets[j].box == dets[seed].box:
                 iou = 1.0
@@ -238,7 +252,8 @@ def _nms_single_class(dets: list[Detection], cfg: FusionConfig) -> list[Detectio
             if iou >= cfg.iou_low:
                 removed.append(j)
         out.append(_fuse_cluster([dets[j] for j in members]))
-        alive[np.array(removed)] = False
+        for j in removed:
+            alive[j] = False
     return out
 
 
@@ -314,12 +329,18 @@ def fuse_frames(window: Sequence[Frame], cfg: FusionConfig) -> Frame:
 def sliding_windows(frames: Iterable[Frame], size: int) -> Iterator[list[Frame]]:
     """Yield each frame's trailing window of up to `size` frames, oldest first.
 
-    Raises ValueError naming the 0-based frame index unless timestamps strictly increase.
+    Raises ValueError naming the 0-based index of the first offending frame
+    unless timestamps strictly increase and every detection of the stream
+    uses one motion model.
     """
     window: deque[Frame] = deque(maxlen=size)
+    models: set[str] = set()
     for index, frame in enumerate(frames):
         if window and frame.timestamp <= window[-1].timestamp:
             raise ValueError(f"timestamps must strictly increase (frame {index})")
+        models.update(d.motion.name for d in frame.detections)
+        if len(models) > 1:
+            raise ValueError(f"mixed motion models {sorted(models)} in one stream (frame {index})")
         window.append(frame)
         yield list(window)
 

@@ -187,11 +187,19 @@ def _iou_from_corners(corners_a, area_a, corners_b, area_b) -> float:
     return 1.0 if iou > 1.0 else iou
 
 
+def circumradius(box: Box3D) -> float:
+    """Radius of the circle through the BEV footprint's corners."""
+    return 0.5 * math.hypot(box.w, box.l)
+
+
 def bev_iou(a: Box3D, b: Box3D) -> float:
     """Rotated-rectangle IoU of two boxes' BEV footprints, in [0, 1].
 
-    Intersection is computed by convex polygon clipping, so the result is
-    symmetric in its arguments. Raises ValueError on a degenerate footprint.
+    Intersection is computed by clipping a's footprint by b's, so the result
+    is symmetric in its arguments only up to rounding: bev_iou(a, b) and
+    bev_iou(b, a) may differ in the last bits. Callers that need
+    reproducible outputs fix the order: evaluation passes the ground truth
+    first, weighted NMS the seed. Raises ValueError on a degenerate footprint.
     """
     area_a = a.w * a.l
     area_b = b.w * b.l
@@ -202,13 +210,79 @@ def bev_iou(a: Box3D, b: Box3D) -> float:
         return 1.0
     dx = b.x - a.x
     dy = b.y - a.y
-    ra = 0.5 * math.hypot(a.w, a.l)
-    rb = 0.5 * math.hypot(b.w, b.l)
-    reach = ra + rb
+    reach = circumradius(a) + circumradius(b)
     # footprints cannot overlap past the circumradius sum
     if dx * dx + dy * dy >= reach * reach:
         return 0.0
     return _iou_from_corners(_corners(a), area_a, _corners(b), area_b)
+
+
+# Cells per axis are capped so that cell keys fit in int64 and the rounding
+# of a cell index stays far below the cell slack.
+_MAX_GRID_CELLS = 1 << 20
+_CELL_SLACK = 1.0 + 1e-6
+
+
+def _no_pairs() -> tuple[np.ndarray, np.ndarray]:
+    return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+
+
+def candidate_pairs(ax, ay, ar, bx, by, br) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) whose circles overlap: dx*dx + dy*dy < (ar[i] + br[j])**2.
+
+    dx = bx[j] - ax[i] and dy = by[j] - ay[i]; the test is exactly the one
+    bev_iou uses to skip pairs, so every pair of boxes with IoU > 0 is among
+    the results when ar and br are the circumradii. The b side is binned into
+    a uniform grid whose cell is at least the largest radius sum, and each a
+    point probes its 3x3 neighbouring cells, one offset at a time, so
+    temporaries stay the size of one offset's candidates. Returns two int64
+    arrays sorted by (i, j); a self-join (a is b) includes every (i, i) of
+    positive radius.
+    """
+    ax, ay, ar = (np.asarray(v, dtype=float) for v in (ax, ay, ar))
+    bx, by, br = (np.asarray(v, dtype=float) for v in (bx, by, br))
+    na, nb = len(ax), len(bx)
+    if na == 0 or nb == 0:
+        return _no_pairs()
+    x0 = min(ax.min(), bx.min())
+    y0 = min(ay.min(), by.min())
+    span = max(ax.max(), bx.max()) - x0, max(ay.max(), by.max()) - y0
+    cell = max(float(ar.max() + br.max()) * _CELL_SLACK, max(span) / _MAX_GRID_CELLS)
+    if cell <= 0.0:
+        # zero radii and one shared point: no pair passes the strict test
+        return _no_pairs()
+    # one empty row and column pad each side, so neighbour keys never wrap
+    acx = np.floor((ax - x0) / cell).astype(np.int64) + 1
+    acy = np.floor((ay - y0) / cell).astype(np.int64) + 1
+    bcx = np.floor((bx - x0) / cell).astype(np.int64) + 1
+    bcy = np.floor((by - y0) / cell).astype(np.int64) + 1
+    rows = int(max(acy.max(), bcy.max())) + 2
+    akey = acx * rows + acy
+    bkey = bcx * rows + bcy
+    border = np.argsort(bkey, kind="stable")
+    bkey = bkey[border]
+
+    def probe(target: np.ndarray) -> np.ndarray:
+        """Passing pairs of one neighbour offset, as keys i * nb + j."""
+        lo = np.searchsorted(bkey, target, side="left")
+        counts = np.searchsorted(bkey, target, side="right") - lo
+        i = np.repeat(np.arange(na), counts)
+        # position inside each a point's run of candidates, added to its run start
+        j = border[np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts - lo, counts)]
+        # dx*dx + dy*dy < reach*reach, computed in place to hold fewer temporaries
+        dist2 = bx[j] - ax[i]
+        dist2 *= dist2
+        dy = by[j] - ay[i]
+        dy *= dy
+        dist2 += dy
+        reach = ar[i] + br[j]
+        reach *= reach
+        keep = dist2 < reach
+        return i[keep] * nb + j[keep]
+
+    keys = np.concatenate([probe(akey + (ox * rows + oy)) for ox in (-1, 0, 1) for oy in (-1, 0, 1)])
+    keys.sort()
+    return np.divmod(keys, nb)
 
 
 def transform_box(box: Box3D, src: EgoPose, dst: EgoPose) -> Box3D:

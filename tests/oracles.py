@@ -2,7 +2,10 @@
 
 Everything here is deliberately dumb and quadratic: the Monte-Carlo IoU
 estimator, a brute-force weighted NMS that rescans the pool with bev_iou for
-every seed, and an O(n^2) precision-recall enumeration for AP. The averaging
+every seed, brute-force circle-overlap pairs, the all-pairs frame matcher,
+subset filter and per-seed NMS distance scan that evaluation and fusion used
+before their candidate-pair search (kept verbatim), and an O(n^2)
+precision-recall enumeration for AP. The averaging
 and bookkeeping logic is re-written from the contract, not shared with the
 package internals.
 """
@@ -13,8 +16,10 @@ import math
 
 import numpy as np
 
-from boxfuse import Bicycle, ConstantVelocity, Detection, Unicycle, bev_iou, normalize_angle
-from boxfuse.geometry import Box3D
+from boxfuse import Bicycle, ConstantVelocity, Detection, Frame, Unicycle, bev_iou, normalize_angle
+from boxfuse.evaluation import SUBSET_FILTER_IOU, MatchResult
+from boxfuse.fusion import _fuse_cluster
+from boxfuse.geometry import Box3D, _corners, _iou_from_corners
 
 
 def shoelace(points) -> float:
@@ -165,3 +170,107 @@ def ap_reference(flags, heading_weights, n_gt: int) -> tuple[float, float]:
         aph += (recalls[k] - prev_recall) * max(h_precisions[k:])
         prev_recall = recalls[k]
     return ap, aph
+
+
+def candidate_pairs_reference(ax, ay, ar, bx, by, br) -> tuple[list[int], list[int]]:
+    """Every (i, j) with (bx[j] - ax[i])**2 + (by[j] - ay[i])**2 < (ar[i] + br[j])**2, row by row."""
+    ax, ay, ar, bx, by, br = (np.asarray(v, dtype=float) for v in (ax, ay, ar, bx, by, br))
+    found_i = []
+    found_j = []
+    for i in range(len(ax)):
+        for j in range(len(bx)):
+            dx = bx[j] - ax[i]
+            dy = by[j] - ay[i]
+            reach = ar[i] + br[j]
+            if dx * dx + dy * dy < reach * reach:
+                found_i.append(i)
+                found_j.append(j)
+    return found_i, found_j
+
+
+def match_frame_reference(gt: Frame, det: Frame, iou_threshold: float) -> MatchResult:
+    """Greedy one-to-one matching of detections to ground truth in one frame.
+
+    Detections are visited by descending score (ties by input order) and each
+    takes the unmatched same-label ground-truth box of highest IoU, provided
+    that IoU exceeds the threshold.
+    """
+    order = sorted(range(len(det.detections)), key=lambda i: (-det.detections[i].score, i))
+    taken = [False] * len(gt.detections)
+    pairs = []
+    unmatched_det = []
+    for di in order:
+        d = det.detections[di]
+        best_gi = -1
+        best_iou = iou_threshold
+        for gi, g in enumerate(gt.detections):
+            if taken[gi] or g.label != d.label:
+                continue
+            iou = bev_iou(g.box, d.box)
+            if iou > best_iou:
+                best_iou = iou
+                best_gi = gi
+        if best_gi >= 0:
+            taken[best_gi] = True
+            pairs.append((best_gi, di, best_iou))
+        else:
+            unmatched_det.append(di)
+    unmatched_gt = tuple(i for i, used in enumerate(taken) if not used)
+    return MatchResult(tuple(pairs), unmatched_gt, tuple(sorted(unmatched_det)))
+
+
+def filter_detections_to_subset_reference(
+    det_frames,
+    subset_gt,
+    min_iou: float = SUBSET_FILTER_IOU,
+) -> list[Frame]:
+    """Keep detections overlapping some subset ground-truth box with IoU > min_iou."""
+    out = []
+    for det, gt in zip(det_frames, subset_gt):
+        kept = []
+        for d in det.detections:
+            for g in gt.detections:
+                if g.label == d.label and bev_iou(g.box, d.box) > min_iou:
+                    kept.append(d)
+                    break
+        out.append(Frame(det.timestamp, det.ego, kept))
+    return out
+
+
+def nms_single_class_scan(dets, cfg) -> list[Detection]:
+    """Single-class weighted NMS finding each seed's neighbours by a scan over all boxes."""
+    m = len(dets)
+    order = sorted(range(m), key=lambda i: (-dets[i].weight, -dets[i].score, i))
+    cx = np.array([d.box.x for d in dets])
+    cy = np.array([d.box.y for d in dets])
+    radius = np.array([0.5 * math.hypot(d.box.w, d.box.l) for d in dets])
+    corners = [_corners(d.box) for d in dets]
+    areas = [d.box.w * d.box.l for d in dets]
+    alive = np.ones(m, dtype=bool)
+    out = []
+    for seed in order:
+        if not alive[seed]:
+            continue
+        dx = cx - cx[seed]
+        dy = cy - cy[seed]
+        reach = radius + radius[seed]
+        near = alive & (dx * dx + dy * dy < reach * reach)
+        members = [seed]
+        removed = [seed]
+        for j in np.flatnonzero(near):
+            j = int(j)
+            if j == seed:
+                continue
+            if dets[j].box == dets[seed].box:
+                iou = 1.0
+            else:
+                iou = _iou_from_corners(corners[seed], areas[seed], corners[j], areas[j])
+            if iou <= 0.0:
+                continue
+            if iou >= cfg.iou_high:
+                members.append(j)
+            if iou >= cfg.iou_low:
+                removed.append(j)
+        out.append(_fuse_cluster([dets[j] for j in members]))
+        alive[np.array(removed)] = False
+    return out

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from boxfuse import evaluation
 from boxfuse import (
     Bicycle,
     Box3D,
@@ -16,14 +17,16 @@ from boxfuse import (
     Unicycle,
     average_precision,
     evaluate_enhancement,
+    filter_detections_to_subset,
     generate_mixed_scene,
+    gt_subset,
     match_frame,
     normalize_angle,
     split_motion_state,
     strict_turning_tracks,
 )
 
-from oracles import ap_reference
+from oracles import ap_reference, filter_detections_to_subset_reference, match_frame_reference
 
 
 def det(x=0.0, y=0.0, yaw=0.0, score=0.9, label="vehicle", track_id=None, motion=None):
@@ -285,3 +288,99 @@ class TestEvaluateEnhancement:
         gt = generate_mixed_scene(specs, seed=20)
         report = evaluate_enhancement(gt, gt, gt, 0.5)
         assert {r.subset for r in report.rows} == {"all", "stationary"}
+
+
+# motions whose tracks land in each motion-state subset
+SUBSET_MOTIONS = (ConstantVelocity(0.0, 0.0), ConstantVelocity(8.0, 0.0), Unicycle(10.0, 0.5))
+
+
+def crowded_scene(seed: int, n_frames: int = 3, n_gt: int = 24):
+    """Two labels on a tight grid: neighbours overlap, scores tie, some boxes are identical.
+
+    Two ground-truth tracks repeat the footprints of two others. Detections
+    are jittered copies of the ground truth (some exact), exact
+    duplicates of other detections, relabelled copies and far false positives.
+    """
+    rng = np.random.default_rng(seed)
+    labels = ("car", "truck")
+    gt_frames, det_frames = [], []
+    tracks = [(int(rng.integers(0, 2)), int(rng.integers(0, 3))) for _ in range(n_gt)]
+    for fi in range(n_frames):
+        gts = []
+        for tid, (lab, mot) in enumerate(tracks):
+            x, y = 3.0 * (tid % 6) + 0.2 * fi, 2.5 * (tid // 6)
+            gts.append(det(x, y, float(rng.uniform(-0.3, 0.3)), score=1.0, label=labels[lab],
+                           track_id=tid, motion=SUBSET_MOTIONS[mot]))
+        # two more tracks on the footprints of the first two: exact IoU ties between gt boxes
+        gts += [Detection(box=g.box, score=1.0, label=g.label, motion=g.motion, track_id=n_gt + k)
+                for k, g in enumerate(gts[:2])]
+        dets = []
+        for g in gts:
+            roll = rng.uniform()
+            score = float(rng.choice([0.5, 0.7, 0.9, float(rng.uniform(0.1, 1.0))]))
+            if roll < 0.15:
+                continue
+            if roll < 0.3:
+                box = g.box
+            else:
+                box = Box3D(g.box.x + float(rng.normal(0, 0.6)), g.box.y + float(rng.normal(0, 0.6)),
+                            0.8, 2.0, 4.6, 1.6, g.box.yaw + float(rng.normal(0, 0.2)))
+            label = g.label if rng.uniform() < 0.9 else labels[1 - labels.index(g.label)]
+            dets.append(Detection(box=box, score=score, label=label, motion=g.motion))
+        dets += [dets[int(k)] for k in rng.integers(0, len(dets), size=4)]
+        dets += [det(200.0 + 10 * k, score=0.9, label=labels[k % 2]) for k in range(2)]
+        order = rng.permutation(len(dets))
+        gt_frames.append(frame(gts, 0.1 * fi))
+        det_frames.append(frame([dets[int(k)] for k in order], 0.1 * fi))
+    return gt_frames, det_frames
+
+
+class TestAgainstAllPairsReference:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.5, 0.7, 1.0])
+    def test_match_frame(self, seed, threshold):
+        gt_frames, det_frames = crowded_scene(seed)
+        for gt, dd in zip(gt_frames, det_frames):
+            assert match_frame(gt, dd, threshold) == match_frame_reference(gt, dd, threshold)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("min_iou", [0.0, 0.5])
+    def test_filter_detections_to_subset(self, seed, min_iou):
+        gt_frames, det_frames = crowded_scene(seed)
+        subset = gt_subset(gt_frames, set(range(0, 24, 3)))
+        assert filter_detections_to_subset(det_frames, subset, min_iou) == (
+            filter_detections_to_subset_reference(det_frames, subset, min_iou)
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_evaluate_enhancement_rows(self, seed, monkeypatch):
+        gt_frames, raw_frames = crowded_scene(seed)
+        _, fused_frames = crowded_scene(seed + 100)
+        report = evaluate_enhancement(gt_frames, raw_frames, fused_frames, 0.5)
+        # the report as the all-pairs evaluation built it: the same AP
+        # accumulation, fed by the reference matcher and subset filter
+        monkeypatch.setattr(evaluation, "match_frame", match_frame_reference)
+        labels = split_motion_state(gt_frames)
+        rows = []
+        for name in ("all", "stationary", "straight", "turning"):
+            ids = set(labels) if name == "all" else {t for t, lab in labels.items() if lab == name}
+            if not ids:
+                continue
+            sub_gt = gt_subset(gt_frames, ids)
+            results = []
+            for stream in (raw_frames, fused_frames):
+                if name != "all":
+                    stream = filter_detections_to_subset_reference(stream, sub_gt)
+                results.append(evaluation.average_precision(sub_gt, stream, 0.5))
+            raw, fused = results
+            rows.append(evaluation.SubsetMetrics(name, raw.n_gt, raw.ap, fused.ap, raw.aph, fused.aph))
+        assert len(rows) == 4
+        assert report.rows == tuple(rows)
+
+    @pytest.mark.parametrize("threshold", [-0.1, math.nan])
+    def test_negative_or_nan_threshold_rejected(self, threshold):
+        gt_frames, det_frames = crowded_scene(0, n_frames=1)
+        with pytest.raises(ValueError, match="non-negative"):
+            match_frame(gt_frames[0], det_frames[0], threshold)
+        with pytest.raises(ValueError, match="non-negative"):
+            filter_detections_to_subset(det_frames, gt_frames, threshold)

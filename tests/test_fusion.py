@@ -28,7 +28,7 @@ from boxfuse import (
     weighted_nms,
 )
 
-from oracles import weighted_nms_reference
+from oracles import nms_single_class_scan, weighted_nms_reference
 
 CFG = FusionConfig()
 
@@ -233,6 +233,18 @@ class TestWeightedNms:
             expected, _ = weighted_nms_reference(dets, CFG)
             assert_detections_close(got, expected)
 
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_equals_per_seed_scan_exactly(self, preset):
+        cfg = PRESETS[preset]
+        rng = np.random.default_rng(22)
+        for _ in range(15):
+            dets = random_scene(rng, int(rng.integers(1, 80)), n_classes=2)
+            dets += [dets[int(k)] for k in rng.integers(0, len(dets), size=3)]  # identical boxes
+            expected = []
+            for label in sorted({d.label for d in dets}):
+                expected += nms_single_class_scan([d for d in dets if d.label == label], cfg)
+            assert weighted_nms(dets, cfg) == expected
+
     def test_outputs_mutually_below_iou_low(self):
         # the sweep guarantees the property exactly for the surviving seeds;
         # fused outputs are cluster means and may drift slightly, so the
@@ -428,6 +440,16 @@ class TestFuseSequence:
         frames = [Frame(t, EgoPose.identity(), []) for t in (0.0, 0.1, 0.2, 0.15)]
         with pytest.raises(ValueError, match=r"\(frame 3\)"):
             list(sliding_windows(frames, 3))
+
+    def test_mixed_models_error_names_the_first_mixed_frame(self):
+        cv = [make_det(x=10.0 * k) for k in range(3)]
+        frames = [Frame(0.1 * i, EgoPose.identity(), list(cv)) for i in range(4)]
+        frames[2].detections[1] = replace(cv[1], motion=Unicycle(5.0, 0.1))
+        with pytest.raises(ValueError, match=r"mixed motion models \['cv', 'unicycle'\].*\(frame 2\)"):
+            list(fuse_sequence(frames, CFG))
+        # a frame that is mixed on its own fails at its own index
+        with pytest.raises(ValueError, match=r"\(frame 0\)"):
+            list(sliding_windows(frames[2:], 3))
 
     def test_sliding_windows_trail_each_frame(self):
         frames = [Frame(0.1 * i, EgoPose.identity(), []) for i in range(5)]

@@ -5,10 +5,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from boxfuse import Box3D, EgoPose, Pose, bev_corners, bev_iou, normalize_angle, transform_box
+from boxfuse import (
+    Box3D,
+    EgoPose,
+    Pose,
+    bev_corners,
+    bev_iou,
+    candidate_pairs,
+    circumradius,
+    normalize_angle,
+    transform_box,
+)
 
-from oracles import monte_carlo_iou, shoelace
+from oracles import candidate_pairs_reference, monte_carlo_iou, shoelace
 
 # intersection of a 2x2 square with its 45-degree rotation is a regular
 # octagon of area 8*(sqrt(2)-1); IoU works out to exactly sqrt(2)/2
@@ -129,13 +140,19 @@ class TestBevIou:
         assert got == pytest.approx(ROTATED_SQUARE_IOU, abs=1e-12)
         assert got == pytest.approx(monte_carlo_iou(a, b, n=1_000_000, seed=11), abs=1e-3)
 
-    def test_symmetry(self):
-        rng = np.random.default_rng(4)
-        for _ in range(300):
-            a = random_box(rng)
-            b = replace(a, x=a.x + rng.uniform(-3, 3), y=a.y + rng.uniform(-3, 3),
-                        yaw=rng.uniform(-math.pi, math.pi))
-            assert bev_iou(a, b) == pytest.approx(bev_iou(b, a), abs=1e-12)
+    @given(
+        x=st.floats(-3.0, 3.0), y=st.floats(-3.0, 3.0),
+        yaw_a=st.floats(-math.pi, math.pi), yaw_b=st.floats(-math.pi, math.pi),
+        size_a=st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 6.0)),
+        size_b=st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 6.0)),
+        cx=st.floats(-10.0, 10.0),
+    )
+    def test_symmetry(self, x, y, yaw_a, yaw_b, size_a, size_b, cx):
+        # symmetric up to rounding, within 10 m of the origin: the clipper
+        # works on absolute corners, so the rounding grows with the distance
+        a = Box3D(cx, -cx, 0.0, *size_a, 1.5, yaw_a)
+        b = Box3D(cx + x, y - cx, 0.0, *size_b, 1.5, yaw_b)
+        assert abs(bev_iou(a, b) - bev_iou(b, a)) <= 1e-12
 
     def test_rigid_invariance(self):
         rng = np.random.default_rng(5)
@@ -185,3 +202,53 @@ class TestTransformBox:
             for name in ("x", "y", "z", "w", "l", "h"):
                 assert getattr(back, name) == pytest.approx(getattr(box, name), abs=1e-9)
             assert normalize_angle(back.yaw - box.yaw) == pytest.approx(0.0, abs=1e-9)
+
+
+# coordinates from a short list produce duplicates and exact ties on cell edges
+COORD = st.one_of(st.sampled_from([0.0, 1.0, 2.5, 5.0, -5.0]), st.floats(-20.0, 20.0))
+RADIUS = st.one_of(st.sampled_from([0.0, 0.5, 2.5]), st.floats(0.0, 8.0))
+POINTS = st.lists(st.tuples(COORD, COORD, RADIUS), max_size=25)
+
+
+def _columns(points, offset):
+    xs = [p[0] + offset for p in points]
+    ys = [p[1] - offset for p in points]
+    return xs, ys, [p[2] for p in points]
+
+
+class TestCandidatePairs:
+    @settings(max_examples=300)
+    @given(a=POINTS, b=POINTS, offset=st.sampled_from([0.0, 1e5, -1e5]))
+    def test_equals_brute_force(self, a, b, offset):
+        args = (*_columns(a, offset), *_columns(b, offset))
+        i, j = candidate_pairs(*args)
+        ref_i, ref_j = candidate_pairs_reference(*args)
+        assert i.tolist() == ref_i
+        assert j.tolist() == ref_j
+
+    @given(points=st.lists(st.tuples(COORD, COORD, st.floats(0.1, 8.0)), min_size=1, max_size=25))
+    def test_self_join_is_symmetric_and_reflexive(self, points):
+        xs, ys, rs = _columns(points, 0.0)
+        i, j = candidate_pairs(xs, ys, rs, xs, ys, rs)
+        pairs = list(zip(i.tolist(), j.tolist()))
+        assert set(pairs) == {(q, p) for p, q in pairs}
+        assert all((k, k) in set(pairs) for k in range(len(points)))
+
+    def test_single_box_and_empty_side(self):
+        i, j = candidate_pairs([1.0], [2.0], [1.0], [1.5], [2.0], [1.0])
+        assert (i.tolist(), j.tolist()) == ([0], [0])
+        for args in (([], [], [], [1.0], [2.0], [1.0]), ([1.0], [2.0], [1.0], [], [], [])):
+            i, j = candidate_pairs(*args)
+            assert i.dtype == j.dtype == np.int64 and len(i) == len(j) == 0
+
+    def test_covers_every_overlapping_box_pair(self):
+        rng = np.random.default_rng(6)
+        boxes = [random_box(rng) for _ in range(150)]
+        xs = [b.x for b in boxes]
+        ys = [b.y for b in boxes]
+        rs = [circumradius(b) for b in boxes]
+        found = set(zip(*(v.tolist() for v in candidate_pairs(xs, ys, rs, xs, ys, rs))))
+        overlapping = {
+            (p, q) for p in range(150) for q in range(150) if bev_iou(boxes[p], boxes[q]) > 0.0
+        }
+        assert overlapping and overlapping <= found

@@ -189,6 +189,19 @@ class TestCli:
         write_frames(src, frames)
         assert main(["fuse", "--input", str(src), "--output", str(tmp_path / "o.jsonl")]) == 2
 
+    def test_mixed_model_stream_exit_2_naming_the_frame(self, tmp_path, capsys):
+        from dataclasses import replace
+
+        frames = [
+            Frame(f.timestamp, f.ego, [replace(d, motion=ConstantVelocity(1.0, 0.0)) for d in f.detections])
+            for f in sample_frames()
+        ]
+        frames[1].detections[0] = replace(frames[1].detections[0], motion=Unicycle(9.0, 0.5))
+        src = tmp_path / "mixed.jsonl"
+        write_frames(src, frames)
+        assert main(["fuse", "--input", str(src), "--output", str(tmp_path / "o.jsonl")]) == 2
+        assert "(frame 1)" in capsys.readouterr().err
+
     def test_synth_outputs_and_meta(self, tmp_path):
         gt, det = run_synth(tmp_path)
         meta = read_meta(gt)
@@ -248,6 +261,22 @@ class TestCli:
             if abs(float(r[1]) - 0.4) < 1e-9
         }
         assert err["bicycle"] < err["unicycle"] < err["cv"]
+
+    def test_traj_compare_negative_radius_turns(self, tmp_path):
+        def errors(radius):
+            out = tmp_path / f"traj{radius}.csv"
+            assert main(["traj-compare", "--radius", radius, "--output", str(out)]) == 0
+            return out.read_text()
+
+        assert errors("-20") != errors("0")
+        # a right turn mirrors the left one, so every error is the same
+        assert errors("-20") == errors("20")
+
+    def test_bad_environment_value_names_the_variable(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("BOXFUSE_DECAY", "abc")
+        assert main(["fuse", "--input", str(tmp_path / "in.jsonl"), "--output", str(tmp_path / "o.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert "BOXFUSE_DECAY" in err and "'abc'" in err
 
     def test_explicit_zero_speed_min_is_kept(self, tmp_path):
         gt, _ = run_synth(tmp_path, extra=("--speed-min", "0", "--speed-max", "5"))
