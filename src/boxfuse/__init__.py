@@ -40,8 +40,6 @@ from .geometry import (
     Pose,
     bev_corners,
     bev_iou,
-    candidate_pairs,
-    circumradius,
     normalize_angle,
     transform_box,
 )

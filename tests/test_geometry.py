@@ -7,17 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boxfuse import (
-    Box3D,
-    EgoPose,
-    Pose,
-    bev_corners,
-    bev_iou,
-    candidate_pairs,
-    circumradius,
-    normalize_angle,
-    transform_box,
-)
+from boxfuse import Box3D, EgoPose, Pose, bev_corners, bev_iou, normalize_angle, transform_box
+from boxfuse.geometry import candidate_pairs, circumradius
 
 from oracles import candidate_pairs_reference, monte_carlo_iou, shoelace
 
@@ -140,18 +131,25 @@ class TestBevIou:
         assert got == pytest.approx(ROTATED_SQUARE_IOU, abs=1e-12)
         assert got == pytest.approx(monte_carlo_iou(a, b, n=1_000_000, seed=11), abs=1e-3)
 
+    def test_symmetry(self):
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            a = random_box(rng)
+            b = replace(a, x=a.x + rng.uniform(-3, 3), y=a.y + rng.uniform(-3, 3),
+                        yaw=rng.uniform(-math.pi, math.pi))
+            assert bev_iou(a, b) == pytest.approx(bev_iou(b, a), abs=1e-12)
+
     @given(
-        x=st.floats(-3.0, 3.0), y=st.floats(-3.0, 3.0),
+        ax=st.floats(-30.0, 30.0), ay=st.floats(-30.0, 30.0),
+        dx=st.floats(-3.0, 3.0), dy=st.floats(-3.0, 3.0),
         yaw_a=st.floats(-math.pi, math.pi), yaw_b=st.floats(-math.pi, math.pi),
         size_a=st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 6.0)),
         size_b=st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 6.0)),
-        cx=st.floats(-10.0, 10.0),
     )
-    def test_symmetry(self, x, y, yaw_a, yaw_b, size_a, size_b, cx):
-        # symmetric up to rounding, within 10 m of the origin: the clipper
-        # works on absolute corners, so the rounding grows with the distance
-        a = Box3D(cx, -cx, 0.0, *size_a, 1.5, yaw_a)
-        b = Box3D(cx + x, y - cx, 0.0, *size_b, 1.5, yaw_b)
+    def test_symmetric_up_to_rounding(self, ax, ay, dx, dy, yaw_a, yaw_b, size_a, size_b):
+        # the clip order differs between the two calls, so only the bits differ
+        a = Box3D(ax, ay, 0.0, *size_a, 1.5, yaw_a)
+        b = Box3D(ax + dx, ay + dy, 0.0, *size_b, 1.5, yaw_b)
         assert abs(bev_iou(a, b) - bev_iou(b, a)) <= 1e-12
 
     def test_rigid_invariance(self):
