@@ -11,6 +11,7 @@ files carry a meta header echoing the resolved configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -113,13 +114,37 @@ def _add_fusion_flags(parser: argparse.ArgumentParser) -> None:
                         help="drop history-only boxes scoring below this")
 
 
+@contextlib.contextmanager
+def _replacing(path: str):
+    """Write a sibling temporary file that replaces `path` only when the block succeeds.
+
+    On failure the temporary file is removed and `path` keeps its earlier
+    content. A path that exists but is not a regular file (a pipe,
+    /dev/null) is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as out:
+            yield out
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    out = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with out:
+            yield out
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def _cmd_fuse(args: argparse.Namespace) -> int:
     cfg = _fusion_config(args)
     input_path = _required(args, "input")
     output_path = _required(args, "output")
     meta = {"tool": TOOL, "format": 1, "command": "fuse", "config": _config_meta(cfg)}
     latencies: list[float] = []
-    with open(output_path, "w", encoding="utf-8", newline="\n") as out:
+    with _replacing(output_path) as out:
         out.write(dumps_line({"meta": meta}) + "\n")
         for window in sliding_windows(iter_frames(input_path), cfg.n_history + 1):
             start = time.perf_counter()

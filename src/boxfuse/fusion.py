@@ -7,12 +7,30 @@ suppression over the dense overlapped set. Survivors are the confidence-
 weighted averages of their merge clusters rather than argmax picks; clusters
 containing no current-frame box ("history only") get their score reduced so
 they cannot crowd out fresh detections.
+
+The hot path runs on numpy columns. `forward_frame` forwards a whole frame
+at once and returns it as `DetectionColumns`; `weighted_nms` finds candidate
+pairs with `geometry.candidate_pairs`, drops pairs whose IoU provably stays
+below iou_low, clips the rest in one vectorized pass and merges clusters
+with per-cluster weighted sums. Every step does the float operations of the
+scalar per-box code in the same order, so outputs are bit-identical to it.
+Detection and Box3D objects are built once, for the outputs and for rows
+read back from columns.
+
+Trace contract: `fuse_frames` calls `forward_frame(frame, t, ego, cfg)` once
+per history frame, then `weighted_nms(dense, cfg)` and
+`apply_score_strategy(fused, cfg)`, each looked up as a module global, so a
+wrapper bound at those names (as the benchmark's per-layer tracing binds
+them, bench/tracing.py) sees every call. `weighted_nms` and
+`apply_score_strategy` return lists of Detection.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
@@ -20,14 +38,13 @@ import numpy as np
 from .geometry import (
     Box3D,
     EgoPose,
-    _corners,
-    _iou_from_corners,
     candidate_pairs,
-    circumradius,
-    normalize_angle,
-    transform_box,
+    clipped_iou,
+    corner_columns,
+    normalize_angles,
+    transform_columns,
 )
-from .motion import MotionParams, _wavg, forward_box
+from .motion import MotionParams, param_rows
 
 ScoreStrategy = Literal["decay", "divide"]
 
@@ -133,36 +150,130 @@ def decayed_weight(score: float, time_lag: float, cfg: FusionConfig) -> float:
     return score * cfg.weight_decay ** (time_lag / cfg.frame_interval)
 
 
+@dataclass(eq=False)
+class DetectionColumns(Sequence[Detection]):
+    """Detections held as numpy columns; a row becomes a Detection only when read.
+
+    boxes is (n, 7): x, y, z, w, l, h, yaw. score is sources[k].score, and
+    label, motion and track_id are read from sources[k]; weight, frame_lag,
+    n_fused and n_current are columns because fusion assigns them.
+    """
+
+    sources: list[Detection]
+    boxes: np.ndarray
+    score: np.ndarray
+    weight: np.ndarray
+    frame_lag: np.ndarray
+    n_fused: np.ndarray
+    n_current: np.ndarray
+
+    @classmethod
+    def of(cls, detections: Sequence[Detection]) -> DetectionColumns:
+        """Columns of detections as they are; every weight must be assigned."""
+        dets = list(detections)
+        if any(d.weight is None for d in dets):
+            raise ValueError("weighted_nms requires every detection weight to be assigned")
+        return cls(
+            dets,
+            _box_rows(dets),
+            _scores(dets),
+            np.array([d.weight for d in dets], dtype=float),
+            np.array([d.frame_lag for d in dets], dtype=np.int64),
+            np.array([d.n_fused for d in dets], dtype=np.int64),
+            np.array([d.n_current for d in dets], dtype=np.int64),
+        )
+
+    @classmethod
+    def entering(cls, dets: list[Detection], boxes: np.ndarray, score: np.ndarray, weight: np.ndarray,
+                 frame_lag: int, n_current: int) -> DetectionColumns:
+        """Detections entering a fusion run as single boxes, with new boxes and weights."""
+        n = len(dets)
+        return cls(
+            dets, boxes, score, weight, np.full(n, frame_lag, dtype=np.int64),
+            np.ones(n, dtype=np.int64), np.full(n, n_current, dtype=np.int64),
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence[DetectionColumns]) -> DetectionColumns:
+        """The rows of every part, in order."""
+        columns = ("boxes", "score", "weight", "frame_lag", "n_fused", "n_current")
+        return cls(
+            [d for part in parts for d in part.sources],
+            *(np.concatenate([getattr(part, name) for part in parts]) for name in columns),
+        )
+
+    def __len__(self) -> int:
+        return len(self.sources)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.rows(range(len(self))[index])
+        return self.rows([index])[0]
+
+    def rows(self, index) -> list[Detection]:
+        """The Detections of the given rows, in that order."""
+        index = list(index)
+        columns = zip(
+            index,
+            self.boxes[index].tolist(),
+            self.weight[index].tolist(),
+            self.frame_lag[index].tolist(),
+            self.n_fused[index].tolist(),
+            self.n_current[index].tolist(),
+        )
+        out = []
+        for k, box, weight, lag, n_fused, n_current in columns:
+            src = self.sources[k]
+            out.append(Detection(Box3D(*box), src.score, src.label, src.motion, weight, lag,
+                                 src.track_id, n_fused, n_current))
+        return out
+
+
+_box_fields = attrgetter("x", "y", "z", "w", "l", "h", "yaw")
+
+
+def _box_rows(dets: Sequence[Detection]) -> np.ndarray:
+    return np.array([_box_fields(d.box) for d in dets], dtype=float).reshape(len(dets), 7)
+
+
+def _scores(dets: Sequence[Detection]) -> np.ndarray:
+    return np.array([d.score for d in dets], dtype=float)
+
+
 def forward_frame(
     frame: Frame, target_time: float, target_ego: EgoPose, cfg: FusionConfig
-) -> list[Detection]:
+) -> DetectionColumns:
     """Forward every detection of `frame` to a later target time and ego frame.
 
     Each box is advanced by its own motion parameters over the time gap, then
-    re-expressed in the target ego coordinates. Weights are set to the decayed
-    confidence; motion parameters are carried unchanged and frame_lag is the
-    gap in frame intervals (rounded). Every output is a history box
-    (n_current=0), even when the gap rounds to zero intervals.
+    re-expressed in the target ego coordinates; all boxes of one model move at
+    once, with the same float operations as transform_box(forward_box(...)).
+    Weights are set to the decayed confidence; motion parameters are carried
+    unchanged and frame_lag is the gap in frame intervals (rounded). Every
+    output is a history box (n_current=0), even when the gap rounds to zero
+    intervals. Raises ValueError when a forwarded box is not finite.
     """
     dt = target_time - frame.timestamp
     if dt < 0.0:
         raise ValueError("target_time must not precede the frame timestamp")
+    dets = frame.detections
+    boxes = _box_rows(dets)
+    x, y, yaw = boxes[:, 0], boxes[:, 1], boxes[:, 6]
+    # overflow is caught by the finiteness checks below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if dt != 0.0 and dets:
+            models = [type(d.motion) for d in dets]
+            for model in set(models):
+                rows = [k for k, m in enumerate(models) if m is model]
+                params = param_rows(model, [dets[k].motion for k in rows])
+                x[rows], y[rows], yaw[rows] = model.forward_columns(x[rows], y[rows], yaw[rows], params, dt)
+            if not (np.isfinite(x).all() and np.isfinite(y).all()):
+                raise ValueError("forwarded box centre is not finite")
+            yaw[:] = normalize_angles(yaw)
+        boxes[:, 0], boxes[:, 1], boxes[:, 6] = transform_columns(x, y, yaw, frame.ego, target_ego)
+    score = _scores(dets)
     lag = int(round(dt / cfg.frame_interval))
-    out = []
-    for det in frame.detections:
-        box = forward_box(det.box, det.motion, dt)
-        box = transform_box(box, frame.ego, target_ego)
-        out.append(
-            replace(
-                det,
-                box=box,
-                weight=decayed_weight(det.score, dt, cfg),
-                frame_lag=lag,
-                n_fused=1,
-                n_current=0,
-            )
-        )
-    return out
+    return DetectionColumns.entering(dets, boxes, score, decayed_weight(score, dt, cfg), lag, 0)
 
 
 def _require_single_variant(detections: Iterable[Detection]) -> None:
@@ -172,89 +283,162 @@ def _require_single_variant(detections: Iterable[Detection]) -> None:
         raise ValueError(f"mixed motion-parameter variants in one fusion run: {names}")
 
 
-def _fuse_cluster(members: list[Detection]) -> Detection:
-    """Weight-averaged merge of a cluster; members[0] is the seeding top box."""
-    seed = members[0]
-    if len(members) == 1:
-        return seed
-    weights = [d.weight for d in members]
-    wsum = sum(weights)
-    if wsum <= 0.0:
-        # all-zero voting weights: fall back to a plain mean
-        weights = [1.0] * len(members)
-        wsum = float(len(members))
-
-    ref_yaw = seed.box.yaw
-    yaw = normalize_angle(
-        ref_yaw + _wavg(weights, [normalize_angle(d.box.yaw - ref_yaw) for d in members], wsum)
-    )
-    box = Box3D(
-        x=_wavg(weights, [d.box.x for d in members], wsum),
-        y=_wavg(weights, [d.box.y for d in members], wsum),
-        z=_wavg(weights, [d.box.z for d in members], wsum),
-        w=_wavg(weights, [d.box.w for d in members], wsum),
-        l=_wavg(weights, [d.box.l for d in members], wsum),
-        h=_wavg(weights, [d.box.h for d in members], wsum),
-        yaw=yaw,
-    )
-    score = min(1.0, max(0.0, _wavg(weights, [d.score for d in members], wsum)))
-    weight = min(1.0, max(0.0, _wavg(weights, [d.weight for d in members], wsum)))
-    return Detection(
-        box=box,
-        score=score,
-        label=seed.label,
-        motion=seed.motion.weighted_mean([d.motion for d in members], weights, wsum),
-        weight=weight,
-        frame_lag=min(d.frame_lag for d in members),
-        track_id=seed.track_id,
-        n_fused=sum(d.n_fused for d in members),
-        n_current=sum(d.n_current for d in members),
-    )
+# Oriented pairs are bounded and clipped this many at a time, which bounds
+# the temporaries of one pass.
+_PAIR_CHUNK = 2048
+# Slack of the intersection bound per squared metre of coordinate magnitude
+# M (the pair's largest coordinates plus circumradii): clipping absolute
+# coordinates rounds the area by about 20 * 2.2e-16 * M**2, so the bound
+# stays above every clipped area.
+_BOUND_SLACK = 1e-12
 
 
-def _neighbours(dets: list[Detection]) -> tuple[np.ndarray, np.ndarray]:
-    """Circumcircle self-join of the boxes, as (bounds, neighbours).
+def _shadow_overlap(a, b, x, y, c, s, hl, hw) -> np.ndarray:
+    """Area of the overlap of box a with box b's shadow on a's axes, per pair (a, b).
 
-    Box i's neighbours, itself included, are neighbours[bounds[i]:bounds[i + 1]]
-    in ascending index.
+    c, s are each box's heading cosine and sine, hl, hw its half length and
+    width.
     """
-    cx = np.array([d.box.x for d in dets])
-    cy = np.array([d.box.y for d in dets])
-    radius = np.array([circumradius(d.box) for d in dets])
-    rows, neighbours = candidate_pairs(cx, cy, radius, cx, cy, radius)
-    return np.searchsorted(rows, np.arange(len(dets) + 1)), neighbours
+    dx = x[b] - x[a]
+    dy = y[b] - y[a]
+    cos_d = np.abs(c[a] * c[b] + s[a] * s[b])
+    sin_d = np.abs(c[a] * s[b] - s[a] * c[b])
+    along = dx * c[a] + dy * s[a]
+    across = dy * c[a] - dx * s[a]
+    reach_along = hl[b] * cos_d + hw[b] * sin_d
+    reach_across = hl[b] * sin_d + hw[b] * cos_d
+    ov_along = np.minimum(hl[a], along + reach_along) - np.maximum(-hl[a], along - reach_along)
+    ov_across = np.minimum(hw[a], across + reach_across) - np.maximum(-hw[a], across - reach_across)
+    return np.maximum(ov_along, 0.0) * np.maximum(ov_across, 0.0)
 
 
-def _nms_single_class(dets: list[Detection], cfg: FusionConfig) -> list[Detection]:
-    m = len(dets)
-    order = sorted(range(m), key=lambda i: (-dets[i].weight, -dets[i].score, i))
-    bounds, neighbours = _neighbours(dets)
-    corners = [_corners(d.box) for d in dets]
-    areas = [d.box.w * d.box.l for d in dets]
-    alive = [True] * m
-    out = []
-    for seed in order:
+def _can_reach(a, b, shape, magnitude, area, iou_low: float) -> np.ndarray:
+    """False for pairs (a, b) whose clipped IoU is provably below iou_low.
+
+    The intersection lies inside both boxes, so its area is at most the
+    overlap of either box with the other's shadow on its axes; IoU >= iou_low
+    needs intersection >= iou_low * (A_a + A_b) / (1 + iou_low). shape is
+    (x, y, c, s, hl, hw) for _shadow_overlap and magnitude each box's largest
+    coordinate plus its circumradius.
+    """
+    bound = np.minimum(_shadow_overlap(a, b, *shape), _shadow_overlap(b, a, *shape))
+    reach = magnitude[a] + magnitude[b]
+    return (bound + _BOUND_SLACK * reach * reach) * (1.0 + iou_low) >= iou_low * (area[a] + area[b])
+
+
+def _clustering_pairs(cols: DetectionColumns, label: np.ndarray, rank: np.ndarray, cfg: FusionConfig):
+    """Pairs (i, j) that act in the greedy sweep, sorted by (i, j), and whether j merges.
+
+    i and j share a label, i comes first in the seed order, and
+    IoU(i, j) > 0 and >= iou_low, computed by clipping i's footprint by j's as
+    _iou_from_corners does; identical boxes have IoU 1.
+    """
+    boxes = cols.boxes
+    x, y, w, l, yaw = boxes[:, 0], boxes[:, 1], boxes[:, 3], boxes[:, 4], boxes[:, 6]
+    radius = 0.5 * np.array([math.hypot(a, b) for a, b in zip(w.tolist(), l.tolist())])
+    i, j = candidate_pairs(x, y, radius, x, y, radius)
+    ahead = (label[i] == label[j]) & (rank[i] < rank[j])
+    i, j = i[ahead], j[ahead]
+    corner_x, corner_y = corner_columns(x, y, w, l, yaw)
+    area = w * l
+    shape = (x, y, np.cos(yaw), np.sin(yaw), 0.5 * l, 0.5 * w)
+    magnitude = np.maximum(np.abs(x), np.abs(y)) + radius
+    found_i, found_j, merges = [], [], []
+    for start in range(0, len(i), _PAIR_CHUNK):
+        a, b = i[start : start + _PAIR_CHUNK], j[start : start + _PAIR_CHUNK]
+        if cfg.iou_low > 0.0:
+            keep = _can_reach(a, b, shape, magnitude, area, cfg.iou_low)
+            a, b = a[keep], b[keep]
+        iou = clipped_iou(corner_x[a], corner_y[a], area[a], corner_x[b], corner_y[b], area[b])
+        iou[(boxes[a] == boxes[b]).all(axis=1)] = 1.0
+        hit = (iou > 0.0) & (iou >= cfg.iou_low)
+        found_i.append(a[hit])
+        found_j.append(b[hit])
+        merges.append(iou[hit] >= cfg.iou_high)
+    if not found_i:
+        return i, j, np.zeros(0, dtype=bool)
+    return np.concatenate(found_i), np.concatenate(found_j), np.concatenate(merges)
+
+
+def _sweep(order: np.ndarray, pair_i, pair_j, merges):
+    """The greedy seed sweep over precomputed pairs.
+
+    Returns the seeds in output order and, in visiting order, every merged
+    member with the index of its seed's cluster.
+    """
+    n = len(order)
+    first = np.searchsorted(pair_i, np.arange(n + 1)).tolist()
+    pair_j = pair_j.tolist()
+    merges = merges.tolist()
+    alive = [True] * n
+    seeds: list[int] = []
+    members: list[int] = []
+    member_cluster: list[int] = []
+    for seed in order.tolist():
         if not alive[seed]:
             continue
-        members = [seed]
-        removed = [seed]
-        for j in neighbours[bounds[seed] : bounds[seed + 1]].tolist():
-            if j == seed or not alive[j]:
-                continue
-            if dets[j].box == dets[seed].box:
-                iou = 1.0
-            else:
-                iou = _iou_from_corners(corners[seed], areas[seed], corners[j], areas[j])
-            if iou <= 0.0:
-                continue
-            if iou >= cfg.iou_high:
-                members.append(j)
-            if iou >= cfg.iou_low:
-                removed.append(j)
-        out.append(_fuse_cluster([dets[j] for j in members]))
-        for j in removed:
-            alive[j] = False
-    return out
+        cluster = len(seeds)
+        seeds.append(seed)
+        for k in range(first[seed], first[seed + 1]):
+            j = pair_j[k]
+            if alive[j]:
+                alive[j] = False
+                if merges[k]:
+                    members.append(j)
+                    member_cluster.append(cluster)
+    return np.array(seeds, dtype=np.int64), members, member_cluster
+
+
+def _clamp01(values: np.ndarray) -> np.ndarray:
+    """min(1.0, max(0.0, v)) elementwise, signed zeros included."""
+    values = np.where(values > 0.0, values, 0.0)
+    return np.where(values < 1.0, values, 1.0)
+
+
+def _merge_clusters(cols: DetectionColumns, rows: np.ndarray, cluster: np.ndarray, n_clusters: int):
+    """Weight-averaged merges of clusters; the seed of each cluster supplies the reference.
+
+    rows lists every member row and cluster[k] its cluster: the clusters'
+    seeds come first, in cluster order, then the other members in visiting
+    order. bincount adds from left to right, so every weighted sum adds the
+    members in the order a Python sum over [seed, *members] would.
+    """
+    if n_clusters == 0:
+        return []
+    seeds = rows[:n_clusters]
+    weights = cols.weight[rows]
+    wsum = np.bincount(cluster, weights=weights, minlength=n_clusters)
+    flat = wsum <= 0.0
+    if flat.any():
+        # all-zero voting weights: fall back to a plain mean
+        weights = np.where(flat[cluster], 1.0, weights)
+        wsum = np.where(flat, np.bincount(cluster, minlength=n_clusters).astype(float), wsum)
+
+    def wavg(values: np.ndarray) -> np.ndarray:
+        return np.bincount(cluster, weights=weights * values, minlength=n_clusters) / wsum
+
+    boxes = cols.boxes[rows]
+    ref_yaw = boxes[:n_clusters, 6]
+    yaw = normalize_angles(ref_yaw + wavg(normalize_angles(boxes[:, 6] - ref_yaw[cluster])))
+    merged = np.stack([wavg(boxes[:, k]) for k in range(6)] + [yaw], axis=1)
+    score = _clamp01(wavg(cols.score[rows]))
+    weight = _clamp01(wavg(cols.weight[rows]))
+    frame_lag = np.full(n_clusters, np.iinfo(np.int64).max)
+    np.minimum.at(frame_lag, cluster, cols.frame_lag[rows])
+    n_fused = np.zeros(n_clusters, dtype=np.int64)
+    np.add.at(n_fused, cluster, cols.n_fused[rows])
+    n_current = np.zeros(n_clusters, dtype=np.int64)
+    np.add.at(n_current, cluster, cols.n_current[rows])
+    model = type(cols.sources[seeds[0]].motion)
+    params = param_rows(model, [cols.sources[r].motion for r in rows.tolist()])
+    motion = model.merge_columns(params, params[:n_clusters], cluster, wavg)
+    fields = zip(seeds.tolist(), merged.tolist(), score.tolist(), motion.tolist(), weight.tolist(),
+                 frame_lag.tolist(), n_fused.tolist(), n_current.tolist())
+    return [
+        Detection(Box3D(*box), s, cols.sources[seed].label, model(*mo), w, lag,
+                  cols.sources[seed].track_id, nf, nc)
+        for seed, box, s, mo, w, lag, nf, nc in fields
+    ]
 
 
 def weighted_nms(detections: Sequence[Detection], cfg: FusionConfig) -> list[Detection]:
@@ -268,16 +452,33 @@ def weighted_nms(detections: Sequence[Detection], cfg: FusionConfig) -> list[Det
     IoU(b, .) >= iou_low is then dropped from the pool, so boxes falling in
     [iou_low, iou_high) are discarded without voting. Zero-IoU boxes never
     interact. Every detection must carry an assigned weight.
+
+    Labels are ordered by name and visited one after another. The IoU of every
+    pair that can act is computed up front in one vectorized clipping pass,
+    so the greedy sweep only reads it; a single-box cluster comes back as its
+    input row.
     """
-    for d in detections:
-        if d.weight is None:
-            raise ValueError("weighted_nms requires every detection weight to be assigned")
-    _require_single_variant(detections)
-    out: list[Detection] = []
-    for label in sorted({d.label for d in detections}):
-        group = [d for d in detections if d.label == label]
-        out.extend(_nms_single_class(group, cfg))
-    return out
+    cols = detections if isinstance(detections, DetectionColumns) else DetectionColumns.of(detections)
+    _require_single_variant(cols.sources)
+    n = len(cols)
+    if n == 0:
+        return []
+    labels = [d.label for d in cols.sources]
+    code = {name: k for k, name in enumerate(sorted(set(labels)))}
+    label = np.array([code[name] for name in labels], dtype=np.int64)
+    order = np.lexsort((-cols.score, -cols.weight, label))
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    seeds, members, member_cluster = _sweep(order, *_clustering_pairs(cols, label, rank, cfg))
+    multi = np.bincount(np.array(member_cluster, dtype=np.int64), minlength=len(seeds)) > 0
+    n_multi = int(multi.sum())
+    # clusters numbered among the multi-box ones; their seeds lead the member rows
+    renumber = np.cumsum(multi) - 1
+    rows = np.concatenate([seeds[multi], np.array(members, dtype=np.int64)])
+    cluster = np.concatenate([np.arange(n_multi), renumber[member_cluster]])
+    merged = iter(_merge_clusters(cols, rows, cluster, n_multi))
+    singles = iter(cols.rows(seeds[~multi].tolist()))
+    return [next(merged) if is_multi else next(singles) for is_multi in multi.tolist()]
 
 
 def apply_score_strategy(fused: Sequence[Detection], cfg: FusionConfig) -> list[Detection]:
@@ -295,7 +496,8 @@ def apply_score_strategy(fused: Sequence[Detection], cfg: FusionConfig) -> list[
                 new_score = det.weight if det.weight is not None else det.score
             else:
                 new_score = cfg.score_decay_factor * det.score / max(cfg.n_history - det.n_fused, 1)
-            det = replace(det, score=min(1.0, max(0.0, new_score)))
+            det = Detection(det.box, min(1.0, max(0.0, new_score)), det.label, det.motion, det.weight,
+                            det.frame_lag, det.track_id, det.n_fused, det.n_current)
         out.append(det)
     return out
 
@@ -316,12 +518,11 @@ def fuse_frames(window: Sequence[Frame], cfg: FusionConfig) -> Frame:
         if b.timestamp <= a.timestamp:
             raise ValueError("window timestamps must strictly increase")
     current = window[-1]
-    dense: list[Detection] = []
-    for frame in window[:-1]:
-        dense.extend(forward_frame(frame, current.timestamp, current.ego, cfg))
-    for det in current.detections:
-        dense.append(replace(det, weight=det.score, frame_lag=0, n_fused=1, n_current=1))
-    fused = apply_score_strategy(weighted_nms(dense, cfg), cfg)
+    parts = [forward_frame(frame, current.timestamp, current.ego, cfg) for frame in window[:-1]]
+    dets = current.detections
+    score = _scores(dets)
+    parts.append(DetectionColumns.entering(dets, _box_rows(dets), score, score, 0, 1))
+    fused = apply_score_strategy(weighted_nms(DetectionColumns.concat(parts), cfg), cfg)
     kept = [d for d in fused if d.n_current > 0 or d.score >= cfg.history_score_floor]
     return Frame(current.timestamp, current.ego, kept)
 

@@ -29,6 +29,24 @@ def normalize_angle(angle: float) -> float:
     return wrapped
 
 
+def normalize_angles(angles: np.ndarray) -> np.ndarray:
+    """normalize_angle over an array: a new array, equal to it element for element.
+
+    np.remainder rounds exactly like Python's float %, so the wrapped values
+    carry the same bits. Raises ValueError when any angle is not finite.
+    """
+    angles = np.asarray(angles, dtype=float)
+    if not np.isfinite(angles).all():
+        raise ValueError("angles must be finite")
+    out = angles.copy()
+    wrap = ~((angles > -math.pi) & (angles <= math.pi))
+    if wrap.any():
+        wrapped = np.remainder(angles[wrap], TWO_PI)
+        wrapped[wrapped > math.pi] -= TWO_PI
+        out[wrap] = wrapped
+    return out
+
+
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
@@ -187,6 +205,93 @@ def _iou_from_corners(corners_a, area_a, corners_b, area_b) -> float:
     return 1.0 if iou > 1.0 else iou
 
 
+def corner_columns(x, y, w, l, yaw) -> tuple[np.ndarray, np.ndarray]:
+    """_corners of n boxes given as columns: corner x and corner y, shape (n, 4) each.
+
+    Every corner is computed by the same float operations in the same order
+    as _corners, so the bits agree.
+    """
+    c = np.cos(yaw)
+    s = np.sin(yaw)
+    hl = 0.5 * l
+    hw = 0.5 * w
+    cl, sl = c * hl, s * hl
+    cw, sw = c * hw, s * hw
+    front_x, back_x = x + cl, x - cl
+    front_y, back_y = y + sl, y - sl
+    xs = np.stack([front_x + sw, front_x - sw, back_x - sw, back_x + sw], axis=1)
+    ys = np.stack([front_y - cw, front_y + cw, back_y + cw, back_y - cw], axis=1)
+    return xs, ys
+
+
+def _clip_edge(px, py, poly, count, cx1, cy1, cx2, cy2):
+    """One clipper edge of _clip_convex over many polygons at once.
+
+    The polygons are one flat vertex list: vertex v belongs to polygon
+    poly[v], and each polygon's count vertices are consecutive. Vertex v emits
+    the crossing of the edge line between its predecessor (cyclically) and
+    itself when their sides differ, then itself when inside, exactly as the
+    scalar loop appends them.
+    """
+    n_poly = len(count)
+    first = np.cumsum(count) - count
+    filled = count > 0
+    prev = np.arange(len(px)) - 1
+    prev[first[filled]] = (first + count - 1)[filled]
+    ex = (cx2 - cx1)[poly]
+    ey = (cy2 - cy1)[poly]
+    f = ex * (py - cy1[poly]) - ey * (px - cx1[poly])
+    fs = f[prev]
+    sx = px[prev]
+    sy = py[prev]
+    inside = f >= 0.0
+    cross = inside != (fs >= 0.0)
+    # crossings are read only where the sides differ; elsewhere t may be 0/0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = fs / (fs - f)
+        ix = sx + t * (px - sx)
+        iy = sy + t * (py - sy)
+    emit = np.stack([cross, inside], axis=1).ravel()
+    new_count = np.bincount(poly, weights=cross.astype(np.int64) + inside, minlength=n_poly)
+    new_count = new_count.astype(np.int64)
+    new_poly = np.repeat(np.arange(n_poly), new_count)
+    new_x = np.stack([ix, px], axis=1).ravel()[emit]
+    new_y = np.stack([iy, py], axis=1).ravel()[emit]
+    return new_x, new_y, new_poly, new_count
+
+
+def clipped_iou(ax, ay, area_a, bx, by, area_b) -> np.ndarray:
+    """_iou_from_corners over P pairs at once, bit for bit.
+
+    ax, ay are the (P, 4) counter-clockwise corners of each subject, clipped
+    by the clipper corners bx, by; area_a and area_b are the footprint areas.
+    Clipped polygons keep every vertex the scalar loop would emit, so rounding
+    that makes one emit extra vertices is reproduced as well.
+    """
+    n_pairs = len(ax)
+    px, py = ax.ravel(), ay.ravel()
+    poly = np.repeat(np.arange(n_pairs), 4)
+    count = np.full(n_pairs, 4)
+    cx1, cy1 = bx[:, 3], by[:, 3]
+    for edge in range(4):
+        cx2, cy2 = bx[:, edge], by[:, edge]
+        px, py, poly, count = _clip_edge(px, py, poly, count, cx1, cy1, cx2, cy2)
+        cx1, cy1 = cx2, cy2
+    # shoelace over (vertex, next vertex cyclically); bincount adds each
+    # polygon's terms from zero in vertex order, like _polygon_area
+    first = np.cumsum(count) - count
+    filled = count > 0
+    nxt = np.arange(len(px)) + 1
+    nxt[(first + count - 1)[filled]] = first[filled]
+    area = np.bincount(poly, weights=px * py[nxt] - px[nxt] * py, minlength=n_pairs)
+    inter = 0.5 * np.abs(area)
+    union = area_a + area_b - inter
+    solid = (count >= 3) & (union > 0.0)
+    iou = np.zeros(n_pairs)
+    iou[solid] = inter[solid] / union[solid]
+    return np.where(iou > 1.0, 1.0, iou)
+
+
 def circumradius(box: Box3D) -> float:
     """Radius of the circle through the BEV footprint's corners."""
     return 0.5 * math.hypot(box.w, box.l)
@@ -261,12 +366,15 @@ def candidate_pairs(ax, ay, ar, bx, by, br) -> tuple[np.ndarray, np.ndarray]:
     bkey = bcx * rows + bcy
     border = np.argsort(bkey, kind="stable")
     bkey = bkey[border]
+    # searchsorted runs several times faster on sorted queries
+    aorder = np.argsort(akey, kind="stable")
+    akey = akey[aorder]
 
     def probe(target: np.ndarray) -> np.ndarray:
         """Passing pairs of one neighbour offset, as keys i * nb + j."""
         lo = np.searchsorted(bkey, target, side="left")
         counts = np.searchsorted(bkey, target, side="right") - lo
-        i = np.repeat(np.arange(na), counts)
+        i = np.repeat(aorder, counts)
         # position inside each a point's run of candidates, added to its run start
         j = border[np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts - lo, counts)]
         # dx*dx + dy*dy < reach*reach, computed in place to hold fewer temporaries
@@ -307,3 +415,25 @@ def transform_box(box: Box3D, src: EgoPose, dst: EgoPose) -> Box3D:
         y=-sd * rx + cd * ry,
         yaw=normalize_angle(box.yaw + src.yaw - dst.yaw),
     )
+
+
+def transform_columns(x, y, yaw, src: EgoPose, dst: EgoPose):
+    """transform_box over columns of box centres and yaws, bit for bit.
+
+    Returns new (x, y, yaw) arrays; ValueError when a result is not finite.
+    """
+    if src == dst:
+        return x, y, yaw
+    cs = math.cos(src.yaw)
+    ss = math.sin(src.yaw)
+    gx = src.x + cs * x - ss * y
+    gy = src.y + ss * x + cs * y
+    cd = math.cos(dst.yaw)
+    sd = math.sin(dst.yaw)
+    rx = gx - dst.x
+    ry = gy - dst.y
+    out_x = cd * rx + sd * ry
+    out_y = -sd * rx + cd * ry
+    if not (np.isfinite(out_x).all() and np.isfinite(out_y).all()):
+        raise ValueError("transformed box centre is not finite")
+    return out_x, out_y, normalize_angles(yaw + src.yaw - dst.yaw)

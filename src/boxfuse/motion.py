@@ -12,22 +12,27 @@ is needed.
 
 Each parameter class owns every rule that differs between the models: its
 `name`, whether it `turns`, JSON keys (`to_obj`/`from_obj`), `forward`, `inverse`,
-`speed_radius`, detector noise (`noisy`), the fusion merge (`weighted_mean`,
-with `self` as the reference for wrapped angles), rotation into an ego frame
+`speed_radius`, detector noise (`noisy`), rotation into an ego frame
 (`in_ego`) and construction from speed, heading and a signed turn radius
-(`from_motion`; positive turns left, None is straight). `MODELS` maps each
-name to its class; the rest of the package consults only that table.
+(`from_motion`; positive turns left, None is straight). Two static methods
+serve the columnar fusion core, with parameters as (n, k) rows in field
+order (`param_rows`): `forward_columns` forwards many poses at once with the
+same float operations as `forward`, and `merge_columns` is the fusion merge,
+a weighted mean per cluster (the bicycle averages slip wrap-aware around the
+cluster seed's). `MODELS` maps each name to its class; the rest of the
+package consults only that table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .geometry import Box3D, EgoPose, Pose, _require_finite, normalize_angle
+from .geometry import Box3D, EgoPose, Pose, _require_finite, normalize_angle, normalize_angles
 
 HALF_PI = 0.5 * math.pi
 
@@ -51,8 +56,25 @@ def _dsinc(z: float) -> float:
     return (math.cos(z) - math.sin(z) / z) / z
 
 
-def _wavg(weights: Sequence[float], values: list[float], wsum: float) -> float:
-    return sum(w * v for w, v in zip(weights, values)) / wsum
+def _sinc_columns(z: np.ndarray) -> np.ndarray:
+    """_sinc over an array, with the same branch at |z| = 1e-2 and the same bits."""
+    out = np.empty_like(z)
+    small = np.abs(z) < 1e-2
+    z2 = z[small] * z[small]
+    out[small] = 1.0 - z2 / 6.0 + z2 * z2 / 120.0
+    big = z[~small]
+    out[~small] = np.sin(big) / big
+    return out
+
+
+def _plain_means(params: np.ndarray, seeds: np.ndarray, cluster: np.ndarray, wavg) -> np.ndarray:
+    """merge_columns of the models without angles: a weighted mean per column.
+
+    params holds the member rows and cluster[k] the cluster of row k, seeds
+    the clusters' seed rows; wavg turns per-member values into per-cluster
+    weighted means.
+    """
+    return np.stack([wavg(column) for column in params.T], axis=1)
 
 
 @dataclass(frozen=True)
@@ -95,11 +117,11 @@ class ConstantVelocity:
     def noisy(self, n1: float, n2: float, sigma_speed: float, sigma_turn: float) -> ConstantVelocity:
         return ConstantVelocity(self.vx + n1 * sigma_speed, self.vy + n2 * sigma_speed)
 
-    def weighted_mean(self, members: list, weights: list[float], wsum: float) -> ConstantVelocity:
-        return ConstantVelocity(
-            _wavg(weights, [p.vx for p in members], wsum),
-            _wavg(weights, [p.vy for p in members], wsum),
-        )
+    @staticmethod
+    def forward_columns(x, y, heading, params: np.ndarray, t: float):
+        return x + params[:, 0] * t, y + params[:, 1] * t, heading
+
+    merge_columns = staticmethod(_plain_means)
 
     def in_ego(self, ego: EgoPose) -> ConstantVelocity:
         if ego.yaw == 0.0:
@@ -149,11 +171,15 @@ class Unicycle:
     def noisy(self, n1: float, n2: float, sigma_speed: float, sigma_turn: float) -> Unicycle:
         return Unicycle(self.speed + n1 * sigma_speed, self.yaw_rate + n2 * sigma_turn)
 
-    def weighted_mean(self, members: list, weights: list[float], wsum: float) -> Unicycle:
-        return Unicycle(
-            _wavg(weights, [p.speed for p in members], wsum),
-            _wavg(weights, [p.yaw_rate for p in members], wsum),
-        )
+    @staticmethod
+    def forward_columns(x, y, heading, params: np.ndarray, t: float):
+        dphi = params[:, 1] * t
+        half = 0.5 * dphi
+        chord = params[:, 0] * t * _sinc_columns(half)
+        mean = heading + half
+        return x + chord * np.cos(mean), y + chord * np.sin(mean), heading + dphi
+
+    merge_columns = staticmethod(_plain_means)
 
     def in_ego(self, ego: EgoPose) -> Unicycle:
         return self
@@ -217,14 +243,22 @@ class Bicycle:
         slip = min(HALF_PI, max(-HALF_PI, self.slip + n2 * sigma_turn))
         return Bicycle(self.speed + n1 * sigma_speed, slip, self.rear_axle)
 
-    def weighted_mean(self, members: list, weights: list[float], wsum: float) -> Bicycle:
-        ref = self.slip
-        slip = ref + _wavg(weights, [normalize_angle(p.slip - ref) for p in members], wsum)
-        return Bicycle(
-            _wavg(weights, [p.speed for p in members], wsum),
-            min(HALF_PI, max(-HALF_PI, slip)),
-            _wavg(weights, [p.rear_axle for p in members], wsum),
-        )
+    @staticmethod
+    def forward_columns(x, y, heading, params: np.ndarray, t: float):
+        speed, slip, rear_axle = params.T
+        dphi = speed * np.sin(slip) / rear_axle * t
+        half = 0.5 * dphi
+        chord = speed * t * _sinc_columns(half)
+        mean = heading + slip + half
+        return x + chord * np.cos(mean), y + chord * np.sin(mean), heading + dphi
+
+    @staticmethod
+    def merge_columns(params: np.ndarray, seeds: np.ndarray, cluster: np.ndarray, wavg) -> np.ndarray:
+        ref = seeds[:, 1]
+        slip = ref + wavg(normalize_angles(params[:, 1] - ref[cluster]))
+        slip = np.where(slip > -HALF_PI, slip, -HALF_PI)
+        slip = np.where(slip < HALF_PI, slip, HALF_PI)
+        return np.stack([wavg(params[:, 0]), slip, wavg(params[:, 2])], axis=1)
 
     def in_ego(self, ego: EgoPose) -> Bicycle:
         return self
@@ -243,6 +277,13 @@ def model_class(name: str) -> type[MotionParams]:
     if cls is None:
         raise ValueError(f"unknown motion model {name!r}")
     return cls
+
+
+def param_rows(model: type[MotionParams], motions: Sequence[MotionParams]) -> np.ndarray:
+    """Parameters of `model` instances as an (n, k) array, columns in field order."""
+    names = [f.name for f in fields(model)]
+    get = attrgetter(*names)
+    return np.array([get(m) for m in motions], dtype=float).reshape(len(motions), len(names))
 
 
 def params_from_obj(obj: dict) -> MotionParams:

@@ -4,7 +4,8 @@ Everything here is deliberately dumb and quadratic: the Monte-Carlo IoU
 estimator, a brute-force weighted NMS that rescans the pool with bev_iou for
 every seed, brute-force circle-overlap pairs, the all-pairs frame matcher,
 subset filter and per-seed NMS distance scan that evaluation and fusion used
-before their candidate-pair search (kept verbatim), and an O(n^2)
+before their candidate-pair search (kept verbatim, with the scalar cluster
+merge fusion used before its columnar merge), and an O(n^2)
 precision-recall enumeration for AP. The averaging
 and bookkeeping logic is re-written from the contract, not shared with the
 package internals.
@@ -18,7 +19,7 @@ import numpy as np
 
 from boxfuse import Bicycle, ConstantVelocity, Detection, Frame, Unicycle, bev_iou, normalize_angle
 from boxfuse.evaluation import SUBSET_FILTER_IOU, MatchResult
-from boxfuse.fusion import _fuse_cluster
+from boxfuse.motion import HALF_PI
 from boxfuse.geometry import Box3D, _corners, _iou_from_corners
 
 
@@ -274,3 +275,71 @@ def nms_single_class_scan(dets, cfg) -> list[Detection]:
         out.append(_fuse_cluster([dets[j] for j in members]))
         alive[np.array(removed)] = False
     return out
+
+
+# The scalar cluster merge of fusion._fuse_cluster and the models'
+# weighted_mean methods, frozen as they were before the columnar merge; only
+# the helper names differ.
+
+
+def _scan_wavg(weights, values: list[float], wsum: float) -> float:
+    return sum(w * v for w, v in zip(weights, values)) / wsum
+
+
+def _scan_motion_mean(ref, members: list, weights: list[float], wsum: float):
+    if isinstance(ref, ConstantVelocity):
+        return ConstantVelocity(
+            _scan_wavg(weights, [p.vx for p in members], wsum),
+            _scan_wavg(weights, [p.vy for p in members], wsum),
+        )
+    if isinstance(ref, Unicycle):
+        return Unicycle(
+            _scan_wavg(weights, [p.speed for p in members], wsum),
+            _scan_wavg(weights, [p.yaw_rate for p in members], wsum),
+        )
+    slip = ref.slip + _scan_wavg(weights, [normalize_angle(p.slip - ref.slip) for p in members], wsum)
+    return Bicycle(
+        _scan_wavg(weights, [p.speed for p in members], wsum),
+        min(HALF_PI, max(-HALF_PI, slip)),
+        _scan_wavg(weights, [p.rear_axle for p in members], wsum),
+    )
+
+
+def _fuse_cluster(members: list[Detection]) -> Detection:
+    """Weight-averaged merge of a cluster; members[0] is the seeding top box."""
+    seed = members[0]
+    if len(members) == 1:
+        return seed
+    weights = [d.weight for d in members]
+    wsum = sum(weights)
+    if wsum <= 0.0:
+        # all-zero voting weights: fall back to a plain mean
+        weights = [1.0] * len(members)
+        wsum = float(len(members))
+
+    ref_yaw = seed.box.yaw
+    yaw = normalize_angle(
+        ref_yaw + _scan_wavg(weights, [normalize_angle(d.box.yaw - ref_yaw) for d in members], wsum)
+    )
+    box = Box3D(
+        x=_scan_wavg(weights, [d.box.x for d in members], wsum),
+        y=_scan_wavg(weights, [d.box.y for d in members], wsum),
+        z=_scan_wavg(weights, [d.box.z for d in members], wsum),
+        w=_scan_wavg(weights, [d.box.w for d in members], wsum),
+        l=_scan_wavg(weights, [d.box.l for d in members], wsum),
+        h=_scan_wavg(weights, [d.box.h for d in members], wsum),
+        yaw=yaw,
+    )
+    score = min(1.0, max(0.0, _scan_wavg(weights, [d.score for d in members], wsum)))
+    weight = min(1.0, max(0.0, _scan_wavg(weights, [d.weight for d in members], wsum)))
+    return Detection(
+        box=box,
+        score=score,
+        label=seed.label,
+        motion=_scan_motion_mean(seed.motion, [d.motion for d in members], weights, wsum),
+        weight=weight,
+        frame_lag=min(d.frame_lag for d in members),
+        track_id=seed.track_id,
+        n_fused=sum(d.n_fused for d in members),
+        n_current=sum(d.n_current for d in members),
+    )

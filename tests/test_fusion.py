@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boxfuse import (
     Bicycle,
@@ -28,6 +29,7 @@ from boxfuse import (
     weighted_nms,
 )
 
+from boxfuse.motion import HALF_PI
 from oracles import nms_single_class_scan, weighted_nms_reference
 
 CFG = FusionConfig()
@@ -96,6 +98,90 @@ def assert_detections_close(got, expected, tol=1e-9):
         assert type(a.motion) is type(b.motion)
 
 
+COORD = st.floats(-200.0, 200.0)
+# yaws anywhere, and piled up next to the +-pi seam
+YAW = st.floats(-math.pi, math.pi) | st.sampled_from(
+    [math.pi, -math.pi + 1e-15, math.pi - 1e-12, -math.pi + 1e-9, math.nextafter(-math.pi, 0.0)]
+)
+
+
+@st.composite
+def motion_near_edges(draw, model: str, dt: float):
+    """Motion parameters of `model`, often with half-turns next to _sinc's switch at
+    |z| = 1e-2 and bicycle slips next to +-pi/2."""
+    speed = draw(st.floats(-20.0, 20.0))
+    if model == "cv":
+        return ConstantVelocity(speed, draw(st.floats(-20.0, 20.0)))
+    edge = draw(st.sampled_from([-1.0, 1.0])) * 1e-2 * (1.0 + draw(st.sampled_from([-1e-9, -1e-15, 0.0, 1e-15, 1e-9])))
+    near_switch = dt > 0.0 and draw(st.booleans())
+    if model == "unicycle":
+        rate = 2.0 * edge / dt if near_switch else draw(st.floats(-2.0, 2.0))
+        return Unicycle(speed, rate)
+    slip = draw(st.floats(-HALF_PI, HALF_PI) | st.sampled_from(
+        [HALF_PI, -HALF_PI, math.nextafter(HALF_PI, 0.0), -HALF_PI + 1e-12, 0.3]))
+    rear_axle = draw(st.floats(0.5, 3.0))
+    if near_switch and abs(math.sin(slip)) > 0.1:
+        # speed * sin(slip) / rear_axle * dt / 2 lands next to 1e-2
+        speed = 2.0 * edge * rear_axle / (math.sin(slip) * dt)
+    return Bicycle(speed, slip, rear_axle)
+
+
+def crowded_scene(seed: int, n_boxes: int, n_labels: int, model: str, offset, ties: bool):
+    """Tight clusters of near-duplicate boxes around `offset`, plus exact duplicates.
+
+    With `ties`, scores and weights come from a three-value set that includes
+    a zero weight, so seeds tie and all-zero clusters occur.
+    """
+    rng = np.random.default_rng(seed)
+    n_clusters = max(1, n_boxes // 4)
+    centres = np.asarray(offset) + rng.uniform(-8.0, 8.0, size=(n_clusters, 2))
+    yaws = rng.uniform(-math.pi, math.pi, size=n_clusters)
+    dets = []
+    for _ in range(n_boxes):
+        c = int(rng.integers(n_clusters))
+        if ties:
+            score, weight = float(rng.choice([0.4, 0.8])), float(rng.choice([0.0, 0.4, 0.8]))
+        else:
+            score = float(rng.uniform(0.05, 1.0))
+            weight = score * float(rng.uniform(0.3, 1.0))
+        if model == "cv":
+            motion = ConstantVelocity(float(rng.uniform(-15, 15)), float(rng.uniform(-15, 15)))
+        elif model == "unicycle":
+            motion = Unicycle(float(rng.uniform(-15, 15)), float(rng.uniform(-1, 1)))
+        else:
+            slip = float(rng.choice([-HALF_PI, HALF_PI, rng.uniform(-HALF_PI, HALF_PI)]))
+            motion = Bicycle(float(rng.uniform(-15, 15)), slip, float(rng.uniform(1, 3)))
+        lag = int(rng.integers(0, 3))
+        dets.append(
+            Detection(
+                box=Box3D(
+                    float(centres[c, 0] + rng.normal(0, 0.3)),
+                    float(centres[c, 1] + rng.normal(0, 0.3)),
+                    float(rng.uniform(0, 1.5)),
+                    float(rng.uniform(1.9, 2.3)),
+                    float(rng.uniform(4.2, 5.0)),
+                    float(rng.uniform(1.4, 1.8)),
+                    float(yaws[c] + rng.normal(0, 0.1)),
+                ),
+                score=score,
+                label=f"class{int(rng.integers(n_labels))}",
+                motion=motion,
+                weight=weight,
+                frame_lag=lag,
+                n_current=int(lag == 0),
+            )
+        )
+    dets += [dets[int(k)] for k in rng.integers(0, len(dets), size=n_boxes // 5)]
+    return dets
+
+
+NMS_CONFIGS = [PRESETS[name] for name in sorted(PRESETS)] + [
+    FusionConfig(iou_low=0.0, iou_high=0.5),
+    FusionConfig(iou_low=1.0, iou_high=1.0),
+]
+OFFSET = st.sampled_from([0.0, 1e5, -1e5]) | st.floats(-1e5, 1e5)
+
+
 class TestDecayedWeight:
     def test_current_frame_undecayed(self):
         assert decayed_weight(0.9, 0.0, CFG) == 0.9
@@ -151,6 +237,40 @@ class TestForwardFrame:
         frame = Frame(1.0, EgoPose.identity(), [])
         with pytest.raises(ValueError):
             forward_frame(frame, 0.5, EgoPose.identity(), CFG)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_forward_box_then_transform_box(self, data):
+        models = st.sampled_from(["cv", "unicycle", "bicycle"])
+        model = data.draw(models, label="model")
+        # a frame may also mix models; each box then draws its own
+        mixed = data.draw(st.booleans(), label="mixed")
+        dt = data.draw(st.sampled_from([0.0, 0.05, 0.1, 0.4]) | st.floats(1e-3, 3.0), label="dt")
+        src = EgoPose(*data.draw(st.tuples(COORD, COORD, YAW), label="src"))
+        dst = data.draw(st.just(src) | st.builds(EgoPose, COORD, COORD, YAW), label="dst")
+        dets = [
+            make_det(x=data.draw(COORD), y=data.draw(COORD), yaw=data.draw(YAW),
+                     score=data.draw(st.floats(0.0, 1.0)),
+                     motion=data.draw(motion_near_edges(data.draw(models) if mixed else model, dt)))
+            for _ in range(data.draw(st.integers(1, 6), label="boxes"))
+        ]
+        frame = Frame(0.0, src, dets)
+        out = forward_frame(frame, dt, dst, CFG)
+        assert len(out) == len(dets)
+        for k, det in enumerate(dets):
+            assert out[k].box == transform_box(forward_box(det.box, det.motion, dt), src, dst)
+            assert out[k].weight == decayed_weight(det.score, dt, CFG)
+            assert (out[k].motion, out[k].n_current) == (det.motion, 0)
+
+    @pytest.mark.parametrize("case", ["forward", "transform"])
+    def test_overflow_to_infinity_rejected(self, case):
+        if case == "forward":
+            det, ego = make_det(x=1e308, motion=ConstantVelocity(1e308, 0.0)), EgoPose.identity()
+        else:
+            det, ego = make_det(x=1.5e308, motion=ConstantVelocity(0.0, 0.0)), EgoPose(1.5e308, 0.0, 0.0)
+        frame = Frame(0.0, ego, [make_det(x=5.0), det])
+        with pytest.raises(ValueError):
+            forward_frame(frame, 10.0, EgoPose.identity(), CFG)
 
 
 class TestWeightedNms:
@@ -244,6 +364,26 @@ class TestWeightedNms:
             for label in sorted({d.label for d in dets}):
                 expected += nms_single_class_scan([d for d in dets if d.label == label], cfg)
             assert weighted_nms(dets, cfg) == expected
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_boxes=st.integers(1, 40),
+        n_labels=st.integers(1, 2),
+        model=st.sampled_from(["cv", "unicycle", "bicycle"]),
+        offset=st.tuples(OFFSET, OFFSET),
+        ties=st.booleans(),
+        cfg=st.sampled_from(NMS_CONFIGS),
+    )
+    def test_equals_per_seed_scan_on_crowded_scenes(self, seed, n_boxes, n_labels, model, offset, ties, cfg):
+        dets = crowded_scene(seed, n_boxes, n_labels, model, offset, ties)
+        expected = []
+        for label in sorted({d.label for d in dets}):
+            expected += nms_single_class_scan([d for d in dets if d.label == label], cfg)
+        got = weighted_nms(dets, cfg)
+        assert got == expected
+        if cfg.iou_low == cfg.iou_high:
+            assert sum(d.n_fused for d in got) == len(dets)
 
     def test_outputs_mutually_below_iou_low(self):
         # the sweep guarantees the property exactly for the surviving seeds;

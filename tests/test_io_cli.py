@@ -202,6 +202,30 @@ class TestCli:
         assert main(["fuse", "--input", str(src), "--output", str(tmp_path / "o.jsonl")]) == 2
         assert "(frame 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault", ["mixed models", "repeated timestamp"])
+    def test_failed_fuse_leaves_the_output_as_it_was(self, tmp_path, fault):
+        from dataclasses import replace
+
+        frames = [
+            Frame(f.timestamp, f.ego, [replace(d, motion=ConstantVelocity(1.0, 0.0)) for d in f.detections])
+            for f in sample_frames()
+        ]
+        # frames 0 and 1 fuse before frame 2 fails
+        if fault == "mixed models":
+            frames[2].detections[0] = replace(frames[2].detections[0], motion=Unicycle(9.0, 0.5))
+        else:
+            frames[2] = Frame(frames[1].timestamp, frames[2].ego, frames[2].detections)
+        src = tmp_path / "in.jsonl"
+        write_frames(src, frames)
+        out = tmp_path / "out.jsonl"
+        out.write_text("earlier content\n", encoding="utf-8")
+        assert main(["fuse", "--input", str(src), "--output", str(out)]) == 2
+        assert out.read_text(encoding="utf-8") == "earlier content\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "out.jsonl"]
+        # a fresh output path stays absent
+        assert main(["fuse", "--input", str(src), "--output", str(tmp_path / "new.jsonl")]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "out.jsonl"]
+
     def test_synth_outputs_and_meta(self, tmp_path):
         gt, det = run_synth(tmp_path)
         meta = read_meta(gt)
