@@ -5,7 +5,9 @@ prefix mirroring the flag name (e.g. BOXFUSE_DECAY for --decay); explicit
 flags win over the environment, which wins over --config file values, which
 win over the --preset. Exit codes: 0 success, 1 usage error, 2 data error.
 All commands are deterministic given their inputs, flags and seed; output
-files carry a meta header echoing the resolved configuration.
+files carry a meta header echoing the resolved configuration, and the fuse
+and inverse headers also name the package version and the SHA-256 of the
+input file.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -22,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import __version__
 from .evaluation import evaluate_enhancement
 from .fusion import Frame, FusionConfig, PRESETS, fuse_frames, sliding_windows
 from .geometry import EgoPose, Pose, normalize_angle, transform_box
@@ -138,11 +142,21 @@ def _replacing(path: str):
         raise
 
 
+def _sha256(path: str) -> str:
+    """Hex SHA-256 of a file's bytes: names an input by its content, so reruns stay byte-identical."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def _cmd_fuse(args: argparse.Namespace) -> int:
     cfg = _fusion_config(args)
     input_path = _required(args, "input")
     output_path = _required(args, "output")
-    meta = {"tool": TOOL, "format": 1, "command": "fuse", "config": _config_meta(cfg)}
+    meta = {"tool": TOOL, "version": __version__, "format": 1, "command": "fuse",
+            "input_sha256": _sha256(input_path), "config": _config_meta(cfg)}
     latencies: list[float] = []
     with _replacing(output_path) as out:
         out.write(dumps_line({"meta": meta}) + "\n")
@@ -299,9 +313,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_inverse(args: argparse.Namespace) -> int:
     model = _opt(args, "model", default="cv")
-    frames = read_frames(_required(args, "input"))
+    input_path = _required(args, "input")
+    frames = read_frames(input_path)
     out = _reattach_params(frames, model, _opt(args, "rear_axle", float))
-    meta = {"tool": TOOL, "format": 1, "command": "inverse", "model": model}
+    meta = {"tool": TOOL, "version": __version__, "format": 1, "command": "inverse",
+            "input_sha256": _sha256(input_path), "model": model}
     write_frames(_required(args, "output"), out, meta=meta)
     return 0
 

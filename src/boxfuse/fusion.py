@@ -8,34 +8,42 @@ weighted averages of their merge clusters rather than argmax picks; clusters
 containing no current-frame box ("history only") get their score reduced so
 they cannot crowd out fresh detections.
 
-The hot path runs on numpy columns. `forward_frame` forwards a whole frame
-at once and returns it as `DetectionColumns`; `weighted_nms` finds candidate
-pairs with `geometry.candidate_pairs`, drops pairs whose IoU provably stays
-below iou_low, clips the rest in one vectorized pass and merges clusters
-with per-cluster weighted sums. Every step does the float operations of the
-scalar per-box code in the same order, so outputs are bit-identical to it.
-Detection and Box3D objects are built once, for the outputs and for rows
-read back from columns.
+The whole path runs on numpy columns. A frame's detections are
+`DetectionColumns`, an immutable sequence of Detection that builds a row's
+Detection, Box3D and motion objects only when the row is read; io parses
+JSON straight into columns and writes them back, and `sliding_windows`
+converts a frame given as a list once, when it enters the window.
+`forward_frame` forwards a whole frame at once; `weighted_nms` finds
+candidate pairs with `geometry.candidate_pairs`, drops pairs whose IoU
+provably stays below iou_low, clips the rest in one vectorized pass and
+merges clusters with per-cluster weighted sums; the score strategy and the
+history floor are column operations. Every step does the float operations
+of the scalar per-box code in the same order, so outputs are bit-identical
+to it. `weighted_nms`, `apply_score_strategy` and `fuse_frames` accept
+lists of Detection as well as columns.
 
 Trace contract: `fuse_frames` calls `forward_frame(frame, t, ego, cfg)` once
 per history frame, then `weighted_nms(dense, cfg)` and
 `apply_score_strategy(fused, cfg)`, each looked up as a module global, so a
 wrapper bound at those names (as the benchmark's per-layer tracing binds
-them, bench/tracing.py) sees every call. `weighted_nms` and
-`apply_score_strategy` return lists of Detection.
+them, bench/tracing.py) sees every call. All three return
+`DetectionColumns`, which support len() and iterate as Detections (with
+n_fused and n_current); an observer that iterates them builds the rows, and
+that time is its own, not the fusion's.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
 from .geometry import (
+    MIN_BEV_AREA,
     Box3D,
     EgoPose,
     candidate_pairs,
@@ -44,7 +52,7 @@ from .geometry import (
     normalize_angles,
     transform_columns,
 )
-from .motion import MotionParams, param_rows
+from .motion import MODELS, MotionParams, param_rows
 
 ScoreStrategy = Literal["decay", "divide"]
 
@@ -95,7 +103,7 @@ class Frame:
 
     timestamp: float
     ego: EgoPose
-    detections: list[Detection] = field(default_factory=list)
+    detections: Sequence[Detection] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -150,94 +158,236 @@ def decayed_weight(score: float, time_lag: float, cfg: FusionConfig) -> float:
     return score * cfg.weight_decay ** (time_lag / cfg.frame_interval)
 
 
-@dataclass(eq=False)
-class DetectionColumns(Sequence[Detection]):
-    """Detections held as numpy columns; a row becomes a Detection only when read.
+# A row's motion model is stored as its index in motion.MODELS.
+_MODEL_CLASSES = tuple(MODELS.values())
+MODEL_CODES = {name: code for code, name in enumerate(MODELS)}
+#: Parameter columns of DetectionColumns: room for the model with the most fields.
+PARAM_WIDTH = max(len(model.json_keys) for model in _MODEL_CLASSES)
 
-    boxes is (n, 7): x, y, z, w, l, h, yaw. score is sources[k].score, and
-    label, motion and track_id are read from sources[k]; weight, frame_lag,
-    n_fused and n_current are columns because fusion assigns them.
+_box_fields = attrgetter("x", "y", "z", "w", "l", "h", "yaw")
+
+
+def _unchecked(cls):
+    """A constructor of the frozen dataclass `cls` that skips __init__ and its checks.
+
+    Rows of DetectionColumns are built with it: the columns passed the same
+    checks when they were made.
+    """
+    names = tuple(f.name for f in fields(cls))
+    new = object.__new__
+    set_field = object.__setattr__
+
+    def make(*values):
+        obj = new(cls)
+        for name, value in zip(names, values):
+            set_field(obj, name, value)
+        return obj
+
+    return make
+
+
+_make_box = _unchecked(Box3D)
+_make_detection = _unchecked(Detection)
+_make_motion = {kind: _unchecked(kind) for kind in _MODEL_CLASSES}
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionColumns(Sequence[Detection]):
+    """Detections held as read-only numpy columns; a row becomes a Detection only when read.
+
+    boxes is (n, 7): x, y, z, w, l, h, yaw. model is each row's motion model
+    as a code of MODEL_CODES and params that model's fields in order, zero
+    padded to PARAM_WIDTH columns, so one frame may mix models. weight is
+    NaN where it is unassigned (None); label and track_id are object arrays
+    of str and of int or None. The sequence compares equal to any sequence of
+    equal Detections.
+
+    Every row is a valid Detection. The constructor makes, over whole
+    columns, every check that Box3D, Detection and the motion classes make on
+    construction, wraps yaws to (-pi, pi] and raises ValueError naming the
+    first row that fails, with the message its Detection would raise.
+    Columns derived from checked ones (selections, concatenations, forwarded
+    boxes, new scores in [0, 1]) are made by `_derived` without a new check,
+    and rows are read without one.
     """
 
-    sources: list[Detection]
     boxes: np.ndarray
     score: np.ndarray
+    label: np.ndarray
+    model: np.ndarray
+    params: np.ndarray
     weight: np.ndarray
     frame_lag: np.ndarray
+    track_id: np.ndarray
     n_fused: np.ndarray
     n_current: np.ndarray
 
+    def __post_init__(self) -> None:
+        n = len(self.score)
+        if self.boxes.shape != (n, 7) or self.params.shape != (n, PARAM_WIDTH) or any(
+            getattr(self, name).shape != (n,) for name in _COLUMNS if name not in ("boxes", "params")
+        ):
+            raise ValueError("detection columns must have one row per detection")
+        boxes = self.boxes
+        with np.errstate(invalid="ignore", over="ignore"):
+            bad = ~np.isfinite(boxes).all(axis=1)
+            bad |= ~(boxes[:, 3:6] > 0.0).all(axis=1)
+            bad |= ~(boxes[:, 3] * boxes[:, 4] >= MIN_BEV_AREA)
+            bad |= ~((self.score >= 0.0) & (self.score <= 1.0))
+            bad |= (self.weight < 0.0) | (self.weight > 1.0)  # NaN is unassigned
+        bad |= (self.frame_lag < 0) | (self.n_fused < 1) | (self.label == "")
+        if not ((self.model >= 0) & (self.model < len(_MODEL_CLASSES))).all():
+            raise ValueError(f"motion model codes must lie in [0, {len(_MODEL_CLASSES)})")
+        for kind, rows in self.groups():
+            bad[rows] |= kind.invalid_columns(self.params_of(kind, rows))
+        if bad.any():
+            self._raise_for_row(int(np.argmax(bad)))
+        yaw = boxes[:, 6]
+        if not ((yaw > -math.pi) & (yaw <= math.pi)).all():
+            boxes = boxes.copy()
+            boxes[:, 6] = normalize_angles(yaw)
+            object.__setattr__(self, "boxes", boxes)
+        for name in _COLUMNS:
+            getattr(self, name).flags.writeable = False
+
+    def _raise_for_row(self, row: int) -> None:
+        """Build row `row` with the checking constructors and pass on what they raise."""
+        kind = _MODEL_CLASSES[self.model[row]]
+        weight = self.weight[row].item()
+        try:
+            Detection(Box3D(*self.boxes[row].tolist()), self.score[row].item(), self.label[row],
+                      kind(*self.params_of(kind, row).tolist()), None if weight != weight else weight,
+                      self.frame_lag[row].item(), self.track_id[row], self.n_fused[row].item(),
+                      self.n_current[row].item())
+        except ValueError as exc:
+            raise ValueError(f"detection {row}: {exc}") from None
+        raise ValueError(f"detection {row} fails a column check")
+
     @classmethod
-    def of(cls, detections: Sequence[Detection]) -> DetectionColumns:
-        """Columns of detections as they are; every weight must be assigned."""
+    def _derived(cls, *columns: np.ndarray) -> DetectionColumns:
+        """Columns derived from checked ones; they are not checked again."""
+        cols = object.__new__(cls)
+        for name, column in zip(_COLUMNS, columns):
+            column.flags.writeable = False
+            object.__setattr__(cols, name, column)
+        return cols
+
+    def _with(self, **columns: np.ndarray) -> DetectionColumns:
+        return self._derived(*(columns.get(name, getattr(self, name)) for name in _COLUMNS))
+
+    @classmethod
+    def of(cls, detections: Iterable[Detection]) -> DetectionColumns:
+        """Columns of detections as they are; columns themselves are returned unchanged."""
+        if isinstance(detections, DetectionColumns):
+            return detections
         dets = list(detections)
-        if any(d.weight is None for d in dets):
-            raise ValueError("weighted_nms requires every detection weight to be assigned")
-        return cls(
-            dets,
-            _box_rows(dets),
-            _scores(dets),
-            np.array([d.weight for d in dets], dtype=float),
+        n = len(dets)
+        model = np.array([MODEL_CODES[d.motion.name] for d in dets], dtype=np.int64)
+        params = np.zeros((n, PARAM_WIDTH))
+        for kind, rows in _groups(model):
+            picked = dets[rows] if isinstance(rows, slice) else [dets[k] for k in rows.tolist()]
+            params[rows, : len(kind.json_keys)] = param_rows(kind, [d.motion for d in picked])
+        # the Detections made their own checks
+        return cls._derived(
+            np.array([_box_fields(d.box) for d in dets], dtype=float).reshape(n, 7),
+            np.array([d.score for d in dets], dtype=float),
+            object_array([d.label for d in dets]),
+            model,
+            params,
+            np.array([math.nan if d.weight is None else d.weight for d in dets], dtype=float),
             np.array([d.frame_lag for d in dets], dtype=np.int64),
+            object_array([d.track_id for d in dets]),
             np.array([d.n_fused for d in dets], dtype=np.int64),
             np.array([d.n_current for d in dets], dtype=np.int64),
         )
 
     @classmethod
-    def entering(cls, dets: list[Detection], boxes: np.ndarray, score: np.ndarray, weight: np.ndarray,
-                 frame_lag: int, n_current: int) -> DetectionColumns:
-        """Detections entering a fusion run as single boxes, with new boxes and weights."""
-        n = len(dets)
-        return cls(
-            dets, boxes, score, weight, np.full(n, frame_lag, dtype=np.int64),
-            np.ones(n, dtype=np.int64), np.full(n, n_current, dtype=np.int64),
-        )
-
-    @classmethod
     def concat(cls, parts: Sequence[DetectionColumns]) -> DetectionColumns:
         """The rows of every part, in order."""
-        columns = ("boxes", "score", "weight", "frame_lag", "n_fused", "n_current")
-        return cls(
-            [d for part in parts for d in part.sources],
-            *(np.concatenate([getattr(part, name) for part in parts]) for name in columns),
-        )
+        return cls._derived(*(np.concatenate([getattr(part, name) for part in parts]) for name in _COLUMNS))
+
+    def take(self, index) -> DetectionColumns:
+        """The rows selected by an index array or boolean mask."""
+        return self._derived(*(getattr(self, name)[index] for name in _COLUMNS))
+
+    def entering(self, boxes: np.ndarray, weight: np.ndarray, frame_lag: int, n_current: int) -> DetectionColumns:
+        """These detections entering a fusion run as single boxes, with new boxes and weights.
+
+        boxes must be valid (finite centres, wrapped yaws) and weights in [0, 1].
+        """
+        n = len(self)
+        return self._with(boxes=boxes, weight=weight, frame_lag=np.full(n, frame_lag, dtype=np.int64),
+                          n_fused=np.ones(n, dtype=np.int64), n_current=np.full(n, n_current, dtype=np.int64))
+
+    def groups(self) -> list[tuple[type[MotionParams], slice | np.ndarray]]:
+        """(model class, rows) of every motion model among the rows, by code.
+
+        rows is slice(None) when all rows share one model, else an index array.
+        """
+        return _groups(self.model)
+
+    def params_of(self, kind: type[MotionParams], rows) -> np.ndarray:
+        """The parameters of the given rows, which all use model `kind`, in its field order."""
+        return self.params[rows, : len(kind.json_keys)]
 
     def __len__(self) -> int:
-        return len(self.sources)
+        return len(self.score)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return self.rows(range(len(self))[index])
-        return self.rows([index])[0]
+            return self.take(np.arange(len(self))[index])
+        return self.rows([range(len(self))[index]])[0]
 
-    def rows(self, index) -> list[Detection]:
-        """The Detections of the given rows, in that order."""
-        index = list(index)
-        columns = zip(
-            index,
-            self.boxes[index].tolist(),
-            self.weight[index].tolist(),
-            self.frame_lag[index].tolist(),
-            self.n_fused[index].tolist(),
-            self.n_current[index].tolist(),
-        )
-        out = []
-        for k, box, weight, lag, n_fused, n_current in columns:
-            src = self.sources[k]
-            out.append(Detection(Box3D(*box), src.score, src.label, src.motion, weight, lag,
-                                 src.track_id, n_fused, n_current))
-        return out
+    def __iter__(self) -> Iterator[Detection]:
+        return iter(self.rows())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and self.rows() == list(other)
+
+    __hash__ = None
+
+    def rows(self, index=None) -> list[Detection]:
+        """The Detections of the given rows (all rows by default), in that order."""
+        cols = self if index is None else self.take(np.asarray(index, dtype=np.int64))
+        motions: list = [None] * len(cols)
+        for kind, rows in cols.groups():
+            made = list(map(_make_motion[kind], *cols.params_of(kind, rows).T.tolist()))
+            if isinstance(rows, slice):
+                motions = made
+            else:
+                for k, motion in zip(rows.tolist(), made):
+                    motions[k] = motion
+        return list(map(
+            _make_detection,
+            map(_make_box, *cols.boxes.T.tolist()),
+            cols.score.tolist(),
+            cols.label.tolist(),
+            motions,
+            [None if w != w else w for w in cols.weight.tolist()],
+            cols.frame_lag.tolist(),
+            cols.track_id.tolist(),
+            cols.n_fused.tolist(),
+            cols.n_current.tolist(),
+        ))
 
 
-_box_fields = attrgetter("x", "y", "z", "w", "l", "h", "yaw")
+_COLUMNS = tuple(f.name for f in fields(DetectionColumns))
 
 
-def _box_rows(dets: Sequence[Detection]) -> np.ndarray:
-    return np.array([_box_fields(d.box) for d in dets], dtype=float).reshape(len(dets), 7)
+def _groups(model: np.ndarray) -> list[tuple[type[MotionParams], slice | np.ndarray]]:
+    codes = np.flatnonzero(np.bincount(model, minlength=len(_MODEL_CLASSES))).tolist()
+    if len(codes) == 1:
+        return [(_MODEL_CLASSES[codes[0]], slice(None))]
+    return [(_MODEL_CLASSES[code], np.flatnonzero(model == code)) for code in codes]
 
 
-def _scores(dets: Sequence[Detection]) -> np.ndarray:
-    return np.array([d.score for d in dets], dtype=float)
+def object_array(values: list) -> np.ndarray:
+    """A one-dimensional object array holding the given values."""
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
 
 
 def forward_frame(
@@ -256,30 +406,27 @@ def forward_frame(
     dt = target_time - frame.timestamp
     if dt < 0.0:
         raise ValueError("target_time must not precede the frame timestamp")
-    dets = frame.detections
-    boxes = _box_rows(dets)
+    cols = DetectionColumns.of(frame.detections)
+    boxes = cols.boxes.copy()
     x, y, yaw = boxes[:, 0], boxes[:, 1], boxes[:, 6]
     # overflow is caught by the finiteness checks below
     with np.errstate(over="ignore", invalid="ignore"):
-        if dt != 0.0 and dets:
-            models = [type(d.motion) for d in dets]
-            for model in set(models):
-                rows = [k for k, m in enumerate(models) if m is model]
-                params = param_rows(model, [dets[k].motion for k in rows])
+        if dt != 0.0 and len(cols):
+            for model, rows in cols.groups():
+                params = cols.params_of(model, rows)
                 x[rows], y[rows], yaw[rows] = model.forward_columns(x[rows], y[rows], yaw[rows], params, dt)
             if not (np.isfinite(x).all() and np.isfinite(y).all()):
                 raise ValueError("forwarded box centre is not finite")
             yaw[:] = normalize_angles(yaw)
         boxes[:, 0], boxes[:, 1], boxes[:, 6] = transform_columns(x, y, yaw, frame.ego, target_ego)
-    score = _scores(dets)
     lag = int(round(dt / cfg.frame_interval))
-    return DetectionColumns.entering(dets, boxes, score, decayed_weight(score, dt, cfg), lag, 0)
+    return cols.entering(boxes, decayed_weight(cols.score, dt, cfg), lag, 0)
 
 
-def _require_single_variant(detections: Iterable[Detection]) -> None:
-    kinds = {type(d.motion) for d in detections}
-    if len(kinds) > 1:
-        names = sorted(k.__name__ for k in kinds)
+def _require_single_variant(cols: DetectionColumns) -> None:
+    groups = cols.groups()
+    if len(groups) > 1:
+        names = sorted(kind.__name__ for kind, _ in groups)
         raise ValueError(f"mixed motion-parameter variants in one fusion run: {names}")
 
 
@@ -395,16 +542,18 @@ def _clamp01(values: np.ndarray) -> np.ndarray:
     return np.where(values < 1.0, values, 1.0)
 
 
-def _merge_clusters(cols: DetectionColumns, rows: np.ndarray, cluster: np.ndarray, n_clusters: int):
+def _merge_clusters(cols: DetectionColumns, rows: np.ndarray, cluster: np.ndarray,
+                    n_clusters: int) -> DetectionColumns:
     """Weight-averaged merges of clusters; the seed of each cluster supplies the reference.
 
     rows lists every member row and cluster[k] its cluster: the clusters'
     seeds come first, in cluster order, then the other members in visiting
     order. bincount adds from left to right, so every weighted sum adds the
-    members in the order a Python sum over [seed, *members] would.
+    members in the order a Python sum over [seed, *members] would. The
+    merged rows are checked like new Detections (ValueError).
     """
     if n_clusters == 0:
-        return []
+        return cols.take(rows)
     seeds = rows[:n_clusters]
     weights = cols.weight[rows]
     wsum = np.bincount(cluster, weights=weights, minlength=n_clusters)
@@ -429,19 +578,15 @@ def _merge_clusters(cols: DetectionColumns, rows: np.ndarray, cluster: np.ndarra
     np.add.at(n_fused, cluster, cols.n_fused[rows])
     n_current = np.zeros(n_clusters, dtype=np.int64)
     np.add.at(n_current, cluster, cols.n_current[rows])
-    model = type(cols.sources[seeds[0]].motion)
-    params = param_rows(model, [cols.sources[r].motion for r in rows.tolist()])
-    motion = model.merge_columns(params, params[:n_clusters], cluster, wavg)
-    fields = zip(seeds.tolist(), merged.tolist(), score.tolist(), motion.tolist(), weight.tolist(),
-                 frame_lag.tolist(), n_fused.tolist(), n_current.tolist())
-    return [
-        Detection(Box3D(*box), s, cols.sources[seed].label, model(*mo), w, lag,
-                  cols.sources[seed].track_id, nf, nc)
-        for seed, box, s, mo, w, lag, nf, nc in fields
-    ]
+    model = _MODEL_CLASSES[cols.model[seeds[0]]]
+    params = cols.params_of(model, rows)
+    motion = np.zeros((n_clusters, PARAM_WIDTH))
+    motion[:, : len(model.json_keys)] = model.merge_columns(params, params[:n_clusters], cluster, wavg)
+    return DetectionColumns(merged, score, cols.label[seeds], cols.model[seeds], motion, weight, frame_lag,
+                            cols.track_id[seeds], n_fused, n_current)
 
 
-def weighted_nms(detections: Sequence[Detection], cfg: FusionConfig) -> list[Detection]:
+def weighted_nms(detections: Sequence[Detection], cfg: FusionConfig) -> DetectionColumns:
     """Per-class weighted NMS over a dense detection set sharing one coordinate frame.
 
     Within each class label, detections are visited by descending voting
@@ -456,16 +601,18 @@ def weighted_nms(detections: Sequence[Detection], cfg: FusionConfig) -> list[Det
     Labels are ordered by name and visited one after another. The IoU of every
     pair that can act is computed up front in one vectorized clipping pass,
     so the greedy sweep only reads it; a single-box cluster comes back as its
-    input row.
+    input row. Takes a list or columns and returns columns.
     """
-    cols = detections if isinstance(detections, DetectionColumns) else DetectionColumns.of(detections)
-    _require_single_variant(cols.sources)
+    cols = DetectionColumns.of(detections)
+    if np.isnan(cols.weight).any():
+        raise ValueError("weighted_nms requires every detection weight to be assigned")
+    _require_single_variant(cols)
     n = len(cols)
     if n == 0:
-        return []
-    labels = [d.label for d in cols.sources]
+        return cols
+    labels = cols.label.tolist()
     code = {name: k for k, name in enumerate(sorted(set(labels)))}
-    label = np.array([code[name] for name in labels], dtype=np.int64)
+    label = np.fromiter(map(code.__getitem__, labels), dtype=np.int64, count=n)
     order = np.lexsort((-cols.score, -cols.weight, label))
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
@@ -476,30 +623,31 @@ def weighted_nms(detections: Sequence[Detection], cfg: FusionConfig) -> list[Det
     renumber = np.cumsum(multi) - 1
     rows = np.concatenate([seeds[multi], np.array(members, dtype=np.int64)])
     cluster = np.concatenate([np.arange(n_multi), renumber[member_cluster]])
-    merged = iter(_merge_clusters(cols, rows, cluster, n_multi))
-    singles = iter(cols.rows(seeds[~multi].tolist()))
-    return [next(merged) if is_multi else next(singles) for is_multi in multi.tolist()]
+    singles = seeds[~multi]
+    out = DetectionColumns.concat([_merge_clusters(cols, rows, cluster, n_multi), cols.take(singles)])
+    # back to seed order: merged clusters first in out, then the singletons
+    position = np.empty(len(seeds), dtype=np.int64)
+    position[multi] = np.arange(n_multi)
+    position[~multi] = n_multi + np.arange(len(singles))
+    return out.take(position)
 
 
-def apply_score_strategy(fused: Sequence[Detection], cfg: FusionConfig) -> list[Detection]:
+def apply_score_strategy(fused: Sequence[Detection], cfg: FusionConfig) -> DetectionColumns:
     """Reduce the scores of fused boxes that contain no current-frame member.
 
-    "decay" replaces the score with the fused voting weight; "divide" rescales
-    it to score_decay_factor * score / max(n_history - n_fused, 1), so sparse
-    history clusters are punished harder than well-supported ones. Boxes with
-    a current-frame member are returned untouched.
+    "decay" replaces the score with the fused voting weight (the raw score
+    when none is assigned); "divide" rescales it to
+    score_decay_factor * score / max(n_history - n_fused, 1), so sparse
+    history clusters are punished harder than well-supported ones. New scores
+    are clamped to [0, 1]; boxes with a current-frame member keep theirs.
+    Takes a list or columns and returns columns.
     """
-    out = []
-    for det in fused:
-        if det.n_current == 0:
-            if cfg.score_strategy == "decay":
-                new_score = det.weight if det.weight is not None else det.score
-            else:
-                new_score = cfg.score_decay_factor * det.score / max(cfg.n_history - det.n_fused, 1)
-            det = Detection(det.box, min(1.0, max(0.0, new_score)), det.label, det.motion, det.weight,
-                            det.frame_lag, det.track_id, det.n_fused, det.n_current)
-        out.append(det)
-    return out
+    cols = DetectionColumns.of(fused)
+    if cfg.score_strategy == "decay":
+        new = np.where(np.isnan(cols.weight), cols.score, cols.weight)
+    else:
+        new = cfg.score_decay_factor * cols.score / np.maximum(cfg.n_history - cols.n_fused, 1)
+    return cols._with(score=np.where(cols.n_current == 0, _clamp01(new), cols.score))
 
 
 def fuse_frames(window: Sequence[Frame], cfg: FusionConfig) -> Frame:
@@ -519,30 +667,31 @@ def fuse_frames(window: Sequence[Frame], cfg: FusionConfig) -> Frame:
             raise ValueError("window timestamps must strictly increase")
     current = window[-1]
     parts = [forward_frame(frame, current.timestamp, current.ego, cfg) for frame in window[:-1]]
-    dets = current.detections
-    score = _scores(dets)
-    parts.append(DetectionColumns.entering(dets, _box_rows(dets), score, score, 0, 1))
+    cols = DetectionColumns.of(current.detections)
+    parts.append(cols.entering(cols.boxes, cols.score, 0, 1))
     fused = apply_score_strategy(weighted_nms(DetectionColumns.concat(parts), cfg), cfg)
-    kept = [d for d in fused if d.n_current > 0 or d.score >= cfg.history_score_floor]
+    kept = fused.take((fused.n_current > 0) | (fused.score >= cfg.history_score_floor))
     return Frame(current.timestamp, current.ego, kept)
 
 
 def sliding_windows(frames: Iterable[Frame], size: int) -> Iterator[list[Frame]]:
     """Yield each frame's trailing window of up to `size` frames, oldest first.
 
-    Raises ValueError naming the 0-based index of the first offending frame
-    unless timestamps strictly increase and every detection of the stream
-    uses one motion model.
+    A frame enters the window with its detections as columns, converted once
+    when they are a list. Raises ValueError naming the 0-based index of the
+    first offending frame unless timestamps strictly increase and every
+    detection of the stream uses one motion model.
     """
     window: deque[Frame] = deque(maxlen=size)
     models: set[str] = set()
     for index, frame in enumerate(frames):
         if window and frame.timestamp <= window[-1].timestamp:
             raise ValueError(f"timestamps must strictly increase (frame {index})")
-        models.update(d.motion.name for d in frame.detections)
+        cols = DetectionColumns.of(frame.detections)
+        models.update(kind.name for kind, _ in cols.groups())
         if len(models) > 1:
             raise ValueError(f"mixed motion models {sorted(models)} in one stream (frame {index})")
-        window.append(frame)
+        window.append(frame if cols is frame.detections else Frame(frame.timestamp, frame.ego, cols))
         yield list(window)
 
 

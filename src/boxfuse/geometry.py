@@ -47,6 +47,13 @@ def normalize_angles(angles: np.ndarray) -> np.ndarray:
     return out
 
 
+def require_number(name: str, value) -> float:
+    """A JSON number as a float; ValueError for anything else, booleans and strings included."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")

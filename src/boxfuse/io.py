@@ -19,11 +19,15 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .fusion import Detection, Frame
-from .geometry import Box3D, EgoPose
-from .motion import params_from_obj
+import numpy as np
+
+from .fusion import MODEL_CODES, PARAM_WIDTH, Detection, DetectionColumns, Frame, object_array
+from .geometry import EgoPose, require_number
+from .motion import MODEL_NAMES, MODELS
 
 
 class FrameFormatError(ValueError):
@@ -34,62 +38,193 @@ class FrameFormatError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-def detection_to_obj(det: Detection) -> dict:
-    obj: dict = {
-        "box": det.box.to_array(),
-        "score": det.score,
-        "class": det.label,
-        "motion": det.motion.to_obj(),
-    }
-    if det.track_id is not None:
-        obj["track_id"] = det.track_id
-    if det.weight is not None:
-        obj["weight"] = det.weight
-    if det.frame_lag != 0:
-        obj["frame_lag"] = det.frame_lag
-    if det.n_fused != 1:
-        obj["n_fused"] = det.n_fused
-    if det.n_current != (1 if det.frame_lag == 0 else 0):
-        obj["n_current"] = det.n_current
+def _motion_objs(cols: DetectionColumns) -> list[dict]:
+    objs = [{"model": MODEL_NAMES[code]} for code in cols.model.tolist()]
+    for kind, rows in cols.groups():
+        picked = objs if isinstance(rows, slice) else [objs[k] for k in rows.tolist()]
+        for key, values in zip(kind.json_keys.values(), cols.params_of(kind, rows).T.tolist()):
+            for obj, value in zip(picked, values):
+                obj[key] = value
+    return objs
+
+
+def _detection_obj(box, score, label, motion, weight, frame_lag, track_id, n_fused, n_current) -> dict:
+    """One detection's JSON object; an optional key is written only when it carries information.
+
+    That is a track id or weight that is set, a lag other than 0, more than
+    one fused box, and an n_current other than the one an absent key means
+    (1 exactly when frame_lag is 0).
+    """
+    obj = {"box": box, "score": score, "class": label, "motion": motion}
+    if track_id is not None:
+        obj["track_id"] = track_id
+    if weight is not None:
+        obj["weight"] = weight
+    if frame_lag != 0:
+        obj["frame_lag"] = frame_lag
+    if n_fused != 1:
+        obj["n_fused"] = n_fused
+    if n_current != (1 if frame_lag == 0 else 0):
+        obj["n_current"] = n_current
     return obj
 
 
-def detection_from_obj(obj: dict) -> Detection:
-    box = obj["box"]
-    if len(box) != 7:
-        raise ValueError(f"box must have 7 values, got {len(box)}")
-    frame_lag = int(obj.get("frame_lag", 0))
-    n_current = obj.get("n_current")
-    return Detection(
-        box=Box3D.from_array(box),
-        score=float(obj["score"]),
-        label=str(obj["class"]),
-        motion=params_from_obj(obj["motion"]),
-        weight=None if obj.get("weight") is None else float(obj["weight"]),
-        frame_lag=frame_lag,
-        track_id=None if obj.get("track_id") is None else int(obj["track_id"]),
-        n_fused=int(obj.get("n_fused", 1)),
-        n_current=None if n_current is None else int(n_current),
-    )
+def detection_to_obj(det: Detection) -> dict:
+    return _detection_obj(det.box.to_array(), det.score, det.label, det.motion.to_obj(), det.weight,
+                          det.frame_lag, det.track_id, det.n_fused, det.n_current)
 
 
 def frame_to_obj(frame: Frame) -> dict:
+    dets = frame.detections
+    if isinstance(dets, DetectionColumns):
+        objs = list(map(
+            _detection_obj,
+            dets.boxes.tolist(),
+            dets.score.tolist(),
+            dets.label.tolist(),
+            _motion_objs(dets),
+            [None if w != w else w for w in dets.weight.tolist()],
+            dets.frame_lag.tolist(),
+            dets.track_id.tolist(),
+            dets.n_fused.tolist(),
+            dets.n_current.tolist(),
+        ))
+    else:
+        objs = [detection_to_obj(d) for d in dets]
     return {
         "timestamp": frame.timestamp,
         "ego": {"x": frame.ego.x, "y": frame.ego.y, "yaw": frame.ego.yaw},
-        "detections": [detection_to_obj(d) for d in frame.detections],
+        "detections": objs,
     }
 
 
+# The reader checks JSON types itself: numpy would turn "0.5" and true into numbers.
+
+
+def _is_number(value) -> bool:
+    return type(value) is float or type(value) is int
+
+
+def _is_integer(value) -> bool:
+    return type(value) is int or (type(value) is float and value.is_integer())
+
+
+def _is_string(value) -> bool:
+    return type(value) is str
+
+
+def _is_object(value) -> bool:
+    return type(value) is dict
+
+
+_EXPECTED = {_is_number: "a number", _is_integer: "an integer", _is_string: "a string", _is_object: "a JSON object"}
+
+
+def _require(values: list, accept, what: str, width: int = 1, rows=None) -> None:
+    """ValueError naming the detection of the first value that `accept` rejects.
+
+    Every `width` consecutive values belong to one detection, the k-th group
+    to detection rows[k] (to detection k when rows is None).
+    """
+    if all(map(accept, values)):
+        return
+    k = next(k for k, value in enumerate(values) if not accept(value))
+    row = k // width if rows is None else rows[k // width]
+    raise ValueError(f"detection {row}: {what} must be {_EXPECTED[accept]}, got {values[k]!r}")
+
+
+def _floats(values: list, what: str, width: int = 1, rows=None) -> np.ndarray:
+    if not set(map(type, values)) <= {float, int}:
+        _require(values, _is_number, what, width, rows)
+    return np.array(values, dtype=float)
+
+
+def _optional(objs: list[dict], key: str, accept) -> list | None:
+    """Values of an optional key, None where it is absent or null; None when it is absent everywhere."""
+    values = list(map(dict.get, objs, repeat(key)))
+    if values.count(None) == len(values):
+        return None
+    present = [k for k, value in enumerate(values) if value is not None]
+    _require([values[k] for k in present], accept, key, rows=present)
+    return values
+
+
+def _integers(objs: list[dict], key: str, default: int) -> np.ndarray:
+    values = _optional(objs, key, _is_integer)
+    if values is None:
+        return np.full(len(objs), default, dtype=np.int64)
+    return np.array([default if value is None else value for value in values], dtype=np.int64)
+
+
+def detections_from_objs(objs: list) -> DetectionColumns:
+    """The detections of a frame record as columns, after every check a Detection makes.
+
+    Every value must have its JSON type: numbers for the box, score, weight
+    and motion fields, a string class, integers for track_id, frame_lag,
+    n_fused and n_current. ValueError names the first offending detection;
+    KeyError names a missing key.
+    """
+    if type(objs) is not list:
+        raise ValueError(f"detections must be a list, got {objs!r}")
+    _require(objs, _is_object, "record")
+    n = len(objs)
+    boxes = list(map(itemgetter("box"), objs))
+    if not all(type(box) is list and len(box) == 7 for box in boxes):
+        row = next(k for k, box in enumerate(boxes) if type(box) is not list or len(box) != 7)
+        raise ValueError(f"detection {row}: box must be a list of 7 numbers, got {boxes[row]!r}")
+    labels = list(map(itemgetter("class"), objs))
+    _require(labels, _is_string, "class")
+    motions = list(map(itemgetter("motion"), objs))
+    _require(motions, _is_object, "motion")
+    names = list(map(dict.get, motions, repeat("model")))
+    codes = list(map(MODEL_CODES.get, names))
+    if None in codes:
+        row = codes.index(None)
+        raise ValueError(f"detection {row}: unknown motion model {names[row]!r}")
+    model = np.array(codes, dtype=np.int64)
+    params = np.zeros((n, PARAM_WIDTH))
+    for code in set(codes):
+        keys = tuple(MODELS[MODEL_NAMES[code]].json_keys.values())
+        rows = None if len(set(codes)) == 1 else np.flatnonzero(model == code).tolist()
+        picked = motions if rows is None else [motions[k] for k in rows]
+        values = _floats(list(chain.from_iterable(map(itemgetter(*keys), picked))), "motion value",
+                         len(keys), rows)
+        params[slice(None) if rows is None else rows, : len(keys)] = values.reshape(-1, len(keys))
+    weight = _optional(objs, "weight", _is_number) or [None] * n
+    track_id = _optional(objs, "track_id", _is_integer) or [None] * n
+    frame_lag = _integers(objs, "frame_lag", 0)
+    # an absent n_current means 1 exactly when frame_lag is 0
+    n_current = _optional(objs, "n_current", _is_integer)
+    current = frame_lag == 0
+    if n_current is not None:
+        current = [now if value is None else value for value, now in zip(n_current, current.tolist())]
+    return DetectionColumns(
+        _floats(list(chain.from_iterable(boxes)), "box value", 7).reshape(n, 7),
+        _floats(list(map(itemgetter("score"), objs)), "score"),
+        object_array(labels),
+        model,
+        params,
+        np.array([math.nan if w is None else w for w in weight], dtype=float),
+        frame_lag,
+        object_array([None if t is None else int(t) for t in track_id]),
+        _integers(objs, "n_fused", 1),
+        np.array(current, dtype=np.int64),
+    )
+
+
+def detection_from_obj(obj: dict) -> Detection:
+    return detections_from_objs([obj])[0]
+
+
 def frame_from_obj(obj: dict) -> Frame:
-    ego = obj["ego"]
-    timestamp = float(obj["timestamp"])
+    timestamp = require_number("timestamp", obj["timestamp"])
     if not math.isfinite(timestamp):
         raise ValueError(f"non-finite timestamp {timestamp!r}")
+    ego = obj["ego"]
     return Frame(
         timestamp,
-        EgoPose(float(ego["x"]), float(ego["y"]), float(ego["yaw"])),
-        [detection_from_obj(d) for d in obj["detections"]],
+        EgoPose(*(require_number(f"ego {key}", ego[key]) for key in ("x", "y", "yaw"))),
+        detections_from_objs(obj["detections"]),
     )
 
 
@@ -132,6 +267,7 @@ def read_meta(path) -> dict | None:
 def iter_frames(path) -> Iterator[Frame]:
     """Stream frames from a JSON Lines file, skipping a leading meta line.
 
+    Each frame's detections come as columns (fusion.DetectionColumns).
     Raises FrameFormatError with the offending line number on malformed input.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -143,11 +279,18 @@ def iter_frames(path) -> Iterator[Frame]:
             if line_no == 1 and "meta" in obj and "timestamp" not in obj:
                 continue
             try:
-                yield frame_from_obj(obj)
-            except (KeyError, TypeError, ValueError) as exc:
+                frame = frame_from_obj(obj)
+            except KeyError as exc:
+                raise FrameFormatError(f"missing key {exc.args[0]!r}", line_no) from exc
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise FrameFormatError(str(exc), line_no) from exc
+            yield frame
 
 
 def read_frames(path) -> list[Frame]:
-    """Eagerly load every frame of a JSON Lines file."""
-    return list(iter_frames(path))
+    """Eagerly load every frame of a JSON Lines file, with its detections as a list.
+
+    Each frame's columns are turned into Detection rows once and then
+    dropped, so a loaded file holds one copy of its detections.
+    """
+    return [Frame(f.timestamp, f.ego, list(f.detections)) for f in iter_frames(path)]

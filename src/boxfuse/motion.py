@@ -11,28 +11,30 @@ stays finite and smooth through zero turn rate, so no straight-motion branch
 is needed.
 
 Each parameter class owns every rule that differs between the models: its
-`name`, whether it `turns`, JSON keys (`to_obj`/`from_obj`), `forward`, `inverse`,
-`speed_radius`, detector noise (`noisy`), rotation into an ego frame
-(`in_ego`) and construction from speed, heading and a signed turn radius
-(`from_motion`; positive turns left, None is straight). Two static methods
-serve the columnar fusion core, with parameters as (n, k) rows in field
-order (`param_rows`): `forward_columns` forwards many poses at once with the
-same float operations as `forward`, and `merge_columns` is the fusion merge,
-a weighted mean per cluster (the bicycle averages slip wrap-aware around the
-cluster seed's). `MODELS` maps each name to its class; the rest of the
-package consults only that table.
+`name`, whether it `turns`, the JSON key of each field (`json_keys`, read
+by `to_obj`, `params_from_obj` and the columnar frame reader and writer),
+`forward`, `inverse`, `speed_radius`, detector noise (`noisy`), rotation
+into an ego frame (`in_ego`) and construction from speed, heading and a
+signed turn radius (`from_motion`; positive turns left, None is straight).
+Three static methods serve the columnar core, with parameters as (n, k) rows
+in field order (`param_rows`): `invalid_columns` flags the rows that the
+class's own checks reject, `forward_columns` forwards many poses at once with
+the same float operations as `forward`, and `merge_columns` is the fusion
+merge, a weighted mean per cluster (the bicycle averages slip wrap-aware
+around the cluster seed's). `MODELS` maps each name to its class; the rest
+of the package consults only that table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .geometry import Box3D, EgoPose, Pose, _require_finite, normalize_angle, normalize_angles
+from .geometry import Box3D, EgoPose, Pose, _require_finite, normalize_angle, normalize_angles, require_number
 
 HALF_PI = 0.5 * math.pi
 
@@ -67,6 +69,11 @@ def _sinc_columns(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _non_finite(params: np.ndarray) -> np.ndarray:
+    """invalid_columns of the models whose only check is finiteness."""
+    return ~np.isfinite(params).all(axis=1)
+
+
 def _plain_means(params: np.ndarray, seeds: np.ndarray, cluster: np.ndarray, wavg) -> np.ndarray:
     """merge_columns of the models without angles: a weighted mean per column.
 
@@ -77,12 +84,29 @@ def _plain_means(params: np.ndarray, seeds: np.ndarray, cluster: np.ndarray, wav
     return np.stack([wavg(column) for column in params.T], axis=1)
 
 
+class _JsonForm:
+    """The JSON form of a model: {"model": name} plus each field under its key.
+
+    json_keys maps every field, in field order, to its JSON key.
+    """
+
+    name: ClassVar[str]
+    json_keys: ClassVar[dict[str, str]]
+
+    def to_obj(self) -> dict:
+        obj = {"model": self.name}
+        for field_name, key in self.json_keys.items():
+            obj[key] = getattr(self, field_name)
+        return obj
+
+
 @dataclass(frozen=True)
-class ConstantVelocity:
+class ConstantVelocity(_JsonForm):
     """Planar constant-velocity motion (m/s); heading is carried unchanged."""
 
     name: ClassVar[str] = "cv"
     turns: ClassVar[bool] = False
+    json_keys: ClassVar[dict[str, str]] = {"vx": "vx", "vy": "vy"}
 
     vx: float
     vy: float
@@ -90,13 +114,6 @@ class ConstantVelocity:
     def __post_init__(self) -> None:
         _require_finite("vx", self.vx)
         _require_finite("vy", self.vy)
-
-    def to_obj(self) -> dict:
-        return {"model": "cv", "vx": self.vx, "vy": self.vy}
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> ConstantVelocity:
-        return cls(float(obj["vx"]), float(obj["vy"]))
 
     @classmethod
     def from_motion(cls, speed: float, heading: float, radius: float | None, rear_axle: float):
@@ -117,6 +134,8 @@ class ConstantVelocity:
     def noisy(self, n1: float, n2: float, sigma_speed: float, sigma_turn: float) -> ConstantVelocity:
         return ConstantVelocity(self.vx + n1 * sigma_speed, self.vy + n2 * sigma_speed)
 
+    invalid_columns = staticmethod(_non_finite)
+
     @staticmethod
     def forward_columns(x, y, heading, params: np.ndarray, t: float):
         return x + params[:, 0] * t, y + params[:, 1] * t, heading
@@ -132,11 +151,12 @@ class ConstantVelocity:
 
 
 @dataclass(frozen=True)
-class Unicycle:
+class Unicycle(_JsonForm):
     """Single-axle motion: signed speed along the heading (m/s), yaw rate (rad/s)."""
 
     name: ClassVar[str] = "unicycle"
     turns: ClassVar[bool] = True
+    json_keys: ClassVar[dict[str, str]] = {"speed": "v", "yaw_rate": "omega"}
 
     speed: float
     yaw_rate: float
@@ -144,13 +164,6 @@ class Unicycle:
     def __post_init__(self) -> None:
         _require_finite("speed", self.speed)
         _require_finite("yaw_rate", self.yaw_rate)
-
-    def to_obj(self) -> dict:
-        return {"model": "unicycle", "v": self.speed, "omega": self.yaw_rate}
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> Unicycle:
-        return cls(float(obj["v"]), float(obj["omega"]))
 
     @classmethod
     def from_motion(cls, speed: float, heading: float, radius: float | None, rear_axle: float):
@@ -171,6 +184,8 @@ class Unicycle:
     def noisy(self, n1: float, n2: float, sigma_speed: float, sigma_turn: float) -> Unicycle:
         return Unicycle(self.speed + n1 * sigma_speed, self.yaw_rate + n2 * sigma_turn)
 
+    invalid_columns = staticmethod(_non_finite)
+
     @staticmethod
     def forward_columns(x, y, heading, params: np.ndarray, t: float):
         dphi = params[:, 1] * t
@@ -186,12 +201,13 @@ class Unicycle:
 
 
 @dataclass(frozen=True)
-class Bicycle:
+class Bicycle(_JsonForm):
     """Two-axle motion: signed speed (m/s), slip angle between velocity and
     heading (rad, within [-pi/2, pi/2]), center-to-rear-axle distance (m)."""
 
     name: ClassVar[str] = "bicycle"
     turns: ClassVar[bool] = True
+    json_keys: ClassVar[dict[str, str]] = {"speed": "v", "slip": "beta", "rear_axle": "l_r"}
 
     speed: float
     slip: float
@@ -205,13 +221,6 @@ class Bicycle:
             raise ValueError(f"slip must lie in [-pi/2, pi/2], got {self.slip!r}")
         if self.rear_axle <= 0.0:
             raise ValueError("rear_axle must be positive")
-
-    def to_obj(self) -> dict:
-        return {"model": "bicycle", "v": self.speed, "beta": self.slip, "l_r": self.rear_axle}
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> Bicycle:
-        return cls(float(obj["v"]), float(obj["beta"]), float(obj["l_r"]))
 
     @classmethod
     def from_motion(cls, speed: float, heading: float, radius: float | None, rear_axle: float):
@@ -242,6 +251,11 @@ class Bicycle:
     def noisy(self, n1: float, n2: float, sigma_speed: float, sigma_turn: float) -> Bicycle:
         slip = min(HALF_PI, max(-HALF_PI, self.slip + n2 * sigma_turn))
         return Bicycle(self.speed + n1 * sigma_speed, slip, self.rear_axle)
+
+    @staticmethod
+    def invalid_columns(params: np.ndarray) -> np.ndarray:
+        slip, rear_axle = params[:, 1], params[:, 2]
+        return _non_finite(params) | ~((slip >= -HALF_PI) & (slip <= HALF_PI)) | ~(rear_axle > 0.0)
 
     @staticmethod
     def forward_columns(x, y, heading, params: np.ndarray, t: float):
@@ -281,14 +295,14 @@ def model_class(name: str) -> type[MotionParams]:
 
 def param_rows(model: type[MotionParams], motions: Sequence[MotionParams]) -> np.ndarray:
     """Parameters of `model` instances as an (n, k) array, columns in field order."""
-    names = [f.name for f in fields(model)]
-    get = attrgetter(*names)
-    return np.array([get(m) for m in motions], dtype=float).reshape(len(motions), len(names))
+    values = attrgetter(*model.json_keys)
+    return np.array([values(m) for m in motions], dtype=float).reshape(len(motions), len(model.json_keys))
 
 
 def params_from_obj(obj: dict) -> MotionParams:
     """Parse the JSON form {"model": name, <model keys>} written by `to_obj`."""
-    return model_class(obj.get("model")).from_obj(obj)
+    cls = model_class(obj.get("model"))
+    return cls(*(require_number(key, obj[key]) for key in cls.json_keys.values()))
 
 
 def model_name(params: MotionParams) -> str:

@@ -5,7 +5,8 @@ estimator, a brute-force weighted NMS that rescans the pool with bev_iou for
 every seed, brute-force circle-overlap pairs, the all-pairs frame matcher,
 subset filter and per-seed NMS distance scan that evaluation and fusion used
 before their candidate-pair search (kept verbatim, with the scalar cluster
-merge fusion used before its columnar merge), and an O(n^2)
+merge fusion used before its columnar merge), the per-Detection frame
+stream used before the columnar frames (`stream_reference`), and an O(n^2)
 precision-recall enumeration for AP. The averaging
 and bookkeeping logic is re-written from the contract, not shared with the
 package internals.
@@ -13,11 +14,24 @@ package internals.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 
-from boxfuse import Bicycle, ConstantVelocity, Detection, Frame, Unicycle, bev_iou, normalize_angle
+from boxfuse import (
+    Bicycle,
+    ConstantVelocity,
+    Detection,
+    EgoPose,
+    Frame,
+    Unicycle,
+    bev_iou,
+    decayed_weight,
+    forward_box,
+    normalize_angle,
+    transform_box,
+)
 from boxfuse.evaluation import SUBSET_FILTER_IOU, MatchResult
 from boxfuse.motion import HALF_PI
 from boxfuse.geometry import Box3D, _corners, _iou_from_corners
@@ -343,3 +357,123 @@ def _fuse_cluster(members: list[Detection]) -> Detection:
         n_fused=sum(d.n_fused for d in members),
         n_current=sum(d.n_current for d in members),
     )
+
+
+# The per-Detection frame stream as it was before the columnar frames: the
+# parser, score strategy, history floor and serializer are frozen copies of
+# io.frame_from_obj, fusion.apply_score_strategy, the floor filter of
+# fusion.fuse_frames and io.detection_to_obj; the forward is the scalar
+# transform_box(forward_box(...)) and the NMS the per-seed scan above.
+
+_REF_PARAMS = {
+    "cv": lambda obj: ConstantVelocity(float(obj["vx"]), float(obj["vy"])),
+    "unicycle": lambda obj: Unicycle(float(obj["v"]), float(obj["omega"])),
+    "bicycle": lambda obj: Bicycle(float(obj["v"]), float(obj["beta"]), float(obj["l_r"])),
+}
+
+
+def _ref_motion_to_obj(motion) -> dict:
+    if isinstance(motion, ConstantVelocity):
+        return {"model": "cv", "vx": motion.vx, "vy": motion.vy}
+    if isinstance(motion, Unicycle):
+        return {"model": "unicycle", "v": motion.speed, "omega": motion.yaw_rate}
+    return {"model": "bicycle", "v": motion.speed, "beta": motion.slip, "l_r": motion.rear_axle}
+
+
+def _ref_detection_from_obj(obj: dict) -> Detection:
+    box = obj["box"]
+    if len(box) != 7:
+        raise ValueError(f"box must have 7 values, got {len(box)}")
+    frame_lag = int(obj.get("frame_lag", 0))
+    n_current = obj.get("n_current")
+    return Detection(
+        box=Box3D.from_array(box),
+        score=float(obj["score"]),
+        label=str(obj["class"]),
+        motion=_REF_PARAMS[obj["motion"]["model"]](obj["motion"]),
+        weight=None if obj.get("weight") is None else float(obj["weight"]),
+        frame_lag=frame_lag,
+        track_id=None if obj.get("track_id") is None else int(obj["track_id"]),
+        n_fused=int(obj.get("n_fused", 1)),
+        n_current=None if n_current is None else int(n_current),
+    )
+
+
+def _ref_frame_from_obj(obj: dict) -> Frame:
+    ego = obj["ego"]
+    timestamp = float(obj["timestamp"])
+    if not math.isfinite(timestamp):
+        raise ValueError(f"non-finite timestamp {timestamp!r}")
+    return Frame(
+        timestamp,
+        EgoPose(float(ego["x"]), float(ego["y"]), float(ego["yaw"])),
+        [_ref_detection_from_obj(d) for d in obj["detections"]],
+    )
+
+
+def _ref_detection_to_obj(det: Detection) -> dict:
+    obj: dict = {
+        "box": det.box.to_array(),
+        "score": det.score,
+        "class": det.label,
+        "motion": _ref_motion_to_obj(det.motion),
+    }
+    if det.track_id is not None:
+        obj["track_id"] = det.track_id
+    if det.weight is not None:
+        obj["weight"] = det.weight
+    if det.frame_lag != 0:
+        obj["frame_lag"] = det.frame_lag
+    if det.n_fused != 1:
+        obj["n_fused"] = det.n_fused
+    if det.n_current != (1 if det.frame_lag == 0 else 0):
+        obj["n_current"] = det.n_current
+    return obj
+
+
+def ref_dumps_frame(frame: Frame) -> str:
+    """One frame line as the per-Detection serializer wrote it."""
+    obj = {
+        "timestamp": frame.timestamp,
+        "ego": {"x": frame.ego.x, "y": frame.ego.y, "yaw": frame.ego.yaw},
+        "detections": [_ref_detection_to_obj(d) for d in frame.detections],
+    }
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _ref_apply_score_strategy(fused, cfg) -> list[Detection]:
+    out = []
+    for det in fused:
+        if det.n_current == 0:
+            if cfg.score_strategy == "decay":
+                new_score = det.weight if det.weight is not None else det.score
+            else:
+                new_score = cfg.score_decay_factor * det.score / max(cfg.n_history - det.n_fused, 1)
+            det = Detection(det.box, min(1.0, max(0.0, new_score)), det.label, det.motion, det.weight,
+                            det.frame_lag, det.track_id, det.n_fused, det.n_current)
+        out.append(det)
+    return out
+
+
+def stream_reference(lines: list[str], cfg) -> list[str]:
+    """Fused frame lines of a stream of frame lines, one Detection at a time."""
+    frames = [_ref_frame_from_obj(json.loads(line)) for line in lines]
+    out = []
+    for k, current in enumerate(frames):
+        dense = []
+        for frame in frames[max(0, k - cfg.n_history) : k]:
+            dt = current.timestamp - frame.timestamp
+            lag = int(round(dt / cfg.frame_interval))
+            for d in frame.detections:
+                box = transform_box(forward_box(d.box, d.motion, dt), frame.ego, current.ego)
+                dense.append(Detection(box, d.score, d.label, d.motion, decayed_weight(d.score, dt, cfg), lag,
+                                       d.track_id, 1, 0))
+        dense += [Detection(d.box, d.score, d.label, d.motion, d.score, 0, d.track_id, 1, 1)
+                  for d in current.detections]
+        fused = []
+        for label in sorted({d.label for d in dense}):
+            fused += nms_single_class_scan([d for d in dense if d.label == label], cfg)
+        fused = _ref_apply_score_strategy(fused, cfg)
+        kept = [d for d in fused if d.n_current > 0 or d.score >= cfg.history_score_floor]
+        out.append(ref_dumps_frame(Frame(current.timestamp, current.ego, kept)))
+    return out

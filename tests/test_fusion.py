@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -24,10 +25,12 @@ from boxfuse import (
     forward_frame,
     fuse_frames,
     fuse_sequence,
+    normalize_angle,
     sliding_windows,
     transform_box,
     weighted_nms,
 )
+from boxfuse.fusion import DetectionColumns
 
 from boxfuse.motion import HALF_PI
 from oracles import nms_single_class_scan, weighted_nms_reference
@@ -446,6 +449,11 @@ class TestApplyScoreStrategy:
         out = apply_score_strategy([det], cfg)
         assert out[0].score == pytest.approx(0.6 * 0.8, abs=1e-12)
 
+    def test_decay_without_a_weight_keeps_the_score(self):
+        det = replace(make_det(score=0.8, frame_lag=2), n_current=0)
+        out = apply_score_strategy([det], FusionConfig(score_strategy="decay"))
+        assert out[0].score == 0.8 and out[0].weight is None
+
     def test_current_members_untouched(self):
         det = replace(make_det(score=0.8, weight=0.7), n_current=1, n_fused=3)
         out = apply_score_strategy([det], FusionConfig())
@@ -528,6 +536,16 @@ class TestFuseFrames:
         ]
         fused = fuse_frames(frames, cfg)
         assert fused.detections == []
+
+    def test_history_floor_keeps_a_score_at_the_floor(self):
+        frames = [
+            Frame(0.0, EgoPose.identity(), [make_det(score=0.6, motion=ConstantVelocity(0, 0))]),
+            Frame(0.4, EgoPose.identity(), []),
+        ]
+        floor = decayed_weight(0.6, 0.4, CFG)
+        (kept,) = fuse_frames(frames, FusionConfig(history_score_floor=floor)).detections
+        assert kept.score == floor
+        assert fuse_frames(frames, FusionConfig(history_score_floor=math.nextafter(floor, 1.0))).detections == []
 
     def test_window_validation(self):
         frame = Frame(0.0, EgoPose.identity(), [])
@@ -613,6 +631,131 @@ class TestHistoryIdentity:
         assert lone[0].score < 0.9
         fresh = [d for d in out.detections if d.box.x >= 20.0]
         assert [(d.n_current, d.score) for d in fresh] == [(1, 0.8)]
+
+
+def _moved(ego: EgoPose, angle: float, shift: tuple[float, float]) -> EgoPose:
+    """ego after one global rotation by angle about the origin, then a shift."""
+    c, s = math.cos(angle), math.sin(angle)
+    return EgoPose(c * ego.x - s * ego.y + shift[0], s * ego.x + c * ego.y + shift[1], ego.yaw + angle)
+
+
+def separated_window(seed: int, model: str) -> list[Frame]:
+    """Five frames of objects 15 m apart, each seen with centimetre noise, so clusters are far from
+    every IoU threshold; boxes and motion are in each frame's ego coordinates."""
+    rng = np.random.default_rng(seed)
+    objects = [(15.0 * (k % 3), 15.0 * (k // 3), float(rng.uniform(-math.pi, math.pi))) for k in range(5)]
+    frames = []
+    for i in range(5):
+        ego = EgoPose(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)), float(rng.uniform(-0.1, 0.1)))
+        dets = []
+        for x, y, yaw in objects:
+            if rng.uniform() < 0.2:
+                continue
+            world = Box3D(x + float(rng.normal(0, 0.01)), y + float(rng.normal(0, 0.01)), 0.8, 2.0, 4.5, 1.6,
+                          yaw + float(rng.normal(0, 0.005)))
+            speed = float(rng.uniform(-0.3, 0.3))
+            motion = {"cv": ConstantVelocity(speed, -speed), "unicycle": Unicycle(speed, 0.2),
+                      "bicycle": Bicycle(speed, 0.3, 1.2)}[model]
+            dets.append(Detection(transform_box(world, EgoPose.identity(), ego), float(rng.uniform(0.3, 1.0)),
+                                  "car", motion, track_id=len(dets)))
+        frames.append(Frame(0.1 * i, ego, dets))
+    return frames
+
+
+class TestRigidTransform:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), model=st.sampled_from(["cv", "unicycle", "bicycle"]),
+           angle=st.floats(-math.pi, math.pi), shift=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+    def test_global_rigid_transform_of_every_ego_leaves_the_output(self, seed, model, angle, shift):
+        window = separated_window(seed, model)
+        moved = [Frame(f.timestamp, _moved(f.ego, angle, shift), f.detections) for f in window]
+        got = fuse_frames(moved, CFG).detections
+        expected = fuse_frames(window, CFG).detections
+        assert len(got) == len(expected) > 0
+        for a, b in zip(got, expected):
+            assert (a.label, a.track_id, a.n_fused, a.n_current, a.frame_lag) == (
+                b.label, b.track_id, b.n_fused, b.n_current, b.frame_lag)
+            for name in ("x", "y", "z", "w", "l", "h"):
+                assert getattr(a.box, name) == pytest.approx(getattr(b.box, name), abs=1e-9)
+            assert abs(normalize_angle(a.box.yaw - b.box.yaw)) <= 1e-9
+            assert a.score == pytest.approx(b.score, abs=1e-9)
+            assert a.weight == pytest.approx(b.weight, abs=1e-9)
+            for name in (f.name for f in dataclasses.fields(a.motion)):
+                assert getattr(a.motion, name) == pytest.approx(getattr(b.motion, name), abs=1e-9)
+
+
+class TestDetectionColumns:
+    def rows(self):
+        return [make_det(x=5.0 * k, score=0.2 * k + 0.1, weight=0.1 * k,
+                         motion=(ConstantVelocity(1.0, 2.0), Unicycle(3.0, 0.1), Bicycle(2.0, 0.2, 1.1))[k % 3])
+                for k in range(5)]
+
+    def test_equals_any_sequence_of_equal_detections(self):
+        dets = self.rows()
+        cols = DetectionColumns.of(dets)
+        assert cols == dets and dets == cols and cols == tuple(dets) and cols == DetectionColumns.of(dets)
+        assert cols != dets[:-1] and cols != dets[::-1] and cols != "text"
+        assert DetectionColumns.of([]) == []
+        assert list(cols) == dets and cols[-1] == dets[-1] and cols[1:3] == dets[1:3]
+        with pytest.raises(IndexError):
+            cols[5]
+
+    def test_is_immutable(self):
+        cols = DetectionColumns.of(self.rows())
+        with pytest.raises(ValueError):
+            cols.boxes[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cols.score = cols.score
+        with pytest.raises(TypeError):
+            hash(cols)
+
+    @pytest.mark.parametrize("column, row, value, message", [
+        ("score", 3, 1.5, "score must lie in [0, 1], got 1.5"),
+        ("weight", 2, -0.1, "weight must lie in [0, 1], got -0.1"),
+        ("frame_lag", 1, -1, "frame_lag must be non-negative"),
+        ("n_fused", 4, 0, "n_fused must be at least 1"),
+        ("label", 0, "", "empty class label"),
+        ("boxes", 3, (1.0, 2.0, 0.5, 0.0, 4.0, 1.0, 0.0), "box dimensions must be strictly positive"),
+        ("boxes", 2, (1.0, 2.0, 0.5, 1e-4, 1e-3, 1.0, 0.0), f"degenerate BEV footprint: w*l = {1e-4 * 1e-3!r}"),
+        ("boxes", 1, (math.nan, 2.0, 0.5, 2.0, 4.0, 1.0, 0.0), "x must be finite, got nan"),
+        ("boxes", 0, (1.0, 2.0, 0.5, 2.0, 4.0, 1.0, math.inf), "angle must be finite, got inf"),
+        ("params", 2, (1.0, 2.0, 1.1), "slip must lie in [-pi/2, pi/2], got 2.0"),
+        ("params", 2, (1.0, 0.2, 0.0), "rear_axle must be positive"),
+        ("params", 0, (math.inf, 0.0, 0.0), "vx must be finite, got inf"),
+    ])
+    def test_construction_makes_every_row_check(self, column, row, value, message):
+        cols = DetectionColumns.of(self.rows())
+        values = getattr(cols, column).copy()
+        values[row] = value
+        fields = {f.name: getattr(cols, f.name) for f in dataclasses.fields(cols)}
+        with pytest.raises(ValueError) as err:
+            DetectionColumns(**{**fields, column: values})
+        # the message of the row's own constructors, after the first offending row
+        assert str(err.value) == f"detection {row}: {message}"
+
+    def test_construction_wraps_yaws(self):
+        cols = DetectionColumns.of(self.rows())
+        boxes = cols.boxes.copy()
+        boxes[:, 6] = [4.0, -4.0, math.pi, -math.pi, 0.5]
+        fields = {f.name: getattr(cols, f.name) for f in dataclasses.fields(cols)}
+        wrapped = DetectionColumns(**{**fields, "boxes": boxes})
+        assert [d.box.yaw for d in wrapped] == [normalize_angle(a) for a in (4.0, -4.0, math.pi, -math.pi, 0.5)]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_merged_outputs_are_checked(self):
+        # the weighted mean of two finite centres overflows
+        dets = [make_det(x=1.5e308, score=0.9, weight=0.9), make_det(x=1.5e308, score=0.8, weight=0.8)]
+        with pytest.raises(ValueError, match=r"^detection 0: x must be finite, got inf$"):
+            weighted_nms(dets, CFG)
+
+    def test_fusion_steps_take_lists_and_return_columns(self):
+        dets = [replace(d, motion=ConstantVelocity(1.0, 2.0)) for d in self.rows()]
+        fused = weighted_nms(dets, CFG)
+        assert isinstance(fused, DetectionColumns) and fused == weighted_nms(DetectionColumns.of(dets), CFG)
+        scored = apply_score_strategy(list(fused), CFG)
+        assert isinstance(scored, DetectionColumns) and scored == apply_score_strategy(fused, CFG)
+        frame = fuse_frames([Frame(0.0, EgoPose.identity(), dets)], CFG)
+        assert isinstance(frame.detections, DetectionColumns)
 
 
 class TestPresets:

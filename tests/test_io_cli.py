@@ -114,6 +114,98 @@ class TestRoundTrip:
             read_frames(path)
 
 
+GOOD = {"box": [1.0, 2.0, 0.5, 2.0, 4.5, 1.6, 0.3], "score": 0.5, "class": "car",
+        "motion": {"model": "cv", "vx": 1.0, "vy": 0.0}}
+
+
+def _with(**changes):
+    """GOOD with keys replaced, or removed where the value is ..."""
+    det = {**GOOD, **changes}
+    return {key: value for key, value in det.items() if value is not ...}
+
+
+# (case, detection record, message after "line 2: ")
+MALFORMED = [
+    ("string score", _with(score="0.5"), "detection 0: score must be a number, got '0.5'"),
+    ("boolean score", _with(score=True), "detection 0: score must be a number, got True"),
+    ("integer class", _with(**{"class": 5}), "detection 0: class must be a string, got 5"),
+    ("fractional track_id", _with(track_id=3.7), "detection 0: track_id must be an integer, got 3.7"),
+    ("boolean track_id", _with(track_id=False), "detection 0: track_id must be an integer, got False"),
+    ("fractional frame_lag", _with(frame_lag=1.5), "detection 0: frame_lag must be an integer, got 1.5"),
+    ("fractional n_fused", _with(n_fused=2.5), "detection 0: n_fused must be an integer, got 2.5"),
+    ("string n_current", _with(n_current="1"), "detection 0: n_current must be an integer, got '1'"),
+    ("string weight", _with(weight="0.3"), "detection 0: weight must be a number, got '0.3'"),
+    ("string box value", _with(box=[1, 2, 0.5, 2, "4.5", 1.6, 0.3]), "detection 0: box value must be a number, got '4.5'"),
+    ("boolean box value", _with(box=[1, 2, 0.5, 2, 4.5, True, 0.3]), "detection 0: box value must be a number, got True"),
+    ("short box", _with(box=[1, 2, 3]), "detection 0: box must be a list of 7 numbers, got [1, 2, 3]"),
+    ("string motion value", _with(motion={"model": "cv", "vx": "1", "vy": 0}),
+     "detection 0: motion value must be a number, got '1'"),
+    ("unknown model", _with(motion={"model": "kalman", "v": 1.0}), "detection 0: unknown motion model 'kalman'"),
+    ("missing score", _with(score=...), "missing key 'score'"),
+    ("missing motion key", _with(motion={"model": "bicycle", "v": 1.0, "beta": 0.1}), "missing key 'l_r'"),
+    ("score above 1", _with(score=1.5), "detection 0: score must lie in [0, 1], got 1.5"),
+    ("weight above 1", _with(weight=1.5), "detection 0: weight must lie in [0, 1], got 1.5"),
+    ("negative frame_lag", _with(frame_lag=-1), "detection 0: frame_lag must be non-negative"),
+    ("no fused box", _with(n_fused=0), "detection 0: n_fused must be at least 1"),
+    ("empty class", _with(**{"class": ""}), "detection 0: empty class label"),
+    ("zero width", _with(box=[1, 2, 0.5, 0, 4.5, 1.6, 0.3]), "detection 0: box dimensions must be strictly positive"),
+    ("tiny footprint", _with(box=[1, 2, 0.5, 1e-4, 1e-3, 1.6, 0.3]), f"detection 0: degenerate BEV footprint: w*l = {1e-4 * 1e-3!r}"),
+    ("slip past pi/2", _with(motion={"model": "bicycle", "v": 1.0, "beta": 2.0, "l_r": 1.2}),
+     "detection 0: slip must lie in [-pi/2, pi/2], got 2.0"),
+    ("zero rear axle", _with(motion={"model": "bicycle", "v": 1.0, "beta": 0.1, "l_r": 0}),
+     "detection 0: rear_axle must be positive"),
+]
+
+
+class TestStrictParsing:
+    @pytest.mark.parametrize("record, message", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED])
+    def test_malformed_detection_names_its_line(self, tmp_path, record, message):
+        path = tmp_path / "bad.jsonl"
+        frame = {"timestamp": 0.0, "ego": {"x": 0, "y": 0, "yaw": 0}, "detections": [GOOD]}
+        bad = {**frame, "timestamp": 0.1, "detections": [GOOD, record]}
+        path.write_text(json.dumps(frame) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        with pytest.raises(FrameFormatError) as err:
+            read_frames(path)
+        assert err.value.line == 2
+        assert str(err.value) == "line 2: " + message.replace("detection 0", "detection 1")
+
+    @pytest.mark.parametrize("frame, message", [
+        ({"timestamp": "0.1", "ego": {"x": 0, "y": 0, "yaw": 0}, "detections": []},
+         "timestamp must be a number, got '0.1'"),
+        ({"timestamp": 0.1, "ego": {"x": True, "y": 0, "yaw": 0}, "detections": []}, "ego x must be a number, got True"),
+        ({"timestamp": 0.1, "ego": {"x": 0, "y": 0}, "detections": []}, "missing key 'yaw'"),
+        ({"timestamp": 0.1, "ego": {"x": 0, "y": 0, "yaw": 0}, "detections": {}}, "detections must be a list, got {}"),
+        ({"timestamp": 0.1, "ego": {"x": 0, "y": 0, "yaw": 0}, "detections": [[1]]},
+         "detection 0: record must be a JSON object, got [1]"),
+    ])
+    def test_malformed_frame_names_its_line(self, tmp_path, frame, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(frame) + "\n", encoding="utf-8")
+        with pytest.raises(FrameFormatError) as err:
+            read_frames(path)
+        assert str(err.value) == "line 1: " + message
+
+    def test_integers_and_integral_floats_are_accepted(self, tmp_path):
+        path = tmp_path / "ok.jsonl"
+        det = _with(box=[1, 2, 0, 2, 4, 1, 0], score=1, track_id=3.0, frame_lag=2.0, n_fused=4)
+        path.write_text(json.dumps({"timestamp": 0, "ego": {"x": 0, "y": 0, "yaw": 0}, "detections": [det]}) + "\n",
+                        encoding="utf-8")
+        (frame,) = read_frames(path)
+        (got,) = frame.detections
+        assert got == Detection(Box3D(1.0, 2.0, 0.0, 2.0, 4.0, 1.0, 0.0), 1.0, "car", ConstantVelocity(1.0, 0.0),
+                                frame_lag=2, track_id=3, n_fused=4)
+        assert type(got.track_id) is int and type(got.frame_lag) is int
+
+    def test_a_frame_may_mix_models_and_wraps_yaws(self):
+        dets = [_with(motion={"model": "bicycle", "v": 2.0, "beta": 0.1, "l_r": 1.2}),
+                _with(box=[1, 2, 0.5, 2, 4.5, 1.6, 4.0]),
+                _with(motion={"model": "unicycle", "v": 2.0, "omega": 0.3})]
+        frame = frame_from_obj({"timestamp": 0, "ego": {"x": 0, "y": 0, "yaw": 0}, "detections": dets})
+        assert [type(d.motion) for d in frame.detections] == [Bicycle, ConstantVelocity, Unicycle]
+        assert frame.detections[1].box.yaw == 4.0 - 2 * math.pi
+        assert frame_from_obj(frame_to_obj(frame)) == frame
+
+
 def run_synth(tmp_path, seed=5, extra=()):
     gt = tmp_path / "gt.jsonl"
     det = tmp_path / "det.jsonl"
@@ -237,6 +329,23 @@ class TestCli:
         assert all(d.track_id is not None for f in gt_frames for d in f.detections)
         # detection stream carries one uniform variant
         assert {type(d.motion) for f in det_frames for d in f.detections} == {ConstantVelocity}
+
+    def test_fuse_and_inverse_meta_name_version_and_input(self, tmp_path):
+        import hashlib
+
+        import boxfuse
+
+        gt, det = run_synth(tmp_path)
+        fused = tmp_path / "fused.jsonl"
+        assert main(["fuse", "--input", str(det), "--output", str(fused)]) == 0
+        meta = read_meta(fused)
+        digest = hashlib.sha256(det.read_bytes()).hexdigest()
+        assert (meta["command"], meta["version"], meta["input_sha256"]) == ("fuse", boxfuse.__version__, digest)
+        inverse = tmp_path / "inverse.jsonl"
+        assert main(["inverse", "--input", str(gt), "--output", str(inverse), "--model", "unicycle"]) == 0
+        meta = read_meta(inverse)
+        digest = hashlib.sha256(gt.read_bytes()).hexdigest()
+        assert (meta["command"], meta["version"], meta["input_sha256"]) == ("inverse", boxfuse.__version__, digest)
 
     def test_inverse_requires_track_ids(self, tmp_path, capsys):
         src = tmp_path / "no_tracks.jsonl"

@@ -38,6 +38,13 @@ def test_json_roundtrip_every_model(name, data):
     assert model_name(params) == name
 
 
+@pytest.mark.parametrize("name", list(MODELS))
+def test_json_keys_name_every_field_in_field_order(name):
+    cls = MODELS[name]
+    assert list(cls.json_keys) == [f.name for f in dataclasses.fields(cls)]
+    assert len(set(cls.json_keys.values()) | {"model"}) == len(cls.json_keys) + 1
+
+
 def _subcommand_choices(command: str, dest: str):
     subparsers = build_parser()._subparsers._group_actions[0]
     action = next(a for a in subparsers.choices[command]._actions if a.dest == dest)
