@@ -28,8 +28,8 @@ per history frame, then `weighted_nms(dense, cfg)` and
 wrapper bound at those names (as the benchmark's per-layer tracing binds
 them, bench/tracing.py) sees every call. All three return
 `DetectionColumns`, which support len() and iterate as Detections (with
-n_fused and n_current); an observer that iterates them builds the rows, and
-that time is its own, not the fusion's.
+n_fused and n_current); iterating builds every row's objects, so a wrapper
+that iterates a result spends that time outside the wrapped call.
 """
 
 from __future__ import annotations

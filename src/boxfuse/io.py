@@ -6,13 +6,21 @@ One frame per line:
      "detections": [{"box": [x,y,z,w,l,h,yaw], "score":, "class":,
                      "motion": {"model": "cv"|"unicycle"|"bicycle", ...}}]}
 
-Each class in motion.MODELS keys its own parameters: cv {vx, vy}, unicycle
-{v, omega}, bicycle {v, beta, l_r}. Optional per-detection keys (track_id,
-weight, frame_lag, n_fused, n_current) are written only when they carry
-information, so parse(serialize(frame)) reproduces the frame exactly. A file may start
-with one {"meta": {...}} provenance line, which readers skip. Keys are
-sorted and floats use the shortest round-trip form, making output byte-stable
-for identical inputs.
+Each class in motion.MODELS keys its own parameters (`json_keys`): cv
+{vx, vy}, unicycle {v, omega}, bicycle {v, beta, l_r}; one frame may mix
+models. Optional per-detection keys (track_id, weight, frame_lag, n_fused,
+n_current) are written only when they carry information, so
+parse(serialize(frame)) reproduces the frame exactly. A file may start with
+one {"meta": {...}} provenance line, which readers skip. Keys are sorted and
+floats use the shortest round-trip form, making output byte-stable for
+identical inputs.
+
+A frame's detections are parsed straight into fusion.DetectionColumns and
+written back from them, with no per-detection objects. The reader checks
+every JSON type (a number is an int or float, never a string or boolean;
+integer fields take integral values only; the class is a string) and every
+value a Detection would check, and names the line and detection of the
+first fault.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ class FrameFormatError(ValueError):
 
 
 def _motion_objs(cols: DetectionColumns) -> list[dict]:
+    """Each row's motion as its JSON object, filled one parameter column at a time."""
     objs = [{"model": MODEL_NAMES[code]} for code in cols.model.tolist()]
     for kind, rows in cols.groups():
         picked = objs if isinstance(rows, slice) else [objs[k] for k in rows.tolist()]

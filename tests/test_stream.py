@@ -72,7 +72,7 @@ def frames(draw):
     return out
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(frames=frames())
 def test_write_then_read_returns_the_frames_and_lines_reserialize_byte_for_byte(frames):
     with tempfile.TemporaryDirectory() as tmp:
