@@ -27,11 +27,23 @@ import numpy as np
 
 from . import __version__
 from .evaluation import evaluate_enhancement
-from .fusion import Frame, FusionConfig, PRESETS, fuse_frames, sliding_windows
-from .geometry import EgoPose, Pose, normalize_angle, transform_box
+from .fusion import (
+    MODEL_CODES,
+    PARAM_WIDTH,
+    PRESETS,
+    DetectionColumns,
+    Frame,
+    FusionConfig,
+    fuse_frames,
+    sliding_windows,
+)
+from .geometry import EgoPose, Pose, normalize_angle, transform_box, transform_columns
 from .io import FrameFormatError, dumps_line, frame_to_obj, iter_frames, read_frames, write_frames
-from .motion import MODEL_NAMES, estimate_params_from_track, forward, model_class
-from .synth import PRNG_NAME, CorruptionSpec, TrajectorySpec, corrupt, generate_mixed_scene, _motion_in_ego
+from .motion import MODEL_NAMES, estimate_param_columns, estimate_params_from_track, forward, model_class
+from .synth import PRNG_NAME, CorruptionSpec, TrajectorySpec, _motion_in_ego, corrupt, generate_mixed_scene
+
+# transform_box and _motion_in_ego are no longer called here, but the
+# benchmark's per-layer tracing binds them in this module (bench/tracing.py).
 
 TOOL = "boxfuse"
 ENV_PREFIX = "BOXFUSE_"
@@ -177,40 +189,55 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     return 0
 
 
-def _reattach_params(frames: list[Frame], model: str, rear_axle: float | None) -> list[Frame]:
-    """Replace every detection's motion parameters using the track inverse models."""
+def _reattach_params(frames: Sequence[Frame], model: str, rear_axle: float | None) -> list[Frame]:
+    """Replace every detection's motion parameters using the track inverse models.
+
+    Rows are grouped by track_id in order of first appearance, each track's
+    poses taken in the world frame in frame order. The bicycle arm is
+    rear_axle, or else a quarter of the track's upper median box length. The
+    parameters are fitted with estimate_param_columns and rotated into each
+    frame's ego frame; every other column is kept.
+    """
+    if not frames:
+        return []
+    columns = [DetectionColumns.of(frame.detections) for frame in frames]
+    index: dict[int, int] = {}
+    track_of: list[int] = []
+    for fi, cols in enumerate(columns):
+        ids = cols.track_id.tolist()
+        if None in ids:
+            raise ValueError(f"missing track_id on frame {fi}, detection {ids.index(None)}")
+        track_of += [index.setdefault(tid, len(index)) for tid in ids]
+    track = np.array(track_of, dtype=np.int64)
     identity = EgoPose.identity()
-    tracks: dict[int, list[tuple[int, int]]] = {}
-    for fi, frame in enumerate(frames):
-        for di, det in enumerate(frame.detections):
-            if det.track_id is None:
-                raise ValueError(f"missing track_id on frame {fi}, detection {di}")
-            tracks.setdefault(det.track_id, []).append((fi, di))
-    new_params: dict[tuple[int, int], object] = {}
-    for tid, locs in tracks.items():
-        times = []
-        poses = []
-        for fi, di in locs:
-            det = frames[fi].detections[di]
-            world = transform_box(det.box, frames[fi].ego, identity)
-            times.append(frames[fi].timestamp)
-            poses.append(Pose(world.x, world.y, world.yaw))
-        arm = rear_axle
-        if arm is None:
-            lengths = sorted(frames[fi].detections[di].box.l for fi, di in locs)
-            arm = lengths[len(lengths) // 2] / 4.0
-        estimates = estimate_params_from_track(times, poses, model, rear_axle=arm)
-        for (fi, di), params in zip(locs, estimates):
-            new_params[(fi, di)] = params
+    world = np.concatenate([
+        np.stack(transform_columns(cols.boxes[:, 0], cols.boxes[:, 1], cols.boxes[:, 6], frame.ego, identity),
+                 axis=1)
+        for frame, cols in zip(frames, columns)
+    ])
+    times = np.repeat([frame.timestamp for frame in frames], [len(cols) for cols in columns]).astype(float)
+    counts = np.bincount(track, minlength=len(index))
+    arm = rear_axle
+    if arm is None:
+        length = np.concatenate([cols.boxes[:, 4] for cols in columns])
+        by_length = np.lexsort((length, track))
+        arm = length[by_length[np.cumsum(counts) - counts + counts // 2]] / 4.0
+    kind = model_class(model)
+    width = len(kind.json_keys)
+    # rows track by track, each track in frame order
+    order = np.argsort(track, kind="stable")
+    x, y, yaw = world[order].T
+    params = np.zeros((len(track), PARAM_WIDTH))
+    params[order, :width] = estimate_param_columns(times[order], x, y, yaw, counts, model, rear_axle=arm)
     out = []
-    for fi, frame in enumerate(frames):
-        dets = [
-            dataclasses.replace(
-                det, motion=_motion_in_ego(new_params[(fi, di)], frame.ego)
-            )
-            for di, det in enumerate(frame.detections)
-        ]
-        out.append(Frame(frame.timestamp, frame.ego, dets))
+    start = 0
+    for frame, cols in zip(frames, columns):
+        rows = params[start : start + len(cols)]
+        start += len(cols)
+        rows[:, :width] = kind.in_ego_columns(rows[:, :width], frame.ego)
+        out.append(Frame(frame.timestamp, frame.ego, DetectionColumns(
+            cols.boxes, cols.score, cols.label, np.full(len(cols), MODEL_CODES[model], dtype=np.int64), rows,
+            cols.weight, cols.frame_lag, cols.track_id, cols.n_fused, cols.n_current)))
     return out
 
 
@@ -224,6 +251,7 @@ def _allocate_counts(total: int, fractions: Sequence[float]) -> list[int]:
     order = sorted(range(len(exact)), key=lambda i: exact[i] - counts[i], reverse=True)
     for i in range(total - sum(counts)):
         counts[order[i % len(order)]] += 1
+    assert sum(counts) == total and min(counts) >= 0, counts
     return counts
 
 
@@ -231,11 +259,12 @@ def _synth_groups(args: argparse.Namespace) -> list[tuple[TrajectorySpec, int]]:
     total = _opt(args, "vehicles", int, 50)
     if total < 1:
         raise ValueError(f"--vehicles must be at least 1, got {total}")
-    fracs = (
-        _opt(args, "stationary_frac", float, 0.63),
-        _opt(args, "straight_frac", float, 0.31),
-        _opt(args, "turning_frac", float, 0.05),
-    )
+    fracs = []
+    for dest, default in (("stationary_frac", 0.63), ("straight_frac", 0.31), ("turning_frac", 0.05)):
+        frac = _opt(args, dest, float, default)
+        if not 0.0 <= frac < math.inf:
+            raise ValueError(f"--{dest.replace('_', '-')} must be a finite fraction >= 0, got {frac!r}")
+        fracs.append(frac)
     counts = _allocate_counts(total, fracs)
     common = dict(
         duration=_opt(args, "duration", float, 2.0),
@@ -270,18 +299,51 @@ def _corruption_spec(args: argparse.Namespace) -> CorruptionSpec:
     )
 
 
+def _known_keys(obj, allowed, where: str) -> dict:
+    """obj, when it is a JSON object holding only allowed keys; ValueError naming `where` otherwise."""
+    if type(obj) is not dict:
+        raise ValueError(f"{where} must be a JSON object, got {obj!r}")
+    for key in obj:
+        if key not in allowed:
+            raise ValueError(f"{where}: unknown key {key!r}")
+    return obj
+
+
+def _spec_from_obj(cls, obj, where: str):
+    """A TrajectorySpec or CorruptionSpec from its --spec object; ValueError names `where` and the key."""
+    values = _known_keys(obj, {f.name for f in dataclasses.fields(cls)}, where)
+    try:
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _spec_scene(raw) -> tuple[list[tuple[TrajectorySpec, int]], CorruptionSpec]:
+    """The vehicle groups and the corruption of a --spec file, checked key by key.
+
+    The file is {"groups": [{"spec": {...}, "count": n}, ...], "corruption": {...}}
+    with "corruption" optional; count is a JSON integer >= 0.
+    """
+    _known_keys(raw, ("groups", "corruption"), "--spec")
+    if type(raw.get("groups")) is not list:
+        raise ValueError(f"--spec: key 'groups' must be a list, got {raw.get('groups')!r}")
+    groups = []
+    for i, group in enumerate(raw["groups"]):
+        where = f"--spec group {i}"
+        count = _known_keys(group, ("spec", "count"), where).get("count")
+        if type(count) is not int or count < 0:
+            raise ValueError(f"{where}: key 'count' must be a JSON integer >= 0, got {count!r}")
+        groups.append((_spec_from_obj(TrajectorySpec, group.get("spec"), f"{where}: key 'spec'"), count))
+    return groups, _spec_from_obj(CorruptionSpec, raw.get("corruption", {}), "--spec: key 'corruption'")
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
     seed = _opt(args, "seed", int, 0)
     model = _opt(args, "model", default="cv")
     spec_path = _opt(args, "spec")
     if spec_path:
         with open(spec_path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        groups = [
-            (TrajectorySpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in g["spec"].items()}), int(g["count"]))
-            for g in raw["groups"]
-        ]
-        cspec = CorruptionSpec(**raw.get("corruption", {}))
+            groups, cspec = _spec_scene(json.load(fh))
     else:
         groups = _synth_groups(args)
         cspec = _corruption_spec(args)
@@ -314,8 +376,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_inverse(args: argparse.Namespace) -> int:
     model = _opt(args, "model", default="cv")
     input_path = _required(args, "input")
-    frames = read_frames(input_path)
-    out = _reattach_params(frames, model, _opt(args, "rear_axle", float))
+    out = _reattach_params(list(iter_frames(input_path)), model, _opt(args, "rear_axle", float))
     meta = {"tool": TOOL, "version": __version__, "format": 1, "command": "inverse",
             "input_sha256": _sha256(input_path), "model": model}
     write_frames(_required(args, "output"), out, meta=meta)

@@ -47,6 +47,7 @@ from .geometry import (
     Box3D,
     EgoPose,
     candidate_pairs,
+    clamp_columns,
     clipped_iou,
     corner_columns,
     normalize_angles,
@@ -536,12 +537,6 @@ def _sweep(order: np.ndarray, pair_i, pair_j, merges):
     return np.array(seeds, dtype=np.int64), members, member_cluster
 
 
-def _clamp01(values: np.ndarray) -> np.ndarray:
-    """min(1.0, max(0.0, v)) elementwise, signed zeros included."""
-    values = np.where(values > 0.0, values, 0.0)
-    return np.where(values < 1.0, values, 1.0)
-
-
 def _merge_clusters(cols: DetectionColumns, rows: np.ndarray, cluster: np.ndarray,
                     n_clusters: int) -> DetectionColumns:
     """Weight-averaged merges of clusters; the seed of each cluster supplies the reference.
@@ -570,8 +565,8 @@ def _merge_clusters(cols: DetectionColumns, rows: np.ndarray, cluster: np.ndarra
     ref_yaw = boxes[:n_clusters, 6]
     yaw = normalize_angles(ref_yaw + wavg(normalize_angles(boxes[:, 6] - ref_yaw[cluster])))
     merged = np.stack([wavg(boxes[:, k]) for k in range(6)] + [yaw], axis=1)
-    score = _clamp01(wavg(cols.score[rows]))
-    weight = _clamp01(wavg(cols.weight[rows]))
+    score = clamp_columns(wavg(cols.score[rows]), 0.0, 1.0)
+    weight = clamp_columns(wavg(cols.weight[rows]), 0.0, 1.0)
     frame_lag = np.full(n_clusters, np.iinfo(np.int64).max)
     np.minimum.at(frame_lag, cluster, cols.frame_lag[rows])
     n_fused = np.zeros(n_clusters, dtype=np.int64)
@@ -647,7 +642,7 @@ def apply_score_strategy(fused: Sequence[Detection], cfg: FusionConfig) -> Detec
         new = np.where(np.isnan(cols.weight), cols.score, cols.weight)
     else:
         new = cfg.score_decay_factor * cols.score / np.maximum(cfg.n_history - cols.n_fused, 1)
-    return cols._with(score=np.where(cols.n_current == 0, _clamp01(new), cols.score))
+    return cols._with(score=np.where(cols.n_current == 0, clamp_columns(new, 0.0, 1.0), cols.score))
 
 
 def fuse_frames(window: Sequence[Frame], cfg: FusionConfig) -> Frame:

@@ -47,6 +47,15 @@ def normalize_angles(angles: np.ndarray) -> np.ndarray:
     return out
 
 
+def clamp_columns(values: np.ndarray, low: float, high: float) -> np.ndarray:
+    """min(high, max(low, v)) elementwise, picking what Python's min and max pick.
+
+    Signed zeros come out as they would, and NaN becomes low.
+    """
+    values = np.where(values > low, values, low)
+    return np.where(values < high, values, high)
+
+
 def require_number(name: str, value) -> float:
     """A JSON number as a float; ValueError for anything else, booleans and strings included."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):

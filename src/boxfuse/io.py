@@ -16,11 +16,12 @@ floats use the shortest round-trip form, making output byte-stable for
 identical inputs.
 
 A frame's detections are parsed straight into fusion.DetectionColumns and
-written back from them, with no per-detection objects. The reader checks
-every JSON type (a number is an int or float, never a string or boolean;
-integer fields take integral values only; the class is a string) and every
-value a Detection would check, and names the line and detection of the
-first fault.
+written back from them, with no per-detection objects. There is one writer:
+detections given as a list of Detection are turned into columns first, so
+their numbers are written as floats. The reader checks every JSON type (a
+number is an int or float, never a string or boolean; integer fields take
+integral values only; the class is a string) and every value a Detection
+would check, and names the line and detection of the first fault.
 """
 
 from __future__ import annotations
@@ -78,32 +79,31 @@ def _detection_obj(box, score, label, motion, weight, frame_lag, track_id, n_fus
     return obj
 
 
+def _detection_objs(dets: DetectionColumns) -> list[dict]:
+    return list(map(
+        _detection_obj,
+        dets.boxes.tolist(),
+        dets.score.tolist(),
+        dets.label.tolist(),
+        _motion_objs(dets),
+        [None if w != w else w for w in dets.weight.tolist()],
+        dets.frame_lag.tolist(),
+        dets.track_id.tolist(),
+        dets.n_fused.tolist(),
+        dets.n_current.tolist(),
+    ))
+
+
 def detection_to_obj(det: Detection) -> dict:
-    return _detection_obj(det.box.to_array(), det.score, det.label, det.motion.to_obj(), det.weight,
-                          det.frame_lag, det.track_id, det.n_fused, det.n_current)
+    return _detection_objs(DetectionColumns.of([det]))[0]
 
 
 def frame_to_obj(frame: Frame) -> dict:
-    dets = frame.detections
-    if isinstance(dets, DetectionColumns):
-        objs = list(map(
-            _detection_obj,
-            dets.boxes.tolist(),
-            dets.score.tolist(),
-            dets.label.tolist(),
-            _motion_objs(dets),
-            [None if w != w else w for w in dets.weight.tolist()],
-            dets.frame_lag.tolist(),
-            dets.track_id.tolist(),
-            dets.n_fused.tolist(),
-            dets.n_current.tolist(),
-        ))
-    else:
-        objs = [detection_to_obj(d) for d in dets]
+    """A frame's JSON object; detections given as a list are written through their columns."""
     return {
         "timestamp": frame.timestamp,
         "ego": {"x": frame.ego.x, "y": frame.ego.y, "yaw": frame.ego.yaw},
-        "detections": objs,
+        "detections": _detection_objs(DetectionColumns.of(frame.detections)),
     }
 
 

@@ -16,13 +16,18 @@ by `to_obj`, `params_from_obj` and the columnar frame reader and writer),
 `forward`, `inverse`, `speed_radius`, detector noise (`noisy`), rotation
 into an ego frame (`in_ego`) and construction from speed, heading and a
 signed turn radius (`from_motion`; positive turns left, None is straight).
-Three static methods serve the columnar core, with parameters as (n, k) rows
-in field order (`param_rows`): `invalid_columns` flags the rows that the
-class's own checks reject, `forward_columns` forwards many poses at once with
-the same float operations as `forward`, and `merge_columns` is the fusion
-merge, a weighted mean per cluster (the bicycle averages slip wrap-aware
-around the cluster seed's). `MODELS` maps each name to its class; the rest
-of the package consults only that table.
+Static methods serve the columnar code, with parameters as (n, k) rows in
+field order (`param_rows`): `invalid_columns` flags the rows that the
+class's own checks reject; `forward_columns`, `inverse_columns`,
+`noisy_columns` and `in_ego_columns` are `forward`, `inverse`, `noisy` and
+`in_ego` over many rows, with the same float operations and so the same
+bits; and `merge_columns` is the fusion merge, a weighted mean per cluster
+(the bicycle averages slip wrap-aware around the cluster seed's). The cv and
+unicycle inverses are vectorized; the bicycle's fits one pose pair at a time
+through the module function `inverse_bicycle`, looked up at call time, so a
+wrapper bound at that name sees every fit. `estimate_param_columns` fits the
+pose pairs of many tracks at once, each distinct pair once. `MODELS` maps
+each name to its class; the rest of the package consults only that table.
 """
 
 from __future__ import annotations
@@ -34,12 +39,24 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .geometry import Box3D, EgoPose, Pose, _require_finite, normalize_angle, normalize_angles, require_number
+from .geometry import (
+    Box3D,
+    EgoPose,
+    Pose,
+    _require_finite,
+    clamp_columns,
+    normalize_angle,
+    normalize_angles,
+    require_number,
+)
 
 HALF_PI = 0.5 * math.pi
 
 # turn rates (or slip sines) below this count as straight motion
 _ZERO_RATE = 1e-9
+
+_HALF_TURN = "heading change of pi is ambiguous for the unicycle inverse"
+_NEEDS_ARM = "bicycle estimation needs a positive rear_axle"
 
 
 def _sinc(z: float) -> float:
@@ -72,6 +89,11 @@ def _sinc_columns(z: np.ndarray) -> np.ndarray:
 def _non_finite(params: np.ndarray) -> np.ndarray:
     """invalid_columns of the models whose only check is finiteness."""
     return ~np.isfinite(params).all(axis=1)
+
+
+def _require_gaps(dt: np.ndarray) -> None:
+    if (dt == 0.0).any():
+        raise ValueError("zero time gap")
 
 
 def _plain_means(params: np.ndarray, seeds: np.ndarray, cluster: np.ndarray, wavg) -> np.ndarray:
@@ -140,6 +162,15 @@ class ConstantVelocity(_JsonForm):
     def forward_columns(x, y, heading, params: np.ndarray, t: float):
         return x + params[:, 0] * t, y + params[:, 1] * t, heading
 
+    @staticmethod
+    def inverse_columns(x0, y0, h0, x1, y1, h1, dt, rear_axle=None) -> np.ndarray:
+        _require_gaps(dt)
+        return np.stack([(x1 - x0) / dt, (y1 - y0) / dt], axis=1)
+
+    @staticmethod
+    def noisy_columns(params: np.ndarray, n1, n2, sigma_speed: float, sigma_turn: float) -> np.ndarray:
+        return np.stack([params[:, 0] + n1 * sigma_speed, params[:, 1] + n2 * sigma_speed], axis=1)
+
     merge_columns = staticmethod(_plain_means)
 
     def in_ego(self, ego: EgoPose) -> ConstantVelocity:
@@ -148,6 +179,15 @@ class ConstantVelocity(_JsonForm):
         c = math.cos(ego.yaw)
         s = math.sin(ego.yaw)
         return ConstantVelocity(c * self.vx + s * self.vy, -s * self.vx + c * self.vy)
+
+    @staticmethod
+    def in_ego_columns(params: np.ndarray, ego: EgoPose) -> np.ndarray:
+        if ego.yaw == 0.0:
+            return params
+        c = math.cos(ego.yaw)
+        s = math.sin(ego.yaw)
+        vx, vy = params[:, 0], params[:, 1]
+        return np.stack([c * vx + s * vy, -s * vx + c * vy], axis=1)
 
 
 @dataclass(frozen=True)
@@ -194,10 +234,29 @@ class Unicycle(_JsonForm):
         mean = heading + half
         return x + chord * np.cos(mean), y + chord * np.sin(mean), heading + dphi
 
+    @staticmethod
+    def inverse_columns(x0, y0, h0, x1, y1, h1, dt, rear_axle=None) -> np.ndarray:
+        _require_gaps(dt)
+        dphi = normalize_angles(h1 - h0)
+        if (dphi == math.pi).any():
+            raise ValueError(_HALF_TURN)
+        vx = (x1 - x0) / dt
+        vy = (y1 - y0) / dt
+        along = vx * np.cos(h0) + vy * np.sin(h0)
+        return np.stack([along / _sinc_columns(dphi), dphi / dt], axis=1)
+
+    @staticmethod
+    def noisy_columns(params: np.ndarray, n1, n2, sigma_speed: float, sigma_turn: float) -> np.ndarray:
+        return np.stack([params[:, 0] + n1 * sigma_speed, params[:, 1] + n2 * sigma_turn], axis=1)
+
     merge_columns = staticmethod(_plain_means)
 
     def in_ego(self, ego: EgoPose) -> Unicycle:
         return self
+
+    @staticmethod
+    def in_ego_columns(params: np.ndarray, ego: EgoPose) -> np.ndarray:
+        return params
 
 
 @dataclass(frozen=True)
@@ -240,9 +299,27 @@ class Bicycle(_JsonForm):
     @staticmethod
     def inverse(p0: Pose, pt: Pose, t: float, rear_axle: float | None = None) -> Bicycle:
         if rear_axle is None or rear_axle <= 0.0:
-            raise ValueError("bicycle estimation needs a positive rear_axle")
+            raise ValueError(_NEEDS_ARM)
         # looked up at call time, so a wrapper bound at the module name sees every fit
         return inverse_bicycle(p0, pt, t, rear_axle)[0]
+
+    @staticmethod
+    def inverse_columns(x0, y0, h0, x1, y1, h1, dt, rear_axle=None) -> np.ndarray:
+        """One Gauss-Newton fit per pose pair, in order; rear_axle is one arm or one per pair."""
+        n = len(dt)
+        out = np.empty((n, 3))
+        if n == 0:
+            return out
+        if rear_axle is None or (np.asarray(rear_axle) <= 0.0).any():
+            raise ValueError(_NEEDS_ARM)
+        arms = np.broadcast_to(np.asarray(rear_axle, dtype=float), (n,)).tolist()
+        pairs = zip(x0.tolist(), y0.tolist(), h0.tolist(), x1.tolist(), y1.tolist(), h1.tolist(),
+                    dt.tolist(), arms)
+        for k, (a, b, c, d, e, f, t, arm) in enumerate(pairs):
+            # looked up at call time, so a wrapper bound at the module name sees every fit
+            fit = inverse_bicycle(Pose(a, b, c), Pose(d, e, f), t, arm)[0]
+            out[k] = fit.speed, fit.slip, fit.rear_axle
+        return out
 
     def speed_radius(self) -> tuple[float, float]:
         s = abs(math.sin(self.slip))
@@ -251,6 +328,11 @@ class Bicycle(_JsonForm):
     def noisy(self, n1: float, n2: float, sigma_speed: float, sigma_turn: float) -> Bicycle:
         slip = min(HALF_PI, max(-HALF_PI, self.slip + n2 * sigma_turn))
         return Bicycle(self.speed + n1 * sigma_speed, slip, self.rear_axle)
+
+    @staticmethod
+    def noisy_columns(params: np.ndarray, n1, n2, sigma_speed: float, sigma_turn: float) -> np.ndarray:
+        slip = clamp_columns(params[:, 1] + n2 * sigma_turn, -HALF_PI, HALF_PI)
+        return np.stack([params[:, 0] + n1 * sigma_speed, slip, params[:, 2]], axis=1)
 
     @staticmethod
     def invalid_columns(params: np.ndarray) -> np.ndarray:
@@ -269,13 +351,15 @@ class Bicycle(_JsonForm):
     @staticmethod
     def merge_columns(params: np.ndarray, seeds: np.ndarray, cluster: np.ndarray, wavg) -> np.ndarray:
         ref = seeds[:, 1]
-        slip = ref + wavg(normalize_angles(params[:, 1] - ref[cluster]))
-        slip = np.where(slip > -HALF_PI, slip, -HALF_PI)
-        slip = np.where(slip < HALF_PI, slip, HALF_PI)
+        slip = clamp_columns(ref + wavg(normalize_angles(params[:, 1] - ref[cluster])), -HALF_PI, HALF_PI)
         return np.stack([wavg(params[:, 0]), slip, wavg(params[:, 2])], axis=1)
 
     def in_ego(self, ego: EgoPose) -> Bicycle:
         return self
+
+    @staticmethod
+    def in_ego_columns(params: np.ndarray, ego: EgoPose) -> np.ndarray:
+        return params
 
 
 MotionParams = ConstantVelocity | Unicycle | Bicycle
@@ -383,13 +467,13 @@ def inverse_unicycle(p0: Pose, pt: Pose, t: float) -> Unicycle:
     if t == 0.0:
         raise ValueError("zero time gap")
     dphi = normalize_angle(pt.heading - p0.heading)
+    # a half turn either way wraps to +pi; there the chord says nothing about speed
+    if dphi == math.pi:
+        raise ValueError(_HALF_TURN)
     vx = (pt.x - p0.x) / t
     vy = (pt.y - p0.y) / t
     along = vx * math.cos(p0.heading) + vy * math.sin(p0.heading)
-    scale = _sinc(dphi)
-    if scale == 0.0:
-        raise ValueError("heading change of pi is ambiguous for the unicycle inverse")
-    return Unicycle(along / scale, dphi / t)
+    return Unicycle(along / _sinc(dphi), dphi / t)
 
 
 @dataclass(frozen=True)
@@ -565,33 +649,64 @@ def inverse_bicycle(
     )
 
 
+def estimate_param_columns(times, x, y, heading, counts, model: str, rear_axle=None) -> np.ndarray:
+    """Per-row motion parameters of tracks held as consecutive runs of rows.
+
+    Track k is the next counts[k] rows, in time order, with headings wrapped
+    to (-pi, pi]. Interior rows use their straddling pair (i-1, i+1), the
+    endpoints their single adjacent pair, and each distinct pair is fitted
+    once, in row order (both rows of a two-pose track share their pair).
+    `model` names the inverse (a key of MODELS); the bicycle inverse also
+    needs the fixed rear_axle arm, given once or per track, which the other
+    models ignore. Returns an (n, k) array in the model's field order.
+
+    A track needs at least two poses and strictly increasing times. The
+    tracks before the first one that fails are fitted first, so their fit
+    errors come first, as when tracks are estimated one after another.
+    """
+    kind = model_class(model)
+    times = np.asarray(times, dtype=float)
+    counts = np.asarray(counts, dtype=np.int64)
+    track = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts
+    bad = counts < 2
+    bad[track[1:][(times[1:] <= times[:-1]) & (track[1:] == track[:-1])]] = True
+    failed = int(np.argmax(bad)) if bad.any() else None
+    rows = np.arange(len(times) if failed is None else first[failed])
+    track = track[rows]
+    j0 = rows - (rows > first[track])
+    j1 = rows + (rows < first[track] + counts[track] - 1)
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = (j0[1:] != j0[:-1]) | (j1[1:] != j1[:-1])
+    a, b = j0[fresh], j1[fresh]
+    arm = rear_axle
+    if arm is not None:
+        arm = np.broadcast_to(np.asarray(arm, dtype=float), counts.shape)[track[fresh]]
+    x, y, heading = (np.asarray(v, dtype=float) for v in (x, y, heading))
+    params = kind.inverse_columns(x[a], y[a], heading[a], x[b], y[b], heading[b], times[b] - times[a], arm)
+    if failed is not None:
+        if counts[failed] < 2:
+            raise ValueError("need at least two poses")
+        raise ValueError("timestamps must strictly increase")
+    return params[np.cumsum(fresh) - 1]
+
+
 def estimate_params_from_track(
     times: Sequence[float],
     poses: Sequence[Pose],
     model: str,
     rear_axle: float | None = None,
 ) -> list[MotionParams]:
-    """Per-pose motion parameters estimated from a time-ordered track.
+    """Per-pose motion parameters estimated from one time-ordered track.
 
-    Interior poses use the straddling pair (i-1, i+1); the endpoints fall back
-    to their single adjacent pair. `model` names the inverse (a key of
-    MODELS); the bicycle inverse additionally needs the fixed rear_axle arm,
-    which the other models ignore.
+    The one-track case of estimate_param_columns: interior poses use the
+    straddling pair (i-1, i+1), the endpoints their single adjacent pair.
     """
     if len(times) != len(poses):
         raise ValueError("times and poses must have equal length")
-    n = len(poses)
-    if n < 2:
-        raise ValueError("need at least two poses")
-    for a, b in zip(times, times[1:]):
-        if b <= a:
-            raise ValueError("timestamps must strictly increase")
-    inverse = model_class(model).inverse
-    out: list[MotionParams] = []
-    for i in range(n):
-        j0, j1 = max(i - 1, 0), min(i + 1, n - 1)
-        out.append(inverse(poses[j0], poses[j1], times[j1] - times[j0], rear_axle))
-    return out
+    columns = ([p.x for p in poses], [p.y for p in poses], [p.heading for p in poses])
+    params = estimate_param_columns(times, *columns, [len(poses)], model, rear_axle)
+    return [model_class(model)(*row) for row in params.tolist()]
 
 
 def numeric_forward(pose: Pose, params: MotionParams, t: float, step: float = 1e-4) -> Pose:

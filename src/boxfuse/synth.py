@@ -7,6 +7,15 @@ generating ones on the noiseless data. Corruption adds Gaussian pose and
 parameter noise, random per-frame drops, multi-frame occlusion bursts and
 detector-style scores. Everything is deterministic under (spec, seed): the
 random stream is Philox, split into per-vehicle and per-frame substreams.
+
+Scenes are built as numpy columns, one fusion.DetectionColumns per frame,
+with no per-box objects: each vehicle draws its start and its motion once,
+then every vehicle of a group is forwarded per frame time with the model's
+`forward_columns`, re-fitted with `motion.estimate_param_columns`, moved
+into the ego frame with `transform_columns` and `in_ego_columns`, and
+corrupted with column operations over the per-detection draws. Every step
+does the float operations of the former per-box code in the same order, so
+the scenes are the same to the bit.
 """
 
 from __future__ import annotations
@@ -17,9 +26,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .fusion import Detection, Frame
-from .geometry import Box3D, EgoPose, Pose, transform_box
-from .motion import MotionParams, estimate_params_from_track, forward, model_class
+from .fusion import MODEL_CODES, PARAM_WIDTH, DetectionColumns, Frame, object_array
+from .geometry import EgoPose, Pose, clamp_columns, normalize_angles, transform_columns
+from .motion import (
+    MotionParams,
+    estimate_param_columns,
+    estimate_params_from_track,
+    forward,
+    model_class,
+    param_rows,
+)
+
+# estimate_params_from_track is no longer called here, but the benchmark's
+# per-layer tracing binds it in this module (bench/tracing.py).
 
 PRNG_NAME = "philox"
 
@@ -143,40 +162,49 @@ def _lattice(n: int, span: float, spacing: float) -> tuple[list[tuple[float, flo
     return slots, jitter
 
 
-@dataclass(frozen=True)
-class _Vehicle:
-    track_id: int
-    spec: TrajectorySpec
-    world_poses: tuple[Pose, ...]
-    params: tuple[MotionParams, ...]
-
-
-def _sample_vehicle(
-    spec: TrajectorySpec,
-    rng: np.random.Generator,
-    slot: tuple[float, float],
-    jitter: float,
-    track_id: int,
-    times: Sequence[float],
-) -> _Vehicle:
+def _sample_start(
+    spec: TrajectorySpec, rng: np.random.Generator, slot: tuple[float, float], jitter: float
+) -> tuple[Pose, MotionParams]:
+    """One vehicle's start pose and generating motion, drawn from its own substream."""
     jx = float(rng.uniform(-1.0, 1.0)) * jitter
     jy = float(rng.uniform(-1.0, 1.0)) * jitter
     heading = float(rng.uniform(spec.heading_range[0], spec.heading_range[1]))
     speed = float(rng.uniform(spec.speed_range[0], spec.speed_range[1]))
-    rear_axle = spec.rear_axle_or_default
     radius = None
     if spec.radius_range is not None:
         radius = float(rng.uniform(spec.radius_range[0], spec.radius_range[1]))
         radius = radius if int(rng.integers(0, 2)) else -radius
-    gen = model_class(spec.model).from_motion(speed, heading, radius, rear_axle)
-    p0 = Pose(slot[0] + jx, slot[1] + jy, heading)
-    poses = tuple(gen.forward(p0, t) for t in times)
-    attached = estimate_params_from_track(list(times), list(poses), spec.model, rear_axle=rear_axle)
-    return _Vehicle(track_id, spec, poses, tuple(attached))
+    gen = model_class(spec.model).from_motion(speed, heading, radius, spec.rear_axle_or_default)
+    return Pose(slot[0] + jx, slot[1] + jy, heading), gen
+
+
+def _group_tracks(spec: TrajectorySpec, starts: list[tuple[Pose, MotionParams]], times: list[float]):
+    """One group's world poses and the parameters fitted from them, frame-major.
+
+    Returns x, y and heading, each (frames, vehicles), and the parameters,
+    (frames, vehicles, k) in the model's field order.
+    """
+    kind = model_class(spec.model)
+    x0, y0, h0 = (np.array(v) for v in zip(*((p.x, p.y, p.heading) for p, _ in starts)))
+    gen = param_rows(kind, [motion for _, motion in starts])
+    shape = (len(times), len(starts))
+    x, y, heading = np.empty(shape), np.empty(shape), np.empty(shape)
+    for k, t in enumerate(times):
+        x[k], y[k], heading[k] = kind.forward_columns(x0, y0, h0, gen, t)
+    heading = normalize_angles(heading)
+    # rows track by track for the fit, then back to frame-major
+    attached = estimate_param_columns(
+        np.tile(times, len(starts)), x.T.ravel(), y.T.ravel(), heading.T.ravel(),
+        np.full(len(starts), len(times)), spec.model, spec.rear_axle_or_default,
+    )
+    return x, y, heading, attached.reshape(len(starts), len(times), -1).transpose(1, 0, 2)
 
 
 def _motion_in_ego(params: MotionParams, ego: EgoPose) -> MotionParams:
-    """Rotate frame-dependent motion components into the ego frame."""
+    """Rotate frame-dependent motion components into the ego frame.
+
+    The scalar form of each model's in_ego_columns.
+    """
     return params.in_ego(ego)
 
 
@@ -193,7 +221,7 @@ def generate_mixed_scene(
     vehicle draws from its own Philox substream keyed by (group, index), so
     output is reproducible and independent of generation order. Scores are 1,
     track ids are sequential from track_id_start, and boxes are expressed in
-    the (optionally moving) ego frame.
+    the (optionally moving) ego frame. Each frame's detections are columns.
     """
     if not groups:
         raise ValueError("no vehicle groups")
@@ -216,34 +244,45 @@ def generate_mixed_scene(
         egos = [EgoPose(p.x, p.y, p.heading) for p in ego_poses]
     total = sum(count for _, count in groups)
     slots, jitter = _lattice(total, base.origin_span, base.min_spacing)
-    vehicles: list[_Vehicle] = []
-    track_id = track_id_start
-    slot_index = 0
+    n_frames = len(times)
+    x, y, yaw = np.empty((n_frames, total)), np.empty((n_frames, total)), np.empty((n_frames, total))
+    params = np.zeros((n_frames, total, PARAM_WIDTH))
+    z_and_size = np.empty((total, 4))
+    labels: list[str] = []
+    blocks = []
+    start = 0
     for g, (spec, count) in enumerate(groups):
-        for i in range(count):
-            vehicles.append(
-                _sample_vehicle(spec, _rng(seed, g, i), slots[slot_index], jitter, track_id, times)
-            )
-            track_id += 1
-            slot_index += 1
-    frames = []
+        if count == 0:
+            continue
+        starts = [_sample_start(spec, _rng(seed, g, i), slots[start + i], jitter) for i in range(count)]
+        block = slice(start, start + count)
+        kind = model_class(spec.model)
+        x[:, block], y[:, block], yaw[:, block], params[:, block, : len(kind.json_keys)] = _group_tracks(
+            spec, starts, times
+        )
+        w, length, h = spec.box_size
+        z_and_size[block] = h / 2.0, w, length, h
+        labels += [spec.label] * count
+        blocks.append((kind, block))
+        start += count
+    label = object_array(labels)
+    model = np.repeat([MODEL_CODES[kind.name] for kind, _ in blocks],
+                      [block.stop - block.start for _, block in blocks]).astype(np.int64)
+    track_id = object_array(list(range(track_id_start, track_id_start + total)))
     identity = EgoPose.identity()
-    for k, t in enumerate(times):
-        detections = []
-        for veh in vehicles:
-            pose = veh.world_poses[k]
-            w, length, h = veh.spec.box_size
-            world_box = Box3D(pose.x, pose.y, h / 2.0, w, length, h, pose.heading)
-            detections.append(
-                Detection(
-                    box=transform_box(world_box, identity, egos[k]),
-                    score=1.0,
-                    label=veh.spec.label,
-                    motion=_motion_in_ego(veh.params[k], egos[k]),
-                    track_id=veh.track_id,
-                )
-            )
-        frames.append(Frame(t, egos[k], detections))
+    frames = []
+    for k, (t, ego) in enumerate(zip(times, egos)):
+        boxes = np.empty((total, 7))
+        boxes[:, 2:6] = z_and_size
+        boxes[:, 0], boxes[:, 1], boxes[:, 6] = transform_columns(x[k], y[k], yaw[k], identity, ego)
+        motion = params[k]
+        for kind, block in blocks:
+            width = len(kind.json_keys)
+            motion[block, :width] = kind.in_ego_columns(motion[block, :width], ego)
+        detections = DetectionColumns(boxes, np.ones(total), label, model, motion, np.full(total, math.nan),
+                                      np.zeros(total, dtype=np.int64), track_id,
+                                      np.ones(total, dtype=np.int64), np.ones(total, dtype=np.int64))
+        frames.append(Frame(t, ego, detections))
     return frames
 
 
@@ -269,15 +308,21 @@ def corrupt(frames: Sequence[Frame], spec: CorruptionSpec, seed: int) -> list[Fr
     score noise therefore stay identical across runs that differ only in the
     attached motion-parameter variant. Burst occlusions pick their vehicles
     and start frames from substream (seed, 0).
+
+    The draws are made one detection at a time, as standard_normal(6) and
+    then one uniform double (`random()`, the same draw as `uniform()`), for
+    dropped detections as well, since drawing a frame at once would change
+    the stream. The noise, the burst windows and the drops are then applied
+    to whole columns, and every noisy row, dropped or not, is checked as a
+    Detection would be.
     """
+    columns = [DetectionColumns.of(frame.detections) for frame in frames]
     n_frames = len(frames)
     bursts: dict[int, tuple[int, int]] = {}
     if spec.burst_vehicle_frac > 0.0 and spec.burst_frames > 0 and n_frames > 0:
-        ids = sorted(
-            {d.track_id for f in frames for d in f.detections if d.track_id is not None}
-        )
-        missing = any(d.track_id is None for f in frames for d in f.detections)
-        if missing or not ids:
+        all_ids = [tid for cols in columns for tid in cols.track_id.tolist()]
+        ids = sorted({tid for tid in all_ids if tid is not None})
+        if None in all_ids or not ids:
             raise ValueError("burst occlusions need track ids on every detection")
         rng = _rng(seed, 0)
         n_burst = int(round(spec.burst_vehicle_frac * len(ids)))
@@ -289,42 +334,32 @@ def corrupt(frames: Sequence[Frame], spec: CorruptionSpec, seed: int) -> list[Fr
     drop_overrides = dict(spec.frame_drop_overrides)
     score_scale = dict(spec.frame_score_scale)
     out = []
-    for k, frame in enumerate(frames):
+    for k, (frame, cols) in enumerate(zip(frames, columns)):
         rng = _rng(seed, k + 1)
-        drop_prob = drop_overrides.get(k, spec.drop_prob)
-        scale = score_scale.get(k, 1.0)
-        kept = []
-        for det in frame.detections:
-            draws = rng.standard_normal(6)
-            drop_u = float(rng.uniform())
-            box = det.box
-            if spec.sigma_xy > 0.0 or spec.sigma_yaw > 0.0:
-                box = Box3D(
-                    box.x + float(draws[0]) * spec.sigma_xy,
-                    box.y + float(draws[1]) * spec.sigma_xy,
-                    box.z,
-                    box.w,
-                    box.l,
-                    box.h,
-                    box.yaw + float(draws[2]) * spec.sigma_yaw,
-                )
-            motion = det.motion.noisy(float(draws[3]), float(draws[4]), spec.sigma_speed, spec.sigma_turn)
-            score = spec.score_mean + float(draws[5]) * spec.score_sigma
-            score = min(0.999, max(spec.score_floor, score)) * scale
-            score = min(1.0, max(0.0, score))
-            window = bursts.get(det.track_id)
-            if window is not None and window[0] <= k < window[1]:
-                continue
-            if drop_u < drop_prob:
-                continue
-            kept.append(
-                Detection(
-                    box=box,
-                    score=score,
-                    label=det.label,
-                    motion=motion,
-                    track_id=det.track_id,
-                )
+        n = len(cols)
+        draws = np.empty((n, 6))
+        drop_u = np.empty(n)
+        for i in range(n):
+            rng.standard_normal(out=draws[i])
+            drop_u[i] = rng.random()
+        boxes = cols.boxes.copy()
+        if spec.sigma_xy > 0.0 or spec.sigma_yaw > 0.0:
+            boxes[:, 0] += draws[:, 0] * spec.sigma_xy
+            boxes[:, 1] += draws[:, 1] * spec.sigma_xy
+            boxes[:, 6] += draws[:, 2] * spec.sigma_yaw
+        params = np.zeros_like(cols.params)
+        for kind, rows in cols.groups():
+            params[rows, : len(kind.json_keys)] = kind.noisy_columns(
+                cols.params_of(kind, rows), draws[rows, 3], draws[rows, 4], spec.sigma_speed, spec.sigma_turn
             )
-        out.append(Frame(frame.timestamp, frame.ego, kept))
+        score = clamp_columns(spec.score_mean + draws[:, 5] * spec.score_sigma, spec.score_floor, 0.999)
+        score = clamp_columns(score * score_scale.get(k, 1.0), 0.0, 1.0)
+        noisy = DetectionColumns(boxes, score, cols.label, cols.model, params, np.full(n, math.nan),
+                                 np.zeros(n, dtype=np.int64), cols.track_id, np.ones(n, dtype=np.int64),
+                                 np.ones(n, dtype=np.int64))
+        keep = ~(drop_u < drop_overrides.get(k, spec.drop_prob))
+        hidden = {tid for tid, (first, stop) in bursts.items() if first <= k < stop}
+        if hidden:
+            keep &= np.array([tid not in hidden for tid in cols.track_id.tolist()], dtype=bool)
+        out.append(Frame(frame.timestamp, frame.ego, noisy.take(keep)))
     return out

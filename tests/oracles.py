@@ -6,16 +6,20 @@ every seed, brute-force circle-overlap pairs, the all-pairs frame matcher,
 subset filter and per-seed NMS distance scan that evaluation and fusion used
 before their candidate-pair search (kept verbatim, with the scalar cluster
 merge fusion used before its columnar merge), the per-Detection frame
-stream used before the columnar frames (`stream_reference`), and an O(n^2)
-precision-recall enumeration for AP. The averaging
-and bookkeeping logic is re-written from the contract, not shared with the
-package internals.
+stream used before the columnar frames (`stream_reference`), the per-box
+scene generation, corruption and track re-estimation used before the
+columnar scenes (kept verbatim), and an O(n^2) precision-recall enumeration
+for AP. The averaging and bookkeeping logic is re-written from the contract,
+not shared with the package internals.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -33,8 +37,9 @@ from boxfuse import (
     transform_box,
 )
 from boxfuse.evaluation import SUBSET_FILTER_IOU, MatchResult
-from boxfuse.motion import HALF_PI
-from boxfuse.geometry import Box3D, _corners, _iou_from_corners
+from boxfuse.motion import HALF_PI, MotionParams, forward, model_class
+from boxfuse.geometry import Box3D, Pose, _corners, _iou_from_corners
+from boxfuse.synth import CorruptionSpec, TrajectorySpec, _lattice, _motion_in_ego, _rng
 
 
 def shoelace(points) -> float:
@@ -476,4 +481,245 @@ def stream_reference(lines: list[str], cfg) -> list[str]:
         fused = _ref_apply_score_strategy(fused, cfg)
         kept = [d for d in fused if d.n_current > 0 or d.score >= cfg.history_score_floor]
         out.append(ref_dumps_frame(Frame(current.timestamp, current.ego, kept)))
+    return out
+
+
+# --- per-box scene generation and re-estimation ----------------------------
+# synth.generate_mixed_scene, synth.corrupt, cli._reattach_params and
+# motion.estimate_params_from_track as they were before scenes became columns,
+# kept verbatim (renamed) as references for the columnar versions: one Box3D,
+# Detection and motion object per box, and a pose-pair fit per pose.
+
+
+@dataclass(frozen=True)
+class _Vehicle:
+    track_id: int
+    spec: TrajectorySpec
+    world_poses: tuple[Pose, ...]
+    params: tuple[MotionParams, ...]
+
+
+def _sample_vehicle_reference(
+    spec: TrajectorySpec,
+    rng: np.random.Generator,
+    slot: tuple[float, float],
+    jitter: float,
+    track_id: int,
+    times: Sequence[float],
+) -> _Vehicle:
+    jx = float(rng.uniform(-1.0, 1.0)) * jitter
+    jy = float(rng.uniform(-1.0, 1.0)) * jitter
+    heading = float(rng.uniform(spec.heading_range[0], spec.heading_range[1]))
+    speed = float(rng.uniform(spec.speed_range[0], spec.speed_range[1]))
+    rear_axle = spec.rear_axle_or_default
+    radius = None
+    if spec.radius_range is not None:
+        radius = float(rng.uniform(spec.radius_range[0], spec.radius_range[1]))
+        radius = radius if int(rng.integers(0, 2)) else -radius
+    gen = model_class(spec.model).from_motion(speed, heading, radius, rear_axle)
+    p0 = Pose(slot[0] + jx, slot[1] + jy, heading)
+    poses = tuple(gen.forward(p0, t) for t in times)
+    attached = estimate_params_from_track_reference(list(times), list(poses), spec.model, rear_axle=rear_axle)
+    return _Vehicle(track_id, spec, poses, tuple(attached))
+
+
+def generate_mixed_scene_reference(
+    groups: Sequence[tuple[TrajectorySpec, int]],
+    seed: int,
+    *,
+    ego_motion: MotionParams | None = None,
+    track_id_start: int = 0,
+) -> list[Frame]:
+    """Ground-truth frames for several vehicle groups on a shared frame grid.
+
+    All specs must agree on duration, frame interval, span and spacing. Every
+    vehicle draws from its own Philox substream keyed by (group, index), so
+    output is reproducible and independent of generation order. Scores are 1,
+    track ids are sequential from track_id_start, and boxes are expressed in
+    the (optionally moving) ego frame.
+    """
+    if not groups:
+        raise ValueError("no vehicle groups")
+    base = groups[0][0]
+    for spec, count in groups:
+        if count < 0:
+            raise ValueError("vehicle counts must be non-negative")
+        if (
+            spec.duration != base.duration
+            or spec.frame_interval != base.frame_interval
+            or spec.origin_span != base.origin_span
+            or spec.min_spacing != base.min_spacing
+        ):
+            raise ValueError("groups must share duration, frame_interval, origin_span, min_spacing")
+    times = [i * base.frame_interval for i in range(base.n_frames)]
+    if ego_motion is None:
+        egos = [EgoPose.identity() for _ in times]
+    else:
+        ego_poses = [forward(Pose(0.0, 0.0, 0.0), ego_motion, t) for t in times]
+        egos = [EgoPose(p.x, p.y, p.heading) for p in ego_poses]
+    total = sum(count for _, count in groups)
+    slots, jitter = _lattice(total, base.origin_span, base.min_spacing)
+    vehicles: list[_Vehicle] = []
+    track_id = track_id_start
+    slot_index = 0
+    for g, (spec, count) in enumerate(groups):
+        for i in range(count):
+            vehicles.append(
+                _sample_vehicle_reference(spec, _rng(seed, g, i), slots[slot_index], jitter, track_id, times)
+            )
+            track_id += 1
+            slot_index += 1
+    frames = []
+    identity = EgoPose.identity()
+    for k, t in enumerate(times):
+        detections = []
+        for veh in vehicles:
+            pose = veh.world_poses[k]
+            w, length, h = veh.spec.box_size
+            world_box = Box3D(pose.x, pose.y, h / 2.0, w, length, h, pose.heading)
+            detections.append(
+                Detection(
+                    box=transform_box(world_box, identity, egos[k]),
+                    score=1.0,
+                    label=veh.spec.label,
+                    motion=_motion_in_ego(veh.params[k], egos[k]),
+                    track_id=veh.track_id,
+                )
+            )
+        frames.append(Frame(t, egos[k], detections))
+    return frames
+
+
+def corrupt_reference(frames: Sequence[Frame], spec: CorruptionSpec, seed: int) -> list[Frame]:
+    """Simulate detector output from ground-truth frames.
+
+    Per frame k the substream (seed, k+1) drives, for each detection in order,
+    the draws (dx, dy, dyaw, two parameter components, score, drop). Pose and
+    score noise therefore stay identical across runs that differ only in the
+    attached motion-parameter variant. Burst occlusions pick their vehicles
+    and start frames from substream (seed, 0).
+    """
+    n_frames = len(frames)
+    bursts: dict[int, tuple[int, int]] = {}
+    if spec.burst_vehicle_frac > 0.0 and spec.burst_frames > 0 and n_frames > 0:
+        ids = sorted(
+            {d.track_id for f in frames for d in f.detections if d.track_id is not None}
+        )
+        missing = any(d.track_id is None for f in frames for d in f.detections)
+        if missing or not ids:
+            raise ValueError("burst occlusions need track ids on every detection")
+        rng = _rng(seed, 0)
+        n_burst = int(round(spec.burst_vehicle_frac * len(ids)))
+        chosen = rng.choice(len(ids), size=min(n_burst, len(ids)), replace=False)
+        last_start = max(0, n_frames - spec.burst_frames)
+        for idx in sorted(int(c) for c in chosen):
+            start = int(rng.integers(0, last_start + 1))
+            bursts[ids[idx]] = (start, start + spec.burst_frames)
+    drop_overrides = dict(spec.frame_drop_overrides)
+    score_scale = dict(spec.frame_score_scale)
+    out = []
+    for k, frame in enumerate(frames):
+        rng = _rng(seed, k + 1)
+        drop_prob = drop_overrides.get(k, spec.drop_prob)
+        scale = score_scale.get(k, 1.0)
+        kept = []
+        for det in frame.detections:
+            draws = rng.standard_normal(6)
+            drop_u = float(rng.uniform())
+            box = det.box
+            if spec.sigma_xy > 0.0 or spec.sigma_yaw > 0.0:
+                box = Box3D(
+                    box.x + float(draws[0]) * spec.sigma_xy,
+                    box.y + float(draws[1]) * spec.sigma_xy,
+                    box.z,
+                    box.w,
+                    box.l,
+                    box.h,
+                    box.yaw + float(draws[2]) * spec.sigma_yaw,
+                )
+            motion = det.motion.noisy(float(draws[3]), float(draws[4]), spec.sigma_speed, spec.sigma_turn)
+            score = spec.score_mean + float(draws[5]) * spec.score_sigma
+            score = min(0.999, max(spec.score_floor, score)) * scale
+            score = min(1.0, max(0.0, score))
+            window = bursts.get(det.track_id)
+            if window is not None and window[0] <= k < window[1]:
+                continue
+            if drop_u < drop_prob:
+                continue
+            kept.append(
+                Detection(
+                    box=box,
+                    score=score,
+                    label=det.label,
+                    motion=motion,
+                    track_id=det.track_id,
+                )
+            )
+        out.append(Frame(frame.timestamp, frame.ego, kept))
+    return out
+
+
+def reattach_params_reference(frames: list[Frame], model: str, rear_axle: float | None) -> list[Frame]:
+    """Replace every detection's motion parameters using the track inverse models."""
+    identity = EgoPose.identity()
+    tracks: dict[int, list[tuple[int, int]]] = {}
+    for fi, frame in enumerate(frames):
+        for di, det in enumerate(frame.detections):
+            if det.track_id is None:
+                raise ValueError(f"missing track_id on frame {fi}, detection {di}")
+            tracks.setdefault(det.track_id, []).append((fi, di))
+    new_params: dict[tuple[int, int], object] = {}
+    for tid, locs in tracks.items():
+        times = []
+        poses = []
+        for fi, di in locs:
+            det = frames[fi].detections[di]
+            world = transform_box(det.box, frames[fi].ego, identity)
+            times.append(frames[fi].timestamp)
+            poses.append(Pose(world.x, world.y, world.yaw))
+        arm = rear_axle
+        if arm is None:
+            lengths = sorted(frames[fi].detections[di].box.l for fi, di in locs)
+            arm = lengths[len(lengths) // 2] / 4.0
+        estimates = estimate_params_from_track_reference(times, poses, model, rear_axle=arm)
+        for (fi, di), params in zip(locs, estimates):
+            new_params[(fi, di)] = params
+    out = []
+    for fi, frame in enumerate(frames):
+        dets = [
+            dataclasses.replace(
+                det, motion=_motion_in_ego(new_params[(fi, di)], frame.ego)
+            )
+            for di, det in enumerate(frame.detections)
+        ]
+        out.append(Frame(frame.timestamp, frame.ego, dets))
+    return out
+
+
+def estimate_params_from_track_reference(
+    times: Sequence[float],
+    poses: Sequence[Pose],
+    model: str,
+    rear_axle: float | None = None,
+) -> list[MotionParams]:
+    """Per-pose motion parameters estimated from a time-ordered track.
+
+    Interior poses use the straddling pair (i-1, i+1); the endpoints fall back
+    to their single adjacent pair. `model` names the inverse (a key of
+    MODELS); the bicycle inverse additionally needs the fixed rear_axle arm,
+    which the other models ignore.
+    """
+    if len(times) != len(poses):
+        raise ValueError("times and poses must have equal length")
+    n = len(poses)
+    if n < 2:
+        raise ValueError("need at least two poses")
+    for a, b in zip(times, times[1:]):
+        if b <= a:
+            raise ValueError("timestamps must strictly increase")
+    inverse = model_class(model).inverse
+    out: list[MotionParams] = []
+    for i in range(n):
+        j0, j1 = max(i - 1, 0), min(i + 1, n - 1)
+        out.append(inverse(poses[j0], poses[j1], times[j1] - times[j0], rear_axle))
     return out

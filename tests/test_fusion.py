@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from boxfuse import (
     Bicycle,
@@ -387,6 +387,33 @@ class TestWeightedNms:
         assert got == expected
         if cfg.iou_low == cfg.iou_high:
             assert sum(d.n_fused for d in got) == len(dets)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_boxes=st.integers(1, 40),
+        n_labels=st.integers(1, 2),
+        model=st.sampled_from(["cv", "unicycle", "bicycle"]),
+        offset=st.tuples(OFFSET, OFFSET),
+        cfg=st.sampled_from(NMS_CONFIGS),
+        shuffle=st.integers(0, 2**32 - 1),
+    )
+    def test_permuted_input_gives_the_same_outputs(self, seed, n_boxes, n_labels, model, offset, cfg, shuffle):
+        # with distinct weights and scores the seed order ignores input order;
+        # merge sums may add the members in another order, hence the tolerance
+        dets = crowded_scene(seed, n_boxes, n_labels, model, offset, ties=False)[:n_boxes]
+        assume(len({d.weight for d in dets}) == len({d.score for d in dets}) == len(dets))
+        permuted = [dets[k] for k in np.random.default_rng(shuffle).permutation(len(dets))]
+        got, expected = weighted_nms(permuted, cfg), weighted_nms(dets, cfg)
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert (a.label, a.n_fused, a.n_current, a.frame_lag, a.track_id) == (
+                b.label, b.n_fused, b.n_current, b.frame_lag, b.track_id)
+            for name in ("x", "y", "z", "w", "l", "h"):
+                assert getattr(a.box, name) == pytest.approx(getattr(b.box, name), abs=1e-9)
+            assert abs(normalize_angle(a.box.yaw - b.box.yaw)) <= 1e-9
+            assert (a.score, a.weight) == pytest.approx((b.score, b.weight), abs=1e-9)
+            assert dataclasses.astuple(a.motion) == pytest.approx(dataclasses.astuple(b.motion), abs=1e-9)
 
     def test_outputs_mutually_below_iou_low(self):
         # the sweep guarantees the property exactly for the surviving seeds;

@@ -473,3 +473,63 @@ class TestCli:
         cfg = read_meta(out)["config"]
         assert cfg["n_history"] == 2
         assert cfg["weight_decay"] == 0.75  # flag overrides file
+
+
+class TestSynthScene:
+    @pytest.mark.parametrize("flag,value", [
+        ("--straight-frac", "-0.2"),
+        ("--stationary-frac", "-1e-9"),
+        ("--turning-frac", "nan"),
+        ("--turning-frac", "inf"),
+    ])
+    def test_bad_mix_fraction_exit_2_naming_the_flag(self, tmp_path, capsys, flag, value):
+        mix = {"--stationary-frac": "0.5", "--straight-frac": "0.2", "--turning-frac": "0.5", flag: value}
+        argv = ["synth", "--output-gt", str(tmp_path / "gt.jsonl"), "--output-det", str(tmp_path / "det.jsonl"),
+                "--vehicles", "10", *(f"{name}={frac}" for name, frac in mix.items())]
+        assert main(argv) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "gt.jsonl").exists()
+
+    @pytest.mark.parametrize("vehicles,mix", [("7", ("0.63", "0.31", "0.05")), ("10", ("0.5", "0", "0.5")),
+                                              ("3", ("1e-12", "1", "3"))])
+    def test_scene_holds_every_vehicle(self, tmp_path, vehicles, mix):
+        gt, det = tmp_path / "gt.jsonl", tmp_path / "det.jsonl"
+        assert main(["synth", "--output-gt", str(gt), "--output-det", str(det), "--vehicles", vehicles,
+                     "--duration", "0.2", "--stationary-frac", mix[0], "--straight-frac", mix[1],
+                     "--turning-frac", mix[2]]) == 0
+        assert sum(g["count"] for g in read_meta(gt)["groups"]) == int(vehicles)
+        assert len(read_frames(gt)[0].detections) == int(vehicles)
+
+    GROUP = {"spec": {"model": "cv", "duration": 0.3}, "count": 2}
+
+    @pytest.mark.parametrize("raw,where,key", [
+        ({"groups": [GROUP, {"spec": {"bogus": 1}, "count": 1}]}, "group 1", "'bogus'"),
+        ({"corruption": {}}, "--spec", "'groups'"),
+        ({"groups": [GROUP, {"spec": {"model": "cv"}, "count": 2.7}]}, "group 1", "'count'"),
+        ({"groups": [{"spec": {"model": "cv"}, "count": True}]}, "group 0", "'count'"),
+        ({"groups": [{"spec": {"model": "cv"}, "count": -1}]}, "group 0", "'count'"),
+        ({"groups": [{"spec": {"model": "cv"}}]}, "group 0", "'count'"),
+        ({"groups": [{"count": 1}]}, "group 0", "'spec'"),
+        ({"groups": [{"spec": {"model": "cv"}, "count": 1, "weight": 2}]}, "group 0", "'weight'"),
+        ({"groups": [{"spec": {"model": "cv", "frame_interval": 0.0}, "count": 1}]}, "group 0", "'spec'"),
+        ({"groups": [GROUP], "corruption": {"sigma": 1.0}}, "corruption", "'sigma'"),
+        ({"groups": [GROUP], "extra": 1}, "--spec", "'extra'"),
+    ])
+    def test_malformed_spec_exit_2_naming_group_and_key(self, tmp_path, capsys, raw, where, key):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(raw))
+        argv = ["synth", "--output-gt", str(tmp_path / "gt.jsonl"), "--output-det", str(tmp_path / "det.jsonl"),
+                "--spec", str(spec)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert where in err and key in err
+        assert not (tmp_path / "gt.jsonl").exists()
+
+    def test_spec_file_scene(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"groups": [self.GROUP, {"spec": {"model": "cv", "duration": 0.3}, "count": 0}],
+                                    "corruption": {"frame_drop_overrides": [[1, 1.0]]}}))
+        gt, det = tmp_path / "gt.jsonl", tmp_path / "det.jsonl"
+        assert main(["synth", "--output-gt", str(gt), "--output-det", str(det), "--spec", str(spec)]) == 0
+        assert [len(f.detections) for f in read_frames(gt)] == [2, 2, 2, 2]
+        assert [len(f.detections) for f in read_frames(det)] == [2, 0, 2, 2]

@@ -1,0 +1,238 @@
+"""Columnar scene generation and re-estimation against the frozen per-box references.
+
+generate_mixed_scene, corrupt and cli._reattach_params build numpy columns
+with no per-box objects; tests/oracles.py keeps the per-box versions they
+replaced. Both must write the same frame lines, byte for byte, and raise the
+same errors. The column forms of the motion models must equal their scalar
+forms by ==.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import event, given, settings, strategies as st
+
+from boxfuse import (
+    Bicycle,
+    ConstantVelocity,
+    CorruptionSpec,
+    FitDivergence,
+    Frame,
+    Pose,
+    TrajectorySpec,
+    Unicycle,
+    corrupt,
+    generate_mixed_scene,
+    motion,
+)
+from boxfuse.cli import _reattach_params
+from boxfuse.io import dumps_line, frame_to_obj
+from boxfuse.motion import MODELS, estimate_param_columns, estimate_params_from_track
+from oracles import (
+    corrupt_reference,
+    estimate_params_from_track_reference,
+    generate_mixed_scene_reference,
+    reattach_params_reference,
+    ref_dumps_frame,
+)
+
+MODEL_NAMES = sorted(MODELS)
+
+
+def lines(frames) -> list[str]:
+    return [dumps_line(frame_to_obj(frame)) for frame in frames]
+
+
+def outcome(call, serialize):
+    """The serialized result of call(), or the type and message of the error it raises."""
+    try:
+        return serialize(call())
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def scenes(draw):
+    common = dict(duration=draw(st.sampled_from([0.1, 0.2, 0.5])), frame_interval=0.1,
+                  origin_span=draw(st.sampled_from([0.0, 30.0])), min_spacing=6.0)
+    groups = []
+    for _ in range(draw(st.integers(1, 3))):
+        model = draw(st.sampled_from(MODEL_NAMES))
+        spec = TrajectorySpec(
+            model=model,
+            speed_range=draw(st.sampled_from([(0.0, 0.0), (2.0, 14.0), (-5.0, 5.0)])),
+            radius_range=(8.0, 25.0) if model != "cv" and draw(st.booleans()) else None,
+            rear_axle=draw(st.sampled_from([None, 1.3])),
+            heading_range=draw(st.sampled_from([(-math.pi, math.pi), (0.0, 2.0 * math.pi)])),
+            **common,
+        )
+        groups.append((spec, draw(st.integers(0, 4))))
+    ego = draw(st.sampled_from([None, ConstantVelocity(3.0, -1.0), Unicycle(5.0, 0.4), Bicycle(6.0, 0.2, 1.2)]))
+    return groups, ego
+
+
+@st.composite
+def corruptions(draw, n_frames: int):
+    frames = st.integers(0, n_frames - 1)
+    return CorruptionSpec(
+        sigma_xy=draw(st.sampled_from([0.0, 0.3])),
+        sigma_yaw=draw(st.sampled_from([0.0, 0.1, 2.0])),
+        sigma_speed=draw(st.sampled_from([0.0, 0.5])),
+        sigma_turn=draw(st.sampled_from([0.0, 0.05, 5.0])),
+        drop_prob=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        burst_frames=draw(st.integers(0, 3)),
+        burst_vehicle_frac=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        score_mean=draw(st.floats(0.0, 1.2)),
+        score_sigma=draw(st.sampled_from([0.0, 0.2, 1.0])),
+        frame_drop_overrides=tuple(draw(st.lists(st.tuples(frames, st.sampled_from([0.0, 0.5, 1.0])),
+                                                 max_size=2))),
+        frame_score_scale=tuple(draw(st.lists(st.tuples(frames, st.sampled_from([0.0, 0.5, 3.0])), max_size=2))),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(scene=scenes(), seed=st.integers(0, 2**32 - 1), model=st.sampled_from(MODEL_NAMES),
+       rear_axle=st.sampled_from([None, 1.1]), data=st.data())
+def test_columnar_scene_writes_the_reference_lines(scene, seed, model, rear_axle, data):
+    groups, ego = scene
+    gt = generate_mixed_scene(groups, seed, ego_motion=ego, track_id_start=3)
+    ref_gt = generate_mixed_scene_reference(groups, seed, ego_motion=ego, track_id_start=3)
+    assert lines(gt) == [ref_dumps_frame(f) for f in ref_gt]
+
+    base = _reattach_params(gt, model, rear_axle)
+    ref_base = reattach_params_reference(ref_gt, model, rear_axle)
+    assert lines(base) == [ref_dumps_frame(f) for f in ref_base]
+
+    noise = data.draw(corruptions(len(gt)), label="noise")
+    det = outcome(lambda: corrupt(base, noise, seed), list)
+    expected = outcome(lambda: corrupt_reference(ref_base, noise, seed), lambda out: [ref_dumps_frame(f) for f in out])
+    if type(det) is tuple:
+        assert det == expected
+        return
+    assert lines(det) == expected
+
+    # re-estimation from detections: track gaps, short tracks, perhaps a
+    # repeated frame (a track seen twice at one time) or a missing track id
+    frames = list(det)
+    if data.draw(st.booleans(), label="repeat a frame"):
+        frames.append(frames[data.draw(st.integers(0, len(frames) - 1))])
+    filled = [k for k, frame in enumerate(frames) if len(frame.detections)]
+    if filled and data.draw(st.booleans(), label="drop a track id"):
+        k = data.draw(st.sampled_from(filled))
+        rows = list(frames[k].detections)
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rows[i] = dataclasses.replace(rows[i], track_id=None)
+        frames[k] = Frame(frames[k].timestamp, frames[k].ego, rows)
+    refit = data.draw(st.sampled_from(MODEL_NAMES), label="refit model")
+    got = outcome(lambda: _reattach_params(frames, refit, rear_axle), lines)
+    event(f"refit: {got[1].split(' on ')[0] if type(got) is tuple else 'written'}")
+    assert got == outcome(lambda: reattach_params_reference(frames, refit, rear_axle),
+                          lambda out: [ref_dumps_frame(f) for f in out])
+
+
+POSE = st.builds(Pose, st.floats(-100.0, 100.0), st.floats(-100.0, 100.0), st.floats(-math.pi, math.pi))
+
+
+def pose_columns(poses):
+    return tuple(np.array([getattr(p, name) for p in poses]) for name in ("x", "y", "heading"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=st.sampled_from(MODEL_NAMES),
+       pairs=st.lists(st.tuples(POSE, POSE, st.floats(1e-3, 2.0), st.floats(0.5, 3.0)), min_size=1, max_size=5))
+def test_inverse_columns_equal_the_scalar_inverse(model, pairs):
+    kind = MODELS[model]
+    p0, p1, dt, arm = zip(*pairs)
+    expected = outcome(lambda: [kind.inverse(*pair) for pair in pairs],
+                       lambda fits: [dataclasses.astuple(fit) for fit in fits])
+    got = outcome(lambda: kind.inverse_columns(*pose_columns(p0), *pose_columns(p1), np.array(dt), np.array(arm)),
+                  lambda rows: [tuple(row) for row in rows.tolist()])
+    assert got == expected
+
+
+@pytest.mark.parametrize("model,start,end,dt,arm,message", [
+    ("cv", (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.0, None, "zero time gap"),
+    ("unicycle", (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.0, None, "zero time gap"),
+    ("bicycle", (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.0, 1.2, "zero time gap"),
+    ("unicycle", (0.0, 0.0, 0.0), (1.0, 0.0, math.pi), 0.1, None, "ambiguous"),
+    ("unicycle", (0.0, 0.0, -0.5 * math.pi), (1.0, 0.0, 0.5 * math.pi), 0.1, None, "ambiguous"),
+    ("unicycle", (2.0, 1.0, 0.5 * math.pi), (1.0, 0.0, -0.5 * math.pi), 0.1, None, "ambiguous"),
+    ("bicycle", (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.1, None, "positive rear_axle"),
+    ("bicycle", (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.1, 0.0, "positive rear_axle"),
+    ("bicycle", (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.1, -1.0, "positive rear_axle"),
+])
+def test_inverse_columns_raise_like_the_scalar_inverse(model, start, end, dt, arm, message):
+    kind = MODELS[model]
+    with pytest.raises(ValueError, match=message):
+        kind.inverse(Pose(*start), Pose(*end), dt, arm)
+    with pytest.raises(ValueError, match=message):
+        kind.inverse_columns(*(np.array([v]) for v in (*start, *end, dt)), None if arm is None else np.array([arm]))
+
+
+def test_bicycle_fits_go_through_the_module_function_and_diverge_per_pair(monkeypatch):
+    real = motion.inverse_bicycle
+    calls = []
+
+    def one_step(p0, pt, t, rear_axle):
+        calls.append((p0, pt))
+        return real(p0, pt, t, rear_axle, max_iter=1)
+
+    monkeypatch.setattr(motion, "inverse_bicycle", one_step)
+    exact = Bicycle(8.0, 0.1, 1.2)
+    start = Pose(0.0, 0.0, 0.3)
+    diverging = Pose(1.0, 0.4, 0.9)
+    # an exact pair converges at once; a pair no bicycle explains needs more steps
+    with pytest.raises(FitDivergence) as scalar:
+        Bicycle.inverse(start, diverging, 0.1, 1.2)
+    ends = [exact.forward(start, 0.1), diverging]
+    with pytest.raises(FitDivergence) as columns:
+        Bicycle.inverse_columns(*pose_columns([start, start]), *pose_columns(ends), np.array([0.1, 0.1]), 1.2)
+    assert str(columns.value) == str(scalar.value)
+    assert (columns.value.best, columns.value.report) == (scalar.value.best, scalar.value.report)
+    assert [pair[1] for pair in calls] == [diverging, *ends]
+
+
+def test_each_distinct_pair_is_fitted_once(monkeypatch):
+    real = motion.inverse_bicycle
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(motion, "inverse_bicycle", counted)
+    gen = Bicycle(9.0, 0.15, 1.2)
+    tracks = []
+    for n, start in zip((2, 3, 4, 2), (Pose(0.0, 0.0, 0.0), Pose(5.0, 1.0, 2.0), Pose(-3.0, 4.0, -2.5), Pose(1.0, 1.0, 1.0))):
+        times = [0.1 * k for k in range(n)]
+        tracks.append((times, [gen.forward(start, t) for t in times]))
+    times = [t for track_times, _ in tracks for t in track_times]
+    poses = [p for _, track_poses in tracks for p in track_poses]
+    rows = estimate_param_columns(times, *pose_columns(poses), [len(t) for t, _ in tracks], "bicycle", 1.2)
+    assert len(calls) == 1 + 3 + 4 + 1
+    calls.clear()
+    expected = [fit for track in tracks for fit in estimate_params_from_track_reference(*track, "bicycle", 1.2)]
+    assert len(calls) == 2 + 3 + 4 + 2
+    assert [Bicycle(*row) for row in rows.tolist()] == expected
+
+
+@pytest.mark.parametrize("times,message", [
+    ([0.0], "need at least two poses"),
+    ([], "need at least two poses"),
+    ([0.0, 0.1, 0.1], "timestamps must strictly increase"),
+    ([0.0, 0.2, 0.1], "timestamps must strictly increase"),
+])
+def test_track_checks_keep_their_messages(times, message):
+    poses = [Pose(float(k), 0.0, 0.0) for k in range(len(times))]
+    with pytest.raises(ValueError, match=message):
+        estimate_params_from_track_reference(times, poses, "cv")
+    with pytest.raises(ValueError, match=message):
+        estimate_params_from_track(times, poses, "cv")
+    # a faulty track after a good one raises the same
+    good = [Pose(0.0, 0.0, 0.0), Pose(1.0, 0.0, 0.0)]
+    with pytest.raises(ValueError, match=message):
+        estimate_param_columns([0.0, 0.1, *times], *pose_columns(good + poses), [2, len(times)], "cv")

@@ -214,3 +214,31 @@ class TestCorrupt:
             CorruptionSpec(drop_prob=1.5)
         with pytest.raises(ValueError):
             CorruptionSpec(sigma_xy=-0.1)
+
+
+# Frame lines (GT then detections, meta lines left out) of three small
+# `boxfuse synth` scenes. Every AP figure of the benchmark rests on synth
+# scenes, so a bit that drifts here must be noticed, not absorbed.
+PINNED_SCENES = {
+    "cv": "1aebfed909b3920cd64319904905a7249f1b030e6b46580062b98a2ab022815d",
+    "unicycle": "1fed093511cae4c58872e429331b919c4e3246eeef3d375a79d6e6eaa9a2f2a4",
+    "bicycle": "dca06496ffd60f0c35198084d6df5b18e50d71ec1e6ac4266b045ed9458dcc37",
+}
+
+
+@pytest.mark.parametrize("model", sorted(PINNED_SCENES))
+def test_synth_scene_bytes_are_pinned(tmp_path, model):
+    import hashlib
+
+    from boxfuse.cli import main
+
+    gt, det = tmp_path / "gt.jsonl", tmp_path / "det.jsonl"
+    assert main(["synth", "--output-gt", str(gt), "--output-det", str(det), "--model", model,
+                 "--seed", "1", "--vehicles", "12", "--duration", "0.8", "--stationary-frac", "0.3",
+                 "--straight-frac", "0.3", "--turning-frac", "0.4", "--sigma-xy", "0.3", "--sigma-yaw", "0.05",
+                 "--sigma-speed", "0.5", "--sigma-turn", "0.05", "--drop-prob", "0.2", "--burst-frames", "2",
+                 "--burst-frac", "0.25"]) == 0
+    digest = hashlib.sha256()
+    for path in (gt, det):
+        digest.update(b"".join(path.read_bytes().splitlines(keepends=True)[1:]))
+    assert digest.hexdigest() == PINNED_SCENES[model]
