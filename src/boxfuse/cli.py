@@ -1,13 +1,16 @@
 """Command-line entry points: fuse, synth, inverse, eval, traj-compare.
 
-Every option can also come from an environment variable with the BOXFUSE_
-prefix mirroring the flag name (e.g. BOXFUSE_DECAY for --decay); explicit
-flags win over the environment, which wins over --config file values, which
-win over the --preset. Exit codes: 0 success, 1 usage error, 2 data error.
-All commands are deterministic given their inputs, flags and seed; output
-files carry a meta header echoing the resolved configuration, and the fuse
-and inverse headers also name the package version and the SHA-256 of the
-input file.
+Every option of every command is one row of `OPTIONS`: its flags, its
+destination where that differs from the flag name, and its type, default,
+choices and help. `_opt` resolves an option in one order: the flag, then the
+environment variable BOXFUSE_ plus the flag name (BOXFUSE_DECAY for --decay,
+BOXFUSE_L_R for --l-r), then the --config file (fuse only), then the
+--preset or the table default. Environment and config values are checked
+with the flag's type and choices, and a config value keeps its JSON form.
+Exit codes: 0 success, 1 usage error, 2 data error. All commands are
+deterministic given their inputs, flags and seed; output files carry a meta
+header echoing the resolved configuration, and the fuse and inverse headers
+also name the package version and the SHA-256 of the input file.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import math
 import os
 import sys
 import time
+import typing
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +35,7 @@ from .fusion import (
     MODEL_CODES,
     PARAM_WIDTH,
     PRESETS,
+    SCORE_STRATEGIES,
     DetectionColumns,
     Frame,
     FusionConfig,
@@ -38,8 +43,15 @@ from .fusion import (
     sliding_windows,
 )
 from .geometry import EgoPose, Pose, normalize_angle, transform_box, transform_columns
-from .io import FrameFormatError, dumps_line, frame_to_obj, iter_frames, read_frames, write_frames
-from .motion import MODEL_NAMES, estimate_param_columns, estimate_params_from_track, forward, model_class
+from .io import dumps_line, frame_to_obj, iter_frames, read_frames, write_frames
+from .motion import (
+    MODEL_NAMES,
+    default_rear_axle,
+    estimate_param_columns,
+    estimate_params_from_track,
+    forward,
+    model_class,
+)
 from .synth import PRNG_NAME, CorruptionSpec, TrajectorySpec, _motion_in_ego, corrupt, generate_mixed_scene
 
 # transform_box and _motion_in_ego are no longer called here, but the
@@ -48,17 +60,110 @@ from .synth import PRNG_NAME, CorruptionSpec, TrajectorySpec, _motion_in_ego, co
 TOOL = "boxfuse"
 ENV_PREFIX = "BOXFUSE_"
 
-_ENV_KEYS = {
-    "n_history": "FRAMES",
-    "weight_decay": "DECAY",
-    "iou_low": "IOU_LOW",
-    "iou_high": "IOU_HIGH",
-    "frame_interval": "INTERVAL",
-    "score_strategy": "STRATEGY",
-    "score_decay_factor": "SCORE_DECAY",
-    "history_score_floor": "HISTORY_FLOOR",
-    "rear_axle": "L_R",
+
+@dataclasses.dataclass(frozen=True)
+class _Option:
+    """One row of OPTIONS: space-separated flags, the long one first.
+
+    dest defaults to the long flag's name, and a required option without a
+    value is a data error rather than a usage error, since the environment
+    may supply it.
+    """
+
+    flags: str
+    type: type = str
+    default: object = None
+    help: str | None = None
+    dest: str | None = None
+    choices: tuple | None = None
+    required: bool = False
+
+    def __post_init__(self) -> None:
+        if self.dest is None:
+            object.__setattr__(self, "dest", self.name)
+
+    @property
+    def name(self) -> str:
+        """The long flag's name: --l-r gives l_r, so its variable is BOXFUSE_L_R."""
+        return self.flags.split()[0][2:].replace("-", "_")
+
+
+OPTIONS: dict[str, tuple[_Option, ...]] = {
+    "fuse": (
+        _Option("--input", help="input frame JSONL", required=True),
+        _Option("--output", help="output frame JSONL", required=True),
+        _Option("--preset", help=f"named configuration: {', '.join(sorted(PRESETS))}"),
+        _Option("--config", help="JSON file with fusion settings (flags override)"),
+        _Option("--frames -n", int, FusionConfig.n_history, "history frames to fuse", dest="n_history"),
+        _Option("--decay", float, FusionConfig.weight_decay, "per-interval confidence decay", dest="weight_decay"),
+        _Option("--iou-low", float, FusionConfig.iou_low, "suppression IoU threshold"),
+        _Option("--iou-high", float, FusionConfig.iou_high, "merge IoU threshold"),
+        _Option("--interval", float, FusionConfig.frame_interval, "frame interval in seconds", dest="frame_interval"),
+        _Option("--strategy", str, FusionConfig.score_strategy, "history-only score strategy",
+                dest="score_strategy", choices=SCORE_STRATEGIES),
+        _Option("--score-decay", float, FusionConfig.score_decay_factor, "divide-strategy score factor",
+                dest="score_decay_factor"),
+        _Option("--history-floor", float, FusionConfig.history_score_floor,
+                "drop history-only boxes scoring below this", dest="history_score_floor"),
+    ),
+    "synth": (
+        _Option("--output-gt", help="ground-truth JSONL path", required=True),
+        _Option("--output-det", help="corrupted detection JSONL path", required=True),
+        _Option("--spec", help="JSON scene spec file (overrides the scene flags)"),
+        _Option("--seed", int, 0),
+        _Option("--vehicles", int, 50),
+        _Option("--duration", float, 2.0),
+        _Option("--interval", float, 0.1, dest="frame_interval"),
+        _Option("--span", float, 120.0),
+        _Option("--stationary-frac", float, 0.63),
+        _Option("--straight-frac", float, 0.31),
+        _Option("--turning-frac", float, 0.05),
+        _Option("--speed-min", float, 6.0),
+        _Option("--speed-max", float, 14.0),
+        _Option("--radius-min", float, 10.0),
+        _Option("--radius-max", float, 24.0),
+        _Option("--model", str, "cv", "motion parameters attached to the detection stream", choices=MODEL_NAMES),
+        _Option("--l-r", float, dest="rear_axle"),
+        # the corruption flags: each destination is a CorruptionSpec field, defaulting to its default
+        _Option("--sigma-xy", float, CorruptionSpec.sigma_xy),
+        _Option("--sigma-yaw", float, CorruptionSpec.sigma_yaw),
+        _Option("--sigma-speed", float, CorruptionSpec.sigma_speed),
+        _Option("--sigma-turn", float, CorruptionSpec.sigma_turn),
+        _Option("--drop-prob", float, CorruptionSpec.drop_prob),
+        _Option("--burst-frames", int, CorruptionSpec.burst_frames),
+        _Option("--burst-frac", float, CorruptionSpec.burst_vehicle_frac, dest="burst_vehicle_frac"),
+        _Option("--score-mean", float, CorruptionSpec.score_mean),
+        _Option("--score-sigma", float, CorruptionSpec.score_sigma),
+    ),
+    "inverse": (
+        _Option("--input", required=True),
+        _Option("--output", required=True),
+        _Option("--model", str, "cv", choices=MODEL_NAMES),
+        _Option("--l-r", float, dest="rear_axle"),
+    ),
+    "eval": (
+        _Option("--gt", required=True),
+        _Option("--raw", required=True),
+        _Option("--fused", required=True),
+        _Option("--iou", float, 0.5),
+        _Option("--output", help="CSV output path"),
+    ),
+    "traj-compare": (
+        _Option("--models", str, ",".join(MODEL_NAMES), "comma-separated list"),
+        _Option("--gen-model", str, "bicycle", choices=MODEL_NAMES),
+        _Option("--speed", float, 10.0),
+        _Option("--radius", float, 20.0,
+                "signed turn radius in meters (positive turns left, negative right); 0 for straight"),
+        _Option("--l-r", float, default_rear_axle(TrajectorySpec.box_size[1]), dest="rear_axle"),
+        _Option("--interval", float, 0.1, dest="frame_interval"),
+        _Option("--duration", float, 0.0),
+        _Option("--horizon", float, 0.4),
+        _Option("--output", help="CSV output path ('-' for stdout)"),
+    ),
 }
+_ROWS = {command: {row.dest: row for row in rows} for command, rows in OPTIONS.items()}
+_FUSION_KEYS = tuple(field.name for field in dataclasses.fields(FusionConfig))
+
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that exits with code 1 on usage errors."""
@@ -68,66 +173,78 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _opt(args: argparse.Namespace, dest: str, cast=str, default=None):
-    """Flag value if given, else the mirroring BOXFUSE_* environment variable, else `default`."""
-    value = getattr(args, dest, None)
-    if value is not None:
-        return value
-    name = ENV_PREFIX + _ENV_KEYS.get(dest, dest.upper())
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ValueError(f"environment variable {name}={raw!r}: {exc}") from None
+def _opt(args: argparse.Namespace, dest: str, *fallbacks: dict):
+    """The command's option `dest`: its flag, else its BOXFUSE_ variable, else
+    the first fallback mapping that holds dest, else the table default.
 
-
-def _required(args: argparse.Namespace, dest: str) -> str:
-    value = _opt(args, dest)
+    A variable's value is cast with the flag's type and checked against its
+    choices; ValueError names the variable, or the flag of a required option
+    that has no value.
+    """
+    row = _ROWS[args.command][dest]
+    value = getattr(args, dest)
+    name = ENV_PREFIX + row.name.upper()
+    if value is None and name in os.environ:
+        raw = os.environ[name]
+        try:
+            value = row.type(raw)
+        except ValueError as exc:
+            raise ValueError(f"environment variable {name}={raw!r}: {exc}") from None
+        if row.choices and value not in row.choices:
+            raise ValueError(f"environment variable {name}={raw!r}: choose from {', '.join(row.choices)}")
     if value is None:
-        raise ValueError(f"missing required option --{dest.replace('_', '-')}")
+        value = next((values[dest] for values in fallbacks if dest in values), row.default)
+    if value is None and row.required:
+        raise ValueError(f"missing required option {row.flags.split()[0]}")
     return value
+
+
+_JSON_TYPES = {float: "a number", int: "an integer", str: "a non-empty string"}
+
+
+def _fits(value, hint) -> bool:
+    """Whether a parsed JSON value has the type `hint`: float (any number but a
+    boolean), int, str (non-empty), None, a union, or a tuple (a list of fixed
+    length, or of any length for tuple[X, ...])."""
+    if hint is float:
+        return type(value) in (int, float)
+    if hint is int:
+        return type(value) is int
+    if hint is str:
+        return type(value) is str and value != ""
+    if hint is type(None):
+        return value is None
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if type(value) is not list:
+            return False
+        if args[-1] is Ellipsis:
+            return all(_fits(item, args[0]) for item in value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    return any(_fits(value, arg) for arg in args)
+
+
+def _check_json(value, hint, where: str, choices: tuple | None = None) -> None:
+    """ValueError naming `where` unless value fits `hint` (and is one of `choices`, if any)."""
+    if not _fits(value, hint) or (choices and value not in choices):
+        expected = f"one of {', '.join(choices)}" if choices else _JSON_TYPES.get(hint, str(hint))
+        raise ValueError(f"{where} must be {expected}, got {value!r}")
 
 
 def _fusion_config(args: argparse.Namespace) -> FusionConfig:
     preset = _opt(args, "preset")
     if preset is not None and preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-    base = PRESETS[preset] if preset else FusionConfig()
-    values = dataclasses.asdict(base)
+    base = dataclasses.asdict(PRESETS[preset]) if preset else {}
+    file_values = {}
     config_path = _opt(args, "config")
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
-            file_values = json.load(fh)
-        unknown = set(file_values) - set(values)
-        if unknown:
-            raise ValueError(f"unknown config keys {sorted(unknown)}")
-        values.update(file_values)
-    for dest in values:
-        # an environment value is cast to the type of the preset's field
-        values[dest] = _opt(args, dest, type(getattr(base, dest)), values[dest])
-    return FusionConfig(**values)
-
-
-def _config_meta(cfg: FusionConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
-def _add_fusion_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--preset", help=f"named configuration: {', '.join(sorted(PRESETS))}")
-    parser.add_argument("--config", help="JSON file with fusion settings (flags override)")
-    parser.add_argument("--frames", "-n", dest="n_history", type=int, help="history frames to fuse")
-    parser.add_argument("--decay", dest="weight_decay", type=float, help="per-interval confidence decay")
-    parser.add_argument("--iou-low", dest="iou_low", type=float, help="suppression IoU threshold")
-    parser.add_argument("--iou-high", dest="iou_high", type=float, help="merge IoU threshold")
-    parser.add_argument("--interval", dest="frame_interval", type=float, help="frame interval in seconds")
-    parser.add_argument("--strategy", dest="score_strategy", choices=("decay", "divide"),
-                        help="history-only score strategy")
-    parser.add_argument("--score-decay", dest="score_decay_factor", type=float,
-                        help="divide-strategy score factor")
-    parser.add_argument("--history-floor", dest="history_score_floor", type=float,
-                        help="drop history-only boxes scoring below this")
+            file_values = _known_keys(json.load(fh), _FUSION_KEYS, "--config")
+        for key, value in file_values.items():
+            row = _ROWS["fuse"][key]
+            _check_json(value, row.type, f"--config: key {key!r}", row.choices)
+    return FusionConfig(**{key: _opt(args, key, file_values, base) for key in _FUSION_KEYS})
 
 
 @contextlib.contextmanager
@@ -165,10 +282,10 @@ def _sha256(path: str) -> str:
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
     cfg = _fusion_config(args)
-    input_path = _required(args, "input")
-    output_path = _required(args, "output")
+    input_path = _opt(args, "input")
+    output_path = _opt(args, "output")
     meta = {"tool": TOOL, "version": __version__, "format": 1, "command": "fuse",
-            "input_sha256": _sha256(input_path), "config": _config_meta(cfg)}
+            "input_sha256": _sha256(input_path), "config": dataclasses.asdict(cfg)}
     latencies: list[float] = []
     with _replacing(output_path) as out:
         out.write(dumps_line({"meta": meta}) + "\n")
@@ -194,7 +311,7 @@ def _reattach_params(frames: Sequence[Frame], model: str, rear_axle: float | Non
 
     Rows are grouped by track_id in order of first appearance, each track's
     poses taken in the world frame in frame order. The bicycle arm is
-    rear_axle, or else a quarter of the track's upper median box length. The
+    rear_axle, or else default_rear_axle of the track's upper median box length. The
     parameters are fitted with estimate_param_columns and rotated into each
     frame's ego frame; every other column is kept.
     """
@@ -221,7 +338,7 @@ def _reattach_params(frames: Sequence[Frame], model: str, rear_axle: float | Non
     if arm is None:
         length = np.concatenate([cols.boxes[:, 4] for cols in columns])
         by_length = np.lexsort((length, track))
-        arm = length[by_length[np.cumsum(counts) - counts + counts // 2]] / 4.0
+        arm = default_rear_axle(length[by_length[np.cumsum(counts) - counts + counts // 2]])
     kind = model_class(model)
     width = len(kind.json_keys)
     # rows track by track, each track in frame order
@@ -256,24 +373,24 @@ def _allocate_counts(total: int, fractions: Sequence[float]) -> list[int]:
 
 
 def _synth_groups(args: argparse.Namespace) -> list[tuple[TrajectorySpec, int]]:
-    total = _opt(args, "vehicles", int, 50)
+    total = _opt(args, "vehicles")
     if total < 1:
         raise ValueError(f"--vehicles must be at least 1, got {total}")
     fracs = []
-    for dest, default in (("stationary_frac", 0.63), ("straight_frac", 0.31), ("turning_frac", 0.05)):
-        frac = _opt(args, dest, float, default)
+    for dest in ("stationary_frac", "straight_frac", "turning_frac"):
+        frac = _opt(args, dest)
         if not 0.0 <= frac < math.inf:
             raise ValueError(f"--{dest.replace('_', '-')} must be a finite fraction >= 0, got {frac!r}")
         fracs.append(frac)
     counts = _allocate_counts(total, fracs)
     common = dict(
-        duration=_opt(args, "duration", float, 2.0),
-        frame_interval=_opt(args, "frame_interval", float, 0.1),
-        origin_span=_opt(args, "span", float, 120.0),
+        duration=_opt(args, "duration"),
+        frame_interval=_opt(args, "frame_interval"),
+        origin_span=_opt(args, "span"),
     )
-    speed = (_opt(args, "speed_min", float, 6.0), _opt(args, "speed_max", float, 14.0))
-    radius = (_opt(args, "radius_min", float, 10.0), _opt(args, "radius_max", float, 24.0))
-    rear_axle = _opt(args, "rear_axle", float)
+    speed = (_opt(args, "speed_min"), _opt(args, "speed_max"))
+    radius = (_opt(args, "radius_min"), _opt(args, "radius_max"))
+    rear_axle = _opt(args, "rear_axle")
     turning = TrajectorySpec(
         model="bicycle", speed_range=speed, radius_range=radius, rear_axle=rear_axle, **common
     )
@@ -283,20 +400,6 @@ def _synth_groups(args: argparse.Namespace) -> list[tuple[TrajectorySpec, int]]:
         (turning, counts[2]),
     ]
     return [(spec, count) for spec, count in groups if count > 0]
-
-
-def _corruption_spec(args: argparse.Namespace) -> CorruptionSpec:
-    return CorruptionSpec(
-        sigma_xy=_opt(args, "sigma_xy", float, 0.0),
-        sigma_yaw=_opt(args, "sigma_yaw", float, 0.0),
-        sigma_speed=_opt(args, "sigma_speed", float, 0.0),
-        sigma_turn=_opt(args, "sigma_turn", float, 0.0),
-        drop_prob=_opt(args, "drop_prob", float, 0.0),
-        burst_frames=_opt(args, "burst_frames", int, 0),
-        burst_vehicle_frac=_opt(args, "burst_frac", float, 0.0),
-        score_mean=_opt(args, "score_mean", float, 0.85),
-        score_sigma=_opt(args, "score_sigma", float, 0.05),
-    )
 
 
 def _known_keys(obj, allowed, where: str) -> dict:
@@ -310,8 +413,13 @@ def _known_keys(obj, allowed, where: str) -> dict:
 
 
 def _spec_from_obj(cls, obj, where: str):
-    """A TrajectorySpec or CorruptionSpec from its --spec object; ValueError names `where` and the key."""
-    values = _known_keys(obj, {f.name for f in dataclasses.fields(cls)}, where)
+    """A TrajectorySpec or CorruptionSpec from its --spec object, each value
+    checked against its field's type as --config values are; ValueError names
+    `where` and the key."""
+    hints = typing.get_type_hints(cls)
+    values = _known_keys(obj, hints, where)
+    for key, value in values.items():
+        _check_json(value, hints[key], f"{where}: key {key!r}")
     try:
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
     except (TypeError, ValueError) as exc:
@@ -338,19 +446,20 @@ def _spec_scene(raw) -> tuple[list[tuple[TrajectorySpec, int]], CorruptionSpec]:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    seed = _opt(args, "seed", int, 0)
-    model = _opt(args, "model", default="cv")
+    seed = _opt(args, "seed")
+    model = _opt(args, "model")
     spec_path = _opt(args, "spec")
     if spec_path:
         with open(spec_path, "r", encoding="utf-8") as fh:
             groups, cspec = _spec_scene(json.load(fh))
     else:
         groups = _synth_groups(args)
-        cspec = _corruption_spec(args)
-    gt_path = _required(args, "output_gt")
-    det_path = _required(args, "output_det")
+        cspec = CorruptionSpec(**{field.name: _opt(args, field.name) for field in dataclasses.fields(CorruptionSpec)
+                                  if field.name in _ROWS["synth"]})
+    gt_path = _opt(args, "output_gt")
+    det_path = _opt(args, "output_det")
     gt = generate_mixed_scene(groups, seed)
-    base = _reattach_params(gt, model, _opt(args, "rear_axle", float))
+    base = _reattach_params(gt, model, _opt(args, "rear_axle"))
     det = corrupt(base, cspec, seed)
     meta_common = {
         "tool": TOOL,
@@ -374,20 +483,20 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_inverse(args: argparse.Namespace) -> int:
-    model = _opt(args, "model", default="cv")
-    input_path = _required(args, "input")
-    out = _reattach_params(list(iter_frames(input_path)), model, _opt(args, "rear_axle", float))
+    model = _opt(args, "model")
+    input_path = _opt(args, "input")
+    out = _reattach_params(list(iter_frames(input_path)), model, _opt(args, "rear_axle"))
     meta = {"tool": TOOL, "version": __version__, "format": 1, "command": "inverse",
             "input_sha256": _sha256(input_path), "model": model}
-    write_frames(_required(args, "output"), out, meta=meta)
+    write_frames(_opt(args, "output"), out, meta=meta)
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    gt = read_frames(_required(args, "gt"))
-    raw = read_frames(_required(args, "raw"))
-    fused = read_frames(_required(args, "fused"))
-    threshold = _opt(args, "iou", float, 0.5)
+    gt = read_frames(_opt(args, "gt"))
+    raw = read_frames(_opt(args, "raw"))
+    fused = read_frames(_opt(args, "fused"))
+    threshold = _opt(args, "iou")
     report = evaluate_enhancement(gt, raw, fused, threshold)
     print(report.to_text())
     output = _opt(args, "output")
@@ -400,15 +509,17 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_traj_compare(args: argparse.Namespace) -> int:
-    models = [m.strip() for m in _opt(args, "models", default=",".join(MODEL_NAMES)).split(",")]
-    models = [m for m in models if m]
-    gen_class = model_class(_opt(args, "gen_model", default="bicycle"))
-    speed = _opt(args, "speed", float, 10.0)
-    radius = _opt(args, "radius", float, 20.0)
-    interval = _opt(args, "frame_interval", float, 0.1)
-    rear_axle = _opt(args, "rear_axle", float, 4.7 / 4.0)
-    horizon = _opt(args, "horizon", float, 0.4)
-    duration = _opt(args, "duration", float, 0.0)
+    listed = _opt(args, "models")
+    models = [m for m in map(str.strip, listed.split(",")) if m]
+    if not models or not set(models) <= set(MODEL_NAMES):
+        raise ValueError(f"--models must list motion models from {', '.join(MODEL_NAMES)}, got {listed!r}")
+    gen_class = model_class(_opt(args, "gen_model"))
+    speed = _opt(args, "speed")
+    radius = _opt(args, "radius")
+    interval = _opt(args, "frame_interval")
+    rear_axle = _opt(args, "rear_axle")
+    horizon = _opt(args, "horizon")
+    duration = _opt(args, "duration")
     if interval <= 0.0:
         raise ValueError(f"--interval must be positive, got {interval!r}")
     if rear_axle <= 0.0:
@@ -444,71 +555,19 @@ def _cmd_traj_compare(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog=TOOL, description="Temporal fusion of 3D detection boxes")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    fuse = sub.add_parser("fuse", help="fuse a frame stream with its history")
-    fuse.add_argument("--input", help="input frame JSONL")
-    fuse.add_argument("--output", help="output frame JSONL")
-    _add_fusion_flags(fuse)
-    fuse.set_defaults(func=_cmd_fuse)
-
-    synth = sub.add_parser("synth", help="generate a synthetic scene (GT + corrupted detections)")
-    synth.add_argument("--output-gt", dest="output_gt", help="ground-truth JSONL path")
-    synth.add_argument("--output-det", dest="output_det", help="corrupted detection JSONL path")
-    synth.add_argument("--spec", help="JSON scene spec file (overrides the scene flags)")
-    synth.add_argument("--seed", type=int)
-    synth.add_argument("--vehicles", type=int)
-    synth.add_argument("--duration", type=float)
-    synth.add_argument("--interval", dest="frame_interval", type=float)
-    synth.add_argument("--span", type=float)
-    synth.add_argument("--stationary-frac", dest="stationary_frac", type=float)
-    synth.add_argument("--straight-frac", dest="straight_frac", type=float)
-    synth.add_argument("--turning-frac", dest="turning_frac", type=float)
-    synth.add_argument("--speed-min", dest="speed_min", type=float)
-    synth.add_argument("--speed-max", dest="speed_max", type=float)
-    synth.add_argument("--radius-min", dest="radius_min", type=float)
-    synth.add_argument("--radius-max", dest="radius_max", type=float)
-    synth.add_argument("--model", choices=MODEL_NAMES,
-                       help="motion parameters attached to the detection stream")
-    synth.add_argument("--l-r", dest="rear_axle", type=float)
-    synth.add_argument("--sigma-xy", dest="sigma_xy", type=float)
-    synth.add_argument("--sigma-yaw", dest="sigma_yaw", type=float)
-    synth.add_argument("--sigma-speed", dest="sigma_speed", type=float)
-    synth.add_argument("--sigma-turn", dest="sigma_turn", type=float)
-    synth.add_argument("--drop-prob", dest="drop_prob", type=float)
-    synth.add_argument("--burst-frames", dest="burst_frames", type=int)
-    synth.add_argument("--burst-frac", dest="burst_frac", type=float)
-    synth.add_argument("--score-mean", dest="score_mean", type=float)
-    synth.add_argument("--score-sigma", dest="score_sigma", type=float)
-    synth.set_defaults(func=_cmd_synth)
-
-    inverse = sub.add_parser("inverse", help="re-estimate motion parameters from tracks")
-    inverse.add_argument("--input")
-    inverse.add_argument("--output")
-    inverse.add_argument("--model", choices=MODEL_NAMES)
-    inverse.add_argument("--l-r", dest="rear_axle", type=float)
-    inverse.set_defaults(func=_cmd_inverse)
-
-    evaluate = sub.add_parser("eval", help="compare raw and fused detections against ground truth")
-    evaluate.add_argument("--gt")
-    evaluate.add_argument("--raw")
-    evaluate.add_argument("--fused")
-    evaluate.add_argument("--iou", type=float)
-    evaluate.add_argument("--output", help="CSV output path")
-    evaluate.set_defaults(func=_cmd_eval)
-
-    traj = sub.add_parser("traj-compare", help="per-model forward-prediction error on one trajectory")
-    traj.add_argument("--models", help=f"comma-separated list (default {','.join(MODEL_NAMES)})")
-    traj.add_argument("--gen-model", dest="gen_model", choices=MODEL_NAMES)
-    traj.add_argument("--speed", type=float)
-    traj.add_argument("--radius", type=float,
-                      help="signed turn radius in meters (positive turns left, negative right); 0 for straight")
-    traj.add_argument("--l-r", dest="rear_axle", type=float)
-    traj.add_argument("--interval", dest="frame_interval", type=float)
-    traj.add_argument("--duration", type=float)
-    traj.add_argument("--horizon", type=float)
-    traj.add_argument("--output", help="CSV output path ('-' for stdout)")
-    traj.set_defaults(func=_cmd_traj_compare)
-
+    commands = {
+        "fuse": (_cmd_fuse, "fuse a frame stream with its history"),
+        "synth": (_cmd_synth, "generate a synthetic scene (GT + corrupted detections)"),
+        "inverse": (_cmd_inverse, "re-estimate motion parameters from tracks"),
+        "eval": (_cmd_eval, "compare raw and fused detections against ground truth"),
+        "traj-compare": (_cmd_traj_compare, "per-model forward-prediction error on one trajectory"),
+    }
+    for command, (func, help_text) in commands.items():
+        command_parser = sub.add_parser(command, help=help_text)
+        for row in OPTIONS[command]:
+            command_parser.add_argument(*row.flags.split(), dest=row.dest, type=row.type, choices=row.choices,
+                                        help=row.help)
+        command_parser.set_defaults(func=func)
     return parser
 
 
@@ -520,9 +579,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except FrameFormatError as exc:
-        print(f"{TOOL}: error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"{TOOL}: error: {exc}", file=sys.stderr)
         return 2

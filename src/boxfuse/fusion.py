@@ -38,7 +38,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence, get_args
 
 import numpy as np
 
@@ -56,6 +56,7 @@ from .geometry import (
 from .motion import MODELS, MotionParams, param_rows
 
 ScoreStrategy = Literal["decay", "divide"]
+SCORE_STRATEGIES = get_args(ScoreStrategy)
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,7 @@ class FusionConfig:
             raise ValueError("iou_high must be at least iou_low")
         if self.frame_interval <= 0.0:
             raise ValueError("frame_interval must be positive")
-        if self.score_strategy not in ("decay", "divide"):
+        if self.score_strategy not in SCORE_STRATEGIES:
             raise ValueError(f"unknown score strategy {self.score_strategy!r}")
         if not 0.0 < self.score_decay_factor <= 1.0:
             raise ValueError("score_decay_factor must lie in (0, 1]")

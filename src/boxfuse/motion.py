@@ -12,22 +12,25 @@ is needed.
 
 Each parameter class owns every rule that differs between the models: its
 `name`, whether it `turns`, the JSON key of each field (`json_keys`, read
-by `to_obj`, `params_from_obj` and the columnar frame reader and writer),
-`forward`, `inverse`, `speed_radius`, detector noise (`noisy`), rotation
-into an ego frame (`in_ego`) and construction from speed, heading and a
-signed turn radius (`from_motion`; positive turns left, None is straight).
-Static methods serve the columnar code, with parameters as (n, k) rows in
-field order (`param_rows`): `invalid_columns` flags the rows that the
-class's own checks reject; `forward_columns`, `inverse_columns`,
-`noisy_columns` and `in_ego_columns` are `forward`, `inverse`, `noisy` and
-`in_ego` over many rows, with the same float operations and so the same
-bits; and `merge_columns` is the fusion merge, a weighted mean per cluster
-(the bicycle averages slip wrap-aware around the cluster seed's). The cv and
-unicycle inverses are vectorized; the bicycle's fits one pose pair at a time
-through the module function `inverse_bicycle`, looked up at call time, so a
-wrapper bound at that name sees every fit. `estimate_param_columns` fits the
-pose pairs of many tracks at once, each distinct pair once. `MODELS` maps
-each name to its class; the rest of the package consults only that table.
+by the columnar frame reader and writer, the only JSON form), `forward`,
+`inverse`, `speed_radius`, rotation into an ego frame (`in_ego`),
+construction from speed, heading and a signed turn radius (`from_motion`;
+positive turns left, None is straight) and its ODE (`rates`: from the
+fields, as floats with `math` or as columns with numpy, the time derivatives
+of x, y and heading as a function of heading, which the RK4 oracles
+integrate). Static methods serve the columnar code, with parameters
+as (n, k) rows in field order (`param_rows`): `invalid_columns` flags the
+rows that the class's own checks reject; `forward_columns`,
+`inverse_columns` and `in_ego_columns` are `forward`, `inverse` and `in_ego`
+over many rows, with the same float operations and so the same bits;
+`noisy_columns` is detector noise on the parameters; and `merge_columns` is
+the fusion merge, a weighted mean per cluster (the bicycle averages slip
+wrap-aware around the cluster seed's). The cv and unicycle inverses are
+vectorized; the bicycle's fits one pose pair at a time through the module
+function `inverse_bicycle`, looked up at call time, so a wrapper bound at
+that name sees every fit. `estimate_param_columns` fits the pose pairs of
+many tracks at once, each distinct pair once. `MODELS` maps each name to
+its class; the rest of the package consults only that table.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from .geometry import (
     clamp_columns,
     normalize_angle,
     normalize_angles,
-    require_number,
 )
 
 HALF_PI = 0.5 * math.pi
@@ -106,24 +108,8 @@ def _plain_means(params: np.ndarray, seeds: np.ndarray, cluster: np.ndarray, wav
     return np.stack([wavg(column) for column in params.T], axis=1)
 
 
-class _JsonForm:
-    """The JSON form of a model: {"model": name} plus each field under its key.
-
-    json_keys maps every field, in field order, to its JSON key.
-    """
-
-    name: ClassVar[str]
-    json_keys: ClassVar[dict[str, str]]
-
-    def to_obj(self) -> dict:
-        obj = {"model": self.name}
-        for field_name, key in self.json_keys.items():
-            obj[key] = getattr(self, field_name)
-        return obj
-
-
 @dataclass(frozen=True)
-class ConstantVelocity(_JsonForm):
+class ConstantVelocity:
     """Planar constant-velocity motion (m/s); heading is carried unchanged."""
 
     name: ClassVar[str] = "cv"
@@ -153,9 +139,6 @@ class ConstantVelocity(_JsonForm):
     def speed_radius(self) -> tuple[float, float]:
         return math.hypot(self.vx, self.vy), math.inf
 
-    def noisy(self, n1: float, n2: float, sigma_speed: float, sigma_turn: float) -> ConstantVelocity:
-        return ConstantVelocity(self.vx + n1 * sigma_speed, self.vy + n2 * sigma_speed)
-
     invalid_columns = staticmethod(_non_finite)
 
     @staticmethod
@@ -170,6 +153,10 @@ class ConstantVelocity(_JsonForm):
     @staticmethod
     def noisy_columns(params: np.ndarray, n1, n2, sigma_speed: float, sigma_turn: float) -> np.ndarray:
         return np.stack([params[:, 0] + n1 * sigma_speed, params[:, 1] + n2 * sigma_speed], axis=1)
+
+    @staticmethod
+    def rates(vx, vy, lib=np):
+        return lambda phi: (vx, vy, 0.0)
 
     merge_columns = staticmethod(_plain_means)
 
@@ -191,7 +178,7 @@ class ConstantVelocity(_JsonForm):
 
 
 @dataclass(frozen=True)
-class Unicycle(_JsonForm):
+class Unicycle:
     """Single-axle motion: signed speed along the heading (m/s), yaw rate (rad/s)."""
 
     name: ClassVar[str] = "unicycle"
@@ -221,9 +208,6 @@ class Unicycle(_JsonForm):
         rate = abs(self.yaw_rate)
         return abs(self.speed), math.inf if rate < _ZERO_RATE else abs(self.speed) / rate
 
-    def noisy(self, n1: float, n2: float, sigma_speed: float, sigma_turn: float) -> Unicycle:
-        return Unicycle(self.speed + n1 * sigma_speed, self.yaw_rate + n2 * sigma_turn)
-
     invalid_columns = staticmethod(_non_finite)
 
     @staticmethod
@@ -249,6 +233,10 @@ class Unicycle(_JsonForm):
     def noisy_columns(params: np.ndarray, n1, n2, sigma_speed: float, sigma_turn: float) -> np.ndarray:
         return np.stack([params[:, 0] + n1 * sigma_speed, params[:, 1] + n2 * sigma_turn], axis=1)
 
+    @staticmethod
+    def rates(speed, yaw_rate, lib=np):
+        return lambda phi: (speed * lib.cos(phi), speed * lib.sin(phi), yaw_rate)
+
     merge_columns = staticmethod(_plain_means)
 
     def in_ego(self, ego: EgoPose) -> Unicycle:
@@ -260,7 +248,7 @@ class Unicycle(_JsonForm):
 
 
 @dataclass(frozen=True)
-class Bicycle(_JsonForm):
+class Bicycle:
     """Two-axle motion: signed speed (m/s), slip angle between velocity and
     heading (rad, within [-pi/2, pi/2]), center-to-rear-axle distance (m)."""
 
@@ -325,14 +313,15 @@ class Bicycle(_JsonForm):
         s = abs(math.sin(self.slip))
         return abs(self.speed), math.inf if s < _ZERO_RATE else self.rear_axle / s
 
-    def noisy(self, n1: float, n2: float, sigma_speed: float, sigma_turn: float) -> Bicycle:
-        slip = min(HALF_PI, max(-HALF_PI, self.slip + n2 * sigma_turn))
-        return Bicycle(self.speed + n1 * sigma_speed, slip, self.rear_axle)
-
     @staticmethod
     def noisy_columns(params: np.ndarray, n1, n2, sigma_speed: float, sigma_turn: float) -> np.ndarray:
         slip = clamp_columns(params[:, 1] + n2 * sigma_turn, -HALF_PI, HALF_PI)
         return np.stack([params[:, 0] + n1 * sigma_speed, slip, params[:, 2]], axis=1)
+
+    @staticmethod
+    def rates(speed, slip, rear_axle, lib=np):
+        rate = speed * lib.sin(slip) / rear_axle
+        return lambda phi: (speed * lib.cos(phi + slip), speed * lib.sin(phi + slip), rate)
 
     @staticmethod
     def invalid_columns(params: np.ndarray) -> np.ndarray:
@@ -383,10 +372,13 @@ def param_rows(model: type[MotionParams], motions: Sequence[MotionParams]) -> np
     return np.array([values(m) for m in motions], dtype=float).reshape(len(motions), len(model.json_keys))
 
 
-def params_from_obj(obj: dict) -> MotionParams:
-    """Parse the JSON form {"model": name, <model keys>} written by `to_obj`."""
-    cls = model_class(obj.get("model"))
-    return cls(*(require_number(key, obj[key]) for key in cls.json_keys.values()))
+def default_rear_axle(length):
+    """The bicycle's rear-axle arm when none is given: a quarter of the body length.
+
+    The center of mass sits roughly midway along a wheelbase of half the body
+    length. `length` is a float or an array.
+    """
+    return length / 4.0
 
 
 def model_name(params: MotionParams) -> str:
@@ -709,50 +701,18 @@ def estimate_params_from_track(
     return [model_class(model)(*row) for row in params.tolist()]
 
 
-def numeric_forward(pose: Pose, params: MotionParams, t: float, step: float = 1e-4) -> Pose:
-    """RK4 integration of the model ODE; the independent oracle for the closed forms.
-
-    Integrates in n = ceil(|t|/step) equal sub-steps (backwards for negative t).
-    """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    if t == 0.0:
-        return pose
-    if isinstance(params, ConstantVelocity):
-        vx, vy = params.vx, params.vy
-
-        def deriv(phi: float) -> tuple[float, float, float]:
-            return vx, vy, 0.0
-
-    elif isinstance(params, Unicycle):
-        v, w = params.speed, params.yaw_rate
-
-        def deriv(phi: float) -> tuple[float, float, float]:
-            return v * math.cos(phi), v * math.sin(phi), w
-
-    elif isinstance(params, Bicycle):
-        v = params.speed
-        lead = params.slip
-        rate = params.speed * math.sin(params.slip) / params.rear_axle
-
-        def deriv(phi: float) -> tuple[float, float, float]:
-            return v * math.cos(phi + lead), v * math.sin(phi + lead), rate
-
-    else:
-        raise TypeError(f"unknown motion parameters {type(params).__name__}")
-    n = max(1, math.ceil(abs(t) / step))
-    h = t / n
-    x, y, phi = pose.x, pose.y, pose.heading
+def _rk4(deriv, x, y, phi, h, n: int):
+    """n classical RK4 steps of length h of (x, y, heading)' = deriv(heading), on floats or columns."""
+    sixth = h / 6.0
     for _ in range(n):
         d1x, d1y, d1p = deriv(phi)
         d2x, d2y, d2p = deriv(phi + 0.5 * h * d1p)
         d3x, d3y, d3p = deriv(phi + 0.5 * h * d2p)
         d4x, d4y, d4p = deriv(phi + h * d3p)
-        sixth = h / 6.0
-        x += sixth * (d1x + 2.0 * (d2x + d3x) + d4x)
-        y += sixth * (d1y + 2.0 * (d2y + d3y) + d4y)
-        phi += sixth * (d1p + 2.0 * (d2p + d3p) + d4p)
-    return Pose(x, y, normalize_angle(phi))
+        x = x + sixth * (d1x + 2.0 * (d2x + d3x) + d4x)
+        y = y + sixth * (d1y + 2.0 * (d2y + d3y) + d4y)
+        phi = phi + sixth * (d1p + 2.0 * (d2p + d3p) + d4p)
+    return x, y, phi
 
 
 def numeric_forward_batch(
@@ -762,52 +722,33 @@ def numeric_forward_batch(
     t: np.ndarray,
     step: float = 1e-4,
 ) -> np.ndarray:
-    """Vectorized RK4 oracle over N independent draws.
+    """RK4 integration of the model ODE over N independent draws; the oracle for the closed forms.
 
-    poses is (N, 3) rows of (x, y, heading); params columns depend on the
-    model: cv (vx, vy), unicycle (speed, yaw_rate), bicycle (speed, slip,
-    rear_axle). Every draw is integrated with the same number of sub-steps,
-    sized so no draw exceeds `step`. Returns an (N, 3) array; headings are not
-    normalized.
+    poses is (N, 3) rows of (x, y, heading) and params (N, k) rows in the
+    field order of the model named `model`, whose `rates` give the ODE. Every
+    draw is integrated with the same number of sub-steps, sized so no draw's
+    exceeds `step` (backwards for negative t). Returns an (N, 3) array;
+    headings are not normalized.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     poses = np.asarray(poses, dtype=float)
-    params = np.asarray(params, dtype=float)
     t = np.asarray(t, dtype=float)
-    if model == "cv":
-        vx, vy = params[:, 0], params[:, 1]
-
-        def deriv(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            return vx, vy, np.zeros_like(phi)
-
-    elif model == "unicycle":
-        v, w = params[:, 0], params[:, 1]
-
-        def deriv(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            return v * np.cos(phi), v * np.sin(phi), w
-
-    elif model == "bicycle":
-        v, lead = params[:, 0], params[:, 1]
-        rate = v * np.sin(params[:, 1]) / params[:, 2]
-
-        def deriv(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            return v * np.cos(phi + lead), v * np.sin(phi + lead), rate
-
-    else:
-        raise ValueError(f"unknown model {model!r}")
     n = max(1, int(np.ceil(np.max(np.abs(t)) / step))) if t.size else 1
-    h = t / n
-    sixth = h / 6.0
-    x = poses[:, 0].copy()
-    y = poses[:, 1].copy()
-    phi = poses[:, 2].copy()
-    for _ in range(n):
-        d1x, d1y, d1p = deriv(phi)
-        d2x, d2y, d2p = deriv(phi + 0.5 * h * d1p)
-        d3x, d3y, d3p = deriv(phi + 0.5 * h * d2p)
-        d4x, d4y, d4p = deriv(phi + h * d3p)
-        x += sixth * (d1x + 2.0 * (d2x + d3x) + d4x)
-        y += sixth * (d1y + 2.0 * (d2y + d3y) + d4y)
-        phi += sixth * (d1p + 2.0 * (d2p + d3p) + d4p)
-    return np.stack([x, y, phi], axis=1)
+    deriv = model_class(model).rates(*np.asarray(params, dtype=float).T)
+    return np.stack(_rk4(deriv, *poses.T, t / n, n), axis=1)
+
+
+def numeric_forward(pose: Pose, params: MotionParams, t: float, step: float = 1e-4) -> Pose:
+    """numeric_forward_batch for one pose, with the heading wrapped.
+
+    Integrates in n = ceil(|t|/step) sub-steps with the same rates and RK4
+    steps, evaluated on floats through `math`, which one-row arrays would
+    make about 25 times slower.
+    """
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    model_name(params)  # TypeError for anything but a model's parameters
+    n = max(1, math.ceil(abs(t) / step))
+    deriv = params.rates(*(getattr(params, field) for field in params.json_keys), math)
+    return Pose(*_rk4(deriv, pose.x, pose.y, pose.heading, t / n, n))

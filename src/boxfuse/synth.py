@@ -30,6 +30,7 @@ from .fusion import MODEL_CODES, PARAM_WIDTH, DetectionColumns, Frame, object_ar
 from .geometry import EgoPose, Pose, clamp_columns, normalize_angles, transform_columns
 from .motion import (
     MotionParams,
+    default_rear_axle,
     estimate_param_columns,
     estimate_params_from_track,
     forward,
@@ -98,8 +99,7 @@ class TrajectorySpec:
 
     @property
     def rear_axle_or_default(self) -> float:
-        # center of mass roughly midway along a wheelbase of half the body length
-        return self.rear_axle if self.rear_axle is not None else self.box_size[1] / 4.0
+        return self.rear_axle if self.rear_axle is not None else default_rear_axle(self.box_size[1])
 
 
 @dataclass(frozen=True)

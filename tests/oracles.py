@@ -590,6 +590,16 @@ def generate_mixed_scene_reference(
     return frames
 
 
+def _ref_noisy(motion, n1: float, n2: float, sigma_speed: float, sigma_turn: float):
+    """Detector noise on one motion: a frozen copy of the per-model `noisy` methods."""
+    if isinstance(motion, ConstantVelocity):
+        return ConstantVelocity(motion.vx + n1 * sigma_speed, motion.vy + n2 * sigma_speed)
+    if isinstance(motion, Unicycle):
+        return Unicycle(motion.speed + n1 * sigma_speed, motion.yaw_rate + n2 * sigma_turn)
+    slip = min(HALF_PI, max(-HALF_PI, motion.slip + n2 * sigma_turn))
+    return Bicycle(motion.speed + n1 * sigma_speed, slip, motion.rear_axle)
+
+
 def corrupt_reference(frames: Sequence[Frame], spec: CorruptionSpec, seed: int) -> list[Frame]:
     """Simulate detector output from ground-truth frames.
 
@@ -637,7 +647,7 @@ def corrupt_reference(frames: Sequence[Frame], spec: CorruptionSpec, seed: int) 
                     box.h,
                     box.yaw + float(draws[2]) * spec.sigma_yaw,
                 )
-            motion = det.motion.noisy(float(draws[3]), float(draws[4]), spec.sigma_speed, spec.sigma_turn)
+            motion = _ref_noisy(det.motion, float(draws[3]), float(draws[4]), spec.sigma_speed, spec.sigma_turn)
             score = spec.score_mean + float(draws[5]) * spec.score_sigma
             score = min(0.999, max(spec.score_floor, score)) * scale
             score = min(1.0, max(0.0, score))

@@ -22,7 +22,7 @@ from boxfuse import (
     weighted_nms,
     write_frames,
 )
-from boxfuse.cli import main
+from boxfuse.cli import OPTIONS, main
 from boxfuse.io import detection_from_obj, detection_to_obj, frame_from_obj, frame_to_obj
 
 
@@ -425,6 +425,9 @@ class TestCli:
         (["synth", "--vehicles", "0"], "--vehicles"),
         (["traj-compare", "--l-r", "0"], "--l-r"),
         (["traj-compare", "--interval", "0"], "--interval"),
+        (["traj-compare", "--models", ""], "--models"),
+        (["traj-compare", "--models", " , ,"], "--models"),
+        (["traj-compare", "--models", "cv,kalman"], "--models"),
     ])
     def test_explicit_zero_is_not_replaced_by_default(self, tmp_path, capsys, argv, flag):
         outputs = ["--output-gt", str(tmp_path / "gt.jsonl"), "--output-det", str(tmp_path / "det.jsonl")]
@@ -462,6 +465,80 @@ class TestCli:
 
     def test_unknown_preset_is_error(self, tmp_path):
         assert main(["fuse", "--input", "x", "--output", "y", "--preset", "nope"]) == 2
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"n_history": 2.5}', "key 'n_history' must be an integer, got 2.5"),
+        ('{"n_history": true}', "key 'n_history' must be an integer, got True"),
+        ('{"weight_decay": "0.5"}', "key 'weight_decay' must be a number, got '0.5'"),
+        ('{"iou_low": null}', "key 'iou_low' must be a number, got None"),
+        ('{"score_strategy": "max"}', "key 'score_strategy' must be one of decay, divide, got 'max'"),
+        ('{"decay": 0.5}', "unknown key 'decay'"),
+        ("null", "--config must be a JSON object, got None"),
+        ('"abc"', "--config must be a JSON object, got 'abc'"),
+    ])
+    def test_malformed_config_exit_2_naming_the_key(self, tmp_path, capsys, text, message):
+        gt, det = run_synth(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "out.jsonl"
+        assert main(["fuse", "--input", str(det), "--output", str(out), "--config", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_value_keeps_its_json_form(self, tmp_path):
+        gt, det = run_synth(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"weight_decay": 1, "iou_high": 0.8}')
+        out = tmp_path / "out.jsonl"
+        assert main(["fuse", "--input", str(det), "--output", str(out), "--config", str(cfg_path)]) == 0
+        config = json.loads(out.read_text().splitlines()[0])["meta"]["config"]
+        assert type(config["weight_decay"]) is int and config["iou_high"] == 0.8
+
+    @pytest.mark.parametrize("command,variable,value,meta_path,expected", [
+        ("fuse", "BOXFUSE_FRAMES", "2", ("config", "n_history"), 2),
+        ("fuse", "BOXFUSE_DECAY", "0.6", ("config", "weight_decay"), 0.6),
+        ("fuse", "BOXFUSE_INTERVAL", "0.2", ("config", "frame_interval"), 0.2),
+        ("fuse", "BOXFUSE_STRATEGY", "divide", ("config", "score_strategy"), "divide"),
+        ("fuse", "BOXFUSE_SCORE_DECAY", "0.5", ("config", "score_decay_factor"), 0.5),
+        ("fuse", "BOXFUSE_HISTORY_FLOOR", "0.1", ("config", "history_score_floor"), 0.1),
+        ("synth", "BOXFUSE_L_R", "1.3", ("groups", 2, "spec", "rear_axle"), 1.3),
+        ("synth", "BOXFUSE_BURST_FRAC", "0.3", ("corruption", "burst_vehicle_frac"), 0.3),
+        ("synth", "BOXFUSE_INTERVAL", "0.2", ("groups", 0, "spec", "frame_interval"), 0.2),
+    ])
+    def test_environment_variable_is_named_after_the_flag(self, tmp_path, monkeypatch, command, variable, value,
+                                                          meta_path, expected):
+        gt, det = run_synth(tmp_path, extra=("--turning-frac", "0.3"))
+        monkeypatch.setenv(variable, value)
+        if command == "fuse":
+            path = tmp_path / "fused.jsonl"
+            assert main(["fuse", "--input", str(det), "--output", str(path)]) == 0
+        else:
+            _, path = run_synth(tmp_path, extra=("--turning-frac", "0.3"))
+        meta = read_meta(path)
+        for key in meta_path:
+            meta = meta[key]
+        assert meta == expected
+
+    @pytest.mark.parametrize("command,variable", [("synth", "BOXFUSE_MODEL"), ("fuse", "BOXFUSE_STRATEGY"),
+                                                  ("traj-compare", "BOXFUSE_GEN_MODEL")])
+    def test_environment_value_outside_the_choices_names_the_variable(self, tmp_path, monkeypatch, capsys,
+                                                                       command, variable):
+        gt, det = run_synth(tmp_path)
+        monkeypatch.setenv(variable, "foo")
+        argv = {"synth": ["--output-gt", str(tmp_path / "gt2.jsonl"), "--output-det", str(tmp_path / "det2.jsonl")],
+                "fuse": ["--input", str(det), "--output", str(tmp_path / "fused.jsonl")],
+                "traj-compare": ["--output", str(tmp_path / "traj.csv")]}[command]
+        assert main([command, *argv]) == 2
+        assert f"{variable}='foo'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["det.jsonl", "gt.jsonl"]
+
+    @pytest.mark.parametrize("command", list(OPTIONS))
+    def test_help_lists_every_flag_of_the_table(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        for row in OPTIONS[command]:
+            for flag in row.flags.split():
+                assert f"{flag} " in out
 
     def test_config_file(self, tmp_path):
         gt, det = run_synth(tmp_path)
@@ -514,6 +591,13 @@ class TestSynthScene:
         ({"groups": [{"spec": {"model": "cv", "frame_interval": 0.0}, "count": 1}]}, "group 0", "'spec'"),
         ({"groups": [GROUP], "corruption": {"sigma": 1.0}}, "corruption", "'sigma'"),
         ({"groups": [GROUP], "extra": 1}, "--spec", "'extra'"),
+        ({"groups": [{"spec": {"model": "cv", "duration": True}, "count": 1}]}, "group 0", "'duration'"),
+        ({"groups": [{"spec": {"model": "cv", "box_size": [2, 4]}, "count": 1}]}, "group 0", "'box_size'"),
+        ({"groups": [{"spec": {"model": "cv", "label": ""}, "count": 1}]}, "group 0", "'label'"),
+        ({"groups": [{"spec": {"model": "cv", "rear_axle": "1.2"}, "count": 1}]}, "group 0", "'rear_axle'"),
+        ({"groups": [GROUP], "corruption": {"burst_frames": 1.5}}, "corruption", "'burst_frames'"),
+        ({"groups": [GROUP], "corruption": {"frame_drop_overrides": [[1.5, 0.5]]}}, "corruption",
+         "'frame_drop_overrides'"),
     ])
     def test_malformed_spec_exit_2_naming_group_and_key(self, tmp_path, capsys, raw, where, key):
         spec = tmp_path / "spec.json"

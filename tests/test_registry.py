@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from boxfuse import Box3D, Detection, Pose, forward, model_name
 from boxfuse.cli import build_parser
 from boxfuse.io import detection_from_obj, detection_to_obj, dumps_line
-from boxfuse.motion import HALF_PI, MODEL_NAMES, MODELS, model_class, params_from_obj
+from boxfuse.motion import HALF_PI, MODEL_NAMES, MODELS, model_class
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # fields with a narrower valid range than "any finite float"
@@ -34,7 +34,6 @@ def test_json_roundtrip_every_model(name, data):
     det = Detection(box=Box3D(1.0, 2.0, 0.5, 2.0, 4.0, 1.5, 0.3), score=0.5, label="car", motion=params)
     back = detection_from_obj(json.loads(dumps_line(detection_to_obj(det))))
     assert back == det
-    assert params_from_obj(json.loads(dumps_line(params.to_obj()))) == params
     assert model_name(params) == name
 
 
@@ -60,8 +59,6 @@ def test_cli_model_choices_are_the_registry(command, dest):
 def test_unknown_model_name_rejected():
     with pytest.raises(ValueError, match="unknown motion model"):
         model_class("kalman")
-    with pytest.raises(ValueError, match="unknown motion model"):
-        params_from_obj({"model": "kalman", "v": 1.0})
 
 
 @pytest.mark.parametrize("name", list(MODELS))
