@@ -54,8 +54,8 @@ from .motion import (
 )
 from .synth import PRNG_NAME, CorruptionSpec, TrajectorySpec, _motion_in_ego, corrupt, generate_mixed_scene
 
-# transform_box and _motion_in_ego are no longer called here, but the
-# benchmark's per-layer tracing binds them in this module (bench/tracing.py).
+# transform_box, _motion_in_ego and read_frames are no longer called here, but
+# the benchmark's per-layer tracing binds them in this module (bench/tracing.py).
 
 TOOL = "boxfuse"
 ENV_PREFIX = "BOXFUSE_"
@@ -86,6 +86,10 @@ class _Option:
     def name(self) -> str:
         """The long flag's name: --l-r gives l_r, so its variable is BOXFUSE_L_R."""
         return self.flags.split()[0][2:].replace("-", "_")
+
+    @property
+    def env(self) -> str:
+        return ENV_PREFIX + self.name.upper()
 
 
 OPTIONS: dict[str, tuple[_Option, ...]] = {
@@ -162,6 +166,10 @@ OPTIONS: dict[str, tuple[_Option, ...]] = {
     ),
 }
 _ROWS = {command: {row.dest: row for row in rows} for command, rows in OPTIONS.items()}
+#: synth's TrajectorySpec fields whose flags have other destinations; every
+#: other field of TrajectorySpec or CorruptionSpec that a flag sets is its destination
+_SPEC_DESTS = {"origin_span": ("span",), "speed_range": ("speed_min", "speed_max"),
+               "radius_range": ("radius_min", "radius_max")}
 _FUSION_KEYS = tuple(field.name for field in dataclasses.fields(FusionConfig))
 
 
@@ -183,7 +191,7 @@ def _opt(args: argparse.Namespace, dest: str, *fallbacks: dict):
     """
     row = _ROWS[args.command][dest]
     value = getattr(args, dest)
-    name = ENV_PREFIX + row.name.upper()
+    name = row.env
     if value is None and name in os.environ:
         raw = os.environ[name]
         try:
@@ -372,6 +380,23 @@ def _allocate_counts(total: int, fractions: Sequence[float]) -> list[int]:
     return counts
 
 
+def _flag_spec(cls, **values):
+    """cls(**values), a TrajectorySpec or CorruptionSpec set by synth's flags.
+
+    Its errors begin with the field at fault; a ValueError then names the
+    flags and variables that set that field.
+    """
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        field = str(exc).split(" ", 1)[0]
+        rows = [_ROWS["synth"][dest] for dest in _SPEC_DESTS.get(field, (field,)) if dest in _ROWS["synth"]]
+        if not rows:
+            raise
+        named = " or ".join(f"{row.flags.split()[0]} ({row.env})" for row in rows)
+        raise ValueError(f"{named}: {exc}") from None
+
+
 def _synth_groups(args: argparse.Namespace) -> list[tuple[TrajectorySpec, int]]:
     total = _opt(args, "vehicles")
     if total < 1:
@@ -391,12 +416,12 @@ def _synth_groups(args: argparse.Namespace) -> list[tuple[TrajectorySpec, int]]:
     speed = (_opt(args, "speed_min"), _opt(args, "speed_max"))
     radius = (_opt(args, "radius_min"), _opt(args, "radius_max"))
     rear_axle = _opt(args, "rear_axle")
-    turning = TrajectorySpec(
-        model="bicycle", speed_range=speed, radius_range=radius, rear_axle=rear_axle, **common
+    turning = _flag_spec(
+        TrajectorySpec, model="bicycle", speed_range=speed, radius_range=radius, rear_axle=rear_axle, **common
     )
     groups = [
-        (TrajectorySpec(model="cv", speed_range=(0.0, 0.0), **common), counts[0]),
-        (TrajectorySpec(model="cv", speed_range=speed, **common), counts[1]),
+        (_flag_spec(TrajectorySpec, model="cv", speed_range=(0.0, 0.0), **common), counts[0]),
+        (_flag_spec(TrajectorySpec, model="cv", speed_range=speed, **common), counts[1]),
         (turning, counts[2]),
     ]
     return [(spec, count) for spec, count in groups if count > 0]
@@ -454,8 +479,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             groups, cspec = _spec_scene(json.load(fh))
     else:
         groups = _synth_groups(args)
-        cspec = CorruptionSpec(**{field.name: _opt(args, field.name) for field in dataclasses.fields(CorruptionSpec)
-                                  if field.name in _ROWS["synth"]})
+        cspec = _flag_spec(CorruptionSpec, **{field.name: _opt(args, field.name)
+                                              for field in dataclasses.fields(CorruptionSpec)
+                                              if field.name in _ROWS["synth"]})
     gt_path = _opt(args, "output_gt")
     det_path = _opt(args, "output_det")
     gt = generate_mixed_scene(groups, seed)
@@ -493,9 +519,7 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    gt = read_frames(_opt(args, "gt"))
-    raw = read_frames(_opt(args, "raw"))
-    fused = read_frames(_opt(args, "fused"))
+    gt, raw, fused = (list(iter_frames(_opt(args, dest))) for dest in ("gt", "raw", "fused"))
     threshold = _opt(args, "iou")
     report = evaluate_enhancement(gt, raw, fused, threshold)
     print(report.to_text())

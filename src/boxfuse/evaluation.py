@@ -14,19 +14,31 @@ stationary below 0.1 m/s, turning above 1 m/s with a turning radius under
 computed after filtering detections to those overlapping the subset ground
 truth with IoU > 0.5; detections not matching the subset are excluded rather
 than counted as false positives.
+
+Evaluation runs on columns. Every function accepts frames whose detections
+are a list of Detection or fusion.DetectionColumns and reads them as columns,
+so `boxfuse eval`, which reads its files with io.iter_frames, builds no
+Detection. A frame's IoU table holds its same-label candidate pairs
+(geometry.candidate_pairs on box centres and circumradii), each IoU from one
+call of the module global `bev_iou(gt box, det box)` on Box3Ds built once per
+frame, so a wrapper bound at that name sees every call. The score ranking,
+AP events and heading weights, subset selection and per-track median speed
+and radius are array operations with the bits of the per-detection code.
+The IoU itself stays the scalar `bev_iou`, one call per pair, because the
+benchmark's per-layer metrics count those calls; clipping all pairs at once
+with geometry.clipped_iou waits for a benchmark that counts pairs instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import median
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .fusion import Frame
-from .geometry import bev_iou, candidate_pairs, circumradius, normalize_angle
+from .fusion import DetectionColumns, Frame
+from .geometry import Box3D, bev_iou, candidate_pairs, circumradius_columns, normalize_angles
 
 #: IoU used to associate detections with a ground-truth subset.
 SUBSET_FILTER_IOU = 0.5
@@ -58,25 +70,36 @@ class _Overlaps(NamedTuple):
     iou: np.ndarray
 
 
-def _frame_overlaps(gt: Frame, det: Frame) -> _Overlaps:
-    """IoU table of one frame, computing bev_iou(gt, det) only on candidate pairs."""
-    gts = gt.detections
-    dets = det.detections
-    det_index, gt_index = candidate_pairs(
-        [d.box.x for d in dets], [d.box.y for d in dets], [circumradius(d.box) for d in dets],
-        [g.box.x for g in gts], [g.box.y for g in gts], [circumradius(g.box) for g in gts],
+def _columns(frame: Frame) -> DetectionColumns:
+    return DetectionColumns.of(frame.detections)
+
+
+def _circles(cols: DetectionColumns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centre x, centre y and circumradius of every box."""
+    boxes = cols.boxes
+    return boxes[:, 0], boxes[:, 1], circumradius_columns(boxes[:, 3], boxes[:, 4])
+
+
+def _frame_overlaps(
+    gt: DetectionColumns, det: DetectionColumns, gt_boxes: list[Box3D] | None = None
+) -> _Overlaps:
+    """IoU table of one frame, calling bev_iou(gt box, det box) once per same-label candidate pair.
+
+    The calls go in table order. gt_boxes are gt's Box3Ds when the caller has
+    built them already.
+    """
+    det_index, gt_index = candidate_pairs(*_circles(det), *_circles(gt))
+    same = det.label[det_index] == gt.label[gt_index]
+    det_index, gt_index = det_index[same], gt_index[same]
+    if gt_boxes is None:
+        gt_boxes = gt.box_objects()
+    det_boxes = det.box_objects()
+    iou = np.array(
+        [bev_iou(gt_boxes[gi], det_boxes[di]) for di, gi in zip(det_index.tolist(), gt_index.tolist())],
+        dtype=float,
     )
-    kept = []
-    ious = []
-    for k, (di, gi) in enumerate(zip(det_index.tolist(), gt_index.tolist())):
-        g = gts[gi]
-        d = dets[di]
-        if g.label == d.label:
-            iou = bev_iou(g.box, d.box)
-            if iou > 0.0:
-                kept.append(k)
-                ious.append(iou)
-    return _Overlaps(det_index[kept], gt_index[kept], np.array(ious, dtype=float))
+    hit = iou > 0.0
+    return _Overlaps(det_index[hit], gt_index[hit], iou[hit])
 
 
 def _require_iou_threshold(value: float) -> None:
@@ -85,17 +108,17 @@ def _require_iou_threshold(value: float) -> None:
         raise ValueError(f"IoU threshold must be non-negative, got {value!r}")
 
 
-def _greedy_match(det: Frame, overlaps: _Overlaps, n_gt: int, iou_threshold: float) -> MatchResult:
-    """match_frame of a frame with n_gt ground-truth boxes, given its IoU table."""
+def _greedy_match(score: np.ndarray, overlaps: _Overlaps, n_gt: int, iou_threshold: float) -> MatchResult:
+    """match_frame of detections with these scores against n_gt ground-truth boxes, given their IoU table."""
     _require_iou_threshold(iou_threshold)
-    order = sorted(range(len(det.detections)), key=lambda i: (-det.detections[i].score, i))
-    bounds = np.searchsorted(overlaps.det, np.arange(len(det.detections) + 1)).tolist()
+    bounds = np.searchsorted(overlaps.det, np.arange(len(score) + 1)).tolist()
     gt_index = overlaps.gt.tolist()
     ious = overlaps.iou.tolist()
     taken = [False] * n_gt
     pairs = []
     unmatched_det = []
-    for di in order:
+    # descending score, ties by input order
+    for di in np.argsort(-score, kind="stable").tolist():
         best_gi = -1
         best_iou = iou_threshold
         for k in range(bounds[di], bounds[di + 1]):
@@ -120,7 +143,8 @@ def match_frame(gt: Frame, det: Frame, iou_threshold: float) -> MatchResult:
     input order), provided that IoU exceeds the threshold, which must be
     non-negative.
     """
-    return _greedy_match(det, _frame_overlaps(gt, det), len(gt.detections), iou_threshold)
+    gt_cols, det_cols = _columns(gt), _columns(det)
+    return _greedy_match(det_cols.score, _frame_overlaps(gt_cols, det_cols), len(gt_cols), iou_threshold)
 
 
 @dataclass(frozen=True)
@@ -154,33 +178,50 @@ def average_precision(
     if len(gt_frames) != len(det_frames):
         raise ValueError("ground-truth and detection sequences must align")
     matches = (match_frame(gt, det, iou_threshold) for gt, det in zip(gt_frames, det_frames))
-    return _average_precision(gt_frames, det_frames, matches)
+    return _average_precision(list(map(_columns, gt_frames)), list(map(_columns, det_frames)), matches,
+                              with_curve=True)
+
+
+def _frame_events(
+    gt: DetectionColumns, det: DetectionColumns, result: MatchResult
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hit mask and heading weight of every detection of a frame, from its matches.
+
+    A hit weighs max(0, 1 - |yaw error| / pi), a miss 0.
+    """
+    hit = np.zeros(len(det), dtype=bool)
+    weight = np.zeros(len(det))
+    if result.pairs:
+        gi, di, _ = (np.array(column) for column in zip(*result.pairs))
+        left = 1.0 - np.abs(normalize_angles(det.boxes[di, 6] - gt.boxes[gi, 6])) / math.pi
+        hit[di] = True
+        weight[di] = np.where(left > 0.0, left, 0.0)
+    return hit, weight
 
 
 def _average_precision(
-    gt_frames: Sequence[Frame], det_frames: Sequence[Frame], matches: Iterable[MatchResult]
+    gts: Sequence[DetectionColumns],
+    dets: Sequence[DetectionColumns],
+    matches: Iterable[MatchResult],
+    with_curve: bool,
 ) -> APResult:
-    """AP / heading-weighted AP of aligned frames from their per-frame matches."""
-    n_gt = sum(len(f.detections) for f in gt_frames)
+    """AP / heading-weighted AP of aligned frames from their per-frame matches.
+
+    The precision-recall curve is built only when with_curve is set, and is
+    empty otherwise.
+    """
+    n_gt = sum(map(len, gts))
     if n_gt == 0:
         raise ValueError("no ground-truth boxes to evaluate against")
-    events: list[tuple[float, bool, float]] = []
-    for gt, det, result in zip(gt_frames, det_frames, matches):
-        hit = {di: gi for gi, di, _ in result.pairs}
-        for di, d in enumerate(det.detections):
-            gi = hit.get(di)
-            if gi is None:
-                events.append((d.score, False, 0.0))
-            else:
-                err = abs(normalize_angle(d.box.yaw - gt.detections[gi].box.yaw))
-                events.append((d.score, True, max(0.0, 1.0 - err / math.pi)))
-    if not events:
+    hits, weights = zip(*map(_frame_events, gts, dets, matches))
+    score = np.concatenate([det.score for det in dets])
+    if len(score) == 0:
         return APResult(0.0, 0.0, (), n_gt)
-    events.sort(key=lambda e: -e[0])
-    scores = np.array([e[0] for e in events])
-    tp = np.array([e[1] for e in events], dtype=float)
-    hw = np.array([e[2] for e in events])
-    ranks = np.arange(1, len(events) + 1, dtype=float)
+    # descending score, ties in frame and detection order
+    order = np.argsort(-score, kind="stable")
+    tp = np.concatenate(hits)[order].astype(float)
+    hw = np.concatenate(weights)[order]
+    ranks = np.arange(1, len(score) + 1, dtype=float)
     cum_tp = np.cumsum(tp)
     precision = cum_tp / ranks
     heading_precision = np.cumsum(hw) / ranks
@@ -190,24 +231,50 @@ def _average_precision(
     d_recall = np.diff(np.concatenate(([0.0], recall)))
     ap = float(np.sum(d_recall * p_env))
     aph = float(np.sum(d_recall * h_env))
-    curve = tuple(
-        PRCurvePoint(float(s), float(p), float(r), float(hp))
-        for s, p, r, hp in zip(scores, precision, recall, heading_precision)
-    )
+    curve = ()
+    if with_curve:
+        curve = tuple(map(PRCurvePoint, score[order].tolist(), precision.tolist(), recall.tolist(),
+                          heading_precision.tolist()))
     return APResult(ap, aph, curve, n_gt)
 
 
+def _medians(group: np.ndarray, values: np.ndarray, n_groups: int) -> np.ndarray:
+    """statistics.median of the values of each group 0 .. n_groups - 1, with its bits.
+
+    Every group must hold a value. As statistics.median does, an odd count
+    takes the middle of the sorted values and an even count (a + b) / 2 of
+    the two middle ones.
+    """
+    values = values[np.lexsort((values, group))]
+    count = np.bincount(group, minlength=n_groups)
+    start = np.cumsum(count) - count
+    upper = values[start + count // 2]
+    lower = values[start + (count - 1) // 2]
+    with np.errstate(over="ignore"):
+        return np.where(count % 2 == 1, upper, (lower + upper) / 2)
+
+
 def _track_motion_summary(gt_frames: Iterable[Frame]) -> dict[int, tuple[float, float]]:
-    speeds: dict[int, list[float]] = {}
-    radii: dict[int, list[float]] = {}
+    """Median speed and turning radius of each track's motion, tracks in order of first appearance."""
+    index: dict[int, int] = {}
+    track: list[int] = []
+    speeds, radii = [], []
     for frame in gt_frames:
-        for det in frame.detections:
-            if det.track_id is None:
-                raise ValueError("motion-state splits need track ids on ground truth")
-            v, r = det.motion.speed_radius()
-            speeds.setdefault(det.track_id, []).append(v)
-            radii.setdefault(det.track_id, []).append(r)
-    return {tid: (median(speeds[tid]), median(radii[tid])) for tid in speeds}
+        cols = _columns(frame)
+        ids = cols.track_id.tolist()
+        if None in ids:
+            raise ValueError("motion-state splits need track ids on ground truth")
+        track += [index.setdefault(tid, len(index)) for tid in ids]
+        speed, radius = np.empty(len(cols)), np.empty(len(cols))
+        for kind, rows in cols.groups():
+            speed[rows], radius[rows] = kind.speed_radius_columns(cols.params_of(kind, rows))
+        speeds.append(speed)
+        radii.append(radius)
+    if not index:
+        return {}
+    group = np.array(track, dtype=np.int64)
+    medians = (_medians(group, np.concatenate(values), len(index)).tolist() for values in (speeds, radii))
+    return dict(zip(index, zip(*medians)))
 
 
 def split_motion_state(gt_frames: Sequence[Frame]) -> dict[int, str]:
@@ -236,12 +303,18 @@ def strict_turning_tracks(gt_frames: Sequence[Frame]) -> set[int]:
     }
 
 
+def _in_tracks(cols: DetectionColumns, track_ids: set[int]) -> np.ndarray:
+    """Mask of the rows whose track is one of track_ids."""
+    return np.array([tid in track_ids for tid in cols.track_id.tolist()], dtype=bool)
+
+
 def gt_subset(gt_frames: Sequence[Frame], track_ids: set[int]) -> list[Frame]:
     """Ground truth restricted to the given tracks (frames and egos preserved)."""
-    return [
-        Frame(f.timestamp, f.ego, [d for d in f.detections if d.track_id in track_ids])
-        for f in gt_frames
-    ]
+    out = []
+    for frame in gt_frames:
+        cols = _columns(frame)
+        out.append(Frame(frame.timestamp, frame.ego, cols.take(_in_tracks(cols, track_ids))))
+    return out
 
 
 def filter_detections_to_subset(
@@ -253,9 +326,10 @@ def filter_detections_to_subset(
     _require_iou_threshold(min_iou)
     out = []
     for det, gt in zip(det_frames, subset_gt):
-        overlaps = _frame_overlaps(gt, det)
-        keep = _overlapping(len(det.detections), overlaps, overlaps.iou > min_iou)
-        out.append(Frame(det.timestamp, det.ego, _select(det.detections, keep)))
+        cols = _columns(det)
+        overlaps = _frame_overlaps(_columns(gt), cols)
+        keep = _overlapping(len(cols), overlaps, overlaps.iou > min_iou)
+        out.append(Frame(det.timestamp, det.ego, cols.take(keep)))
     return out
 
 
@@ -266,23 +340,18 @@ def _overlapping(n_det: int, overlaps: _Overlaps, pair_mask: np.ndarray) -> np.n
     return keep
 
 
-def _select(items: list, mask: np.ndarray) -> list:
-    return [item for item, keep in zip(items, mask.tolist()) if keep]
+def _subset_detections(
+    det: DetectionColumns, overlaps: _Overlaps, in_subset: np.ndarray
+) -> tuple[DetectionColumns, _Overlaps]:
+    """One frame's detections and IoU table restricted to the ground-truth rows in_subset.
 
-
-def _subset_frame(
-    gt: Frame, det: Frame, overlaps: _Overlaps, track_ids: set[int]
-) -> tuple[Frame, Frame, _Overlaps]:
-    """One frame restricted to a ground-truth subset, read from the full frame's IoU table.
-
-    The subset ground truth keeps the full frame's boxes of those tracks in
-    their order; detections are filtered as by filter_detections_to_subset,
-    and the returned table is re-indexed to the subset frames.
+    Detections are filtered as by filter_detections_to_subset, and the table
+    is re-indexed to the kept detections and the subset's ground-truth rows,
+    which keep their order.
     """
-    in_subset = np.array([g.track_id in track_ids for g in gt.detections], dtype=bool)
     pair_in_subset = in_subset[overlaps.gt]
     matched = pair_in_subset & (overlaps.iou > SUBSET_FILTER_IOU)
-    keep = _overlapping(len(det.detections), overlaps, matched)
+    keep = _overlapping(len(det), overlaps, matched)
     pair_kept = pair_in_subset & keep[overlaps.det]
     # a kept row's new index is the number of kept rows before it
     table = _Overlaps(
@@ -290,32 +359,28 @@ def _subset_frame(
         (np.cumsum(in_subset) - 1)[overlaps.gt[pair_kept]],
         overlaps.iou[pair_kept],
     )
-    sub_gt = Frame(gt.timestamp, gt.ego, _select(gt.detections, in_subset))
-    return sub_gt, Frame(det.timestamp, det.ego, _select(det.detections, keep)), table
+    return det.take(keep), table
 
 
 def _sequence_ap(
-    gt_frames: Sequence[Frame],
-    det_frames: Sequence[Frame],
+    gts: Sequence[DetectionColumns],
+    dets: Sequence[DetectionColumns],
     tables: Sequence[_Overlaps],
-    track_ids: set[int] | None,
+    in_subset: Sequence[np.ndarray] | None,
     iou_threshold: float,
 ) -> tuple[int, float, float]:
     """(n_gt, AP, APH) of a sequence from its per-frame IoU tables.
 
-    track_ids None means every box; otherwise frames are restricted to that
-    ground-truth subset. The precision-recall curve is dropped here, so a
-    report holds at most one at a time.
+    in_subset None means every box. Otherwise gts are already restricted to
+    a ground-truth subset, in_subset holds each full frame's mask of it, and
+    detections and tables are restricted here.
     """
-    if track_ids is not None:
-        gt_frames, det_frames, tables = zip(
-            *(_subset_frame(*frame, track_ids) for frame in zip(gt_frames, det_frames, tables))
-        )
+    if in_subset is not None:
+        dets, tables = zip(*map(_subset_detections, dets, tables, in_subset))
     matches = (
-        _greedy_match(det, table, len(gt.detections), iou_threshold)
-        for gt, det, table in zip(gt_frames, det_frames, tables)
+        _greedy_match(det.score, table, len(gt), iou_threshold) for gt, det, table in zip(gts, dets, tables)
     )
-    result = _average_precision(gt_frames, det_frames, matches)
+    result = _average_precision(gts, dets, matches, with_curve=False)
     return result.n_gt, result.ap, result.aph
 
 
@@ -387,19 +452,24 @@ def evaluate_enhancement(
     if not (len(gt_frames) == len(raw_frames) == len(fused_frames)):
         raise ValueError("sequences must align")
     labels = split_motion_state(gt_frames)
-    # one IoU table per frame and stream serves the all row and every subset
-    raw_tables = [_frame_overlaps(gt, det) for gt, det in zip(gt_frames, raw_frames)]
-    fused_tables = [_frame_overlaps(gt, det) for gt, det in zip(gt_frames, fused_frames)]
-    all_ids = set(labels)
+    gts, raws, fuseds = (list(map(_columns, frames)) for frames in (gt_frames, raw_frames, fused_frames))
+    # one IoU table per frame and stream serves the all row and every subset;
+    # a frame's ground-truth boxes are built once for both streams
+    raw_tables, fused_tables = [], []
+    for gt, raw, fused in zip(gts, raws, fuseds):
+        boxes = gt.box_objects()
+        raw_tables.append(_frame_overlaps(gt, raw, boxes))
+        fused_tables.append(_frame_overlaps(gt, fused, boxes))
     rows = []
     for name in ("all", "stationary", "straight", "turning"):
-        ids = all_ids if name == "all" else {t for t, lab in labels.items() if lab == name}
+        ids = set(labels) if name == "all" else {t for t, lab in labels.items() if lab == name}
         if not ids:
             continue
-        subset = None if name == "all" else ids
-        n_gt, ap_raw, aph_raw = _sequence_ap(gt_frames, raw_frames, raw_tables, subset, iou_threshold)
-        _, ap_fused, aph_fused = _sequence_ap(
-            gt_frames, fused_frames, fused_tables, subset, iou_threshold
-        )
+        sub_gts, in_subset = gts, None
+        if name != "all":
+            in_subset = [_in_tracks(gt, ids) for gt in gts]
+            sub_gts = list(map(DetectionColumns.take, gts, in_subset))
+        n_gt, ap_raw, aph_raw = _sequence_ap(sub_gts, raws, raw_tables, in_subset, iou_threshold)
+        _, ap_fused, aph_fused = _sequence_ap(sub_gts, fuseds, fused_tables, in_subset, iou_threshold)
         rows.append(SubsetMetrics(name, n_gt, ap_raw, ap_fused, aph_raw, aph_fused))
     return EnhancementReport(iou_threshold, tuple(rows), _REPORT_NOTES)

@@ -47,6 +47,7 @@ from .geometry import (
     Box3D,
     EgoPose,
     candidate_pairs,
+    circumradius_columns,
     clamp_columns,
     clipped_iou,
     corner_columns,
@@ -350,6 +351,10 @@ class DetectionColumns(Sequence[Detection]):
 
     __hash__ = None
 
+    def box_objects(self) -> list[Box3D]:
+        """The Box3D of every row, in order."""
+        return list(map(_make_box, *self.boxes.T.tolist()))
+
     def rows(self, index=None) -> list[Detection]:
         """The Detections of the given rows (all rows by default), in that order."""
         cols = self if index is None else self.take(np.asarray(index, dtype=np.int64))
@@ -363,7 +368,7 @@ class DetectionColumns(Sequence[Detection]):
                     motions[k] = motion
         return list(map(
             _make_detection,
-            map(_make_box, *cols.boxes.T.tolist()),
+            cols.box_objects(),
             cols.score.tolist(),
             cols.label.tolist(),
             motions,
@@ -484,7 +489,7 @@ def _clustering_pairs(cols: DetectionColumns, label: np.ndarray, rank: np.ndarra
     """
     boxes = cols.boxes
     x, y, w, l, yaw = boxes[:, 0], boxes[:, 1], boxes[:, 3], boxes[:, 4], boxes[:, 6]
-    radius = 0.5 * np.array([math.hypot(a, b) for a, b in zip(w.tolist(), l.tolist())])
+    radius = circumradius_columns(w, l)
     i, j = candidate_pairs(x, y, radius, x, y, radius)
     ahead = (label[i] == label[j]) & (rank[i] < rank[j])
     i, j = i[ahead], j[ahead]

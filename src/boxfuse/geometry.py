@@ -313,6 +313,15 @@ def circumradius(box: Box3D) -> float:
     return 0.5 * math.hypot(box.w, box.l)
 
 
+def circumradius_columns(w: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """circumradius over columns of widths and lengths, with its bits.
+
+    It takes math.hypot over lists, because np.hypot can differ from it in
+    the last bit.
+    """
+    return 0.5 * np.array(list(map(math.hypot, w.tolist(), l.tolist())), dtype=float)
+
+
 def bev_iou(a: Box3D, b: Box3D) -> float:
     """Rotated-rectangle IoU of two boxes' BEV footprints, in [0, 1].
 

@@ -21,8 +21,9 @@ of x, y and heading as a function of heading, which the RK4 oracles
 integrate). Static methods serve the columnar code, with parameters
 as (n, k) rows in field order (`param_rows`): `invalid_columns` flags the
 rows that the class's own checks reject; `forward_columns`,
-`inverse_columns` and `in_ego_columns` are `forward`, `inverse` and `in_ego`
-over many rows, with the same float operations and so the same bits;
+`inverse_columns`, `speed_radius_columns` and `in_ego_columns` are
+`forward`, `inverse`, `speed_radius` and `in_ego` over many rows, with the
+same float operations and so the same bits;
 `noisy_columns` is detector noise on the parameters; and `merge_columns` is
 the fusion merge, a weighted mean per cluster (the bicycle averages slip
 wrap-aware around the cluster seed's). The cv and unicycle inverses are
@@ -139,6 +140,12 @@ class ConstantVelocity:
     def speed_radius(self) -> tuple[float, float]:
         return math.hypot(self.vx, self.vy), math.inf
 
+    @staticmethod
+    def speed_radius_columns(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # math.hypot over lists: np.hypot may differ in the last bit
+        speed = np.array(list(map(math.hypot, params[:, 0].tolist(), params[:, 1].tolist())), dtype=float)
+        return speed, np.full(len(params), math.inf)
+
     invalid_columns = staticmethod(_non_finite)
 
     @staticmethod
@@ -207,6 +214,13 @@ class Unicycle:
     def speed_radius(self) -> tuple[float, float]:
         rate = abs(self.yaw_rate)
         return abs(self.speed), math.inf if rate < _ZERO_RATE else abs(self.speed) / rate
+
+    @staticmethod
+    def speed_radius_columns(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        speed = np.abs(params[:, 0])
+        rate = np.abs(params[:, 1])
+        with np.errstate(all="ignore"):
+            return speed, np.where(rate < _ZERO_RATE, math.inf, speed / rate)
 
     invalid_columns = staticmethod(_non_finite)
 
@@ -312,6 +326,13 @@ class Bicycle:
     def speed_radius(self) -> tuple[float, float]:
         s = abs(math.sin(self.slip))
         return abs(self.speed), math.inf if s < _ZERO_RATE else self.rear_axle / s
+
+    @staticmethod
+    def speed_radius_columns(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # math.sin over a list, as speed_radius takes it
+        s = np.abs(np.array(list(map(math.sin, params[:, 1].tolist())), dtype=float))
+        with np.errstate(all="ignore"):
+            return np.abs(params[:, 0]), np.where(s < _ZERO_RATE, math.inf, params[:, 2] / s)
 
     @staticmethod
     def noisy_columns(params: np.ndarray, n1, n2, sigma_speed: float, sigma_turn: float) -> np.ndarray:

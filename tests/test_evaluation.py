@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import math
+import statistics
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from boxfuse import evaluation
+from boxfuse.fusion import DetectionColumns
+from boxfuse.geometry import circumradius
 from boxfuse import (
     Bicycle,
     Box3D,
@@ -384,3 +389,113 @@ class TestAgainstAllPairsReference:
             match_frame(gt_frames[0], det_frames[0], threshold)
         with pytest.raises(ValueError, match="non-negative"):
             filter_detections_to_subset(det_frames, gt_frames, threshold)
+
+
+def as_columns(frames):
+    return [Frame(f.timestamp, f.ego, DetectionColumns.of(f.detections)) for f in frames]
+
+
+class TestColumns:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lists_and_columns_give_equal_results(self, seed):
+        gt_frames, raw_frames = crowded_scene(seed)
+        _, fused_frames = crowded_scene(seed + 100)
+        gt_cols, raw_cols, fused_cols = map(as_columns, (gt_frames, raw_frames, fused_frames))
+        assert evaluate_enhancement(gt_cols, raw_cols, fused_cols) == (
+            evaluate_enhancement(gt_frames, raw_frames, fused_frames))
+        for gt, det, gt_c, det_c in zip(gt_frames, raw_frames, gt_cols, raw_cols):
+            assert match_frame(gt_c, det_c, 0.5) == match_frame(gt, det, 0.5)
+        assert average_precision(gt_cols, fused_cols, 0.5) == average_precision(gt_frames, fused_frames, 0.5)
+        ids = set(range(0, 24, 3))
+        assert filter_detections_to_subset(raw_cols, gt_subset(gt_cols, ids)) == (
+            filter_detections_to_subset(raw_frames, gt_subset(gt_frames, ids)))
+        assert split_motion_state(gt_cols) == split_motion_state(gt_frames)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bev_iou_called_once_per_same_label_candidate_pair_gt_first(self, seed, monkeypatch):
+        gt_frames, raw_frames = crowded_scene(seed)
+        _, fused_frames = crowded_scene(seed + 100)
+        calls = Counter()
+        bev_iou = evaluation.bev_iou
+
+        def counting(a, b):
+            calls[(tuple(a.to_array()), tuple(b.to_array()))] += 1
+            return bev_iou(a, b)
+
+        monkeypatch.setattr(evaluation, "bev_iou", counting)
+        evaluate_enhancement(gt_frames, raw_frames, fused_frames, 0.5)
+        expected = Counter()
+        for stream in (raw_frames, fused_frames):
+            for gt, dd in zip(gt_frames, stream):
+                for g in gt.detections:
+                    for d in dd.detections:
+                        dx, dy = g.box.x - d.box.x, g.box.y - d.box.y
+                        reach = circumradius(d.box) + circumradius(g.box)
+                        if g.label == d.label and dx * dx + dy * dy < reach * reach:
+                            expected[(tuple(g.box.to_array()), tuple(d.box.to_array()))] += 1
+        assert sum(expected.values()) > 0
+        assert calls == expected
+
+    # speeds and radii: non-negative, radii possibly infinite
+    @given(groups=st.lists(st.tuples(st.integers(0, 4), st.floats(min_value=0.0)), min_size=1))
+    def test_track_medians_equal_statistics_median(self, groups):
+        tracks = sorted({g for g, _ in groups})
+        code = {g: k for k, g in enumerate(tracks)}
+        got = evaluation._medians(np.array([code[g] for g, _ in groups], dtype=np.int64),
+                                  np.array([v for _, v in groups], dtype=float), len(tracks))
+        assert got.tolist() == [statistics.median([v for g, v in groups if g == t]) for t in tracks]
+
+    def test_track_medians_of_even_counts_average_the_middle_pair(self):
+        values = np.array([3.0, 0.1, 7.0, math.inf, 0.2, 0.3])
+        got = evaluation._medians(np.array([0, 0, 1, 1, 1, 1]), values, 2)
+        assert got.tolist() == [statistics.median([3.0, 0.1]), statistics.median([7.0, math.inf, 0.2, 0.3])]
+        assert got.tolist() == [(0.1 + 3.0) / 2, (0.3 + 7.0) / 2]
+
+
+def distinct_scene(rng, n_frames: int = 2, n_gt: int = 12):
+    """Two labels, overlapping neighbours, up to two detections contending for each
+    ground-truth box; continuous jitter makes scores and IoUs distinct."""
+    labels = ("car", "truck")
+    tracks = [(int(rng.integers(0, 2)), int(rng.integers(0, 3))) for _ in range(n_gt)]
+    gt_frames, raw_frames, fused_frames = [], [], []
+    for fi in range(n_frames):
+        gts = [det(3.0 * (tid % 4) + float(rng.normal(0, 0.05)), 2.5 * (tid // 4) + float(rng.normal(0, 0.05)),
+                   float(rng.uniform(-0.3, 0.3)), score=1.0, label=labels[lab], track_id=tid,
+                   motion=SUBSET_MOTIONS[mot]) for tid, (lab, mot) in enumerate(tracks)]
+        streams = []
+        for _ in range(2):
+            dets = [det(g.box.x + float(rng.normal(0, 0.6)), g.box.y + float(rng.normal(0, 0.6)),
+                        g.box.yaw + float(rng.normal(0, 0.2)), score=float(rng.uniform(0.05, 1.0)),
+                        label=g.label if rng.uniform() < 0.9 else labels[1 - labels.index(g.label)])
+                    for g in gts for _ in range(int(rng.integers(0, 3)))]
+            dets += [det(float(rng.uniform(100, 200)), float(rng.uniform(100, 200)),
+                         score=float(rng.uniform(0.05, 1.0)), label=labels[k % 2]) for k in range(2)]
+            streams.append(frame(dets, 0.1 * fi))
+        gt_frames.append(frame(gts, 0.1 * fi))
+        raw_frames.append(streams[0])
+        fused_frames.append(streams[1])
+    return gt_frames, raw_frames, fused_frames
+
+
+class TestPermutation:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_permuting_each_frames_detections_leaves_the_rows(self, seed, data):
+        gt_frames, raw_frames, fused_frames = distinct_scene(np.random.default_rng(seed))
+        scores = [d.score for stream in (raw_frames, fused_frames) for f in stream for d in f.detections]
+        assume(len(set(scores)) == len(scores))
+        for stream in (raw_frames, fused_frames):
+            for gt, dd in zip(gt_frames, stream):
+                for d in dd.detections:
+                    ious = [evaluation.bev_iou(g.box, d.box) for g in gt.detections if g.label == d.label]
+                    positive = [iou for iou in ious if iou > 0.0]
+                    assume(len(set(positive)) == len(positive))
+
+        def permuted(stream):
+            return [frame([f.detections[k] for k in data.draw(st.permutations(range(len(f.detections))))],
+                          f.timestamp) for f in stream]
+
+        report = evaluate_enhancement(gt_frames, raw_frames, fused_frames, 0.5)
+        assert len(report.rows) > 1
+        shuffled = evaluate_enhancement(gt_frames, permuted(raw_frames), permuted(fused_frames), 0.5)
+        assert shuffled.rows == report.rows

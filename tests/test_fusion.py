@@ -645,6 +645,21 @@ class TestFuseSequence:
         with pytest.raises(ValueError, match=r"\(frame 0\)"):
             list(sliding_windows(frames[2:], 3))
 
+    def test_a_vote_from_before_a_long_gap_still_counts(self):
+        # windows are bounded by frame count only: the decay and the history
+        # floor are the only age bound, so a box 1.5 s old still comes out
+        frames = [Frame(t, EgoPose.identity(), [make_det(x=10.0, score=0.9)] if t == 0.0 else [])
+                  for t in (0.0, 0.1, 0.2, 0.3, 1.5)]
+        cfg = PRESETS["waymo-default"]
+        last = list(fuse_sequence(frames, cfg))[-1]
+        assert len(last.detections) == 1
+        kept = last.detections[0]
+        assert kept.frame_lag == 15 and kept.history_only
+        assert kept.score == pytest.approx(0.9 * cfg.weight_decay ** 15)
+        assert kept.score == pytest.approx(0.032, abs=5e-4)
+        assert kept.score > cfg.history_score_floor
+        assert kept.box.x == 10.0
+
     def test_sliding_windows_trail_each_frame(self):
         frames = [Frame(0.1 * i, EgoPose.identity(), []) for i in range(5)]
         got = [[f.timestamp for f in w] for w in sliding_windows(frames, 3)]

@@ -567,6 +567,25 @@ class TestSynthScene:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "gt.jsonl").exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--l-r", "0", "--turning-frac", "0.5"], "--l-r (BOXFUSE_L_R): rear_axle must be positive"),
+        (["--interval", "0"], "--interval (BOXFUSE_INTERVAL): frame_interval must be positive"),
+        (["--sigma-xy", "-1"], "--sigma-xy (BOXFUSE_SIGMA_XY): sigma_xy must be non-negative"),
+    ])
+    def test_bad_spec_field_exit_2_naming_flag_and_variable(self, tmp_path, capsys, flags, message):
+        argv = ["synth", "--output-gt", str(tmp_path / "gt.jsonl"), "--output-det", str(tmp_path / "det.jsonl"),
+                "--vehicles", "4", *flags]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "gt.jsonl").exists()
+
+    def test_bad_spec_field_from_environment_names_the_variable(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("BOXFUSE_L_R", "0")
+        argv = ["synth", "--output-gt", str(tmp_path / "gt.jsonl"), "--output-det", str(tmp_path / "det.jsonl"),
+                "--vehicles", "4"]
+        assert main(argv) == 2
+        assert "--l-r (BOXFUSE_L_R): rear_axle must be positive" in capsys.readouterr().err
+
     @pytest.mark.parametrize("vehicles,mix", [("7", ("0.63", "0.31", "0.05")), ("10", ("0.5", "0", "0.5")),
                                               ("3", ("1e-12", "1", "3"))])
     def test_scene_holds_every_vehicle(self, tmp_path, vehicles, mix):

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from boxfuse import Box3D, Detection, Pose, forward, model_name
 from boxfuse.cli import build_parser
 from boxfuse.io import detection_from_obj, detection_to_obj, dumps_line
-from boxfuse.motion import HALF_PI, MODEL_NAMES, MODELS, model_class
+from boxfuse.motion import HALF_PI, MODEL_NAMES, MODELS, model_class, param_rows
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # fields with a narrower valid range than "any finite float"
@@ -42,6 +42,19 @@ def test_json_keys_name_every_field_in_field_order(name):
     cls = MODELS[name]
     assert list(cls.json_keys) == [f.name for f in dataclasses.fields(cls)]
     assert len(set(cls.json_keys.values()) | {"model"}) == len(cls.json_keys) + 1
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+@given(data=st.data())
+def test_speed_radius_columns_equal_the_scalar_form(name, data):
+    cls = MODELS[name]
+    # straight rows (zero rate or slip) and rows near the straight cut-off too
+    near_zero = st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 2e-9, 1e-300])
+    fields = {f.name: st.one_of(near_zero, FIELD_VALUES.get(f.name, FINITE)) if f.name in ("yaw_rate", "slip")
+              else FIELD_VALUES.get(f.name, FINITE) for f in dataclasses.fields(cls)}
+    motions = data.draw(st.lists(st.builds(cls, **fields), max_size=8))
+    speed, radius = cls.speed_radius_columns(param_rows(cls, motions))
+    assert list(zip(speed.tolist(), radius.tolist())) == [m.speed_radius() for m in motions]
 
 
 def _subcommand_choices(command: str, dest: str):
