@@ -340,7 +340,8 @@ def _reattach_params(frames: Sequence[Frame], model: str, rear_axle: float | Non
                  axis=1)
         for frame, cols in zip(frames, columns)
     ])
-    times = np.repeat([frame.timestamp for frame in frames], [len(cols) for cols in columns]).astype(float)
+    sizes = [len(cols) for cols in columns]
+    times = np.repeat([frame.timestamp for frame in frames], sizes).astype(float)
     counts = np.bincount(track, minlength=len(index))
     arm = rear_axle
     if arm is None:
@@ -355,14 +356,10 @@ def _reattach_params(frames: Sequence[Frame], model: str, rear_axle: float | Non
     params = np.zeros((len(track), PARAM_WIDTH))
     params[order, :width] = estimate_param_columns(times[order], x, y, yaw, counts, model, rear_axle=arm)
     out = []
-    start = 0
-    for frame, cols in zip(frames, columns):
-        rows = params[start : start + len(cols)]
-        start += len(cols)
+    for frame, cols, rows in zip(frames, columns, np.split(params, np.cumsum(sizes)[:-1])):
         rows[:, :width] = kind.in_ego_columns(rows[:, :width], frame.ego)
-        out.append(Frame(frame.timestamp, frame.ego, DetectionColumns(
-            cols.boxes, cols.score, cols.label, np.full(len(cols), MODEL_CODES[model], dtype=np.int64), rows,
-            cols.weight, cols.frame_lag, cols.track_id, cols.n_fused, cols.n_current)))
+        out.append(Frame(frame.timestamp, frame.ego, dataclasses.replace(
+            cols, model=np.full(len(cols), MODEL_CODES[model], dtype=np.int64), params=rows)))
     return out
 
 

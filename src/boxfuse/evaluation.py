@@ -3,6 +3,8 @@
 AP follows the usual single-class protocol: detections are ranked by score
 across the whole sequence, matched greedily per frame, and the area under the
 interpolated precision-recall curve is accumulated over all points. The
+ground-truth, raw and fused streams must share timestamps frame by frame, or
+evaluation raises ValueError naming the first frame that differs. The
 heading-weighted variant discounts each true positive by
 max(0, 1 - |yaw error| / pi); it preserves the "heading error costs score"
 behaviour of benchmark APH metrics without claiming comparability to them.
@@ -23,7 +25,8 @@ Detection. A frame's IoU table holds its same-label candidate pairs
 call of the module global `bev_iou(gt box, det box)` on Box3Ds built once per
 frame, so a wrapper bound at that name sees every call. The score ranking,
 AP events and heading weights, subset selection and per-track median speed
-and radius are array operations with the bits of the per-detection code.
+and radius are array operations, checked to the bit against the frozen
+per-detection references in tests/oracles.py and statistics.median.
 The IoU itself stays the scalar `bev_iou`, one call per pair, because the
 benchmark's per-layer metrics count those calls; clipping all pairs at once
 with geometry.clipped_iou waits for a benchmark that counts pairs instead.
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -100,6 +104,13 @@ def _frame_overlaps(
     )
     hit = iou > 0.0
     return _Overlaps(det_index[hit], gt_index[hit], iou[hit])
+
+
+def _require_aligned(*streams: Sequence[Frame]) -> None:
+    """ValueError naming the first frame whose timestamps differ across the streams (None past an end)."""
+    for index, stamps in enumerate(zip_longest(*([frame.timestamp for frame in frames] for frames in streams))):
+        if len(set(stamps)) > 1:
+            raise ValueError(f"sequences must align, frame {index} has timestamps {list(stamps)}")
 
 
 def _require_iou_threshold(value: float) -> None:
@@ -175,8 +186,7 @@ def average_precision(
     interpolated area is returned. Raises ValueError when the ground truth is
     empty.
     """
-    if len(gt_frames) != len(det_frames):
-        raise ValueError("ground-truth and detection sequences must align")
+    _require_aligned(gt_frames, det_frames)
     matches = (match_frame(gt, det, iou_threshold) for gt, det in zip(gt_frames, det_frames))
     return _average_precision(list(map(_columns, gt_frames)), list(map(_columns, det_frames)), matches,
                               with_curve=True)
@@ -324,6 +334,7 @@ def filter_detections_to_subset(
 ) -> list[Frame]:
     """Keep detections overlapping some subset ground-truth box with IoU > min_iou (>= 0)."""
     _require_iou_threshold(min_iou)
+    _require_aligned(det_frames, subset_gt)
     out = []
     for det, gt in zip(det_frames, subset_gt):
         cols = _columns(det)
@@ -449,8 +460,7 @@ def evaluate_enhancement(
 
     Subsets with no ground-truth vehicles are omitted from the table.
     """
-    if not (len(gt_frames) == len(raw_frames) == len(fused_frames)):
-        raise ValueError("sequences must align")
+    _require_aligned(gt_frames, raw_frames, fused_frames)
     labels = split_motion_state(gt_frames)
     gts, raws, fuseds = (list(map(_columns, frames)) for frames in (gt_frames, raw_frames, fused_frames))
     # one IoU table per frame and stream serves the all row and every subset;

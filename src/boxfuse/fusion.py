@@ -18,9 +18,9 @@ candidate pairs with `geometry.candidate_pairs`, drops pairs whose IoU
 provably stays below iou_low, clips the rest in one vectorized pass and
 merges clusters with per-cluster weighted sums; the score strategy and the
 history floor are column operations. Every step does the float operations
-of the scalar per-box code in the same order, so outputs are bit-identical
-to it. `weighted_nms`, `apply_score_strategy` and `fuse_frames` accept
-lists of Detection as well as columns.
+of the frozen per-box references in tests/oracles.py in the same order, and
+outputs are checked against them to the bit. `weighted_nms`,
+`apply_score_strategy` and `fuse_frames` accept lists of Detection as well.
 
 Trace contract: `fuse_frames` calls `forward_frame(frame, t, ego, cfg)` once
 per history frame, then `weighted_nms(dense, cfg)` and
@@ -288,8 +288,7 @@ class DetectionColumns(Sequence[Detection]):
         model = np.array([MODEL_CODES[d.motion.name] for d in dets], dtype=np.int64)
         params = np.zeros((n, PARAM_WIDTH))
         for kind, rows in _groups(model):
-            picked = dets[rows] if isinstance(rows, slice) else [dets[k] for k in rows.tolist()]
-            params[rows, : len(kind.json_keys)] = param_rows(kind, [d.motion for d in picked])
+            params[rows, : len(kind.json_keys)] = param_rows(kind, [dets[k].motion for k in rows.tolist()])
         # the Detections made their own checks
         return cls._derived(
             np.array([_box_fields(d.box) for d in dets], dtype=float).reshape(n, 7),
@@ -322,11 +321,8 @@ class DetectionColumns(Sequence[Detection]):
         return self._with(boxes=boxes, weight=weight, frame_lag=np.full(n, frame_lag, dtype=np.int64),
                           n_fused=np.ones(n, dtype=np.int64), n_current=np.full(n, n_current, dtype=np.int64))
 
-    def groups(self) -> list[tuple[type[MotionParams], slice | np.ndarray]]:
-        """(model class, rows) of every motion model among the rows, by code.
-
-        rows is slice(None) when all rows share one model, else an index array.
-        """
+    def groups(self) -> list[tuple[type[MotionParams], np.ndarray]]:
+        """(model class, int64 row indices) of each motion model among the rows, by code."""
         return _groups(self.model)
 
     def params_of(self, kind: type[MotionParams], rows) -> np.ndarray:
@@ -358,14 +354,9 @@ class DetectionColumns(Sequence[Detection]):
     def rows(self, index=None) -> list[Detection]:
         """The Detections of the given rows (all rows by default), in that order."""
         cols = self if index is None else self.take(np.asarray(index, dtype=np.int64))
-        motions: list = [None] * len(cols)
+        motions = np.empty(len(cols), dtype=object)
         for kind, rows in cols.groups():
-            made = list(map(_make_motion[kind], *cols.params_of(kind, rows).T.tolist()))
-            if isinstance(rows, slice):
-                motions = made
-            else:
-                for k, motion in zip(rows.tolist(), made):
-                    motions[k] = motion
+            motions[rows] = list(map(_make_motion[kind], *cols.params_of(kind, rows).T.tolist()))
         return list(map(
             _make_detection,
             cols.box_objects(),
@@ -383,10 +374,8 @@ class DetectionColumns(Sequence[Detection]):
 _COLUMNS = tuple(f.name for f in fields(DetectionColumns))
 
 
-def _groups(model: np.ndarray) -> list[tuple[type[MotionParams], slice | np.ndarray]]:
+def _groups(model: np.ndarray) -> list[tuple[type[MotionParams], np.ndarray]]:
     codes = np.flatnonzero(np.bincount(model, minlength=len(_MODEL_CLASSES))).tolist()
-    if len(codes) == 1:
-        return [(_MODEL_CLASSES[codes[0]], slice(None))]
     return [(_MODEL_CLASSES[code], np.flatnonzero(model == code)) for code in codes]
 
 

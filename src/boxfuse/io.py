@@ -21,7 +21,8 @@ detections given as a list of Detection are turned into columns first, so
 their numbers are written as floats. The reader checks every JSON type (a
 number is an int or float, never a string or boolean; integer fields take
 integral values only; the class is a string) and every value a Detection
-would check, and names the line and detection of the first fault.
+would check, and names the line and detection of the first fault, in row
+order whatever each row's motion model.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def _motion_objs(cols: DetectionColumns) -> list[dict]:
     """Each row's motion as its JSON object, filled one parameter column at a time."""
     objs = [{"model": MODEL_NAMES[code]} for code in cols.model.tolist()]
     for kind, rows in cols.groups():
-        picked = objs if isinstance(rows, slice) else [objs[k] for k in rows.tolist()]
+        picked = [objs[k] for k in rows.tolist()]
         for key, values in zip(kind.json_keys.values(), cols.params_of(kind, rows).T.tolist()):
             for obj, value in zip(picked, values):
                 obj[key] = value
@@ -165,6 +166,11 @@ def _integers(objs: list[dict], key: str, default: int) -> np.ndarray:
     return np.array([default if value is None else value for value in values], dtype=np.int64)
 
 
+# Each model's parameter values in field order (a tuple, as every model has two or more) and their number.
+_MOTION_VALUES = [itemgetter(*kind.json_keys.values()) for kind in MODELS.values()]
+_MOTION_WIDTHS = np.array([len(kind.json_keys) for kind in MODELS.values()])
+
+
 def detections_from_objs(objs: list) -> DetectionColumns:
     """The detections of a frame record as columns, after every check a Detection makes.
 
@@ -191,14 +197,12 @@ def detections_from_objs(objs: list) -> DetectionColumns:
         row = codes.index(None)
         raise ValueError(f"detection {row}: unknown motion model {names[row]!r}")
     model = np.array(codes, dtype=np.int64)
+    width = _MOTION_WIDTHS[model]
+    values = chain.from_iterable(_MOTION_VALUES[code](motion) for code, motion in zip(codes, motions))
     params = np.zeros((n, PARAM_WIDTH))
-    for code in set(codes):
-        keys = tuple(MODELS[MODEL_NAMES[code]].json_keys.values())
-        rows = None if len(set(codes)) == 1 else np.flatnonzero(model == code).tolist()
-        picked = motions if rows is None else [motions[k] for k in rows]
-        values = _floats(list(chain.from_iterable(map(itemgetter(*keys), picked))), "motion value",
-                         len(keys), rows)
-        params[slice(None) if rows is None else rows, : len(keys)] = values.reshape(-1, len(keys))
+    # row by row, the first `width` columns of each, which is the order of the values
+    params[np.arange(PARAM_WIDTH) < width[:, None]] = _floats(list(values), "motion value",
+                                                               rows=np.repeat(np.arange(n), width))
     weight = _optional(objs, "weight", _is_number) or [None] * n
     track_id = _optional(objs, "track_id", _is_integer) or [None] * n
     frame_lag = _integers(objs, "frame_lag", 0)

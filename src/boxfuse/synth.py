@@ -14,8 +14,8 @@ then every vehicle of a group is forwarded per frame time with the model's
 `forward_columns`, re-fitted with `motion.estimate_param_columns`, moved
 into the ego frame with `transform_columns` and `in_ego_columns`, and
 corrupted with column operations over the per-detection draws. Every step
-does the float operations of the former per-box code in the same order, so
-the scenes are the same to the bit.
+does the float operations of the frozen per-box references in tests/oracles.py
+in the same order, and the scenes are checked against them to the bit.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fusion import MODEL_CODES, PARAM_WIDTH, DetectionColumns, Frame, object_array
+from .fusion import MODEL_CODES, PARAM_WIDTH, DetectionColumns, Frame, _groups, object_array
 from .geometry import EgoPose, Pose, clamp_columns, normalize_angles, transform_columns
 from .motion import (
     MotionParams,
@@ -249,7 +249,7 @@ def generate_mixed_scene(
     params = np.zeros((n_frames, total, PARAM_WIDTH))
     z_and_size = np.empty((total, 4))
     labels: list[str] = []
-    blocks = []
+    codes: list[int] = []
     start = 0
     for g, (spec, count) in enumerate(groups):
         if count == 0:
@@ -263,11 +263,10 @@ def generate_mixed_scene(
         w, length, h = spec.box_size
         z_and_size[block] = h / 2.0, w, length, h
         labels += [spec.label] * count
-        blocks.append((kind, block))
+        codes += [MODEL_CODES[kind.name]] * count
         start += count
     label = object_array(labels)
-    model = np.repeat([MODEL_CODES[kind.name] for kind, _ in blocks],
-                      [block.stop - block.start for _, block in blocks]).astype(np.int64)
+    model = np.array(codes, dtype=np.int64)
     track_id = object_array(list(range(track_id_start, track_id_start + total)))
     identity = EgoPose.identity()
     frames = []
@@ -276,9 +275,9 @@ def generate_mixed_scene(
         boxes[:, 2:6] = z_and_size
         boxes[:, 0], boxes[:, 1], boxes[:, 6] = transform_columns(x[k], y[k], yaw[k], identity, ego)
         motion = params[k]
-        for kind, block in blocks:
+        for kind, rows in _groups(model):
             width = len(kind.json_keys)
-            motion[block, :width] = kind.in_ego_columns(motion[block, :width], ego)
+            motion[rows, :width] = kind.in_ego_columns(motion[rows, :width], ego)
         detections = DetectionColumns(boxes, np.ones(total), label, model, motion, np.full(total, math.nan),
                                       np.zeros(total, dtype=np.int64), track_id,
                                       np.ones(total, dtype=np.int64), np.ones(total, dtype=np.int64))

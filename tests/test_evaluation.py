@@ -295,6 +295,23 @@ class TestEvaluateEnhancement:
         assert {r.subset for r in report.rows} == {"all", "stationary"}
 
 
+class TestAlignment:
+    ENTRY_POINTS = {
+        "average_precision": lambda gt, det: average_precision(gt, det, 0.5),
+        "filter_detections_to_subset": lambda gt, det: filter_detections_to_subset(det, gt),
+        "evaluate_enhancement": lambda gt, det: evaluate_enhancement(gt, det, det, 0.5),
+    }
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_a_stream_cut_one_frame_late_is_rejected(self, name):
+        gt = TestEvaluateEnhancement.scene()
+        late = gt[1:] + gt[-1:]
+        with pytest.raises(ValueError, match=r"frame 0 has timestamps \[0\.\d+, 0\.\d+"):
+            self.ENTRY_POINTS[name](gt, late)
+        with pytest.raises(ValueError, match="must align"):
+            self.ENTRY_POINTS[name](gt, gt[:-1])
+
+
 # motions whose tracks land in each motion-state subset
 SUBSET_MOTIONS = (ConstantVelocity(0.0, 0.0), ConstantVelocity(8.0, 0.0), Unicycle(10.0, 0.5))
 

@@ -177,6 +177,10 @@ class TestStrictParsing:
         ({"timestamp": 0.1, "ego": {"x": 0, "y": 0, "yaw": 0}, "detections": {}}, "detections must be a list, got {}"),
         ({"timestamp": 0.1, "ego": {"x": 0, "y": 0, "yaw": 0}, "detections": [[1]]},
          "detection 0: record must be a JSON object, got [1]"),
+        ({"timestamp": 0.1, "ego": {"x": 0, "y": 0, "yaw": 0}, "detections": [
+            _with(motion={"model": "bicycle", "v": "x", "beta": 0.1, "l_r": 1.2}),
+            _with(motion={"model": "cv", "vx": "y", "vy": 0.0})]},
+         "detection 0: motion value must be a number, got 'x'"),
     ])
     def test_malformed_frame_names_its_line(self, tmp_path, frame, message):
         path = tmp_path / "bad.jsonl"
@@ -381,6 +385,18 @@ class TestCli:
         lines = csv_path.read_text().strip().split("\n")
         assert lines[0] == "subset,metric,raw,fused,delta"
         assert all(len(line.split(",")) == 5 for line in lines[1:])
+
+    def test_eval_rejects_a_fused_window_cut_one_frame_late(self, tmp_path, capsys):
+        gt, det = run_synth(tmp_path)
+        fused = tmp_path / "fused.jsonl"
+        assert main(["fuse", "--input", str(det), "--output", str(fused)]) == 0
+        late = tmp_path / "late.jsonl"
+        lines = fused.read_text(encoding="utf-8").splitlines(keepends=True)
+        # the meta line, then the fused frames from frame 1 on, the last one twice to keep the count
+        late.write_text(lines[0] + "".join(lines[2:]) + lines[-1], encoding="utf-8")
+        assert main(["eval", "--gt", str(gt), "--raw", str(det), "--fused", str(late)]) == 2
+        err = capsys.readouterr().err
+        assert "sequences must align, frame 0 has timestamps [0.0, 0.0, 0.1]" in err
 
     def test_traj_compare_ordering(self, tmp_path):
         out = tmp_path / "traj.csv"
