@@ -314,14 +314,18 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     return 0
 
 
-def _reattach_params(frames: Sequence[Frame], model: str, rear_axle: float | None) -> list[Frame]:
+def _reattach_params(
+    frames: Sequence[Frame], model: str, rear_axle: float | None, keep: frozenset = frozenset()
+) -> list[Frame]:
     """Replace every detection's motion parameters using the track inverse models.
 
     Rows are grouped by track_id in order of first appearance, each track's
     poses taken in the world frame in frame order. The bicycle arm is
     rear_axle, or else default_rear_axle of the track's upper median box length. The
     parameters are fitted with estimate_param_columns and rotated into each
-    frame's ego frame; every other column is kept.
+    frame's ego frame; every other column is kept. The tracks whose ids are in
+    `keep` are not fitted: their rows keep their parameters, which the caller
+    vouches are already `model`'s and equal to what the fit would give.
     """
     if not frames:
         return []
@@ -334,6 +338,7 @@ def _reattach_params(frames: Sequence[Frame], model: str, rear_axle: float | Non
             raise ValueError(f"missing track_id on frame {fi}, detection {ids.index(None)}")
         track_of += [index.setdefault(tid, len(index)) for tid in ids]
     track = np.array(track_of, dtype=np.int64)
+    fit = np.array([tid not in keep for tid in index], dtype=bool)
     identity = EgoPose.identity()
     world = np.concatenate([
         np.stack(transform_columns(cols.boxes[:, 0], cols.boxes[:, 1], cols.boxes[:, 6], frame.ego, identity),
@@ -347,17 +352,20 @@ def _reattach_params(frames: Sequence[Frame], model: str, rear_axle: float | Non
     if arm is None:
         length = np.concatenate([cols.boxes[:, 4] for cols in columns])
         by_length = np.lexsort((length, track))
-        arm = default_rear_axle(length[by_length[np.cumsum(counts) - counts + counts // 2]])
+        arm = default_rear_axle(length[by_length[np.cumsum(counts) - counts + counts // 2]])[fit]
     kind = model_class(model)
     width = len(kind.json_keys)
-    # rows track by track, each track in frame order
+    # the fitted rows, track by track, each track in frame order
     order = np.argsort(track, kind="stable")
+    order = order[fit[track[order]]]
     x, y, yaw = world[order].T
-    params = np.zeros((len(track), PARAM_WIDTH))
-    params[order, :width] = estimate_param_columns(times[order], x, y, yaw, counts, model, rear_axle=arm)
+    params = np.concatenate([cols.params for cols in columns])
+    params[order] = 0.0
+    params[order, :width] = estimate_param_columns(times[order], x, y, yaw, counts[fit], model, rear_axle=arm)
+    split = np.cumsum(sizes)[:-1]
     out = []
-    for frame, cols, rows in zip(frames, columns, np.split(params, np.cumsum(sizes)[:-1])):
-        rows[:, :width] = kind.in_ego_columns(rows[:, :width], frame.ego)
+    for frame, cols, rows, fitted in zip(frames, columns, np.split(params, split), np.split(fit[track], split)):
+        rows[fitted, :width] = kind.in_ego_columns(rows[fitted, :width], frame.ego)
         out.append(Frame(frame.timestamp, frame.ego, dataclasses.replace(
             cols, model=np.full(len(cols), MODEL_CODES[model], dtype=np.int64), params=rows)))
     return out
@@ -467,7 +475,36 @@ def _spec_scene(raw) -> tuple[list[tuple[TrajectorySpec, int]], CorruptionSpec]:
     return groups, _spec_from_obj(CorruptionSpec, raw.get("corruption", {}), "--spec: key 'corruption'")
 
 
+def _prefitted_tracks(
+    groups: Sequence[tuple[TrajectorySpec, int]], model: str, rear_axle: float | None
+) -> frozenset:
+    """Ids of the ground-truth tracks whose attached parameters are what
+    _reattach_params would fit, bit for bit.
+
+    generate_mixed_scene numbers tracks from 0 in group order and fits each
+    group with its own model and arm (`rear_axle_or_default`) from the world
+    poses. With an identity ego, which every synth scene has, a refit sees the
+    same poses, times and lengths, so a group whose model is `model` and whose
+    arm is the one the refit takes (rear_axle, else default_rear_axle of the
+    box length) would get the same parameters back.
+    """
+    kept, start = set(), 0
+    for spec, count in groups:
+        arm = rear_axle if rear_axle is not None else default_rear_axle(spec.box_size[1])
+        if spec.model == model and spec.rear_axle_or_default == arm:
+            kept.update(range(start, start + count))
+        start += count
+    return frozenset(kept)
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
+    """Generate a scene and write its ground truth and its corrupted detections.
+
+    The detections carry `--model` parameters, as `boxfuse inverse` would fit
+    them from the ground truth, so each track is fitted once: the tracks whose
+    group already has `--model` and the arm of the refit keep the ground
+    truth's parameters (`_prefitted_tracks`), and only the others are fitted.
+    """
     seed = _opt(args, "seed")
     model = _opt(args, "model")
     spec_path = _opt(args, "spec")
@@ -481,8 +518,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
                                               if field.name in _ROWS["synth"]})
     gt_path = _opt(args, "output_gt")
     det_path = _opt(args, "output_det")
+    rear_axle = _opt(args, "rear_axle")
     gt = generate_mixed_scene(groups, seed)
-    base = _reattach_params(gt, model, _opt(args, "rear_axle"))
+    base = _reattach_params(gt, model, rear_axle, keep=_prefitted_tracks(groups, model, rear_axle))
     det = corrupt(base, cspec, seed)
     meta_common = {
         "tool": TOOL,
@@ -541,10 +579,14 @@ def _cmd_traj_compare(args: argparse.Namespace) -> int:
     rear_axle = _opt(args, "rear_axle")
     horizon = _opt(args, "horizon")
     duration = _opt(args, "duration")
-    if interval <= 0.0:
-        raise ValueError(f"--interval must be positive, got {interval!r}")
-    if rear_axle <= 0.0:
-        raise ValueError(f"--l-r must be positive, got {rear_axle!r}")
+    # written so that NaN fails every check
+    for flag, value in (("--speed", speed), ("--radius", radius), ("--horizon", horizon), ("--duration", duration)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value!r}")
+    if not 0.0 < interval < math.inf:
+        raise ValueError(f"--interval must be positive and finite, got {interval!r}")
+    if not 0.0 < rear_axle < math.inf:
+        raise ValueError(f"--l-r must be positive and finite, got {rear_axle!r}")
     steps = max(1, int(round(horizon / interval)))
     n_frames = max(int(round(duration / interval)) + 1, 2 * steps + 3)
     gen = gen_class.from_motion(speed, 0.0, radius if radius != 0 else None, rear_axle)

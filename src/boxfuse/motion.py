@@ -300,7 +300,7 @@ class Bicycle:
 
     @staticmethod
     def inverse(p0: Pose, pt: Pose, t: float, rear_axle: float | None = None) -> Bicycle:
-        if rear_axle is None or rear_axle <= 0.0:
+        if rear_axle is None or not rear_axle > 0.0:
             raise ValueError(_NEEDS_ARM)
         # looked up at call time, so a wrapper bound at the module name sees every fit
         return inverse_bicycle(p0, pt, t, rear_axle)[0]
@@ -312,7 +312,7 @@ class Bicycle:
         out = np.empty((n, 3))
         if n == 0:
             return out
-        if rear_axle is None or (np.asarray(rear_axle) <= 0.0).any():
+        if rear_axle is None or not (np.asarray(rear_axle) > 0.0).all():
             raise ValueError(_NEEDS_ARM)
         arms = np.broadcast_to(np.asarray(rear_axle, dtype=float), (n,)).tolist()
         pairs = zip(x0.tolist(), y0.tolist(), h0.tolist(), x1.tolist(), y1.tolist(), h1.tolist(),
@@ -585,6 +585,30 @@ def _bicycle_jacobian(p0: Pose, t, speed, slip, rear_axle) -> np.ndarray:
     return -np.array([[dx_dv, dx_db], [dy_dv, dy_db], [ddphi_dv, ddphi_db]])
 
 
+def _ill_conditioned(normal: np.ndarray) -> bool:
+    """`not np.isfinite(normal).all() or np.linalg.cond(normal) > 1e12`, without
+    the SVD when the trace and determinant settle it.
+
+    normal = [[a, b], [b2, c]] is the positive semi-definite J^T J. With T = a + c
+    and D = a*c - b*b2, its condition number lies in [T^2 / (4 D), T^2 / D]: D >
+    1e-10 T^2 proves it below 1e10, and D <= 1e-14 T^2 proves it above 2.5e13
+    (a zero slip column, as a standstill gives, makes D = 0). Both margins
+    dwarf the rounding of D, about 1e-16 T^2. The bounds are used only while T^2
+    lies in (1e-280, inf), so neither threshold underflows, and D is finite,
+    which then holds only when every entry is; anything else takes the
+    expression itself.
+    """
+    (a, b), (b2, c) = normal.tolist()
+    trace2 = (a + c) * (a + c)
+    det = a * c - b * b2
+    if 1e-280 < trace2 < math.inf and math.isfinite(det):
+        if det > 1e-10 * trace2:
+            return False
+        if det <= 1e-14 * trace2:
+            return True
+    return not np.isfinite(normal).all() or np.linalg.cond(normal) > 1e12
+
+
 def inverse_bicycle(
     p0: Pose,
     pt: Pose,
@@ -603,10 +627,16 @@ def inverse_bicycle(
     [-pi/2, pi/2], and halves the step while it increases the loss. Iteration
     stops once the loss improvement drops below `tol`; exceeding `max_iter`
     raises FitDivergence carrying the best iterate.
+
+    Ill-conditioned means not finite or of condition number above 1e12. For
+    the 2x2 normal matrix with trace T and determinant D the condition number
+    lies between T^2 / (4 D) and T^2 / D, so D > 1e-10 T^2 settles "no" and D <=
+    1e-14 T^2 settles "yes" without an SVD (`_ill_conditioned`); only the
+    matrices between the two bounds, or not finite, take np.linalg.cond.
     """
     if t == 0.0:
         raise ValueError("zero time gap")
-    if rear_axle <= 0.0:
+    if not rear_axle > 0.0:
         raise ValueError("rear_axle must be positive")
     if init is not None:
         seeds = [(init.speed, init.slip)]
@@ -629,7 +659,7 @@ def inverse_bicycle(
         jac = _bicycle_jacobian(p0, t, speed, slip, rear_axle)
         normal = jac.T @ jac
         grad = jac.T @ r
-        if not np.isfinite(normal).all() or np.linalg.cond(normal) > 1e12:
+        if _ill_conditioned(normal):
             normal = normal + 1e-6 * max(float(np.trace(normal)), 1e-6) * np.eye(2)
         try:
             step = np.linalg.solve(normal, grad)

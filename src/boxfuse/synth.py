@@ -74,24 +74,27 @@ class TrajectorySpec:
     label: str = "vehicle"
 
     def __post_init__(self) -> None:
+        # every check is written so that NaN fails it
         model = model_class(self.model)
-        if self.frame_interval <= 0.0:
-            raise ValueError("frame_interval must be positive")
-        if self.duration < self.frame_interval:
-            raise ValueError("duration must cover at least one frame interval")
-        if self.speed_range[1] < self.speed_range[0]:
-            raise ValueError("speed_range must be (low, high)")
+        if not 0.0 < self.frame_interval < math.inf:
+            raise ValueError("frame_interval must be positive and finite")
+        if not self.frame_interval <= self.duration < math.inf:
+            raise ValueError("duration must be finite and cover at least one frame interval")
+        if not -math.inf < self.speed_range[0] <= self.speed_range[1] < math.inf:
+            raise ValueError("speed_range must be finite (low, high)")
         if self.radius_range is not None:
             if not model.turns:
                 raise ValueError(f"{self.model} trajectories cannot turn")
-            if self.radius_range[0] <= 0.0 or self.radius_range[1] < self.radius_range[0]:
-                raise ValueError("radius_range must be positive (low, high)")
-        if self.rear_axle is not None and self.rear_axle <= 0.0:
-            raise ValueError("rear_axle must be positive")
-        if any(v <= 0.0 for v in self.box_size):
-            raise ValueError("box_size must be positive")
-        if self.origin_span < 0.0 or self.min_spacing < 0.0:
-            raise ValueError("origin_span and min_spacing must be non-negative")
+            if not 0.0 < self.radius_range[0] <= self.radius_range[1] < math.inf:
+                raise ValueError("radius_range must be positive and finite (low, high)")
+        if self.rear_axle is not None and not 0.0 < self.rear_axle < math.inf:
+            raise ValueError("rear_axle must be positive and finite")
+        if not all(math.isfinite(v) for v in self.heading_range):
+            raise ValueError("heading_range must be finite")
+        if not all(0.0 < v < math.inf for v in self.box_size):
+            raise ValueError("box_size must be positive and finite")
+        if not (0.0 <= self.origin_span < math.inf and 0.0 <= self.min_spacing < math.inf):
+            raise ValueError("origin_span and min_spacing must be finite and non-negative")
 
     @property
     def n_frames(self) -> int:
@@ -129,9 +132,12 @@ class CorruptionSpec:
     frame_score_scale: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self) -> None:
+        # every check is written so that NaN fails it
         for name in ("sigma_xy", "sigma_yaw", "sigma_speed", "sigma_turn", "score_sigma"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
+        if not math.isfinite(self.score_mean):
+            raise ValueError("score_mean must be finite")
         if not 0.0 <= self.drop_prob <= 1.0:
             raise ValueError("drop_prob must lie in [0, 1]")
         if not 0.0 <= self.burst_vehicle_frac <= 1.0:
@@ -143,6 +149,9 @@ class CorruptionSpec:
         for _, p in self.frame_drop_overrides:
             if not 0.0 <= p <= 1.0:
                 raise ValueError("frame drop overrides must lie in [0, 1]")
+        for _, scale in self.frame_score_scale:
+            if not math.isfinite(scale):
+                raise ValueError("frame score scales must be finite")
 
 
 def _lattice(n: int, span: float, spacing: float) -> tuple[list[tuple[float, float]], float]:

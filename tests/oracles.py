@@ -8,8 +8,10 @@ before their candidate-pair search (kept verbatim, with the scalar cluster
 merge fusion used before its columnar merge), the per-Detection frame
 stream used before the columnar frames (`stream_reference`), the per-box
 scene generation, corruption and track re-estimation used before the
-columnar scenes (kept verbatim), and an O(n^2) precision-recall enumeration
-for AP. The averaging and bookkeeping logic is re-written from the contract,
+columnar scenes (kept verbatim), the bicycle Gauss-Newton fit as it was when
+every iteration took np.linalg.cond of its normal matrix
+(`inverse_bicycle_reference`, kept verbatim), and an O(n^2) precision-recall
+enumeration for AP. The averaging and bookkeeping logic is re-written from the contract,
 not shared with the package internals.
 """
 
@@ -37,7 +39,17 @@ from boxfuse import (
     transform_box,
 )
 from boxfuse.evaluation import SUBSET_FILTER_IOU, MatchResult
-from boxfuse.motion import HALF_PI, MotionParams, forward, model_class
+from boxfuse.motion import (
+    HALF_PI,
+    FitDivergence,
+    FitReport,
+    MotionParams,
+    _bicycle_jacobian,
+    _bicycle_residual,
+    _bicycle_seeds,
+    forward,
+    model_class,
+)
 from boxfuse.geometry import Box3D, Pose, _corners, _iou_from_corners
 from boxfuse.synth import CorruptionSpec, TrajectorySpec, _lattice, _motion_in_ego, _rng
 
@@ -733,3 +745,80 @@ def estimate_params_from_track_reference(
         j0, j1 = max(i - 1, 0), min(i + 1, n - 1)
         out.append(inverse(poses[j0], poses[j1], times[j1] - times[j0], rear_axle))
     return out
+
+
+def inverse_bicycle_reference(
+    p0: Pose,
+    pt: Pose,
+    t: float,
+    rear_axle: float,
+    init: Bicycle | None = None,
+    max_iter: int = 50,
+    tol: float = 1e-6,
+) -> tuple[Bicycle, FitReport]:
+    """Estimate bicycle (speed, slip) from a pose pair by Gauss-Newton.
+
+    rear_axle is held fixed; only speed and slip are optimized. Unless `init`
+    is given, the solve starts from the lowest-loss candidate among the direct
+    chord inversions and a unicycle-projected estimate. Each update solves the
+    2x2 normal equations (damped when ill-conditioned), clamps slip to
+    [-pi/2, pi/2], and halves the step while it increases the loss. Iteration
+    stops once the loss improvement drops below `tol`; exceeding `max_iter`
+    raises FitDivergence carrying the best iterate.
+    """
+    if t == 0.0:
+        raise ValueError("zero time gap")
+    if rear_axle <= 0.0:
+        raise ValueError("rear_axle must be positive")
+    if init is not None:
+        seeds = [(init.speed, init.slip)]
+    else:
+        seeds = _bicycle_seeds(p0, pt, t, rear_axle)
+    scored = []
+    for cand_speed, cand_slip in seeds:
+        cand_slip = min(HALF_PI, max(-HALF_PI, cand_slip))
+        cand_r = _bicycle_residual(p0, pt, t, cand_speed, cand_slip, rear_axle)
+        scored.append((0.5 * float(cand_r @ cand_r), cand_speed, cand_slip, cand_r))
+    # among near-tied losses prefer the slowest motion: a pose pair cannot
+    # tell the minimal interpretation from one with extra winding
+    min_loss = min(s[0] for s in scored)
+    cutoff = min_loss + 1e-9 + 1e-6 * min_loss
+    loss, speed, slip, r = min(
+        (s for s in scored if s[0] <= cutoff), key=lambda s: abs(s[1])
+    )
+    best_speed, best_slip, best_loss = speed, slip, loss
+    for iteration in range(1, max_iter + 1):
+        jac = _bicycle_jacobian(p0, t, speed, slip, rear_axle)
+        normal = jac.T @ jac
+        grad = jac.T @ r
+        if not np.isfinite(normal).all() or np.linalg.cond(normal) > 1e12:
+            normal = normal + 1e-6 * max(float(np.trace(normal)), 1e-6) * np.eye(2)
+        try:
+            step = np.linalg.solve(normal, grad)
+        except np.linalg.LinAlgError:
+            normal = normal + 1e-6 * max(float(np.trace(normal)), 1e-6) * np.eye(2)
+            step = np.linalg.solve(normal, grad)
+        prev_loss = loss
+        scale = 1.0
+        while True:
+            cand_speed = speed - scale * float(step[0])
+            cand_slip = min(HALF_PI, max(-HALF_PI, slip - scale * float(step[1])))
+            cand_r = _bicycle_residual(p0, pt, t, cand_speed, cand_slip, rear_axle)
+            cand_loss = 0.5 * float(cand_r @ cand_r)
+            if cand_loss <= prev_loss:
+                break
+            if scale < 1e-6:
+                # no step length improves: stay put and let the loop terminate
+                cand_speed, cand_slip, cand_r, cand_loss = speed, slip, r, loss
+                break
+            scale *= 0.5
+        speed, slip, r, loss = cand_speed, cand_slip, cand_r, cand_loss
+        if loss < best_loss:
+            best_speed, best_slip, best_loss = speed, slip, loss
+        if prev_loss - loss < tol:
+            return Bicycle(speed, slip, rear_axle), FitReport(iteration, loss, True)
+    raise FitDivergence(
+        f"no convergence after {max_iter} iterations (loss {best_loss:.3e})",
+        Bicycle(best_speed, best_slip, rear_axle),
+        FitReport(max_iter, best_loss, False),
+    )

@@ -453,6 +453,17 @@ class TestCli:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "gt.jsonl").exists() and not (tmp_path / "traj.csv").exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--l-r", "nan"), ("--l-r", "inf"), ("--interval", "nan"), ("--speed", "nan"), ("--radius", "inf"),
+        ("--horizon", "nan"), ("--duration", "inf"),
+    ])
+    def test_non_finite_traj_compare_flag_exit_2_naming_the_flag(self, tmp_path, capsys, flag, value):
+        assert main(["traj-compare", "--output", str(tmp_path / "traj.csv"), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"boxfuse: error: {flag} must be ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "traj.csv").exists()
+
     def test_env_override(self, tmp_path, monkeypatch):
         gt, det = run_synth(tmp_path)
         out_flag = tmp_path / "flag.jsonl"
@@ -595,6 +606,21 @@ class TestSynthScene:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "gt.jsonl").exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--speed-min", "nan"), ("--speed-max", "nan"), ("--speed-max", "inf"), ("--radius-min", "nan"),
+        ("--radius-max", "inf"), ("--interval", "nan"), ("--duration", "nan"), ("--duration", "inf"),
+        ("--span", "nan"), ("--l-r", "nan"), ("--l-r", "inf"), ("--sigma-xy", "nan"), ("--sigma-turn", "inf"),
+        ("--score-mean", "nan"),
+    ])
+    def test_non_finite_flag_exit_2_naming_the_flag(self, tmp_path, capsys, flag, value):
+        argv = ["synth", "--output-gt", str(tmp_path / "gt.jsonl"), "--output-det", str(tmp_path / "det.jsonl"),
+                "--vehicles", "4", "--turning-frac", "0.5", flag, value]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("boxfuse: error: ") and f"{flag} (BOXFUSE_" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "gt.jsonl").exists()
+
     def test_bad_spec_field_from_environment_names_the_variable(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("BOXFUSE_L_R", "0")
         argv = ["synth", "--output-gt", str(tmp_path / "gt.jsonl"), "--output-det", str(tmp_path / "det.jsonl"),
@@ -633,6 +659,7 @@ class TestSynthScene:
         ({"groups": [GROUP], "corruption": {"burst_frames": 1.5}}, "corruption", "'burst_frames'"),
         ({"groups": [GROUP], "corruption": {"frame_drop_overrides": [[1.5, 0.5]]}}, "corruption",
          "'frame_drop_overrides'"),
+        ({"groups": [{"spec": {"model": "cv", "heading_range": [math.nan, 0.0]}, "count": 1}]}, "group 0", "'spec'"),
     ])
     def test_malformed_spec_exit_2_naming_group_and_key(self, tmp_path, capsys, raw, where, key):
         spec = tmp_path / "spec.json"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from boxfuse import (
     Bicycle,
@@ -25,6 +26,9 @@ from boxfuse import (
     numeric_forward,
     numeric_forward_batch,
 )
+from boxfuse import motion
+from boxfuse.motion import HALF_PI
+from oracles import inverse_bicycle_reference
 
 
 def pose_close(a: Pose, b: Pose, tol: float) -> None:
@@ -389,3 +393,109 @@ class TestNumericForward:
             assert row[0] == pytest.approx(scalar.x, abs=1e-9)
             assert row[1] == pytest.approx(scalar.y, abs=1e-9)
             assert normalize_angle(row[2] - scalar.heading) == pytest.approx(0.0, abs=1e-9)
+
+
+def fit_outcome(fit, *args, **kwargs):
+    """A fit's (Bicycle, FitReport), or the type, message, best iterate and report of its error."""
+    try:
+        return fit(*args, **kwargs)
+    except FitDivergence as exc:
+        return FitDivergence, str(exc), exc.best, exc.report
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+NEAR_PI = st.one_of(
+    st.floats(-math.pi, math.pi),
+    st.sampled_from([math.pi, -math.pi, math.nextafter(math.pi, 0.0), math.nextafter(-math.pi, 0.0)]),
+    st.floats(math.pi - 1e-6, math.pi),
+    st.floats(-math.pi, -math.pi + 1e-6),
+)
+FIT_POSE = st.builds(Pose, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), NEAR_PI)
+GAP = st.one_of(st.floats(1e-3, 2.0), st.floats(10.0, 1e4), st.floats(-2.0, -1e-3), st.just(0.0))
+
+
+@st.composite
+def fit_pairs(draw):
+    """A start pose and an end pose: identical, moved by a chord below 1e-9 m or
+    up to a few mm, moved by a bicycle (perhaps with noise), or independent."""
+    p0 = draw(FIT_POSE)
+    kind = draw(st.sampled_from(["identical", "tiny chord", "bicycle", "independent"]))
+    if kind == "identical":
+        return p0, p0
+    if kind == "tiny chord":
+        chord = 10.0 ** draw(st.floats(-15.0, -2.5))
+        angle = draw(st.floats(-math.pi, math.pi))
+        return p0, Pose(p0.x + chord * math.cos(angle), p0.y + chord * math.sin(angle), draw(NEAR_PI))
+    if kind == "bicycle":
+        gen = Bicycle(draw(st.floats(-30.0, 30.0)), draw(st.floats(-HALF_PI, HALF_PI)), draw(st.floats(0.3, 3.0)))
+        end = gen.forward(p0, draw(st.floats(1e-3, 2.0)))
+        noise = draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.3]))
+        return p0, Pose(end.x + noise, end.y - noise, normalize_angle(end.heading + noise))
+    return p0, draw(FIT_POSE)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=fit_pairs(), t=GAP, arm=st.floats(0.3, 3.0), max_iter=st.sampled_from([50, 2]),
+       init=st.none() | st.builds(Bicycle, st.floats(-20.0, 20.0), st.floats(-HALF_PI, HALF_PI), st.just(1.0)))
+def test_bicycle_fit_equals_the_frozen_fit(pair, t, arm, max_iter, init):
+    """The fit that settles its conditioning check without an SVD keeps every bit of the one that did not."""
+    got = fit_outcome(inverse_bicycle, *pair, t, arm, init=init, max_iter=max_iter)
+    event(got[0].__name__ if type(got[0]) is type else "fit")
+    assert got == fit_outcome(inverse_bicycle_reference, *pair, t, arm, init=init, max_iter=max_iter)
+
+
+def exact_ill_conditioned(normal) -> bool:
+    return not np.isfinite(normal).all() or np.linalg.cond(normal) > 1e12
+
+
+@st.composite
+def normal_matrices(draw):
+    """J^T J of a 3x2 Jacobian J whose columns span 16 decades: random, with a
+    zero column, collinear or nearly so, or with non-finite entries in J or in J^T J."""
+    jac = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))).reshape(3, 2)
+    jac *= 10.0 ** np.array(draw(st.lists(st.floats(-8.0, 8.0), min_size=2, max_size=2)))
+    kind = draw(st.sampled_from(["random", "zero column", "collinear", "near collinear", "non-finite J",
+                                 "non-finite normal"]))
+    event(kind)
+    bad = st.sampled_from([math.nan, math.inf, -math.inf])
+    if kind == "zero column":
+        jac[:, draw(st.integers(0, 1))] = 0.0
+    elif kind in ("collinear", "near collinear"):
+        residual = 10.0 ** draw(st.floats(-17.0, -3.0)) if kind == "near collinear" else 0.0
+        jac[:, 1] = jac[:, 0] * draw(st.floats(-1e3, 1e3)) + jac[:, 1] * residual
+    elif kind == "non-finite J":
+        jac[draw(st.integers(0, 2)), draw(st.integers(0, 1))] = draw(bad)
+    with np.errstate(all="ignore"):
+        normal = jac.T @ jac
+    if kind == "non-finite normal":
+        i, j = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        normal[i, j] = draw(bad)
+        if draw(st.booleans()):
+            normal[j, i] = normal[i, j]
+    return normal
+
+
+@settings(max_examples=1000, deadline=None)
+@given(normal=normal_matrices())
+def test_conditioning_gate_decides_as_the_svd(normal):
+    assert motion._ill_conditioned(normal) == exact_ill_conditioned(normal)
+
+
+@pytest.mark.parametrize("normal,expected", [
+    (np.array([[2.0, 0.3], [0.3, 1.0]]), False),
+    (np.array([[0.04, 0.0], [0.0, 0.0]]), True),  # a standstill: the slip column is zero
+    (np.array([[1.0, 1.0], [1.0, 1.0]]), True),
+])
+def test_conditioning_gate_settles_clear_cases_without_an_svd(monkeypatch, normal, expected):
+    def no_svd(*args):
+        raise AssertionError("the SVD was taken")
+
+    monkeypatch.setattr(np.linalg, "cond", no_svd)
+    assert motion._ill_conditioned(normal) is expected
+
+
+@pytest.mark.parametrize("arm", [0.0, -1.0, math.nan])
+def test_bicycle_fit_rejects_an_arm_that_is_not_positive(arm):
+    with pytest.raises(ValueError, match="rear_axle must be positive"):
+        inverse_bicycle(Pose(0.0, 0.0, 0.0), Pose(1.0, 0.0, 0.0), 0.1, arm)

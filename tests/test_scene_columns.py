@@ -164,6 +164,7 @@ def test_inverse_columns_equal_the_scalar_inverse(model, pairs):
     ("bicycle", (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.1, None, "positive rear_axle"),
     ("bicycle", (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.1, 0.0, "positive rear_axle"),
     ("bicycle", (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.1, -1.0, "positive rear_axle"),
+    ("bicycle", (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.1, math.nan, "positive rear_axle"),
 ])
 def test_inverse_columns_raise_like_the_scalar_inverse(model, start, end, dt, arm, message):
     kind = MODELS[model]

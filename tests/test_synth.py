@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -16,8 +18,10 @@ from boxfuse import (
     split_motion_state,
     transform_box,
 )
+from boxfuse import motion
+from boxfuse.cli import _reattach_params, _spec_scene, main
 from boxfuse.geometry import EgoPose, Pose
-from boxfuse.io import frame_to_obj, dumps_line
+from boxfuse.io import dumps_line, frame_to_obj, read_frames, read_meta
 
 
 def single_vehicle_spec(**overrides) -> TrajectorySpec:
@@ -226,19 +230,109 @@ PINNED_SCENES = {
 }
 
 
+PINNED_SCENE_FLAGS = ["--seed", "1", "--vehicles", "12", "--duration", "0.8", "--stationary-frac", "0.3",
+                      "--straight-frac", "0.3", "--turning-frac", "0.4", "--sigma-xy", "0.3", "--sigma-yaw", "0.05",
+                      "--sigma-speed", "0.5", "--sigma-turn", "0.05", "--drop-prob", "0.2", "--burst-frames", "2",
+                      "--burst-frac", "0.25"]
+
+
+def run_synth(tmp_path, *flags):
+    gt, det = tmp_path / "gt.jsonl", tmp_path / "det.jsonl"
+    assert main(["synth", "--output-gt", str(gt), "--output-det", str(det), *flags]) == 0
+    return gt, det
+
+
+def frame_digest(*paths) -> str:
+    """SHA-256 of the files' frame lines, meta lines left out."""
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(b"".join(path.read_bytes().splitlines(keepends=True)[1:]))
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("model", sorted(PINNED_SCENES))
 def test_synth_scene_bytes_are_pinned(tmp_path, model):
-    import hashlib
+    assert frame_digest(*run_synth(tmp_path, "--model", model, *PINNED_SCENE_FLAGS)) == PINNED_SCENES[model]
 
-    from boxfuse.cli import main
 
-    gt, det = tmp_path / "gt.jsonl", tmp_path / "det.jsonl"
-    assert main(["synth", "--output-gt", str(gt), "--output-det", str(det), "--model", model,
-                 "--seed", "1", "--vehicles", "12", "--duration", "0.8", "--stationary-frac", "0.3",
-                 "--straight-frac", "0.3", "--turning-frac", "0.4", "--sigma-xy", "0.3", "--sigma-yaw", "0.05",
-                 "--sigma-speed", "0.5", "--sigma-turn", "0.05", "--drop-prob", "0.2", "--burst-frames", "2",
-                 "--burst-frac", "0.25"]) == 0
-    digest = hashlib.sha256()
-    for path in (gt, det):
-        digest.update(b"".join(path.read_bytes().splitlines(keepends=True)[1:]))
-    assert digest.hexdigest() == PINNED_SCENES[model]
+# Frame lines of `boxfuse inverse --model bicycle` on the pinned bicycle
+# scene's ground truth and detections, then on the ground truth of the same
+# scene with vehicles creeping at 1e-6 to 1e-5 m/s. The fit's conditioning
+# check settles "yes" on the stationary tracks (a zero slip column) and "no"
+# on the moving ones, and the creeping tracks' checks lie between its bounds
+# and take the SVD.
+PINNED_INVERSE = "8e1c2ca9f83c01afc67ed67a35144410271b972946d5b94fd8ff2467a7d17d91"
+
+
+def test_bicycle_inverse_bytes_are_pinned(tmp_path):
+    scene = run_synth(tmp_path, "--model", "bicycle", *PINNED_SCENE_FLAGS)
+    (tmp_path / "creeping").mkdir()
+    creeping, _ = run_synth(tmp_path / "creeping", "--model", "bicycle", *PINNED_SCENE_FLAGS,
+                            "--speed-min", "1e-6", "--speed-max", "1e-5")
+    outputs = []
+    for k, path in enumerate((*scene, creeping)):
+        outputs.append(tmp_path / f"inverse-{k}.jsonl")
+        assert main(["inverse", "--input", str(path), "--output", str(outputs[-1]), "--model", "bicycle"]) == 0
+    assert frame_digest(*outputs) == PINNED_INVERSE
+
+
+# a --spec scene whose second turning group has the arm of --l-r 1.5 and whose
+# first has another, so that only the first must be fitted again
+ARM_SPEC = {"groups": [
+    {"spec": {"model": "cv", "speed_range": [0.0, 0.0], "duration": 0.5}, "count": 3},
+    {"spec": {"model": "bicycle", "radius_range": [12.0, 20.0], "rear_axle": 0.9, "duration": 0.5}, "count": 3},
+    {"spec": {"model": "bicycle", "radius_range": [12.0, 20.0], "rear_axle": 1.5, "duration": 0.5}, "count": 3},
+    {"spec": {"model": "bicycle", "duration": 0.5}, "count": 2},
+], "corruption": {"sigma_xy": 0.2, "sigma_speed": 0.3, "sigma_turn": 0.05, "drop_prob": 0.2}}
+
+
+@pytest.mark.parametrize("model,rear_axle,spec", [
+    ("bicycle", None, None),
+    ("bicycle", 1.5, None),
+    ("bicycle", 1.5, ARM_SPEC),
+    ("bicycle", None, ARM_SPEC),
+    ("unicycle", None, None),
+    ("cv", None, None),
+])
+def test_synth_detections_equal_the_full_refit(tmp_path, model, rear_axle, spec):
+    flags = ["--model", model, *PINNED_SCENE_FLAGS]
+    if rear_axle is not None:
+        flags += ["--l-r", repr(rear_axle)]
+    if spec is not None:
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        flags += ["--spec", str(tmp_path / "spec.json")]
+    gt_path, det_path = run_synth(tmp_path, *flags)
+    meta = read_meta(det_path)
+    groups, cspec = _spec_scene({"groups": meta["groups"], "corruption": meta["corruption"]})
+    gt = generate_mixed_scene(groups, meta["seed"])
+    full = corrupt(_reattach_params(gt, model, rear_axle), cspec, meta["seed"])
+    assert gt_path.read_text().splitlines()[1:] == [dumps_line(frame_to_obj(f)) for f in gt]
+    assert det_path.read_text().splitlines()[1:] == [dumps_line(frame_to_obj(f)) for f in full]
+
+
+# track fits per scene: the ground truth fits its bicycle tracks, and synth
+# fits again only the tracks whose model or arm differs from the refit's
+@pytest.mark.parametrize("spec,rear_axle,track_fits", [
+    (None, None, 10 + 10),  # 10 turning tracks, then the 10 cv ones
+    (ARM_SPEC, 1.5, 8 + 3 + 3 + 2),  # the arm 1.5 group is kept
+    (ARM_SPEC, None, 8 + 3 + 3 + 3),  # the straight group, of the default arm, is kept
+])
+def test_bicycle_synth_fits_each_track_once(tmp_path, monkeypatch, spec, rear_axle, track_fits):
+    real = motion.inverse_bicycle
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(motion, "inverse_bicycle", counted)
+    flags = ["--model", "bicycle", "--seed", "3", "--vehicles", "20", "--duration", "0.8",
+             "--stationary-frac", "0.2", "--straight-frac", "0.3", "--turning-frac", "0.5"]
+    if rear_axle is not None:
+        flags += ["--l-r", repr(rear_axle)]
+    if spec is not None:
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        flags += ["--spec", str(tmp_path / "spec.json")]
+    gt, _ = run_synth(tmp_path, *flags)
+    # a track of n >= 3 poses has n distinct pose pairs, each fitted once
+    assert len(calls) == track_fits * len(read_frames(gt))
