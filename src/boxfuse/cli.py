@@ -36,7 +36,6 @@ from .fusion import (
     PARAM_WIDTH,
     PRESETS,
     SCORE_STRATEGIES,
-    DetectionColumns,
     Frame,
     FusionConfig,
     fuse_frames,
@@ -239,6 +238,18 @@ def _check_json(value, hint, where: str, choices: tuple | None = None) -> None:
         raise ValueError(f"{where} must be {expected}, got {value!r}")
 
 
+def _rear_axle(args: argparse.Namespace) -> float | None:
+    """The --l-r option: None when neither the flag nor its variable sets it,
+    else a positive finite arm, whatever the motion model."""
+    value = _opt(args, "rear_axle")
+    # written so that NaN fails the check
+    if value is not None and not 0.0 < value < math.inf:
+        row = _ROWS[args.command]["rear_axle"]
+        raise ValueError(f"{row.flags} must be positive and finite, got {value!r} "
+                         f"(set by {row.flags} or {row.env})")
+    return value
+
+
 def _fusion_config(args: argparse.Namespace) -> FusionConfig:
     preset = _opt(args, "preset")
     if preset is not None and preset not in PRESETS:
@@ -329,7 +340,7 @@ def _reattach_params(
     """
     if not frames:
         return []
-    columns = [DetectionColumns.of(frame.detections) for frame in frames]
+    columns = [frame.detections for frame in frames]
     index: dict[int, int] = {}
     track_of: list[int] = []
     for fi, cols in enumerate(columns):
@@ -545,8 +556,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_inverse(args: argparse.Namespace) -> int:
     model = _opt(args, "model")
+    rear_axle = _rear_axle(args)
     input_path = _opt(args, "input")
-    out = _reattach_params(list(iter_frames(input_path)), model, _opt(args, "rear_axle"))
+    out = _reattach_params(list(iter_frames(input_path)), model, rear_axle)
     meta = {"tool": TOOL, "version": __version__, "format": 1, "command": "inverse",
             "input_sha256": _sha256(input_path), "model": model}
     write_frames(_opt(args, "output"), out, meta=meta)
@@ -576,7 +588,7 @@ def _cmd_traj_compare(args: argparse.Namespace) -> int:
     speed = _opt(args, "speed")
     radius = _opt(args, "radius")
     interval = _opt(args, "frame_interval")
-    rear_axle = _opt(args, "rear_axle")
+    rear_axle = _rear_axle(args)
     horizon = _opt(args, "horizon")
     duration = _opt(args, "duration")
     # written so that NaN fails every check
@@ -585,8 +597,6 @@ def _cmd_traj_compare(args: argparse.Namespace) -> int:
             raise ValueError(f"{flag} must be finite, got {value!r}")
     if not 0.0 < interval < math.inf:
         raise ValueError(f"--interval must be positive and finite, got {interval!r}")
-    if not 0.0 < rear_axle < math.inf:
-        raise ValueError(f"--l-r must be positive and finite, got {rear_axle!r}")
     steps = max(1, int(round(horizon / interval)))
     n_frames = max(int(round(duration / interval)) + 1, 2 * steps + 3)
     gen = gen_class.from_motion(speed, 0.0, radius if radius != 0 else None, rear_axle)

@@ -17,10 +17,8 @@ computed after filtering detections to those overlapping the subset ground
 truth with IoU > 0.5; detections not matching the subset are excluded rather
 than counted as false positives.
 
-Evaluation runs on columns. Every function accepts frames whose detections
-are a list of Detection or fusion.DetectionColumns and reads them as columns,
-so `boxfuse eval`, which reads its files with io.iter_frames, builds no
-Detection. A frame's IoU table holds its same-label candidate pairs
+Evaluation runs on the columns that every frame holds, so `boxfuse eval`
+builds no Detection. A frame's IoU table holds its same-label candidate pairs
 (geometry.candidate_pairs on box centres and circumradii), each IoU from one
 call of the module global `bev_iou(gt box, det box)` on Box3Ds built once per
 frame, so a wrapper bound at that name sees every call. The score ranking,
@@ -72,10 +70,6 @@ class _Overlaps(NamedTuple):
     det: np.ndarray
     gt: np.ndarray
     iou: np.ndarray
-
-
-def _columns(frame: Frame) -> DetectionColumns:
-    return DetectionColumns.of(frame.detections)
 
 
 def _circles(cols: DetectionColumns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,7 +148,7 @@ def match_frame(gt: Frame, det: Frame, iou_threshold: float) -> MatchResult:
     input order), provided that IoU exceeds the threshold, which must be
     non-negative.
     """
-    gt_cols, det_cols = _columns(gt), _columns(det)
+    gt_cols, det_cols = gt.detections, det.detections
     return _greedy_match(det_cols.score, _frame_overlaps(gt_cols, det_cols), len(gt_cols), iou_threshold)
 
 
@@ -188,8 +182,8 @@ def average_precision(
     """
     _require_aligned(gt_frames, det_frames)
     matches = (match_frame(gt, det, iou_threshold) for gt, det in zip(gt_frames, det_frames))
-    return _average_precision(list(map(_columns, gt_frames)), list(map(_columns, det_frames)), matches,
-                              with_curve=True)
+    return _average_precision([gt.detections for gt in gt_frames], [det.detections for det in det_frames],
+                              matches, with_curve=True)
 
 
 def _frame_events(
@@ -270,7 +264,7 @@ def _track_motion_summary(gt_frames: Iterable[Frame]) -> dict[int, tuple[float, 
     track: list[int] = []
     speeds, radii = [], []
     for frame in gt_frames:
-        cols = _columns(frame)
+        cols = frame.detections
         ids = cols.track_id.tolist()
         if None in ids:
             raise ValueError("motion-state splits need track ids on ground truth")
@@ -320,11 +314,8 @@ def _in_tracks(cols: DetectionColumns, track_ids: set[int]) -> np.ndarray:
 
 def gt_subset(gt_frames: Sequence[Frame], track_ids: set[int]) -> list[Frame]:
     """Ground truth restricted to the given tracks (frames and egos preserved)."""
-    out = []
-    for frame in gt_frames:
-        cols = _columns(frame)
-        out.append(Frame(frame.timestamp, frame.ego, cols.take(_in_tracks(cols, track_ids))))
-    return out
+    return [Frame(frame.timestamp, frame.ego, frame.detections.take(_in_tracks(frame.detections, track_ids)))
+            for frame in gt_frames]
 
 
 def filter_detections_to_subset(
@@ -337,8 +328,8 @@ def filter_detections_to_subset(
     _require_aligned(det_frames, subset_gt)
     out = []
     for det, gt in zip(det_frames, subset_gt):
-        cols = _columns(det)
-        overlaps = _frame_overlaps(_columns(gt), cols)
+        cols = det.detections
+        overlaps = _frame_overlaps(gt.detections, cols)
         keep = _overlapping(len(cols), overlaps, overlaps.iou > min_iou)
         out.append(Frame(det.timestamp, det.ego, cols.take(keep)))
     return out
@@ -462,7 +453,7 @@ def evaluate_enhancement(
     """
     _require_aligned(gt_frames, raw_frames, fused_frames)
     labels = split_motion_state(gt_frames)
-    gts, raws, fuseds = (list(map(_columns, frames)) for frames in (gt_frames, raw_frames, fused_frames))
+    gts, raws, fuseds = ([frame.detections for frame in frames] for frames in (gt_frames, raw_frames, fused_frames))
     # one IoU table per frame and stream serves the all row and every subset;
     # a frame's ground-truth boxes are built once for both streams
     raw_tables, fused_tables = [], []

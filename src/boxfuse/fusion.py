@@ -8,19 +8,19 @@ weighted averages of their merge clusters rather than argmax picks; clusters
 containing no current-frame box ("history only") get their score reduced so
 they cannot crowd out fresh detections.
 
-The whole path runs on numpy columns. A frame's detections are
+The whole path runs on numpy columns. A frame's detections are always
 `DetectionColumns`, an immutable sequence of Detection that builds a row's
-Detection, Box3D and motion objects only when the row is read; io parses
-JSON straight into columns and writes them back, and `sliding_windows`
-converts a frame given as a list once, when it enters the window.
-`forward_frame` forwards a whole frame at once; `weighted_nms` finds
-candidate pairs with `geometry.candidate_pairs`, drops pairs whose IoU
-provably stays below iou_low, clips the rest in one vectorized pass and
-merges clusters with per-cluster weighted sums; the score strategy and the
-history floor are column operations. Every step does the float operations
-of the frozen per-box references in tests/oracles.py in the same order, and
-outputs are checked against them to the bit. `weighted_nms`,
-`apply_score_strategy` and `fuse_frames` accept lists of Detection as well.
+Detection, Box3D and motion objects only when the row is read: a Frame
+built from a list of Detection holds columns equal to it, and io parses
+JSON straight into columns and writes them back. `forward_frame` forwards
+a whole frame at once; `weighted_nms` finds candidate pairs with
+`geometry.candidate_pairs`, drops pairs whose IoU provably stays below
+iou_low, clips the rest in one vectorized pass and merges clusters with
+per-cluster weighted sums; the score strategy and the history floor are
+column operations. Every step does the float operations of the frozen
+per-box references in tests/oracles.py in the same order, and outputs are
+checked against them to the bit. `weighted_nms` and `apply_score_strategy`
+accept lists of Detection as well.
 
 Trace contract: `fuse_frames` calls `forward_frame(frame, t, ego, cfg)` once
 per history frame, then `weighted_nms(dense, cfg)` and
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Iterable, Iterator, Literal, Sequence, get_args
 
@@ -100,13 +100,20 @@ class Detection:
         return self.n_current == 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Frame:
-    """Timestamped detection set with the recording sensor's global pose."""
+    """Timestamped detection set with the recording sensor's global pose.
+
+    The detections are always DetectionColumns: detections given as a list
+    of Detection become columns equal to that list.
+    """
 
     timestamp: float
     ego: EgoPose
-    detections: Sequence[Detection] = field(default_factory=list)
+    detections: DetectionColumns = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "detections", DetectionColumns.of(self.detections))
 
 
 @dataclass(frozen=True)
@@ -402,7 +409,7 @@ def forward_frame(
     dt = target_time - frame.timestamp
     if dt < 0.0:
         raise ValueError("target_time must not precede the frame timestamp")
-    cols = DetectionColumns.of(frame.detections)
+    cols = frame.detections
     boxes = cols.boxes.copy()
     x, y, yaw = boxes[:, 0], boxes[:, 1], boxes[:, 6]
     # overflow is caught by the finiteness checks below
@@ -657,7 +664,7 @@ def fuse_frames(window: Sequence[Frame], cfg: FusionConfig) -> Frame:
             raise ValueError("window timestamps must strictly increase")
     current = window[-1]
     parts = [forward_frame(frame, current.timestamp, current.ego, cfg) for frame in window[:-1]]
-    cols = DetectionColumns.of(current.detections)
+    cols = current.detections
     parts.append(cols.entering(cols.boxes, cols.score, 0, 1))
     fused = apply_score_strategy(weighted_nms(DetectionColumns.concat(parts), cfg), cfg)
     kept = fused.take((fused.n_current > 0) | (fused.score >= cfg.history_score_floor))
@@ -667,21 +674,19 @@ def fuse_frames(window: Sequence[Frame], cfg: FusionConfig) -> Frame:
 def sliding_windows(frames: Iterable[Frame], size: int) -> Iterator[list[Frame]]:
     """Yield each frame's trailing window of up to `size` frames, oldest first.
 
-    A frame enters the window with its detections as columns, converted once
-    when they are a list. Raises ValueError naming the 0-based index of the
-    first offending frame unless timestamps strictly increase and every
-    detection of the stream uses one motion model.
+    Raises ValueError naming the 0-based index of the first offending frame
+    unless timestamps strictly increase and every detection of the stream
+    uses one motion model.
     """
     window: deque[Frame] = deque(maxlen=size)
     models: set[str] = set()
     for index, frame in enumerate(frames):
         if window and frame.timestamp <= window[-1].timestamp:
             raise ValueError(f"timestamps must strictly increase (frame {index})")
-        cols = DetectionColumns.of(frame.detections)
-        models.update(kind.name for kind, _ in cols.groups())
+        models.update(kind.name for kind, _ in frame.detections.groups())
         if len(models) > 1:
             raise ValueError(f"mixed motion models {sorted(models)} in one stream (frame {index})")
-        window.append(frame if cols is frame.detections else Frame(frame.timestamp, frame.ego, cols))
+        window.append(frame)
         yield list(window)
 
 

@@ -126,10 +126,6 @@ class Box3D:
         object.__setattr__(self, "yaw", normalize_angle(self.yaw))
 
     @property
-    def bev_area(self) -> float:
-        return self.w * self.l
-
-    @property
     def bev_pose(self) -> Pose:
         return Pose(self.x, self.y, self.yaw)
 

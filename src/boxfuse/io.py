@@ -15,14 +15,14 @@ one {"meta": {...}} provenance line, which readers skip. Keys are sorted and
 floats use the shortest round-trip form, making output byte-stable for
 identical inputs.
 
-A frame's detections are parsed straight into fusion.DetectionColumns and
-written back from them, with no per-detection objects. There is one writer:
-detections given as a list of Detection are turned into columns first, so
-their numbers are written as floats. The reader checks every JSON type (a
-number is an int or float, never a string or boolean; integer fields take
-integral values only; the class is a string) and every value a Detection
-would check, and names the line and detection of the first fault, in row
-order whatever each row's motion model.
+A frame's detections are always fusion.DetectionColumns: they are parsed
+straight into columns and written back from them, with no per-detection
+objects, and detections given to a Frame as a list of Detection become
+columns, so their numbers are written as floats. The reader checks every
+JSON type (a number is an int or float, never a string or boolean; integer
+fields take integral values only; the class is a string) and every value a
+Detection would check, and names the line and detection of the first
+fault, in row order whatever each row's motion model.
 """
 
 from __future__ import annotations
@@ -100,11 +100,10 @@ def detection_to_obj(det: Detection) -> dict:
 
 
 def frame_to_obj(frame: Frame) -> dict:
-    """A frame's JSON object; detections given as a list are written through their columns."""
     return {
         "timestamp": frame.timestamp,
         "ego": {"x": frame.ego.x, "y": frame.ego.y, "yaw": frame.ego.yaw},
-        "detections": _detection_objs(DetectionColumns.of(frame.detections)),
+        "detections": _detection_objs(frame.detections),
     }
 
 
@@ -280,7 +279,6 @@ def read_meta(path) -> dict | None:
 def iter_frames(path) -> Iterator[Frame]:
     """Stream frames from a JSON Lines file, skipping a leading meta line.
 
-    Each frame's detections come as columns (fusion.DetectionColumns).
     Raises FrameFormatError with the offending line number on malformed input.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -301,9 +299,5 @@ def iter_frames(path) -> Iterator[Frame]:
 
 
 def read_frames(path) -> list[Frame]:
-    """Eagerly load every frame of a JSON Lines file, with its detections as a list.
-
-    Each frame's columns are turned into Detection rows once and then
-    dropped, so a loaded file holds one copy of its detections.
-    """
-    return [Frame(f.timestamp, f.ego, list(f.detections)) for f in iter_frames(path)]
+    """Eagerly load every frame of a JSON Lines file."""
+    return list(iter_frames(path))

@@ -324,11 +324,10 @@ def corrupt(frames: Sequence[Frame], spec: CorruptionSpec, seed: int) -> list[Fr
     to whole columns, and every noisy row, dropped or not, is checked as a
     Detection would be.
     """
-    columns = [DetectionColumns.of(frame.detections) for frame in frames]
     n_frames = len(frames)
     bursts: dict[int, tuple[int, int]] = {}
     if spec.burst_vehicle_frac > 0.0 and spec.burst_frames > 0 and n_frames > 0:
-        all_ids = [tid for cols in columns for tid in cols.track_id.tolist()]
+        all_ids = [tid for frame in frames for tid in frame.detections.track_id.tolist()]
         ids = sorted({tid for tid in all_ids if tid is not None})
         if None in all_ids or not ids:
             raise ValueError("burst occlusions need track ids on every detection")
@@ -342,7 +341,8 @@ def corrupt(frames: Sequence[Frame], spec: CorruptionSpec, seed: int) -> list[Fr
     drop_overrides = dict(spec.frame_drop_overrides)
     score_scale = dict(spec.frame_score_scale)
     out = []
-    for k, (frame, cols) in enumerate(zip(frames, columns)):
+    for k, frame in enumerate(frames):
+        cols = frame.detections
         rng = _rng(seed, k + 1)
         n = len(cols)
         draws = np.empty((n, 6))

@@ -637,8 +637,9 @@ class TestFuseSequence:
 
     def test_mixed_models_error_names_the_first_mixed_frame(self):
         cv = [make_det(x=10.0 * k) for k in range(3)]
-        frames = [Frame(0.1 * i, EgoPose.identity(), list(cv)) for i in range(4)]
-        frames[2].detections[1] = replace(cv[1], motion=Unicycle(5.0, 0.1))
+        mixed = list(cv)
+        mixed[1] = replace(cv[1], motion=Unicycle(5.0, 0.1))
+        frames = [Frame(0.1 * i, EgoPose.identity(), mixed if i == 2 else list(cv)) for i in range(4)]
         with pytest.raises(ValueError, match=r"mixed motion models \['cv', 'unicycle'\].*\(frame 2\)"):
             list(fuse_sequence(frames, CFG))
         # a frame that is mixed on its own fails at its own index

@@ -288,11 +288,12 @@ class TestCli:
     def test_mixed_model_stream_exit_2_naming_the_frame(self, tmp_path, capsys):
         from dataclasses import replace
 
-        frames = [
-            Frame(f.timestamp, f.ego, [replace(d, motion=ConstantVelocity(1.0, 0.0)) for d in f.detections])
-            for f in sample_frames()
-        ]
-        frames[1].detections[0] = replace(frames[1].detections[0], motion=Unicycle(9.0, 0.5))
+        frames = []
+        for k, f in enumerate(sample_frames()):
+            dets = [replace(d, motion=ConstantVelocity(1.0, 0.0)) for d in f.detections]
+            if k == 1:
+                dets[0] = replace(dets[0], motion=Unicycle(9.0, 0.5))
+            frames.append(Frame(f.timestamp, f.ego, dets))
         src = tmp_path / "mixed.jsonl"
         write_frames(src, frames)
         assert main(["fuse", "--input", str(src), "--output", str(tmp_path / "o.jsonl")]) == 2
@@ -302,14 +303,14 @@ class TestCli:
     def test_failed_fuse_leaves_the_output_as_it_was(self, tmp_path, fault):
         from dataclasses import replace
 
-        frames = [
-            Frame(f.timestamp, f.ego, [replace(d, motion=ConstantVelocity(1.0, 0.0)) for d in f.detections])
-            for f in sample_frames()
-        ]
         # frames 0 and 1 fuse before frame 2 fails
-        if fault == "mixed models":
-            frames[2].detections[0] = replace(frames[2].detections[0], motion=Unicycle(9.0, 0.5))
-        else:
+        frames = []
+        for k, f in enumerate(sample_frames()):
+            dets = [replace(d, motion=ConstantVelocity(1.0, 0.0)) for d in f.detections]
+            if k == 2 and fault == "mixed models":
+                dets[0] = replace(dets[0], motion=Unicycle(9.0, 0.5))
+            frames.append(Frame(f.timestamp, f.ego, dets))
+        if fault == "repeated timestamp":
             frames[2] = Frame(frames[1].timestamp, frames[2].ego, frames[2].detections)
         src = tmp_path / "in.jsonl"
         write_frames(src, frames)
@@ -359,6 +360,23 @@ class TestCli:
                      "--model", "unicycle"])
         assert code == 2
         assert "track_id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["cv", "bicycle"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("source", ["flag", "variable"])
+    def test_inverse_rejects_a_bad_l_r_naming_flag_and_variable(self, tmp_path, monkeypatch, capsys, model,
+                                                                value, source):
+        gt, _ = run_synth(tmp_path)
+        out = tmp_path / "inverse.jsonl"
+        argv = ["inverse", "--input", str(gt), "--output", str(out), "--model", model]
+        if source == "flag":
+            argv += ["--l-r", value]
+        else:
+            monkeypatch.setenv("BOXFUSE_L_R", value)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("boxfuse: error: --l-r must be positive and finite") and "BOXFUSE_L_R" in err
+        assert not out.exists()
 
     def test_inverse_attaches_variant(self, tmp_path):
         gt, _ = run_synth(tmp_path)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from boxfuse import (
@@ -23,6 +25,7 @@ from boxfuse import (
     read_frames,
     write_frames,
 )
+from boxfuse.fusion import DetectionColumns
 from boxfuse.io import dumps_line, frame_from_obj, frame_to_obj, iter_frames
 from boxfuse.motion import HALF_PI
 from oracles import ref_dumps_frame, stream_reference
@@ -85,6 +88,26 @@ def test_write_then_read_returns_the_frames_and_lines_reserialize_byte_for_byte(
     # the columnar reader and writer agree with the frozen per-Detection serializer
     assert lines == [ref_dumps_frame(f) for f in frames]
     assert [dumps_line(frame_to_obj(frame_from_obj(json.loads(line)))) for line in lines] == lines
+
+
+@settings(max_examples=60, deadline=None)
+@given(lists=st.lists(st.lists(detections(), max_size=6), max_size=4), ego=st.builds(EgoPose, COORD, COORD, YAW))
+def test_a_frame_holds_columns_equal_to_its_list_that_round_trip(lists, ego):
+    frames = [Frame(0.1 * k, ego, dets) for k, dets in enumerate(lists)]
+    for frame, dets in zip(frames, lists):
+        assert isinstance(frame.detections, DetectionColumns) and frame.detections == dets
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "frames.jsonl")
+        write_frames(path, frames)
+        assert read_frames(path) == frames
+        assert list(iter_frames(path)) == frames
+
+
+@pytest.mark.parametrize("name", [field.name for field in dataclasses.fields(Frame)])
+def test_frame_fields_cannot_be_assigned(name):
+    frame = Frame(0.0, EgoPose.identity(), [])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(frame, name, getattr(frame, name))
 
 
 SPEED = st.floats(-15.0, 15.0)

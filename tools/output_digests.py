@@ -1,0 +1,109 @@
+"""Print the SHA-256 of every output of the benchmark's workloads at seeds 1-3 as one JSON object.
+
+Usage (from the repository root):
+
+    python3 tools/output_digests.py > digests.json
+
+For each workload of bench/run.py (its synth flags come from `WORKLOADS`)
+and each seed, the commands run in process, in a temporary directory:
+
+- `boxfuse synth`: the ground truth and the detections;
+- `boxfuse fuse` of the detections under the benchmark's preset;
+- `boxfuse eval`: its text and CSV over the benchmark's evaluation window;
+- `boxfuse inverse` of the ground truth under each motion model.
+
+Every file is digested whole, meta line included. Two checkouts whose
+outputs agree byte for byte print the same object, so a change that must
+keep every output can be checked by comparing two files. Like the pinned
+digests of the tests, the digests depend on numpy's SIMD kernels.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+import tempfile
+from itertools import islice
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3)
+
+
+def _load_bench():
+    """bench/run.py as a module; its own imports (probe, tracing) resolve from bench/."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _window(src: Path, dst: Path, window: slice) -> Path:
+    """Write the frame lines of src in window to dst, leaving out the meta line."""
+    with open(src, encoding="utf-8", newline="") as fh:
+        lines = [line for line in fh if not line.startswith('{"meta"')]
+    with open(dst, "w", encoding="utf-8", newline="") as out:
+        out.writelines(islice(lines, window.start, window.stop))
+    return dst
+
+
+def _run(main, argv: list[str]) -> str:
+    """Run one command in process; return its standard output and raise unless it exits 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    if code != 0:
+        raise SystemExit(f"boxfuse {' '.join(argv)} exited {code}")
+    return out.getvalue()
+
+
+def workload_digests(main, models, workload, preset: str, first: int, seed: int, work: Path) -> dict[str, str]:
+    gt, det, fused = work / "gt.jsonl", work / "det.jsonl", work / "fused.jsonl"
+    _run(main, ["synth", "--output-gt", str(gt), "--output-det", str(det), *workload.synth_args(seed)])
+    _run(main, ["fuse", "--input", str(det), "--output", str(fused), "--preset", preset])
+    window = slice(first, first + workload.eval_frames)
+    gt_win, raw_win, fused_win = (_window(path, work / f"{path.stem}-window.jsonl", window)
+                                  for path in (gt, det, fused))
+    csv = work / "report.csv"
+    text = _run(main, ["eval", "--gt", str(gt_win), "--raw", str(raw_win), "--fused", str(fused_win),
+                       "--iou", "0.5", "--output", str(csv)])
+    out = {"synth-gt": _digest(gt.read_bytes()), "synth-det": _digest(det.read_bytes()),
+           f"fuse-{preset}": _digest(fused.read_bytes()), "eval-text": _digest(text.encode("utf-8")),
+           "eval-csv": _digest(csv.read_bytes())}
+    for model in models:
+        inverse = work / f"inverse-{model}.jsonl"
+        _run(main, ["inverse", "--input", str(gt), "--output", str(inverse), "--model", model])
+        out[f"inverse-{model}"] = _digest(inverse.read_bytes())
+    return out
+
+
+def main() -> int:
+    bench = _load_bench()
+    sys.path.insert(0, str(ROOT / "src"))
+    from boxfuse.cli import main as boxfuse_main
+    from boxfuse.fusion import PRESETS
+    from boxfuse.motion import MODEL_NAMES
+
+    # the evaluation window starts at the first frame with a full history window
+    first = PRESETS[bench.PRESET].n_history
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, workload in bench.WORKLOADS.items():
+            for seed in SEEDS:
+                digests[f"{name}/seed-{seed}"] = workload_digests(
+                    boxfuse_main, MODEL_NAMES, workload, bench.PRESET, first, seed, Path(tmp))
+    print(json.dumps(digests, indent=2, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
