@@ -17,8 +17,8 @@ from boxfuse import (
     evaluate_enhancement,
     fuse_sequence,
     generate_mixed_scene,
+    reattach_params,
 )
-from boxfuse.cli import _reattach_params
 
 SEED = 7
 
@@ -50,7 +50,7 @@ print(f"{'model':<10} {'AP raw':>8} {'AP fused':>9} {'delta':>8}")
 print("-" * 38)
 last_run = None
 for model in ("cv", "unicycle", "bicycle"):
-    det = corrupt(_reattach_params(gt, model, None), noise, SEED + 1)
+    det = corrupt(reattach_params(gt, model), noise, SEED + 1)
     fused = list(fuse_sequence(det, cfg))
     raw_ap = average_precision(gt, det, 0.5).ap
     fused_ap = average_precision(gt, fused, 0.5).ap

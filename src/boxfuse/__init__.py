@@ -76,6 +76,7 @@ from .synth import (
     corrupt,
     generate_ground_truth,
     generate_mixed_scene,
+    reattach_params,
 )
 
 __version__ = "0.1.0"

@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -31,27 +32,20 @@ import numpy as np
 
 from . import __version__
 from .evaluation import evaluate_enhancement
-from .fusion import (
-    MODEL_CODES,
-    PARAM_WIDTH,
-    PRESETS,
-    SCORE_STRATEGIES,
-    Frame,
-    FusionConfig,
-    fuse_frames,
-    sliding_windows,
-)
-from .geometry import EgoPose, Pose, normalize_angle, transform_box, transform_columns
+from .fusion import PRESETS, SCORE_STRATEGIES, FusionConfig, fuse_frames, sliding_windows
+from .geometry import Pose, normalize_angle, transform_box
 from .io import dumps_line, frame_to_obj, iter_frames, read_frames, write_frames
-from .motion import (
-    MODEL_NAMES,
-    default_rear_axle,
-    estimate_param_columns,
-    estimate_params_from_track,
-    forward,
-    model_class,
+from .motion import MODEL_NAMES, default_rear_axle, estimate_params_from_track, forward, model_class
+from .synth import (
+    PRNG_NAME,
+    CorruptionSpec,
+    TrajectorySpec,
+    _motion_in_ego,
+    corrupt,
+    generate_mixed_scene,
+    reattach_params,
+    reattach_scene_params,
 )
-from .synth import PRNG_NAME, CorruptionSpec, TrajectorySpec, _motion_in_ego, corrupt, generate_mixed_scene
 
 # transform_box, _motion_in_ego and read_frames are no longer called here, but
 # the benchmark's per-layer tracing binds them in this module (bench/tracing.py).
@@ -270,16 +264,20 @@ def _fusion_config(args: argparse.Namespace) -> FusionConfig:
 def _replacing(path: str):
     """Write a sibling temporary file that replaces `path` only when the block succeeds.
 
-    On failure the temporary file is removed and `path` keeps its earlier
-    content. A path that exists but is not a regular file (a pipe,
-    /dev/null) is written in place.
+    The temporary file is created under a name no file holds yet, so a
+    leftover of a killed run cannot block it. On failure the temporary file is
+    removed and `path` keeps its earlier content. A path that exists but is
+    not a regular file (a pipe, /dev/null) is written in place.
     """
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8", newline="\n") as out:
             yield out
         return
-    tmp = f"{path}.{os.getpid()}.tmp"
-    out = open(tmp, "x", encoding="utf-8", newline="\n")
+    for attempt in itertools.count():
+        tmp = f"{path}.{os.getpid()}.{attempt}.tmp"
+        with contextlib.suppress(FileExistsError):
+            out = open(tmp, "x", encoding="utf-8", newline="\n")
+            break
     try:
         with out:
             yield out
@@ -323,63 +321,6 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     else:
         print("fuse latency: frames=0", file=sys.stderr)
     return 0
-
-
-def _reattach_params(
-    frames: Sequence[Frame], model: str, rear_axle: float | None, keep: frozenset = frozenset()
-) -> list[Frame]:
-    """Replace every detection's motion parameters using the track inverse models.
-
-    Rows are grouped by track_id in order of first appearance, each track's
-    poses taken in the world frame in frame order. The bicycle arm is
-    rear_axle, or else default_rear_axle of the track's upper median box length. The
-    parameters are fitted with estimate_param_columns and rotated into each
-    frame's ego frame; every other column is kept. The tracks whose ids are in
-    `keep` are not fitted: their rows keep their parameters, which the caller
-    vouches are already `model`'s and equal to what the fit would give.
-    """
-    if not frames:
-        return []
-    columns = [frame.detections for frame in frames]
-    index: dict[int, int] = {}
-    track_of: list[int] = []
-    for fi, cols in enumerate(columns):
-        ids = cols.track_id.tolist()
-        if None in ids:
-            raise ValueError(f"missing track_id on frame {fi}, detection {ids.index(None)}")
-        track_of += [index.setdefault(tid, len(index)) for tid in ids]
-    track = np.array(track_of, dtype=np.int64)
-    fit = np.array([tid not in keep for tid in index], dtype=bool)
-    identity = EgoPose.identity()
-    world = np.concatenate([
-        np.stack(transform_columns(cols.boxes[:, 0], cols.boxes[:, 1], cols.boxes[:, 6], frame.ego, identity),
-                 axis=1)
-        for frame, cols in zip(frames, columns)
-    ])
-    sizes = [len(cols) for cols in columns]
-    times = np.repeat([frame.timestamp for frame in frames], sizes).astype(float)
-    counts = np.bincount(track, minlength=len(index))
-    arm = rear_axle
-    if arm is None:
-        length = np.concatenate([cols.boxes[:, 4] for cols in columns])
-        by_length = np.lexsort((length, track))
-        arm = default_rear_axle(length[by_length[np.cumsum(counts) - counts + counts // 2]])[fit]
-    kind = model_class(model)
-    width = len(kind.json_keys)
-    # the fitted rows, track by track, each track in frame order
-    order = np.argsort(track, kind="stable")
-    order = order[fit[track[order]]]
-    x, y, yaw = world[order].T
-    params = np.concatenate([cols.params for cols in columns])
-    params[order] = 0.0
-    params[order, :width] = estimate_param_columns(times[order], x, y, yaw, counts[fit], model, rear_axle=arm)
-    split = np.cumsum(sizes)[:-1]
-    out = []
-    for frame, cols, rows, fitted in zip(frames, columns, np.split(params, split), np.split(fit[track], split)):
-        rows[fitted, :width] = kind.in_ego_columns(rows[fitted, :width], frame.ego)
-        out.append(Frame(frame.timestamp, frame.ego, dataclasses.replace(
-            cols, model=np.full(len(cols), MODEL_CODES[model], dtype=np.int64), params=rows)))
-    return out
 
 
 def _allocate_counts(total: int, fractions: Sequence[float]) -> list[int]:
@@ -486,36 +427,8 @@ def _spec_scene(raw) -> tuple[list[tuple[TrajectorySpec, int]], CorruptionSpec]:
     return groups, _spec_from_obj(CorruptionSpec, raw.get("corruption", {}), "--spec: key 'corruption'")
 
 
-def _prefitted_tracks(
-    groups: Sequence[tuple[TrajectorySpec, int]], model: str, rear_axle: float | None
-) -> frozenset:
-    """Ids of the ground-truth tracks whose attached parameters are what
-    _reattach_params would fit, bit for bit.
-
-    generate_mixed_scene numbers tracks from 0 in group order and fits each
-    group with its own model and arm (`rear_axle_or_default`) from the world
-    poses. With an identity ego, which every synth scene has, a refit sees the
-    same poses, times and lengths, so a group whose model is `model` and whose
-    arm is the one the refit takes (rear_axle, else default_rear_axle of the
-    box length) would get the same parameters back.
-    """
-    kept, start = set(), 0
-    for spec, count in groups:
-        arm = rear_axle if rear_axle is not None else default_rear_axle(spec.box_size[1])
-        if spec.model == model and spec.rear_axle_or_default == arm:
-            kept.update(range(start, start + count))
-        start += count
-    return frozenset(kept)
-
-
 def _cmd_synth(args: argparse.Namespace) -> int:
-    """Generate a scene and write its ground truth and its corrupted detections.
-
-    The detections carry `--model` parameters, as `boxfuse inverse` would fit
-    them from the ground truth, so each track is fitted once: the tracks whose
-    group already has `--model` and the arm of the refit keep the ground
-    truth's parameters (`_prefitted_tracks`), and only the others are fitted.
-    """
+    """Write a scene's ground truth and its corrupted detections, which carry the `--model` fit of their tracks."""
     seed = _opt(args, "seed")
     model = _opt(args, "model")
     spec_path = _opt(args, "spec")
@@ -529,28 +442,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
                                               if field.name in _ROWS["synth"]})
     gt_path = _opt(args, "output_gt")
     det_path = _opt(args, "output_det")
-    rear_axle = _opt(args, "rear_axle")
     gt = generate_mixed_scene(groups, seed)
-    base = _reattach_params(gt, model, rear_axle, keep=_prefitted_tracks(groups, model, rear_axle))
-    det = corrupt(base, cspec, seed)
-    meta_common = {
-        "tool": TOOL,
-        "format": 1,
-        "seed": seed,
-        "prng": PRNG_NAME,
-        "groups": [{"spec": dataclasses.asdict(spec), "count": count} for spec, count in groups],
-    }
-    write_frames(gt_path, gt, meta={**meta_common, "command": "synth-gt"})
-    write_frames(
-        det_path,
-        det,
-        meta={
-            **meta_common,
-            "command": "synth-det",
-            "model": model,
-            "corruption": dataclasses.asdict(cspec),
-        },
-    )
+    det = corrupt(reattach_scene_params(gt, groups, model, _opt(args, "rear_axle")), cspec, seed)
+    meta = {"tool": TOOL, "format": 1, "seed": seed, "prng": PRNG_NAME,
+            "groups": [{"spec": dataclasses.asdict(spec), "count": count} for spec, count in groups]}
+    write_frames(gt_path, gt, meta={**meta, "command": "synth-gt"})
+    write_frames(det_path, det, meta={**meta, "command": "synth-det", "model": model,
+                                      "corruption": dataclasses.asdict(cspec)})
     return 0
 
 
@@ -558,7 +456,7 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
     model = _opt(args, "model")
     rear_axle = _rear_axle(args)
     input_path = _opt(args, "input")
-    out = _reattach_params(list(iter_frames(input_path)), model, rear_axle)
+    out = reattach_params(list(iter_frames(input_path)), model, rear_axle)
     meta = {"tool": TOOL, "version": __version__, "format": 1, "command": "inverse",
             "input_sha256": _sha256(input_path), "model": model}
     write_frames(_opt(args, "output"), out, meta=meta)

@@ -39,7 +39,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .fusion import DetectionColumns, Frame
+from .fusion import DetectionColumns, Frame, track_index
 from .geometry import Box3D, bev_iou, candidate_pairs, circumradius_columns, normalize_angles
 
 #: IoU used to associate detections with a ground-truth subset.
@@ -258,27 +258,21 @@ def _medians(group: np.ndarray, values: np.ndarray, n_groups: int) -> np.ndarray
         return np.where(count % 2 == 1, upper, (lower + upper) / 2)
 
 
-def _track_motion_summary(gt_frames: Iterable[Frame]) -> dict[int, tuple[float, float]]:
+def _track_motion_summary(gt_frames: Sequence[Frame]) -> dict[int, tuple[float, float]]:
     """Median speed and turning radius of each track's motion, tracks in order of first appearance."""
-    index: dict[int, int] = {}
-    track: list[int] = []
+    ids, track = track_index(gt_frames)
+    if not ids:
+        return {}
     speeds, radii = [], []
     for frame in gt_frames:
         cols = frame.detections
-        ids = cols.track_id.tolist()
-        if None in ids:
-            raise ValueError("motion-state splits need track ids on ground truth")
-        track += [index.setdefault(tid, len(index)) for tid in ids]
         speed, radius = np.empty(len(cols)), np.empty(len(cols))
         for kind, rows in cols.groups():
             speed[rows], radius[rows] = kind.speed_radius_columns(cols.params_of(kind, rows))
         speeds.append(speed)
         radii.append(radius)
-    if not index:
-        return {}
-    group = np.array(track, dtype=np.int64)
-    medians = (_medians(group, np.concatenate(values), len(index)).tolist() for values in (speeds, radii))
-    return dict(zip(index, zip(*medians)))
+    medians = (_medians(track, np.concatenate(values), len(ids)).tolist() for values in (speeds, radii))
+    return dict(zip(ids, zip(*medians)))
 
 
 def split_motion_state(gt_frames: Sequence[Frame]) -> dict[int, str]:
@@ -449,7 +443,8 @@ def evaluate_enhancement(
 ) -> EnhancementReport:
     """AP / heading-weighted AP over {all, stationary, straight, turning}, raw vs fused.
 
-    Subsets with no ground-truth vehicles are omitted from the table.
+    Subsets with no ground-truth vehicles are omitted from the table; ground
+    truth with no boxes raises ValueError, as average_precision does.
     """
     _require_aligned(gt_frames, raw_frames, fused_frames)
     labels = split_motion_state(gt_frames)
@@ -464,7 +459,7 @@ def evaluate_enhancement(
     rows = []
     for name in ("all", "stationary", "straight", "turning"):
         ids = set(labels) if name == "all" else {t for t, lab in labels.items() if lab == name}
-        if not ids:
+        if not ids and name != "all":
             continue
         sub_gts, in_subset = gts, None
         if name != "all":

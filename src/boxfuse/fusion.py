@@ -116,6 +116,21 @@ class Frame:
         object.__setattr__(self, "detections", DetectionColumns.of(self.detections))
 
 
+def track_index(frames: Iterable[Frame]) -> tuple[list, np.ndarray]:
+    """The track ids in order of first appearance, and each row's position among them, frame by frame.
+
+    ValueError names the frame and the detection of the first row without a track_id.
+    """
+    index: dict = {}
+    track: list[int] = []
+    for fi, frame in enumerate(frames):
+        ids = frame.detections.track_id.tolist()
+        if None in ids:
+            raise ValueError(f"missing track_id on frame {fi}, detection {ids.index(None)}")
+        track += [index.setdefault(tid, len(index)) for tid in ids]
+    return list(index), np.array(track, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class FusionConfig:
     """Knobs for sliding-window weighted-NMS fusion.

@@ -510,6 +510,14 @@ class FitDivergence(RuntimeError):
         self.report = report
 
 
+class TrackFitError(ValueError):
+    """A track with fewer than two poses or times that do not increase; `track` is its position."""
+
+    def __init__(self, message: str, track: int) -> None:
+        super().__init__(message)
+        self.track = track
+
+
 def _bicycle_residual(p0: Pose, pt: Pose, t, speed, slip, rear_axle) -> np.ndarray:
     px, py, pheading = _forward_bicycle_raw(p0.x, p0.y, p0.heading, speed, slip, rear_axle, t)
     # heading residual is wrap-aware so the fit survives the +-pi seam
@@ -703,9 +711,10 @@ def estimate_param_columns(times, x, y, heading, counts, model: str, rear_axle=N
     needs the fixed rear_axle arm, given once or per track, which the other
     models ignore. Returns an (n, k) array in the model's field order.
 
-    A track needs at least two poses and strictly increasing times. The
-    tracks before the first one that fails are fitted first, so their fit
-    errors come first, as when tracks are estimated one after another.
+    A track needs at least two poses and strictly increasing times, else
+    TrackFitError names its position in counts. The tracks before the first
+    one that fails are fitted first, so their fit errors come first, as when
+    tracks are estimated one after another.
     """
     kind = model_class(model)
     times = np.asarray(times, dtype=float)
@@ -728,9 +737,8 @@ def estimate_param_columns(times, x, y, heading, counts, model: str, rear_axle=N
     x, y, heading = (np.asarray(v, dtype=float) for v in (x, y, heading))
     params = kind.inverse_columns(x[a], y[a], heading[a], x[b], y[b], heading[b], times[b] - times[a], arm)
     if failed is not None:
-        if counts[failed] < 2:
-            raise ValueError("need at least two poses")
-        raise ValueError("timestamps must strictly increase")
+        reason = "need at least two poses" if counts[failed] < 2 else "timestamps must strictly increase"
+        raise TrackFitError(reason, failed)
     return params[np.cumsum(fresh) - 1]
 
 

@@ -16,20 +16,29 @@ into the ego frame with `transform_columns` and `in_ego_columns`, and
 corrupted with column operations over the per-detection draws. Every step
 does the float operations of the frozen per-box references in tests/oracles.py
 in the same order, and the scenes are checked against them to the bit.
+
+`reattach_params` gives detections the parameters their tracks' poses give
+under one motion model, as `boxfuse inverse` does. `boxfuse synth` attaches
+its `--model` parameters with `reattach_scene_params`, which fits each track
+once: generate_mixed_scene fits each group with its own model and arm from
+the world poses, and a refit of a scene without ego motion sees the same
+poses, times and lengths, so a track whose group already has the model and
+the arm of the refit keeps its parameters, and only the others are fitted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .fusion import MODEL_CODES, PARAM_WIDTH, DetectionColumns, Frame, _groups, object_array
+from .fusion import MODEL_CODES, PARAM_WIDTH, DetectionColumns, Frame, _groups, object_array, track_index
 from .geometry import EgoPose, Pose, clamp_columns, normalize_angles, transform_columns
 from .motion import (
     MotionParams,
+    TrackFitError,
     default_rear_axle,
     estimate_param_columns,
     estimate_params_from_track,
@@ -308,6 +317,78 @@ def generate_ground_truth(
     )
 
 
+def reattach_params(frames: Sequence[Frame], model: str, rear_axle: float | None = None) -> list[Frame]:
+    """Replace every detection's motion parameters with those its track's poses give under `model`.
+
+    Each track (fusion.track_index) is fitted with estimate_param_columns from
+    its world poses in frame order, with the arm rear_axle, or else
+    default_rear_axle of its upper median box length, and the parameters are
+    rotated into each frame's ego frame; every other column is kept. A track
+    that cannot be fitted is named with the frame of its first row.
+    """
+    return _reattach(frames, model, rear_axle)
+
+
+def reattach_scene_params(
+    gt: Sequence[Frame], groups: Sequence[tuple[TrajectorySpec, int]], model: str, rear_axle: float | None = None
+) -> list[Frame]:
+    """reattach_params(gt, model, rear_axle) for gt = generate_mixed_scene(groups, seed), fitting each track once.
+
+    A scene has one row per vehicle and frame in group order, so its k-th
+    track is its k-th vehicle; see the module docstring.
+    """
+    plain = all(frame.ego == EgoPose.identity() for frame in gt)
+    kept = [plain and spec.model == model
+            and spec.rear_axle_or_default == (default_rear_axle(spec.box_size[1]) if rear_axle is None else rear_axle)
+            for spec, _ in groups]
+    return _reattach(gt, model, rear_axle, fit=~np.repeat(kept, [count for _, count in groups]))
+
+
+def _reattach(frames: Sequence[Frame], model: str, rear_axle: float | None, fit: np.ndarray | None = None):
+    """reattach_params fitting the tracks marked in `fit` (all when None); the others keep their rows."""
+    if not frames:
+        return []
+    ids, track = track_index(frames)
+    if fit is None:
+        fit = np.ones(len(ids), dtype=bool)
+    columns = [frame.detections for frame in frames]
+    identity = EgoPose.identity()
+    world = np.concatenate([
+        np.stack(transform_columns(cols.boxes[:, 0], cols.boxes[:, 1], cols.boxes[:, 6], frame.ego, identity),
+                 axis=1)
+        for frame, cols in zip(frames, columns)
+    ])
+    sizes = [len(cols) for cols in columns]
+    times = np.repeat([frame.timestamp for frame in frames], sizes).astype(float)
+    counts = np.bincount(track, minlength=len(ids))
+    arm = rear_axle
+    if arm is None:
+        length = np.concatenate([cols.boxes[:, 4] for cols in columns])
+        by_length = np.lexsort((length, track))
+        arm = default_rear_axle(length[by_length[np.cumsum(counts) - counts + counts // 2]])[fit]
+    kind = model_class(model)
+    width = len(kind.json_keys)
+    # the fitted rows, track by track, each track in frame order
+    order = np.argsort(track, kind="stable")
+    order = order[fit[track[order]]]
+    x, y, yaw = world[order].T
+    params = np.concatenate([cols.params for cols in columns])
+    params[order] = 0.0
+    try:
+        params[order, :width] = estimate_param_columns(times[order], x, y, yaw, counts[fit], model, rear_axle=arm)
+    except TrackFitError as exc:
+        failed = np.flatnonzero(fit)[exc.track]
+        first_frame = np.searchsorted(np.cumsum(sizes), np.argmax(track == failed), side="right")
+        raise ValueError(f"track {ids[failed]!r}, first seen on frame {first_frame}: {exc}") from None
+    split = np.cumsum(sizes)[:-1]
+    out = []
+    for frame, cols, rows, fitted in zip(frames, columns, np.split(params, split), np.split(fit[track], split)):
+        rows[fitted, :width] = kind.in_ego_columns(rows[fitted, :width], frame.ego)
+        out.append(Frame(frame.timestamp, frame.ego, replace(
+            cols, model=np.full(len(cols), MODEL_CODES[model], dtype=np.int64), params=rows)))
+    return out
+
+
 def corrupt(frames: Sequence[Frame], spec: CorruptionSpec, seed: int) -> list[Frame]:
     """Simulate detector output from ground-truth frames.
 
@@ -327,9 +408,8 @@ def corrupt(frames: Sequence[Frame], spec: CorruptionSpec, seed: int) -> list[Fr
     n_frames = len(frames)
     bursts: dict[int, tuple[int, int]] = {}
     if spec.burst_vehicle_frac > 0.0 and spec.burst_frames > 0 and n_frames > 0:
-        all_ids = [tid for frame in frames for tid in frame.detections.track_id.tolist()]
-        ids = sorted({tid for tid in all_ids if tid is not None})
-        if None in all_ids or not ids:
+        ids = sorted(track_index(frames)[0])
+        if not ids:
             raise ValueError("burst occlusions need track ids on every detection")
         rng = _rng(seed, 0)
         n_burst = int(round(spec.burst_vehicle_frac * len(ids)))

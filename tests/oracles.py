@@ -497,7 +497,7 @@ def stream_reference(lines: list[str], cfg) -> list[str]:
 
 
 # --- per-box scene generation and re-estimation ----------------------------
-# synth.generate_mixed_scene, synth.corrupt, cli._reattach_params and
+# synth.generate_mixed_scene, synth.corrupt, synth.reattach_params and
 # motion.estimate_params_from_track as they were before scenes became columns,
 # kept verbatim (renamed) as references for the columnar versions: one Box3D,
 # Detection and motion object per box, and a pose-pair fit per pose.
@@ -682,7 +682,11 @@ def corrupt_reference(frames: Sequence[Frame], spec: CorruptionSpec, seed: int) 
 
 
 def reattach_params_reference(frames: list[Frame], model: str, rear_axle: float | None) -> list[Frame]:
-    """Replace every detection's motion parameters using the track inverse models."""
+    """Replace every detection's motion parameters using the track inverse models.
+
+    A track too short to fit, or seen twice at one time, is named with the
+    frame of its first row, as synth.reattach_params names it.
+    """
     identity = EgoPose.identity()
     tracks: dict[int, list[tuple[int, int]]] = {}
     for fi, frame in enumerate(frames):
@@ -703,7 +707,12 @@ def reattach_params_reference(frames: list[Frame], model: str, rear_axle: float 
         if arm is None:
             lengths = sorted(frames[fi].detections[di].box.l for fi, di in locs)
             arm = lengths[len(lengths) // 2] / 4.0
-        estimates = estimate_params_from_track_reference(times, poses, model, rear_axle=arm)
+        try:
+            estimates = estimate_params_from_track_reference(times, poses, model, rear_axle=arm)
+        except ValueError as exc:
+            if str(exc) not in ("need at least two poses", "timestamps must strictly increase"):
+                raise
+            raise ValueError(f"track {tid!r}, first seen on frame {locs[0][0]}: {exc}") from None
         for (fi, di), params in zip(locs, estimates):
             new_params[(fi, di)] = params
     out = []

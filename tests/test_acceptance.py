@@ -34,11 +34,12 @@ from boxfuse import (
     normalize_angle,
     numeric_forward_batch,
     read_frames,
+    reattach_params,
     strict_turning_tracks,
     weighted_nms,
     write_frames,
 )
-from boxfuse.cli import _reattach_params, main
+from boxfuse.cli import main
 
 from oracles import weighted_nms_reference
 from test_fusion import assert_detections_close, random_scene
@@ -183,7 +184,7 @@ def _enhancement_deltas(groups, seed, noise, models, iou=0.5):
     gt = generate_mixed_scene(groups, seed)
     deltas = {}
     for model in models:
-        with_params = _reattach_params(gt, model, None)
+        with_params = reattach_params(gt, model)
         det = corrupt(with_params, noise, seed + 1)
         fused = list(fuse_sequence(det, cfg))
         raw_ap = average_precision(gt, det, iou).ap

@@ -323,6 +323,21 @@ class TestCli:
         assert main(["fuse", "--input", str(src), "--output", str(tmp_path / "new.jsonl")]) == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "out.jsonl"]
 
+    def test_fuse_writes_past_a_stale_temporary_file(self, tmp_path):
+        _, det = run_synth(tmp_path)
+        fresh = tmp_path / "fresh.jsonl"
+        assert main(["fuse", "--input", str(det), "--output", str(fresh)]) == 0
+        # left by a killed run whose pid this process now has
+        stale = [tmp_path / f"out.jsonl.{os.getpid()}.tmp", tmp_path / f"out.jsonl.{os.getpid()}.0.tmp"]
+        for path in stale:
+            path.write_text("stale\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert main(["fuse", "--input", str(det), "--output", str(out)]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+        assert [path.read_text(encoding="utf-8") for path in stale] == ["stale\n", "stale\n"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["gt.jsonl", "det.jsonl", "fresh.jsonl", "out.jsonl", *(path.name for path in stale)])
+
     def test_synth_outputs_and_meta(self, tmp_path):
         gt, det = run_synth(tmp_path)
         meta = read_meta(gt)
@@ -359,7 +374,27 @@ class TestCli:
         code = main(["inverse", "--input", str(src), "--output", str(tmp_path / "o.jsonl"),
                      "--model", "unicycle"])
         assert code == 2
-        assert "track_id" in capsys.readouterr().err
+        assert capsys.readouterr().err == "boxfuse: error: missing track_id on frame 0, detection 2\n"
+
+    UNFIT = {"a track seen once": "track 3, first seen on frame 2: need at least two poses",
+             "a repeated frame": "track 1, first seen on frame 0: timestamps must strictly increase"}
+
+    @pytest.mark.parametrize("model", ["cv", "bicycle"])
+    @pytest.mark.parametrize("fault", UNFIT)
+    def test_inverse_names_the_track_it_cannot_fit(self, tmp_path, capsys, model, fault):
+        from dataclasses import replace
+
+        ids = [[1, 2], [1, 2], [1, 3] if fault == "a track seen once" else [1, 2]]
+        frames = [Frame(f.timestamp, f.ego, [replace(d, track_id=tid) for d, tid in zip(f.detections, row)])
+                  for f, row in zip(sample_frames(), ids)]
+        if fault == "a repeated frame":
+            frames[2] = frames[1]
+        src = tmp_path / "tracks.jsonl"
+        write_frames(src, frames)
+        out = tmp_path / "o.jsonl"
+        assert main(["inverse", "--input", str(src), "--output", str(out), "--model", model]) == 2
+        assert capsys.readouterr().err == f"boxfuse: error: {self.UNFIT[fault]}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("model", ["cv", "bicycle"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
@@ -415,6 +450,16 @@ class TestCli:
         assert main(["eval", "--gt", str(gt), "--raw", str(det), "--fused", str(late)]) == 2
         err = capsys.readouterr().err
         assert "sequences must align, frame 0 has timestamps [0.0, 0.0, 0.1]" in err
+
+    def test_eval_of_ground_truth_without_boxes_exits_2(self, tmp_path, capsys):
+        gt, det = run_synth(tmp_path)
+        empty = tmp_path / "empty.jsonl"
+        write_frames(empty, [Frame(f.timestamp, f.ego, []) for f in read_frames(gt)])
+        csv_path = tmp_path / "report.csv"
+        assert main(["eval", "--gt", str(empty), "--raw", str(det), "--fused", str(det),
+                     "--output", str(csv_path)]) == 2
+        assert capsys.readouterr().err == "boxfuse: error: no ground-truth boxes to evaluate against\n"
+        assert not csv_path.exists()
 
     def test_traj_compare_ordering(self, tmp_path):
         out = tmp_path / "traj.csv"

@@ -1,8 +1,8 @@
 """Columnar scene generation and re-estimation against the frozen per-box references.
 
-generate_mixed_scene, corrupt and cli._reattach_params build numpy columns
+generate_mixed_scene, corrupt and reattach_params build numpy columns
 with no per-box objects; tests/oracles.py keeps the per-box versions they
-replaced. Both must write the same frame lines, byte for byte, and raise the
+replaced, and reattach_scene_params must equal reattach_params. Both must write the same frame lines, byte for byte, and raise the
 same errors. The column forms of the motion models must equal their scalar
 forms by ==.
 """
@@ -28,10 +28,11 @@ from boxfuse import (
     corrupt,
     generate_mixed_scene,
     motion,
+    reattach_params,
 )
-from boxfuse.cli import _reattach_params
 from boxfuse.io import dumps_line, frame_to_obj
 from boxfuse.motion import MODELS, estimate_param_columns, estimate_params_from_track
+from boxfuse.synth import reattach_scene_params
 from oracles import (
     corrupt_reference,
     estimate_params_from_track_reference,
@@ -103,9 +104,10 @@ def test_columnar_scene_writes_the_reference_lines(scene, seed, model, rear_axle
     ref_gt = generate_mixed_scene_reference(groups, seed, ego_motion=ego, track_id_start=3)
     assert lines(gt) == [ref_dumps_frame(f) for f in ref_gt]
 
-    base = _reattach_params(gt, model, rear_axle)
+    base = reattach_params(gt, model, rear_axle)
     ref_base = reattach_params_reference(ref_gt, model, rear_axle)
     assert lines(base) == [ref_dumps_frame(f) for f in ref_base]
+    assert lines(reattach_scene_params(gt, groups, model, rear_axle)) == lines(base)
 
     noise = data.draw(corruptions(len(gt)), label="noise")
     det = outcome(lambda: corrupt(base, noise, seed), list)
@@ -128,8 +130,8 @@ def test_columnar_scene_writes_the_reference_lines(scene, seed, model, rear_axle
         rows[i] = dataclasses.replace(rows[i], track_id=None)
         frames[k] = Frame(frames[k].timestamp, frames[k].ego, rows)
     refit = data.draw(st.sampled_from(MODEL_NAMES), label="refit model")
-    got = outcome(lambda: _reattach_params(frames, refit, rear_axle), lines)
-    event(f"refit: {got[1].split(' on ')[0] if type(got) is tuple else 'written'}")
+    got = outcome(lambda: reattach_params(frames, refit, rear_axle), lines)
+    event(f"refit: {got[1].split(': ')[-1].split(' on ')[0] if type(got) is tuple else 'written'}")
     assert got == outcome(lambda: reattach_params_reference(frames, refit, rear_axle),
                           lambda out: [ref_dumps_frame(f) for f in out])
 

@@ -15,11 +15,12 @@ from boxfuse import (
     forward,
     generate_ground_truth,
     generate_mixed_scene,
+    reattach_params,
     split_motion_state,
     transform_box,
 )
 from boxfuse import motion
-from boxfuse.cli import _reattach_params, _spec_scene, main
+from boxfuse.cli import _spec_scene, main
 from boxfuse.geometry import EgoPose, Pose
 from boxfuse.io import dumps_line, frame_to_obj, read_frames, read_meta
 
@@ -305,7 +306,7 @@ def test_synth_detections_equal_the_full_refit(tmp_path, model, rear_axle, spec)
     meta = read_meta(det_path)
     groups, cspec = _spec_scene({"groups": meta["groups"], "corruption": meta["corruption"]})
     gt = generate_mixed_scene(groups, meta["seed"])
-    full = corrupt(_reattach_params(gt, model, rear_axle), cspec, meta["seed"])
+    full = corrupt(reattach_params(gt, model, rear_axle), cspec, meta["seed"])
     assert gt_path.read_text().splitlines()[1:] == [dumps_line(frame_to_obj(f)) for f in gt]
     assert det_path.read_text().splitlines()[1:] == [dumps_line(frame_to_obj(f)) for f in full]
 

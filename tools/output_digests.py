@@ -10,7 +10,10 @@ and each seed, the commands run in process, in a temporary directory:
 - `boxfuse synth`: the ground truth and the detections;
 - `boxfuse fuse` of the detections under the benchmark's preset;
 - `boxfuse eval`: its text and CSV over the benchmark's evaluation window;
-- `boxfuse inverse` of the ground truth under each motion model.
+- `boxfuse inverse` of the ground truth under each motion model;
+- `boxfuse inverse --model bicycle` of the detections, whose noisy poses
+  take multi-iteration fits and whose drops leave track gaps; when it exits
+  2, its error text is recorded in place of a digest.
 
 Every file is digested whole, meta line included. Two checkouts whose
 outputs agree byte for byte print the same object, so a change that must
@@ -56,11 +59,16 @@ def _window(src: Path, dst: Path, window: slice) -> Path:
     return dst
 
 
-def _run(main, argv: list[str]) -> str:
-    """Run one command in process; return its standard output and raise unless it exits 0."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def _run(main, argv: list[str], data_error_ok: bool = False) -> str:
+    """Run one command in process; return its standard output and raise unless it exits 0.
+
+    With data_error_ok, an exit 2 returns "exit 2: " and the error text instead.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    if code == 2 and data_error_ok:
+        return "exit 2: " + err.getvalue()
     if code != 0:
         raise SystemExit(f"boxfuse {' '.join(argv)} exited {code}")
     return out.getvalue()
@@ -83,6 +91,10 @@ def workload_digests(main, models, workload, preset: str, first: int, seed: int,
         inverse = work / f"inverse-{model}.jsonl"
         _run(main, ["inverse", "--input", str(gt), "--output", str(inverse), "--model", model])
         out[f"inverse-{model}"] = _digest(inverse.read_bytes())
+    inverse = work / "inverse-det-bicycle.jsonl"
+    error = _run(main, ["inverse", "--input", str(det), "--output", str(inverse), "--model", "bicycle"],
+                 data_error_ok=True)
+    out["inverse-det-bicycle"] = error or _digest(inverse.read_bytes())
     return out
 
 
