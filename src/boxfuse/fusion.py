@@ -150,6 +150,7 @@ class FusionConfig:
     history_score_floor: float = 0.01
 
     def __post_init__(self) -> None:
+        # every check is written so that NaN fails it
         if self.n_history < 0:
             raise ValueError("n_history must be non-negative")
         if not 0.0 < self.weight_decay <= 1.0:
@@ -158,14 +159,14 @@ class FusionConfig:
             raise ValueError("IoU thresholds must lie in [0, 1]")
         if self.iou_high < self.iou_low:
             raise ValueError("iou_high must be at least iou_low")
-        if self.frame_interval <= 0.0:
-            raise ValueError("frame_interval must be positive")
+        if not 0.0 < self.frame_interval < math.inf:
+            raise ValueError("frame_interval must be positive and finite")
         if self.score_strategy not in SCORE_STRATEGIES:
             raise ValueError(f"unknown score strategy {self.score_strategy!r}")
         if not 0.0 < self.score_decay_factor <= 1.0:
             raise ValueError("score_decay_factor must lie in (0, 1]")
-        if self.history_score_floor < 0.0:
-            raise ValueError("history_score_floor must be non-negative")
+        if not 0.0 <= self.history_score_floor < math.inf:
+            raise ValueError("history_score_floor must be finite and non-negative")
 
 
 #: Named configurations matching the published tunings.

@@ -419,27 +419,15 @@ def transform_box(box: Box3D, src: EgoPose, dst: EgoPose) -> Box3D:
 
     Composes the src -> global -> dst planar rigid transforms. z and size are
     carried unchanged; yaw shifts by the rotation difference and is rewrapped.
+    One row of transform_columns, with its bits.
     """
-    if src == dst:
-        return box
-    cs = math.cos(src.yaw)
-    ss = math.sin(src.yaw)
-    gx = src.x + cs * box.x - ss * box.y
-    gy = src.y + ss * box.x + cs * box.y
-    cd = math.cos(dst.yaw)
-    sd = math.sin(dst.yaw)
-    rx = gx - dst.x
-    ry = gy - dst.y
-    return replace(
-        box,
-        x=cd * rx + sd * ry,
-        y=-sd * rx + cd * ry,
-        yaw=normalize_angle(box.yaw + src.yaw - dst.yaw),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y, yaw = transform_columns(np.array([box.x]), np.array([box.y]), np.array([box.yaw]), src, dst)
+    return replace(box, x=float(x[0]), y=float(y[0]), yaw=float(yaw[0]))
 
 
 def transform_columns(x, y, yaw, src: EgoPose, dst: EgoPose):
-    """transform_box over columns of box centres and yaws, bit for bit.
+    """Boxes given in `src` ego coordinates re-expressed in `dst`, as columns of centres and yaws.
 
     Returns new (x, y, yaw) arrays; ValueError when a result is not finite.
     """

@@ -10,28 +10,27 @@ which is algebraically identical to the usual speed/rate arc expressions but
 stays finite and smooth through zero turn rate, so no straight-motion branch
 is needed.
 
-Each parameter class owns every rule that differs between the models: its
-`name`, whether it `turns`, the JSON key of each field (`json_keys`, read
-by the columnar frame reader and writer, the only JSON form), `forward`,
-`inverse`, `speed_radius`, rotation into an ego frame (`in_ego`),
-construction from speed, heading and a signed turn radius (`from_motion`;
-positive turns left, None is straight) and its ODE (`rates`: from the
-fields, as floats with `math` or as columns with numpy, the time derivatives
-of x, y and heading as a function of heading, which the RK4 oracles
-integrate). Static methods serve the columnar code, with parameters
-as (n, k) rows in field order (`param_rows`): `invalid_columns` flags the
-rows that the class's own checks reject; `forward_columns`,
-`inverse_columns`, `speed_radius_columns` and `in_ego_columns` are
-`forward`, `inverse`, `speed_radius` and `in_ego` over many rows, with the
-same float operations and so the same bits;
-`noisy_columns` is detector noise on the parameters; and `merge_columns` is
-the fusion merge, a weighted mean per cluster (the bicycle averages slip
-wrap-aware around the cluster seed's). The cv and unicycle inverses are
-vectorized; the bicycle's fits one pose pair at a time through the module
-function `inverse_bicycle`, looked up at call time, so a wrapper bound at
-that name sees every fit. `estimate_param_columns` fits the pose pairs of
-many tracks at once, each distinct pair once. `MODELS` maps each name to
-its class; the rest of the package consults only that table.
+Each parameter class owns every rule that differs between the models, each
+stated once: its `name`, whether it `turns`, the JSON key of each field
+(`json_keys`, read by the columnar frame reader and writer, the only JSON
+form), construction from speed, heading and a signed turn radius
+(`from_motion`; positive turns left, None is straight) and its ODE (`rates`:
+from the fields, as floats with `math` or as columns with numpy, the time
+derivatives of x, y and heading as a function of heading, which the RK4
+oracles integrate). The other rules are static methods over columns, with
+parameters as (n, k) rows in field order (`param_rows`): `invalid_columns`
+flags the rows that the class's own checks reject; `forward_columns`,
+`inverse_columns`, `speed_radius_columns` and `in_ego_columns` (rotation
+into an ego frame) are the model's forward, inverse, speed and turn radius,
+and frame change; `noisy_columns` is detector noise on the parameters; and
+`merge_columns` is the fusion merge, a weighted mean per cluster (the
+bicycle averages slip wrap-aware around the cluster seed's). The per-pose
+`forward` and its aliases are one-row calls of `forward_columns`. The cv and
+unicycle inverses are vectorized; the bicycle's fits one pose pair at a time
+through the module function `inverse_bicycle`, looked up at call time, so a
+wrapper bound at that name sees every fit. `estimate_param_columns` fits the
+pose pairs of many tracks at once, each distinct pair once. `MODELS` maps
+each name to its class; the rest of the package consults only that table.
 """
 
 from __future__ import annotations
@@ -62,6 +61,12 @@ _HALF_TURN = "heading change of pi is ambiguous for the unicycle inverse"
 _NEEDS_ARM = "bicycle estimation needs a positive rear_axle"
 
 
+# Per-pose formulas of the bicycle fit, which evaluates one pose pair at a
+# time, several times per Gauss-Newton iteration: a one-row forward_columns
+# costs about ten times these float expressions. _sinc, _dsinc,
+# _forward_bicycle_raw and inverse_unicycle (which seeds the fit) serve it.
+
+
 def _sinc(z: float) -> float:
     """sin(z)/z, finite at zero."""
     if abs(z) < 1e-2:
@@ -76,6 +81,14 @@ def _dsinc(z: float) -> float:
         z2 = z * z
         return z * (-1.0 / 3.0 + z2 / 30.0 - z2 * z2 / 840.0)
     return (math.cos(z) - math.sin(z) / z) / z
+
+
+def _forward_bicycle_raw(x, y, heading, speed, slip, rear_axle, t):
+    dphi = speed * math.sin(slip) / rear_axle * t
+    half = 0.5 * dphi
+    chord = speed * t * _sinc(half)
+    mean = heading + slip + half
+    return x + chord * math.cos(mean), y + chord * math.sin(mean), heading + dphi
 
 
 def _sinc_columns(z: np.ndarray) -> np.ndarray:
@@ -130,16 +143,6 @@ class ConstantVelocity:
             raise ValueError("constant-velocity trajectories cannot turn")
         return cls(speed * math.cos(heading), speed * math.sin(heading))
 
-    def forward(self, pose: Pose, t: float) -> Pose:
-        return forward_cv(pose, self, t)
-
-    @staticmethod
-    def inverse(p0: Pose, pt: Pose, t: float, rear_axle: float | None = None) -> ConstantVelocity:
-        return inverse_cv(p0, pt, t)
-
-    def speed_radius(self) -> tuple[float, float]:
-        return math.hypot(self.vx, self.vy), math.inf
-
     @staticmethod
     def speed_radius_columns(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # math.hypot over lists: np.hypot may differ in the last bit
@@ -166,13 +169,6 @@ class ConstantVelocity:
         return lambda phi: (vx, vy, 0.0)
 
     merge_columns = staticmethod(_plain_means)
-
-    def in_ego(self, ego: EgoPose) -> ConstantVelocity:
-        if ego.yaw == 0.0:
-            return self
-        c = math.cos(ego.yaw)
-        s = math.sin(ego.yaw)
-        return ConstantVelocity(c * self.vx + s * self.vy, -s * self.vx + c * self.vy)
 
     @staticmethod
     def in_ego_columns(params: np.ndarray, ego: EgoPose) -> np.ndarray:
@@ -202,18 +198,6 @@ class Unicycle:
     @classmethod
     def from_motion(cls, speed: float, heading: float, radius: float | None, rear_axle: float):
         return cls(speed, 0.0 if radius is None else speed / radius)
-
-    def forward(self, pose: Pose, t: float) -> Pose:
-        x, y, heading = _forward_unicycle_raw(pose.x, pose.y, pose.heading, self.speed, self.yaw_rate, t)
-        return Pose(x, y, normalize_angle(heading))
-
-    @staticmethod
-    def inverse(p0: Pose, pt: Pose, t: float, rear_axle: float | None = None) -> Unicycle:
-        return inverse_unicycle(p0, pt, t)
-
-    def speed_radius(self) -> tuple[float, float]:
-        rate = abs(self.yaw_rate)
-        return abs(self.speed), math.inf if rate < _ZERO_RATE else abs(self.speed) / rate
 
     @staticmethod
     def speed_radius_columns(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,9 +237,6 @@ class Unicycle:
 
     merge_columns = staticmethod(_plain_means)
 
-    def in_ego(self, ego: EgoPose) -> Unicycle:
-        return self
-
     @staticmethod
     def in_ego_columns(params: np.ndarray, ego: EgoPose) -> np.ndarray:
         return params
@@ -292,19 +273,6 @@ class Bicycle:
             raise ValueError(f"turn radius {abs(radius)} must exceed the rear axle arm {rear_axle}")
         return cls(speed, math.copysign(1.0, radius) * math.asin(ratio), rear_axle)
 
-    def forward(self, pose: Pose, t: float) -> Pose:
-        x, y, heading = _forward_bicycle_raw(
-            pose.x, pose.y, pose.heading, self.speed, self.slip, self.rear_axle, t
-        )
-        return Pose(x, y, normalize_angle(heading))
-
-    @staticmethod
-    def inverse(p0: Pose, pt: Pose, t: float, rear_axle: float | None = None) -> Bicycle:
-        if rear_axle is None or not rear_axle > 0.0:
-            raise ValueError(_NEEDS_ARM)
-        # looked up at call time, so a wrapper bound at the module name sees every fit
-        return inverse_bicycle(p0, pt, t, rear_axle)[0]
-
     @staticmethod
     def inverse_columns(x0, y0, h0, x1, y1, h1, dt, rear_axle=None) -> np.ndarray:
         """One Gauss-Newton fit per pose pair, in order; rear_axle is one arm or one per pair."""
@@ -323,13 +291,9 @@ class Bicycle:
             out[k] = fit.speed, fit.slip, fit.rear_axle
         return out
 
-    def speed_radius(self) -> tuple[float, float]:
-        s = abs(math.sin(self.slip))
-        return abs(self.speed), math.inf if s < _ZERO_RATE else self.rear_axle / s
-
     @staticmethod
     def speed_radius_columns(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # math.sin over a list, as speed_radius takes it
+        # math.sin over a list, as the per-pose rule took it: np.sin may differ in the last bit
         s = np.abs(np.array(list(map(math.sin, params[:, 1].tolist())), dtype=float))
         with np.errstate(all="ignore"):
             return np.abs(params[:, 0]), np.where(s < _ZERO_RATE, math.inf, params[:, 2] / s)
@@ -363,9 +327,6 @@ class Bicycle:
         ref = seeds[:, 1]
         slip = clamp_columns(ref + wavg(normalize_angles(params[:, 1] - ref[cluster])), -HALF_PI, HALF_PI)
         return np.stack([wavg(params[:, 0]), slip, wavg(params[:, 2])], axis=1)
-
-    def in_ego(self, ego: EgoPose) -> Bicycle:
-        return self
 
     @staticmethod
     def in_ego_columns(params: np.ndarray, ego: EgoPose) -> np.ndarray:
@@ -409,25 +370,23 @@ def model_name(params: MotionParams) -> str:
     return params.name
 
 
-def _forward_unicycle_raw(x, y, heading, speed, yaw_rate, t):
-    dphi = yaw_rate * t
-    half = 0.5 * dphi
-    chord = speed * t * _sinc(half)
-    mean = heading + half
-    return x + chord * math.cos(mean), y + chord * math.sin(mean), heading + dphi
+def forward(pose: Pose, params: MotionParams, t: float) -> Pose:
+    """Advance a pose t seconds with the closed-form forward model of `params`.
 
-
-def _forward_bicycle_raw(x, y, heading, speed, slip, rear_axle, t):
-    dphi = speed * math.sin(slip) / rear_axle * t
-    half = 0.5 * dphi
-    chord = speed * t * _sinc(half)
-    mean = heading + slip + half
-    return x + chord * math.cos(mean), y + chord * math.sin(mean), heading + dphi
+    One row of the model's forward_columns, with their bits; code that
+    forwards many poses calls forward_columns itself.
+    """
+    kind = model_class(model_name(params))  # TypeError for anything but a model's parameters
+    # overflow is caught by Pose's finiteness checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y, heading = kind.forward_columns(np.array([pose.x]), np.array([pose.y]), np.array([pose.heading]),
+                                             param_rows(kind, [params]), t)
+    return Pose(float(x[0]), float(y[0]), float(heading[0]))
 
 
 def forward_cv(pose: Pose, params: ConstantVelocity, t: float) -> Pose:
     """Advance a pose t seconds at constant planar velocity (t may be negative)."""
-    return Pose(pose.x + params.vx * t, pose.y + params.vy * t, pose.heading)
+    return forward(pose, params, t)
 
 
 def forward_unicycle(pose: Pose, params: Unicycle, t: float) -> Pose:
@@ -437,7 +396,7 @@ def forward_unicycle(pose: Pose, params: Unicycle, t: float) -> Pose:
     of the circular arc; zero yaw rate reduces to straight motion along the
     heading.
     """
-    return params.forward(pose, t)
+    return forward(pose, params, t)
 
 
 def forward_bicycle(pose: Pose, params: Bicycle, t: float) -> Pose:
@@ -446,21 +405,14 @@ def forward_bicycle(pose: Pose, params: Bicycle, t: float) -> Pose:
     Velocity leads the heading by the slip angle and the heading turns at
     speed * sin(slip) / rear_axle; zero slip reduces to straight motion.
     """
-    return params.forward(pose, t)
-
-
-def forward(pose: Pose, params: MotionParams, t: float) -> Pose:
-    """Advance a pose t seconds with the closed-form forward model of `params`."""
-    if not isinstance(params, MotionParams):
-        raise TypeError(f"unknown motion parameters {type(params).__name__}")
-    return params.forward(pose, t)
+    return forward(pose, params, t)
 
 
 def forward_box(box: Box3D, params: MotionParams, t: float) -> Box3D:
     """Advance a box's planar pose (x, y, yaw); z and size are carried unchanged."""
     if t == 0.0:
         return box
-    return box.with_bev_pose(params.forward(box.bev_pose, t))
+    return box.with_bev_pose(forward(box.bev_pose, params, t))
 
 
 def inverse_cv(p0: Pose, pt: Pose, t: float) -> ConstantVelocity:

@@ -44,6 +44,7 @@ from .motion import (
     estimate_params_from_track,
     forward,
     model_class,
+    model_name,
     param_rows,
 )
 
@@ -219,11 +220,9 @@ def _group_tracks(spec: TrajectorySpec, starts: list[tuple[Pose, MotionParams]],
 
 
 def _motion_in_ego(params: MotionParams, ego: EgoPose) -> MotionParams:
-    """Rotate frame-dependent motion components into the ego frame.
-
-    The scalar form of each model's in_ego_columns.
-    """
-    return params.in_ego(ego)
+    """Rotate frame-dependent motion components into the ego frame: one row of in_ego_columns."""
+    kind = model_class(model_name(params))  # TypeError for anything but a model's parameters
+    return kind(*kind.in_ego_columns(param_rows(kind, [params]), ego)[0].tolist())
 
 
 def generate_mixed_scene(
@@ -409,8 +408,6 @@ def corrupt(frames: Sequence[Frame], spec: CorruptionSpec, seed: int) -> list[Fr
     bursts: dict[int, tuple[int, int]] = {}
     if spec.burst_vehicle_frac > 0.0 and spec.burst_frames > 0 and n_frames > 0:
         ids = sorted(track_index(frames)[0])
-        if not ids:
-            raise ValueError("burst occlusions need track ids on every detection")
         rng = _rng(seed, 0)
         n_burst = int(round(spec.burst_vehicle_frac * len(ids)))
         chosen = rng.choice(len(ids), size=min(n_burst, len(ids)), replace=False)

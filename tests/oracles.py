@@ -8,7 +8,9 @@ before their candidate-pair search (kept verbatim, with the scalar cluster
 merge fusion used before its columnar merge), the per-Detection frame
 stream used before the columnar frames (`stream_reference`), the per-box
 scene generation, corruption and track re-estimation used before the
-columnar scenes (kept verbatim), the bicycle Gauss-Newton fit as it was when
+columnar scenes (kept verbatim; a scene without vehicles may now take
+bursts), each motion model's per-pose rules and the per-box forward and ego
+transform (kept verbatim, as functions), the bicycle Gauss-Newton fit as it was when
 every iteration took np.linalg.cond of its normal matrix
 (`inverse_bicycle_reference`, kept verbatim), and an O(n^2) precision-recall
 enumeration for AP. The averaging and bookkeeping logic is re-written from the contract,
@@ -34,9 +36,7 @@ from boxfuse import (
     Unicycle,
     bev_iou,
     decayed_weight,
-    forward_box,
     normalize_angle,
-    transform_box,
 )
 from boxfuse.evaluation import SUBSET_FILTER_IOU, MatchResult
 from boxfuse.motion import (
@@ -47,11 +47,13 @@ from boxfuse.motion import (
     _bicycle_jacobian,
     _bicycle_residual,
     _bicycle_seeds,
-    forward,
+    inverse_cv,
+    inverse_unicycle,
     model_class,
 )
 from boxfuse.geometry import Box3D, Pose, _corners, _iou_from_corners
-from boxfuse.synth import CorruptionSpec, TrajectorySpec, _lattice, _motion_in_ego, _rng
+from boxfuse.synth import CorruptionSpec, TrajectorySpec, _lattice, _rng
+import boxfuse.motion as motion_module
 
 
 def shoelace(points) -> float:
@@ -376,11 +378,100 @@ def _fuse_cluster(members: list[Detection]) -> Detection:
     )
 
 
+# --- per-pose motion rules --------------------------------------------------
+# Each motion model's per-pose forward, speed_radius, in_ego and inverse, and
+# motion.forward_box, geometry.transform_box and synth._motion_in_ego, as they
+# were before the models stated each rule once, over columns: kept verbatim
+# (renamed, the methods as functions of the parameters) as references for the
+# one-row calls that replaced them.
+
+
+def _sinc_reference(z: float) -> float:
+    if abs(z) < 1e-2:
+        z2 = z * z
+        return 1.0 - z2 / 6.0 + z2 * z2 / 120.0
+    return math.sin(z) / z
+
+
+def forward_reference(pose: Pose, params, t: float) -> Pose:
+    if isinstance(params, ConstantVelocity):
+        return Pose(pose.x + params.vx * t, pose.y + params.vy * t, pose.heading)
+    if isinstance(params, Unicycle):
+        dphi = params.yaw_rate * t
+        half = 0.5 * dphi
+        chord = params.speed * t * _sinc_reference(half)
+        mean = pose.heading + half
+    elif isinstance(params, Bicycle):
+        dphi = params.speed * math.sin(params.slip) / params.rear_axle * t
+        half = 0.5 * dphi
+        chord = params.speed * t * _sinc_reference(half)
+        mean = pose.heading + params.slip + half
+    else:
+        raise TypeError(f"unknown motion parameters {type(params).__name__}")
+    return Pose(pose.x + chord * math.cos(mean), pose.y + chord * math.sin(mean), normalize_angle(pose.heading + dphi))
+
+
+def forward_box_reference(box: Box3D, params, t: float) -> Box3D:
+    if t == 0.0:
+        return box
+    return box.with_bev_pose(forward_reference(box.bev_pose, params, t))
+
+
+def transform_box_reference(box: Box3D, src: EgoPose, dst: EgoPose) -> Box3D:
+    if src == dst:
+        return box
+    cs = math.cos(src.yaw)
+    ss = math.sin(src.yaw)
+    gx = src.x + cs * box.x - ss * box.y
+    gy = src.y + ss * box.x + cs * box.y
+    cd = math.cos(dst.yaw)
+    sd = math.sin(dst.yaw)
+    rx = gx - dst.x
+    ry = gy - dst.y
+    return dataclasses.replace(
+        box,
+        x=cd * rx + sd * ry,
+        y=-sd * rx + cd * ry,
+        yaw=normalize_angle(box.yaw + src.yaw - dst.yaw),
+    )
+
+
+def motion_in_ego_reference(params, ego: EgoPose):
+    if isinstance(params, ConstantVelocity) and ego.yaw != 0.0:
+        c = math.cos(ego.yaw)
+        s = math.sin(ego.yaw)
+        return ConstantVelocity(c * params.vx + s * params.vy, -s * params.vx + c * params.vy)
+    return params
+
+
+def speed_radius_reference(params) -> tuple[float, float]:
+    if isinstance(params, ConstantVelocity):
+        return math.hypot(params.vx, params.vy), math.inf
+    if isinstance(params, Unicycle):
+        rate = abs(params.yaw_rate)
+        return abs(params.speed), math.inf if rate < 1e-9 else abs(params.speed) / rate
+    s = abs(math.sin(params.slip))
+    return abs(params.speed), math.inf if s < 1e-9 else params.rear_axle / s
+
+
+def inverse_reference(model: str, p0: Pose, pt: Pose, t: float, rear_axle: float | None = None):
+    """The pose-pair inverse of the model named `model`. The bicycle's calls
+    motion.inverse_bicycle, looked up at call time, so a wrapper bound there sees it."""
+    if model == "cv":
+        return inverse_cv(p0, pt, t)
+    if model == "unicycle":
+        return inverse_unicycle(p0, pt, t)
+    if rear_axle is None or not rear_axle > 0.0:
+        raise ValueError("bicycle estimation needs a positive rear_axle")
+    return motion_module.inverse_bicycle(p0, pt, t, rear_axle)[0]
+
+
 # The per-Detection frame stream as it was before the columnar frames: the
 # parser, score strategy, history floor and serializer are frozen copies of
 # io.frame_from_obj, fusion.apply_score_strategy, the floor filter of
-# fusion.fuse_frames and io.detection_to_obj; the forward is the scalar
-# transform_box(forward_box(...)) and the NMS the per-seed scan above.
+# fusion.fuse_frames and io.detection_to_obj; the forward is the per-pose
+# transform_box_reference(forward_box_reference(...)) and the NMS the
+# per-seed scan above.
 
 _REF_PARAMS = {
     "cv": lambda obj: ConstantVelocity(float(obj["vx"]), float(obj["vy"])),
@@ -482,7 +573,7 @@ def stream_reference(lines: list[str], cfg) -> list[str]:
             dt = current.timestamp - frame.timestamp
             lag = int(round(dt / cfg.frame_interval))
             for d in frame.detections:
-                box = transform_box(forward_box(d.box, d.motion, dt), frame.ego, current.ego)
+                box = transform_box_reference(forward_box_reference(d.box, d.motion, dt), frame.ego, current.ego)
                 dense.append(Detection(box, d.score, d.label, d.motion, decayed_weight(d.score, dt, cfg), lag,
                                        d.track_id, 1, 0))
         dense += [Detection(d.box, d.score, d.label, d.motion, d.score, 0, d.track_id, 1, 1)
@@ -530,7 +621,7 @@ def _sample_vehicle_reference(
         radius = radius if int(rng.integers(0, 2)) else -radius
     gen = model_class(spec.model).from_motion(speed, heading, radius, rear_axle)
     p0 = Pose(slot[0] + jx, slot[1] + jy, heading)
-    poses = tuple(gen.forward(p0, t) for t in times)
+    poses = tuple(forward_reference(p0, gen, t) for t in times)
     attached = estimate_params_from_track_reference(list(times), list(poses), spec.model, rear_axle=rear_axle)
     return _Vehicle(track_id, spec, poses, tuple(attached))
 
@@ -567,7 +658,7 @@ def generate_mixed_scene_reference(
     if ego_motion is None:
         egos = [EgoPose.identity() for _ in times]
     else:
-        ego_poses = [forward(Pose(0.0, 0.0, 0.0), ego_motion, t) for t in times]
+        ego_poses = [forward_reference(Pose(0.0, 0.0, 0.0), ego_motion, t) for t in times]
         egos = [EgoPose(p.x, p.y, p.heading) for p in ego_poses]
     total = sum(count for _, count in groups)
     slots, jitter = _lattice(total, base.origin_span, base.min_spacing)
@@ -591,10 +682,10 @@ def generate_mixed_scene_reference(
             world_box = Box3D(pose.x, pose.y, h / 2.0, w, length, h, pose.heading)
             detections.append(
                 Detection(
-                    box=transform_box(world_box, identity, egos[k]),
+                    box=transform_box_reference(world_box, identity, egos[k]),
                     score=1.0,
                     label=veh.spec.label,
-                    motion=_motion_in_ego(veh.params[k], egos[k]),
+                    motion=motion_in_ego_reference(veh.params[k], egos[k]),
                     track_id=veh.track_id,
                 )
             )
@@ -627,8 +718,7 @@ def corrupt_reference(frames: Sequence[Frame], spec: CorruptionSpec, seed: int) 
         ids = sorted(
             {d.track_id for f in frames for d in f.detections if d.track_id is not None}
         )
-        missing = any(d.track_id is None for f in frames for d in f.detections)
-        if missing or not ids:
+        if any(d.track_id is None for f in frames for d in f.detections):
             raise ValueError("burst occlusions need track ids on every detection")
         rng = _rng(seed, 0)
         n_burst = int(round(spec.burst_vehicle_frac * len(ids)))
@@ -700,7 +790,7 @@ def reattach_params_reference(frames: list[Frame], model: str, rear_axle: float 
         poses = []
         for fi, di in locs:
             det = frames[fi].detections[di]
-            world = transform_box(det.box, frames[fi].ego, identity)
+            world = transform_box_reference(det.box, frames[fi].ego, identity)
             times.append(frames[fi].timestamp)
             poses.append(Pose(world.x, world.y, world.yaw))
         arm = rear_axle
@@ -719,7 +809,7 @@ def reattach_params_reference(frames: list[Frame], model: str, rear_axle: float 
     for fi, frame in enumerate(frames):
         dets = [
             dataclasses.replace(
-                det, motion=_motion_in_ego(new_params[(fi, di)], frame.ego)
+                det, motion=motion_in_ego_reference(new_params[(fi, di)], frame.ego)
             )
             for di, det in enumerate(frame.detections)
         ]
@@ -748,11 +838,10 @@ def estimate_params_from_track_reference(
     for a, b in zip(times, times[1:]):
         if b <= a:
             raise ValueError("timestamps must strictly increase")
-    inverse = model_class(model).inverse
     out: list[MotionParams] = []
     for i in range(n):
         j0, j1 = max(i - 1, 0), min(i + 1, n - 1)
-        out.append(inverse(poses[j0], poses[j1], times[j1] - times[j0], rear_axle))
+        out.append(inverse_reference(model, poses[j0], poses[j1], times[j1] - times[j0], rear_axle))
     return out
 
 

@@ -829,3 +829,15 @@ class TestPresets:
             FusionConfig(weight_decay=0.0)
         with pytest.raises(ValueError):
             FusionConfig(score_strategy="other")
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("frame_interval", math.nan, "frame_interval must be positive and finite"),
+        ("frame_interval", math.inf, "frame_interval must be positive and finite"),
+        ("frame_interval", 0.0, "frame_interval must be positive and finite"),
+        ("history_score_floor", math.nan, "history_score_floor must be finite and non-negative"),
+        ("history_score_floor", math.inf, "history_score_floor must be finite and non-negative"),
+        ("history_score_floor", -0.1, "history_score_floor must be finite and non-negative"),
+    ])
+    def test_interval_and_floor_must_be_finite(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FusionConfig(**{field: value})

@@ -622,6 +622,32 @@ class TestCli:
         assert f"{variable}='foo'" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["det.jsonl", "gt.jsonl"]
 
+    @pytest.mark.parametrize("dest,value,message", [
+        ("frame_interval", "nan", "frame_interval must be positive and finite"),
+        ("frame_interval", "inf", "frame_interval must be positive and finite"),
+        ("history_score_floor", "nan", "history_score_floor must be finite and non-negative"),
+        ("history_score_floor", "inf", "history_score_floor must be finite and non-negative"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "variable", "config"])
+    def test_non_finite_interval_or_floor_exit_2_without_output(self, tmp_path, monkeypatch, capsys, dest, value,
+                                                                 message, source):
+        gt, det = run_synth(tmp_path)
+        row = next(row for row in OPTIONS["fuse"] if row.dest == dest)
+        argv = ["fuse", "--input", str(det), "--output", str(tmp_path / "fused.jsonl")]
+        if source == "flag":
+            argv += [row.flags.split()[0], value]
+        elif source == "variable":
+            monkeypatch.setenv(row.env, value)
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            # json writes NaN and Infinity, which json.load reads back
+            cfg_path.write_text(json.dumps({dest: float(value)}))
+            argv += ["--config", str(cfg_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"boxfuse: error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["cfg.json"] * (source == "config")
+                                                                      + ["det.jsonl", "gt.jsonl"])
+
     @pytest.mark.parametrize("command", list(OPTIONS))
     def test_help_lists_every_flag_of_the_table(self, capsys, command):
         assert main([command, "--help"]) == 0
@@ -733,6 +759,19 @@ class TestSynthScene:
         err = capsys.readouterr().err
         assert where in err and key in err
         assert not (tmp_path / "gt.jsonl").exists()
+
+    def test_bursts_on_a_scene_without_vehicles_write_its_empty_frames(self, tmp_path):
+        groups = [{"spec": {"model": model, "duration": 0.3}, "count": 0} for model in ("cv", "bicycle")]
+        frames = {}
+        for name, corruption in (("plain", {}), ("bursts", {"burst_frames": 2, "burst_vehicle_frac": 0.5})):
+            spec = tmp_path / f"{name}.json"
+            spec.write_text(json.dumps({"groups": groups, "corruption": corruption}))
+            gt, det = tmp_path / f"{name}-gt.jsonl", tmp_path / f"{name}-det.jsonl"
+            assert main(["synth", "--output-gt", str(gt), "--output-det", str(det), "--spec", str(spec)]) == 0
+            # every line but the meta header, which echoes the corruption
+            frames[name] = det.read_text().splitlines()[1:]
+        assert frames["bursts"] == frames["plain"]
+        assert [len(f.detections) for f in read_frames(tmp_path / "bursts-det.jsonl")] == [0, 0, 0, 0]
 
     def test_spec_file_scene(self, tmp_path):
         spec = tmp_path / "spec.json"

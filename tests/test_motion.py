@@ -429,7 +429,7 @@ def fit_pairs(draw):
         return p0, Pose(p0.x + chord * math.cos(angle), p0.y + chord * math.sin(angle), draw(NEAR_PI))
     if kind == "bicycle":
         gen = Bicycle(draw(st.floats(-30.0, 30.0)), draw(st.floats(-HALF_PI, HALF_PI)), draw(st.floats(0.3, 3.0)))
-        end = gen.forward(p0, draw(st.floats(1e-3, 2.0)))
+        end = forward(p0, gen, draw(st.floats(1e-3, 2.0)))
         noise = draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.3]))
         return p0, Pose(end.x + noise, end.y - noise, normalize_angle(end.heading + noise))
     return p0, draw(FIT_POSE)

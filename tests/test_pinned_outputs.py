@@ -37,6 +37,12 @@ PINNED_EVAL = {
 # `boxfuse traj-compare` CSV at its defaults
 PINNED_TRAJ_COMPARE = "252d01eac9063f18d2d0b4cd05f60b1075bea30e8d87beba8909fbe86c2e8b53"
 
+# `boxfuse traj-compare` CSV of a straight cv and a right-turning unicycle trajectory
+PINNED_TRAJ_COMPARE_GEN = {
+    ("cv", "0"): "667a339dadc45fe218eccff32cc5a913da790d50cd62519f2ca6961e4fd3e615",
+    ("unicycle", "-15"): "bc04e2f5ecb8447d9a60ca669e17dd11fb45b5be7cabed5deaeb108580631315",
+}
+
 
 def fuse(tmp_path, det, preset):
     out = tmp_path / f"fused-{preset}.jsonl"
@@ -68,3 +74,10 @@ def test_traj_compare_bytes_are_pinned(tmp_path):
     out = tmp_path / "traj.csv"
     assert main(["traj-compare", "--output", str(out)]) == 0
     assert sha256(out.read_bytes()) == PINNED_TRAJ_COMPARE
+
+
+@pytest.mark.parametrize("gen_model,radius", sorted(PINNED_TRAJ_COMPARE_GEN))
+def test_traj_compare_bytes_are_pinned_per_generator(tmp_path, gen_model, radius):
+    out = tmp_path / "traj.csv"
+    assert main(["traj-compare", "--gen-model", gen_model, "--radius", radius, "--output", str(out)]) == 0
+    assert sha256(out.read_bytes()) == PINNED_TRAJ_COMPARE_GEN[gen_model, radius]

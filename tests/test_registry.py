@@ -13,6 +13,7 @@ from boxfuse import Box3D, Detection, Pose, forward, model_name
 from boxfuse.cli import build_parser
 from boxfuse.io import detection_from_obj, detection_to_obj, dumps_line
 from boxfuse.motion import HALF_PI, MODEL_NAMES, MODELS, model_class, param_rows
+from oracles import speed_radius_reference
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # fields with a narrower valid range than "any finite float"
@@ -54,7 +55,7 @@ def test_speed_radius_columns_equal_the_scalar_form(name, data):
               else FIELD_VALUES.get(f.name, FINITE) for f in dataclasses.fields(cls)}
     motions = data.draw(st.lists(st.builds(cls, **fields), max_size=8))
     speed, radius = cls.speed_radius_columns(param_rows(cls, motions))
-    assert list(zip(speed.tolist(), radius.tolist())) == [m.speed_radius() for m in motions]
+    assert list(zip(speed.tolist(), radius.tolist())) == [speed_radius_reference(m) for m in motions]
 
 
 def _subcommand_choices(command: str, dest: str):
@@ -81,14 +82,14 @@ def test_straight_construction_agrees_across_models(name):
     got = forward(Pose(1.0, -2.0, 0.6), params, 0.5)
     assert got.x == pytest.approx(1.0 + 3.5 * math.cos(0.6), abs=1e-12)
     assert got.y == pytest.approx(-2.0 + 3.5 * math.sin(0.6), abs=1e-12)
-    assert params.speed_radius() == (pytest.approx(7.0), math.inf)
+    assert speed_radius_reference(params) == (pytest.approx(7.0), math.inf)
 
 
 @pytest.mark.parametrize("name", [n for n in MODELS if MODELS[n].turns])
 def test_turning_construction_has_the_requested_radius(name):
     for radius in (15.0, -15.0):
         params = MODELS[name].from_motion(8.0, 0.0, radius, 1.2)
-        speed, got_radius = params.speed_radius()
+        speed, got_radius = speed_radius_reference(params)
         assert speed == pytest.approx(8.0)
         assert got_radius == pytest.approx(15.0)
         # positive radius turns left

@@ -4,7 +4,8 @@ generate_mixed_scene, corrupt and reattach_params build numpy columns
 with no per-box objects; tests/oracles.py keeps the per-box versions they
 replaced, and reattach_scene_params must equal reattach_params. Both must write the same frame lines, byte for byte, and raise the
 same errors. The column forms of the motion models must equal their scalar
-forms by ==.
+forms by ==, and the per-pose entry points, one-row calls of the column
+forms, must equal the per-pose references bit for bit.
 """
 
 from __future__ import annotations
@@ -18,27 +19,40 @@ from hypothesis import event, given, settings, strategies as st
 
 from boxfuse import (
     Bicycle,
+    Box3D,
     ConstantVelocity,
     CorruptionSpec,
+    EgoPose,
     FitDivergence,
     Frame,
     Pose,
     TrajectorySpec,
     Unicycle,
     corrupt,
+    forward,
+    forward_bicycle,
+    forward_box,
+    forward_cv,
+    forward_unicycle,
     generate_mixed_scene,
     motion,
     reattach_params,
+    transform_box,
 )
 from boxfuse.io import dumps_line, frame_to_obj
-from boxfuse.motion import MODELS, estimate_param_columns, estimate_params_from_track
-from boxfuse.synth import reattach_scene_params
+from boxfuse.motion import HALF_PI, MODELS, estimate_param_columns, estimate_params_from_track
+from boxfuse.synth import _motion_in_ego, reattach_scene_params
 from oracles import (
     corrupt_reference,
     estimate_params_from_track_reference,
+    forward_box_reference,
+    forward_reference,
     generate_mixed_scene_reference,
+    inverse_reference,
+    motion_in_ego_reference,
     reattach_params_reference,
     ref_dumps_frame,
+    transform_box_reference,
 )
 
 MODEL_NAMES = sorted(MODELS)
@@ -143,13 +157,49 @@ def pose_columns(poses):
     return tuple(np.array([getattr(p, name) for p in poses]) for name in ("x", "y", "heading"))
 
 
+SPEED = st.floats(-30.0, 30.0)
+# straight rates and slips, and ones near the sinc series cut-off, as well as any
+RATE = st.sampled_from([0.0, -0.0, 1e-9, 5e-3, -2e-2]) | st.floats(-3.0, 3.0)
+SLIP = st.sampled_from([0.0, -0.0, 1e-9, HALF_PI, -HALF_PI]) | st.floats(-HALF_PI, HALF_PI)
+MOTION = (st.builds(ConstantVelocity, SPEED, SPEED) | st.builds(Unicycle, SPEED, RATE)
+          | st.builds(Bicycle, SPEED, SLIP, st.floats(0.3, 3.0)))
+COORD = st.floats(-100.0, 100.0)
+YAW = st.sampled_from([0.0, -0.0, math.pi]) | st.floats(-10.0, 10.0)
+BOX = st.builds(Box3D, COORD, COORD, st.floats(-2.0, 2.0), st.floats(0.5, 3.0), st.floats(0.5, 6.0),
+                st.floats(0.5, 3.0), YAW)
+EGO = st.builds(EgoPose, COORD, COORD, YAW)
+ALIASES = {ConstantVelocity: forward_cv, Unicycle: forward_unicycle, Bicycle: forward_bicycle}
+
+
+@settings(max_examples=400, deadline=None)
+@given(pose=POSE, params=MOTION, t=st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0), box=BOX, src=EGO, dst=EGO)
+def test_one_row_paths_equal_the_per_pose_references(pose, params, t, box, src, dst):
+    # repr tells -0.0 from 0.0 and names the class, so equal reprs are equal bits
+    expected = repr(forward_reference(pose, params, t))
+    assert repr(forward(pose, params, t)) == expected
+    assert repr(ALIASES[type(params)](pose, params, t)) == expected
+    assert repr(forward_box(box, params, t)) == repr(forward_box_reference(box, params, t))
+    assert repr(transform_box(box, src, dst)) == repr(transform_box_reference(box, src, dst))
+    assert repr(transform_box(box, src, src)) == repr(box)
+    assert repr(_motion_in_ego(params, dst)) == repr(motion_in_ego_reference(params, dst))
+
+
+@pytest.mark.parametrize("call", [lambda p: forward(Pose(0.0, 0.0, 0.0), p, 1.0),
+                                  lambda p: forward_box(Box3D(0.0, 0.0, 0.0, 2.0, 4.0, 1.5, 0.0), p, 1.0),
+                                  lambda p: _motion_in_ego(p, EgoPose(0.0, 0.0, 0.5))])
+@pytest.mark.parametrize("params", [object(), (1.0, 2.0)])
+def test_one_row_paths_reject_what_is_not_a_model(call, params):
+    with pytest.raises(TypeError, match="unknown motion parameters"):
+        call(params)
+
+
 @settings(max_examples=150, deadline=None)
 @given(model=st.sampled_from(MODEL_NAMES),
        pairs=st.lists(st.tuples(POSE, POSE, st.floats(1e-3, 2.0), st.floats(0.5, 3.0)), min_size=1, max_size=5))
 def test_inverse_columns_equal_the_scalar_inverse(model, pairs):
     kind = MODELS[model]
     p0, p1, dt, arm = zip(*pairs)
-    expected = outcome(lambda: [kind.inverse(*pair) for pair in pairs],
+    expected = outcome(lambda: [inverse_reference(model, *pair) for pair in pairs],
                        lambda fits: [dataclasses.astuple(fit) for fit in fits])
     got = outcome(lambda: kind.inverse_columns(*pose_columns(p0), *pose_columns(p1), np.array(dt), np.array(arm)),
                   lambda rows: [tuple(row) for row in rows.tolist()])
@@ -171,7 +221,7 @@ def test_inverse_columns_equal_the_scalar_inverse(model, pairs):
 def test_inverse_columns_raise_like_the_scalar_inverse(model, start, end, dt, arm, message):
     kind = MODELS[model]
     with pytest.raises(ValueError, match=message):
-        kind.inverse(Pose(*start), Pose(*end), dt, arm)
+        inverse_reference(model, Pose(*start), Pose(*end), dt, arm)
     with pytest.raises(ValueError, match=message):
         kind.inverse_columns(*(np.array([v]) for v in (*start, *end, dt)), None if arm is None else np.array([arm]))
 
@@ -190,8 +240,8 @@ def test_bicycle_fits_go_through_the_module_function_and_diverge_per_pair(monkey
     diverging = Pose(1.0, 0.4, 0.9)
     # an exact pair converges at once; a pair no bicycle explains needs more steps
     with pytest.raises(FitDivergence) as scalar:
-        Bicycle.inverse(start, diverging, 0.1, 1.2)
-    ends = [exact.forward(start, 0.1), diverging]
+        motion.inverse_bicycle(start, diverging, 0.1, 1.2)
+    ends = [forward(start, exact, 0.1), diverging]
     with pytest.raises(FitDivergence) as columns:
         Bicycle.inverse_columns(*pose_columns([start, start]), *pose_columns(ends), np.array([0.1, 0.1]), 1.2)
     assert str(columns.value) == str(scalar.value)
@@ -212,7 +262,7 @@ def test_each_distinct_pair_is_fitted_once(monkeypatch):
     tracks = []
     for n, start in zip((2, 3, 4, 2), (Pose(0.0, 0.0, 0.0), Pose(5.0, 1.0, 2.0), Pose(-3.0, 4.0, -2.5), Pose(1.0, 1.0, 1.0))):
         times = [0.1 * k for k in range(n)]
-        tracks.append((times, [gen.forward(start, t) for t in times]))
+        tracks.append((times, [forward(start, gen, t) for t in times]))
     times = [t for track_times, _ in tracks for t in track_times]
     poses = [p for _, track_poses in tracks for p in track_poses]
     rows = estimate_param_columns(times, *pose_columns(poses), [len(t) for t, _ in tracks], "bicycle", 1.2)

@@ -15,6 +15,10 @@ and each seed, the commands run in process, in a temporary directory:
   take multi-iteration fits and whose drops leave track gaps; when it exits
   2, its error text is recorded in place of a digest.
 
+Once, under `traj-compare`, it also records `boxfuse traj-compare` for every
+`--gen-model` at the radii in `TRAJ_RADII` (a cv trajectory cannot turn, so
+there the error text stands in place of a digest).
+
 Every file is digested whole, meta line included. Two checkouts whose
 outputs agree byte for byte print the same object, so a change that must
 keep every output can be checked by comparing two files. Like the pinned
@@ -35,6 +39,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
+# straight, turning left at the default radius, turning right
+TRAJ_RADII = ("0", "20", "-15")
 
 
 def _load_bench():
@@ -98,6 +104,16 @@ def workload_digests(main, models, workload, preset: str, first: int, seed: int,
     return out
 
 
+def traj_compare_digests(main, models, work: Path) -> dict[str, str]:
+    out, csv = {}, work / "traj.csv"
+    for model in models:
+        for radius in TRAJ_RADII:
+            error = _run(main, ["traj-compare", "--gen-model", model, "--radius", radius, "--output", str(csv)],
+                         data_error_ok=True)
+            out[f"gen-{model}/radius-{radius}"] = error or _digest(csv.read_bytes())
+    return out
+
+
 def main() -> int:
     bench = _load_bench()
     sys.path.insert(0, str(ROOT / "src"))
@@ -113,6 +129,7 @@ def main() -> int:
             for seed in SEEDS:
                 digests[f"{name}/seed-{seed}"] = workload_digests(
                     boxfuse_main, MODEL_NAMES, workload, bench.PRESET, first, seed, Path(tmp))
+        digests["traj-compare"] = traj_compare_digests(boxfuse_main, MODEL_NAMES, Path(tmp))
     print(json.dumps(digests, indent=2, sort_keys=True))
     return 0
 
