@@ -149,8 +149,8 @@ OPTIONS: dict[str, tuple[_Option, ...]] = {
         _Option("--models", str, ",".join(MODEL_NAMES), "comma-separated list"),
         _Option("--gen-model", str, "bicycle", choices=MODEL_NAMES),
         _Option("--speed", float, 10.0),
-        _Option("--radius", float, 20.0,
-                "signed turn radius in meters (positive turns left, negative right); 0 for straight"),
+        _Option("--radius", float, None, "signed turn radius in meters (positive turns left, negative right); "
+                "0 for straight; default 20 for a generator that turns, 0 for cv"),
         _Option("--l-r", float, default_rear_axle(TrajectorySpec.box_size[1]), dest="rear_axle"),
         _Option("--interval", float, 0.1, dest="frame_interval"),
         _Option("--duration", float, 0.0),
@@ -160,7 +160,7 @@ OPTIONS: dict[str, tuple[_Option, ...]] = {
 }
 _ROWS = {command: {row.dest: row for row in rows} for command, rows in OPTIONS.items()}
 #: synth's TrajectorySpec fields whose flags have other destinations; every
-#: other field of TrajectorySpec or CorruptionSpec that a flag sets is its destination
+#: other field of a config dataclass that an option sets is its destination
 _SPEC_DESTS = {"origin_span": ("span",), "speed_range": ("speed_min", "speed_max"),
                "radius_range": ("radius_min", "radius_max")}
 _FUSION_KEYS = tuple(field.name for field in dataclasses.fields(FusionConfig))
@@ -179,7 +179,7 @@ def _opt(args: argparse.Namespace, dest: str, *fallbacks: dict):
     the first fallback mapping that holds dest, else the table default.
 
     A variable's value is cast with the flag's type and checked against its
-    choices; ValueError names the variable, or the flag of a required option
+    choices; ValueError names the variable, or the option of a required one
     that has no value.
     """
     row = _ROWS[args.command][dest]
@@ -196,8 +196,46 @@ def _opt(args: argparse.Namespace, dest: str, *fallbacks: dict):
     if value is None:
         value = next((values[dest] for values in fallbacks if dest in values), row.default)
     if value is None and row.required:
-        raise ValueError(f"missing required option {row.flags.split()[0]}")
+        raise _option_error(args, (dest,), f"{dest} is required")
     return value
+
+
+def _option_error(args: argparse.Namespace, dests, message, config=()) -> ValueError:
+    """The one form of a rejected option value: "<flag> (<VARIABLE>): message", naming
+    the options of `dests` that a flag or variable gave (all of them when none was),
+    then each of dests among the --config keys `config`, joined by "or"."""
+    rows = [_ROWS[args.command][dest] for dest in dests]
+    rows = [row for row in rows if getattr(args, row.dest) is not None or row.env in os.environ] or rows
+    named = [f"{row.flags.split()[0]} ({row.env})" for row in rows]
+    named += [f"--config key {dest!r}" for dest in dests if dest in config]
+    return ValueError(f"{' or '.join(named)}: {message}")
+
+
+def _checked(args: argparse.Namespace, dest: str, accept, requirement: str):
+    """The option `dest`, or a ValueError naming it unless it is unset (None)
+    or accept(value); a check that only the CLI makes, written so that NaN fails it."""
+    value = _opt(args, dest)
+    if value is not None and not accept(value):
+        raise _option_error(args, (dest,), f"{dest} must be {requirement}, got {value!r}")
+    return value
+
+
+def _settings(args: argparse.Namespace, cls, values: dict, config=()):
+    """cls(**values), a config dataclass that the command's options set (FusionConfig,
+    TrajectorySpec, CorruptionSpec). Its checks' messages begin with the field at
+    fault, so a ValueError names the options, and the --config key in `config`, that set it."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        field = str(exc).split(" ", 1)[0]
+        dests = [dest for dest in _SPEC_DESTS.get(field, (field,)) if dest in _ROWS[args.command]]
+        if not dests:
+            raise
+        raise _option_error(args, dests, exc, config) from None
+
+
+def _positive(value) -> bool:
+    return 0.0 < value < math.inf
 
 
 _JSON_TYPES = {float: "a number", int: "an integer", str: "a non-empty string"}
@@ -232,22 +270,8 @@ def _check_json(value, hint, where: str, choices: tuple | None = None) -> None:
         raise ValueError(f"{where} must be {expected}, got {value!r}")
 
 
-def _rear_axle(args: argparse.Namespace) -> float | None:
-    """The --l-r option: None when neither the flag nor its variable sets it,
-    else a positive finite arm, whatever the motion model."""
-    value = _opt(args, "rear_axle")
-    # written so that NaN fails the check
-    if value is not None and not 0.0 < value < math.inf:
-        row = _ROWS[args.command]["rear_axle"]
-        raise ValueError(f"{row.flags} must be positive and finite, got {value!r} "
-                         f"(set by {row.flags} or {row.env})")
-    return value
-
-
 def _fusion_config(args: argparse.Namespace) -> FusionConfig:
-    preset = _opt(args, "preset")
-    if preset is not None and preset not in PRESETS:
-        raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
+    preset = _checked(args, "preset", PRESETS.__contains__, f"one of {', '.join(sorted(PRESETS))}")
     base = dataclasses.asdict(PRESETS[preset]) if preset else {}
     file_values = {}
     config_path = _opt(args, "config")
@@ -257,7 +281,8 @@ def _fusion_config(args: argparse.Namespace) -> FusionConfig:
         for key, value in file_values.items():
             row = _ROWS["fuse"][key]
             _check_json(value, row.type, f"--config: key {key!r}", row.choices)
-    return FusionConfig(**{key: _opt(args, key, file_values, base) for key in _FUSION_KEYS})
+    return _settings(args, FusionConfig, {key: _opt(args, key, file_values, base) for key in _FUSION_KEYS},
+                     file_values)
 
 
 @contextlib.contextmanager
@@ -324,10 +349,8 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 
 
 def _allocate_counts(total: int, fractions: Sequence[float]) -> list[int]:
-    """Largest-remainder allocation of `total` across fractions."""
+    """Largest-remainder allocation of `total` across fractions, which sum to a positive value."""
     weight = sum(fractions)
-    if weight <= 0:
-        raise ValueError("fractions must sum to a positive value")
     exact = [total * f / weight for f in fractions]
     counts = [int(math.floor(e)) for e in exact]
     order = sorted(range(len(exact)), key=lambda i: exact[i] - counts[i], reverse=True)
@@ -337,51 +360,21 @@ def _allocate_counts(total: int, fractions: Sequence[float]) -> list[int]:
     return counts
 
 
-def _flag_spec(cls, **values):
-    """cls(**values), a TrajectorySpec or CorruptionSpec set by synth's flags.
-
-    Its errors begin with the field at fault; a ValueError then names the
-    flags and variables that set that field.
-    """
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        field = str(exc).split(" ", 1)[0]
-        rows = [_ROWS["synth"][dest] for dest in _SPEC_DESTS.get(field, (field,)) if dest in _ROWS["synth"]]
-        if not rows:
-            raise
-        named = " or ".join(f"{row.flags.split()[0]} ({row.env})" for row in rows)
-        raise ValueError(f"{named}: {exc}") from None
-
-
-def _synth_groups(args: argparse.Namespace) -> list[tuple[TrajectorySpec, int]]:
-    total = _opt(args, "vehicles")
-    if total < 1:
-        raise ValueError(f"--vehicles must be at least 1, got {total}")
-    fracs = []
-    for dest in ("stationary_frac", "straight_frac", "turning_frac"):
-        frac = _opt(args, dest)
-        if not 0.0 <= frac < math.inf:
-            raise ValueError(f"--{dest.replace('_', '-')} must be a finite fraction >= 0, got {frac!r}")
-        fracs.append(frac)
-    counts = _allocate_counts(total, fracs)
-    common = dict(
-        duration=_opt(args, "duration"),
-        frame_interval=_opt(args, "frame_interval"),
-        origin_span=_opt(args, "span"),
-    )
+def _synth_groups(args: argparse.Namespace, rear_axle: float | None) -> list[tuple[TrajectorySpec, int]]:
+    total = _checked(args, "vehicles", lambda n: n >= 1, "at least 1")
+    mix = ("stationary_frac", "straight_frac", "turning_frac")
+    fracs = [_checked(args, dest, lambda f: 0.0 <= f < math.inf, "finite and non-negative") for dest in mix]
+    if not sum(fracs) > 0.0:
+        raise _option_error(args, mix, "the vehicle mix fractions must sum to a positive value")
+    common = dict(duration=_opt(args, "duration"), frame_interval=_opt(args, "frame_interval"),
+                  origin_span=_opt(args, "span"))
     speed = (_opt(args, "speed_min"), _opt(args, "speed_max"))
     radius = (_opt(args, "radius_min"), _opt(args, "radius_max"))
-    rear_axle = _opt(args, "rear_axle")
-    turning = _flag_spec(
-        TrajectorySpec, model="bicycle", speed_range=speed, radius_range=radius, rear_axle=rear_axle, **common
-    )
-    groups = [
-        (_flag_spec(TrajectorySpec, model="cv", speed_range=(0.0, 0.0), **common), counts[0]),
-        (_flag_spec(TrajectorySpec, model="cv", speed_range=speed, **common), counts[1]),
-        (turning, counts[2]),
-    ]
-    return [(spec, count) for spec, count in groups if count > 0]
+    # stationary, straight and turning vehicles, in the order of the mix
+    shapes = (dict(model="cv", speed_range=(0.0, 0.0)), dict(model="cv", speed_range=speed),
+              dict(model="bicycle", speed_range=speed, radius_range=radius, rear_axle=rear_axle))
+    specs = [_settings(args, TrajectorySpec, {**shape, **common}) for shape in shapes]
+    return [(spec, count) for spec, count in zip(specs, _allocate_counts(total, fracs)) if count > 0]
 
 
 def _known_keys(obj, allowed, where: str) -> dict:
@@ -429,21 +422,22 @@ def _spec_scene(raw) -> tuple[list[tuple[TrajectorySpec, int]], CorruptionSpec]:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     """Write a scene's ground truth and its corrupted detections, which carry the `--model` fit of their tracks."""
-    seed = _opt(args, "seed")
+    seed = _checked(args, "seed", lambda n: n >= 0, "non-negative")
+    rear_axle = _checked(args, "rear_axle", _positive, "positive and finite")
     model = _opt(args, "model")
     spec_path = _opt(args, "spec")
     if spec_path:
         with open(spec_path, "r", encoding="utf-8") as fh:
             groups, cspec = _spec_scene(json.load(fh))
     else:
-        groups = _synth_groups(args)
-        cspec = _flag_spec(CorruptionSpec, **{field.name: _opt(args, field.name)
-                                              for field in dataclasses.fields(CorruptionSpec)
-                                              if field.name in _ROWS["synth"]})
+        groups = _synth_groups(args, rear_axle)
+        cspec = _settings(args, CorruptionSpec, {field.name: _opt(args, field.name)
+                                                 for field in dataclasses.fields(CorruptionSpec)
+                                                 if field.name in _ROWS["synth"]})
     gt_path = _opt(args, "output_gt")
     det_path = _opt(args, "output_det")
     gt = generate_mixed_scene(groups, seed)
-    det = corrupt(reattach_scene_params(gt, groups, model, _opt(args, "rear_axle")), cspec, seed)
+    det = corrupt(reattach_scene_params(gt, groups, model, rear_axle), cspec, seed)
     meta = {"tool": TOOL, "format": 1, "seed": seed, "prng": PRNG_NAME,
             "groups": [{"spec": dataclasses.asdict(spec), "count": count} for spec, count in groups]}
     write_frames(gt_path, gt, meta={**meta, "command": "synth-gt"})
@@ -454,7 +448,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_inverse(args: argparse.Namespace) -> int:
     model = _opt(args, "model")
-    rear_axle = _rear_axle(args)
+    rear_axle = _checked(args, "rear_axle", _positive, "positive and finite")
     input_path = _opt(args, "input")
     out = reattach_params(list(iter_frames(input_path)), model, rear_axle)
     meta = {"tool": TOOL, "version": __version__, "format": 1, "command": "inverse",
@@ -464,8 +458,8 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    threshold = _checked(args, "iou", lambda iou: iou >= 0.0, "non-negative")
     gt, raw, fused = (list(iter_frames(_opt(args, dest))) for dest in ("gt", "raw", "fused"))
-    threshold = _opt(args, "iou")
     report = evaluate_enhancement(gt, raw, fused, threshold)
     print(report.to_text())
     output = _opt(args, "output")
@@ -481,23 +475,24 @@ def _cmd_traj_compare(args: argparse.Namespace) -> int:
     listed = _opt(args, "models")
     models = [m for m in map(str.strip, listed.split(",")) if m]
     if not models or not set(models) <= set(MODEL_NAMES):
-        raise ValueError(f"--models must list motion models from {', '.join(MODEL_NAMES)}, got {listed!r}")
+        raise _option_error(args, ("models",), f"models must list motion models from {', '.join(MODEL_NAMES)}, "
+                            f"got {listed!r}")
     gen_class = model_class(_opt(args, "gen_model"))
-    speed = _opt(args, "speed")
-    radius = _opt(args, "radius")
-    interval = _opt(args, "frame_interval")
-    rear_axle = _rear_axle(args)
-    horizon = _opt(args, "horizon")
-    duration = _opt(args, "duration")
-    # written so that NaN fails every check
-    for flag, value in (("--speed", speed), ("--radius", radius), ("--horizon", horizon), ("--duration", duration)):
-        if not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value!r}")
-    if not 0.0 < interval < math.inf:
-        raise ValueError(f"--interval must be positive and finite, got {interval!r}")
+    speed = _checked(args, "speed", math.isfinite, "finite")
+    radius = _checked(args, "radius", math.isfinite, "finite")
+    interval = _checked(args, "frame_interval", _positive, "positive and finite")
+    rear_axle = _checked(args, "rear_axle", _positive, "positive and finite")
+    horizon = _checked(args, "horizon", _positive, "positive and finite")
+    duration = _checked(args, "duration", lambda d: 0.0 <= d < math.inf, "finite and non-negative")
+    if radius is None:
+        radius = 20.0 if gen_class.turns else 0.0
     steps = max(1, int(round(horizon / interval)))
     n_frames = max(int(round(duration / interval)) + 1, 2 * steps + 3)
-    gen = gen_class.from_motion(speed, 0.0, radius if radius != 0 else None, rear_axle)
+    try:
+        gen = gen_class.from_motion(speed, 0.0, radius if radius != 0 else None, rear_axle)
+    except ValueError as exc:
+        # cv cannot turn, and a bicycle's turn radius must exceed its arm
+        raise _option_error(args, ("radius",), exc) from None
     times = [i * interval for i in range(n_frames)]
     poses = [forward(Pose(0.0, 0.0, 0.0), gen, t) for t in times]
     center = n_frames // 2

@@ -155,8 +155,9 @@ class FusionConfig:
             raise ValueError("n_history must be non-negative")
         if not 0.0 < self.weight_decay <= 1.0:
             raise ValueError("weight_decay must lie in (0, 1]")
-        if not 0.0 <= self.iou_low <= 1.0 or not 0.0 <= self.iou_high <= 1.0:
-            raise ValueError("IoU thresholds must lie in [0, 1]")
+        for name in ("iou_low", "iou_high"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
         if self.iou_high < self.iou_low:
             raise ValueError("iou_high must be at least iou_low")
         if not 0.0 < self.frame_interval < math.inf:

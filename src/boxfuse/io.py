@@ -36,7 +36,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .fusion import MODEL_CODES, PARAM_WIDTH, Detection, DetectionColumns, Frame, object_array
-from .geometry import EgoPose, require_number
+from .geometry import EgoPose
 from .motion import MODEL_NAMES, MODELS
 
 
@@ -228,14 +228,21 @@ def detection_from_obj(obj: dict) -> Detection:
     return detections_from_objs([obj])[0]
 
 
+def _number(name: str, value) -> float:
+    """A JSON number as a float; ValueError for anything else, booleans and strings included."""
+    if not _is_number(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def frame_from_obj(obj: dict) -> Frame:
-    timestamp = require_number("timestamp", obj["timestamp"])
+    timestamp = _number("timestamp", obj["timestamp"])
     if not math.isfinite(timestamp):
         raise ValueError(f"non-finite timestamp {timestamp!r}")
     ego = obj["ego"]
     return Frame(
         timestamp,
-        EgoPose(*(require_number(f"ego {key}", ego[key]) for key in ("x", "y", "yaw"))),
+        EgoPose(*(_number(f"ego {key}", ego[key]) for key in ("x", "y", "yaw"))),
         detections_from_objs(obj["detections"]),
     )
 

@@ -410,7 +410,7 @@ class TestCli:
             monkeypatch.setenv("BOXFUSE_L_R", value)
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("boxfuse: error: --l-r must be positive and finite") and "BOXFUSE_L_R" in err
+        assert err.startswith("boxfuse: error: --l-r (BOXFUSE_L_R): rear_axle must be positive and finite")
         assert not out.exists()
 
     def test_inverse_attaches_variant(self, tmp_path):
@@ -521,9 +521,10 @@ class TestCli:
         ("--horizon", "nan"), ("--duration", "inf"),
     ])
     def test_non_finite_traj_compare_flag_exit_2_naming_the_flag(self, tmp_path, capsys, flag, value):
+        row = next(row for row in OPTIONS["traj-compare"] if row.flags == flag)
         assert main(["traj-compare", "--output", str(tmp_path / "traj.csv"), flag, value]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"boxfuse: error: {flag} must be ")
+        assert err.startswith(f"boxfuse: error: {flag} ({row.env}): {row.dest} must be ")
         assert "Traceback" not in err
         assert not (tmp_path / "traj.csv").exists()
 
@@ -644,7 +645,8 @@ class TestCli:
             cfg_path.write_text(json.dumps({dest: float(value)}))
             argv += ["--config", str(cfg_path)]
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"boxfuse: error: {message}\n"
+        key = f" or --config key {dest!r}" if source == "config" else ""
+        assert capsys.readouterr().err == f"boxfuse: error: {row.flags.split()[0]} ({row.env}){key}: {message}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["cfg.json"] * (source == "config")
                                                                       + ["det.jsonl", "gt.jsonl"])
 
@@ -781,3 +783,84 @@ class TestSynthScene:
         assert main(["synth", "--output-gt", str(gt), "--output-det", str(det), "--spec", str(spec)]) == 0
         assert [len(f.detections) for f in read_frames(gt)] == [2, 2, 2, 2]
         assert [len(f.detections) for f in read_frames(det)] == [2, 0, 2, 2]
+
+
+@pytest.fixture(scope="module")
+def scene(tmp_path_factory):
+    """The ground truth and detections of one small synth scene, for the commands that read frames."""
+    return run_synth(tmp_path_factory.mktemp("scene"))
+
+
+def required_options(command, scene, out):
+    """The options a command needs to run, each output a file in the directory out."""
+    gt, det = scene
+    return {"fuse": ["--input", str(det), "--output", str(out / "fused.jsonl")],
+            "synth": ["--output-gt", str(out / "gt.jsonl"), "--output-det", str(out / "det.jsonl")],
+            "inverse": ["--input", str(gt), "--output", str(out / "inverse.jsonl")],
+            "eval": ["--gt", str(gt), "--raw", str(det), "--fused", str(det), "--output", str(out / "report.csv")],
+            "traj-compare": ["--output", str(out / "traj.csv")]}[command]
+
+
+FLOAT_ROWS = [(command, row) for command, rows in OPTIONS.items() for row in rows if row.type is float]
+
+
+class TestOptionErrors:
+    """Every rejected option value exits 2 with one message form: "<flag> (<VARIABLE>): <message>"."""
+
+    @pytest.mark.parametrize("command,row", FLOAT_ROWS, ids=[f"{c} {row.flags.split()[0]}" for c, row in FLOAT_ROWS])
+    @pytest.mark.parametrize("source", ["flag", "variable"])
+    def test_nan_exit_2_naming_flag_and_variable(self, tmp_path, monkeypatch, capsys, scene, command, row, source):
+        flag = row.flags.split()[0]
+        argv = [command, *required_options(command, scene, tmp_path)]
+        if source == "flag":
+            argv += [flag, "nan"]
+        else:
+            monkeypatch.setenv(row.env, "nan")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"boxfuse: error: {flag} (") and row.env in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,error", [
+        (["fuse", "--iou-low", "2"], "--iou-low (BOXFUSE_IOU_LOW): iou_low must lie in [0, 1]"),
+        (["fuse", "--iou-high", "-0.5"], "--iou-high (BOXFUSE_IOU_HIGH): iou_high must lie in [0, 1]"),
+        (["fuse", "--preset", "nope"],
+         "--preset (BOXFUSE_PRESET): preset must be one of multi-method, nuscenes, waymo-default, got 'nope'"),
+        (["eval", "--iou", "-0.5"], "--iou (BOXFUSE_IOU): iou must be non-negative, got -0.5"),
+        (["synth", "--vehicles", "0"], "--vehicles (BOXFUSE_VEHICLES): vehicles must be at least 1, got 0"),
+        (["synth", "--seed", "-1"], "--seed (BOXFUSE_SEED): seed must be non-negative, got -1"),
+        (["synth", "--stationary-frac", "0", "--straight-frac", "0", "--turning-frac", "0"],
+         "--stationary-frac (BOXFUSE_STATIONARY_FRAC) or --straight-frac (BOXFUSE_STRAIGHT_FRAC) or "
+         "--turning-frac (BOXFUSE_TURNING_FRAC): the vehicle mix fractions must sum to a positive value"),
+        # of the two flags of one field, only the one given is named
+        (["synth", "--speed-max", "1"], "--speed-max (BOXFUSE_SPEED_MAX): speed_range must be finite (low, high)"),
+        (["traj-compare", "--horizon", "0"],
+         "--horizon (BOXFUSE_HORIZON): horizon must be positive and finite, got 0.0"),
+        (["traj-compare", "--horizon", "-1"],
+         "--horizon (BOXFUSE_HORIZON): horizon must be positive and finite, got -1.0"),
+        (["traj-compare", "--duration", "-5"],
+         "--duration (BOXFUSE_DURATION): duration must be finite and non-negative, got -5.0"),
+        (["traj-compare", "--gen-model", "cv", "--radius", "20"],
+         "--radius (BOXFUSE_RADIUS): constant-velocity trajectories cannot turn"),
+    ])
+    def test_bad_value_exit_2_in_the_one_form(self, tmp_path, capsys, scene, argv, error):
+        assert main([*argv, *required_options(argv[0], scene, tmp_path)]) == 2
+        assert capsys.readouterr().err == f"boxfuse: error: {error}\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_missing_required_option_names_flag_and_variable(self, tmp_path, capsys):
+        assert main(["inverse", "--output", str(tmp_path / "inverse.jsonl")]) == 2
+        assert capsys.readouterr().err == "boxfuse: error: --input (BOXFUSE_INPUT): input is required\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("model", ["cv", "bicycle"])
+    def test_synth_checks_l_r_for_a_spec_scene_too(self, tmp_path, capsys, scene, model):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"groups": [{"spec": {"model": "cv", "duration": 0.3}, "count": 2}]}))
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["synth", "--spec", str(spec), "--model", model, "--l-r", "-1", *required_options("synth", scene, out)]
+        assert main(argv) == 2
+        error = "--l-r (BOXFUSE_L_R): rear_axle must be positive and finite, got -1.0"
+        assert capsys.readouterr().err == f"boxfuse: error: {error}\n"
+        assert not any(out.iterdir())

@@ -81,3 +81,9 @@ def test_traj_compare_bytes_are_pinned_per_generator(tmp_path, gen_model, radius
     out = tmp_path / "traj.csv"
     assert main(["traj-compare", "--gen-model", gen_model, "--radius", radius, "--output", str(out)]) == 0
     assert sha256(out.read_bytes()) == PINNED_TRAJ_COMPARE_GEN[gen_model, radius]
+
+
+def test_traj_compare_cv_runs_straight_without_a_radius(tmp_path):
+    out = tmp_path / "traj.csv"
+    assert main(["traj-compare", "--gen-model", "cv", "--output", str(out)]) == 0
+    assert sha256(out.read_bytes()) == PINNED_TRAJ_COMPARE_GEN["cv", "0"]
