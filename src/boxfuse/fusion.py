@@ -13,9 +13,10 @@ The whole path runs on numpy columns. A frame's detections are always
 Detection, Box3D and motion objects only when the row is read: a Frame
 built from a list of Detection holds columns equal to it, and io parses
 JSON straight into columns and writes them back. `forward_frame` forwards
-a whole frame at once; `weighted_nms` finds candidate pairs with
-`geometry.candidate_pairs`, drops pairs whose IoU provably stays below
-iou_low, clips the rest in one vectorized pass and merges clusters with
+a whole frame at once; `weighted_nms` finds each candidate pair once with
+the self-join of `geometry.candidate_pairs`, orients it by seed order,
+drops pairs whose IoU provably stays below iou_low, clips the rest in
+vectorized passes of up to `_PAIR_CHUNK` pairs and merges clusters with
 per-cluster weighted sums; the score strategy and the history floor are
 column operations. Every step does the float operations of the frozen
 per-box references in tests/oracles.py in the same order, and outputs are
@@ -450,8 +451,9 @@ def _require_single_variant(cols: DetectionColumns) -> None:
         raise ValueError(f"mixed motion-parameter variants in one fusion run: {names}")
 
 
-# Oriented pairs are bounded and clipped this many at a time, which bounds
-# the temporaries of one pass.
+# The IoU bound runs over this many oriented pairs at a time, and the pairs
+# it keeps are clipped this many at a time, which bounds the temporaries of
+# one pass while each clipping pass stays full.
 _PAIR_CHUNK = 2048
 # Slack of the intersection bound per squared metre of coordinate magnitude
 # M (the pair's largest coordinates plus circumradii): clipping absolute
@@ -498,24 +500,33 @@ def _clustering_pairs(cols: DetectionColumns, label: np.ndarray, rank: np.ndarra
 
     i and j share a label, i comes first in the seed order, and
     IoU(i, j) > 0 and >= iou_low, computed by clipping i's footprint by j's as
-    _iou_from_corners does; identical boxes have IoU 1.
+    _iou_from_corners does; identical boxes have IoU 1. The self-join finds
+    each unordered pair once; orienting it by rank and sorting gives the pair
+    order that the sweep, and so the merge order, depend on.
     """
     boxes = cols.boxes
     x, y, w, l, yaw = boxes[:, 0], boxes[:, 1], boxes[:, 3], boxes[:, 4], boxes[:, 6]
     radius = circumradius_columns(w, l)
-    i, j = candidate_pairs(x, y, radius, x, y, radius)
-    ahead = (label[i] == label[j]) & (rank[i] < rank[j])
-    i, j = i[ahead], j[ahead]
-    corner_x, corner_y = corner_columns(x, y, w, l, yaw)
+    i, j = candidate_pairs(x, y, radius)
+    same = label[i] == label[j]
+    i, j = i[same], j[same]
+    n = len(cols)
+    keys = np.where(rank[i] < rank[j], i * n + j, j * n + i)
+    keys.sort()
+    i, j = np.divmod(keys, n)
     area = w * l
-    shape = (x, y, np.cos(yaw), np.sin(yaw), 0.5 * l, 0.5 * w)
-    magnitude = np.maximum(np.abs(x), np.abs(y)) + radius
+    if cfg.iou_low > 0.0:
+        shape = (x, y, np.cos(yaw), np.sin(yaw), 0.5 * l, 0.5 * w)
+        magnitude = np.maximum(np.abs(x), np.abs(y)) + radius
+        keep = np.empty(len(i), dtype=bool)
+        for start in range(0, len(i), _PAIR_CHUNK):
+            chunk = slice(start, start + _PAIR_CHUNK)
+            keep[chunk] = _can_reach(i[chunk], j[chunk], shape, magnitude, area, cfg.iou_low)
+        i, j = i[keep], j[keep]
+    corner_x, corner_y = corner_columns(x, y, w, l, yaw)
     found_i, found_j, merges = [], [], []
     for start in range(0, len(i), _PAIR_CHUNK):
         a, b = i[start : start + _PAIR_CHUNK], j[start : start + _PAIR_CHUNK]
-        if cfg.iou_low > 0.0:
-            keep = _can_reach(a, b, shape, magnitude, area, cfg.iou_low)
-            a, b = a[keep], b[keep]
         iou = clipped_iou(corner_x[a], corner_y[a], area[a], corner_x[b], corner_y[b], area[b])
         iou[(boxes[a] == boxes[b]).all(axis=1)] = 1.0
         hit = (iou > 0.0) & (iou >= cfg.iou_low)

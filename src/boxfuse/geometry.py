@@ -346,20 +346,38 @@ def _no_pairs() -> tuple[np.ndarray, np.ndarray]:
     return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
 
-def candidate_pairs(ax, ay, ar, bx, by, br) -> tuple[np.ndarray, np.ndarray]:
+# Neighbour cells (dx, dy) that a self-join probes besides a point's own
+# cell: one of each pair of opposite offsets, so each pair of cells meets once.
+_HALF_OFFSETS = ((0, 1), (1, -1), (1, 0), (1, 1))
+_ALL_OFFSETS = tuple((ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1))
+
+
+def candidate_pairs(ax, ay, ar, bx=None, by=None, br=None) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j) whose circles overlap: dx*dx + dy*dy < (ar[i] + br[j])**2.
 
     dx = bx[j] - ax[i] and dy = by[j] - ay[i]; the test is exactly the one
     bev_iou uses to skip pairs, so every pair of boxes with IoU > 0 is among
-    the results when ar and br are the circumradii. The b side is binned into
+    the results when ar and br are the circumradii. The points are binned into
     a uniform grid whose cell is at least the largest radius sum, and each a
-    point probes its 3x3 neighbouring cells, one offset at a time, so
-    temporaries stay the size of one offset's candidates. Returns two int64
-    arrays sorted by (i, j); a self-join (a is b) includes every (i, i) of
-    positive radius.
+    point probes neighbouring cells, one offset at a time, so temporaries stay
+    the size of one offset's candidates. Two modes, as two int64 arrays:
+
+    - cross join (b given): every passing (i, j), each a point probing its
+      3x3 neighbouring cells; sorted by (i, j). Passing the same points as a
+      and b gives the ordered self-join, with (j, i) and every (i, i) of
+      positive radius.
+    - self-join (b left out): each unordered pair {i, j}, i != j, exactly
+      once, as i < j and in no set order. A point probes only the later
+      points of its own cell and 4 of its 8 neighbouring cells. The test is
+      symmetric bit for bit, because negation and addition are exact, so
+      these are the pairs i < j of the ordered self-join.
     """
+    self_join = bx is None
     ax, ay, ar = (np.asarray(v, dtype=float) for v in (ax, ay, ar))
-    bx, by, br = (np.asarray(v, dtype=float) for v in (bx, by, br))
+    if self_join:
+        bx, by, br = ax, ay, ar
+    else:
+        bx, by, br = (np.asarray(v, dtype=float) for v in (bx, by, br))
     na, nb = len(ax), len(bx)
     if na == 0 or nb == 0:
         return _no_pairs()
@@ -370,24 +388,28 @@ def candidate_pairs(ax, ay, ar, bx, by, br) -> tuple[np.ndarray, np.ndarray]:
     if cell <= 0.0:
         # zero radii and one shared point: no pair passes the strict test
         return _no_pairs()
-    # one empty row and column pad each side, so neighbour keys never wrap
-    acx = np.floor((ax - x0) / cell).astype(np.int64) + 1
-    acy = np.floor((ay - y0) / cell).astype(np.int64) + 1
-    bcx = np.floor((bx - x0) / cell).astype(np.int64) + 1
-    bcy = np.floor((by - y0) / cell).astype(np.int64) + 1
-    rows = int(max(acy.max(), bcy.max())) + 2
-    akey = acx * rows + acy
-    bkey = bcx * rows + bcy
-    border = np.argsort(bkey, kind="stable")
-    bkey = bkey[border]
-    # searchsorted runs several times faster on sorted queries
-    aorder = np.argsort(akey, kind="stable")
-    akey = akey[aorder]
 
-    def probe(target: np.ndarray) -> np.ndarray:
-        """Passing pairs of one neighbour offset, as keys i * nb + j."""
-        lo = np.searchsorted(bkey, target, side="left")
-        counts = np.searchsorted(bkey, target, side="right") - lo
+    def cells(x, y):
+        # one empty row and column pad each side, so neighbour keys never wrap
+        return np.floor((x - x0) / cell).astype(np.int64) + 1, np.floor((y - y0) / cell).astype(np.int64) + 1
+
+    bcx, bcy = cells(bx, by)
+    acx, acy = (bcx, bcy) if self_join else cells(ax, ay)
+    rows = int(max(acy.max(), bcy.max())) + 2
+
+    def sorted_keys(cx, cy):
+        key = cx * rows + cy
+        order = np.argsort(key, kind="stable")
+        return key[order], order
+
+    bkey, border = sorted_keys(bcx, bcy)
+    # searchsorted runs several times faster on sorted queries
+    akey, aorder = (bkey, border) if self_join else sorted_keys(acx, acy)
+
+    def probe(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Passing pairs (i, j) where the a point at sorted position k meets the b
+        points at sorted positions lo[k] to hi[k] - 1."""
+        counts = hi - lo
         i = np.repeat(aorder, counts)
         # position inside each a point's run of candidates, added to its run start
         j = border[np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts - lo, counts)]
@@ -400,11 +422,23 @@ def candidate_pairs(ax, ay, ar, bx, by, br) -> tuple[np.ndarray, np.ndarray]:
         reach = ar[i] + br[j]
         reach *= reach
         keep = dist2 < reach
-        return i[keep] * nb + j[keep]
+        return i[keep], j[keep]
 
-    keys = np.concatenate([probe(akey + (ox * rows + oy)) for ox in (-1, 0, 1) for oy in (-1, 0, 1)])
-    keys.sort()
-    return np.divmod(keys, nb)
+    def probe_cell(offset: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        target = akey + (offset[0] * rows + offset[1])
+        return probe(np.searchsorted(bkey, target, side="left"), np.searchsorted(bkey, target, side="right"))
+
+    if not self_join:
+        found = [probe_cell(offset) for offset in _ALL_OFFSETS]
+        keys = np.concatenate([i * nb + j for i, j in found])
+        keys.sort()
+        return np.divmod(keys, nb)
+    # the own cell: each point meets only the points after it in sorted order
+    own = probe(np.arange(1, na + 1), np.searchsorted(bkey, akey, side="right"))
+    found = [own] + [probe_cell(offset) for offset in _HALF_OFFSETS]
+    i = np.concatenate([p for p, _ in found])
+    j = np.concatenate([q for _, q in found])
+    return np.minimum(i, j), np.maximum(i, j)
 
 
 def transform_box(box: Box3D, src: EgoPose, dst: EgoPose) -> Box3D:

@@ -90,13 +90,17 @@ class TrajectorySpec:
             raise ValueError("frame_interval must be positive and finite")
         if not self.frame_interval <= self.duration < math.inf:
             raise ValueError("duration must be finite and cover at least one frame interval")
-        if not -math.inf < self.speed_range[0] <= self.speed_range[1] < math.inf:
-            raise ValueError("speed_range must be finite (low, high)")
+        if not all(-math.inf < v < math.inf for v in self.speed_range):
+            raise ValueError(f"speed_range must be finite, got {self.speed_range!r}")
+        if not self.speed_range[0] <= self.speed_range[1]:
+            raise ValueError(f"speed_range must have low <= high, got {self.speed_range!r}")
         if self.radius_range is not None:
             if not model.turns:
                 raise ValueError(f"{self.model} trajectories cannot turn")
-            if not 0.0 < self.radius_range[0] <= self.radius_range[1] < math.inf:
-                raise ValueError("radius_range must be positive and finite (low, high)")
+            if not all(0.0 < v < math.inf for v in self.radius_range):
+                raise ValueError(f"radius_range must be positive and finite, got {self.radius_range!r}")
+            if not self.radius_range[0] <= self.radius_range[1]:
+                raise ValueError(f"radius_range must have low <= high, got {self.radius_range!r}")
         if self.rear_axle is not None and not 0.0 < self.rear_axle < math.inf:
             raise ValueError("rear_axle must be positive and finite")
         if not all(math.isfinite(v) for v in self.heading_range):

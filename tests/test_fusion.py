@@ -179,6 +179,14 @@ def crowded_scene(seed: int, n_boxes: int, n_labels: int, model: str, offset, ti
     return dets
 
 
+def per_seed_scan(dets, cfg) -> list[Detection]:
+    """nms_single_class_scan label by label, in label order: weighted_nms to the bit."""
+    out = []
+    for label in sorted({d.label for d in dets}):
+        out += nms_single_class_scan([d for d in dets if d.label == label], cfg)
+    return out
+
+
 NMS_CONFIGS = [PRESETS[name] for name in sorted(PRESETS)] + [
     FusionConfig(iou_low=0.0, iou_high=0.5),
     FusionConfig(iou_low=1.0, iou_high=1.0),
@@ -364,10 +372,25 @@ class TestWeightedNms:
         for _ in range(15):
             dets = random_scene(rng, int(rng.integers(1, 80)), n_classes=2)
             dets += [dets[int(k)] for k in rng.integers(0, len(dets), size=3)]  # identical boxes
-            expected = []
-            for label in sorted({d.label for d in dets}):
-                expected += nms_single_class_scan([d for d in dets if d.label == label], cfg)
-            assert weighted_nms(dets, cfg) == expected
+            assert weighted_nms(dets, cfg) == per_seed_scan(dets, cfg)
+
+    @pytest.mark.parametrize("chunk", [1, 5])
+    def test_pair_chunks_change_no_bit(self, monkeypatch, chunk):
+        # chunk edges fall inside the bounded pairs and inside the clipped
+        # survivors; iou_low 0.0 skips the bound
+        rng = np.random.default_rng(24)
+        scenes = []
+        for _ in range(6):
+            dets = random_scene(rng, int(rng.integers(2, 60)), n_classes=2)
+            scenes.append(dets + [dets[int(k)] for k in rng.integers(0, len(dets), size=3)])
+        cfgs = [FusionConfig(iou_low=low, iou_high=max(low, 0.7)) for low in (0.0, 0.2, 0.7, 0.9)]
+        unchunked = [[weighted_nms(dets, cfg) for dets in scenes] for cfg in cfgs]
+        monkeypatch.setattr(fusion, "_PAIR_CHUNK", chunk)
+        for cfg, outputs in zip(cfgs, unchunked):
+            for dets, expected in zip(scenes, outputs):
+                got = weighted_nms(dets, cfg)
+                assert got == expected
+                assert got == per_seed_scan(dets, cfg)
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -381,11 +404,8 @@ class TestWeightedNms:
     )
     def test_equals_per_seed_scan_on_crowded_scenes(self, seed, n_boxes, n_labels, model, offset, ties, cfg):
         dets = crowded_scene(seed, n_boxes, n_labels, model, offset, ties)
-        expected = []
-        for label in sorted({d.label for d in dets}):
-            expected += nms_single_class_scan([d for d in dets if d.label == label], cfg)
         got = weighted_nms(dets, cfg)
-        assert got == expected
+        assert got == per_seed_scan(dets, cfg)
         if cfg.iou_low == cfg.iou_high:
             assert sum(d.n_fused for d in got) == len(dets)
 

@@ -239,6 +239,30 @@ class TestCandidatePairs:
             i, j = candidate_pairs(*args)
             assert i.dtype == j.dtype == np.int64 and len(i) == len(j) == 0
 
+    @settings(max_examples=300)
+    @given(points=POINTS, offset=st.sampled_from([0.0, 1e5, -1e5]))
+    def test_self_join_equals_brute_force_pairs_below_the_diagonal(self, points, offset):
+        args = _columns(points, offset)
+        i, j = candidate_pairs(*args)
+        assert i.dtype == j.dtype == np.int64
+        ref_i, ref_j = candidate_pairs_reference(*args, *args)
+        # sorted() keeps repeats, so each pair must come exactly once, as i < j
+        assert sorted(zip(i.tolist(), j.tolist())) == [(p, q) for p, q in zip(ref_i, ref_j) if p < q]
+
+    def test_self_join_finds_pairs_across_every_neighbour_cell(self):
+        # dense enough that overlapping pairs straddle every cell edge and corner
+        rng = np.random.default_rng(7)
+        xs, ys = rng.uniform(-15.0, 15.0, size=(2, 300))
+        rs = rng.uniform(0.5, 1.5, size=300)
+        i, j = candidate_pairs(xs, ys, rs)
+        ref_i, ref_j = candidate_pairs_reference(xs, ys, rs, xs, ys, rs)
+        assert sorted(zip(i.tolist(), j.tolist())) == [(p, q) for p, q in zip(ref_i, ref_j) if p < q]
+
+    def test_self_join_of_no_point_or_one_point_is_empty(self):
+        for args in (([], [], []), ([1.0], [2.0], [1.0])):
+            i, j = candidate_pairs(*args)
+            assert i.dtype == j.dtype == np.int64 and len(i) == len(j) == 0
+
     def test_covers_every_overlapping_box_pair(self):
         rng = np.random.default_rng(6)
         boxes = [random_box(rng) for _ in range(150)]

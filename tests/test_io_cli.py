@@ -833,7 +833,10 @@ class TestOptionErrors:
          "--stationary-frac (BOXFUSE_STATIONARY_FRAC) or --straight-frac (BOXFUSE_STRAIGHT_FRAC) or "
          "--turning-frac (BOXFUSE_TURNING_FRAC): the vehicle mix fractions must sum to a positive value"),
         # of the two flags of one field, only the one given is named
-        (["synth", "--speed-max", "1"], "--speed-max (BOXFUSE_SPEED_MAX): speed_range must be finite (low, high)"),
+        (["synth", "--speed-max", "1"],
+         "--speed-max (BOXFUSE_SPEED_MAX): speed_range must have low <= high, got (6.0, 1.0)"),
+        (["synth", "--radius-min", "30"],
+         "--radius-min (BOXFUSE_RADIUS_MIN): radius_range must have low <= high, got (30.0, 24.0)"),
         (["traj-compare", "--horizon", "0"],
          "--horizon (BOXFUSE_HORIZON): horizon must be positive and finite, got 0.0"),
         (["traj-compare", "--horizon", "-1"],

@@ -8,8 +8,10 @@ For each workload of bench/run.py (its synth flags come from `WORKLOADS`)
 and each seed, the commands run in process, in a temporary directory:
 
 - `boxfuse synth`: the ground truth and the detections;
-- `boxfuse fuse` of the detections under the benchmark's preset;
-- `boxfuse eval`: its text and CSV over the benchmark's evaluation window;
+- `boxfuse fuse` of the detections under every preset of `fusion.PRESETS`,
+  so weighted NMS is covered at each preset's IoU thresholds;
+- `boxfuse eval` of the benchmark's preset: its text and CSV over the
+  benchmark's evaluation window;
 - `boxfuse inverse` of the ground truth under each motion model;
 - `boxfuse inverse --model bicycle` of the detections, whose noisy poses
   take multi-iteration fits and whose drops leave track gaps; when it exits
@@ -80,19 +82,24 @@ def _run(main, argv: list[str], data_error_ok: bool = False) -> str:
     return out.getvalue()
 
 
-def workload_digests(main, models, workload, preset: str, first: int, seed: int, work: Path) -> dict[str, str]:
-    gt, det, fused = work / "gt.jsonl", work / "det.jsonl", work / "fused.jsonl"
+def workload_digests(main, models, presets, workload, preset: str, first: int, seed: int,
+                     work: Path) -> dict[str, str]:
+    gt, det = work / "gt.jsonl", work / "det.jsonl"
     _run(main, ["synth", "--output-gt", str(gt), "--output-det", str(det), *workload.synth_args(seed)])
-    _run(main, ["fuse", "--input", str(det), "--output", str(fused), "--preset", preset])
+    out = {"synth-gt": _digest(gt.read_bytes()), "synth-det": _digest(det.read_bytes())}
+    for name in presets:
+        fused = work / f"fused-{name}.jsonl"
+        _run(main, ["fuse", "--input", str(det), "--output", str(fused), "--preset", name])
+        out[f"fuse-{name}"] = _digest(fused.read_bytes())
+    fused = work / f"fused-{preset}.jsonl"
     window = slice(first, first + workload.eval_frames)
     gt_win, raw_win, fused_win = (_window(path, work / f"{path.stem}-window.jsonl", window)
                                   for path in (gt, det, fused))
     csv = work / "report.csv"
     text = _run(main, ["eval", "--gt", str(gt_win), "--raw", str(raw_win), "--fused", str(fused_win),
                        "--iou", "0.5", "--output", str(csv)])
-    out = {"synth-gt": _digest(gt.read_bytes()), "synth-det": _digest(det.read_bytes()),
-           f"fuse-{preset}": _digest(fused.read_bytes()), "eval-text": _digest(text.encode("utf-8")),
-           "eval-csv": _digest(csv.read_bytes())}
+    out["eval-text"] = _digest(text.encode("utf-8"))
+    out["eval-csv"] = _digest(csv.read_bytes())
     for model in models:
         inverse = work / f"inverse-{model}.jsonl"
         _run(main, ["inverse", "--input", str(gt), "--output", str(inverse), "--model", model])
@@ -128,7 +135,7 @@ def main() -> int:
         for name, workload in bench.WORKLOADS.items():
             for seed in SEEDS:
                 digests[f"{name}/seed-{seed}"] = workload_digests(
-                    boxfuse_main, MODEL_NAMES, workload, bench.PRESET, first, seed, Path(tmp))
+                    boxfuse_main, MODEL_NAMES, sorted(PRESETS), workload, bench.PRESET, first, seed, Path(tmp))
         digests["traj-compare"] = traj_compare_digests(boxfuse_main, MODEL_NAMES, Path(tmp))
     print(json.dumps(digests, indent=2, sort_keys=True))
     return 0
