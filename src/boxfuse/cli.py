@@ -34,7 +34,7 @@ from . import __version__
 from .evaluation import evaluate_enhancement
 from .fusion import PRESETS, SCORE_STRATEGIES, FusionConfig, fuse_frames, sliding_windows
 from .geometry import Pose, normalize_angle, transform_box
-from .io import dumps_line, frame_to_obj, iter_frames, read_frames, write_frames
+from .io import FrameFormatError, dumps_line, frame_line, frame_to_obj, iter_frames, read_frames, write_frames
 from .motion import MODEL_NAMES, default_rear_axle, estimate_params_from_track, forward, model_class
 from .synth import (
     PRNG_NAME,
@@ -329,13 +329,19 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     meta = {"tool": TOOL, "version": __version__, "format": 1, "command": "fuse",
             "input_sha256": _sha256(input_path), "config": dataclasses.asdict(cfg)}
     latencies: list[float] = []
-    with _replacing(output_path) as out:
-        out.write(dumps_line({"meta": meta}) + "\n")
-        for window in sliding_windows(iter_frames(input_path), cfg.n_history + 1):
-            start = time.perf_counter()
-            fused = fuse_frames(window, cfg)
-            latencies.append((time.perf_counter() - start) * 1000.0)
-            out.write(dumps_line(frame_to_obj(fused)) + "\n")
+    try:
+        with _replacing(output_path) as out:
+            out.write(dumps_line({"meta": meta}) + "\n")
+            for window in sliding_windows(iter_frames(input_path), cfg.n_history + 1):
+                start = time.perf_counter()
+                fused = fuse_frames(window, cfg)
+                latencies.append((time.perf_counter() - start) * 1000.0)
+                out.write(dumps_line(frame_to_obj(fused)) + "\n")
+    except FrameFormatError:
+        raise
+    except ValueError as exc:
+        # a frame the reader accepted failed the stream checks or fusion; it is frame len(latencies)
+        raise FrameFormatError(str(exc), frame_line(input_path, len(latencies))) from exc
     if latencies:
         arr = np.array(latencies)
         print(

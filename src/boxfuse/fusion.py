@@ -20,8 +20,8 @@ vectorized passes of up to `_PAIR_CHUNK` pairs and merges clusters with
 per-cluster weighted sums; the score strategy and the history floor are
 column operations. Every step does the float operations of the frozen
 per-box references in tests/oracles.py in the same order, and outputs are
-checked against them to the bit. `weighted_nms` and `apply_score_strategy`
-accept lists of Detection as well.
+checked against them to the bit. The pipeline passes only columns; the
+public steps convert a list of Detection through `DetectionColumns.of`.
 
 Trace contract: `fuse_frames` calls `forward_frame(frame, t, ego, cfg)` once
 per history frame, then `weighted_nms(dense, cfg)` and
@@ -444,17 +444,12 @@ def forward_frame(
     return cols.entering(boxes, decayed_weight(cols.score, dt, cfg), lag, 0)
 
 
-def _require_single_variant(cols: DetectionColumns) -> None:
-    groups = cols.groups()
-    if len(groups) > 1:
-        names = sorted(kind.__name__ for kind, _ in groups)
-        raise ValueError(f"mixed motion-parameter variants in one fusion run: {names}")
-
-
 # The IoU bound runs over this many oriented pairs at a time, and the pairs
 # it keeps are clipped this many at a time, which bounds the temporaries of
 # one pass while each clipping pass stays full.
 _PAIR_CHUNK = 2048
+# The box columns of the BEV footprint: x, y, w, l, yaw.
+_FOOTPRINT = [0, 1, 3, 4, 6]
 # Slack of the intersection bound per squared metre of coordinate magnitude
 # M (the pair's largest coordinates plus circumradii): clipping absolute
 # coordinates rounds the area by about 20 * 2.2e-16 * M**2, so the bound
@@ -500,9 +495,10 @@ def _clustering_pairs(cols: DetectionColumns, label: np.ndarray, rank: np.ndarra
 
     i and j share a label, i comes first in the seed order, and
     IoU(i, j) > 0 and >= iou_low, computed by clipping i's footprint by j's as
-    _iou_from_corners does; identical boxes have IoU 1. The self-join finds
-    each unordered pair once; orienting it by rank and sorting gives the pair
-    order that the sweep, and so the merge order, depend on.
+    _iou_from_corners does; identical footprints (x, y, w, l, yaw) have IoU 1,
+    as in bev_iou. The self-join finds each unordered pair once; orienting it
+    by rank and sorting gives the pair order that the sweep, and so the merge
+    order, depend on.
     """
     boxes = cols.boxes
     x, y, w, l, yaw = boxes[:, 0], boxes[:, 1], boxes[:, 3], boxes[:, 4], boxes[:, 6]
@@ -524,11 +520,12 @@ def _clustering_pairs(cols: DetectionColumns, label: np.ndarray, rank: np.ndarra
             keep[chunk] = _can_reach(i[chunk], j[chunk], shape, magnitude, area, cfg.iou_low)
         i, j = i[keep], j[keep]
     corner_x, corner_y = corner_columns(x, y, w, l, yaw)
+    footprint = boxes[:, _FOOTPRINT]
     found_i, found_j, merges = [], [], []
     for start in range(0, len(i), _PAIR_CHUNK):
         a, b = i[start : start + _PAIR_CHUNK], j[start : start + _PAIR_CHUNK]
         iou = clipped_iou(corner_x[a], corner_y[a], area[a], corner_x[b], corner_y[b], area[b])
-        iou[(boxes[a] == boxes[b]).all(axis=1)] = 1.0
+        iou[(footprint[a] == footprint[b]).all(axis=1)] = 1.0
         hit = (iou > 0.0) & (iou >= cfg.iou_low)
         found_i.append(a[hit])
         found_j.append(b[hit])
@@ -626,12 +623,14 @@ def weighted_nms(detections: Sequence[Detection], cfg: FusionConfig) -> Detectio
     Labels are ordered by name and visited one after another. The IoU of every
     pair that can act is computed up front in one vectorized clipping pass,
     so the greedy sweep only reads it; a single-box cluster comes back as its
-    input row. Takes a list or columns and returns columns.
+    input row. Returns columns; a list of Detection is converted first.
     """
     cols = DetectionColumns.of(detections)
     if np.isnan(cols.weight).any():
         raise ValueError("weighted_nms requires every detection weight to be assigned")
-    _require_single_variant(cols)
+    models = sorted(kind.name for kind, _ in cols.groups())
+    if len(models) > 1:
+        raise ValueError(f"mixed motion models {models} in one fusion run")
     n = len(cols)
     if n == 0:
         return cols
@@ -665,7 +664,7 @@ def apply_score_strategy(fused: Sequence[Detection], cfg: FusionConfig) -> Detec
     score_decay_factor * score / max(n_history - n_fused, 1), so sparse
     history clusters are punished harder than well-supported ones. New scores
     are clamped to [0, 1]; boxes with a current-frame member keep theirs.
-    Takes a list or columns and returns columns.
+    Returns columns; a list of Detection is converted first.
     """
     cols = DetectionColumns.of(fused)
     if cfg.score_strategy == "decay":

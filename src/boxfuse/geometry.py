@@ -346,10 +346,9 @@ def _no_pairs() -> tuple[np.ndarray, np.ndarray]:
     return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
 
-# Neighbour cells (dx, dy) that a self-join probes besides a point's own
-# cell: one of each pair of opposite offsets, so each pair of cells meets once.
+# Neighbour cells (dx, dy) that a point probes besides its own cell: one of
+# each pair of opposite offsets, so each pair of cells meets once.
 _HALF_OFFSETS = ((0, 1), (1, -1), (1, 0), (1, 1))
-_ALL_OFFSETS = tuple((ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1))
 
 
 def candidate_pairs(ax, ay, ar, bx=None, by=None, br=None) -> tuple[np.ndarray, np.ndarray]:
@@ -357,87 +356,70 @@ def candidate_pairs(ax, ay, ar, bx=None, by=None, br=None) -> tuple[np.ndarray, 
 
     dx = bx[j] - ax[i] and dy = by[j] - ay[i]; the test is exactly the one
     bev_iou uses to skip pairs, so every pair of boxes with IoU > 0 is among
-    the results when ar and br are the circumradii. The points are binned into
-    a uniform grid whose cell is at least the largest radius sum, and each a
-    point probes neighbouring cells, one offset at a time, so temporaries stay
-    the size of one offset's candidates. Two modes, as two int64 arrays:
+    the results when ar and br are the circumradii. It is symmetric bit for
+    bit, because negation and addition are exact. Returns two int64 arrays:
 
-    - cross join (b given): every passing (i, j), each a point probing its
-      3x3 neighbouring cells; sorted by (i, j). Passing the same points as a
-      and b gives the ordered self-join, with (j, i) and every (i, i) of
-      positive radius.
-    - self-join (b left out): each unordered pair {i, j}, i != j, exactly
-      once, as i < j and in no set order. A point probes only the later
-      points of its own cell and 4 of its 8 neighbouring cells. The test is
-      symmetric bit for bit, because negation and addition are exact, so
-      these are the pairs i < j of the ordered self-join.
+    - self-join (b left out): each unordered pair {i, j} once, as i < j, in
+      no set order. The points are binned into a uniform grid whose cell is
+      at least twice the largest radius; each point probes the later points
+      of its own cell and 4 of its 8 neighbouring cells, one offset at a
+      time, so temporaries stay the size of one offset's candidates.
+    - cross join (b given): the self-join of a's points followed by b's,
+      keeping the pairs that join an a point to a b point, sorted by (i, j).
+      Passing the same points as a and b gives the ordered self-join, with
+      (j, i) and every (i, i) of positive radius.
     """
-    self_join = bx is None
     ax, ay, ar = (np.asarray(v, dtype=float) for v in (ax, ay, ar))
-    if self_join:
-        bx, by, br = ax, ay, ar
-    else:
-        bx, by, br = (np.asarray(v, dtype=float) for v in (bx, by, br))
-    na, nb = len(ax), len(bx)
-    if na == 0 or nb == 0:
+    if bx is not None:
+        na, nb = len(ax), len(bx)
+        if na == 0 or nb == 0:
+            return _no_pairs()
+        i, j = candidate_pairs(*(np.concatenate([a, np.asarray(b, dtype=float)])
+                                 for a, b in ((ax, bx), (ay, by), (ar, br))))
+        cross = (i < na) & (j >= na)
+        return np.divmod(np.sort(i[cross] * nb + (j[cross] - na)), nb)
+    n = len(ax)
+    if n < 2:
         return _no_pairs()
-    x0 = min(ax.min(), bx.min())
-    y0 = min(ay.min(), by.min())
-    span = max(ax.max(), bx.max()) - x0, max(ay.max(), by.max()) - y0
-    cell = max(float(ar.max() + br.max()) * _CELL_SLACK, max(span) / _MAX_GRID_CELLS)
+    x0, y0 = ax.min(), ay.min()
+    span = max(ax.max() - x0, ay.max() - y0)
+    cell = max(float(ar.max() + ar.max()) * _CELL_SLACK, span / _MAX_GRID_CELLS)
     if cell <= 0.0:
         # zero radii and one shared point: no pair passes the strict test
         return _no_pairs()
-
-    def cells(x, y):
-        # one empty row and column pad each side, so neighbour keys never wrap
-        return np.floor((x - x0) / cell).astype(np.int64) + 1, np.floor((y - y0) / cell).astype(np.int64) + 1
-
-    bcx, bcy = cells(bx, by)
-    acx, acy = (bcx, bcy) if self_join else cells(ax, ay)
-    rows = int(max(acy.max(), bcy.max())) + 2
-
-    def sorted_keys(cx, cy):
-        key = cx * rows + cy
-        order = np.argsort(key, kind="stable")
-        return key[order], order
-
-    bkey, border = sorted_keys(bcx, bcy)
+    # one empty row and column pad each side, so neighbour keys never wrap
+    cx = np.floor((ax - x0) / cell).astype(np.int64) + 1
+    cy = np.floor((ay - y0) / cell).astype(np.int64) + 1
+    rows = int(cy.max()) + 2
+    key = cx * rows + cy
+    order = np.argsort(key, kind="stable")
     # searchsorted runs several times faster on sorted queries
-    akey, aorder = (bkey, border) if self_join else sorted_keys(acx, acy)
+    key = key[order]
 
     def probe(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Passing pairs (i, j) where the a point at sorted position k meets the b
+        """Passing pairs (i, j) where the point at sorted position k meets the
         points at sorted positions lo[k] to hi[k] - 1."""
         counts = hi - lo
-        i = np.repeat(aorder, counts)
-        # position inside each a point's run of candidates, added to its run start
-        j = border[np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts - lo, counts)]
+        i = np.repeat(order, counts)
+        # position inside each point's run of candidates, added to its run start
+        j = order[np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts - lo, counts)]
         # dx*dx + dy*dy < reach*reach, computed in place to hold fewer temporaries
-        dist2 = bx[j] - ax[i]
+        dist2 = ax[j] - ax[i]
         dist2 *= dist2
-        dy = by[j] - ay[i]
+        dy = ay[j] - ay[i]
         dy *= dy
         dist2 += dy
-        reach = ar[i] + br[j]
+        reach = ar[i] + ar[j]
         reach *= reach
         keep = dist2 < reach
         return i[keep], j[keep]
 
-    def probe_cell(offset: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        target = akey + (offset[0] * rows + offset[1])
-        return probe(np.searchsorted(bkey, target, side="left"), np.searchsorted(bkey, target, side="right"))
-
-    if not self_join:
-        found = [probe_cell(offset) for offset in _ALL_OFFSETS]
-        keys = np.concatenate([i * nb + j for i, j in found])
-        keys.sort()
-        return np.divmod(keys, nb)
     # the own cell: each point meets only the points after it in sorted order
-    own = probe(np.arange(1, na + 1), np.searchsorted(bkey, akey, side="right"))
-    found = [own] + [probe_cell(offset) for offset in _HALF_OFFSETS]
-    i = np.concatenate([p for p, _ in found])
-    j = np.concatenate([q for _, q in found])
+    found = [probe(np.arange(1, n + 1), np.searchsorted(key, key, side="right"))]
+    for ox, oy in _HALF_OFFSETS:
+        target = key + (ox * rows + oy)
+        found.append(probe(np.searchsorted(key, target, side="left"), np.searchsorted(key, target, side="right")))
+    i, j = (np.concatenate(side) for side in zip(*found))
     return np.minimum(i, j), np.maximum(i, j)
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -283,6 +283,11 @@ def read_meta(path) -> dict | None:
     return obj.get("meta")
 
 
+def _is_meta(obj: dict) -> bool:
+    """Whether the object on a file's first line is its meta header rather than a frame."""
+    return "meta" in obj and "timestamp" not in obj
+
+
 def iter_frames(path) -> Iterator[Frame]:
     """Stream frames from a JSON Lines file, skipping a leading meta line.
 
@@ -294,7 +299,7 @@ def iter_frames(path) -> Iterator[Frame]:
             if not text:
                 continue
             obj = _loads_line(text, line_no)
-            if line_no == 1 and "meta" in obj and "timestamp" not in obj:
+            if line_no == 1 and _is_meta(obj):
                 continue
             try:
                 frame = frame_from_obj(obj)
@@ -303,6 +308,14 @@ def iter_frames(path) -> Iterator[Frame]:
             except (TypeError, ValueError, OverflowError) as exc:
                 raise FrameFormatError(str(exc), line_no) from exc
             yield frame
+
+
+def frame_line(path, index: int) -> int | None:
+    """1-based line of the frame that iter_frames yields at 0-based index; None past the end."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = (line_no for line_no, line in enumerate(fh, start=1)
+                 if line.strip() and not (line_no == 1 and _is_meta(_loads_line(line, 1))))
+        return next(islice(lines, index, None), None)
 
 
 def read_frames(path) -> list[Frame]:

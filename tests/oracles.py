@@ -271,6 +271,10 @@ def filter_detections_to_subset_reference(
     return out
 
 
+def _footprint(box) -> tuple[float, ...]:
+    return box.x, box.y, box.w, box.l, box.yaw
+
+
 def nms_single_class_scan(dets, cfg) -> list[Detection]:
     """Single-class weighted NMS finding each seed's neighbours by a scan over all boxes."""
     m = len(dets)
@@ -295,7 +299,8 @@ def nms_single_class_scan(dets, cfg) -> list[Detection]:
             j = int(j)
             if j == seed:
                 continue
-            if dets[j].box == dets[seed].box:
+            # identical footprints have IoU 1, as in bev_iou
+            if _footprint(dets[j].box) == _footprint(dets[seed].box):
                 iou = 1.0
             else:
                 iou = _iou_from_corners(corners[seed], areas[seed], corners[j], areas[j])

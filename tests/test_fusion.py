@@ -336,8 +336,19 @@ class TestWeightedNms:
     def test_mixed_variants_rejected(self):
         d1 = make_det(weight=0.5)
         d2 = make_det(x=30, weight=0.5, motion=Unicycle(1, 0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"mixed motion models \['cv', 'unicycle'\] in one fusion run"):
             weighted_nms([d1, d2], CFG)
+
+    def test_identical_footprints_merge_at_iou_one(self):
+        # clipping this footprint by itself gives just under 1; like bev_iou,
+        # NMS gives equal footprints IoU 1 whatever their z and h
+        d1 = make_det(x=-19.5, y=21.8, yaw=-0.5, w=2.0, l=3.9, score=0.8, weight=0.8)
+        d2 = replace(d1, box=replace(d1.box, z=0.9), score=0.6, weight=0.6)
+        cfg = FusionConfig(iou_low=1.0, iou_high=1.0)
+        out = weighted_nms([d1, d2], cfg)
+        expected, _ = weighted_nms_reference([d1, d2], cfg)
+        assert len(out) == 1 and out[0].n_fused == 2
+        assert list(out) == expected == per_seed_scan([d1, d2], cfg)
 
     def test_idempotent_on_identical_copies(self):
         base = make_det(x=2, y=-1, yaw=0.6, score=0.7)

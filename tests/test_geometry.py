@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boxfuse import Box3D, EgoPose, Pose, bev_corners, bev_iou, normalize_angle, transform_box
-from boxfuse.geometry import candidate_pairs, circumradius
+from boxfuse.geometry import _CELL_SLACK, _MAX_GRID_CELLS, candidate_pairs, circumradius
 
 from oracles import candidate_pairs_reference, monte_carlo_iou, shoelace
 
@@ -256,6 +256,26 @@ class TestCandidatePairs:
         rs = rng.uniform(0.5, 1.5, size=300)
         i, j = candidate_pairs(xs, ys, rs)
         ref_i, ref_j = candidate_pairs_reference(xs, ys, rs, xs, ys, rs)
+        assert sorted(zip(i.tolist(), j.tolist())) == [(p, q) for p, q in zip(ref_i, ref_j) if p < q]
+
+    def test_pairs_across_a_capped_grid(self):
+        # clusters spread over 1e7 m: the cell is the span over the cell cap,
+        # not the radius sum, so each cell holds many overlapping circles
+        rng = np.random.default_rng(8)
+        centres = rng.uniform(0.0, 1e7, size=(2, 15))
+
+        def clusters(n):
+            xy = centres[:, rng.integers(0, 15, size=n)] + rng.normal(0.0, 2.0, size=(2, n))
+            return xy[0], xy[1], rng.uniform(0.5, 3.0, n)
+
+        a, b = clusters(150), clusters(150)
+        span = max(np.ptp(np.concatenate([a[0], b[0]])), np.ptp(np.concatenate([a[1], b[1]])))
+        assert span / _MAX_GRID_CELLS > 2.0 * max(a[2].max(), b[2].max()) * _CELL_SLACK
+        i, j = candidate_pairs(*a, *b)
+        ref_i, ref_j = candidate_pairs_reference(*a, *b)
+        assert len(ref_i) > 150 and (i.tolist(), j.tolist()) == (ref_i, ref_j)
+        i, j = candidate_pairs(*a)
+        ref_i, ref_j = candidate_pairs_reference(*a, *a)
         assert sorted(zip(i.tolist(), j.tolist())) == [(p, q) for p, q in zip(ref_i, ref_j) if p < q]
 
     def test_self_join_of_no_point_or_one_point_is_empty(self):

@@ -299,6 +299,28 @@ class TestCli:
         assert main(["fuse", "--input", str(src), "--output", str(tmp_path / "o.jsonl")]) == 2
         assert "(frame 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault, message", [
+        ("repeated timestamp", "line 6: timestamps must strictly increase (frame 3)"),
+        ("mixed models", "line 7: mixed motion models ['cv', 'unicycle'] in one stream (frame 4)"),
+    ])
+    def test_stream_errors_name_the_input_line(self, tmp_path, capsys, fault, message):
+        from dataclasses import replace
+
+        cv = [[replace(d, motion=ConstantVelocity(1.0, 0.0)) for d in f.detections] for f in sample_frames()]
+        frames = [Frame(0.1 * k, EgoPose.identity(), dets) for k, dets in enumerate(cv + cv[:2])]
+        if fault == "repeated timestamp":
+            frames[3] = Frame(frames[2].timestamp, frames[3].ego, frames[3].detections)
+        else:
+            frames[4] = Frame(frames[4].timestamp, frames[4].ego,
+                              [replace(frames[4].detections[0], motion=Unicycle(9.0, 0.5))])
+        src = tmp_path / "in.jsonl"
+        write_frames(src, frames, meta={"note": "header"})
+        # meta on line 1, frames 0 and 1 on lines 2 and 3, a blank line 4, frames 2 to 4 on lines 5 to 7
+        lines = src.read_text(encoding="utf-8").splitlines(keepends=True)
+        src.write_text("".join(lines[:3] + ["\n"] + lines[3:]), encoding="utf-8")
+        assert main(["fuse", "--input", str(src), "--output", str(tmp_path / "o.jsonl")]) == 2
+        assert capsys.readouterr().err == f"boxfuse: error: {message}\n"
+
     @pytest.mark.parametrize("fault", ["mixed models", "repeated timestamp"])
     def test_failed_fuse_leaves_the_output_as_it_was(self, tmp_path, fault):
         from dataclasses import replace
