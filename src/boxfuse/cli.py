@@ -159,10 +159,11 @@ OPTIONS: dict[str, tuple[_Option, ...]] = {
     ),
 }
 _ROWS = {command: {row.dest: row for row in rows} for command, rows in OPTIONS.items()}
-#: synth's TrajectorySpec fields whose flags have other destinations; every
-#: other field of a config dataclass that an option sets is its destination
+#: synth's TrajectorySpec fields (and its n_frames) whose flags have other
+#: destinations; every other field of a config dataclass that an option sets
+#: is its destination
 _SPEC_DESTS = {"origin_span": ("span",), "speed_range": ("speed_min", "speed_max"),
-               "radius_range": ("radius_min", "radius_max")}
+               "radius_range": ("radius_min", "radius_max"), "n_frames": ("duration", "frame_interval")}
 _FUSION_KEYS = tuple(field.name for field in dataclasses.fields(FusionConfig))
 
 
@@ -477,6 +478,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _intervals(args: argparse.Namespace, dest: str, span: float, interval: float) -> int:
+    """round(span / interval), or a ValueError naming the option `dest` and --interval when it overflows."""
+    ratio = span / interval
+    if not ratio < math.inf:
+        raise _option_error(args, (dest, "frame_interval"), f"{dest} / frame_interval overflows, got {span!r} / "
+                            f"{interval!r}")
+    return int(round(ratio))
+
+
 def _cmd_traj_compare(args: argparse.Namespace) -> int:
     listed = _opt(args, "models")
     models = [m for m in map(str.strip, listed.split(",")) if m]
@@ -492,8 +502,8 @@ def _cmd_traj_compare(args: argparse.Namespace) -> int:
     duration = _checked(args, "duration", lambda d: 0.0 <= d < math.inf, "finite and non-negative")
     if radius is None:
         radius = 20.0 if gen_class.turns else 0.0
-    steps = max(1, int(round(horizon / interval)))
-    n_frames = max(int(round(duration / interval)) + 1, 2 * steps + 3)
+    steps = max(1, _intervals(args, "horizon", horizon, interval))
+    n_frames = max(_intervals(args, "duration", duration, interval) + 1, 2 * steps + 3)
     try:
         gen = gen_class.from_motion(speed, 0.0, radius if radius != 0 else None, rear_axle)
     except ValueError as exc:

@@ -69,7 +69,8 @@ class Detection:
     enters a fusion run; frame_lag counts frame intervals behind the fusion
     target (bookkeeping only: a forwarded box has n_current 0 whatever its
     lag). On fused outputs n_fused counts merged member boxes and n_current the
-    current-frame members among them; n_current == 0 means history only.
+    current-frame members among them, from 0 to n_fused; n_current == 0 means
+    history only.
     """
 
     box: Box3D
@@ -95,6 +96,9 @@ class Detection:
             raise ValueError("n_fused must be at least 1")
         if self.n_current is None:
             object.__setattr__(self, "n_current", 1 if self.frame_lag == 0 else 0)
+        if not 0 <= self.n_current <= self.n_fused:
+            raise ValueError(f"n_current must lie in [0, n_fused], got {self.n_current!r} with n_fused "
+                             f"{self.n_fused!r}")
 
     @property
     def history_only(self) -> bool:
@@ -264,6 +268,7 @@ class DetectionColumns(Sequence[Detection]):
             bad |= ~((self.score >= 0.0) & (self.score <= 1.0))
             bad |= (self.weight < 0.0) | (self.weight > 1.0)  # NaN is unassigned
         bad |= (self.frame_lag < 0) | (self.n_fused < 1) | (self.label == "")
+        bad |= (self.n_current < 0) | (self.n_current > self.n_fused)
         if not ((self.model >= 0) & (self.model < len(_MODEL_CLASSES))).all():
             raise ValueError(f"motion model codes must lie in [0, {len(_MODEL_CLASSES)})")
         for kind, rows in self.groups():
@@ -422,7 +427,8 @@ def forward_frame(
     Weights are set to the decayed confidence; motion parameters are carried
     unchanged and frame_lag is the gap in frame intervals (rounded). Every
     output is a history box (n_current=0), even when the gap rounds to zero
-    intervals. Raises ValueError when a forwarded box is not finite.
+    intervals. Raises ValueError when a forwarded box is not finite or the
+    lag does not fit in int64.
     """
     dt = target_time - frame.timestamp
     if dt < 0.0:
@@ -440,8 +446,10 @@ def forward_frame(
                 raise ValueError("forwarded box centre is not finite")
             yaw[:] = normalize_angles(yaw)
         boxes[:, 0], boxes[:, 1], boxes[:, 6] = transform_columns(x, y, yaw, frame.ego, target_ego)
-    lag = int(round(dt / cfg.frame_interval))
-    return cols.entering(boxes, decayed_weight(cols.score, dt, cfg), lag, 0)
+    lag = dt / cfg.frame_interval
+    if not lag < 2.0**63:
+        raise ValueError(f"frame lag of {dt!r} s at frame_interval {cfg.frame_interval!r} s does not fit in int64")
+    return cols.entering(boxes, decayed_weight(cols.score, dt, cfg), int(round(lag)), 0)
 
 
 # The IoU bound runs over this many oriented pairs at a time, and the pairs

@@ -25,12 +25,14 @@ into an ego frame) are the model's forward, inverse, speed and turn radius,
 and frame change; `noisy_columns` is detector noise on the parameters; and
 `merge_columns` is the fusion merge, a weighted mean per cluster (the
 bicycle averages slip wrap-aware around the cluster seed's). The per-pose
-`forward` and its aliases are one-row calls of `forward_columns`. The cv and
-unicycle inverses are vectorized; the bicycle's fits one pose pair at a time
+`forward` (also bound as `forward_cv`, `forward_unicycle` and
+`forward_bicycle`) is a one-row call of `forward_columns`, and the pose-pair
+inverses `inverse_cv` and `inverse_unicycle` are one-row calls of their
+vectorized `inverse_columns`; the bicycle's fits one pose pair at a time
 through the module function `inverse_bicycle`, looked up at call time, so a
-wrapper bound at that name sees every fit. `estimate_param_columns` fits the
-pose pairs of many tracks at once, each distinct pair once. `MODELS` maps
-each name to its class; the rest of the package consults only that table.
+wrapper bound at that name sees every fit. `estimate_param_columns` fits the pose pairs of
+many tracks at once, each distinct pair once. `MODELS` maps each name to its
+class; the rest of the package consults only that table.
 """
 
 from __future__ import annotations
@@ -63,8 +65,9 @@ _NEEDS_ARM = "bicycle estimation needs a positive rear_axle"
 
 # Per-pose formulas of the bicycle fit, which evaluates one pose pair at a
 # time, several times per Gauss-Newton iteration: a one-row forward_columns
-# costs about ten times these float expressions. _sinc, _dsinc,
-# _forward_bicycle_raw and inverse_unicycle (which seeds the fit) serve it.
+# costs about ten times these float expressions. _sinc, _dsinc and
+# _forward_bicycle_raw serve it; _bicycle_seeds writes out the unicycle
+# inverse of the pair for one of its seeds.
 
 
 def _sinc(z: float) -> float:
@@ -107,6 +110,12 @@ def _non_finite(params: np.ndarray) -> np.ndarray:
     return ~np.isfinite(params).all(axis=1)
 
 
+def _at_pair(exc: Exception, pair: int) -> Exception:
+    """exc, marked with the position of the pose pair whose fit raised it."""
+    exc.pair = pair
+    return exc
+
+
 def _require_gaps(dt: np.ndarray) -> None:
     if (dt == 0.0).any():
         raise ValueError("zero time gap")
@@ -124,7 +133,10 @@ def _plain_means(params: np.ndarray, seeds: np.ndarray, cluster: np.ndarray, wav
 
 @dataclass(frozen=True)
 class ConstantVelocity:
-    """Planar constant-velocity motion (m/s); heading is carried unchanged."""
+    """Planar constant-velocity motion (m/s); heading is carried unchanged.
+
+    The forward takes any t, negative too; the inverse is the finite-difference
+    velocity of a pose pair."""
 
     name: ClassVar[str] = "cv"
     turns: ClassVar[bool] = False
@@ -182,7 +194,13 @@ class ConstantVelocity:
 
 @dataclass(frozen=True)
 class Unicycle:
-    """Single-axle motion: signed speed along the heading (m/s), yaw rate (rad/s)."""
+    """Single-axle motion: signed speed along the heading (m/s), yaw rate (rad/s).
+
+    The forward turns the heading by yaw_rate * t and moves along the chord of
+    the circular arc (straight along the heading at zero yaw rate). The inverse
+    takes the wrapped heading change over t as yaw rate and the chord velocity
+    along the initial heading, times dphi/sin(dphi), as speed: exact on any
+    pair the forward gives with |heading change| < pi."""
 
     name: ClassVar[str] = "unicycle"
     turns: ClassVar[bool] = True
@@ -220,8 +238,10 @@ class Unicycle:
     def inverse_columns(x0, y0, h0, x1, y1, h1, dt, rear_axle=None) -> np.ndarray:
         _require_gaps(dt)
         dphi = normalize_angles(h1 - h0)
-        if (dphi == math.pi).any():
-            raise ValueError(_HALF_TURN)
+        # a half turn either way wraps to +pi; there the chord says nothing about speed
+        half = dphi == math.pi
+        if half.any():
+            raise _at_pair(ValueError(_HALF_TURN), int(np.argmax(half)))
         vx = (x1 - x0) / dt
         vy = (y1 - y0) / dt
         along = vx * np.cos(h0) + vy * np.sin(h0)
@@ -245,7 +265,11 @@ class Unicycle:
 @dataclass(frozen=True)
 class Bicycle:
     """Two-axle motion: signed speed (m/s), slip angle between velocity and
-    heading (rad, within [-pi/2, pi/2]), center-to-rear-axle distance (m)."""
+    heading (rad, within [-pi/2, pi/2]), center-to-rear-axle distance (m).
+
+    In the forward, velocity leads the heading by the slip angle and the
+    heading turns at speed * sin(slip) / rear_axle; zero slip reduces to
+    straight motion. The inverse is a Gauss-Newton fit (`inverse_bicycle`)."""
 
     name: ClassVar[str] = "bicycle"
     turns: ClassVar[bool] = True
@@ -286,8 +310,11 @@ class Bicycle:
         pairs = zip(x0.tolist(), y0.tolist(), h0.tolist(), x1.tolist(), y1.tolist(), h1.tolist(),
                     dt.tolist(), arms)
         for k, (a, b, c, d, e, f, t, arm) in enumerate(pairs):
-            # looked up at call time, so a wrapper bound at the module name sees every fit
-            fit = inverse_bicycle(Pose(a, b, c), Pose(d, e, f), t, arm)[0]
+            try:
+                # looked up at call time, so a wrapper bound at the module name sees every fit
+                fit = inverse_bicycle(Pose(a, b, c), Pose(d, e, f), t, arm)[0]
+            except (ValueError, FitDivergence) as exc:
+                raise _at_pair(exc, k)
             out[k] = fit.speed, fit.slip, fit.rear_axle
         return out
 
@@ -384,28 +411,7 @@ def forward(pose: Pose, params: MotionParams, t: float) -> Pose:
     return Pose(float(x[0]), float(y[0]), float(heading[0]))
 
 
-def forward_cv(pose: Pose, params: ConstantVelocity, t: float) -> Pose:
-    """Advance a pose t seconds at constant planar velocity (t may be negative)."""
-    return forward(pose, params, t)
-
-
-def forward_unicycle(pose: Pose, params: Unicycle, t: float) -> Pose:
-    """Advance a pose t seconds under the unicycle model.
-
-    The heading turns by yaw_rate * t and the position moves along the chord
-    of the circular arc; zero yaw rate reduces to straight motion along the
-    heading.
-    """
-    return forward(pose, params, t)
-
-
-def forward_bicycle(pose: Pose, params: Bicycle, t: float) -> Pose:
-    """Advance a pose t seconds under the kinematic bicycle model.
-
-    Velocity leads the heading by the slip angle and the heading turns at
-    speed * sin(slip) / rear_axle; zero slip reduces to straight motion.
-    """
-    return forward(pose, params, t)
+forward_cv = forward_unicycle = forward_bicycle = forward
 
 
 def forward_box(box: Box3D, params: MotionParams, t: float) -> Box3D:
@@ -415,30 +421,22 @@ def forward_box(box: Box3D, params: MotionParams, t: float) -> Box3D:
     return box.with_bev_pose(forward(box.bev_pose, params, t))
 
 
+def _inverse_row(kind: type[MotionParams], p0: Pose, pt: Pose, t: float) -> MotionParams:
+    """One pose pair through kind.inverse_columns, built as `kind`, whose checks reject what is not finite."""
+    columns = (np.array([v], dtype=float) for v in (p0.x, p0.y, p0.heading, pt.x, pt.y, pt.heading, t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = kind.inverse_columns(*columns)
+    return kind(*row[0].tolist())
+
+
 def inverse_cv(p0: Pose, pt: Pose, t: float) -> ConstantVelocity:
-    """Finite-difference velocity estimate from a pose pair over gap t."""
-    if t == 0.0:
-        raise ValueError("zero time gap")
-    return ConstantVelocity((pt.x - p0.x) / t, (pt.y - p0.y) / t)
+    """Finite-difference velocity estimate from a pose pair over gap t: one row of its inverse_columns."""
+    return _inverse_row(ConstantVelocity, p0, pt, t)
 
 
 def inverse_unicycle(p0: Pose, pt: Pose, t: float) -> Unicycle:
-    """Closed-form unicycle estimate from a pose pair over gap t.
-
-    Yaw rate is the wrapped heading change over t; speed is the chord velocity
-    projected on the initial heading, scaled by dphi/sin(dphi). Exact on any
-    pair produced by the unicycle forward model with |heading change| < pi.
-    """
-    if t == 0.0:
-        raise ValueError("zero time gap")
-    dphi = normalize_angle(pt.heading - p0.heading)
-    # a half turn either way wraps to +pi; there the chord says nothing about speed
-    if dphi == math.pi:
-        raise ValueError(_HALF_TURN)
-    vx = (pt.x - p0.x) / t
-    vy = (pt.y - p0.y) / t
-    along = vx * math.cos(p0.heading) + vy * math.sin(p0.heading)
-    return Unicycle(along / _sinc(dphi), dphi / t)
+    """Closed-form unicycle estimate from a pose pair over gap t: one row of its inverse_columns."""
+    return _inverse_row(Unicycle, p0, pt, t)
 
 
 @dataclass(frozen=True)
@@ -506,7 +504,7 @@ def _bicycle_seeds(p0: Pose, pt: Pose, t: float, rear_axle: float) -> list[tuple
             seeds.append((chord / denom, slip))
     else:
         seeds.append((0.0, 0.0))
-    uni = inverse_unicycle(p0, pt, t)
+    uni = Unicycle((dx / t * math.cos(p0.heading) + dy / t * math.sin(p0.heading)) / _sinc(wrapped), wrapped / t)
     if abs(uni.speed) > 0.1:
         ratio = uni.yaw_rate * rear_axle / uni.speed
         seeds.append((uni.speed, math.asin(min(1.0, max(-1.0, ratio)))))
@@ -666,7 +664,9 @@ def estimate_param_columns(times, x, y, heading, counts, model: str, rear_axle=N
     A track needs at least two poses and strictly increasing times, else
     TrackFitError names its position in counts. The tracks before the first
     one that fails are fitted first, so their fit errors come first, as when
-    tracks are estimated one after another.
+    tracks are estimated one after another. A fit error keeps its type and
+    carries the position of its track in counts as `track`, as TrackFitError
+    does.
     """
     kind = model_class(model)
     times = np.asarray(times, dtype=float)
@@ -687,7 +687,12 @@ def estimate_param_columns(times, x, y, heading, counts, model: str, rear_axle=N
     if arm is not None:
         arm = np.broadcast_to(np.asarray(arm, dtype=float), counts.shape)[track[fresh]]
     x, y, heading = (np.asarray(v, dtype=float) for v in (x, y, heading))
-    params = kind.inverse_columns(x[a], y[a], heading[a], x[b], y[b], heading[b], times[b] - times[a], arm)
+    try:
+        params = kind.inverse_columns(x[a], y[a], heading[a], x[b], y[b], heading[b], times[b] - times[a], arm)
+    except (ValueError, FitDivergence) as exc:
+        if hasattr(exc, "pair"):
+            exc.track = int(track[fresh][exc.pair])
+        raise
     if failed is not None:
         reason = "need at least two poses" if counts[failed] < 2 else "timestamps must strictly increase"
         raise TrackFitError(reason, failed)

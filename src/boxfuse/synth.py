@@ -37,8 +37,8 @@ import numpy as np
 from .fusion import MODEL_CODES, PARAM_WIDTH, DetectionColumns, Frame, _groups, object_array, track_index
 from .geometry import EgoPose, Pose, clamp_columns, normalize_angles, transform_columns
 from .motion import (
+    FitDivergence,
     MotionParams,
-    TrackFitError,
     default_rear_axle,
     estimate_param_columns,
     estimate_params_from_track,
@@ -90,6 +90,9 @@ class TrajectorySpec:
             raise ValueError("frame_interval must be positive and finite")
         if not self.frame_interval <= self.duration < math.inf:
             raise ValueError("duration must be finite and cover at least one frame interval")
+        if not self.duration / self.frame_interval < math.inf:
+            raise ValueError(f"n_frames overflows, got duration / frame_interval = {self.duration!r} / "
+                             f"{self.frame_interval!r}")
         if not all(-math.inf < v < math.inf for v in self.speed_range):
             raise ValueError(f"speed_range must be finite, got {self.speed_range!r}")
         if not self.speed_range[0] <= self.speed_range[1]:
@@ -327,7 +330,8 @@ def reattach_params(frames: Sequence[Frame], model: str, rear_axle: float | None
     its world poses in frame order, with the arm rear_axle, or else
     default_rear_axle of its upper median box length, and the parameters are
     rotated into each frame's ego frame; every other column is kept. A track
-    that cannot be fitted is named with the frame of its first row.
+    that cannot be fitted is named with the frame of its first row, in an
+    error of the type its fit raised (a ValueError, or FitDivergence).
     """
     return _reattach(frames, model, rear_axle)
 
@@ -379,10 +383,15 @@ def _reattach(frames: Sequence[Frame], model: str, rear_axle: float | None, fit:
     params[order] = 0.0
     try:
         params[order, :width] = estimate_param_columns(times[order], x, y, yaw, counts[fit], model, rear_axle=arm)
-    except TrackFitError as exc:
+    except (ValueError, FitDivergence) as exc:
+        if not hasattr(exc, "track"):
+            raise
         failed = np.flatnonzero(fit)[exc.track]
         first_frame = np.searchsorted(np.cumsum(sizes), np.argmax(track == failed), side="right")
-        raise ValueError(f"track {ids[failed]!r}, first seen on frame {first_frame}: {exc}") from None
+        message = f"track {ids[failed]!r}, first seen on frame {first_frame}: {exc}"
+        if isinstance(exc, FitDivergence):
+            raise FitDivergence(message, exc.best, exc.report) from None
+        raise ValueError(message) from None
     split = np.cumsum(sizes)[:-1]
     out = []
     for frame, cols, rows, fitted in zip(frames, columns, np.split(params, split), np.split(fit[track], split)):

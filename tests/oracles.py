@@ -47,8 +47,6 @@ from boxfuse.motion import (
     _bicycle_jacobian,
     _bicycle_residual,
     _bicycle_seeds,
-    inverse_cv,
-    inverse_unicycle,
     model_class,
 )
 from boxfuse.geometry import Box3D, Pose, _corners, _iou_from_corners
@@ -459,13 +457,39 @@ def speed_radius_reference(params) -> tuple[float, float]:
     return abs(params.speed), math.inf if s < 1e-9 else params.rear_axle / s
 
 
+def inverse_cv_reference(p0: Pose, pt: Pose, t: float) -> ConstantVelocity:
+    """Finite-difference velocity estimate from a pose pair over gap t."""
+    if t == 0.0:
+        raise ValueError("zero time gap")
+    return ConstantVelocity((pt.x - p0.x) / t, (pt.y - p0.y) / t)
+
+
+def inverse_unicycle_reference(p0: Pose, pt: Pose, t: float) -> Unicycle:
+    """Closed-form unicycle estimate from a pose pair over gap t.
+
+    Yaw rate is the wrapped heading change over t; speed is the chord velocity
+    projected on the initial heading, scaled by dphi/sin(dphi). Exact on any
+    pair produced by the unicycle forward model with |heading change| < pi.
+    """
+    if t == 0.0:
+        raise ValueError("zero time gap")
+    dphi = normalize_angle(pt.heading - p0.heading)
+    # a half turn either way wraps to +pi; there the chord says nothing about speed
+    if dphi == math.pi:
+        raise ValueError("heading change of pi is ambiguous for the unicycle inverse")
+    vx = (pt.x - p0.x) / t
+    vy = (pt.y - p0.y) / t
+    along = vx * math.cos(p0.heading) + vy * math.sin(p0.heading)
+    return Unicycle(along / _sinc_reference(dphi), dphi / t)
+
+
 def inverse_reference(model: str, p0: Pose, pt: Pose, t: float, rear_axle: float | None = None):
     """The pose-pair inverse of the model named `model`. The bicycle's calls
     motion.inverse_bicycle, looked up at call time, so a wrapper bound there sees it."""
     if model == "cv":
-        return inverse_cv(p0, pt, t)
+        return inverse_cv_reference(p0, pt, t)
     if model == "unicycle":
-        return inverse_unicycle(p0, pt, t)
+        return inverse_unicycle_reference(p0, pt, t)
     if rear_axle is None or not rear_axle > 0.0:
         raise ValueError("bicycle estimation needs a positive rear_axle")
     return motion_module.inverse_bicycle(p0, pt, t, rear_axle)[0]
@@ -779,8 +803,9 @@ def corrupt_reference(frames: Sequence[Frame], spec: CorruptionSpec, seed: int) 
 def reattach_params_reference(frames: list[Frame], model: str, rear_axle: float | None) -> list[Frame]:
     """Replace every detection's motion parameters using the track inverse models.
 
-    A track too short to fit, or seen twice at one time, is named with the
-    frame of its first row, as synth.reattach_params names it.
+    A track too short to fit, seen twice at one time, or whose fit fails is
+    named with the frame of its first row, as synth.reattach_params names it;
+    a failed fit keeps its error's type.
     """
     identity = EgoPose.identity()
     tracks: dict[int, list[tuple[int, int]]] = {}
@@ -802,12 +827,13 @@ def reattach_params_reference(frames: list[Frame], model: str, rear_axle: float 
         if arm is None:
             lengths = sorted(frames[fi].detections[di].box.l for fi, di in locs)
             arm = lengths[len(lengths) // 2] / 4.0
+        where = f"track {tid!r}, first seen on frame {locs[0][0]}"
         try:
             estimates = estimate_params_from_track_reference(times, poses, model, rear_axle=arm)
+        except FitDivergence as exc:
+            raise FitDivergence(f"{where}: {exc}", exc.best, exc.report) from None
         except ValueError as exc:
-            if str(exc) not in ("need at least two poses", "timestamps must strictly increase"):
-                raise
-            raise ValueError(f"track {tid!r}, first seen on frame {locs[0][0]}: {exc}") from None
+            raise ValueError(f"{where}: {exc}") from None
         for (fi, di), params in zip(locs, estimates):
             new_params[(fi, di)] = params
     out = []

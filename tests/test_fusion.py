@@ -797,6 +797,8 @@ class TestDetectionColumns:
         ("weight", 2, -0.1, "weight must lie in [0, 1], got -0.1"),
         ("frame_lag", 1, -1, "frame_lag must be non-negative"),
         ("n_fused", 4, 0, "n_fused must be at least 1"),
+        ("n_current", 1, -1, "n_current must lie in [0, n_fused], got -1 with n_fused 1"),
+        ("n_current", 3, 2, "n_current must lie in [0, n_fused], got 2 with n_fused 1"),
         ("label", 0, "", "empty class label"),
         ("boxes", 3, (1.0, 2.0, 0.5, 0.0, 4.0, 1.0, 0.0), "box dimensions must be strictly positive"),
         ("boxes", 2, (1.0, 2.0, 0.5, 1e-4, 1e-3, 1.0, 0.0), f"degenerate BEV footprint: w*l = {1e-4 * 1e-3!r}"),
@@ -815,6 +817,12 @@ class TestDetectionColumns:
             DetectionColumns(**{**fields, column: values})
         # the message of the row's own constructors, after the first offending row
         assert str(err.value) == f"detection {row}: {message}"
+
+    @pytest.mark.parametrize("n_fused, n_current", [(1, -1), (1, 2), (3, 4)])
+    def test_a_detection_counts_at_most_its_members_as_current(self, n_fused, n_current):
+        with pytest.raises(ValueError, match=r"n_current must lie in \[0, n_fused\]"):
+            dataclasses.replace(make_det(), n_fused=n_fused, n_current=n_current)
+        assert dataclasses.replace(make_det(), n_fused=n_fused, n_current=n_fused).n_current == n_fused
 
     def test_construction_wraps_yaws(self):
         cols = DetectionColumns.of(self.rows())

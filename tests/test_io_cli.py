@@ -13,12 +13,15 @@ from boxfuse import (
     ConstantVelocity,
     Detection,
     EgoPose,
+    FitDivergence,
     Frame,
     FrameFormatError,
     FusionConfig,
     Unicycle,
+    motion,
     read_frames,
     read_meta,
+    reattach_params,
     weighted_nms,
     write_frames,
 )
@@ -147,6 +150,11 @@ MALFORMED = [
     ("weight above 1", _with(weight=1.5), "detection 0: weight must lie in [0, 1], got 1.5"),
     ("negative frame_lag", _with(frame_lag=-1), "detection 0: frame_lag must be non-negative"),
     ("no fused box", _with(n_fused=0), "detection 0: n_fused must be at least 1"),
+    ("negative n_current", _with(n_current=-3), "detection 0: n_current must lie in [0, n_fused], got -3 with n_fused 1"),
+    ("n_current above n_fused", _with(n_current=5),
+     "detection 0: n_current must lie in [0, n_fused], got 5 with n_fused 1"),
+    ("n_current above a given n_fused", _with(n_fused=2, n_current=3),
+     "detection 0: n_current must lie in [0, n_fused], got 3 with n_fused 2"),
     ("empty class", _with(**{"class": ""}), "detection 0: empty class label"),
     ("zero width", _with(box=[1, 2, 0.5, 0, 4.5, 1.6, 0.3]), "detection 0: box dimensions must be strictly positive"),
     ("tiny footprint", _with(box=[1, 2, 0.5, 1e-4, 1e-3, 1.6, 0.3]), f"detection 0: degenerate BEV footprint: w*l = {1e-4 * 1e-3!r}"),
@@ -417,6 +425,48 @@ class TestCli:
         assert main(["inverse", "--input", str(src), "--output", str(out), "--model", model]) == 2
         assert capsys.readouterr().err == f"boxfuse: error: {self.UNFIT[fault]}\n"
         assert not out.exists()
+
+    @staticmethod
+    def half_turn_track(tmp_path):
+        """Track 7 over three frames 0.1 s apart, at x = 0, 1, 2 with yaws 0, pi, pi: its first
+        pair, and the pair that straddles frame 1, turn by exactly pi."""
+        frames = [Frame(0.1 * k, EgoPose.identity(), [
+            Detection(Box3D(float(k), 0.0, 0.0, 2.0, 4.5, 1.6, yaw), 0.9, "car", ConstantVelocity(0.0, 0.0),
+                      track_id=7)]) for k, yaw in enumerate((0.0, math.pi, math.pi))]
+        src = tmp_path / "half_turn.jsonl"
+        write_frames(src, frames)
+        return src, frames
+
+    def test_bicycle_inverse_fits_a_half_turn(self, tmp_path):
+        src, _ = self.half_turn_track(tmp_path)
+        out = tmp_path / "o.jsonl"
+        assert main(["inverse", "--input", str(src), "--output", str(out), "--model", "bicycle"]) == 0
+        assert [type(d.motion) for f in read_frames(out) for d in f.detections] == [Bicycle] * 3
+
+    def test_unicycle_inverse_names_the_track_of_a_half_turn(self, tmp_path, capsys):
+        src, frames = self.half_turn_track(tmp_path)
+        out = tmp_path / "o.jsonl"
+        assert main(["inverse", "--input", str(src), "--output", str(out), "--model", "unicycle"]) == 2
+        message = "track 7, first seen on frame 0: heading change of pi is ambiguous for the unicycle inverse"
+        assert capsys.readouterr().err == f"boxfuse: error: {message}\n"
+        assert not out.exists()
+        with pytest.raises(ValueError) as err:
+            reattach_params(frames, "unicycle")
+        assert type(err.value) is ValueError and str(err.value) == message
+
+    def test_bicycle_divergence_names_its_track(self, tmp_path, monkeypatch, capsys):
+        src, frames = self.half_turn_track(tmp_path)
+        real = motion.inverse_bicycle
+        monkeypatch.setattr(motion, "inverse_bicycle", lambda *args: real(*args, max_iter=1))
+        out = tmp_path / "o.jsonl"
+        assert main(["inverse", "--input", str(src), "--output", str(out), "--model", "bicycle"]) == 2
+        prefix = "track 7, first seen on frame 0: no convergence after 1 iterations"
+        assert capsys.readouterr().err.startswith(f"boxfuse: error: {prefix}")
+        assert not out.exists()
+        with pytest.raises(FitDivergence) as err:
+            reattach_params(frames, "bicycle")
+        assert str(err.value).startswith(prefix)
+        assert isinstance(err.value.best, Bicycle) and not err.value.report.converged
 
     @pytest.mark.parametrize("model", ["cv", "bicycle"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
@@ -867,6 +917,17 @@ class TestOptionErrors:
          "--duration (BOXFUSE_DURATION): duration must be finite and non-negative, got -5.0"),
         (["traj-compare", "--gen-model", "cv", "--radius", "20"],
          "--radius (BOXFUSE_RADIUS): constant-velocity trajectories cannot turn"),
+        # ratios of two options that overflow at once: a frame count, a lag in frame intervals
+        (["synth", "--duration", "1e300", "--interval", "1e-300"],
+         "--duration (BOXFUSE_DURATION) or --interval (BOXFUSE_INTERVAL): n_frames overflows, "
+         "got duration / frame_interval = 1e+300 / 1e-300"),
+        (["traj-compare", "--horizon", "1e300", "--interval", "1e-300"],
+         "--horizon (BOXFUSE_HORIZON) or --interval (BOXFUSE_INTERVAL): horizon / frame_interval overflows, "
+         "got 1e+300 / 1e-300"),
+        (["traj-compare", "--duration", "1e300", "--interval", "1e-300"],
+         "--duration (BOXFUSE_DURATION) or --interval (BOXFUSE_INTERVAL): duration / frame_interval overflows, "
+         "got 1e+300 / 1e-300"),
+        (["fuse", "--interval", "1e-20"], "line 3: frame lag of 0.1 s at frame_interval 1e-20 s does not fit in int64"),
     ])
     def test_bad_value_exit_2_in_the_one_form(self, tmp_path, capsys, scene, argv, error):
         assert main([*argv, *required_options(argv[0], scene, tmp_path)]) == 2

@@ -28,7 +28,7 @@ from boxfuse import (
 )
 from boxfuse import motion
 from boxfuse.motion import HALF_PI
-from oracles import inverse_bicycle_reference
+from oracles import inverse_bicycle_reference, inverse_unicycle_reference
 
 
 def pose_close(a: Pose, b: Pose, tol: float) -> None:
@@ -308,6 +308,17 @@ class TestInverseBicycle:
         assert isinstance(err.value.best, Bicycle)
         assert not err.value.report.converged
 
+    def test_a_half_turn_fits_without_the_public_inverses(self, monkeypatch):
+        # the unicycle inverse rejects a half turn; as the fit's seed it is only a poor start
+        def public_inverse(*args):
+            raise AssertionError("the bicycle fit called a public inverse")
+
+        monkeypatch.setattr(motion, "inverse_cv", public_inverse)
+        monkeypatch.setattr(motion, "inverse_unicycle", public_inverse)
+        params, report = inverse_bicycle(Pose(0, 0, 0), Pose(1, 0.5, math.pi), 0.1, 1.0)
+        assert report.converged
+        assert params.rear_axle == 1.0 and abs(params.slip) <= HALF_PI
+
     def test_zero_gap_and_bad_arm_rejected(self):
         with pytest.raises(ValueError):
             inverse_bicycle(Pose(0, 0, 0), Pose(1, 0, 0), 0.0, rear_axle=1.0)
@@ -493,6 +504,23 @@ def test_conditioning_gate_settles_clear_cases_without_an_svd(monkeypatch, norma
 
     monkeypatch.setattr(np.linalg, "cond", no_svd)
     assert motion._ill_conditioned(normal) is expected
+
+
+SEED_POSE = st.builds(Pose, st.floats(-100.0, 100.0), st.floats(-100.0, 100.0),
+                     st.sampled_from([0.0, math.pi]) | st.floats(-math.pi, math.pi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p0=SEED_POSE, p1=SEED_POSE, t=st.floats(1e-3, 2.0), arm=st.floats(0.3, 3.0))
+def test_the_unicycle_seed_is_the_unicycle_inverse(p0, p1, t, arm):
+    try:
+        uni = inverse_unicycle_reference(p0, p1, t)
+    except ValueError:
+        event("half turn")
+        return
+    slip = math.asin(min(1.0, max(-1.0, uni.yaw_rate * arm / uni.speed))) if abs(uni.speed) > 0.1 else 0.0
+    # repr tells -0.0 from 0.0, so equal reprs are equal bits
+    assert repr(motion._bicycle_seeds(p0, p1, t, arm)[-1]) == repr((uni.speed, slip))
 
 
 @pytest.mark.parametrize("arm", [0.0, -1.0, math.nan])

@@ -35,6 +35,8 @@ from boxfuse import (
     forward_cv,
     forward_unicycle,
     generate_mixed_scene,
+    inverse_cv,
+    inverse_unicycle,
     motion,
     reattach_params,
     transform_box,
@@ -168,7 +170,6 @@ YAW = st.sampled_from([0.0, -0.0, math.pi]) | st.floats(-10.0, 10.0)
 BOX = st.builds(Box3D, COORD, COORD, st.floats(-2.0, 2.0), st.floats(0.5, 3.0), st.floats(0.5, 6.0),
                 st.floats(0.5, 3.0), YAW)
 EGO = st.builds(EgoPose, COORD, COORD, YAW)
-ALIASES = {ConstantVelocity: forward_cv, Unicycle: forward_unicycle, Bicycle: forward_bicycle}
 
 
 @settings(max_examples=400, deadline=None)
@@ -177,7 +178,7 @@ def test_one_row_paths_equal_the_per_pose_references(pose, params, t, box, src, 
     # repr tells -0.0 from 0.0 and names the class, so equal reprs are equal bits
     expected = repr(forward_reference(pose, params, t))
     assert repr(forward(pose, params, t)) == expected
-    assert repr(ALIASES[type(params)](pose, params, t)) == expected
+    assert forward_cv is forward_unicycle is forward_bicycle is forward
     assert repr(forward_box(box, params, t)) == repr(forward_box_reference(box, params, t))
     assert repr(transform_box(box, src, dst)) == repr(transform_box_reference(box, src, dst))
     assert repr(transform_box(box, src, src)) == repr(box)
@@ -224,6 +225,36 @@ def test_inverse_columns_raise_like_the_scalar_inverse(model, start, end, dt, ar
         inverse_reference(model, Pose(*start), Pose(*end), dt, arm)
     with pytest.raises(ValueError, match=message):
         kind.inverse_columns(*(np.array([v]) for v in (*start, *end, dt)), None if arm is None else np.array([arm]))
+
+
+# zero gaps of both signs, gaps whose ratios overflow (a subnormal one among them), and any
+GAP = st.sampled_from([0.0, -0.0, 1e-320, -5e-324, 1e-300]) | st.floats(-2.0, 2.0)
+# coordinates whose differences overflow, and any
+WIDE = st.sampled_from([1.7e308, -1.7e308]) | st.floats(-100.0, 100.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(p0=st.builds(Pose, WIDE, WIDE, YAW), p1=st.builds(Pose, WIDE, WIDE, YAW),
+       turn=st.sampled_from([None, None, None, math.pi, -math.pi]), t=GAP)
+def test_one_row_inverses_equal_the_frozen_scalar_inverses(p0, p1, turn, t):
+    if turn is not None:
+        p1 = Pose(p1.x, p1.y, p0.heading + turn)
+    for model, one_row in (("cv", inverse_cv), ("unicycle", inverse_unicycle)):
+        kind = MODELS[model]
+        # repr tells -0.0 from 0.0 and names the class, so equal reprs are equal bits
+        expected = outcome(lambda: inverse_reference(model, p0, p1, t), repr)
+        assert outcome(lambda: one_row(p0, p1, t), repr) == expected
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = outcome(lambda: kind.inverse_columns(*pose_columns([p0]), *pose_columns([p1]), np.array([t])),
+                           lambda rows: rows)
+        event(f"{model}: {'fit' if type(expected) is str else expected[1].split(',')[0]}")
+        if type(rows) is tuple:
+            assert rows == expected
+        elif np.isfinite(rows).all():
+            assert repr(kind(*rows[0].tolist())) == expected
+        else:
+            # the columns leave the finiteness check to the class that takes their rows
+            assert expected[0] is ValueError and "must be finite" in expected[1]
 
 
 def test_bicycle_fits_go_through_the_module_function_and_diverge_per_pair(monkeypatch):

@@ -50,6 +50,7 @@ MOTIONS = {
 def detections(draw):
     """A valid Detection of any model; every optional field is set or left at its default."""
     motion = draw(st.one_of(*MOTIONS.values()))
+    n_fused = draw(st.integers(1, 9))
     return Detection(
         box=Box3D(draw(COORD), draw(COORD), draw(COORD), draw(SIZE), draw(SIZE), draw(SIZE), draw(YAW)),
         score=draw(UNIT),
@@ -58,8 +59,8 @@ def detections(draw):
         weight=draw(st.none() | UNIT),
         frame_lag=draw(st.sampled_from([0, 0, 1, 3])),
         track_id=draw(st.none() | st.integers(-(2**40), 2**40)),
-        n_fused=draw(st.integers(1, 9)),
-        n_current=draw(st.none() | st.integers(0, 9)),
+        n_fused=n_fused,
+        n_current=draw(st.none() | st.integers(0, n_fused)),
     )
 
 
@@ -142,8 +143,10 @@ def streams(draw):
             for _ in range(draw(st.integers(0, 2))):
                 extra = draw(st.fixed_dictionaries({}, optional={
                     "weight": UNIT, "frame_lag": st.integers(0, 3), "track_id": st.integers(0, 50),
-                    "n_fused": st.integers(1, 4), "n_current": st.integers(0, 4),
+                    "n_fused": st.integers(1, 4),
                 }))
+                if draw(st.booleans()):
+                    extra["n_current"] = draw(st.integers(0, extra.get("n_fused", 1)))
                 dets.append(Detection(
                     box=Box3D(x + draw(noise), y + draw(noise), 0.8, 1.9 + draw(st.floats(0.0, 0.4)),
                               4.5 + draw(noise), 1.6, yaw + 0.3 * draw(noise)),

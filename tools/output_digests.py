@@ -13,9 +13,9 @@ and each seed, the commands run in process, in a temporary directory:
 - `boxfuse eval` of the benchmark's preset: its text and CSV over the
   benchmark's evaluation window;
 - `boxfuse inverse` of the ground truth under each motion model;
-- `boxfuse inverse --model bicycle` of the detections, whose noisy poses
-  take multi-iteration fits and whose drops leave track gaps; when it exits
-  2, its error text is recorded in place of a digest.
+- `boxfuse inverse` of the detections under each motion model, whose noisy
+  poses take multi-iteration bicycle fits and whose drops leave track gaps;
+  when it exits 2, its error text is recorded in place of a digest.
 
 Once, under `traj-compare`, it also records `boxfuse traj-compare` for every
 `--gen-model` at the radii in `TRAJ_RADII` (a cv trajectory cannot turn, so
@@ -101,13 +101,11 @@ def workload_digests(main, models, presets, workload, preset: str, first: int, s
     out["eval-text"] = _digest(text.encode("utf-8"))
     out["eval-csv"] = _digest(csv.read_bytes())
     for model in models:
-        inverse = work / f"inverse-{model}.jsonl"
-        _run(main, ["inverse", "--input", str(gt), "--output", str(inverse), "--model", model])
-        out[f"inverse-{model}"] = _digest(inverse.read_bytes())
-    inverse = work / "inverse-det-bicycle.jsonl"
-    error = _run(main, ["inverse", "--input", str(det), "--output", str(inverse), "--model", "bicycle"],
-                 data_error_ok=True)
-    out["inverse-det-bicycle"] = error or _digest(inverse.read_bytes())
+        for key, source in ((f"inverse-{model}", gt), (f"inverse-det-{model}", det)):
+            inverse = work / f"{key}.jsonl"
+            error = _run(main, ["inverse", "--input", str(source), "--output", str(inverse), "--model", model],
+                         data_error_ok=source == det)
+            out[key] = error or _digest(inverse.read_bytes())
     return out
 
 
