@@ -47,7 +47,7 @@ from .synth import (
     reattach_scene_params,
 )
 
-# transform_box, _motion_in_ego and read_frames are no longer called here, but
+# transform_box and _motion_in_ego are no longer called here, but
 # the benchmark's per-layer tracing binds them in this module (bench/tracing.py).
 
 TOOL = "boxfuse"
@@ -277,8 +277,7 @@ def _fusion_config(args: argparse.Namespace) -> FusionConfig:
     file_values = {}
     config_path = _opt(args, "config")
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            file_values = _known_keys(json.load(fh), _FUSION_KEYS, "--config")
+        file_values = _known_keys(_json_file(config_path, "--config"), _FUSION_KEYS, "--config")
         for key, value in file_values.items():
             row = _ROWS["fuse"][key]
             _check_json(value, row.type, f"--config: key {key!r}", row.choices)
@@ -394,6 +393,15 @@ def _known_keys(obj, allowed, where: str) -> dict:
     return obj
 
 
+def _json_file(path: str, flag: str):
+    """The JSON value of the file at `path`, which `flag` named; ValueError names the flag when it is malformed."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{flag}: {exc}") from None
+
+
 def _spec_from_obj(cls, obj, where: str):
     """A TrajectorySpec or CorruptionSpec from its --spec object, each value
     checked against its field's type as --config values are; ValueError names
@@ -417,6 +425,8 @@ def _spec_scene(raw) -> tuple[list[tuple[TrajectorySpec, int]], CorruptionSpec]:
     _known_keys(raw, ("groups", "corruption"), "--spec")
     if type(raw.get("groups")) is not list:
         raise ValueError(f"--spec: key 'groups' must be a list, got {raw.get('groups')!r}")
+    if not raw["groups"]:
+        raise ValueError("--spec: no vehicle groups")
     groups = []
     for i, group in enumerate(raw["groups"]):
         where = f"--spec group {i}"
@@ -434,8 +444,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     model = _opt(args, "model")
     spec_path = _opt(args, "spec")
     if spec_path:
-        with open(spec_path, "r", encoding="utf-8") as fh:
-            groups, cspec = _spec_scene(json.load(fh))
+        groups, cspec = _spec_scene(_json_file(spec_path, "--spec"))
     else:
         groups = _synth_groups(args, rear_axle)
         cspec = _settings(args, CorruptionSpec, {field.name: _opt(args, field.name)
@@ -457,7 +466,7 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
     model = _opt(args, "model")
     rear_axle = _checked(args, "rear_axle", _positive, "positive and finite")
     input_path = _opt(args, "input")
-    out = reattach_params(list(iter_frames(input_path)), model, rear_axle)
+    out = reattach_params(read_frames(input_path), model, rear_axle)
     meta = {"tool": TOOL, "version": __version__, "format": 1, "command": "inverse",
             "input_sha256": _sha256(input_path), "model": model}
     write_frames(_opt(args, "output"), out, meta=meta)
@@ -466,7 +475,7 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     threshold = _checked(args, "iou", lambda iou: iou >= 0.0, "non-negative")
-    gt, raw, fused = (list(iter_frames(_opt(args, dest))) for dest in ("gt", "raw", "fused"))
+    gt, raw, fused = (read_frames(_opt(args, dest)) for dest in ("gt", "raw", "fused"))
     report = evaluate_enhancement(gt, raw, fused, threshold)
     print(report.to_text())
     output = _opt(args, "output")

@@ -22,6 +22,7 @@ column operations. Every step does the float operations of the frozen
 per-box references in tests/oracles.py in the same order, and outputs are
 checked against them to the bit. The pipeline passes only columns; the
 public steps convert a list of Detection through `DetectionColumns.of`.
+Reading a row builds it with the checking constructors.
 
 Trace contract: `fuse_frames` calls `forward_frame(frame, t, ego, cfg)` once
 per history frame, then `weighted_nms(dense, cfg)` and
@@ -197,30 +198,20 @@ MODEL_CODES = {name: code for code, name in enumerate(MODELS)}
 PARAM_WIDTH = max(len(model.json_keys) for model in _MODEL_CLASSES)
 
 _box_fields = attrgetter("x", "y", "z", "w", "l", "h", "yaw")
+_set_field = object.__setattr__
 
 
-def _unchecked(cls):
-    """A constructor of the frozen dataclass `cls` that skips __init__ and its checks.
-
-    Rows of DetectionColumns are built with it: the columns passed the same
-    checks when they were made.
-    """
-    names = tuple(f.name for f in fields(cls))
-    new = object.__new__
-    set_field = object.__setattr__
-
-    def make(*values):
-        obj = new(cls)
-        for name, value in zip(names, values):
-            set_field(obj, name, value)
-        return obj
-
-    return make
-
-
-_make_box = _unchecked(Box3D)
-_make_detection = _unchecked(Detection)
-_make_motion = {kind: _unchecked(kind) for kind in _MODEL_CLASSES}
+def _unchecked_box(x, y, z, w, l, h, yaw) -> Box3D:
+    """Box3D(x, y, z, w, l, h, yaw) without its checks, for box_objects."""
+    box = object.__new__(Box3D)
+    _set_field(box, "x", x)
+    _set_field(box, "y", y)
+    _set_field(box, "z", z)
+    _set_field(box, "w", w)
+    _set_field(box, "l", l)
+    _set_field(box, "h", h)
+    _set_field(box, "yaw", yaw)
+    return box
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,7 +231,7 @@ class DetectionColumns(Sequence[Detection]):
     first row that fails, with the message its Detection would raise.
     Columns derived from checked ones (selections, concatenations, forwarded
     boxes, new scores in [0, 1]) are made by `_derived` without a new check,
-    and rows are read without one.
+    and rows are read with one, except by `box_objects`.
     """
 
     boxes: np.ndarray
@@ -284,14 +275,9 @@ class DetectionColumns(Sequence[Detection]):
             getattr(self, name).flags.writeable = False
 
     def _raise_for_row(self, row: int) -> None:
-        """Build row `row` with the checking constructors and pass on what they raise."""
-        kind = _MODEL_CLASSES[self.model[row]]
-        weight = self.weight[row].item()
+        """Build row `row` through `rows` and pass on what its checking constructors raise."""
         try:
-            Detection(Box3D(*self.boxes[row].tolist()), self.score[row].item(), self.label[row],
-                      kind(*self.params_of(kind, row).tolist()), None if weight != weight else weight,
-                      self.frame_lag[row].item(), self.track_id[row], self.n_fused[row].item(),
-                      self.n_current[row].item())
+            self.rows([row])
         except ValueError as exc:
             raise ValueError(f"detection {row}: {exc}") from None
         raise ValueError(f"detection {row} fails a column check")
@@ -378,18 +364,30 @@ class DetectionColumns(Sequence[Detection]):
     __hash__ = None
 
     def box_objects(self) -> list[Box3D]:
-        """The Box3D of every row, in order."""
-        return list(map(_make_box, *self.boxes.T.tolist()))
+        """The Box3D of every row, in order, built without Box3D's checks.
+
+        Evaluation builds one per box for its scalar bev_iou, about 32k per
+        turning-200 eval, where checked boxes add 5-10 % to eval time; the
+        columns passed the same checks when they were made. Fields are set one
+        by one, as Box3D's __init__ does: a filled __dict__ builds faster but
+        slows bev_iou's attribute reads more. Once evaluation clips columns
+        (ROADMAP.md item 2), nothing needs it.
+        """
+        return list(map(_unchecked_box, *self.boxes.T.tolist()))
 
     def rows(self, index=None) -> list[Detection]:
-        """The Detections of the given rows (all rows by default), in that order."""
+        """The Detections of the given rows (all rows by default), in that order.
+
+        The checking constructors build each row's box, then its motion.
+        """
         cols = self if index is None else self.take(np.asarray(index, dtype=np.int64))
+        boxes = [Box3D(*values) for values in cols.boxes.tolist()]
         motions = np.empty(len(cols), dtype=object)
         for kind, rows in cols.groups():
-            motions[rows] = list(map(_make_motion[kind], *cols.params_of(kind, rows).T.tolist()))
+            motions[rows] = [kind(*values) for values in cols.params_of(kind, rows).tolist()]
         return list(map(
-            _make_detection,
-            cols.box_objects(),
+            Detection,
+            boxes,
             cols.score.tolist(),
             cols.label.tolist(),
             motions,

@@ -664,9 +664,10 @@ def estimate_param_columns(times, x, y, heading, counts, model: str, rear_axle=N
     A track needs at least two poses and strictly increasing times, else
     TrackFitError names its position in counts. The tracks before the first
     one that fails are fitted first, so their fit errors come first, as when
-    tracks are estimated one after another. A fit error keeps its type and
-    carries the position of its track in counts as `track`, as TrackFitError
-    does.
+    tracks are estimated one after another. A fitted row that its class
+    rejects (a velocity that overflows on a tiny time gap) raises the class's
+    ValueError. A fit error keeps its type and carries the position of its
+    track in counts as `track`, as TrackFitError does.
     """
     kind = model_class(model)
     times = np.asarray(times, dtype=float)
@@ -688,7 +689,16 @@ def estimate_param_columns(times, x, y, heading, counts, model: str, rear_axle=N
         arm = np.broadcast_to(np.asarray(arm, dtype=float), counts.shape)[track[fresh]]
     x, y, heading = (np.asarray(v, dtype=float) for v in (x, y, heading))
     try:
-        params = kind.inverse_columns(x[a], y[a], heading[a], x[b], y[b], heading[b], times[b] - times[a], arm)
+        # an overflowing fit is caught by the row check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            params = kind.inverse_columns(x[a], y[a], heading[a], x[b], y[b], heading[b], times[b] - times[a], arm)
+        bad = kind.invalid_columns(params)
+        if bad.any():
+            pair = int(np.argmax(bad))
+            try:
+                kind(*params[pair].tolist())
+            except ValueError as exc:
+                raise _at_pair(exc, pair) from None
     except (ValueError, FitDivergence) as exc:
         if hasattr(exc, "pair"):
             exc.track = int(track[fresh][exc.pair])

@@ -818,6 +818,20 @@ class TestDetectionColumns:
         # the message of the row's own constructors, after the first offending row
         assert str(err.value) == f"detection {row}: {message}"
 
+    @pytest.mark.parametrize("faults, message", [
+        ({"boxes": (math.nan, 2.0, 0.5, 2.0, 4.0, 1.0, 0.0), "params": (2.0, 2.0, 1.1)}, "x must be finite, got nan"),
+        ({"params": (2.0, 2.0, 1.1), "score": 1.5}, "slip must lie in [-pi/2, pi/2], got 2.0"),
+        ({"score": 1.5, "label": ""}, "score must lie in [0, 1], got 1.5"),
+    ])
+    def test_a_row_with_several_faults_names_the_first_in_construction_order(self, faults, message):
+        cols = DetectionColumns.of(self.rows())
+        fields = {f.name: getattr(cols, f.name).copy() for f in dataclasses.fields(cols)}
+        for column, value in faults.items():
+            fields[column][2] = value
+        with pytest.raises(ValueError) as err:
+            DetectionColumns(**fields)
+        assert str(err.value) == f"detection 2: {message}"
+
     @pytest.mark.parametrize("n_fused, n_current", [(1, -1), (1, 2), (3, 4)])
     def test_a_detection_counts_at_most_its_members_as_current(self, n_fused, n_current):
         with pytest.raises(ValueError, match=r"n_current must lie in \[0, n_fused\]"):

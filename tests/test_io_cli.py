@@ -454,6 +454,21 @@ class TestCli:
             reattach_params(frames, "unicycle")
         assert type(err.value) is ValueError and str(err.value) == message
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("model,field", [("cv", "vx"), ("unicycle", "speed"), ("bicycle", "speed")])
+    def test_inverse_names_the_track_whose_fit_overflows(self, tmp_path, capsys, model, field):
+        # the velocity over the gap of 1e-320 s overflows, with no numpy warning
+        frames = [Frame(t, EgoPose.identity(), [
+            Detection(Box3D(float(k), 0.0, 0.0, 2.0, 4.5, 1.6, 0.0), 0.9, "car", ConstantVelocity(0.0, 0.0),
+                      track_id=4)]) for k, t in enumerate((0.0, 1e-320, 1.0))]
+        src = tmp_path / "tiny_gap.jsonl"
+        write_frames(src, frames)
+        out = tmp_path / "o.jsonl"
+        assert main(["inverse", "--input", str(src), "--output", str(out), "--model", model]) == 2
+        message = f"track 4, first seen on frame 0: {field} must be finite, got inf"
+        assert capsys.readouterr().err == f"boxfuse: error: {message}\n"
+        assert not out.exists()
+
     def test_bicycle_divergence_names_its_track(self, tmp_path, monkeypatch, capsys):
         src, frames = self.half_turn_track(tmp_path)
         real = motion.inverse_bicycle
@@ -823,6 +838,7 @@ class TestSynthScene:
         ({"groups": [GROUP], "corruption": {"frame_drop_overrides": [[1.5, 0.5]]}}, "corruption",
          "'frame_drop_overrides'"),
         ({"groups": [{"spec": {"model": "cv", "heading_range": [math.nan, 0.0]}, "count": 1}]}, "group 0", "'spec'"),
+        ({"groups": []}, "--spec: ", "no vehicle groups"),
     ])
     def test_malformed_spec_exit_2_naming_group_and_key(self, tmp_path, capsys, raw, where, key):
         spec = tmp_path / "spec.json"
@@ -948,5 +964,23 @@ class TestOptionErrors:
         argv = ["synth", "--spec", str(spec), "--model", model, "--l-r", "-1", *required_options("synth", scene, out)]
         assert main(argv) == 2
         error = "--l-r (BOXFUSE_L_R): rear_axle must be positive and finite, got -1.0"
+        assert capsys.readouterr().err == f"boxfuse: error: {error}\n"
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command,flag", [("fuse", "--config"), ("synth", "--spec")])
+    @pytest.mark.parametrize("source", ["flag", "variable"])
+    def test_option_file_that_is_not_json_exits_2_naming_its_flag(self, tmp_path, monkeypatch, capsys, scene,
+                                                                   command, flag, source):
+        path = tmp_path / "options.json"
+        path.write_text("{'groups': []}")
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [command, *required_options(command, scene, out)]
+        if source == "flag":
+            argv += [flag, str(path)]
+        else:
+            monkeypatch.setenv(f"BOXFUSE_{flag[2:].upper()}", str(path))
+        assert main(argv) == 2
+        error = f"{flag}: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
         assert capsys.readouterr().err == f"boxfuse: error: {error}\n"
         assert not any(out.iterdir())

@@ -8,6 +8,7 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +26,7 @@ from boxfuse import (
     read_frames,
     write_frames,
 )
-from boxfuse.fusion import DetectionColumns
+from boxfuse.fusion import MODEL_CODES, PARAM_WIDTH, DetectionColumns, object_array
 from boxfuse.io import dumps_line, frame_from_obj, frame_to_obj, iter_frames
 from boxfuse.motion import HALF_PI
 from oracles import ref_dumps_frame, stream_reference
@@ -102,6 +103,39 @@ def test_a_frame_holds_columns_equal_to_its_list_that_round_trip(lists, ego):
         write_frames(path, frames)
         assert read_frames(path) == frames
         assert list(iter_frames(path)) == frames
+
+
+@st.composite
+def row_values(draw):
+    """The fields of one valid row as plain values, yaws unwrapped: box, score, label, motion class and
+    parameters, weight, frame_lag, track_id, n_fused and n_current."""
+    motion = draw(st.one_of(*MOTIONS.values()))
+    n_fused = draw(st.integers(1, 9))
+    return ((draw(COORD), draw(COORD), draw(COORD), draw(SIZE), draw(SIZE), draw(SIZE), draw(YAW)),
+            draw(UNIT), draw(st.sampled_from(["car", "truck", "vélo"])), type(motion), dataclasses.astuple(motion),
+            draw(st.none() | UNIT), draw(st.sampled_from([0, 0, 1, 3])),
+            draw(st.none() | st.integers(-(2**40), 2**40)), n_fused, draw(st.integers(0, n_fused)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(row_values(), max_size=6))
+def test_rows_are_the_checked_rows_of_their_values(values):
+    n = len(values)
+    box, score, label, kind, motion, weight, frame_lag, track_id, n_fused, n_current = list(zip(*values)) or [()] * 10
+    params = np.zeros((n, PARAM_WIDTH))
+    for k, row in enumerate(motion):
+        params[k, : len(row)] = row
+    cols = DetectionColumns(
+        np.array(box, dtype=float).reshape(n, 7), np.array(score, dtype=float), object_array(list(label)),
+        np.array([MODEL_CODES[c.name] for c in kind], dtype=np.int64), params,
+        np.array([math.nan if w is None else w for w in weight], dtype=float), np.array(frame_lag, dtype=np.int64),
+        object_array(list(track_id)), np.array(n_fused, dtype=np.int64), np.array(n_current, dtype=np.int64))
+    rows = cols.rows()
+    assert rows == [Detection(Box3D(*b), s, lab, c(*m), w, lag, tid, nf, nc)
+                    for b, s, lab, c, m, w, lag, tid, nf, nc in values]
+    assert [type(d.motion) for d in rows] == list(kind)
+    boxes = cols.box_objects()
+    assert all(type(b) is Box3D for b in boxes) and boxes == [d.box for d in rows]
 
 
 @pytest.mark.parametrize("name", [field.name for field in dataclasses.fields(Frame)])
