@@ -34,7 +34,16 @@ from . import __version__
 from .evaluation import evaluate_enhancement
 from .fusion import PRESETS, SCORE_STRATEGIES, FusionConfig, fuse_frames, sliding_windows
 from .geometry import Pose, normalize_angle, transform_box
-from .io import FrameFormatError, dumps_line, frame_line, frame_to_obj, iter_frames, read_frames, write_frames
+from .io import (
+    FrameFormatError,
+    dumps_frame,
+    dumps_line,
+    frame_line,
+    frame_to_obj,
+    iter_frames,
+    read_frames,
+    write_frames,
+)
 from .motion import MODEL_NAMES, default_rear_axle, estimate_params_from_track, forward, model_class
 from .synth import (
     PRNG_NAME,
@@ -47,7 +56,7 @@ from .synth import (
     reattach_scene_params,
 )
 
-# transform_box and _motion_in_ego are no longer called here, but
+# transform_box, _motion_in_ego and frame_to_obj are no longer called here, but
 # the benchmark's per-layer tracing binds them in this module (bench/tracing.py).
 
 TOOL = "boxfuse"
@@ -336,7 +345,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
                 start = time.perf_counter()
                 fused = fuse_frames(window, cfg)
                 latencies.append((time.perf_counter() - start) * 1000.0)
-                out.write(dumps_line(frame_to_obj(fused)) + "\n")
+                out.write(dumps_frame(fused) + "\n")
     except FrameFormatError:
         raise
     except ValueError as exc:

@@ -517,25 +517,27 @@ def _clustering_pairs(cols: DetectionColumns, label: np.ndarray, rank: np.ndarra
     keys.sort()
     i, j = np.divmod(keys, n)
     area = w * l
-    if cfg.iou_low > 0.0:
-        shape = (x, y, np.cos(yaw), np.sin(yaw), 0.5 * l, 0.5 * w)
-        magnitude = np.maximum(np.abs(x), np.abs(y)) + radius
-        keep = np.empty(len(i), dtype=bool)
+    # far-field boxes may overflow here; a merged box that overflows fails the column checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.iou_low > 0.0:
+            shape = (x, y, np.cos(yaw), np.sin(yaw), 0.5 * l, 0.5 * w)
+            magnitude = np.maximum(np.abs(x), np.abs(y)) + radius
+            keep = np.empty(len(i), dtype=bool)
+            for start in range(0, len(i), _PAIR_CHUNK):
+                chunk = slice(start, start + _PAIR_CHUNK)
+                keep[chunk] = _can_reach(i[chunk], j[chunk], shape, magnitude, area, cfg.iou_low)
+            i, j = i[keep], j[keep]
+        corner_x, corner_y = corner_columns(x, y, w, l, yaw)
+        footprint = boxes[:, _FOOTPRINT]
+        found_i, found_j, merges = [], [], []
         for start in range(0, len(i), _PAIR_CHUNK):
-            chunk = slice(start, start + _PAIR_CHUNK)
-            keep[chunk] = _can_reach(i[chunk], j[chunk], shape, magnitude, area, cfg.iou_low)
-        i, j = i[keep], j[keep]
-    corner_x, corner_y = corner_columns(x, y, w, l, yaw)
-    footprint = boxes[:, _FOOTPRINT]
-    found_i, found_j, merges = [], [], []
-    for start in range(0, len(i), _PAIR_CHUNK):
-        a, b = i[start : start + _PAIR_CHUNK], j[start : start + _PAIR_CHUNK]
-        iou = clipped_iou(corner_x[a], corner_y[a], area[a], corner_x[b], corner_y[b], area[b])
-        iou[(footprint[a] == footprint[b]).all(axis=1)] = 1.0
-        hit = (iou > 0.0) & (iou >= cfg.iou_low)
-        found_i.append(a[hit])
-        found_j.append(b[hit])
-        merges.append(iou[hit] >= cfg.iou_high)
+            a, b = i[start : start + _PAIR_CHUNK], j[start : start + _PAIR_CHUNK]
+            iou = clipped_iou(corner_x[a], corner_y[a], area[a], corner_x[b], corner_y[b], area[b])
+            iou[(footprint[a] == footprint[b]).all(axis=1)] = 1.0
+            hit = (iou > 0.0) & (iou >= cfg.iou_low)
+            found_i.append(a[hit])
+            found_j.append(b[hit])
+            merges.append(iou[hit] >= cfg.iou_high)
     if not found_i:
         return i, j, np.zeros(0, dtype=bool)
     return np.concatenate(found_i), np.concatenate(found_j), np.concatenate(merges)

@@ -18,15 +18,19 @@ identical inputs.
 A frame's detections are always fusion.DetectionColumns: they are parsed
 straight into columns and written back from them, with no per-detection
 objects, and detections given to a Frame as a list of Detection become
-columns, so their numbers are written as floats. The reader checks every
-JSON type (a number is an int or float, never a string or boolean; integer
-fields take integral values only; the class is a string) and every value a
-Detection would check, and names the line and detection of the first
-fault, in row order whatever each row's motion model.
+columns, so their numbers are written as floats. dumps_frame writes a
+frame line from the columns with one %-format per row pattern (the motion
+model and the optional keys written); frame_to_obj is the frame as a dict,
+and dumps_line(frame_to_obj(frame)) gives the same bytes. The reader
+checks every JSON type (a number is an int or float, never a string or
+boolean; integer fields take integral values only; the class is a string)
+and every value a Detection would check, and names the line and detection
+of the first fault, in row order whatever each row's motion model.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from itertools import chain, islice, repeat
@@ -105,6 +109,71 @@ def frame_to_obj(frame: Frame) -> dict:
         "ego": {"x": frame.ego.x, "y": frame.ego.y, "yaw": frame.ego.yaw},
         "detections": _detection_objs(frame.detections),
     }
+
+
+# A row's pattern is its model code times 32 plus one bit per optional key it
+# writes, frame_lag the highest and weight the lowest.
+_OPTIONAL_KEYS = ("frame_lag", "n_current", "n_fused", "track_id", "weight")
+
+
+def _object_format(fields: dict[str, str]) -> str:
+    return "{%s}" % ",".join(f'"{key}":{fields[key]}' for key in sorted(fields))
+
+
+@functools.cache
+def _row_format(pattern: int) -> tuple[str, list[str], list[int]]:
+    """The %-format of a detection object of one pattern, the fields it takes in order, and the
+    parameter columns of its model in sorted key order."""
+    name = MODEL_NAMES[pattern >> 5]
+    keys = list(MODELS[name].json_keys.values())
+    motion = dict.fromkeys(keys, "%r") | {"model": json.dumps(name)}
+    fields = {"box": "[%s]" % ",".join(["%r"] * 7), "class": "%s", "motion": _object_format(motion), "score": "%r"}
+    fields |= {key: "%r" for bit, key in enumerate(reversed(_OPTIONAL_KEYS)) if pattern >> bit & 1}
+    return _object_format(fields), sorted(fields), sorted(range(len(keys)), key=keys.__getitem__)
+
+
+def dumps_frame(frame: Frame) -> str:
+    """dumps_line(frame_to_obj(frame)) byte for byte, formatted from the columns without per-row dicts.
+
+    Rows that write the same keys share one %-format. Floats go through %r,
+    the float.__repr__ that json writes, and each distinct class is quoted
+    once by dumps_line. A frame holding a non-finite float or a track id
+    that is not an int goes through dumps_line(frame_to_obj(frame)), so it
+    raises the ValueError json raises.
+    """
+    dets = frame.detections
+    ids = dets.track_id.tolist()
+    if not (np.isfinite(dets.boxes).all() and np.isfinite(dets.score).all() and np.isfinite(dets.params).all()
+            and not np.isinf(dets.weight).any() and set(map(type, ids)) <= {int, type(None)}):
+        return dumps_line(frame_to_obj(frame))
+    current = dets.frame_lag == 0
+    pattern = (dets.model << 5 | ~current << 4 | (dets.n_current != current) << 3 | (dets.n_fused != 1) << 2
+               | np.not_equal(dets.track_id, None) << 1 | ~np.isnan(dets.weight))
+    quoted = {label: dumps_line(label) for label in set(dets.label.tolist())}
+    order = np.argsort(pattern, kind="stable")
+    codes, starts = np.unique(pattern[order], return_index=True)
+    texts = []
+    for code, rows in zip(codes.tolist(), np.split(order, starts[1:])):
+        fmt, fields, motion = _row_format(code)
+        columns = []
+        for field in fields:
+            if field == "box":
+                columns += dets.boxes[rows].T.tolist()
+            elif field == "class":
+                columns.append(list(map(quoted.__getitem__, dets.label[rows].tolist())))
+            elif field == "motion":
+                columns += dets.params[rows][:, motion].T.tolist()
+            else:
+                columns.append(getattr(dets, field)[rows].tolist())
+        texts += map(fmt.__mod__, zip(*columns))
+    if len(codes) > 1:
+        # back from pattern order to row order
+        texts = object_array(texts)
+        texts[order] = texts.copy()
+        texts = texts.tolist()
+    tail = dumps_line({"ego": {"x": frame.ego.x, "y": frame.ego.y, "yaw": frame.ego.yaw},
+                       "timestamp": frame.timestamp})
+    return '{"detections":[%s],%s' % (",".join(texts), tail[1:])
 
 
 # The reader checks JSON types itself: numpy would turn "0.5" and true into numbers.
@@ -270,7 +339,7 @@ def write_frames(path, frames: Sequence[Frame] | Iterator[Frame], meta: dict | N
         if meta is not None:
             fh.write(dumps_line({"meta": meta}) + "\n")
         for frame in frames:
-            fh.write(dumps_line(frame_to_obj(frame)) + "\n")
+            fh.write(dumps_frame(frame) + "\n")
 
 
 def read_meta(path) -> dict | None:

@@ -329,6 +329,15 @@ class TestCli:
         assert main(["fuse", "--input", str(src), "--output", str(tmp_path / "o.jsonl")]) == 2
         assert capsys.readouterr().err == f"boxfuse: error: {message}\n"
 
+    @pytest.mark.filterwarnings("error")
+    def test_far_field_overflow_exit_2_with_one_error_line(self, tmp_path, capsys):
+        # the IoU bound and the clipping of two boxes at x = 1.5e308 overflow, with no numpy warning
+        det = Detection(Box3D(1.5e308, 0.0, 0.0, 2.0, 4.0, 1.5, 0.0), 0.9, "car", ConstantVelocity(0.0, 0.0))
+        src = tmp_path / "far.jsonl"
+        write_frames(src, [Frame(t, EgoPose(1.5e308, 0.0, 0.0), [det]) for t in (0.0, 0.1)])
+        assert main(["fuse", "--input", str(src), "--output", str(tmp_path / "o.jsonl")]) == 2
+        assert capsys.readouterr().err == "boxfuse: error: line 2: detection 0: x must be finite, got inf\n"
+
     @pytest.mark.parametrize("fault", ["mixed models", "repeated timestamp"])
     def test_failed_fuse_leaves_the_output_as_it_was(self, tmp_path, fault):
         from dataclasses import replace

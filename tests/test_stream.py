@@ -27,7 +27,7 @@ from boxfuse import (
     write_frames,
 )
 from boxfuse.fusion import MODEL_CODES, PARAM_WIDTH, DetectionColumns, object_array
-from boxfuse.io import dumps_line, frame_from_obj, frame_to_obj, iter_frames
+from boxfuse.io import dumps_frame, dumps_line, frame_from_obj, frame_to_obj, iter_frames
 from boxfuse.motion import HALF_PI
 from oracles import ref_dumps_frame, stream_reference
 
@@ -38,11 +38,18 @@ SIZE = st.floats(0.01, 20.0)
 YAW = st.floats(-math.pi, math.pi) | st.sampled_from(
     [math.pi, -math.pi, math.nextafter(-math.pi, 0.0), math.nextafter(math.pi, 0.0), 3.5, -7.0]
 )
+# floats at the writer's edges: signed zero, the smallest subnormal and one json writes with an exponent
+TINY = st.sampled_from([-0.0, 5e-324])
+EDGE_COORD = COORD | TINY | st.just(1e16)
+# classes json escapes: a quote, a backslash, a control character and one outside the BMP
+LABELS = st.sampled_from(["car", "truck", "vélo", 'say "car"', "back\\slash", "bell\x07", "\U0001F697"])
+# track ids within and beyond int64
+TRACK_IDS = st.none() | st.integers(-(2**40), 2**40) | st.sampled_from([2**63, -(2**63) - 1, 10**30])
 MOTIONS = {
-    "cv": st.builds(ConstantVelocity, COORD, COORD),
-    "unicycle": st.builds(Unicycle, COORD, st.floats(-10.0, 10.0)),
+    "cv": st.builds(ConstantVelocity, EDGE_COORD, EDGE_COORD),
+    "unicycle": st.builds(Unicycle, EDGE_COORD, st.floats(-10.0, 10.0) | TINY),
     "bicycle": st.builds(
-        Bicycle, COORD, st.floats(-HALF_PI, HALF_PI) | st.sampled_from([HALF_PI, -HALF_PI]), st.floats(0.1, 5.0)
+        Bicycle, EDGE_COORD, st.floats(-HALF_PI, HALF_PI) | st.sampled_from([HALF_PI, -HALF_PI]), st.floats(0.1, 5.0)
     ),
 }
 
@@ -53,13 +60,14 @@ def detections(draw):
     motion = draw(st.one_of(*MOTIONS.values()))
     n_fused = draw(st.integers(1, 9))
     return Detection(
-        box=Box3D(draw(COORD), draw(COORD), draw(COORD), draw(SIZE), draw(SIZE), draw(SIZE), draw(YAW)),
-        score=draw(UNIT),
-        label=draw(st.sampled_from(["car", "truck", "vélo"])),
+        box=Box3D(*(draw(EDGE_COORD) for _ in range(3)), *(draw(SIZE | st.just(1e16)) for _ in range(3)),
+                  draw(YAW | TINY)),
+        score=draw(UNIT | TINY),
+        label=draw(LABELS),
         motion=motion,
-        weight=draw(st.none() | UNIT),
+        weight=draw(st.none() | UNIT | TINY),
         frame_lag=draw(st.sampled_from([0, 0, 1, 3])),
-        track_id=draw(st.none() | st.integers(-(2**40), 2**40)),
+        track_id=draw(TRACK_IDS),
         n_fused=n_fused,
         n_current=draw(st.none() | st.integers(0, n_fused)),
     )
@@ -72,7 +80,7 @@ def frames(draw):
     t = draw(st.floats(-1e3, 1e3))
     for _ in range(draw(st.integers(0, 4))):
         t += draw(st.floats(1e-3, 1.0))
-        ego = EgoPose(draw(COORD), draw(COORD), draw(YAW))
+        ego = EgoPose(draw(EDGE_COORD), draw(EDGE_COORD), draw(YAW | TINY))
         out.append(Frame(t, ego, draw(st.lists(detections(), max_size=6))))
     return out
 
@@ -90,6 +98,44 @@ def test_write_then_read_returns_the_frames_and_lines_reserialize_byte_for_byte(
     # the columnar reader and writer agree with the frozen per-Detection serializer
     assert lines == [ref_dumps_frame(f) for f in frames]
     assert [dumps_line(frame_to_obj(frame_from_obj(json.loads(line)))) for line in lines] == lines
+
+
+def test_a_frame_of_every_row_pattern_is_written_in_row_order():
+    # consecutive rows differ in model and in the optional keys they write; all 3 * 32 patterns occur
+    kinds = [ConstantVelocity(1.5, -2.25), Unicycle(3.0, 0.125), Bicycle(4.0, 0.2, 1.3)]
+    dets = []
+    for k in range(96):
+        lag, current, fused, track, weight = (k >> bit & 1 for bit in (4, 3, 2, 1, 0))
+        frame_lag = 2 * lag
+        dets.append(Detection(Box3D(1.1 * k, -0.7 * k, 0.8, 1.9, 4.5, 1.6, 0.01 * k), 0.5 + 0.005 * k,
+                              ("car", "van")[k % 2], kinds[k % 3], 0.25 if weight else None, frame_lag,
+                              k if track else None, 3 if fused else 1, int(frame_lag != 0) if current else None))
+    frame = Frame(12.5, EgoPose(3.0, -4.0, 0.5), dets)
+    line = dumps_frame(frame)
+    objs = json.loads(line)["detections"]
+    assert len({(obj["motion"]["model"], *sorted(obj)) for obj in objs}) == 96
+    assert [obj["box"][0] for obj in objs] == [1.1 * k for k in range(96)]
+    assert line == ref_dumps_frame(frame) == dumps_line(frame_to_obj(frame))
+
+
+@pytest.mark.parametrize("name, index, value", [
+    (name, index, value)
+    for name, index in [("boxes", (1, 4)), ("score", (1,)), ("params", (1, 0)), ("weight", (1,))]
+    for value in (math.inf, -math.inf, math.nan)
+    if not (name == "weight" and math.isnan(value))  # a NaN weight is an unassigned one
+])
+def test_dumps_frame_raises_what_json_raises_on_a_non_finite_value(name, index, value):
+    dets = [Detection(Box3D(float(k), 0.0, 0.8, 1.9, 4.5, 1.6, 0.0), 0.5, "car", Unicycle(2.0, 0.1), 0.5)
+            for k in range(3)]
+    cols = DetectionColumns.of(dets)
+    column = getattr(cols, name).copy()
+    column[index] = value
+    frame = Frame(0.0, EgoPose.identity(), cols._with(**{name: column}))
+    with pytest.raises(ValueError) as expected:
+        dumps_line(frame_to_obj(frame))
+    with pytest.raises(ValueError) as raised:
+        dumps_frame(frame)
+    assert type(raised.value) is type(expected.value) and str(raised.value) == str(expected.value)
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,7 +15,10 @@ and each seed, the commands run in process, in a temporary directory:
 - `boxfuse inverse` of the ground truth under each motion model;
 - `boxfuse inverse` of the detections under each motion model, whose noisy
   poses take multi-iteration bicycle fits and whose drops leave track gaps;
-  when it exits 2, its error text is recorded in place of a digest.
+  when it exits 2, its error text is recorded in place of a digest;
+- `boxfuse fuse` of the benchmark's preset over the unicycle `inverse` of
+  the detections, when that exits 0, so fused rows of a model other than
+  the workload's own are digested too.
 
 Once, under `traj-compare`, it also records `boxfuse traj-compare` for every
 `--gen-model` at the radii in `TRAJ_RADII` (a cv trajectory cannot turn, so
@@ -106,6 +109,12 @@ def workload_digests(main, models, presets, workload, preset: str, first: int, s
             error = _run(main, ["inverse", "--input", str(source), "--output", str(inverse), "--model", model],
                          data_error_ok=source == det)
             out[key] = error or _digest(inverse.read_bytes())
+    # fused rows of a second model: the benchmark preset over the unicycle re-fit of the detections
+    if not out["inverse-det-unicycle"].startswith("exit 2"):
+        fused = work / "fused-inverse-det-unicycle.jsonl"
+        _run(main, ["fuse", "--input", str(work / "inverse-det-unicycle.jsonl"), "--output", str(fused),
+                    "--preset", preset])
+        out["fuse-inverse-det-unicycle"] = _digest(fused.read_bytes())
     return out
 
 
