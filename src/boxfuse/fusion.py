@@ -71,7 +71,9 @@ class Detection:
     target (bookkeeping only: a forwarded box has n_current 0 whatever its
     lag). On fused outputs n_fused counts merged member boxes and n_current the
     current-frame members among them, from 0 to n_fused; n_current == 0 means
-    history only.
+    history only. frame_lag, track_id, n_fused and n_current are Python
+    ints, never bools or numpy integers; track_id may be None, and an
+    n_current of None becomes 1 exactly when frame_lag is 0.
     """
 
     box: Box3D
@@ -85,6 +87,11 @@ class Detection:
     n_current: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("frame_lag", "track_id", "n_fused", "n_current"):
+            value = getattr(self, name)
+            # a bool is an int to Python but not to JSON; track_id may be unset, n_current follows frame_lag
+            if type(value) is not int and not (value is None and name in ("track_id", "n_current")):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must lie in [0, 1], got {self.score!r}")
         if self.weight is not None and not 0.0 <= self.weight <= 1.0:
@@ -227,8 +234,9 @@ class DetectionColumns(Sequence[Detection]):
 
     Every row is a valid Detection. The constructor makes, over whole
     columns, every check that Box3D, Detection and the motion classes make on
-    construction, wraps yaws to (-pi, pi] and raises ValueError naming the
-    first row that fails, with the message its Detection would raise.
+    construction (integer columns hold integers, and track_id Python ints or
+    None), wraps yaws to (-pi, pi] and raises ValueError naming the first row
+    that fails, with the message its Detection would raise.
     Columns derived from checked ones (selections, concatenations, forwarded
     boxes, new scores in [0, 1]) are made by `_derived` without a new check,
     and rows are read with one, except by `box_objects`.
@@ -259,6 +267,11 @@ class DetectionColumns(Sequence[Detection]):
             bad |= ~((self.score >= 0.0) & (self.score <= 1.0))
             bad |= (self.weight < 0.0) | (self.weight > 1.0)  # NaN is unassigned
         bad |= (self.frame_lag < 0) | (self.n_fused < 1) | (self.label == "")
+        if any(getattr(self, name).dtype.kind not in "iu" for name in ("frame_lag", "n_fused", "n_current")):
+            bad[:] = True
+        ids = self.track_id.tolist()
+        if not set(map(type, ids)) <= {int, type(None)}:
+            bad |= [type(tid) is not int and tid is not None for tid in ids]
         bad |= (self.n_current < 0) | (self.n_current > self.n_fused)
         if not ((self.model >= 0) & (self.model < len(_MODEL_CLASSES))).all():
             raise ValueError(f"motion model codes must lie in [0, {len(_MODEL_CLASSES)})")

@@ -8,12 +8,14 @@ One frame per line:
 
 Each class in motion.MODELS keys its own parameters (`json_keys`): cv
 {vx, vy}, unicycle {v, omega}, bicycle {v, beta, l_r}; one frame may mix
-models. Optional per-detection keys (track_id, weight, frame_lag, n_fused,
-n_current) are written only when they carry information, so
-parse(serialize(frame)) reproduces the frame exactly. A file may start with
-one {"meta": {...}} provenance line, which readers skip. Keys are sorted and
-floats use the shortest round-trip form, making output byte-stable for
-identical inputs.
+models. The optional per-detection keys (frame_lag, n_current, n_fused,
+track_id, weight) follow one rule, `_absent`: a key left out means lag 0,
+n_current 1 exactly when the lag is 0, n_fused 1, and no track id or
+weight. Both writers leave out exactly the keys at those values and the
+reader fills them in, so parse(serialize(frame)) reproduces the frame
+exactly. A file may start with one {"meta": {...}} provenance line, which
+readers skip. Keys are sorted and floats use the shortest round-trip form,
+making output byte-stable for identical inputs.
 
 A frame's detections are always fusion.DetectionColumns: they are parsed
 straight into columns and written back from them, with no per-detection
@@ -23,9 +25,10 @@ frame line from the columns with one %-format per row pattern (the motion
 model and the optional keys written); frame_to_obj is the frame as a dict,
 and dumps_line(frame_to_obj(frame)) gives the same bytes. The reader
 checks every JSON type (a number is an int or float, never a string or
-boolean; integer fields take integral values only; the class is a string)
-and every value a Detection would check, and names the line and detection
-of the first fault, in row order whatever each row's motion model.
+boolean; integer fields take integral values only, within int64 except
+track_id; the class is a string) and every value a Detection would check,
+and names the line and detection of the first fault, in row order whatever
+each row's motion model.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .fusion import MODEL_CODES, PARAM_WIDTH, Detection, DetectionColumns, Frame, object_array
+from .fusion import MODEL_CODES, PARAM_WIDTH, DetectionColumns, Frame, object_array
 from .geometry import EgoPose
 from .motion import MODEL_NAMES, MODELS
 
@@ -63,57 +66,45 @@ def _motion_objs(cols: DetectionColumns) -> list[dict]:
     return objs
 
 
-def _detection_obj(box, score, label, motion, weight, frame_lag, track_id, n_fused, n_current) -> dict:
-    """One detection's JSON object; an optional key is written only when it carries information.
+def _absent(frame_lag: np.ndarray) -> dict[str, np.ndarray]:
+    """Per optional detection key, what a row of the given lag means by leaving it out.
 
-    That is a track id or weight that is set, a lag other than 0, more than
-    one fused box, and an n_current other than the one an absent key means
-    (1 exactly when frame_lag is 0).
+    The one rule for these keys: the writers leave a key out of exactly the
+    rows at this value, and the reader puts it where a key is absent or null.
     """
-    obj = {"box": box, "score": score, "class": label, "motion": motion}
-    if track_id is not None:
-        obj["track_id"] = track_id
-    if weight is not None:
-        obj["weight"] = weight
-    if frame_lag != 0:
-        obj["frame_lag"] = frame_lag
-    if n_fused != 1:
-        obj["n_fused"] = n_fused
-    if n_current != (1 if frame_lag == 0 else 0):
-        obj["n_current"] = n_current
-    return obj
-
-
-def _detection_objs(dets: DetectionColumns) -> list[dict]:
-    return list(map(
-        _detection_obj,
-        dets.boxes.tolist(),
-        dets.score.tolist(),
-        dets.label.tolist(),
-        _motion_objs(dets),
-        [None if w != w else w for w in dets.weight.tolist()],
-        dets.frame_lag.tolist(),
-        dets.track_id.tolist(),
-        dets.n_fused.tolist(),
-        dets.n_current.tolist(),
-    ))
-
-
-def detection_to_obj(det: Detection) -> dict:
-    return _detection_objs(DetectionColumns.of([det]))[0]
-
-
-def frame_to_obj(frame: Frame) -> dict:
+    n = len(frame_lag)
     return {
-        "timestamp": frame.timestamp,
-        "ego": {"x": frame.ego.x, "y": frame.ego.y, "yaw": frame.ego.yaw},
-        "detections": _detection_objs(frame.detections),
+        "frame_lag": np.zeros(n, dtype=np.int64),
+        "n_current": (frame_lag == 0).astype(np.int64),
+        "n_fused": np.ones(n, dtype=np.int64),
+        "track_id": np.full(n, None, dtype=object),
+        "weight": np.full(n, math.nan),
     }
 
 
 # A row's pattern is its model code times 32 plus one bit per optional key it
 # writes, frame_lag the highest and weight the lowest.
-_OPTIONAL_KEYS = ("frame_lag", "n_current", "n_fused", "track_id", "weight")
+_OPTIONAL_KEYS = tuple(_absent(np.zeros(0, dtype=np.int64)))
+
+
+def _written(dets: DetectionColumns) -> dict[str, np.ndarray]:
+    """Per optional key, the mask of the rows that write it: those whose value is not what its absence means."""
+    columns = {key: getattr(dets, key) for key in _OPTIONAL_KEYS}
+    # value == value is False only for a NaN weight, an unassigned one, which its absence means
+    return {key: (columns[key] != absent) & (columns[key] == columns[key])
+            for key, absent in _absent(dets.frame_lag).items()}
+
+
+def frame_to_obj(frame: Frame) -> dict:
+    dets = frame.detections
+    objs = [{"box": box, "score": score, "class": label, "motion": motion} for box, score, label, motion
+            in zip(dets.boxes.tolist(), dets.score.tolist(), dets.label.tolist(), _motion_objs(dets))]
+    for key, written in _written(dets).items():
+        rows = np.flatnonzero(written)
+        for k, value in zip(rows.tolist(), getattr(dets, key)[rows].tolist()):
+            objs[k][key] = value
+    return {"timestamp": frame.timestamp, "ego": {"x": frame.ego.x, "y": frame.ego.y, "yaw": frame.ego.yaw},
+            "detections": objs}
 
 
 def _object_format(fields: dict[str, str]) -> str:
@@ -137,18 +128,16 @@ def dumps_frame(frame: Frame) -> str:
 
     Rows that write the same keys share one %-format. Floats go through %r,
     the float.__repr__ that json writes, and each distinct class is quoted
-    once by dumps_line. A frame holding a non-finite float or a track id
-    that is not an int goes through dumps_line(frame_to_obj(frame)), so it
-    raises the ValueError json raises.
+    once by dumps_line. A frame holding a non-finite float goes through
+    dumps_line(frame_to_obj(frame)), so it raises the ValueError json raises.
     """
     dets = frame.detections
-    ids = dets.track_id.tolist()
     if not (np.isfinite(dets.boxes).all() and np.isfinite(dets.score).all() and np.isfinite(dets.params).all()
-            and not np.isinf(dets.weight).any() and set(map(type, ids)) <= {int, type(None)}):
+            and not np.isinf(dets.weight).any()):
         return dumps_line(frame_to_obj(frame))
-    current = dets.frame_lag == 0
-    pattern = (dets.model << 5 | ~current << 4 | (dets.n_current != current) << 3 | (dets.n_fused != 1) << 2
-               | np.not_equal(dets.track_id, None) << 1 | ~np.isnan(dets.weight))
+    pattern = dets.model
+    for written in _written(dets).values():
+        pattern = pattern << 1 | written
     quoted = {label: dumps_line(label) for label in set(dets.label.tolist())}
     order = np.argsort(pattern, kind="stable")
     codes, starts = np.unique(pattern[order], return_index=True)
@@ -195,7 +184,12 @@ def _is_object(value) -> bool:
     return type(value) is dict
 
 
-_EXPECTED = {_is_number: "a number", _is_integer: "an integer", _is_string: "a string", _is_object: "a JSON object"}
+def _fits_int64(value) -> bool:
+    return -2**63 <= value < 2**63
+
+
+_EXPECTED = {_is_number: "be a number", _is_integer: "be an integer", _is_string: "be a string",
+             _is_object: "be a JSON object", _fits_int64: "fit in int64"}
 
 
 def _require(values: list, accept, what: str, width: int = 1, rows=None) -> None:
@@ -208,7 +202,7 @@ def _require(values: list, accept, what: str, width: int = 1, rows=None) -> None
         return
     k = next(k for k, value in enumerate(values) if not accept(value))
     row = k // width if rows is None else rows[k // width]
-    raise ValueError(f"detection {row}: {what} must be {_EXPECTED[accept]}, got {values[k]!r}")
+    raise ValueError(f"detection {row}: {what} must {_EXPECTED[accept]}, got {values[k]!r}")
 
 
 def _floats(values: list, what: str, width: int = 1, rows=None) -> np.ndarray:
@@ -217,21 +211,25 @@ def _floats(values: list, what: str, width: int = 1, rows=None) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
-def _optional(objs: list[dict], key: str, accept) -> list | None:
-    """Values of an optional key, None where it is absent or null; None when it is absent everywhere."""
+def _optional(objs: list[dict], key: str, absent: np.ndarray, accept=_is_integer) -> np.ndarray:
+    """An optional key's column: its checked values where present and not null, `absent` elsewhere.
+
+    Integral values go into the object column of track ids as Python ints of
+    any size, and into an int64 column only when they fit.
+    """
     values = list(map(dict.get, objs, repeat(key)))
     if values.count(None) == len(values):
-        return None
-    present = [k for k, value in enumerate(values) if value is not None]
-    _require([values[k] for k in present], accept, key, rows=present)
-    return values
-
-
-def _integers(objs: list[dict], key: str, default: int) -> np.ndarray:
-    values = _optional(objs, key, _is_integer)
-    if values is None:
-        return np.full(len(objs), default, dtype=np.int64)
-    return np.array([default if value is None else value for value in values], dtype=np.int64)
+        return absent
+    rows = [k for k, value in enumerate(values) if value is not None]
+    values = [values[k] for k in rows]
+    _require(values, accept, key, rows=rows)
+    if accept is _is_integer and absent.dtype == object:
+        values = list(map(int, values))
+    elif accept is _is_integer and not -2**63 <= min(values) <= max(values) < 2**63:
+        _require(values, _fits_int64, key, rows=rows)
+    column = absent.copy()
+    column[rows] = values
+    return column
 
 
 # Each model's parameter values in field order (a tuple, as every model has two or more) and their number.
@@ -271,30 +269,25 @@ def detections_from_objs(objs: list) -> DetectionColumns:
     # row by row, the first `width` columns of each, which is the order of the values
     params[np.arange(PARAM_WIDTH) < width[:, None]] = _floats(list(values), "motion value",
                                                                rows=np.repeat(np.arange(n), width))
-    weight = _optional(objs, "weight", _is_number) or [None] * n
-    track_id = _optional(objs, "track_id", _is_integer) or [None] * n
-    frame_lag = _integers(objs, "frame_lag", 0)
-    # an absent n_current means 1 exactly when frame_lag is 0
-    n_current = _optional(objs, "n_current", _is_integer)
-    current = frame_lag == 0
-    if n_current is not None:
-        current = [now if value is None else value for value, now in zip(n_current, current.tolist())]
+    absent = _absent(np.zeros(n, dtype=np.int64))
+    weight = _optional(objs, "weight", absent["weight"], _is_number)
+    track_id = _optional(objs, "track_id", absent["track_id"])
+    frame_lag = _optional(objs, "frame_lag", absent["frame_lag"])
+    # n_current's absent value depends on the lags read
+    absent = _absent(frame_lag)
+    n_current = _optional(objs, "n_current", absent["n_current"])
     return DetectionColumns(
         _floats(list(chain.from_iterable(boxes)), "box value", 7).reshape(n, 7),
         _floats(list(map(itemgetter("score"), objs)), "score"),
         object_array(labels),
         model,
         params,
-        np.array([math.nan if w is None else w for w in weight], dtype=float),
+        weight,
         frame_lag,
-        object_array([None if t is None else int(t) for t in track_id]),
-        _integers(objs, "n_fused", 1),
-        np.array(current, dtype=np.int64),
+        track_id,
+        _optional(objs, "n_fused", absent["n_fused"]),
+        n_current,
     )
-
-
-def detection_from_obj(obj: dict) -> Detection:
-    return detections_from_objs([obj])[0]
 
 
 def _number(name: str, value) -> float:

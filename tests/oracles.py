@@ -498,7 +498,7 @@ def inverse_reference(model: str, p0: Pose, pt: Pose, t: float, rear_axle: float
 # The per-Detection frame stream as it was before the columnar frames: the
 # parser, score strategy, history floor and serializer are frozen copies of
 # io.frame_from_obj, fusion.apply_score_strategy, the floor filter of
-# fusion.fuse_frames and io.detection_to_obj; the forward is the per-pose
+# fusion.fuse_frames and io.frame_to_obj; the forward is the per-pose
 # transform_box_reference(forward_box_reference(...)) and the NMS the
 # per-seed scan above.
 

@@ -767,6 +767,19 @@ class TestRigidTransform:
                 assert getattr(a.motion, name) == pytest.approx(getattr(b.motion, name), abs=1e-9)
 
 
+NOT_PYTHON_INTS = [2.5, 2.7, 2.0, True, "a", 3.5, np.int64(3)]
+
+
+@pytest.mark.parametrize("field, value", [
+    pytest.param(field, value, id=f"{field}={value!r}")
+    for field in ("frame_lag", "track_id", "n_fused", "n_current") for value in NOT_PYTHON_INTS
+] + [pytest.param("frame_lag", None, id="frame_lag=None"), pytest.param("n_fused", None, id="n_fused=None")])
+def test_integer_fields_of_a_detection_take_python_ints_only(field, value):
+    with pytest.raises(ValueError) as err:
+        replace(make_det(), **{field: value})
+    assert str(err.value) == f"{field} must be an integer, got {value!r}"
+
+
 class TestDetectionColumns:
     def rows(self):
         return [make_det(x=5.0 * k, score=0.2 * k + 0.1, weight=0.1 * k,
@@ -807,6 +820,9 @@ class TestDetectionColumns:
         ("params", 2, (1.0, 2.0, 1.1), "slip must lie in [-pi/2, pi/2], got 2.0"),
         ("params", 2, (1.0, 0.2, 0.0), "rear_axle must be positive"),
         ("params", 0, (math.inf, 0.0, 0.0), "vx must be finite, got inf"),
+        ("track_id", 1, True, "track_id must be an integer, got True"),
+        ("track_id", 3, np.int64(3), f"track_id must be an integer, got {np.int64(3)!r}"),
+        ("track_id", 2, 3.0, "track_id must be an integer, got 3.0"),
     ])
     def test_construction_makes_every_row_check(self, column, row, value, message):
         cols = DetectionColumns.of(self.rows())
@@ -831,6 +847,15 @@ class TestDetectionColumns:
         with pytest.raises(ValueError) as err:
             DetectionColumns(**fields)
         assert str(err.value) == f"detection 2: {message}"
+
+    @pytest.mark.parametrize("column", ["frame_lag", "n_fused", "n_current"])
+    def test_construction_takes_integer_columns_only(self, column):
+        cols = DetectionColumns.of(self.rows())
+        fields = {f.name: getattr(cols, f.name) for f in dataclasses.fields(cols)}
+        values = fields[column].astype(float)
+        with pytest.raises(ValueError) as err:
+            DetectionColumns(**{**fields, column: values})
+        assert str(err.value) == f"detection 0: {column} must be an integer, got {values.tolist()[0]!r}"
 
     @pytest.mark.parametrize("n_fused, n_current", [(1, -1), (1, 2), (3, 4)])
     def test_a_detection_counts_at_most_its_members_as_current(self, n_fused, n_current):

@@ -26,7 +26,7 @@ from boxfuse import (
     write_frames,
 )
 from boxfuse.cli import OPTIONS, main
-from boxfuse.io import detection_from_obj, detection_to_obj, frame_from_obj, frame_to_obj
+from boxfuse.io import frame_from_obj, frame_to_obj
 
 
 def sample_frames():
@@ -76,7 +76,8 @@ class TestRoundTrip:
             label="vehicle",
             motion=Bicycle(math.sqrt(2), -0.1234567890123456, 1.175),
         )
-        assert detection_from_obj(json.loads(json.dumps(detection_to_obj(det)))) == det
+        frame = Frame(0.0, EgoPose.identity(), [det])
+        assert frame_from_obj(json.loads(json.dumps(frame_to_obj(frame)))).detections == [det]
 
     def test_file_roundtrip(self, tmp_path):
         frames = sample_frames()
@@ -137,6 +138,13 @@ MALFORMED = [
     ("fractional frame_lag", _with(frame_lag=1.5), "detection 0: frame_lag must be an integer, got 1.5"),
     ("fractional n_fused", _with(n_fused=2.5), "detection 0: n_fused must be an integer, got 2.5"),
     ("string n_current", _with(n_current="1"), "detection 0: n_current must be an integer, got '1'"),
+    ("frame_lag beyond int64", _with(frame_lag=10**30),
+     "detection 0: frame_lag must fit in int64, got 1000000000000000000000000000000"),
+    ("n_fused beyond int64", _with(n_fused=2**63), "detection 0: n_fused must fit in int64, got 9223372036854775808"),
+    ("n_current beyond int64", _with(n_current=-2**70),
+     "detection 0: n_current must fit in int64, got -1180591620717411303424"),
+    ("integral float frame_lag beyond int64", _with(frame_lag=1e19),
+     "detection 0: frame_lag must fit in int64, got 1e+19"),
     ("string weight", _with(weight="0.3"), "detection 0: weight must be a number, got '0.3'"),
     ("string box value", _with(box=[1, 2, 0.5, 2, "4.5", 1.6, 0.3]), "detection 0: box value must be a number, got '4.5'"),
     ("boolean box value", _with(box=[1, 2, 0.5, 2, 4.5, True, 0.3]), "detection 0: box value must be a number, got True"),
@@ -445,6 +453,17 @@ class TestCli:
         src = tmp_path / "half_turn.jsonl"
         write_frames(src, frames)
         return src, frames
+
+    @pytest.mark.parametrize("command", ["fuse", "inverse"])
+    @pytest.mark.parametrize("key, value", [("frame_lag", 10**30), ("n_fused", 2**63), ("n_current", -2**70)])
+    def test_integer_beyond_int64_exit_2_naming_detection_and_key(self, tmp_path, capsys, command, key, value):
+        src = tmp_path / "big.jsonl"
+        frame = {"timestamp": 0.0, "ego": {"x": 0, "y": 0, "yaw": 0}, "detections": [_with(track_id=1, **{key: value})]}
+        src.write_text(json.dumps(frame) + "\n", encoding="utf-8")
+        argv = [command, "--input", str(src), "--output", str(tmp_path / "o.jsonl")]
+        assert main(argv + (["--model", "cv"] if command == "inverse" else [])) == 2
+        message = f"line 1: detection 0: {key} must fit in int64, got {value}"
+        assert capsys.readouterr().err == f"boxfuse: error: {message}\n"
 
     def test_bicycle_inverse_fits_a_half_turn(self, tmp_path):
         src, _ = self.half_turn_track(tmp_path)

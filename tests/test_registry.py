@@ -9,9 +9,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from boxfuse import Box3D, Detection, Pose, forward, model_name
+from boxfuse import Box3D, Detection, EgoPose, Frame, Pose, forward, model_name
 from boxfuse.cli import build_parser
-from boxfuse.io import detection_from_obj, detection_to_obj, dumps_line
+from boxfuse.io import dumps_line, frame_from_obj, frame_to_obj
 from boxfuse.motion import HALF_PI, MODEL_NAMES, MODELS, model_class, param_rows
 from oracles import speed_radius_reference
 
@@ -33,8 +33,9 @@ def params_of(cls):
 def test_json_roundtrip_every_model(name, data):
     params = data.draw(params_of(MODELS[name]))
     det = Detection(box=Box3D(1.0, 2.0, 0.5, 2.0, 4.0, 1.5, 0.3), score=0.5, label="car", motion=params)
-    back = detection_from_obj(json.loads(dumps_line(detection_to_obj(det))))
-    assert back == det
+    frame = Frame(0.0, EgoPose.identity(), [det])
+    back = frame_from_obj(json.loads(dumps_line(frame_to_obj(frame))))
+    assert back.detections == [det]
     assert model_name(params) == name
 
 

@@ -29,7 +29,7 @@ from boxfuse import (
 from boxfuse.fusion import MODEL_CODES, PARAM_WIDTH, DetectionColumns, object_array
 from boxfuse.io import dumps_frame, dumps_line, frame_from_obj, frame_to_obj, iter_frames
 from boxfuse.motion import HALF_PI
-from oracles import ref_dumps_frame, stream_reference
+from oracles import _ref_frame_from_obj, ref_dumps_frame, stream_reference
 
 # every float the format may carry, most of them 17 significant digits long
 COORD = st.floats(-1e4, 1e4)
@@ -116,6 +116,32 @@ def test_a_frame_of_every_row_pattern_is_written_in_row_order():
     assert len({(obj["motion"]["model"], *sorted(obj)) for obj in objs}) == 96
     assert [obj["box"][0] for obj in objs] == [1.1 * k for k in range(96)]
     assert line == ref_dumps_frame(frame) == dumps_line(frame_to_obj(frame))
+
+
+ROW = {"box": [1.5, -2.0, 0.8, 1.9, 4.5, 1.6, 0.25], "score": 0.5, "class": "car",
+       "motion": {"model": "cv", "vx": 1.0, "vy": -0.5}}
+
+
+def frame_obj(detections: list[dict]) -> dict:
+    return {"timestamp": 0.5, "ego": {"x": 1.0, "y": 2.0, "yaw": 0.125}, "detections": detections}
+
+
+def test_keys_at_their_absent_values_read_as_absent_and_are_left_out_when_written():
+    explicit = [{**ROW, "frame_lag": 0, "n_fused": 1, "n_current": 1, "track_id": None, "weight": None},
+                {**ROW, "frame_lag": 2, "n_current": 0}]
+    implicit = [ROW, {**ROW, "frame_lag": 2}]
+    frame = frame_from_obj(frame_obj(explicit))
+    assert frame == frame_from_obj(frame_obj(implicit))
+    line = dumps_line(frame_obj(implicit))
+    assert dumps_frame(frame) == dumps_line(frame_to_obj(frame)) == ref_dumps_frame(frame) == line
+
+
+def test_rows_mixing_present_and_absent_n_current_read_as_the_reference_reads_them():
+    obj = frame_obj([ROW, {**ROW, "frame_lag": 3}, {**ROW, "n_fused": 2, "n_current": 0},
+                     {**ROW, "frame_lag": 1, "n_fused": 3, "n_current": 2}, {**ROW, "n_current": 1}])
+    frame = frame_from_obj(obj)
+    assert [d.n_current for d in frame.detections] == [1, 0, 0, 2, 1]
+    assert frame == _ref_frame_from_obj(obj)
 
 
 @pytest.mark.parametrize("name, index, value", [

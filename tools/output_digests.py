@@ -24,7 +24,10 @@ Once, under `traj-compare`, it also records `boxfuse traj-compare` for every
 `--gen-model` at the radii in `TRAJ_RADII` (a cv trajectory cannot turn, so
 there the error text stands in place of a digest).
 
-Every file is digested whole, meta line included. Two checkouts whose
+Every file is digested whole, meta line included. Each frame file is
+digested a second time (key suffix `/frame_to_obj`) with every frame line
+re-written by the dict writer, `dumps_line(frame_to_obj(frame_from_obj(...)))`,
+so the writer the commands do not use is gated too. Two checkouts whose
 outputs agree byte for byte print the same object, so a change that must
 keep every output can be checked by comparing two files. Like the pinned
 digests of the tests, the digests depend on numpy's SIMD kernels.
@@ -61,6 +64,16 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _frame_file_digests(key: str, path: Path) -> dict[str, str]:
+    """The digest of a frame file, and of the file with every frame line re-written by the dict writer."""
+    from boxfuse.io import dumps_line, frame_from_obj, frame_to_obj
+
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = [line if line.startswith('{"meta"') else
+                 dumps_line(frame_to_obj(frame_from_obj(json.loads(line)))) + "\n" for line in fh]
+    return {key: _digest(path.read_bytes()), f"{key}/frame_to_obj": _digest("".join(lines).encode("utf-8"))}
+
+
 def _window(src: Path, dst: Path, window: slice) -> Path:
     """Write the frame lines of src in window to dst, leaving out the meta line."""
     with open(src, encoding="utf-8", newline="") as fh:
@@ -89,11 +102,11 @@ def workload_digests(main, models, presets, workload, preset: str, first: int, s
                      work: Path) -> dict[str, str]:
     gt, det = work / "gt.jsonl", work / "det.jsonl"
     _run(main, ["synth", "--output-gt", str(gt), "--output-det", str(det), *workload.synth_args(seed)])
-    out = {"synth-gt": _digest(gt.read_bytes()), "synth-det": _digest(det.read_bytes())}
+    out = _frame_file_digests("synth-gt", gt) | _frame_file_digests("synth-det", det)
     for name in presets:
         fused = work / f"fused-{name}.jsonl"
         _run(main, ["fuse", "--input", str(det), "--output", str(fused), "--preset", name])
-        out[f"fuse-{name}"] = _digest(fused.read_bytes())
+        out |= _frame_file_digests(f"fuse-{name}", fused)
     fused = work / f"fused-{preset}.jsonl"
     window = slice(first, first + workload.eval_frames)
     gt_win, raw_win, fused_win = (_window(path, work / f"{path.stem}-window.jsonl", window)
@@ -108,13 +121,13 @@ def workload_digests(main, models, presets, workload, preset: str, first: int, s
             inverse = work / f"{key}.jsonl"
             error = _run(main, ["inverse", "--input", str(source), "--output", str(inverse), "--model", model],
                          data_error_ok=source == det)
-            out[key] = error or _digest(inverse.read_bytes())
+            out |= {key: error} if error else _frame_file_digests(key, inverse)
     # fused rows of a second model: the benchmark preset over the unicycle re-fit of the detections
     if not out["inverse-det-unicycle"].startswith("exit 2"):
         fused = work / "fused-inverse-det-unicycle.jsonl"
         _run(main, ["fuse", "--input", str(work / "inverse-det-unicycle.jsonl"), "--output", str(fused),
                     "--preset", preset])
-        out["fuse-inverse-det-unicycle"] = _digest(fused.read_bytes())
+        out |= _frame_file_digests("fuse-inverse-det-unicycle", fused)
     return out
 
 
