@@ -21,9 +21,8 @@ from .evaluation import (
     split_motion_state,
     strict_turning_tracks,
 )
+from .frames import Detection, Frame
 from .fusion import (
-    Detection,
-    Frame,
     FusionConfig,
     PRESETS,
     apply_score_strategy,

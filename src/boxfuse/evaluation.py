@@ -39,7 +39,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .fusion import DetectionColumns, Frame, track_index
+from .frames import DetectionColumns, Frame, track_index
 from .geometry import Box3D, bev_iou, candidate_pairs, circumradius_columns, normalize_angles
 
 #: IoU used to associate detections with a ground-truth subset.

@@ -17,18 +17,17 @@ exactly. A file may start with one {"meta": {...}} provenance line, which
 readers skip. Keys are sorted and floats use the shortest round-trip form,
 making output byte-stable for identical inputs.
 
-A frame's detections are always fusion.DetectionColumns: they are parsed
-straight into columns and written back from them, with no per-detection
-objects, and detections given to a Frame as a list of Detection become
-columns, so their numbers are written as floats. dumps_frame writes a
+The reader parses straight into a frame's frames.DetectionColumns and the
+writers write from them, with no per-detection objects, so the numbers of
+Detections given to a Frame are written as floats. dumps_frame writes a
 frame line from the columns with one %-format per row pattern (the motion
 model and the optional keys written); frame_to_obj is the frame as a dict,
 and dumps_line(frame_to_obj(frame)) gives the same bytes. The reader
-checks every JSON type (a number is an int or float, never a string or
-boolean; integer fields take integral values only, within int64 except
-track_id; the class is a string) and every value a Detection would check,
-and names the line and detection of the first fault, in row order whatever
-each row's motion model.
+checks every JSON type (a number is an int or float within float range,
+never a string or boolean; integer fields take integral values only,
+within int64 except track_id; the class is a string) and every value a
+Detection would check, and names the line and detection of the first
+fault, in row order whatever each row's motion model.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .fusion import MODEL_CODES, PARAM_WIDTH, DetectionColumns, Frame, object_array
+from .frames import MODEL_CODES, MODEL_WIDTHS, PARAM_WIDTH, DetectionColumns, Frame, object_array
 from .geometry import EgoPose
 from .motion import MODEL_NAMES, MODELS
 
@@ -188,8 +187,13 @@ def _fits_int64(value) -> bool:
     return -2**63 <= value < 2**63
 
 
+def _fits_float(value) -> bool:
+    # 2**1024 - 2**970 is the least integer that float() rounds beyond the largest float
+    return -2**1024 + 2**970 < value < 2**1024 - 2**970
+
+
 _EXPECTED = {_is_number: "be a number", _is_integer: "be an integer", _is_string: "be a string",
-             _is_object: "be a JSON object", _fits_int64: "fit in int64"}
+             _is_object: "be a JSON object", _fits_int64: "fit in int64", _fits_float: "fit in a float"}
 
 
 def _require(values: list, accept, what: str, width: int = 1, rows=None) -> None:
@@ -208,7 +212,11 @@ def _require(values: list, accept, what: str, width: int = 1, rows=None) -> None
 def _floats(values: list, what: str, width: int = 1, rows=None) -> np.ndarray:
     if not set(map(type, values)) <= {float, int}:
         _require(values, _is_number, what, width, rows)
-    return np.array(values, dtype=float)
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        _require(values, _fits_float, what, width, rows)
+        raise
 
 
 def _optional(objs: list[dict], key: str, absent: np.ndarray, accept=_is_integer) -> np.ndarray:
@@ -223,18 +231,19 @@ def _optional(objs: list[dict], key: str, absent: np.ndarray, accept=_is_integer
     rows = [k for k, value in enumerate(values) if value is not None]
     values = [values[k] for k in rows]
     _require(values, accept, key, rows=rows)
-    if accept is _is_integer and absent.dtype == object:
+    if accept is _is_number:
+        values = _floats(values, key, rows=rows)
+    elif absent.dtype == object:
         values = list(map(int, values))
-    elif accept is _is_integer and not -2**63 <= min(values) <= max(values) < 2**63:
+    elif not -2**63 <= min(values) <= max(values) < 2**63:
         _require(values, _fits_int64, key, rows=rows)
     column = absent.copy()
     column[rows] = values
     return column
 
 
-# Each model's parameter values in field order (a tuple, as every model has two or more) and their number.
+# Each model's parameter values in field order: a tuple, as every model has two or more.
 _MOTION_VALUES = [itemgetter(*kind.json_keys.values()) for kind in MODELS.values()]
-_MOTION_WIDTHS = np.array([len(kind.json_keys) for kind in MODELS.values()])
 
 
 def detections_from_objs(objs: list) -> DetectionColumns:
@@ -263,7 +272,7 @@ def detections_from_objs(objs: list) -> DetectionColumns:
         row = codes.index(None)
         raise ValueError(f"detection {row}: unknown motion model {names[row]!r}")
     model = np.array(codes, dtype=np.int64)
-    width = _MOTION_WIDTHS[model]
+    width = MODEL_WIDTHS[model]
     values = chain.from_iterable(_MOTION_VALUES[code](motion) for code, motion in zip(codes, motions))
     params = np.zeros((n, PARAM_WIDTH))
     # row by row, the first `width` columns of each, which is the order of the values
@@ -291,9 +300,10 @@ def detections_from_objs(objs: list) -> DetectionColumns:
 
 
 def _number(name: str, value) -> float:
-    """A JSON number as a float; ValueError for anything else, booleans and strings included."""
-    if not _is_number(value):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+    """A JSON number as a float; ValueError for anything else, booleans, strings and overflowing integers included."""
+    for accept in (_is_number, _fits_float):
+        if not accept(value):
+            raise ValueError(f"{name} must {_EXPECTED[accept]}, got {value!r}")
     return float(value)
 
 
@@ -315,12 +325,14 @@ def dumps_line(obj: dict) -> str:
 
 def _loads_line(text: str, line_no: int) -> dict:
     def reject_constant(name: str):
-        raise FrameFormatError(f"non-finite number {name}", line_no)
+        raise ValueError(f"non-finite number {name}")
 
     try:
         obj = json.loads(text, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise FrameFormatError(f"invalid JSON: {exc.msg}", line_no) from exc
+    except ValueError as exc:  # a non-finite constant, or an integer literal longer than int() takes
+        raise FrameFormatError(str(exc), line_no) from exc
     if not isinstance(obj, dict):
         raise FrameFormatError("record is not a JSON object", line_no)
     return obj

@@ -8,7 +8,7 @@ parameter noise, random per-frame drops, multi-frame occlusion bursts and
 detector-style scores. Everything is deterministic under (spec, seed): the
 random stream is Philox, split into per-vehicle and per-frame substreams.
 
-Scenes are built as numpy columns, one fusion.DetectionColumns per frame,
+Scenes are built as numpy columns, one frames.DetectionColumns per frame,
 with no per-box objects: each vehicle draws its start and its motion once,
 then every vehicle of a group is forwarded per frame time with the model's
 `forward_columns`, re-fitted with `motion.estimate_param_columns`, moved
@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fusion import MODEL_CODES, PARAM_WIDTH, DetectionColumns, Frame, _groups, object_array, track_index
+from .frames import MODEL_CODES, PARAM_WIDTH, DetectionColumns, Frame, model_groups, object_array, track_index
 from .geometry import EgoPose, Pose, clamp_columns, normalize_angles, transform_columns
 from .motion import (
     FitDivergence,
@@ -299,7 +299,7 @@ def generate_mixed_scene(
         boxes[:, 2:6] = z_and_size
         boxes[:, 0], boxes[:, 1], boxes[:, 6] = transform_columns(x[k], y[k], yaw[k], identity, ego)
         motion = params[k]
-        for kind, rows in _groups(model):
+        for kind, rows in model_groups(model):
             width = len(kind.json_keys)
             motion[rows, :width] = kind.in_ego_columns(motion[rows, :width], ego)
         detections = DetectionColumns(boxes, np.ones(total), label, model, motion, np.full(total, math.nan),
@@ -326,7 +326,7 @@ def generate_ground_truth(
 def reattach_params(frames: Sequence[Frame], model: str, rear_axle: float | None = None) -> list[Frame]:
     """Replace every detection's motion parameters with those its track's poses give under `model`.
 
-    Each track (fusion.track_index) is fitted with estimate_param_columns from
+    Each track (frames.track_index) is fitted with estimate_param_columns from
     its world poses in frame order, with the arm rear_axle, or else
     default_rear_axle of its upper median box length, and the parameters are
     rotated into each frame's ego frame; every other column is kept. A track

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from boxfuse import evaluation
-from boxfuse.fusion import DetectionColumns
+from boxfuse.frames import DetectionColumns
 from boxfuse.geometry import circumradius
 from boxfuse import (
     Bicycle,

@@ -31,7 +31,7 @@ from boxfuse import (
     weighted_nms,
 )
 from boxfuse import fusion
-from boxfuse.fusion import DetectionColumns
+from boxfuse.frames import DetectionColumns
 
 from boxfuse.motion import HALF_PI
 from oracles import nms_single_class_scan, weighted_nms_reference

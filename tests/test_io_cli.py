@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -128,6 +129,13 @@ def _with(**changes):
     return {key: value for key, value in det.items() if value is not ...}
 
 
+# a JSON integer beyond float range, and the least integer that float() overflows on
+HUGE = 10**400
+FLOAT_LIMIT = 2**1024 - 2**970
+# the most digits Python reads in an integer literal; 0 where there is no limit
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 # (case, detection record, message after "line 2: ")
 MALFORMED = [
     ("string score", _with(score="0.5"), "detection 0: score must be a number, got '0.5'"),
@@ -146,6 +154,18 @@ MALFORMED = [
     ("integral float frame_lag beyond int64", _with(frame_lag=1e19),
      "detection 0: frame_lag must fit in int64, got 1e+19"),
     ("string weight", _with(weight="0.3"), "detection 0: weight must be a number, got '0.3'"),
+    ("score beyond float range", _with(score=HUGE), f"detection 0: score must fit in a float, got {HUGE}"),
+    ("box value beyond float range", _with(box=[1, 2, 0.5, 2, -HUGE, 1.6, 0.3]),
+     f"detection 0: box value must fit in a float, got {-HUGE}"),
+    ("box value at the float limit", _with(box=[FLOAT_LIMIT, 2, 0.5, 2, 4.5, 1.6, 0.3]),
+     f"detection 0: box value must fit in a float, got {FLOAT_LIMIT}"),
+    ("motion value beyond float range", _with(motion={"model": "bicycle", "v": 1.0, "beta": 0.1, "l_r": HUGE}),
+     f"detection 0: motion value must fit in a float, got {HUGE}"),
+    ("weight beyond float range", _with(weight=-HUGE), f"detection 0: weight must fit in a float, got {-HUGE}"),
+    ("frame_lag of 10**400", _with(frame_lag=HUGE), f"detection 0: frame_lag must fit in int64, got {HUGE}"),
+    ("n_fused of 10**400", _with(n_fused=HUGE), f"detection 0: n_fused must fit in int64, got {HUGE}"),
+    ("n_current of 10**400", _with(n_current=-HUGE),
+     f"detection 0: n_current must fit in int64, got {-HUGE}"),
     ("string box value", _with(box=[1, 2, 0.5, 2, "4.5", 1.6, 0.3]), "detection 0: box value must be a number, got '4.5'"),
     ("boolean box value", _with(box=[1, 2, 0.5, 2, 4.5, True, 0.3]), "detection 0: box value must be a number, got True"),
     ("short box", _with(box=[1, 2, 3]), "detection 0: box must be a list of 7 numbers, got [1, 2, 3]"),
@@ -189,6 +209,10 @@ class TestStrictParsing:
         ({"timestamp": "0.1", "ego": {"x": 0, "y": 0, "yaw": 0}, "detections": []},
          "timestamp must be a number, got '0.1'"),
         ({"timestamp": 0.1, "ego": {"x": True, "y": 0, "yaw": 0}, "detections": []}, "ego x must be a number, got True"),
+        ({"timestamp": HUGE, "ego": {"x": 0, "y": 0, "yaw": 0}, "detections": []},
+         f"timestamp must fit in a float, got {HUGE}"),
+        ({"timestamp": 0.1, "ego": {"x": 0, "y": -HUGE, "yaw": 0}, "detections": []},
+         f"ego y must fit in a float, got {-HUGE}"),
         ({"timestamp": 0.1, "ego": {"x": 0, "y": 0}, "detections": []}, "missing key 'yaw'"),
         ({"timestamp": 0.1, "ego": {"x": 0, "y": 0, "yaw": 0}, "detections": {}}, "detections must be a list, got {}"),
         ({"timestamp": 0.1, "ego": {"x": 0, "y": 0, "yaw": 0}, "detections": [[1]]},
@@ -204,6 +228,29 @@ class TestStrictParsing:
         with pytest.raises(FrameFormatError) as err:
             read_frames(path)
         assert str(err.value) == "line 1: " + message
+
+    def test_integers_just_inside_float_range_are_read_as_floats(self, tmp_path):
+        path = tmp_path / "edge.jsonl"
+        det = _with(box=[FLOAT_LIMIT - 1, 2, 0.5, 2, 4.5, 1.6, 0.3], weight=1)
+        path.write_text(json.dumps({"timestamp": 1 - FLOAT_LIMIT, "ego": {"x": 0, "y": 0, "yaw": 0},
+                                    "detections": [det]}) + "\n", encoding="utf-8")
+        (frame,) = read_frames(path)
+        assert frame.timestamp == -sys.float_info.max and frame.detections[0].box.x == sys.float_info.max
+
+    @pytest.mark.parametrize("literal, message", [
+        pytest.param("5" * (DIGIT_LIMIT + 1),
+                     f"Exceeds the limit ({DIGIT_LIMIT} digits) for integer string conversion",
+                     marks=pytest.mark.skipif(DIGIT_LIMIT == 0, reason="integer literals have no digit limit")),
+        ("NaN", "non-finite number NaN"),
+        ("-Infinity", "non-finite number -Infinity"),
+    ])
+    def test_a_number_json_cannot_read_names_its_line(self, tmp_path, literal, message):
+        path = tmp_path / "bad.jsonl"
+        frame = json.dumps({"timestamp": 0.0, "ego": {"x": 0, "y": 0, "yaw": 0}, "detections": [GOOD]})
+        path.write_text(frame + "\n" + frame.replace('"score": 0.5', '"score": ' + literal) + "\n", encoding="utf-8")
+        with pytest.raises(FrameFormatError) as err:
+            read_frames(path)
+        assert err.value.line == 2 and str(err.value).startswith("line 2: " + message)
 
     def test_integers_and_integral_floats_are_accepted(self, tmp_path):
         path = tmp_path / "ok.jsonl"

@@ -10,7 +10,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from boxfuse import (
     Bicycle,
@@ -26,7 +26,7 @@ from boxfuse import (
     read_frames,
     write_frames,
 )
-from boxfuse.fusion import MODEL_CODES, PARAM_WIDTH, DetectionColumns, object_array
+from boxfuse.frames import MODEL_CODES, PARAM_WIDTH, DetectionColumns, object_array
 from boxfuse.io import dumps_frame, dumps_line, frame_from_obj, frame_to_obj, iter_frames
 from boxfuse.motion import HALF_PI
 from oracles import _ref_frame_from_obj, ref_dumps_frame, stream_reference
@@ -189,25 +189,82 @@ def row_values(draw):
             draw(st.none() | st.integers(-(2**40), 2**40)), n_fused, draw(st.integers(0, n_fused)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(values=st.lists(row_values(), max_size=6))
-def test_rows_are_the_checked_rows_of_their_values(values):
+def columns_of(values: list) -> DetectionColumns:
+    """The checked columns of rows given as row_values draws them."""
     n = len(values)
     box, score, label, kind, motion, weight, frame_lag, track_id, n_fused, n_current = list(zip(*values)) or [()] * 10
     params = np.zeros((n, PARAM_WIDTH))
     for k, row in enumerate(motion):
         params[k, : len(row)] = row
-    cols = DetectionColumns(
+    return DetectionColumns(
         np.array(box, dtype=float).reshape(n, 7), np.array(score, dtype=float), object_array(list(label)),
         np.array([MODEL_CODES[c.name] for c in kind], dtype=np.int64), params,
         np.array([math.nan if w is None else w for w in weight], dtype=float), np.array(frame_lag, dtype=np.int64),
         object_array(list(track_id)), np.array(n_fused, dtype=np.int64), np.array(n_current, dtype=np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(row_values(), max_size=6))
+def test_rows_are_the_checked_rows_of_their_values(values):
+    cols = columns_of(values)
     rows = cols.rows()
     assert rows == [Detection(Box3D(*b), s, lab, c(*m), w, lag, tid, nf, nc)
                     for b, s, lab, c, m, w, lag, tid, nf, nc in values]
-    assert [type(d.motion) for d in rows] == list(kind)
+    assert [type(d.motion) for d in rows] == [kind for _, _, _, kind, *_ in values]
     boxes = cols.box_objects()
     assert all(type(b) is Box3D for b in boxes) and boxes == [d.box for d in rows]
+
+
+# values an edit writes into one entry of a column; zeros of both signs, and a NaN (unassigned) weight
+ZEROS = st.sampled_from([0.0, -0.0, 0.5])
+EDITS = {"boxes": ZEROS, "score": ZEROS, "params": ZEROS | st.just(1.25), "weight": ZEROS | st.just(math.nan),
+         "label": st.sampled_from(["car", "truck"]), "model": st.integers(0, len(MODEL_CODES) - 1),
+         "frame_lag": st.integers(0, 1), "track_id": st.sampled_from([None, 7]), "n_fused": st.integers(1, 2),
+         "n_current": st.integers(0, 1)}
+
+
+@st.composite
+def column_pairs(draw):
+    """Two sets of columns made from the same rows, each then edited in up to two entries.
+
+    Edits reach the parameter padding too, and put signed zeros and NaN
+    weights on either side, so some pairs differ only where row equality
+    cannot tell.
+    """
+    cols = columns_of(draw(st.lists(row_values(), min_size=1, max_size=3)))
+    sides = [{name: getattr(cols, name).copy() for name in EDITS} for _ in range(2)]
+    for _ in range(draw(st.integers(0, 4))):
+        name = draw(st.sampled_from(sorted(EDITS)))
+        column = draw(st.sampled_from(sides))[name]
+        column[tuple(draw(st.integers(0, size - 1)) for size in column.shape)] = draw(EDITS[name])
+    try:
+        return tuple(DetectionColumns(**side) for side in sides)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=column_pairs())
+def test_columns_compare_as_their_rows_do(pair):
+    a, b = pair
+    rows_equal = a.rows() == b.rows()
+    assert (a == b) is (b == a) is (a == list(b)) is (a == tuple(b)) is rows_equal
+    assert (a != b) is not rows_equal
+
+
+def test_column_equality_keeps_the_rules_of_row_equality():
+    box = Box3D(0.0, 1.0, 0.5, 2.0, 4.5, 1.6, 0.0)
+    cols = DetectionColumns.of([Detection(box, 0.5, "car", ConstantVelocity(0.0, 1.0)),
+                                Detection(box, 0.5, "car", Unicycle(2.0, 0.0), 0.25)])
+    boxes, params = cols.boxes.copy(), cols.params.copy()
+    boxes[0, 0] = -0.0
+    params[0, PARAM_WIDTH - 1] = 9.0  # padding of a two-field model
+    assert cols == cols._with(boxes=boxes, params=params) == list(cols)
+    assert np.isnan(cols.weight[0]) and cols == cols.take([0, 1])
+    assert cols != cols._with(weight=np.array([0.0, 0.25])) and cols != cols.take([0])
+    # a sequence of anything but equal Detections is unequal
+    assert cols != [*cols[:1], cols[1].box] and cols != [0, 1]
+    assert cols != "ab" and DetectionColumns.of([]) == [] == DetectionColumns.of([])
 
 
 @pytest.mark.parametrize("name", [field.name for field in dataclasses.fields(Frame)])
