@@ -18,16 +18,20 @@ truth with IoU > 0.5; detections not matching the subset are excluded rather
 than counted as false positives.
 
 Evaluation runs on the columns that every frame holds, so `boxfuse eval`
-builds no Detection. A frame's IoU table holds its same-label candidate pairs
-(geometry.candidate_pairs on box centres and circumradii), each IoU from one
-call of the module global `bev_iou(gt box, det box)` on Box3Ds built once per
-frame, so a wrapper bound at that name sees every call. The score ranking,
-AP events and heading weights, subset selection and per-track median speed
-and radius are array operations, checked to the bit against the frozen
-per-detection references in tests/oracles.py and statistics.median.
-The IoU itself stays the scalar `bev_iou`, one call per pair, because the
-benchmark's per-layer metrics count those calls; clipping all pairs at once
-with geometry.clipped_iou waits for a benchmark that counts pairs instead.
+builds no Detection. A frame's IoU table is read only at or above a floor:
+the matching threshold, or for a report the smaller of it and the subset
+filter's IoU. Its pairs are the same-label candidate pairs
+(geometry.candidate_pairs on box centres and circumradii) that the IoU bound
+geometry.iou_can_reach keeps at that floor, so it holds every pair that can
+reach the floor. Each IoU comes from one call of the module global
+`bev_iou(gt box, det box)` on Box3Ds built once per frame, so a wrapper bound
+at that name sees every call. The score ranking, AP events and heading
+weights, subset selection and per-track median speed and radius are array
+operations, checked to the bit against the frozen per-detection references
+in tests/oracles.py and statistics.median. The IoU itself stays the scalar
+`bev_iou`, one call per kept pair, because the benchmark's per-layer metrics
+count those calls; clipping all pairs at once with geometry.clipped_iou
+waits for a benchmark that counts pairs instead.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .frames import DetectionColumns, Frame, track_index
-from .geometry import Box3D, bev_iou, candidate_pairs, circumradius_columns, normalize_angles
+from .geometry import (Box3D, Footprints, bev_iou, candidate_pairs, circumradius_columns, iou_can_reach,
+                       normalize_angles)
 
 #: IoU used to associate detections with a ground-truth subset.
 SUBSET_FILTER_IOU = 0.5
@@ -61,10 +66,12 @@ class MatchResult:
 
 
 class _Overlaps(NamedTuple):
-    """IoU table of one frame.
+    """IoU table of one frame at a floor.
 
-    Every same-label (detection index, ground-truth index, IoU) with IoU > 0,
-    sorted by detection index, then ground-truth index.
+    Same-label (detection index, ground-truth index, IoU) triples with
+    IoU > 0, sorted by detection index, then ground-truth index: every pair
+    with IoU >= the floor, and those below it that the IoU bound could not
+    rule out.
     """
 
     det: np.ndarray
@@ -79,16 +86,23 @@ def _circles(cols: DetectionColumns) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def _frame_overlaps(
-    gt: DetectionColumns, det: DetectionColumns, gt_boxes: list[Box3D] | None = None
+    gt: DetectionColumns, det: DetectionColumns, floor: float, gt_boxes: list[Box3D] | None = None
 ) -> _Overlaps:
-    """IoU table of one frame, calling bev_iou(gt box, det box) once per same-label candidate pair.
+    """IoU table of one frame, calling bev_iou(gt box, det box) once per same-label candidate pair it keeps.
 
+    Above a floor of 0, a pair is kept unless geometry.iou_can_reach proves
+    its IoU below the floor, so the table holds every pair with IoU >= floor.
     The calls go in table order. gt_boxes are gt's Box3Ds when the caller has
     built them already.
     """
-    det_index, gt_index = candidate_pairs(*_circles(det), *_circles(gt))
-    same = det.label[det_index] == gt.label[gt_index]
-    det_index, gt_index = det_index[same], gt_index[same]
+    gt_circles, det_circles = _circles(gt), _circles(det)
+    det_index, gt_index = candidate_pairs(*det_circles, *gt_circles)
+    keep = det.label[det_index] == gt.label[gt_index]
+    if floor > 0.0:
+        gt_footprints = Footprints.of(gt.boxes, gt_circles[2]).take(gt_index[keep])
+        det_footprints = Footprints.of(det.boxes, det_circles[2]).take(det_index[keep])
+        keep[keep] = iou_can_reach(gt_footprints, det_footprints, floor)
+    det_index, gt_index = det_index[keep], gt_index[keep]
     if gt_boxes is None:
         gt_boxes = gt.box_objects()
     det_boxes = det.box_objects()
@@ -114,8 +128,10 @@ def _require_iou_threshold(value: float) -> None:
 
 
 def _greedy_match(score: np.ndarray, overlaps: _Overlaps, n_gt: int, iou_threshold: float) -> MatchResult:
-    """match_frame of detections with these scores against n_gt ground-truth boxes, given their IoU table."""
-    _require_iou_threshold(iou_threshold)
+    """match_frame of detections with these scores against n_gt ground-truth boxes, given their IoU table.
+
+    The caller checks the threshold, and the table's floor is at most it.
+    """
     bounds = np.searchsorted(overlaps.det, np.arange(len(score) + 1)).tolist()
     gt_index = overlaps.gt.tolist()
     ious = overlaps.iou.tolist()
@@ -148,8 +164,10 @@ def match_frame(gt: Frame, det: Frame, iou_threshold: float) -> MatchResult:
     input order), provided that IoU exceeds the threshold, which must be
     non-negative.
     """
+    _require_iou_threshold(iou_threshold)
     gt_cols, det_cols = gt.detections, det.detections
-    return _greedy_match(det_cols.score, _frame_overlaps(gt_cols, det_cols), len(gt_cols), iou_threshold)
+    overlaps = _frame_overlaps(gt_cols, det_cols, iou_threshold)
+    return _greedy_match(det_cols.score, overlaps, len(gt_cols), iou_threshold)
 
 
 @dataclass(frozen=True)
@@ -323,7 +341,7 @@ def filter_detections_to_subset(
     out = []
     for det, gt in zip(det_frames, subset_gt):
         cols = det.detections
-        overlaps = _frame_overlaps(gt.detections, cols)
+        overlaps = _frame_overlaps(gt.detections, cols, min_iou)
         keep = _overlapping(len(cols), overlaps, overlaps.iou > min_iou)
         out.append(Frame(det.timestamp, det.ego, cols.take(keep)))
     return out
@@ -446,16 +464,19 @@ def evaluate_enhancement(
     Subsets with no ground-truth vehicles are omitted from the table; ground
     truth with no boxes raises ValueError, as average_precision does.
     """
+    _require_iou_threshold(iou_threshold)
     _require_aligned(gt_frames, raw_frames, fused_frames)
     labels = split_motion_state(gt_frames)
     gts, raws, fuseds = ([frame.detections for frame in frames] for frames in (gt_frames, raw_frames, fused_frames))
-    # one IoU table per frame and stream serves the all row and every subset;
+    # one IoU table per frame and stream serves the all row and every subset,
+    # so it holds the pairs that the matching and the subset filter can read;
     # a frame's ground-truth boxes are built once for both streams
+    floor = min(iou_threshold, SUBSET_FILTER_IOU)
     raw_tables, fused_tables = [], []
     for gt, raw, fused in zip(gts, raws, fuseds):
         boxes = gt.box_objects()
-        raw_tables.append(_frame_overlaps(gt, raw, boxes))
-        fused_tables.append(_frame_overlaps(gt, fused, boxes))
+        raw_tables.append(_frame_overlaps(gt, raw, floor, boxes))
+        fused_tables.append(_frame_overlaps(gt, fused, floor, boxes))
     rows = []
     for name in ("all", "stationary", "straight", "turning"):
         ids = set(labels) if name == "all" else {t for t, lab in labels.items() if lab == name}

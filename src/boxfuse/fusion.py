@@ -11,7 +11,8 @@ they cannot crowd out fresh detections.
 The whole path runs on the numpy columns of frames.DetectionColumns.
 `forward_frame` forwards a whole frame at once; `weighted_nms` finds each
 candidate pair once with the self-join of `geometry.candidate_pairs`, orients
-it by seed order, drops pairs whose IoU provably stays below iou_low, clips
+it by seed order, drops pairs whose IoU provably stays below iou_low (by
+`geometry.iou_can_reach`, the IoU bound that evaluation uses too), clips
 the rest in vectorized passes of up to `_PAIR_CHUNK` pairs and merges
 clusters with per-cluster weighted sums; the score strategy and the history
 floor are column operations. Every step does the float operations of the
@@ -38,8 +39,8 @@ from typing import Iterable, Iterator, Literal, Sequence, get_args
 import numpy as np
 
 from .frames import MODEL_CLASSES, PARAM_WIDTH, Detection, DetectionColumns, Frame
-from .geometry import (EgoPose, candidate_pairs, circumradius_columns, clamp_columns, clipped_iou, corner_columns,
-                       normalize_angles, transform_columns)
+from .geometry import (EgoPose, Footprints, candidate_pairs, circumradius_columns, clamp_columns, clipped_iou,
+                       corner_columns, iou_can_reach, normalize_angles, transform_columns)
 
 ScoreStrategy = Literal["decay", "divide"]
 SCORE_STRATEGIES = get_args(ScoreStrategy)
@@ -141,44 +142,6 @@ def forward_frame(
 _PAIR_CHUNK = 2048
 # The box columns of the BEV footprint: x, y, w, l, yaw.
 _FOOTPRINT = [0, 1, 3, 4, 6]
-# Slack of the intersection bound per squared metre of coordinate magnitude
-# M (the pair's largest coordinates plus circumradii): clipping absolute
-# coordinates rounds the area by about 20 * 2.2e-16 * M**2, so the bound
-# stays above every clipped area.
-_BOUND_SLACK = 1e-12
-
-
-def _shadow_overlap(a, b, x, y, c, s, hl, hw) -> np.ndarray:
-    """Area of the overlap of box a with box b's shadow on a's axes, per pair (a, b).
-
-    c, s are each box's heading cosine and sine, hl, hw its half length and
-    width.
-    """
-    dx = x[b] - x[a]
-    dy = y[b] - y[a]
-    cos_d = np.abs(c[a] * c[b] + s[a] * s[b])
-    sin_d = np.abs(c[a] * s[b] - s[a] * c[b])
-    along = dx * c[a] + dy * s[a]
-    across = dy * c[a] - dx * s[a]
-    reach_along = hl[b] * cos_d + hw[b] * sin_d
-    reach_across = hl[b] * sin_d + hw[b] * cos_d
-    ov_along = np.minimum(hl[a], along + reach_along) - np.maximum(-hl[a], along - reach_along)
-    ov_across = np.minimum(hw[a], across + reach_across) - np.maximum(-hw[a], across - reach_across)
-    return np.maximum(ov_along, 0.0) * np.maximum(ov_across, 0.0)
-
-
-def _can_reach(a, b, shape, magnitude, area, iou_low: float) -> np.ndarray:
-    """False for pairs (a, b) whose clipped IoU is provably below iou_low.
-
-    The intersection lies inside both boxes, so its area is at most the
-    overlap of either box with the other's shadow on its axes; IoU >= iou_low
-    needs intersection >= iou_low * (A_a + A_b) / (1 + iou_low). shape is
-    (x, y, c, s, hl, hw) for _shadow_overlap and magnitude each box's largest
-    coordinate plus its circumradius.
-    """
-    bound = np.minimum(_shadow_overlap(a, b, *shape), _shadow_overlap(b, a, *shape))
-    reach = magnitude[a] + magnitude[b]
-    return (bound + _BOUND_SLACK * reach * reach) * (1.0 + iou_low) >= iou_low * (area[a] + area[b])
 
 
 def _clustering_pairs(cols: DetectionColumns, label: np.ndarray, rank: np.ndarray, cfg: FusionConfig):
@@ -205,12 +168,11 @@ def _clustering_pairs(cols: DetectionColumns, label: np.ndarray, rank: np.ndarra
     # far-field boxes may overflow here; a merged box that overflows fails the column checks
     with np.errstate(over="ignore", invalid="ignore"):
         if cfg.iou_low > 0.0:
-            shape = (x, y, np.cos(yaw), np.sin(yaw), 0.5 * l, 0.5 * w)
-            magnitude = np.maximum(np.abs(x), np.abs(y)) + radius
+            footprints = Footprints.of(boxes, radius)
             keep = np.empty(len(i), dtype=bool)
             for start in range(0, len(i), _PAIR_CHUNK):
                 chunk = slice(start, start + _PAIR_CHUNK)
-                keep[chunk] = _can_reach(i[chunk], j[chunk], shape, magnitude, area, cfg.iou_low)
+                keep[chunk] = iou_can_reach(footprints.take(i[chunk]), footprints.take(j[chunk]), cfg.iou_low)
             i, j = i[keep], j[keep]
         corner_x, corner_y = corner_columns(x, y, w, l, yaw)
         footprint = boxes[:, _FOOTPRINT]

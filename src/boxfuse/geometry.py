@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -295,6 +296,71 @@ def clipped_iou(ax, ay, area_a, bx, by, area_b) -> np.ndarray:
     iou = np.zeros(n_pairs)
     iou[solid] = inter[solid] / union[solid]
     return np.where(iou > 1.0, 1.0, iou)
+
+
+# Slack of the intersection bound per squared metre of coordinate magnitude
+# M (the pair's largest coordinates plus circumradii): clipping absolute
+# coordinates rounds the area by about 20 * 2.2e-16 * M**2, so the bound
+# stays above every clipped area.
+_BOUND_SLACK = 1e-12
+
+
+class Footprints(NamedTuple):
+    """The columns of n BEV footprints that iou_can_reach reads.
+
+    cos and sin are each heading's, half_l and half_w half its length and
+    width, area its w * l and magnitude its largest coordinate plus its
+    circumradius.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    half_l: np.ndarray
+    half_w: np.ndarray
+    area: np.ndarray
+    magnitude: np.ndarray
+
+    @classmethod
+    def of(cls, boxes: np.ndarray, radius: np.ndarray) -> "Footprints":
+        """The footprints of boxes given as rows (x, y, z, w, l, h, yaw), radius their circumradii."""
+        x, y, w, l, yaw = boxes[:, 0], boxes[:, 1], boxes[:, 3], boxes[:, 4], boxes[:, 6]
+        return cls(x, y, np.cos(yaw), np.sin(yaw), 0.5 * l, 0.5 * w, w * l, np.maximum(np.abs(x), np.abs(y)) + radius)
+
+    def take(self, rows: np.ndarray) -> "Footprints":
+        return Footprints(*(column[rows] for column in self))
+
+
+def _shadow_overlap(a: Footprints, b: Footprints) -> np.ndarray:
+    """Area of the overlap of footprint a[k] with b[k]'s shadow on a[k]'s axes, per k."""
+    dx = b.x - a.x
+    dy = b.y - a.y
+    cos_d = np.abs(a.cos * b.cos + a.sin * b.sin)
+    sin_d = np.abs(a.cos * b.sin - a.sin * b.cos)
+    along = dx * a.cos + dy * a.sin
+    across = dy * a.cos - dx * a.sin
+    reach_along = b.half_l * cos_d + b.half_w * sin_d
+    reach_across = b.half_l * sin_d + b.half_w * cos_d
+    ov_along = np.minimum(a.half_l, along + reach_along) - np.maximum(-a.half_l, along - reach_along)
+    ov_across = np.minimum(a.half_w, across + reach_across) - np.maximum(-a.half_w, across - reach_across)
+    return np.maximum(ov_along, 0.0) * np.maximum(ov_across, 0.0)
+
+
+def iou_can_reach(a: Footprints, b: Footprints, floor: float) -> np.ndarray:
+    """False for the pairs (a[k], b[k]) whose IoU provably stays below floor.
+
+    The IoU is bev_iou's in either argument order, or clipped_iou's. The
+    intersection lies inside both footprints, so its area is at most the
+    overlap of either with the other's shadow on its axes; IoU >= floor
+    needs intersection >= floor * (A_a + A_b) / (1 + floor). The bound is
+    symmetric in a and b, bit for bit, and a pair whose bound is NaN (far-field
+    overflow) is kept.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.minimum(_shadow_overlap(a, b), _shadow_overlap(b, a))
+        reach = a.magnitude + b.magnitude
+        return ~((bound + _BOUND_SLACK * reach * reach) * (1.0 + floor) < floor * (a.area + b.area))
 
 
 def circumradius(box: Box3D) -> float:

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from boxfuse import evaluation
 from boxfuse.frames import DetectionColumns
-from boxfuse.geometry import circumradius
+from boxfuse.geometry import Footprints, circumradius, iou_can_reach
 from boxfuse import (
     Bicycle,
     Box3D,
@@ -366,7 +366,7 @@ class TestAgainstAllPairsReference:
             assert match_frame(gt, dd, threshold) == match_frame_reference(gt, dd, threshold)
 
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("min_iou", [0.0, 0.5])
+    @pytest.mark.parametrize("min_iou", [0.0, 0.5, 0.7])
     def test_filter_detections_to_subset(self, seed, min_iou):
         gt_frames, det_frames = crowded_scene(seed)
         subset = gt_subset(gt_frames, set(range(0, 24, 3)))
@@ -375,10 +375,12 @@ class TestAgainstAllPairsReference:
         )
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_evaluate_enhancement_rows(self, seed, monkeypatch):
+    # thresholds below, at and above the subset filter's IoU
+    @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.7])
+    def test_evaluate_enhancement_rows(self, seed, threshold, monkeypatch):
         gt_frames, raw_frames = crowded_scene(seed)
         _, fused_frames = crowded_scene(seed + 100)
-        report = evaluate_enhancement(gt_frames, raw_frames, fused_frames, 0.5)
+        report = evaluate_enhancement(gt_frames, raw_frames, fused_frames, threshold)
         # the report as the all-pairs evaluation built it: the same AP
         # accumulation, fed by the reference matcher and subset filter
         monkeypatch.setattr(evaluation, "match_frame", match_frame_reference)
@@ -393,19 +395,30 @@ class TestAgainstAllPairsReference:
             for stream in (raw_frames, fused_frames):
                 if name != "all":
                     stream = filter_detections_to_subset_reference(stream, sub_gt)
-                results.append(evaluation.average_precision(sub_gt, stream, 0.5))
+                results.append(evaluation.average_precision(sub_gt, stream, threshold))
             raw, fused = results
             rows.append(evaluation.SubsetMetrics(name, raw.n_gt, raw.ap, fused.ap, raw.aph, fused.aph))
         assert len(rows) == 4
         assert report.rows == tuple(rows)
 
     @pytest.mark.parametrize("threshold", [-0.1, math.nan])
-    def test_negative_or_nan_threshold_rejected(self, threshold):
+    def test_negative_or_nan_threshold_rejected(self, threshold, monkeypatch):
         gt_frames, det_frames = crowded_scene(0, n_frames=1)
+        calls = []
+        monkeypatch.setattr(evaluation, "bev_iou", lambda a, b: calls.append((a, b)))
         with pytest.raises(ValueError, match="non-negative"):
             match_frame(gt_frames[0], det_frames[0], threshold)
         with pytest.raises(ValueError, match="non-negative"):
             filter_detections_to_subset(det_frames, gt_frames, threshold)
+        with pytest.raises(ValueError, match="non-negative"):
+            evaluate_enhancement(gt_frames, det_frames, det_frames, threshold)
+        assert calls == []
+
+
+def bound_keeps(a: Box3D, b: Box3D, floor: float) -> bool:
+    """Whether geometry.iou_can_reach keeps the pair (a, b) at floor."""
+    a_fp, b_fp = (Footprints.of(np.array([box.to_array()]), np.array([circumradius(box)])) for box in (a, b))
+    return bool(iou_can_reach(a_fp, b_fp, floor)[0])
 
 
 def as_columns(frames):
@@ -441,17 +454,34 @@ class TestColumns:
 
         monkeypatch.setattr(evaluation, "bev_iou", counting)
         evaluate_enhancement(gt_frames, raw_frames, fused_frames, 0.5)
-        expected = Counter()
+        # the same-label candidate pairs that the IoU bound keeps at 0.5, gt first
+        expected, reaching = Counter(), set()
         for stream in (raw_frames, fused_frames):
             for gt, dd in zip(gt_frames, stream):
                 for g in gt.detections:
                     for d in dd.detections:
                         dx, dy = g.box.x - d.box.x, g.box.y - d.box.y
                         reach = circumradius(d.box) + circumradius(g.box)
-                        if g.label == d.label and dx * dx + dy * dy < reach * reach:
-                            expected[(tuple(g.box.to_array()), tuple(d.box.to_array()))] += 1
+                        if g.label != d.label:
+                            continue
+                        key = (tuple(g.box.to_array()), tuple(d.box.to_array()))
+                        if dx * dx + dy * dy < reach * reach and bound_keeps(g.box, d.box, 0.5):
+                            expected[key] += 1
+                        if bev_iou(g.box, d.box) >= 0.5:
+                            reaching.add(key)
         assert sum(expected.values()) > 0
         assert calls == expected
+        assert reaching and reaching <= set(calls)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), floor=st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.0, 1.0)))
+    def test_a_floored_table_holds_every_pair_at_or_above_its_floor(self, seed, floor):
+        gt_frames, det_frames = crowded_scene(seed, n_frames=1)
+        gt, det = gt_frames[0].detections, det_frames[0].detections
+        full = set(zip(*(column.tolist() for column in evaluation._frame_overlaps(gt, det, 0.0))))
+        floored = set(zip(*(column.tolist() for column in evaluation._frame_overlaps(gt, det, floor))))
+        assert floored <= full
+        assert {pair for pair in full if pair[2] >= floor} <= floored
 
     # speeds and radii: non-negative, radii possibly infinite
     @given(groups=st.lists(st.tuples(st.integers(0, 4), st.floats(min_value=0.0)), min_size=1))

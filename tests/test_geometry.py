@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boxfuse import Box3D, EgoPose, Pose, bev_corners, bev_iou, normalize_angle, transform_box
-from boxfuse.geometry import _CELL_SLACK, _MAX_GRID_CELLS, candidate_pairs, circumradius
+from boxfuse.geometry import (_CELL_SLACK, _MAX_GRID_CELLS, Footprints, candidate_pairs, circumradius,
+                              circumradius_columns, clipped_iou, corner_columns, iou_can_reach)
 
 from oracles import candidate_pairs_reference, monte_carlo_iou, shoelace
 
@@ -294,3 +295,60 @@ class TestCandidatePairs:
             (p, q) for p in range(150) for q in range(150) if bev_iou(boxes[p], boxes[q]) > 0.0
         }
         assert overlapping and overlapping <= found
+
+
+def footprints(*boxes: Box3D) -> Footprints:
+    rows = np.array([box.to_array() for box in boxes])
+    return Footprints.of(rows, circumradius_columns(rows[:, 3], rows[:, 4]))
+
+
+def clipped(a: Box3D, b: Box3D) -> float:
+    """clipped_iou of a's footprint clipped by b's."""
+    (ax, ay), (bx, by) = (corner_columns(*(np.array([v]) for v in (box.x, box.y, box.w, box.l, box.yaw)))
+                          for box in (a, b))
+    return float(clipped_iou(ax, ay, np.array([a.w * a.l]), bx, by, np.array([b.w * b.l]))[0])
+
+
+CENTRE = st.one_of(st.sampled_from([0.0, 1e5, -1e5]), st.floats(-1e5, 1e5))
+SIZE = st.tuples(st.floats(0.05, 20.0), st.floats(0.05, 20.0))
+YAW = st.floats(-math.pi, math.pi)
+
+
+class TestIouBound:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        centre=st.tuples(CENTRE, CENTRE), size_a=SIZE, size_b=SIZE, yaw_a=YAW, yaw_b=YAW,
+        # b's centre at a fraction of the circumradius sum from a's, in any direction
+        reach=st.floats(0.0, 1.0, exclude_max=True), direction=YAW, identical=st.booleans(),
+        floor=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    )
+    def test_never_drops_a_pair_whose_iou_reaches_the_floor(self, centre, size_a, size_b, yaw_a, yaw_b, reach,
+                                                             direction, identical, floor):
+        a = Box3D(*centre, 0.0, *size_a, 1.5, yaw_a)
+        if identical:
+            b = replace(a, z=1.0, h=2.0)
+        else:
+            distance = reach * (circumradius(a) + 0.5 * math.hypot(*size_b))
+            b = Box3D(a.x + distance * math.cos(direction), a.y + distance * math.sin(direction), 0.0, *size_b, 1.5,
+                      yaw_b)
+        fa, fb = footprints(a), footprints(b)
+        keeps = iou_can_reach(fa, fb, floor)
+        assert keeps.tolist() == iou_can_reach(fb, fa, floor).tolist()
+        ious = [bev_iou(a, b), bev_iou(b, a), clipped(a, b), clipped(b, a)]
+        if max(ious) >= floor:
+            assert keeps.tolist() == [True], ious
+
+    def test_drops_pairs_that_cannot_reach_the_floor_and_keeps_every_pair_at_floor_zero(self):
+        a = Box3D(0.0, 0.0, 0.0, 2.0, 4.0, 1.5, 0.0)
+        # side by side, circumcircles overlapping: IoU 1/7
+        b = replace(a, y=1.5)
+        assert bev_iou(a, b) == pytest.approx(1 / 7)
+        both = footprints(a, a), footprints(b, a)
+        assert iou_can_reach(*both, 0.5).tolist() == [False, True]
+        assert iou_can_reach(*both, 0.0).tolist() == [True, True]
+        assert iou_can_reach(*both, 0.1).tolist() == [True, True]
+
+    def test_keeps_a_pair_whose_bound_is_nan(self):
+        a = footprints(Box3D(0.0, 0.0, 0.0, 2.0, 4.0, 1.5, 0.0))
+        far = a._replace(x=np.array([math.inf]), magnitude=np.array([math.inf]))
+        assert iou_can_reach(a, far, 0.5).tolist() == iou_can_reach(far, a, 0.5).tolist() == [True]

@@ -11,7 +11,7 @@ and each seed, the commands run in process, in a temporary directory:
 - `boxfuse fuse` of the detections under every preset of `fusion.PRESETS`,
   so weighted NMS is covered at each preset's IoU thresholds;
 - `boxfuse eval` of the benchmark's preset: its text and CSV over the
-  benchmark's evaluation window;
+  benchmark's evaluation window, at each IoU of `EVAL_IOUS`;
 - `boxfuse inverse` of the ground truth under each motion model;
 - `boxfuse inverse` of the detections under each motion model, whose noisy
   poses take multi-iteration bicycle fits and whose drops leave track gaps;
@@ -47,6 +47,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
+# below, at and above the subset filter's IoU of 0.5; 0.7 is the Waymo vehicle IoU
+EVAL_IOUS = ("0.3", "0.5", "0.7")
 # straight, turning left at the default radius, turning right
 TRAJ_RADII = ("0", "20", "-15")
 
@@ -112,10 +114,13 @@ def workload_digests(main, models, presets, workload, preset: str, first: int, s
     gt_win, raw_win, fused_win = (_window(path, work / f"{path.stem}-window.jsonl", window)
                                   for path in (gt, det, fused))
     csv = work / "report.csv"
-    text = _run(main, ["eval", "--gt", str(gt_win), "--raw", str(raw_win), "--fused", str(fused_win),
-                       "--iou", "0.5", "--output", str(csv)])
-    out["eval-text"] = _digest(text.encode("utf-8"))
-    out["eval-csv"] = _digest(csv.read_bytes())
+    for iou in EVAL_IOUS:
+        text = _run(main, ["eval", "--gt", str(gt_win), "--raw", str(raw_win), "--fused", str(fused_win),
+                           "--iou", iou, "--output", str(csv)])
+        # the keys of IoU 0.5 keep their names from before the other IoUs were added
+        suffix = "" if iou == "0.5" else f"-iou-{iou}"
+        out[f"eval-text{suffix}"] = _digest(text.encode("utf-8"))
+        out[f"eval-csv{suffix}"] = _digest(csv.read_bytes())
     for model in models:
         for key, source in ((f"inverse-{model}", gt), (f"inverse-det-{model}", det)):
             inverse = work / f"{key}.jsonl"
