@@ -90,18 +90,17 @@ def _frame_overlaps(
 ) -> _Overlaps:
     """IoU table of one frame, calling bev_iou(gt box, det box) once per same-label candidate pair it keeps.
 
-    Above a floor of 0, a pair is kept unless geometry.iou_can_reach proves
-    its IoU below the floor, so the table holds every pair with IoU >= floor.
-    The calls go in table order. gt_boxes are gt's Box3Ds when the caller has
-    built them already.
+    A pair is kept unless geometry.iou_can_reach proves its IoU below the
+    floor, so the table holds every pair with IoU >= floor, and at a floor of
+    0 every pair. The calls go in table order. gt_boxes are gt's Box3Ds when
+    the caller has built them already.
     """
     gt_circles, det_circles = _circles(gt), _circles(det)
     det_index, gt_index = candidate_pairs(*det_circles, *gt_circles)
     keep = det.label[det_index] == gt.label[gt_index]
-    if floor > 0.0:
-        gt_footprints = Footprints.of(gt.boxes, gt_circles[2]).take(gt_index[keep])
-        det_footprints = Footprints.of(det.boxes, det_circles[2]).take(det_index[keep])
-        keep[keep] = iou_can_reach(gt_footprints, det_footprints, floor)
+    gt_footprints = Footprints.of(gt.boxes, gt_circles[2]).take(gt_index[keep])
+    det_footprints = Footprints.of(det.boxes, det_circles[2]).take(det_index[keep])
+    keep[keep] = iou_can_reach(gt_footprints, det_footprints, floor)
     det_index, gt_index = det_index[keep], gt_index[keep]
     if gt_boxes is None:
         gt_boxes = gt.box_objects()

@@ -355,7 +355,8 @@ def iou_can_reach(a: Footprints, b: Footprints, floor: float) -> np.ndarray:
     overlap of either with the other's shadow on its axes; IoU >= floor
     needs intersection >= floor * (A_a + A_b) / (1 + floor). The bound is
     symmetric in a and b, bit for bit, and a pair whose bound is NaN (far-field
-    overflow) is kept.
+    overflow) is kept. At a floor of 0 (or -0.0) every pair is kept: the bound
+    is never negative, and 0 * inf is NaN.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         bound = np.minimum(_shadow_overlap(a, b), _shadow_overlap(b, a))

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from boxfuse import evaluation
 from boxfuse.frames import DetectionColumns
-from boxfuse.geometry import Footprints, circumradius, iou_can_reach
+from boxfuse.geometry import Footprints, bev_iou, circumradius, iou_can_reach
 from boxfuse import (
     Bicycle,
     Box3D,
@@ -478,8 +478,16 @@ class TestColumns:
     def test_a_floored_table_holds_every_pair_at_or_above_its_floor(self, seed, floor):
         gt_frames, det_frames = crowded_scene(seed, n_frames=1)
         gt, det = gt_frames[0].detections, det_frames[0].detections
-        full = set(zip(*(column.tolist() for column in evaluation._frame_overlaps(gt, det, 0.0))))
-        floored = set(zip(*(column.tolist() for column in evaluation._frame_overlaps(gt, det, floor))))
+        # every same-label pair with IoU > 0, from all pairs
+        gt_boxes, det_boxes = gt.box_objects(), det.box_objects()
+        full = {(di, gi, bev_iou(g, d)) for di, d in enumerate(det_boxes) for gi, g in enumerate(gt_boxes)
+                if det.label[di] == gt.label[gi] and bev_iou(g, d) > 0.0}
+
+        def table(floor):
+            return set(zip(*(column.tolist() for column in evaluation._frame_overlaps(gt, det, floor))))
+
+        floored = table(floor)
+        assert table(0.0) == full
         assert floored <= full
         assert {pair for pair in full if pair[2] >= floor} <= floored
 

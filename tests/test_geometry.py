@@ -351,4 +351,13 @@ class TestIouBound:
     def test_keeps_a_pair_whose_bound_is_nan(self):
         a = footprints(Box3D(0.0, 0.0, 0.0, 2.0, 4.0, 1.5, 0.0))
         far = a._replace(x=np.array([math.inf]), magnitude=np.array([math.inf]))
-        assert iou_can_reach(a, far, 0.5).tolist() == iou_can_reach(far, a, 0.5).tolist() == [True]
+        for floor in (0.0, 0.5):
+            assert iou_can_reach(a, far, floor).tolist() == iou_can_reach(far, a, floor).tolist() == [True]
+
+    def test_keeps_every_pair_at_floor_zero(self):
+        a = footprints(Box3D(0.0, 0.0, 0.0, 2.0, 4.0, 1.5, 0.0))
+        far = a._replace(x=np.array([1e300]), magnitude=np.array([1e300]))
+        huge = a._replace(area=np.array([math.inf]))
+        for other in (far, huge):
+            for floor in (0.0, -0.0):
+                assert iou_can_reach(a, other, floor).tolist() == iou_can_reach(other, a, floor).tolist() == [True]
