@@ -484,6 +484,7 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     threshold = _checked(args, "iou", lambda iou: iou >= 0.0, "non-negative")
+    _checked(args, "iou", lambda iou: iou < 1.0, "below 1")
     gt, raw, fused = (read_frames(_opt(args, dest)) for dest in ("gt", "raw", "fused"))
     report = evaluate_enhancement(gt, raw, fused, threshold)
     print(report.to_text())

@@ -124,6 +124,9 @@ def _require_iou_threshold(value: float) -> None:
     # zero-IoU pairs are never looked at, so they must never pass the threshold
     if not value >= 0.0:
         raise ValueError(f"IoU threshold must be non-negative, got {value!r}")
+    # a match needs an IoU above the threshold, and no IoU exceeds 1
+    if not value < 1.0:
+        raise ValueError(f"IoU threshold must be below 1, got {value!r}")
 
 
 def _greedy_match(score: np.ndarray, overlaps: _Overlaps, n_gt: int, iou_threshold: float) -> MatchResult:

@@ -28,11 +28,13 @@ bicycle averages slip wrap-aware around the cluster seed's). The per-pose
 `forward` (also bound as `forward_cv`, `forward_unicycle` and
 `forward_bicycle`) is a one-row call of `forward_columns`, and the pose-pair
 inverses `inverse_cv` and `inverse_unicycle` are one-row calls of their
-vectorized `inverse_columns`; the bicycle's fits one pose pair at a time
-through the module function `inverse_bicycle`, looked up at call time, so a
-wrapper bound at that name sees every fit. `estimate_param_columns` fits the pose pairs of
-many tracks at once, each distinct pair once. `MODELS` maps each name to its
-class; the rest of the package consults only that table.
+vectorized `inverse_columns`; the bicycle's fits each distinct pose pair once,
+keyed by the bits of its eight inputs (x0, y0, h0, x1, y1, h1, dt, arm), and
+copies the fit to the pair's repeats. Each fit goes through the module
+function `inverse_bicycle`, looked up at call time, so a wrapper bound at that
+name sees every distinct fit. `estimate_param_columns` estimates the pose
+pairs of many tracks at once. `MODELS` maps each name to its class; the rest
+of the package consults only that table.
 """
 
 from __future__ import annotations
@@ -299,24 +301,32 @@ class Bicycle:
 
     @staticmethod
     def inverse_columns(x0, y0, h0, x1, y1, h1, dt, rear_axle=None) -> np.ndarray:
-        """One Gauss-Newton fit per pose pair, in order; rear_axle is one arm or one per pair."""
+        """One Gauss-Newton fit per distinct pose pair; rear_axle is one arm or one per pair.
+
+        Pairs are keyed by the bits of their eight inputs (x0, y0, h0, x1, y1,
+        h1, dt, arm), so -0.0 and 0.0, equal as values but able to fit to
+        different bits, stay apart. Each key's first row is fitted, in row
+        order, and its fit is copied to the key's other rows; a failing fit
+        is raised with `pair` set to that first row, which is the first
+        failing row."""
         n = len(dt)
-        out = np.empty((n, 3))
         if n == 0:
-            return out
+            return np.empty((0, 3))
         if rear_axle is None or not (np.asarray(rear_axle) > 0.0).all():
             raise ValueError(_NEEDS_ARM)
-        arms = np.broadcast_to(np.asarray(rear_axle, dtype=float), (n,)).tolist()
-        pairs = zip(x0.tolist(), y0.tolist(), h0.tolist(), x1.tolist(), y1.tolist(), h1.tolist(),
-                    dt.tolist(), arms)
-        for k, (a, b, c, d, e, f, t, arm) in enumerate(pairs):
+        inputs = np.stack([x0, y0, h0, x1, y1, h1, dt, np.broadcast_to(rear_axle, (n,))], axis=1, dtype=float)
+        _, first, key = np.unique(inputs.view(np.dtype((np.void, 64))).ravel(), return_index=True,
+                                  return_inverse=True)
+        fits = np.empty((len(first), 3))
+        for u in np.argsort(first).tolist():
+            a, b, c, d, e, f, t, arm = inputs[first[u]].tolist()
             try:
-                # looked up at call time, so a wrapper bound at the module name sees every fit
+                # looked up at call time, so a wrapper bound at the module name sees every distinct fit
                 fit = inverse_bicycle(Pose(a, b, c), Pose(d, e, f), t, arm)[0]
             except (ValueError, FitDivergence) as exc:
-                raise _at_pair(exc, k)
-            out[k] = fit.speed, fit.slip, fit.rear_axle
-        return out
+                raise _at_pair(exc, int(first[u]))
+            fits[u] = fit.speed, fit.slip, fit.rear_axle
+        return fits[key]
 
     @staticmethod
     def speed_radius_columns(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -655,8 +665,10 @@ def estimate_param_columns(times, x, y, heading, counts, model: str, rear_axle=N
 
     Track k is the next counts[k] rows, in time order, with headings wrapped
     to (-pi, pi]. Interior rows use their straddling pair (i-1, i+1), the
-    endpoints their single adjacent pair, and each distinct pair is fitted
-    once, in row order (both rows of a two-pose track share their pair).
+    endpoints their single adjacent pair; the bicycle inverse fits each
+    distinct input once (see Bicycle.inverse_columns), so the rows of a
+    stationary run, both rows of a two-pose track and repeats across tracks
+    share one fit.
     `model` names the inverse (a key of MODELS); the bicycle inverse also
     needs the fixed rear_axle arm, given once or per track, which the other
     models ignore. Returns an (n, k) array in the model's field order.
@@ -679,14 +691,11 @@ def estimate_param_columns(times, x, y, heading, counts, model: str, rear_axle=N
     failed = int(np.argmax(bad)) if bad.any() else None
     rows = np.arange(len(times) if failed is None else first[failed])
     track = track[rows]
-    j0 = rows - (rows > first[track])
-    j1 = rows + (rows < first[track] + counts[track] - 1)
-    fresh = np.ones(len(rows), dtype=bool)
-    fresh[1:] = (j0[1:] != j0[:-1]) | (j1[1:] != j1[:-1])
-    a, b = j0[fresh], j1[fresh]
+    a = rows - (rows > first[track])
+    b = rows + (rows < first[track] + counts[track] - 1)
     arm = rear_axle
     if arm is not None:
-        arm = np.broadcast_to(np.asarray(arm, dtype=float), counts.shape)[track[fresh]]
+        arm = np.broadcast_to(np.asarray(arm, dtype=float), counts.shape)[track]
     x, y, heading = (np.asarray(v, dtype=float) for v in (x, y, heading))
     try:
         # an overflowing fit is caught by the row check below
@@ -701,12 +710,12 @@ def estimate_param_columns(times, x, y, heading, counts, model: str, rear_axle=N
                 raise _at_pair(exc, pair) from None
     except (ValueError, FitDivergence) as exc:
         if hasattr(exc, "pair"):
-            exc.track = int(track[fresh][exc.pair])
+            exc.track = int(track[exc.pair])
         raise
     if failed is not None:
         reason = "need at least two poses" if counts[failed] < 2 else "timestamps must strictly increase"
         raise TrackFitError(reason, failed)
-    return params[np.cumsum(fresh) - 1]
+    return params
 
 
 def estimate_params_from_track(

@@ -24,6 +24,8 @@ once: generate_mixed_scene fits each group with its own model and arm from
 the world poses, and a refit of a scene without ego motion sees the same
 poses, times and lengths, so a track whose group already has the model and
 the arm of the refit keeps its parameters, and only the others are fitted.
+Within a fit, the bicycle inverse fits each distinct pose pair once, so a
+stationary vehicle's repeated pairs share one Gauss-Newton fit.
 """
 
 from __future__ import annotations

@@ -359,7 +359,8 @@ def crowded_scene(seed: int, n_frames: int = 3, n_gt: int = 24):
 
 class TestAgainstAllPairsReference:
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.5, 0.7, 1.0])
+    # 0.9 is the highest: a threshold of 1 or more is rejected (test_threshold_of_one_or_more_rejected)
+    @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.5, 0.7, 0.9])
     def test_match_frame(self, seed, threshold):
         gt_frames, det_frames = crowded_scene(seed)
         for gt, dd in zip(gt_frames, det_frames):
@@ -411,6 +412,20 @@ class TestAgainstAllPairsReference:
         with pytest.raises(ValueError, match="non-negative"):
             filter_detections_to_subset(det_frames, gt_frames, threshold)
         with pytest.raises(ValueError, match="non-negative"):
+            evaluate_enhancement(gt_frames, det_frames, det_frames, threshold)
+        assert calls == []
+
+    @pytest.mark.parametrize("threshold", [1.0, 1.5, math.inf])
+    def test_threshold_of_one_or_more_rejected(self, threshold, monkeypatch):
+        # no IoU exceeds 1, so such a threshold would match nothing and read as AP 0
+        gt_frames, det_frames = crowded_scene(0, n_frames=1)
+        calls = []
+        monkeypatch.setattr(evaluation, "bev_iou", lambda a, b: calls.append((a, b)))
+        with pytest.raises(ValueError, match="below 1"):
+            match_frame(gt_frames[0], det_frames[0], threshold)
+        with pytest.raises(ValueError, match="below 1"):
+            filter_detections_to_subset(det_frames, gt_frames, threshold)
+        with pytest.raises(ValueError, match="below 1"):
             evaluate_enhancement(gt_frames, det_frames, det_frames, threshold)
         assert calls == []
 

@@ -990,6 +990,7 @@ class TestOptionErrors:
         (["fuse", "--preset", "nope"],
          "--preset (BOXFUSE_PRESET): preset must be one of multi-method, nuscenes, waymo-default, got 'nope'"),
         (["eval", "--iou", "-0.5"], "--iou (BOXFUSE_IOU): iou must be non-negative, got -0.5"),
+        (["eval", "--iou", "1.5"], "--iou (BOXFUSE_IOU): iou must be below 1, got 1.5"),
         (["synth", "--vehicles", "0"], "--vehicles (BOXFUSE_VEHICLES): vehicles must be at least 1, got 0"),
         (["synth", "--seed", "-1"], "--seed (BOXFUSE_SEED): seed must be non-negative, got -1"),
         (["synth", "--stationary-frac", "0", "--straight-frac", "0", "--turning-frac", "0"],

@@ -41,6 +41,7 @@ from boxfuse import (
     reattach_params,
     transform_box,
 )
+from boxfuse.geometry import normalize_angle
 from boxfuse.io import dumps_line, frame_to_obj
 from boxfuse.motion import HALF_PI, MODELS, estimate_param_columns, estimate_params_from_track
 from boxfuse.synth import _motion_in_ego, reattach_scene_params
@@ -257,15 +258,22 @@ def test_one_row_inverses_equal_the_frozen_scalar_inverses(p0, p1, turn, t):
             assert expected[0] is ValueError and "must be finite" in expected[1]
 
 
-def test_bicycle_fits_go_through_the_module_function_and_diverge_per_pair(monkeypatch):
-    real = motion.inverse_bicycle
+def counted_fits(monkeypatch, fit=None):
+    """The input tuples of every motion.inverse_bicycle call, with `fit` (the real fit by default) behind it."""
+    fit = fit or motion.inverse_bicycle
     calls = []
 
-    def one_step(p0, pt, t, rear_axle):
-        calls.append((p0, pt))
-        return real(p0, pt, t, rear_axle, max_iter=1)
+    def counted(*args):
+        calls.append(args)
+        return fit(*args)
 
-    monkeypatch.setattr(motion, "inverse_bicycle", one_step)
+    monkeypatch.setattr(motion, "inverse_bicycle", counted)
+    return calls
+
+
+def test_bicycle_fits_go_through_the_module_function_and_diverge_per_pair(monkeypatch):
+    real = motion.inverse_bicycle
+    calls = counted_fits(monkeypatch, lambda *args: real(*args, max_iter=1))
     exact = Bicycle(8.0, 0.1, 1.2)
     start = Pose(0.0, 0.0, 0.3)
     diverging = Pose(1.0, 0.4, 0.9)
@@ -281,14 +289,7 @@ def test_bicycle_fits_go_through_the_module_function_and_diverge_per_pair(monkey
 
 
 def test_each_distinct_pair_is_fitted_once(monkeypatch):
-    real = motion.inverse_bicycle
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(motion, "inverse_bicycle", counted)
+    calls = counted_fits(monkeypatch)
     gen = Bicycle(9.0, 0.15, 1.2)
     tracks = []
     for n, start in zip((2, 3, 4, 2), (Pose(0.0, 0.0, 0.0), Pose(5.0, 1.0, 2.0), Pose(-3.0, 4.0, -2.5), Pose(1.0, 1.0, 1.0))):
@@ -302,6 +303,94 @@ def test_each_distinct_pair_is_fitted_once(monkeypatch):
     expected = [fit for track in tracks for fit in estimate_params_from_track_reference(*track, "bicycle", 1.2)]
     assert len(calls) == 2 + 3 + 4 + 2
     assert [Bicycle(*row) for row in rows.tolist()] == expected
+
+
+def test_repeated_pairs_are_fitted_once_in_order_of_first_occurrence(monkeypatch):
+    start, gen = Pose(1.0, 2.0, 0.4), Bicycle(7.0, -0.1, 1.3)
+    ends = [forward(start, gen, t) for t in (0.1, 0.2, 0.3)]
+    # first seen in the order 1, 0, 2, which is not the order of their bits
+    p1 = [ends[k] for k in (1, 0, 1, 2, 0, 1)]
+    expected = [inverse_reference("bicycle", start, end, 0.1, 1.3) for end in p1]
+    calls = counted_fits(monkeypatch)
+    rows = Bicycle.inverse_columns(*pose_columns([start] * len(p1)), *pose_columns(p1), np.full(len(p1), 0.1), 1.3)
+    assert [call[1] for call in calls] == [ends[1], ends[0], ends[2]]
+    assert [Bicycle(*row) for row in rows.tolist()] == expected
+
+
+def test_a_zero_heading_of_either_sign_is_its_own_pair(monkeypatch):
+    # equal as values, so only the bits tell the two pairs apart
+    starts = [Pose(0.0, 0.0, 0.0), Pose(0.0, 0.0, -0.0), Pose(0.0, 0.0, 0.0)]
+    end = Pose(0.9, 0.05, 0.02)
+    calls = counted_fits(monkeypatch)
+    rows = Bicycle.inverse_columns(*pose_columns(starts), *pose_columns([end] * 3), np.full(3, 0.1), 1.2)
+    assert [math.copysign(1.0, call[0].heading) for call in calls] == [1.0, -1.0]
+    # repr tells -0.0 from 0.0, so equal reprs are equal bits
+    assert [repr(Bicycle(*row)) for row in rows.tolist()] == [
+        repr(inverse_reference("bicycle", p0, end, 0.1, 1.2)) for p0 in starts]
+
+
+def test_a_failing_pair_repeated_in_a_later_track_names_the_earlier_track(monkeypatch):
+    real = motion.inverse_bicycle
+    bad = Pose(9.0, 0.0, 0.0)
+
+    def fails_on_bad(p0, pt, t, rear_axle):
+        if bad in (p0, pt):
+            raise ValueError("no fit")
+        return real(p0, pt, t, rear_axle)
+
+    good = [Pose(0.0, 0.0, 0.0), Pose(1.0, 0.0, 0.0), Pose(2.0, 0.0, 0.0)]
+    failing = [Pose(8.0, 0.0, 0.0), bad]
+    calls = counted_fits(monkeypatch, fails_on_bad)
+    poses = good + failing + good + failing
+    with pytest.raises(ValueError, match="no fit") as raised:
+        estimate_param_columns([0.0, 0.1, 0.2, 0.0, 0.1] * 2, *pose_columns(poses), [3, 2, 3, 2], "bicycle", 1.2)
+    assert (raised.value.track, raised.value.pair) == (1, 3)
+    # the good track's three pairs, then the failing pair, which both of its rows share
+    assert len(calls) == 4
+
+
+@st.composite
+def stationary_tracks(draw):
+    """Tracks of 2-8 poses that often stay put, at gaps that often repeat, and perhaps a repeated track."""
+    heading = st.sampled_from([0.0, -0.0]) | st.floats(-math.pi, math.pi)
+    tracks = []
+    for _ in range(draw(st.integers(1, 4))):
+        poses = [Pose(draw(COORD), draw(COORD), draw(heading))]
+        times = [draw(st.sampled_from([0.0, 0.5, 100.0]))]
+        for _ in range(draw(st.integers(1, 7))):
+            prev = poses[-1]
+            if not draw(st.booleans()):
+                step = draw(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-0.3, 0.3)))
+                prev = Pose(prev.x + step[0], prev.y + step[1], normalize_angle(prev.heading + step[2]))
+            poses.append(prev)
+            times.append(times[-1] + draw(st.sampled_from([0.1, 0.1, 0.2])))
+        tracks.append((times, poses))
+    if draw(st.booleans()):
+        tracks.append(draw(st.sampled_from(tracks)))
+    return tracks
+
+
+@settings(max_examples=150, deadline=None)
+@given(tracks=stationary_tracks())
+def test_stationary_runs_fit_like_the_per_track_reference(tracks):
+    expected = []
+    for k, (times, poses) in enumerate(tracks):
+        try:
+            expected += [repr(fit) for fit in estimate_params_from_track_reference(times, poses, "bicycle", 1.2)]
+        except (ValueError, FitDivergence) as exc:
+            expected = type(exc), str(exc), k
+            break
+    times = [t for track_times, _ in tracks for t in track_times]
+    poses = [p for _, track_poses in tracks for p in track_poses]
+    try:
+        rows = estimate_param_columns(times, *pose_columns(poses), [len(t) for t, _ in tracks], "bicycle", 1.2)
+    except (ValueError, FitDivergence) as exc:
+        got = type(exc), str(exc), exc.track
+    else:
+        # repr tells -0.0 from 0.0, so equal reprs are equal bits
+        got = [repr(Bicycle(*row)) for row in rows.tolist()]
+    event("fitted" if type(got) is list else "raised")
+    assert got == expected
 
 
 @pytest.mark.parametrize("times,message", [

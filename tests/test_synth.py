@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import struct
 
 import pytest
 
@@ -311,14 +312,24 @@ def test_synth_detections_equal_the_full_refit(tmp_path, model, rear_axle, spec)
     assert det_path.read_text().splitlines()[1:] == [dumps_line(frame_to_obj(f)) for f in full]
 
 
-# track fits per scene: the ground truth fits its bicycle tracks, and synth
-# fits again only the tracks whose model or arm differs from the refit's
-@pytest.mark.parametrize("spec,rear_axle,track_fits", [
-    (None, None, 10 + 10),  # 10 turning tracks, then the 10 cv ones
-    (ARM_SPEC, 1.5, 8 + 3 + 3 + 2),  # the arm 1.5 group is kept
-    (ARM_SPEC, None, 8 + 3 + 3 + 3),  # the straight group, of the default arm, is kept
-])
-def test_bicycle_synth_fits_each_track_once(tmp_path, monkeypatch, spec, rear_axle, track_fits):
+def pair_keys(times, poses, arm) -> list[bytes]:
+    """The bits of each row's pose-pair inputs (x0, y0, h0, x1, y1, h1, dt, arm),
+    the pairs of estimate_param_columns: interior rows take their straddling
+    pair, the endpoints their adjacent one."""
+    last = len(times) - 1
+    keys = []
+    for i in range(len(times)):
+        j0, j1 = max(i - 1, 0), min(i + 1, last)
+        keys.append(struct.pack("8d", *poses[j0], *poses[j1], times[j1] - times[j0], arm))
+    return keys
+
+
+# the ground truth fits its bicycle groups, and synth fits again only the
+# tracks whose model or arm differs from the refit's (10 turning tracks, then
+# the 10 cv ones; with the spec, the arm 1.5 group or the straight group of
+# the default arm is kept)
+@pytest.mark.parametrize("spec,rear_axle", [(None, None), (ARM_SPEC, 1.5), (ARM_SPEC, None)])
+def test_bicycle_synth_fits_each_track_once(tmp_path, monkeypatch, spec, rear_axle):
     real = motion.inverse_bicycle
     calls = []
 
@@ -335,5 +346,25 @@ def test_bicycle_synth_fits_each_track_once(tmp_path, monkeypatch, spec, rear_ax
         (tmp_path / "spec.json").write_text(json.dumps(spec))
         flags += ["--spec", str(tmp_path / "spec.json")]
     gt, _ = run_synth(tmp_path, *flags)
-    # a track of n >= 3 poses has n distinct pose pairs, each fitted once
-    assert len(calls) == track_fits * len(read_frames(gt))
+    groups, _ = _spec_scene({"groups": read_meta(gt)["groups"], "corruption": {}})
+    frames = read_frames(gt)
+    times = [frame.timestamp for frame in frames]
+    owner = [(g, group_spec) for g, (group_spec, count) in enumerate(groups) for _ in range(count)]
+    fits = {}  # the distinct pairs of each fit call: one per bicycle group of the ground truth, one refit
+    moving = []
+    for k, (g, spec_k) in enumerate(owner):
+        # the k-th vehicle of the groups is the k-th row of every frame
+        track = [tuple(frame.detections.boxes[k, [0, 1, 6]].tolist()) for frame in frames]
+        arm = motion.default_rear_axle(spec_k.box_size[1]) if rear_axle is None else rear_axle
+        calls_k = [(g, spec_k.rear_axle_or_default)] if spec_k.model == "bicycle" else []
+        if spec_k.model != "bicycle" or spec_k.rear_axle_or_default != arm:
+            calls_k.append(("refit", arm))
+        for call, call_arm in calls_k:
+            keys = pair_keys(times, track, call_arm)
+            fits.setdefault(call, set()).update(keys)
+            if len(set(track)) > 1:
+                moving.append(keys)
+    got = [struct.pack("8d", p0.x, p0.y, p0.heading, pt.x, pt.y, pt.heading, t, l_r) for p0, pt, t, l_r in calls]
+    assert sorted(got) == sorted(key for keys in fits.values() for key in keys)
+    # a moving track of n >= 3 poses has n distinct pose pairs, each fitted once
+    assert moving and all(len(set(keys)) == len(frames) for keys in moving)
