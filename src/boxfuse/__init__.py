@@ -37,7 +37,6 @@ from .geometry import (
     Box3D,
     EgoPose,
     Pose,
-    bev_corners,
     bev_iou,
     normalize_angle,
     transform_box,
@@ -58,10 +57,7 @@ from .motion import (
     Unicycle,
     estimate_params_from_track,
     forward,
-    forward_bicycle,
     forward_box,
-    forward_cv,
-    forward_unicycle,
     inverse_bicycle,
     inverse_cv,
     inverse_unicycle,

@@ -7,6 +7,9 @@ environment variable BOXFUSE_ plus the flag name (BOXFUSE_DECAY for --decay,
 BOXFUSE_L_R for --l-r), then the --config file (fuse only), then the
 --preset or the table default. Environment and config values are checked
 with the flag's type and choices, and a config value keeps its JSON form.
+Every number of a --config or --spec file, and a vehicle count, is checked
+by the rule the frame reader applies to frame numbers (io.json_column), so
+one beyond float range is rejected as it is in a frame.
 Exit codes: 0 success, 1 usage error, 2 data error. All commands are
 deterministic given their inputs, flags and seed; output files carry a meta
 header echoing the resolved configuration, and the fuse and inverse headers
@@ -40,7 +43,9 @@ from .io import (
     dumps_line,
     frame_line,
     frame_to_obj,
+    is_number,
     iter_frames,
+    json_column,
     read_frames,
     write_frames,
 )
@@ -251,12 +256,13 @@ def _positive(value) -> bool:
 _JSON_TYPES = {float: "a number", int: "an integer", str: "a non-empty string"}
 
 
-def _fits(value, hint) -> bool:
-    """Whether a parsed JSON value has the type `hint`: float (any number but a
-    boolean), int, str (non-empty), None, a union, or a tuple (a list of fixed
-    length, or of any length for tuple[X, ...])."""
+def _fits(value, hint, where: str) -> bool:
+    """Whether a parsed JSON value has the type `hint`: float (a JSON number),
+    int, str (non-empty), None, a union, or a tuple (a list of fixed length, or
+    of any length for tuple[X, ...]). A number for a float goes through the
+    frame reader's rule, whose ValueError names `where` when it is beyond float range."""
     if hint is float:
-        return type(value) in (int, float)
+        return is_number(value) and json_column([value], lambda k: where) is not None
     if hint is int:
         return type(value) is int
     if hint is str:
@@ -268,14 +274,14 @@ def _fits(value, hint) -> bool:
         if type(value) is not list:
             return False
         if args[-1] is Ellipsis:
-            return all(_fits(item, args[0]) for item in value)
-        return len(value) == len(args) and all(map(_fits, value, args))
-    return any(_fits(value, arg) for arg in args)
+            return all(_fits(item, args[0], where) for item in value)
+        return len(value) == len(args) and all(_fits(item, arg, where) for item, arg in zip(value, args))
+    return any(_fits(value, arg, where) for arg in args)
 
 
 def _check_json(value, hint, where: str, choices: tuple | None = None) -> None:
     """ValueError naming `where` unless value fits `hint` (and is one of `choices`, if any)."""
-    if not _fits(value, hint) or (choices and value not in choices):
+    if not _fits(value, hint, where) or (choices and value not in choices):
         expected = f"one of {', '.join(choices)}" if choices else _JSON_TYPES.get(hint, str(hint))
         raise ValueError(f"{where} must be {expected}, got {value!r}")
 
@@ -377,6 +383,10 @@ def _allocate_counts(total: int, fractions: Sequence[float]) -> list[int]:
 
 def _synth_groups(args: argparse.Namespace, rear_axle: float | None) -> list[tuple[TrajectorySpec, int]]:
     total = _checked(args, "vehicles", lambda n: n >= 1, "at least 1")
+    try:
+        json_column([total], lambda k: "vehicles")  # the allocation takes the count as a float
+    except ValueError as exc:
+        raise _option_error(args, ("vehicles",), exc) from None
     mix = ("stationary_frac", "straight_frac", "turning_frac")
     fracs = [_checked(args, dest, lambda f: 0.0 <= f < math.inf, "finite and non-negative") for dest in mix]
     if not sum(fracs) > 0.0:
@@ -442,6 +452,7 @@ def _spec_scene(raw) -> tuple[list[tuple[TrajectorySpec, int]], CorruptionSpec]:
         count = _known_keys(group, ("spec", "count"), where).get("count")
         if type(count) is not int or count < 0:
             raise ValueError(f"{where}: key 'count' must be a JSON integer >= 0, got {count!r}")
+        json_column([count], lambda k: f"{where}: key 'count'")  # the scene lays vehicles out with float counts
         groups.append((_spec_from_obj(TrajectorySpec, group.get("spec"), f"{where}: key 'spec'"), count))
     return groups, _spec_from_obj(CorruptionSpec, raw.get("corruption", {}), "--spec: key 'corruption'")
 

@@ -136,7 +136,8 @@ class Box3D:
 
 
 def _corners(box: Box3D) -> tuple[tuple[float, float], ...]:
-    """BEV footprint corners as plain tuples, counter-clockwise."""
+    """BEV footprint corners as plain tuples, counter-clockwise; the first two bound the +heading face,
+    with extents l along the heading axis and w across it."""
     c = math.cos(box.yaw)
     s = math.sin(box.yaw)
     hl = 0.5 * box.l
@@ -150,15 +151,6 @@ def _corners(box: Box3D) -> tuple[tuple[float, float], ...]:
         (x - cl - sw, y - sl + cw),
         (x - cl + sw, y - sl - cw),
     )
-
-
-def bev_corners(box: Box3D) -> np.ndarray:
-    """Counter-clockwise corners of the BEV footprint, shape (4, 2).
-
-    The first two corners bound the +heading face; extents are l along the
-    heading axis and w across it.
-    """
-    return np.array(_corners(box), dtype=float)
 
 
 def _polygon_area(points) -> float:

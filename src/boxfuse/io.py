@@ -22,10 +22,14 @@ writers write from them, with no per-detection objects, so the numbers of
 Detections given to a Frame are written as floats. dumps_frame writes a
 frame line from the columns with one %-format per row pattern (the motion
 model and the optional keys written); frame_to_obj is the frame as a dict,
-and dumps_line(frame_to_obj(frame)) gives the same bytes. The reader
-checks every JSON type (a number is an int or float within float range,
-never a string or boolean; integer fields take integral values only,
-within int64 except track_id; the class is a string) and every value a
+and dumps_line(frame_to_obj(frame)) gives the same bytes.
+
+Every number the reader takes, in a detection, a timestamp or the ego pose,
+goes through one conversion, json_column: its JSON type first (a number is
+an int or float, never a string or boolean; integer fields take integral
+values only), then its range (float range; int64 for the integer fields but
+track_id). The CLI checks the numbers of --config and --spec files with it
+too. The reader also checks that the class is a string and every value a
 Detection would check, and names the line and detection of the first
 fault, in row order whatever each row's motion model.
 """
@@ -167,7 +171,7 @@ def dumps_frame(frame: Frame) -> str:
 # The reader checks JSON types itself: numpy would turn "0.5" and true into numbers.
 
 
-def _is_number(value) -> bool:
+def is_number(value) -> bool:
     return type(value) is float or type(value) is int
 
 
@@ -192,53 +196,57 @@ def _fits_float(value) -> bool:
     return -2**1024 + 2**970 < value < 2**1024 - 2**970
 
 
-_EXPECTED = {_is_number: "be a number", _is_integer: "be an integer", _is_string: "be a string",
+_EXPECTED = {is_number: "be a number", _is_integer: "be an integer", _is_string: "be a string",
              _is_object: "be a JSON object", _fits_int64: "fit in int64", _fits_float: "fit in a float"}
 
 
-def _require(values: list, accept, what: str, width: int = 1, rows=None) -> None:
-    """ValueError naming the detection of the first value that `accept` rejects.
-
-    Every `width` consecutive values belong to one detection, the k-th group
-    to detection rows[k] (to detection k when rows is None).
-    """
+def _require(values: list, accept, name) -> None:
+    """ValueError naming, as name(k), the first value k that `accept` rejects."""
     if all(map(accept, values)):
         return
     k = next(k for k, value in enumerate(values) if not accept(value))
-    row = k // width if rows is None else rows[k // width]
-    raise ValueError(f"detection {row}: {what} must {_EXPECTED[accept]}, got {values[k]!r}")
+    raise ValueError(f"{name(k)} must {_EXPECTED[accept]}, got {values[k]!r}")
 
 
-def _floats(values: list, what: str, width: int = 1, rows=None) -> np.ndarray:
-    if not set(map(type, values)) <= {float, int}:
-        _require(values, _is_number, what, width, rows)
+def _detection_key(key: str, rows=None, width: int = 1):
+    """The name of value k as `key` of detection rows[k // width], of detection k // width when rows is None."""
+    return lambda k: f"detection {k // width if rows is None else rows[k // width]}: {key}"
+
+
+# The JSON number rule, per column dtype: the JSON type check, then the range check where there is one.
+_NUMBER_RULES = {np.dtype(float): (is_number, _fits_float), np.dtype(np.int64): (_is_integer, _fits_int64),
+                 np.dtype(object): (_is_integer,)}
+
+
+def json_column(values: list, name, dtype=float) -> np.ndarray:
+    """JSON numbers as a column of dtype: float, np.int64, or object for integers of any size.
+
+    The one rule for a number the program reads: a float is any JSON number
+    (never a string or boolean) within float range, an integer an integral
+    number, within int64 for an int64 column. ValueError names, as name(k),
+    the first value k that fails a check, the type check first.
+    """
+    accept_type, *accept_range = _NUMBER_RULES[np.dtype(dtype)]
+    # for a float column, one set of the types present checks faster than a call per value
+    if accept_type is not is_number or not set(map(type, values)) <= {float, int}:
+        _require(values, accept_type, name)
+    if not accept_range:
+        return object_array(list(map(int, values)))
     try:
-        return np.array(values, dtype=float)
+        return np.array(values, dtype=dtype)
     except OverflowError:
-        _require(values, _fits_float, what, width, rows)
+        _require(values, accept_range[0], name)
         raise
 
 
-def _optional(objs: list[dict], key: str, absent: np.ndarray, accept=_is_integer) -> np.ndarray:
-    """An optional key's column: its checked values where present and not null, `absent` elsewhere.
-
-    Integral values go into the object column of track ids as Python ints of
-    any size, and into an int64 column only when they fit.
-    """
+def _optional(objs: list[dict], key: str, absent: np.ndarray) -> np.ndarray:
+    """An optional key's column, of absent's dtype: its checked values where present and not null, absent elsewhere."""
     values = list(map(dict.get, objs, repeat(key)))
     if values.count(None) == len(values):
         return absent
     rows = [k for k, value in enumerate(values) if value is not None]
-    values = [values[k] for k in rows]
-    _require(values, accept, key, rows=rows)
-    if accept is _is_number:
-        values = _floats(values, key, rows=rows)
-    elif absent.dtype == object:
-        values = list(map(int, values))
-    elif not -2**63 <= min(values) <= max(values) < 2**63:
-        _require(values, _fits_int64, key, rows=rows)
     column = absent.copy()
-    column[rows] = values
+    column[rows] = json_column([values[k] for k in rows], _detection_key(key, rows), absent.dtype)
     return column
 
 
@@ -256,16 +264,16 @@ def detections_from_objs(objs: list) -> DetectionColumns:
     """
     if type(objs) is not list:
         raise ValueError(f"detections must be a list, got {objs!r}")
-    _require(objs, _is_object, "record")
+    _require(objs, _is_object, _detection_key("record"))
     n = len(objs)
     boxes = list(map(itemgetter("box"), objs))
     if not all(type(box) is list and len(box) == 7 for box in boxes):
         row = next(k for k, box in enumerate(boxes) if type(box) is not list or len(box) != 7)
         raise ValueError(f"detection {row}: box must be a list of 7 numbers, got {boxes[row]!r}")
     labels = list(map(itemgetter("class"), objs))
-    _require(labels, _is_string, "class")
+    _require(labels, _is_string, _detection_key("class"))
     motions = list(map(itemgetter("motion"), objs))
-    _require(motions, _is_object, "motion")
+    _require(motions, _is_object, _detection_key("motion"))
     names = list(map(dict.get, motions, repeat("model")))
     codes = list(map(MODEL_CODES.get, names))
     if None in codes:
@@ -276,18 +284,18 @@ def detections_from_objs(objs: list) -> DetectionColumns:
     values = chain.from_iterable(_MOTION_VALUES[code](motion) for code, motion in zip(codes, motions))
     params = np.zeros((n, PARAM_WIDTH))
     # row by row, the first `width` columns of each, which is the order of the values
-    params[np.arange(PARAM_WIDTH) < width[:, None]] = _floats(list(values), "motion value",
-                                                               rows=np.repeat(np.arange(n), width))
+    params[np.arange(PARAM_WIDTH) < width[:, None]] = json_column(
+        list(values), _detection_key("motion value", np.repeat(np.arange(n), width)))
     absent = _absent(np.zeros(n, dtype=np.int64))
-    weight = _optional(objs, "weight", absent["weight"], _is_number)
+    weight = _optional(objs, "weight", absent["weight"])
     track_id = _optional(objs, "track_id", absent["track_id"])
     frame_lag = _optional(objs, "frame_lag", absent["frame_lag"])
     # n_current's absent value depends on the lags read
     absent = _absent(frame_lag)
     n_current = _optional(objs, "n_current", absent["n_current"])
     return DetectionColumns(
-        _floats(list(chain.from_iterable(boxes)), "box value", 7).reshape(n, 7),
-        _floats(list(map(itemgetter("score"), objs)), "score"),
+        json_column(list(chain.from_iterable(boxes)), _detection_key("box value", width=7)).reshape(n, 7),
+        json_column(list(map(itemgetter("score"), objs)), _detection_key("score")),
         object_array(labels),
         model,
         params,
@@ -299,24 +307,15 @@ def detections_from_objs(objs: list) -> DetectionColumns:
     )
 
 
-def _number(name: str, value) -> float:
-    """A JSON number as a float; ValueError for anything else, booleans, strings and overflowing integers included."""
-    for accept in (_is_number, _fits_float):
-        if not accept(value):
-            raise ValueError(f"{name} must {_EXPECTED[accept]}, got {value!r}")
-    return float(value)
+_EGO = itemgetter("x", "y", "yaw")
+_FRAME_NUMBERS = ("timestamp", "ego x", "ego y", "ego yaw")
 
 
 def frame_from_obj(obj: dict) -> Frame:
-    timestamp = _number("timestamp", obj["timestamp"])
+    timestamp, *ego = json_column([obj["timestamp"], *_EGO(obj["ego"])], _FRAME_NUMBERS.__getitem__).tolist()
     if not math.isfinite(timestamp):
         raise ValueError(f"non-finite timestamp {timestamp!r}")
-    ego = obj["ego"]
-    return Frame(
-        timestamp,
-        EgoPose(*(_number(f"ego {key}", ego[key]) for key in ("x", "y", "yaw"))),
-        detections_from_objs(obj["detections"]),
-    )
+    return Frame(timestamp, EgoPose(*ego), detections_from_objs(obj["detections"]))
 
 
 def dumps_line(obj: dict) -> str:

@@ -25,8 +25,7 @@ into an ego frame) are the model's forward, inverse, speed and turn radius,
 and frame change; `noisy_columns` is detector noise on the parameters; and
 `merge_columns` is the fusion merge, a weighted mean per cluster (the
 bicycle averages slip wrap-aware around the cluster seed's). The per-pose
-`forward` (also bound as `forward_cv`, `forward_unicycle` and
-`forward_bicycle`) is a one-row call of `forward_columns`, and the pose-pair
+`forward` is a one-row call of `forward_columns`, and the pose-pair
 inverses `inverse_cv` and `inverse_unicycle` are one-row calls of their
 vectorized `inverse_columns`; the bicycle's fits each distinct pose pair once,
 keyed by the bits of its eight inputs (x0, y0, h0, x1, y1, h1, dt, arm), and
@@ -420,8 +419,6 @@ def forward(pose: Pose, params: MotionParams, t: float) -> Pose:
                                              param_rows(kind, [params]), t)
     return Pose(float(x[0]), float(y[0]), float(heading[0]))
 
-
-forward_cv = forward_unicycle = forward_bicycle = forward
 
 
 def forward_box(box: Box3D, params: MotionParams, t: float) -> Box3D:

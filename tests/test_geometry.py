@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boxfuse import Box3D, EgoPose, Pose, bev_corners, bev_iou, normalize_angle, transform_box
+from boxfuse import Box3D, EgoPose, Pose, bev_iou, normalize_angle, transform_box
 from boxfuse.geometry import (_CELL_SLACK, _MAX_GRID_CELLS, Footprints, candidate_pairs, circumradius,
                               circumradius_columns, clipped_iou, corner_columns, iou_can_reach)
 
@@ -75,6 +75,12 @@ class TestBox3D:
     def test_array_roundtrip(self):
         box = Box3D(1, 2, 3, 2, 4, 1.5, 0.3)
         assert Box3D.from_array(box.to_array()) == box
+
+
+def bev_corners(box: Box3D) -> np.ndarray:
+    """The (4, 2) corners of one box's BEV footprint: one row of corner_columns."""
+    xs, ys = corner_columns(*(np.array([value]) for value in (box.x, box.y, box.w, box.l, box.yaw)))
+    return np.stack([xs[0], ys[0]], axis=1)
 
 
 class TestBevCorners:

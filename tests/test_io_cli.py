@@ -726,6 +726,10 @@ class TestCli:
         ('{"iou_low": null}', "key 'iou_low' must be a number, got None"),
         ('{"score_strategy": "max"}', "key 'score_strategy' must be one of decay, divide, got 'max'"),
         ('{"decay": 0.5}', "unknown key 'decay'"),
+        pytest.param('{"frame_interval": %d}' % HUGE, f"key 'frame_interval' must fit in a float, got {HUGE}",
+                     id="frame_interval of 10**400"),
+        pytest.param('{"history_score_floor": %d}' % -HUGE, f"key 'history_score_floor' must fit in a float, got {-HUGE}",
+                     id="history_score_floor of -10**400"),
         ("null", "--config must be a JSON object, got None"),
         ('"abc"', "--config must be a JSON object, got 'abc'"),
     ])
@@ -925,6 +929,31 @@ class TestSynthScene:
         assert where in err and key in err
         assert not (tmp_path / "gt.jsonl").exists()
 
+    # (case, spec fields, corruption, count, the value named)
+    BEYOND_FLOAT_RANGE = [
+        ("duration", {"duration": HUGE}, {}, 1, "--spec group 0: key 'spec': key 'duration'"),
+        ("rear_axle", {"rear_axle": HUGE}, {}, 1, "--spec group 0: key 'spec': key 'rear_axle'"),
+        ("speed_range", {"speed_range": [1.0, HUGE]}, {}, 1, "--spec group 0: key 'spec': key 'speed_range'"),
+        ("box_size", {"box_size": [2.0, HUGE, 1.5]}, {}, 1, "--spec group 0: key 'spec': key 'box_size'"),
+        ("score_mean", {}, {"score_mean": HUGE}, 1, "--spec: key 'corruption': key 'score_mean'"),
+        ("frame_score_scale", {}, {"frame_score_scale": [[1, HUGE]]}, 1,
+         "--spec: key 'corruption': key 'frame_score_scale'"),
+        ("count", {}, {}, HUGE, "--spec group 0: key 'count'"),
+    ]
+
+    @pytest.mark.parametrize("spec,corruption,count,named", [case[1:] for case in BEYOND_FLOAT_RANGE],
+                             ids=[case[0] for case in BEYOND_FLOAT_RANGE])
+    def test_spec_number_beyond_float_range_exit_2_naming_its_key(self, tmp_path, capsys, spec, corruption, count,
+                                                                    named):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"groups": [{"spec": {"model": "cv", "duration": 0.3, **spec}, "count": count}],
+                                    "corruption": corruption}))
+        argv = ["synth", "--output-gt", str(tmp_path / "gt.jsonl"), "--output-det", str(tmp_path / "det.jsonl"),
+                "--spec", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"boxfuse: error: {named} must fit in a float, got {HUGE}\n"
+        assert not (tmp_path / "gt.jsonl").exists()
+
     def test_bursts_on_a_scene_without_vehicles_write_its_empty_frames(self, tmp_path):
         groups = [{"spec": {"model": model, "duration": 0.3}, "count": 0} for model in ("cv", "bicycle")]
         frames = {}
@@ -1020,6 +1049,8 @@ class TestOptionErrors:
          "--duration (BOXFUSE_DURATION) or --interval (BOXFUSE_INTERVAL): duration / frame_interval overflows, "
          "got 1e+300 / 1e-300"),
         (["fuse", "--interval", "1e-20"], "line 3: frame lag of 0.1 s at frame_interval 1e-20 s does not fit in int64"),
+        pytest.param(["synth", "--vehicles", str(HUGE)],
+                     f"--vehicles (BOXFUSE_VEHICLES): vehicles must fit in a float, got {HUGE}", id="vehicles 10**400"),
     ])
     def test_bad_value_exit_2_in_the_one_form(self, tmp_path, capsys, scene, argv, error):
         assert main([*argv, *required_options(argv[0], scene, tmp_path)]) == 2

@@ -15,10 +15,7 @@ from boxfuse import (
     Unicycle,
     estimate_params_from_track,
     forward,
-    forward_bicycle,
     forward_box,
-    forward_cv,
-    forward_unicycle,
     inverse_bicycle,
     inverse_cv,
     inverse_unicycle,
@@ -51,29 +48,29 @@ def random_params(rng, model: str):
 
 class TestForwardCv:
     def test_basic(self):
-        assert forward_cv(Pose(0, 0, 0), ConstantVelocity(2, 0), 0.5) == Pose(1, 0, 0)
+        assert forward(Pose(0, 0, 0), ConstantVelocity(2, 0), 0.5) == Pose(1, 0, 0)
 
     def test_zero_time(self):
         p = Pose(3, -1, 0.8)
-        assert forward_cv(p, ConstantVelocity(5, -2), 0.0) == p
+        assert forward(p, ConstantVelocity(5, -2), 0.0) == p
 
     def test_linear_displacement(self):
-        got = forward_cv(Pose(1, 1, math.pi / 3), ConstantVelocity(-1, 2), 2.0)
+        got = forward(Pose(1, 1, math.pi / 3), ConstantVelocity(-1, 2), 2.0)
         assert got == Pose(-1, 5, math.pi / 3)
 
 
 class TestForwardUnicycle:
     def test_quarter_circle(self):
-        got = forward_unicycle(Pose(0, 0, 0), Unicycle(math.pi, math.pi / 2), 1.0)
+        got = forward(Pose(0, 0, 0), Unicycle(math.pi, math.pi / 2), 1.0)
         pose_close(got, Pose(2, 2, math.pi / 2), 1e-12)
 
     def test_straight_limit(self):
-        got = forward_unicycle(Pose(0, 0, 0), Unicycle(3, 0), 2.0)
+        got = forward(Pose(0, 0, 0), Unicycle(3, 0), 2.0)
         assert got == Pose(6, 0, 0)
 
     def test_against_rk4_frozen(self):
         # RK4(step 1e-4) of the same draw gives (4.057485296530677, -0.3097837307101792)
-        got = forward_unicycle(Pose(1, -2, 0.4), Unicycle(5.0, 0.3), 0.7)
+        got = forward(Pose(1, -2, 0.4), Unicycle(5.0, 0.3), 0.7)
         assert got.x == pytest.approx(4.057485296530677, abs=1e-6)
         assert got.y == pytest.approx(-0.3097837307101792, abs=1e-6)
         assert got.heading == pytest.approx(0.61, abs=1e-12)
@@ -88,7 +85,7 @@ class TestForwardUnicycle:
             v = rng.uniform(-15, 15)
             w = math.copysign(rng.uniform(1e-6, 1.0), rng.uniform(-1, 1))
             t = rng.uniform(-1, 1)
-            got = forward_unicycle(p, Unicycle(v, w), t)
+            got = forward(p, Unicycle(v, w), t)
             phi_t = p.heading + w * t
             x = p.x + v / w * (math.sin(phi_t) - math.sin(p.heading))
             y = p.y + v / w * (math.cos(p.heading) - math.cos(phi_t))
@@ -99,26 +96,26 @@ class TestForwardUnicycle:
         # no branch jump anywhere near the old straight-motion switch
         p = Pose(2, -3, 1.1)
         for w in (0.0, 1e-9, 1e-6, 1.0000001e-6, -1e-6, 1e-5):
-            closed = forward_unicycle(p, Unicycle(12.0, w), 1.0)
+            closed = forward(p, Unicycle(12.0, w), 1.0)
             oracle = numeric_forward(p, Unicycle(12.0, w), 1.0, step=1e-4)
             pose_close(closed, oracle, 1e-9)
-        a = forward_unicycle(p, Unicycle(12.0, 1e-6), 1.0)
-        b = forward_unicycle(p, Unicycle(12.0, 1e-6 * (1 + 1e-9)), 1.0)
+        a = forward(p, Unicycle(12.0, 1e-6), 1.0)
+        b = forward(p, Unicycle(12.0, 1e-6 * (1 + 1e-9)), 1.0)
         assert math.hypot(a.x - b.x, a.y - b.y) < 1e-8
 
 
 class TestForwardBicycle:
     def test_zero_slip_moves_along_heading(self):
-        got = forward_bicycle(Pose(0, 0, math.pi / 2), Bicycle(4, 0, 1.7), 1.0)
+        got = forward(Pose(0, 0, math.pi / 2), Bicycle(4, 0, 1.7), 1.0)
         pose_close(got, Pose(0, 4, math.pi / 2), 1e-12)
 
     def test_zero_time(self):
         p = Pose(1, 2, -0.5)
-        assert forward_bicycle(p, Bicycle(4, 0.2, 1.2), 0.0) == p
+        assert forward(p, Bicycle(4, 0.2, 1.2), 0.0) == p
 
     def test_half_turn_case(self):
         # exact closed form: (sqrt(3)-1, sqrt(3)+1, pi/2); RK4 agrees
-        got = forward_bicycle(Pose(0, 0, 0), Bicycle(1.0, math.pi / 6, 1.0), math.pi)
+        got = forward(Pose(0, 0, 0), Bicycle(1.0, math.pi / 6, 1.0), math.pi)
         assert got.x == pytest.approx(math.sqrt(3) - 1, abs=1e-12)
         assert got.y == pytest.approx(math.sqrt(3) + 1, abs=1e-12)
         assert got.heading == pytest.approx(math.pi / 2, abs=1e-12)
@@ -131,14 +128,14 @@ class TestForwardBicycle:
             p = random_pose(rng)
             params = random_params(rng, "bicycle")
             dt = 1e-6
-            dphi = normalize_angle(forward_bicycle(p, params, dt).heading - p.heading)
+            dphi = normalize_angle(forward(p, params, dt).heading - p.heading)
             rate = params.speed * math.sin(params.slip) / params.rear_axle
             assert dphi / dt == pytest.approx(rate, abs=1e-6)
 
     def test_continuous_through_zero_slip(self):
         p = Pose(-1, 4, -2.0)
         for b in (0.0, 1e-9, 1e-6, -1e-6, 1e-5):
-            closed = forward_bicycle(p, Bicycle(12.0, b, 1.5), 1.0)
+            closed = forward(p, Bicycle(12.0, b, 1.5), 1.0)
             oracle = numeric_forward(p, Bicycle(12.0, b, 1.5), 1.0, step=1e-4)
             pose_close(closed, oracle, 1e-9)
 
@@ -147,7 +144,7 @@ class TestForwardDispatch:
     def test_cv_dispatch(self):
         p = Pose(0, 0, 0.3)
         params = ConstantVelocity(1, 2)
-        assert forward(p, params, 0.7) == forward_cv(p, params, 0.7)
+        assert forward(p, params, 0.7) == Pose(0.7, 1.4, 0.3)
 
     def test_models_agree_when_straight(self):
         rng = np.random.default_rng(9)
@@ -223,7 +220,7 @@ class TestInverseCv:
     def test_roundtrip_exact(self):
         p = Pose(1, -1, 0.2)
         params = ConstantVelocity(-3.5, 2.25)
-        assert inverse_cv(p, forward_cv(p, params, 0.25), 0.25) == params
+        assert inverse_cv(p, forward(p, params, 0.25), 0.25) == params
 
     def test_zero_gap_rejected(self):
         with pytest.raises(ValueError):
@@ -238,7 +235,7 @@ class TestInverseUnicycle:
 
     def test_quarter_circle_roundtrip(self):
         params = Unicycle(math.pi, math.pi / 2)
-        pt = forward_unicycle(Pose(0, 0, 0), params, 1.0)
+        pt = forward(Pose(0, 0, 0), params, 1.0)
         got = inverse_unicycle(Pose(0, 0, 0), pt, 1.0)
         assert got.speed == pytest.approx(params.speed, abs=1e-9)
         assert got.yaw_rate == pytest.approx(params.yaw_rate, abs=1e-9)
@@ -250,7 +247,7 @@ class TestInverseUnicycle:
             p = random_pose(rng)
             params = Unicycle(rng.uniform(-15, 15), rng.uniform(-1, 1))
             t = rng.uniform(0.05, 1.0)
-            got = inverse_unicycle(p, forward_unicycle(p, params, t), t)
+            got = inverse_unicycle(p, forward(p, params, t), t)
             worst = max(worst, abs(got.speed - params.speed), abs(got.yaw_rate - params.yaw_rate))
         assert worst < 1e-8
 
@@ -268,7 +265,7 @@ class TestInverseBicycle:
 
     def test_half_turn_roundtrip(self):
         truth = Bicycle(1.0, math.pi / 6, 1.0)
-        pt = forward_bicycle(Pose(0, 0, 0), truth, math.pi)
+        pt = forward(Pose(0, 0, 0), truth, math.pi)
         params, report = inverse_bicycle(Pose(0, 0, 0), pt, math.pi, rear_axle=1.0)
         assert report.converged
         assert params.speed == pytest.approx(truth.speed, abs=1e-5)
@@ -282,7 +279,7 @@ class TestInverseBicycle:
             p = random_pose(rng)
             truth = Bicycle(rng.uniform(1, 15), rng.uniform(-0.4, 0.4), rng.uniform(1, 3))
             t = rng.uniform(0.1, 1.0)
-            pt = forward_bicycle(p, truth, t)
+            pt = forward(p, truth, t)
             params, report = inverse_bicycle(p, pt, t, rear_axle=truth.rear_axle)
             assert report.converged
             iterations.append(report.iterations)
@@ -292,7 +289,7 @@ class TestInverseBicycle:
 
     def test_explicit_init_used(self):
         truth = Bicycle(8.0, 0.1, 1.5)
-        pt = forward_bicycle(Pose(0, 0, 0), truth, 0.2)
+        pt = forward(Pose(0, 0, 0), truth, 0.2)
         params, report = inverse_bicycle(
             Pose(0, 0, 0), pt, 0.2, rear_axle=1.5, init=Bicycle(7.5, 0.05, 1.5)
         )
@@ -300,7 +297,7 @@ class TestInverseBicycle:
         assert params.speed == pytest.approx(8.0, abs=1e-5)
 
     def test_divergence_carries_best(self):
-        pt = forward_bicycle(Pose(0, 0, 0), Bicycle(8.0, 0.2, 1.5), 0.5)
+        pt = forward(Pose(0, 0, 0), Bicycle(8.0, 0.2, 1.5), 0.5)
         with pytest.raises(FitDivergence) as err:
             inverse_bicycle(
                 Pose(0, 0, 0), pt, 0.5, rear_axle=1.5, init=Bicycle(-14, 1.2, 1.5), max_iter=1

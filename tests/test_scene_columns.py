@@ -30,10 +30,7 @@ from boxfuse import (
     Unicycle,
     corrupt,
     forward,
-    forward_bicycle,
     forward_box,
-    forward_cv,
-    forward_unicycle,
     generate_mixed_scene,
     inverse_cv,
     inverse_unicycle,
@@ -179,7 +176,6 @@ def test_one_row_paths_equal_the_per_pose_references(pose, params, t, box, src, 
     # repr tells -0.0 from 0.0 and names the class, so equal reprs are equal bits
     expected = repr(forward_reference(pose, params, t))
     assert repr(forward(pose, params, t)) == expected
-    assert forward_cv is forward_unicycle is forward_bicycle is forward
     assert repr(forward_box(box, params, t)) == repr(forward_box_reference(box, params, t))
     assert repr(transform_box(box, src, dst)) == repr(transform_box_reference(box, src, dst))
     assert repr(transform_box(box, src, src)) == repr(box)
