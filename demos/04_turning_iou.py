@@ -10,7 +10,9 @@ preset and evaluated over the frames that have a full history window, as the
 benchmark does. Per seed, the demo prints the turning subset's ΔAP and ΔAPH
 (fused minus raw) at both thresholds, and the models in order of ΔAPH at
 0.7; then, per pair of models, on how many seeds the first gained more.
-It reports and asserts nothing.
+Last it checks the paper's claim: unless bicycle and unicycle both beat cv
+in turning ΔAPH at IoU 0.7 on every seed, it exits with the per-seed table.
+It checks nothing at IoU 0.5, nor bicycle against unicycle.
 
 Run:  python3 demos/04_turning_iou.py
 """
@@ -63,3 +65,11 @@ print(f"{'':<20}" + "".join(f"{name:>10}" for name in COLUMNS))
 for first, second in (("bicycle", "cv"), ("unicycle", "cv"), ("bicycle", "unicycle")):
     wins = [sum(results[seed, first][k] > results[seed, second][k] for seed in SEEDS) for k in range(len(COLUMNS))]
     print(f"{first + ' > ' + second:<20}" + "".join(f"{count:>10}" for count in wins))
+
+behind = [seed for seed in SEEDS if not min(results[seed, "bicycle"][-1], results[seed, "unicycle"][-1])
+          > results[seed, "cv"][-1]]
+if behind:
+    table = [f"{'seed':>4}" + "".join(f"{model:>10}" for model in MODELS)]
+    table += [f"{seed:>4}" + "".join(f"{results[seed, model][-1]:>+10.4f}" for model in MODELS) for seed in SEEDS]
+    raise SystemExit(f"bicycle and unicycle must beat cv in turning dAPH@0.7 on every seed, not on {behind}:\n"
+                     + "\n".join(table))

@@ -20,18 +20,16 @@ than counted as false positives.
 Evaluation runs on the columns that every frame holds, so `boxfuse eval`
 builds no Detection. A frame's IoU table is read only at or above a floor:
 the matching threshold, or for a report the smaller of it and the subset
-filter's IoU. Its pairs are the same-label candidate pairs
-(geometry.candidate_pairs on box centres and circumradii) that the IoU bound
-geometry.iou_can_reach keeps at that floor, so it holds every pair that can
-reach the floor. Each IoU comes from one call of the module global
+filter's IoU. Its pairs come from geometry.reachable_pairs, the overlap
+search that weighted NMS uses too, so it holds every same-label pair that
+can reach the floor. Each IoU comes from one call of the module global
 `bev_iou(gt box, det box)` on Box3Ds built once per frame, so a wrapper bound
-at that name sees every call. The score ranking, AP events and heading
-weights, subset selection and per-track median speed and radius are array
+at that name sees every call: the benchmark's per-layer metrics count them,
+so clipping all pairs at once with geometry.pair_ious waits for a benchmark
+that counts pairs instead. The score ranking, AP events and heading weights,
+subset selection and per-track median speed and radius are array
 operations, checked to the bit against the frozen per-detection references
-in tests/oracles.py and statistics.median. The IoU itself stays the scalar
-`bev_iou`, one call per kept pair, because the benchmark's per-layer metrics
-count those calls; clipping all pairs at once with geometry.clipped_iou
-waits for a benchmark that counts pairs instead.
+in tests/oracles.py and statistics.median.
 """
 
 from __future__ import annotations
@@ -44,8 +42,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .frames import DetectionColumns, Frame, track_index
-from .geometry import (Box3D, Footprints, bev_iou, candidate_pairs, circumradius_columns, iou_can_reach,
-                       normalize_angles)
+from .geometry import Box3D, bev_iou, normalize_angles, reachable_pairs
 
 #: IoU used to associate detections with a ground-truth subset.
 SUBSET_FILTER_IOU = 0.5
@@ -79,29 +76,16 @@ class _Overlaps(NamedTuple):
     iou: np.ndarray
 
 
-def _circles(cols: DetectionColumns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Centre x, centre y and circumradius of every box."""
-    boxes = cols.boxes
-    return boxes[:, 0], boxes[:, 1], circumradius_columns(boxes[:, 3], boxes[:, 4])
-
-
 def _frame_overlaps(
     gt: DetectionColumns, det: DetectionColumns, floor: float, gt_boxes: list[Box3D] | None = None
 ) -> _Overlaps:
-    """IoU table of one frame, calling bev_iou(gt box, det box) once per same-label candidate pair it keeps.
+    """IoU table of one frame, calling bev_iou(gt box, det box) once per pair that can reach the floor.
 
-    A pair is kept unless geometry.iou_can_reach proves its IoU below the
-    floor, so the table holds every pair with IoU >= floor, and at a floor of
-    0 every pair. The calls go in table order. gt_boxes are gt's Box3Ds when
-    the caller has built them already.
+    The pairs are reachable_pairs(det, gt) at the floor, so the table holds
+    every pair with IoU >= floor (> 0 at floor 0). The calls go in table
+    order. gt_boxes are gt's Box3Ds when the caller has built them already.
     """
-    gt_circles, det_circles = _circles(gt), _circles(det)
-    det_index, gt_index = candidate_pairs(*det_circles, *gt_circles)
-    keep = det.label[det_index] == gt.label[gt_index]
-    gt_footprints = Footprints.of(gt.boxes, gt_circles[2]).take(gt_index[keep])
-    det_footprints = Footprints.of(det.boxes, det_circles[2]).take(det_index[keep])
-    keep[keep] = iou_can_reach(gt_footprints, det_footprints, floor)
-    det_index, gt_index = det_index[keep], gt_index[keep]
+    det_index, gt_index = reachable_pairs(det.boxes, det.label, floor, gt.boxes, gt.label)
     if gt_boxes is None:
         gt_boxes = gt.box_objects()
     det_boxes = det.box_objects()

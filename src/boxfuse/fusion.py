@@ -9,15 +9,14 @@ containing no current-frame box ("history only") get their score reduced so
 they cannot crowd out fresh detections.
 
 The whole path runs on the numpy columns of frames.DetectionColumns.
-`forward_frame` forwards a whole frame at once; `weighted_nms` finds each
-candidate pair once with the self-join of `geometry.candidate_pairs`, orients
-it by seed order, drops pairs whose IoU provably stays below iou_low (by
-`geometry.iou_can_reach`, the IoU bound that evaluation uses too), clips
-the rest in vectorized passes of up to `_PAIR_CHUNK` pairs and merges
-clusters with per-cluster weighted sums; the score strategy and the history
-floor are column operations. Every step does the float operations of the
-frozen per-box references in tests/oracles.py in the same order, and outputs
-are checked against them to the bit.
+`forward_frame` forwards a whole frame at once; `weighted_nms` takes each
+same-label pair that can reach iou_low once from `geometry.reachable_pairs`
+(the overlap search that evaluation uses too), orients it by seed order,
+takes its IoU from `geometry.pair_ious` and merges clusters with
+per-cluster weighted sums; the score strategy and the history floor are
+column operations. Every step does the float operations of the frozen
+per-box references in tests/oracles.py in the same order, and outputs are
+checked against them to the bit.
 
 Trace contract: `fuse_frames` calls `forward_frame(frame, t, ego, cfg)` once
 per history frame, then `weighted_nms(dense, cfg)` and
@@ -39,8 +38,7 @@ from typing import Iterable, Iterator, Literal, Sequence, get_args
 import numpy as np
 
 from .frames import MODEL_CLASSES, PARAM_WIDTH, Detection, DetectionColumns, Frame
-from .geometry import (EgoPose, Footprints, candidate_pairs, circumradius_columns, clamp_columns, clipped_iou,
-                       corner_columns, iou_can_reach, normalize_angles, transform_columns)
+from .geometry import EgoPose, clamp_columns, normalize_angles, pair_ious, reachable_pairs, transform_columns
 
 ScoreStrategy = Literal["decay", "divide"]
 SCORE_STRATEGIES = get_args(ScoreStrategy)
@@ -66,8 +64,9 @@ class FusionConfig:
 
     def __post_init__(self) -> None:
         # every check is written so that NaN fails it
-        if self.n_history < 0:
-            raise ValueError("n_history must be non-negative")
+        # sliding_windows holds n_history + 1 frames in a deque, whose length is a C ssize_t
+        if not 0 <= self.n_history < 2**63 - 1:
+            raise ValueError(f"n_history must lie in [0, {2**63 - 2}], got {self.n_history!r}")
         if not 0.0 < self.weight_decay <= 1.0:
             raise ValueError("weight_decay must lie in (0, 1]")
         for name in ("iou_low", "iou_high"):
@@ -136,58 +135,21 @@ def forward_frame(
     return cols.entering(boxes, decayed_weight(cols.score, dt, cfg), int(round(lag)), 0)
 
 
-# The IoU bound runs over this many oriented pairs at a time, and the pairs
-# it keeps are clipped this many at a time, which bounds the temporaries of
-# one pass while each clipping pass stays full.
-_PAIR_CHUNK = 2048
-# The box columns of the BEV footprint: x, y, w, l, yaw.
-_FOOTPRINT = [0, 1, 3, 4, 6]
-
-
 def _clustering_pairs(cols: DetectionColumns, label: np.ndarray, rank: np.ndarray, cfg: FusionConfig):
     """Pairs (i, j) that act in the greedy sweep, sorted by (i, j), and whether j merges.
 
     i and j share a label, i comes first in the seed order, and
-    IoU(i, j) > 0 and >= iou_low, computed by clipping i's footprint by j's as
-    _iou_from_corners does; identical footprints (x, y, w, l, yaw) have IoU 1,
-    as in bev_iou. The self-join finds each unordered pair once; orienting it
-    by rank and sorting gives the pair order that the sweep, and so the merge
-    order, depend on.
+    pair_ious(i, j), bev_iou's bits, is > 0 and >= iou_low. Orienting each
+    reachable pair by rank and sorting gives the order the sweep depends on.
     """
-    boxes = cols.boxes
-    x, y, w, l, yaw = boxes[:, 0], boxes[:, 1], boxes[:, 3], boxes[:, 4], boxes[:, 6]
-    radius = circumradius_columns(w, l)
-    i, j = candidate_pairs(x, y, radius)
-    same = label[i] == label[j]
-    i, j = i[same], j[same]
+    i, j = reachable_pairs(cols.boxes, label, cfg.iou_low)
     n = len(cols)
     keys = np.where(rank[i] < rank[j], i * n + j, j * n + i)
     keys.sort()
     i, j = np.divmod(keys, n)
-    area = w * l
-    # far-field boxes may overflow here; a merged box that overflows fails the column checks
-    with np.errstate(over="ignore", invalid="ignore"):
-        if cfg.iou_low > 0.0:
-            footprints = Footprints.of(boxes, radius)
-            keep = np.empty(len(i), dtype=bool)
-            for start in range(0, len(i), _PAIR_CHUNK):
-                chunk = slice(start, start + _PAIR_CHUNK)
-                keep[chunk] = iou_can_reach(footprints.take(i[chunk]), footprints.take(j[chunk]), cfg.iou_low)
-            i, j = i[keep], j[keep]
-        corner_x, corner_y = corner_columns(x, y, w, l, yaw)
-        footprint = boxes[:, _FOOTPRINT]
-        found_i, found_j, merges = [], [], []
-        for start in range(0, len(i), _PAIR_CHUNK):
-            a, b = i[start : start + _PAIR_CHUNK], j[start : start + _PAIR_CHUNK]
-            iou = clipped_iou(corner_x[a], corner_y[a], area[a], corner_x[b], corner_y[b], area[b])
-            iou[(footprint[a] == footprint[b]).all(axis=1)] = 1.0
-            hit = (iou > 0.0) & (iou >= cfg.iou_low)
-            found_i.append(a[hit])
-            found_j.append(b[hit])
-            merges.append(iou[hit] >= cfg.iou_high)
-    if not found_i:
-        return i, j, np.zeros(0, dtype=bool)
-    return np.concatenate(found_i), np.concatenate(found_j), np.concatenate(merges)
+    iou = pair_ious(cols.boxes, i, j)
+    hit = (iou > 0.0) & (iou >= cfg.iou_low)
+    return i[hit], j[hit], iou[hit] >= cfg.iou_high
 
 
 def _sweep(order: np.ndarray, pair_i, pair_j, merges):
@@ -276,8 +238,8 @@ def weighted_nms(detections: Sequence[Detection], cfg: FusionConfig) -> Detectio
     interact. Every detection must carry an assigned weight.
 
     Labels are ordered by name and visited one after another. The IoU of every
-    pair that can act is computed up front in one vectorized clipping pass,
-    so the greedy sweep only reads it; a single-box cluster comes back as its
+    pair that can act is computed up front by geometry.pair_ious, so the
+    greedy sweep only reads it; a single-box cluster comes back as its
     input row. Returns columns; a list of Detection is converted first.
     """
     cols = DetectionColumns.of(detections)

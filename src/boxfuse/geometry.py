@@ -482,6 +482,59 @@ def candidate_pairs(ax, ay, ar, bx=None, by=None, br=None) -> tuple[np.ndarray, 
     return np.minimum(i, j), np.maximum(i, j)
 
 
+# The IoU bound and the clip each run over this many pairs at a time, which
+# bounds the temporaries of one pass while each pass stays full.
+_PAIR_CHUNK = 2048
+
+
+def reachable_pairs(boxes, label, floor: float, other=None, other_label=None) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, j) of same-label boxes, given as rows (x, y, z, w, l, h, yaw), whose BEV IoU can reach floor.
+
+    The candidate_pairs of the centres and circumradii that share a label and
+    that iou_can_reach keeps, so every same-label pair with IoU >= floor (> 0
+    at floor 0). Without other, the self-join of boxes: each unordered pair
+    once, as i < j, in no set order. With it, the cross join, sorted by (i, j).
+    """
+    radius = circumradius_columns(boxes[:, 3], boxes[:, 4])
+    if other is None:
+        other, other_label, other_radius = boxes, label, radius
+        i, j = candidate_pairs(boxes[:, 0], boxes[:, 1], radius)
+    else:
+        other_radius = circumradius_columns(other[:, 3], other[:, 4])
+        i, j = candidate_pairs(boxes[:, 0], boxes[:, 1], radius, other[:, 0], other[:, 1], other_radius)
+    same = label[i] == other_label[j]
+    i, j = i[same], j[same]
+    keep = np.empty(len(i), dtype=bool)
+    # far-field boxes may overflow here; iou_can_reach keeps their pairs
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = Footprints.of(boxes, radius), Footprints.of(other, other_radius)
+        for start in range(0, len(i), _PAIR_CHUNK):
+            chunk = slice(start, start + _PAIR_CHUNK)
+            keep[chunk] = iou_can_reach(a.take(i[chunk]), b.take(j[chunk]), floor)
+    return i[keep], j[keep]
+
+
+def pair_ious(boxes: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """BEV IoU of boxes i[k] and j[k] (rows x, y, z, w, l, h, yaw): clipped_iou of i's footprint clipped by j's.
+
+    Identical footprints (x, y, w, l, yaw) have IoU 1, so on a pair whose
+    circumcircles overlap the IoU is bev_iou(box i, box j) to the bit.
+    """
+    footprint = boxes[:, [0, 1, 3, 4, 6]]
+    iou = np.empty(len(i))
+    # far-field boxes may overflow here
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y, w, l, yaw = footprint.T
+        area = w * l
+        corner_x, corner_y = corner_columns(x, y, w, l, yaw)
+        for start in range(0, len(i), _PAIR_CHUNK):
+            chunk = slice(start, start + _PAIR_CHUNK)
+            a, b = i[chunk], j[chunk]
+            iou[chunk] = clipped_iou(corner_x[a], corner_y[a], area[a], corner_x[b], corner_y[b], area[b])
+            iou[chunk][(footprint[a] == footprint[b]).all(axis=1)] = 1.0
+    return iou
+
+
 def transform_box(box: Box3D, src: EgoPose, dst: EgoPose) -> Box3D:
     """Re-express a box given in `src` ego coordinates in `dst` ego coordinates.
 

@@ -30,7 +30,7 @@ from boxfuse import (
     transform_box,
     weighted_nms,
 )
-from boxfuse import fusion
+from boxfuse import fusion, geometry
 from boxfuse.frames import DetectionColumns
 
 from boxfuse.motion import HALF_PI
@@ -388,7 +388,7 @@ class TestWeightedNms:
     @pytest.mark.parametrize("chunk", [1, 5])
     def test_pair_chunks_change_no_bit(self, monkeypatch, chunk):
         # chunk edges fall inside the bounded pairs and inside the clipped
-        # survivors; iou_low 0.0 skips the bound
+        # survivors; at iou_low 0.0 the bound keeps every pair
         rng = np.random.default_rng(24)
         scenes = []
         for _ in range(6):
@@ -396,7 +396,7 @@ class TestWeightedNms:
             scenes.append(dets + [dets[int(k)] for k in rng.integers(0, len(dets), size=3)])
         cfgs = [FusionConfig(iou_low=low, iou_high=max(low, 0.7)) for low in (0.0, 0.2, 0.7, 0.9)]
         unchunked = [[weighted_nms(dets, cfg) for dets in scenes] for cfg in cfgs]
-        monkeypatch.setattr(fusion, "_PAIR_CHUNK", chunk)
+        monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
         for cfg, outputs in zip(cfgs, unchunked):
             for dets, expected in zip(scenes, outputs):
                 got = weighted_nms(dets, cfg)

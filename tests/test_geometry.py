@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boxfuse import Box3D, EgoPose, Pose, bev_iou, normalize_angle, transform_box
+from boxfuse import geometry
 from boxfuse.geometry import (_CELL_SLACK, _MAX_GRID_CELLS, Footprints, candidate_pairs, circumradius,
-                              circumradius_columns, clipped_iou, corner_columns, iou_can_reach)
+                              circumradius_columns, clipped_iou, corner_columns, iou_can_reach, pair_ious,
+                              reachable_pairs)
 
 from oracles import candidate_pairs_reference, monte_carlo_iou, shoelace
 
@@ -367,3 +369,62 @@ class TestIouBound:
         for other in (far, huge):
             for floor in (0.0, -0.0):
                 assert iou_can_reach(a, other, floor).tolist() == iou_can_reach(other, a, floor).tolist() == [True]
+
+
+def crowded_rows(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n random boxes as rows and an object column of two labels. A fifth of the boxes
+    (at least one when n > 1) copy an earlier box: half of those its footprint with another
+    z and h, the other half with their centre and yaw moved a little."""
+    rows = np.array([random_box(rng).to_array() for _ in range(n)]).reshape(n, 7)
+    rows[:, :2] /= 3.0
+    for m, k in enumerate(rng.integers(1, max(n, 2), size=max(n // 5, n > 1)).tolist()):
+        rows[k] = rows[int(rng.integers(0, k))]
+        rows[k, [2, 5]] += 0.5
+        if m % 2:
+            rows[k, [0, 1, 6]] += rng.normal(0.0, 0.2, size=3)
+    rows[:, 6] = geometry.normalize_angles(rows[:, 6])
+    return rows, np.array(["car", "truck"], dtype=object)[rng.integers(0, 2, size=n)]
+
+
+class TestOverlapSearch:
+    def test_pair_ious_are_bev_ious_with_i_first(self):
+        rng = np.random.default_rng(31)
+        rows, _ = crowded_rows(rng, 120)
+        boxes = [Box3D(*row) for row in rows.tolist()]
+        i, j = rng.integers(0, 120, size=(2, 4000))
+        identical = np.nonzero((rows[:, None, [0, 1, 3, 4, 6]] == rows[None, :, [0, 1, 3, 4, 6]]).all(axis=2))
+        i, j = np.concatenate([i, *identical]), np.concatenate([j, *identical[::-1]])
+        ious = pair_ious(rows, i, j).tolist()
+        assert ious == [bev_iou(boxes[p], boxes[q]) for p, q in zip(i.tolist(), j.tolist())]
+        assert len(identical[0]) > 120 and 0.0 < min(iou for iou in ious if iou > 0.0) < 0.5
+
+    @pytest.mark.parametrize("floor", [0.0, 0.2, 0.5, 0.7])
+    def test_self_join_holds_each_pair_that_reaches_the_floor_once(self, floor):
+        rng = np.random.default_rng(32)
+        rows, label = crowded_rows(rng, 150)
+        boxes = [Box3D(*row) for row in rows.tolist()]
+        i, j = reachable_pairs(rows, label, floor)
+        assert i.dtype == j.dtype == np.int64
+        pairs = list(zip(i.tolist(), j.tolist()))
+        assert len(set(pairs)) == len(pairs) and all(p < q and label[p] == label[q] for p, q in pairs)
+        # bev_iou in either order, which may differ in the last bits
+        reaching = {(p, q) for p in range(150) for q in range(p + 1, 150) if label[p] == label[q]
+                    and max(bev_iou(boxes[p], boxes[q]), bev_iou(boxes[q], boxes[p])) >= max(floor, 5e-324)}
+        assert len(reaching) > 10 and reaching <= set(pairs)
+        assert floor == 0.0 or len(pairs) < len(reachable_pairs(rows, label, 0.0)[0])
+
+    @pytest.mark.parametrize("chunk", [5, 2048])
+    def test_cross_join_is_the_sorted_bounded_same_label_candidate_pairs(self, monkeypatch, chunk):
+        monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
+        rng = np.random.default_rng(33)
+        for n_a, n_b in [(0, 5), (5, 0), (1, 1), *rng.integers(2, 90, size=(12, 2)).tolist()]:
+            (a, a_label), (b, b_label) = crowded_rows(rng, n_a), crowded_rows(rng, n_b)
+            for floor in (0.0, 0.3, 0.5, 0.7):
+                i, j = reachable_pairs(a, a_label, floor, b, b_label)
+                ra, rb = (circumradius_columns(rows[:, 3], rows[:, 4]) for rows in (a, b))
+                ref_i, ref_j = candidate_pairs(a[:, 0], a[:, 1], ra, b[:, 0], b[:, 1], rb)
+                same = a_label[ref_i] == b_label[ref_j]
+                ref_i, ref_j = ref_i[same], ref_j[same]
+                keep = iou_can_reach(Footprints.of(a, ra).take(ref_i), Footprints.of(b, rb).take(ref_j), floor)
+                pairs = list(zip(i.tolist(), j.tolist()))
+                assert pairs == list(zip(ref_i[keep].tolist(), ref_j[keep].tolist())) == sorted(pairs)

@@ -732,6 +732,9 @@ class TestCli:
                      id="history_score_floor of -10**400"),
         ("null", "--config must be a JSON object, got None"),
         ('"abc"', "--config must be a JSON object, got 'abc'"),
+        pytest.param('{"n_history": %d}' % HUGE,
+                     f"--config key 'n_history': n_history must lie in [0, {2**63 - 2}], got {HUGE}",
+                     id="n_history of 10**400"),
     ])
     def test_malformed_config_exit_2_naming_the_key(self, tmp_path, capsys, text, message):
         gt, det = run_synth(tmp_path)
@@ -1051,11 +1054,32 @@ class TestOptionErrors:
         (["fuse", "--interval", "1e-20"], "line 3: frame lag of 0.1 s at frame_interval 1e-20 s does not fit in int64"),
         pytest.param(["synth", "--vehicles", str(HUGE)],
                      f"--vehicles (BOXFUSE_VEHICLES): vehicles must fit in a float, got {HUGE}", id="vehicles 10**400"),
+        # a window of n_history + 1 frames must fit in a C ssize_t
+        pytest.param(["fuse", "--frames", str(2**63 - 1)],
+                     f"--frames (BOXFUSE_FRAMES): n_history must lie in [0, {2**63 - 2}], got {2**63 - 1}",
+                     id="frames 2**63 - 1"),
+        pytest.param(["fuse", "--frames", str(HUGE)],
+                     f"--frames (BOXFUSE_FRAMES): n_history must lie in [0, {2**63 - 2}], got {HUGE}",
+                     id="frames 10**400"),
     ])
     def test_bad_value_exit_2_in_the_one_form(self, tmp_path, capsys, scene, argv, error):
         assert main([*argv, *required_options(argv[0], scene, tmp_path)]) == 2
         assert capsys.readouterr().err == f"boxfuse: error: {error}\n"
         assert not any(tmp_path.iterdir())
+
+    def test_frames_variable_too_large_for_a_window_exit_2(self, tmp_path, monkeypatch, capsys, scene):
+        monkeypatch.setenv("BOXFUSE_FRAMES", str(HUGE))
+        assert main(["fuse", *required_options("fuse", scene, tmp_path)]) == 2
+        error = f"--frames (BOXFUSE_FRAMES): n_history must lie in [0, {2**63 - 2}], got {HUGE}"
+        assert capsys.readouterr().err == f"boxfuse: error: {error}\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_largest_frames_value_fuses_like_a_window_longer_than_the_stream(self, tmp_path, scene):
+        fused = []
+        for frames in (str(2**63 - 2), "1000"):
+            assert main(["fuse", *required_options("fuse", scene, tmp_path), "--frames", frames]) == 0
+            fused.append((tmp_path / "fused.jsonl").read_bytes().splitlines()[1:])
+        assert fused[0] == fused[1]
 
     def test_missing_required_option_names_flag_and_variable(self, tmp_path, capsys):
         assert main(["inverse", "--output", str(tmp_path / "inverse.jsonl")]) == 2

@@ -36,3 +36,9 @@ def test_no_module_imports_a_private_name_of_frames():
     for module in MODULES:
         private = {name for name in relative_imports(module).get("frames", ()) if name.startswith("_")}
         assert not private, (module, private)
+
+
+def test_fusion_and_evaluation_take_box_pairs_and_ious_from_the_overlap_search():
+    parts = {"candidate_pairs", "Footprints", "iou_can_reach", "circumradius_columns", "corner_columns", "clipped_iou"}
+    for module in ("fusion", "evaluation"):
+        assert not parts & relative_imports(module).get("geometry", set()), module
