@@ -64,6 +64,10 @@ class FusionConfig:
 
     def __post_init__(self) -> None:
         # every check is written so that NaN fails it
+        # a Python int, as Detection's integer fields: not a bool, nor a float or numpy int, which the
+        # window deque or the JSON meta line rejects
+        if type(self.n_history) is not int:
+            raise ValueError(f"n_history must be an integer, got {self.n_history!r}")
         # sliding_windows holds n_history + 1 frames in a deque, whose length is a C ssize_t
         if not 0 <= self.n_history < 2**63 - 1:
             raise ValueError(f"n_history must lie in [0, {2**63 - 2}], got {self.n_history!r}")
@@ -107,11 +111,12 @@ def forward_frame(
     Each box is advanced by its own motion parameters over the time gap, then
     re-expressed in the target ego coordinates; all boxes of one model move at
     once, with the same float operations as transform_box(forward_box(...)).
-    Weights are set to the decayed confidence; motion parameters are carried
-    unchanged and frame_lag is the gap in frame intervals (rounded). Every
-    output is a history box (n_current=0), even when the gap rounds to zero
-    intervals. Raises ValueError when a forwarded box is not finite or the
-    lag does not fit in int64.
+    Motion parameters turn with the frame, as each model's in_ego_columns
+    turns them by the yaw change (only a cv velocity changes). Weights are set
+    to the decayed confidence and frame_lag is the gap in frame intervals
+    (rounded). Every output is a history box (n_current=0), even when the gap
+    rounds to zero intervals. Raises ValueError when a forwarded box or turned
+    velocity is not finite or the lag does not fit in int64.
     """
     dt = target_time - frame.timestamp
     if dt < 0.0:
@@ -129,6 +134,14 @@ def forward_frame(
                 raise ValueError("forwarded box centre is not finite")
             yaw[:] = normalize_angles(yaw)
         boxes[:, 0], boxes[:, 1], boxes[:, 6] = transform_columns(x, y, yaw, frame.ego, target_ego)
+        if frame.ego.yaw != target_ego.yaw:
+            turn = EgoPose(0.0, 0.0, target_ego.yaw - frame.ego.yaw)
+            params = cols.params.copy()
+            for model, rows in cols.groups():
+                params[rows, : len(model.json_keys)] = model.in_ego_columns(cols.params_of(model, rows), turn)
+            if not np.isfinite(params).all():
+                raise ValueError("turned motion parameters are not finite")
+            cols = cols._with(params=params)
     lag = dt / cfg.frame_interval
     if not lag < 2.0**63:
         raise ValueError(f"frame lag of {dt!r} s at frame_interval {cfg.frame_interval!r} s does not fit in int64")

@@ -2,7 +2,7 @@
 
 Three models are supported: constant planar velocity, unicycle (signed speed
 plus yaw rate), and kinematic bicycle (signed speed, slip angle, rear-axle
-arm). The turning closed forms are evaluated in chord form,
+arm). The turning closed forms share one helper in chord form,
 
     position += speed * t * sinc(dphi / 2) * unit(mean direction),
 
@@ -10,30 +10,33 @@ which is algebraically identical to the usual speed/rate arc expressions but
 stays finite and smooth through zero turn rate, so no straight-motion branch
 is needed.
 
-Each parameter class owns every rule that differs between the models, each
-stated once: its `name`, whether it `turns`, the JSON key of each field
-(`json_keys`, read by the columnar frame reader and writer, the only JSON
-form), construction from speed, heading and a signed turn radius
-(`from_motion`; positive turns left, None is straight) and its ODE (`rates`:
-from the fields, as floats with `math` or as columns with numpy, the time
-derivatives of x, y and heading as a function of heading, which the RK4
-oracles integrate). The other rules are static methods over columns, with
-parameters as (n, k) rows in field order (`param_rows`): `invalid_columns`
-flags the rows that the class's own checks reject; `forward_columns`,
-`inverse_columns`, `speed_radius_columns` and `in_ego_columns` (rotation
-into an ego frame) are the model's forward, inverse, speed and turn radius,
-and frame change; `noisy_columns` is detector noise on the parameters; and
-`merge_columns` is the fusion merge, a weighted mean per cluster (the
-bicycle averages slip wrap-aware around the cluster seed's). The per-pose
-`forward` is a one-row call of `forward_columns`, and the pose-pair
-inverses `inverse_cv` and `inverse_unicycle` are one-row calls of their
-vectorized `inverse_columns`; the bicycle's fits each distinct pose pair once,
-keyed by the bits of its eight inputs (x0, y0, h0, x1, y1, h1, dt, arm), and
-copies the fit to the pair's repeats. Each fit goes through the module
-function `inverse_bicycle`, looked up at call time, so a wrapper bound at that
-name sees every distinct fit. `estimate_param_columns` estimates the pose
-pairs of many tracks at once. `MODELS` maps each name to its class; the rest
-of the package consults only that table.
+Each model is a frozen dataclass subclass of `MotionParams`, which holds the
+rules the models share; a model restates only what differs. By default a
+model turns (`turns`), its fields must be finite, fusion merges a cluster by
+a weighted mean per column and a change of ego frame keeps the parameters.
+Each model states its `name`, the JSON key of each field (`json_keys`, read
+by the columnar frame reader and writer, the only JSON form), construction
+from speed, heading and a signed turn radius (`from_motion`; positive turns
+left, None is straight) and its ODE (`rates`: from the fields, as floats with
+`math` or as columns with numpy, the time derivatives of x, y and heading as
+a function of heading, which the RK4 oracles integrate). The other rules are
+static methods over columns, with parameters as (n, k) rows in field order
+(`param_rows`): `invalid_columns` flags the rows that the class's own checks
+reject; `forward_columns`, `inverse_columns`, `speed_radius_columns` and
+`in_ego_columns` (rotation into an ego frame, which turns only the cv
+velocity) are the model's forward, inverse, speed and turn radius, and frame
+change; `noisy_columns` is detector noise on the parameters; and
+`merge_columns` is the fusion merge (the bicycle averages slip wrap-aware
+around the cluster seed's). The per-pose `forward` is a one-row call of
+`forward_columns`, and the pose-pair inverses `inverse_cv` and
+`inverse_unicycle` are one-row calls of their vectorized `inverse_columns`;
+the bicycle's fits each distinct pose pair once, keyed by the bits of its
+eight inputs (x0, y0, h0, x1, y1, h1, dt, arm), and copies the fit to the
+pair's repeats. Each fit goes through the module function `inverse_bicycle`,
+looked up at call time, so a wrapper bound at that name sees every distinct
+fit. `estimate_param_columns` estimates the pose pairs of many tracks at
+once. `MODELS` maps each name to its class; the rest of the package consults
+only that table.
 """
 
 from __future__ import annotations
@@ -106,11 +109,6 @@ def _sinc_columns(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _non_finite(params: np.ndarray) -> np.ndarray:
-    """invalid_columns of the models whose only check is finiteness."""
-    return ~np.isfinite(params).all(axis=1)
-
-
 def _at_pair(exc: Exception, pair: int) -> Exception:
     """exc, marked with the position of the pose pair whose fit raised it."""
     exc.pair = pair
@@ -122,18 +120,48 @@ def _require_gaps(dt: np.ndarray) -> None:
         raise ValueError("zero time gap")
 
 
-def _plain_means(params: np.ndarray, seeds: np.ndarray, cluster: np.ndarray, wavg) -> np.ndarray:
-    """merge_columns of the models without angles: a weighted mean per column.
+def _chord_forward(x, y, heading, speed, direction, dphi, t: float):
+    """The turning forward in chord form: turn by dphi, move speed * t * sinc(dphi/2) along direction + dphi/2."""
+    half = 0.5 * dphi
+    chord = speed * t * _sinc_columns(half)
+    mean = direction + half
+    return x + chord * np.cos(mean), y + chord * np.sin(mean), heading + dphi
 
-    params holds the member rows and cluster[k] the cluster of row k, seeds
-    the clusters' seed rows; wavg turns per-member values into per-cluster
-    weighted means.
-    """
-    return np.stack([wavg(column) for column in params.T], axis=1)
+
+class MotionParams:
+    """Base of the motion models, holding the rules they share; a model overrides what differs."""
+
+    name: ClassVar[str]
+    turns: ClassVar[bool] = True
+    json_keys: ClassVar[dict[str, str]]
+
+    def __post_init__(self) -> None:
+        for field in self.json_keys:
+            value = getattr(self, field)
+            if not math.isfinite(value):  # tested inline: a call per field slows construction by a fifth
+                _require_finite(field, value)
+
+    @staticmethod
+    def invalid_columns(params: np.ndarray) -> np.ndarray:
+        return ~np.isfinite(params).all(axis=1)
+
+    @staticmethod
+    def merge_columns(params: np.ndarray, seeds: np.ndarray, cluster: np.ndarray, wavg) -> np.ndarray:
+        """The fusion merge, for parameters without angles: a weighted mean per column.
+
+        params holds the member rows and cluster[k] the cluster of row k, seeds
+        the clusters' seed rows; wavg turns per-member values into per-cluster
+        weighted means.
+        """
+        return np.stack([wavg(column) for column in params.T], axis=1)
+
+    @staticmethod
+    def in_ego_columns(params: np.ndarray, ego: EgoPose) -> np.ndarray:
+        return params
 
 
 @dataclass(frozen=True)
-class ConstantVelocity:
+class ConstantVelocity(MotionParams):
     """Planar constant-velocity motion (m/s); heading is carried unchanged.
 
     The forward takes any t, negative too; the inverse is the finite-difference
@@ -146,10 +174,6 @@ class ConstantVelocity:
     vx: float
     vy: float
 
-    def __post_init__(self) -> None:
-        _require_finite("vx", self.vx)
-        _require_finite("vy", self.vy)
-
     @classmethod
     def from_motion(cls, speed: float, heading: float, radius: float | None, rear_axle: float):
         if radius is not None:
@@ -161,8 +185,6 @@ class ConstantVelocity:
         # math.hypot over lists: np.hypot may differ in the last bit
         speed = np.array(list(map(math.hypot, params[:, 0].tolist(), params[:, 1].tolist())), dtype=float)
         return speed, np.full(len(params), math.inf)
-
-    invalid_columns = staticmethod(_non_finite)
 
     @staticmethod
     def forward_columns(x, y, heading, params: np.ndarray, t: float):
@@ -181,8 +203,6 @@ class ConstantVelocity:
     def rates(vx, vy, lib=np):
         return lambda phi: (vx, vy, 0.0)
 
-    merge_columns = staticmethod(_plain_means)
-
     @staticmethod
     def in_ego_columns(params: np.ndarray, ego: EgoPose) -> np.ndarray:
         if ego.yaw == 0.0:
@@ -194,7 +214,7 @@ class ConstantVelocity:
 
 
 @dataclass(frozen=True)
-class Unicycle:
+class Unicycle(MotionParams):
     """Single-axle motion: signed speed along the heading (m/s), yaw rate (rad/s).
 
     The forward turns the heading by yaw_rate * t and moves along the chord of
@@ -204,15 +224,10 @@ class Unicycle:
     pair the forward gives with |heading change| < pi."""
 
     name: ClassVar[str] = "unicycle"
-    turns: ClassVar[bool] = True
     json_keys: ClassVar[dict[str, str]] = {"speed": "v", "yaw_rate": "omega"}
 
     speed: float
     yaw_rate: float
-
-    def __post_init__(self) -> None:
-        _require_finite("speed", self.speed)
-        _require_finite("yaw_rate", self.yaw_rate)
 
     @classmethod
     def from_motion(cls, speed: float, heading: float, radius: float | None, rear_axle: float):
@@ -225,15 +240,9 @@ class Unicycle:
         with np.errstate(all="ignore"):
             return speed, np.where(rate < _ZERO_RATE, math.inf, speed / rate)
 
-    invalid_columns = staticmethod(_non_finite)
-
     @staticmethod
     def forward_columns(x, y, heading, params: np.ndarray, t: float):
-        dphi = params[:, 1] * t
-        half = 0.5 * dphi
-        chord = params[:, 0] * t * _sinc_columns(half)
-        mean = heading + half
-        return x + chord * np.cos(mean), y + chord * np.sin(mean), heading + dphi
+        return _chord_forward(x, y, heading, params[:, 0], heading, params[:, 1] * t, t)
 
     @staticmethod
     def inverse_columns(x0, y0, h0, x1, y1, h1, dt, rear_axle=None) -> np.ndarray:
@@ -256,15 +265,9 @@ class Unicycle:
     def rates(speed, yaw_rate, lib=np):
         return lambda phi: (speed * lib.cos(phi), speed * lib.sin(phi), yaw_rate)
 
-    merge_columns = staticmethod(_plain_means)
-
-    @staticmethod
-    def in_ego_columns(params: np.ndarray, ego: EgoPose) -> np.ndarray:
-        return params
-
 
 @dataclass(frozen=True)
-class Bicycle:
+class Bicycle(MotionParams):
     """Two-axle motion: signed speed (m/s), slip angle between velocity and
     heading (rad, within [-pi/2, pi/2]), center-to-rear-axle distance (m).
 
@@ -273,7 +276,6 @@ class Bicycle:
     straight motion. The inverse is a Gauss-Newton fit (`inverse_bicycle`)."""
 
     name: ClassVar[str] = "bicycle"
-    turns: ClassVar[bool] = True
     json_keys: ClassVar[dict[str, str]] = {"speed": "v", "slip": "beta", "rear_axle": "l_r"}
 
     speed: float
@@ -281,6 +283,7 @@ class Bicycle:
     rear_axle: float
 
     def __post_init__(self) -> None:
+        # written out, not super(): the fit builds one per distinct pose pair
         _require_finite("speed", self.speed)
         _require_finite("slip", self.slip)
         _require_finite("rear_axle", self.rear_axle)
@@ -347,16 +350,12 @@ class Bicycle:
     @staticmethod
     def invalid_columns(params: np.ndarray) -> np.ndarray:
         slip, rear_axle = params[:, 1], params[:, 2]
-        return _non_finite(params) | ~((slip >= -HALF_PI) & (slip <= HALF_PI)) | ~(rear_axle > 0.0)
+        return MotionParams.invalid_columns(params) | ~((slip >= -HALF_PI) & (slip <= HALF_PI)) | ~(rear_axle > 0.0)
 
     @staticmethod
     def forward_columns(x, y, heading, params: np.ndarray, t: float):
         speed, slip, rear_axle = params.T
-        dphi = speed * np.sin(slip) / rear_axle * t
-        half = 0.5 * dphi
-        chord = speed * t * _sinc_columns(half)
-        mean = heading + slip + half
-        return x + chord * np.cos(mean), y + chord * np.sin(mean), heading + dphi
+        return _chord_forward(x, y, heading, speed, heading + slip, speed * np.sin(slip) / rear_axle * t, t)
 
     @staticmethod
     def merge_columns(params: np.ndarray, seeds: np.ndarray, cluster: np.ndarray, wavg) -> np.ndarray:
@@ -364,12 +363,6 @@ class Bicycle:
         slip = clamp_columns(ref + wavg(normalize_angles(params[:, 1] - ref[cluster])), -HALF_PI, HALF_PI)
         return np.stack([wavg(params[:, 0]), slip, wavg(params[:, 2])], axis=1)
 
-    @staticmethod
-    def in_ego_columns(params: np.ndarray, ego: EgoPose) -> np.ndarray:
-        return params
-
-
-MotionParams = ConstantVelocity | Unicycle | Bicycle
 
 #: Every motion model by name; the only table the rest of the package consults.
 MODELS: dict[str, type[MotionParams]] = {c.name: c for c in (ConstantVelocity, Unicycle, Bicycle)}
@@ -418,7 +411,6 @@ def forward(pose: Pose, params: MotionParams, t: float) -> Pose:
         x, y, heading = kind.forward_columns(np.array([pose.x]), np.array([pose.y]), np.array([pose.heading]),
                                              param_rows(kind, [params]), t)
     return Pose(float(x[0]), float(y[0]), float(heading[0]))
-
 
 
 def forward_box(box: Box3D, params: MotionParams, t: float) -> Box3D:

@@ -601,10 +601,12 @@ def stream_reference(lines: list[str], cfg) -> list[str]:
         for frame in frames[max(0, k - cfg.n_history) : k]:
             dt = current.timestamp - frame.timestamp
             lag = int(round(dt / cfg.frame_interval))
+            # the motion parameters turn with the frame, as the boxes do
+            turn = EgoPose(0.0, 0.0, current.ego.yaw - frame.ego.yaw)
             for d in frame.detections:
                 box = transform_box_reference(forward_box_reference(d.box, d.motion, dt), frame.ego, current.ego)
-                dense.append(Detection(box, d.score, d.label, d.motion, decayed_weight(d.score, dt, cfg), lag,
-                                       d.track_id, 1, 0))
+                dense.append(Detection(box, d.score, d.label, motion_in_ego_reference(d.motion, turn),
+                                       decayed_weight(d.score, dt, cfg), lag, d.track_id, 1, 0))
         dense += [Detection(d.box, d.score, d.label, d.motion, d.score, 0, d.track_id, 1, 1)
                   for d in current.detections]
         fused = []

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +35,7 @@ from boxfuse import fusion, geometry
 from boxfuse.frames import DetectionColumns
 
 from boxfuse.motion import HALF_PI
-from oracles import nms_single_class_scan, weighted_nms_reference
+from oracles import motion_in_ego_reference, nms_single_class_scan, weighted_nms_reference
 
 CFG = FusionConfig()
 
@@ -272,17 +273,36 @@ class TestForwardFrame:
         for k, det in enumerate(dets):
             assert out[k].box == transform_box(forward_box(det.box, det.motion, dt), src, dst)
             assert out[k].weight == decayed_weight(det.score, dt, CFG)
-            assert (out[k].motion, out[k].n_current) == (det.motion, 0)
+            # a cv velocity turns into the target frame; the other models' parameters do not change
+            motion = motion_in_ego_reference(det.motion, EgoPose(0.0, 0.0, dst.yaw - src.yaw))
+            assert (out[k].motion, out[k].n_current) == (motion, 0)
 
-    @pytest.mark.parametrize("case", ["forward", "transform"])
+    def test_ego_turn_turns_a_cv_velocity_into_the_target_frame(self):
+        # a car at world (10, 0) drives along +x at 10 m/s while the ego turns from yaw 0 to 0.5 rad
+        cv = make_det(x=10.0, motion=ConstantVelocity(10.0, 0.0))
+        others = [make_det(x=-10.0, motion=Unicycle(10.0, 0.3)), make_det(y=10.0, motion=Bicycle(10.0, 0.1, 1.2))]
+        target = EgoPose(0.0, 0.0, 0.5)
+        out = forward_frame(Frame(0.0, EgoPose.identity(), [cv, *others]), 0.1, target, CFG)
+        assert [out[0].box.x, out[0].box.y] == pytest.approx([9.6534, -5.2737], abs=1e-4)
+        assert [out[0].motion.vx, out[0].motion.vy] == pytest.approx([8.7758, -4.7943], abs=1e-4)
+        assert [d.motion for d in out[1:]] == [d.motion for d in others]
+        # a history-only output of fusion carries the turned velocity too
+        (fused,) = fuse_frames([Frame(0.0, EgoPose.identity(), [cv]), Frame(0.1, target, [])], CFG).detections
+        assert fused.n_current == 0 and fused.motion == out[0].motion
+
+    @pytest.mark.parametrize("case", ["forward", "transform", "turn"])
     def test_overflow_to_infinity_rejected(self, case):
+        t = 10.0
         if case == "forward":
             det, ego = make_det(x=1e308, motion=ConstantVelocity(1e308, 0.0)), EgoPose.identity()
-        else:
+        elif case == "transform":
             det, ego = make_det(x=1.5e308, motion=ConstantVelocity(0.0, 0.0)), EgoPose(1.5e308, 0.0, 0.0)
+        else:
+            # the velocity turned by 45 degrees into the target frame overflows
+            det, ego, t = make_det(motion=ConstantVelocity(1.5e308, 1.5e308)), EgoPose(0.0, 0.0, -math.pi / 4), 1e-300
         frame = Frame(0.0, ego, [make_det(x=5.0), det])
         with pytest.raises(ValueError):
-            forward_frame(frame, 10.0, EgoPose.identity(), CFG)
+            forward_frame(frame, t, EgoPose.identity(), CFG)
 
 
 class TestWeightedNms:
@@ -915,7 +935,11 @@ class TestPresets:
         ("history_score_floor", math.nan, "history_score_floor must be finite and non-negative"),
         ("history_score_floor", math.inf, "history_score_floor must be finite and non-negative"),
         ("history_score_floor", -0.1, "history_score_floor must be finite and non-negative"),
+        # a window length is a Python int, as Detection's integer fields are
+        ("n_history", 2.5, "n_history must be an integer, got 2.5"),
+        ("n_history", True, "n_history must be an integer, got True"),
+        ("n_history", np.int64(4), f"n_history must be an integer, got {np.int64(4)!r}"),
     ])
     def test_interval_and_floor_must_be_finite(self, field, value, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             FusionConfig(**{field: value})

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from boxfuse import Box3D, Detection, EgoPose, Frame, Pose, forward, model_name
 from boxfuse.cli import build_parser
 from boxfuse.io import dumps_line, frame_from_obj, frame_to_obj
-from boxfuse.motion import HALF_PI, MODEL_NAMES, MODELS, model_class, param_rows
+from boxfuse.motion import HALF_PI, MODEL_NAMES, MODELS, MotionParams, model_class, param_rows
 from oracles import speed_radius_reference
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -57,6 +57,19 @@ def test_speed_radius_columns_equal_the_scalar_form(name, data):
     motions = data.draw(st.lists(st.builds(cls, **fields), max_size=8))
     speed, radius = cls.speed_radius_columns(param_rows(cls, motions))
     assert list(zip(speed.tolist(), radius.tolist())) == [speed_radius_reference(m) for m in motions]
+
+
+#: The rules MotionParams states once, and the ones each model restates because it differs there.
+SHARED_RULES = ("turns", "__post_init__", "invalid_columns", "merge_columns", "in_ego_columns")
+RESTATED = {"cv": {"turns", "in_ego_columns"}, "unicycle": set(),
+            "bicycle": {"__post_init__", "invalid_columns", "merge_columns"}}
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_every_model_restates_only_where_it_differs_from_the_base(name):
+    cls = MODELS[name]
+    assert isinstance(MotionParams, type) and issubclass(cls, MotionParams)
+    assert {rule for rule in SHARED_RULES if rule in vars(cls)} == RESTATED[name]
 
 
 def _subcommand_choices(command: str, dest: str):

@@ -20,6 +20,14 @@ and each seed, the commands run in process, in a temporary directory:
   the detections, when that exits 0, so fused rows of a model other than
   the workload's own are digested too.
 
+Every workload's scene has an identity ego, so, per seed, `moving-ego/seed-S`
+digests one scene seen from a turning ego (`EGO_MOTION`): 40 vehicles in the
+`turning-200` mix, grouped as `boxfuse synth` groups them, over 2 s at 10 Hz.
+Its ground truth is re-fitted under each motion model (`reattach_params`),
+then corrupted with the benchmark's detector noise, in the order `boxfuse
+synth` uses; the detections and `boxfuse fuse` of them under every preset
+are digested (keys `<model>/det` and `<model>/fuse-<preset>`).
+
 Once, under `traj-compare`, it also records `boxfuse traj-compare` for every
 `--gen-model` at the radii in `TRAJ_RADII` (a cv trajectory cannot turn, so
 there the error text stands in place of a digest).
@@ -36,6 +44,7 @@ digests of the tests, the digests depend on numpy's SIMD kernels.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -51,6 +60,9 @@ SEEDS = (1, 2, 3)
 EVAL_IOUS = ("0.3", "0.5", "0.7")
 # straight, turning left at the default radius, turning right
 TRAJ_RADII = ("0", "20", "-15")
+# the moving-ego scene: the mix of this workload, and the ego's unicycle speed (m/s) and yaw rate (rad/s)
+MOVING_EGO_WORKLOAD = "turning-200"
+EGO_MOTION = (8.0, 0.3)
 
 
 def _load_bench():
@@ -136,6 +148,33 @@ def workload_digests(main, models, presets, workload, preset: str, first: int, s
     return out
 
 
+def moving_ego_digests(main, models, presets, workload, seed: int, work: Path) -> dict[str, str]:
+    """The detections of a 40-vehicle scene of `workload`'s mix seen from a turning
+    ego, re-fitted under each model, and their fused outputs under every preset."""
+    from boxfuse import cli
+    from boxfuse.io import write_frames
+    from boxfuse.motion import Unicycle
+    from boxfuse.synth import CorruptionSpec, corrupt, generate_mixed_scene, reattach_params
+
+    scene = dataclasses.replace(workload, vehicles=40, duration=2.0)
+    args = cli.build_parser().parse_args(["synth", "--output-gt", "-", "--output-det", "-",
+                                          *scene.synth_args(seed)])
+    # the noise flags that the benchmark gives; the others keep CorruptionSpec's defaults, as in synth
+    noise = CorruptionSpec(**{field.name: getattr(args, field.name) for field in dataclasses.fields(CorruptionSpec)
+                              if getattr(args, field.name, None) is not None})
+    gt = generate_mixed_scene(cli._synth_groups(args, None), seed, ego_motion=Unicycle(*EGO_MOTION))
+    out = {}
+    for model in models:
+        det = work / f"moving-ego-{model}.jsonl"
+        write_frames(det, corrupt(reattach_params(gt, model), noise, seed))
+        out |= _frame_file_digests(f"{model}/det", det)
+        for name in presets:
+            fused = work / f"moving-ego-{model}-fused-{name}.jsonl"
+            _run(main, ["fuse", "--input", str(det), "--output", str(fused), "--preset", name])
+            out |= _frame_file_digests(f"{model}/fuse-{name}", fused)
+    return out
+
+
 def traj_compare_digests(main, models, work: Path) -> dict[str, str]:
     out, csv = {}, work / "traj.csv"
     for model in models:
@@ -161,6 +200,9 @@ def main() -> int:
             for seed in SEEDS:
                 digests[f"{name}/seed-{seed}"] = workload_digests(
                     boxfuse_main, MODEL_NAMES, sorted(PRESETS), workload, bench.PRESET, first, seed, Path(tmp))
+        for seed in SEEDS:
+            digests[f"moving-ego/seed-{seed}"] = moving_ego_digests(
+                boxfuse_main, MODEL_NAMES, sorted(PRESETS), bench.WORKLOADS[MOVING_EGO_WORKLOAD], seed, Path(tmp))
         digests["traj-compare"] = traj_compare_digests(boxfuse_main, MODEL_NAMES, Path(tmp))
     print(json.dumps(digests, indent=2, sort_keys=True))
     return 0
