@@ -38,7 +38,15 @@ from typing import Iterable, Iterator, Literal, Sequence, get_args
 import numpy as np
 
 from .frames import MODEL_CLASSES, PARAM_WIDTH, Detection, DetectionColumns, Frame
-from .geometry import EgoPose, clamp_columns, normalize_angles, pair_ious, reachable_pairs, transform_columns
+from .geometry import (
+    EgoPose,
+    _require_number,
+    clamp_columns,
+    normalize_angles,
+    pair_ious,
+    reachable_pairs,
+    transform_columns,
+)
 
 ScoreStrategy = Literal["decay", "divide"]
 SCORE_STRATEGIES = get_args(ScoreStrategy)
@@ -71,6 +79,9 @@ class FusionConfig:
         # sliding_windows holds n_history + 1 frames in a deque, whose length is a C ssize_t
         if not 0 <= self.n_history < 2**63 - 1:
             raise ValueError(f"n_history must lie in [0, {2**63 - 2}], got {self.n_history!r}")
+        for name in ("weight_decay", "iou_low", "iou_high", "frame_interval", "score_decay_factor",
+                     "history_score_floor"):
+            _require_number(name, getattr(self, name))
         if not 0.0 < self.weight_decay <= 1.0:
             raise ValueError("weight_decay must lie in (0, 1]")
         for name in ("iou_low", "iou_high"):

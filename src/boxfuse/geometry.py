@@ -62,6 +62,13 @@ def _require_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _require_number(name: str, value) -> None:
+    """ValueError unless value is a Python int or float: a bool is an int to Python but not a
+    number to JSON, and json cannot write a numpy scalar."""
+    if type(value) is not float and type(value) is not int:
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Pose:
     """Planar object pose: position in meters, heading wrapped to (-pi, pi]."""

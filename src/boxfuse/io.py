@@ -39,8 +39,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from itertools import chain, islice, repeat
-from operator import itemgetter
+from itertools import chain, compress, islice, repeat
+from operator import is_not, itemgetter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -198,14 +198,22 @@ def _fits_float(value) -> bool:
 
 _EXPECTED = {is_number: "be a number", _is_integer: "be an integer", _is_string: "be a string",
              _is_object: "be a JSON object", _fits_int64: "fit in int64", _fits_float: "fit in a float"}
+# the types each predicate accepts every value of; a range check accepts no type outright
+_ACCEPTED_TYPES = {is_number: {float, int}, _is_integer: {int}, _is_string: {str}, _is_object: {dict},
+                   _fits_int64: set(), _fits_float: set()}
 
 
 def _require(values: list, accept, name) -> None:
-    """ValueError naming, as name(k), the first value k that `accept` rejects."""
-    if all(map(accept, values)):
+    """ValueError naming, as name(k), the first value k that `accept` rejects.
+
+    One set of the types present settles most columns; only a column holding
+    another type is searched value by value.
+    """
+    if set(map(type, values)) <= _ACCEPTED_TYPES[accept]:
         return
-    k = next(k for k, value in enumerate(values) if not accept(value))
-    raise ValueError(f"{name(k)} must {_EXPECTED[accept]}, got {values[k]!r}")
+    for k, value in enumerate(values):
+        if not accept(value):
+            raise ValueError(f"{name(k)} must {_EXPECTED[accept]}, got {value!r}")
 
 
 def _detection_key(key: str, rows=None, width: int = 1):
@@ -227,9 +235,7 @@ def json_column(values: list, name, dtype=float) -> np.ndarray:
     the first value k that fails a check, the type check first.
     """
     accept_type, *accept_range = _NUMBER_RULES[np.dtype(dtype)]
-    # for a float column, one set of the types present checks faster than a call per value
-    if accept_type is not is_number or not set(map(type, values)) <= {float, int}:
-        _require(values, accept_type, name)
+    _require(values, accept_type, name)
     if not accept_range:
         return object_array(list(map(int, values)))
     try:
@@ -242,11 +248,15 @@ def json_column(values: list, name, dtype=float) -> np.ndarray:
 def _optional(objs: list[dict], key: str, absent: np.ndarray) -> np.ndarray:
     """An optional key's column, of absent's dtype: its checked values where present and not null, absent elsewhere."""
     values = list(map(dict.get, objs, repeat(key)))
-    if values.count(None) == len(values):
+    missing = values.count(None)
+    if missing == len(values):
         return absent
-    rows = [k for k, value in enumerate(values) if value is not None]
+    if not missing:
+        return json_column(values, _detection_key(key), absent.dtype)
+    present = list(map(is_not, values, repeat(None)))
+    rows = list(compress(range(len(values)), present))
     column = absent.copy()
-    column[rows] = json_column([values[k] for k in rows], _detection_key(key, rows), absent.dtype)
+    column[rows] = json_column(list(compress(values, present)), _detection_key(key, rows), absent.dtype)
     return column
 
 
@@ -267,7 +277,7 @@ def detections_from_objs(objs: list) -> DetectionColumns:
     _require(objs, _is_object, _detection_key("record"))
     n = len(objs)
     boxes = list(map(itemgetter("box"), objs))
-    if not all(type(box) is list and len(box) == 7 for box in boxes):
+    if not (set(map(type, boxes)) <= {list} and set(map(len, boxes)) <= {7}):
         row = next(k for k, box in enumerate(boxes) if type(box) is not list or len(box) != 7)
         raise ValueError(f"detection {row}: box must be a list of 7 numbers, got {boxes[row]!r}")
     labels = list(map(itemgetter("class"), objs))
@@ -281,7 +291,10 @@ def detections_from_objs(objs: list) -> DetectionColumns:
         raise ValueError(f"detection {row}: unknown motion model {names[row]!r}")
     model = np.array(codes, dtype=np.int64)
     width = MODEL_WIDTHS[model]
-    values = chain.from_iterable(_MOTION_VALUES[code](motion) for code, motion in zip(codes, motions))
+    if len(set(codes)) == 1:
+        values = chain.from_iterable(map(_MOTION_VALUES[codes[0]], motions))
+    else:
+        values = chain.from_iterable(_MOTION_VALUES[code](motion) for code, motion in zip(codes, motions))
     params = np.zeros((n, PARAM_WIDTH))
     # row by row, the first `width` columns of each, which is the order of the values
     params[np.arange(PARAM_WIDTH) < width[:, None]] = json_column(

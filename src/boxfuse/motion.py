@@ -42,6 +42,7 @@ only that table.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import ClassVar, Sequence
@@ -60,6 +61,8 @@ from .geometry import (
 
 HALF_PI = 0.5 * math.pi
 
+_set_field = object.__setattr__
+
 # turn rates (or slip sines) below this count as straight motion
 _ZERO_RATE = 1e-9
 
@@ -71,7 +74,12 @@ _NEEDS_ARM = "bicycle estimation needs a positive rear_axle"
 # time, several times per Gauss-Newton iteration: a one-row forward_columns
 # costs about ten times these float expressions. _sinc, _dsinc and
 # _forward_bicycle_raw serve it; _bicycle_seeds writes out the unicycle
-# inverse of the pair for one of its seeds.
+# inverse of the pair for one of its seeds. Of a fit's time, about a quarter
+# is the LAPACK solve of its 2x2 normal equations and about a fifth the BLAS
+# products and small residual arrays; the rest is the Python float arithmetic
+# and calls around them. Fitting all distinct pairs at once as columns (ROADMAP
+# item 3) would remove most of that, but the benchmark counts fits by calls of
+# inverse_bicycle, so it waits until fits are counted from FitReports (item 1a).
 
 
 def _sinc(z: float) -> float:
@@ -107,6 +115,15 @@ def _sinc_columns(z: np.ndarray) -> np.ndarray:
     big = z[~small]
     out[~small] = np.sin(big) / big
     return out
+
+
+def _unchecked_pose(x: float, y: float, heading: float) -> Pose:
+    """Pose(x, y, heading) without its checks, for pose pairs known finite with headings in (-pi, pi]."""
+    pose = object.__new__(Pose)
+    _set_field(pose, "x", x)
+    _set_field(pose, "y", y)
+    _set_field(pose, "heading", heading)
+    return pose
 
 
 def _at_pair(exc: Exception, pair: int) -> Exception:
@@ -319,16 +336,24 @@ class Bicycle(MotionParams):
         inputs = np.stack([x0, y0, h0, x1, y1, h1, dt, np.broadcast_to(rear_axle, (n,))], axis=1, dtype=float)
         _, first, key = np.unique(inputs.view(np.dtype((np.void, 64))).ravel(), return_index=True,
                                   return_inverse=True)
-        fits = np.empty((len(first), 3))
-        for u in np.argsort(first).tolist():
-            a, b, c, d, e, f, t, arm = inputs[first[u]].tolist()
+        order = np.argsort(first)
+        headings = inputs[:, [2, 5]]
+        # Pose's checks would pass every pair unchanged: skip them, else let them raise as they do
+        pose = _unchecked_pose if (np.isfinite(inputs[:, :6]).all() and (headings > -math.pi).all()
+                                   and (headings <= math.pi).all()) else Pose
+        # C doubles, not float objects: the fits of a large scene would raise the process's peak memory
+        fits = array("d")
+        for row in first[order].tolist():
+            a, b, c, d, e, f, t, arm = inputs[row].tolist()
             try:
                 # looked up at call time, so a wrapper bound at the module name sees every distinct fit
-                fit = inverse_bicycle(Pose(a, b, c), Pose(d, e, f), t, arm)[0]
+                fit = inverse_bicycle(pose(a, b, c), pose(d, e, f), t, arm)[0]
             except (ValueError, FitDivergence) as exc:
-                raise _at_pair(exc, int(first[u]))
-            fits[u] = fit.speed, fit.slip, fit.rear_axle
-        return fits[key]
+                raise _at_pair(exc, row)
+            fits.extend((fit.speed, fit.slip, fit.rear_axle))
+        out = np.empty((len(first), 3))
+        out[order] = np.frombuffer(fits).reshape(-1, 3)
+        return out[key]
 
     @staticmethod
     def speed_radius_columns(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -503,12 +528,15 @@ def _bicycle_seeds(p0: Pose, pt: Pose, t: float, rear_axle: float) -> list[tuple
             seeds.append((chord / denom, slip))
     else:
         seeds.append((0.0, 0.0))
-    uni = Unicycle((dx / t * math.cos(p0.heading) + dy / t * math.sin(p0.heading)) / _sinc(wrapped), wrapped / t)
-    if abs(uni.speed) > 0.1:
-        ratio = uni.yaw_rate * rear_axle / uni.speed
-        seeds.append((uni.speed, math.asin(min(1.0, max(-1.0, ratio)))))
+    # the unicycle inverse of the pair, written out; Unicycle raises its check's error when it overflows
+    speed = (dx / t * math.cos(p0.heading) + dy / t * math.sin(p0.heading)) / _sinc(wrapped)
+    rate = wrapped / t
+    if not (math.isfinite(speed) and math.isfinite(rate)):
+        Unicycle(speed, rate)
+    if abs(speed) > 0.1:
+        seeds.append((speed, math.asin(min(1.0, max(-1.0, rate * rear_axle / speed)))))
     else:
-        seeds.append((uni.speed, 0.0))
+        seeds.append((speed, 0.0))
     return seeds
 
 
@@ -539,7 +567,7 @@ def _bicycle_jacobian(p0: Pose, t, speed, slip, rear_axle) -> np.ndarray:
     dy_dv = dchord_dv * sm + chord * cm * dmean_dv
     dy_db = dchord_db * sm + chord * cm * dmean_db
     # residual = target - prediction, hence the sign flip
-    return -np.array([[dx_dv, dx_db], [dy_dv, dy_db], [ddphi_dv, ddphi_db]])
+    return np.array([[-dx_dv, -dx_db], [-dy_dv, -dy_db], [-ddphi_dv, -ddphi_db]])
 
 
 def _ill_conditioned(normal: np.ndarray) -> bool:
@@ -564,6 +592,11 @@ def _ill_conditioned(normal: np.ndarray) -> bool:
         if det <= 1e-14 * trace2:
             return True
     return not np.isfinite(normal).all() or np.linalg.cond(normal) > 1e12
+
+
+def _abs_speed(scored: tuple) -> float:
+    """The key of a scored seed (loss, speed, slip, residual): its absolute speed."""
+    return abs(scored[1])
 
 
 def inverse_bicycle(
@@ -606,11 +639,9 @@ def inverse_bicycle(
         scored.append((0.5 * float(cand_r @ cand_r), cand_speed, cand_slip, cand_r))
     # among near-tied losses prefer the slowest motion: a pose pair cannot
     # tell the minimal interpretation from one with extra winding
-    min_loss = min(s[0] for s in scored)
+    min_loss = min([s[0] for s in scored])
     cutoff = min_loss + 1e-9 + 1e-6 * min_loss
-    loss, speed, slip, r = min(
-        (s for s in scored if s[0] <= cutoff), key=lambda s: abs(s[1])
-    )
+    loss, speed, slip, r = min([s for s in scored if s[0] <= cutoff], key=_abs_speed)
     best_speed, best_slip, best_loss = speed, slip, loss
     for iteration in range(1, max_iter + 1):
         jac = _bicycle_jacobian(p0, t, speed, slip, rear_axle)
@@ -623,11 +654,12 @@ def inverse_bicycle(
         except np.linalg.LinAlgError:
             normal = normal + 1e-6 * max(float(np.trace(normal)), 1e-6) * np.eye(2)
             step = np.linalg.solve(normal, grad)
+        step_speed, step_slip = step.tolist()
         prev_loss = loss
         scale = 1.0
         while True:
-            cand_speed = speed - scale * float(step[0])
-            cand_slip = min(HALF_PI, max(-HALF_PI, slip - scale * float(step[1])))
+            cand_speed = speed - scale * step_speed
+            cand_slip = min(HALF_PI, max(-HALF_PI, slip - scale * step_slip))
             cand_r = _bicycle_residual(p0, pt, t, cand_speed, cand_slip, rear_axle)
             cand_loss = 0.5 * float(cand_r @ cand_r)
             if cand_loss <= prev_loss:
@@ -653,7 +685,13 @@ def estimate_param_columns(times, x, y, heading, counts, model: str, rear_axle=N
     """Per-row motion parameters of tracks held as consecutive runs of rows.
 
     Track k is the next counts[k] rows, in time order, with headings wrapped
-    to (-pi, pi]. Interior rows use their straddling pair (i-1, i+1), the
+    to (-pi, pi]. The bicycle fit relies on that rule: when every x and y is
+    finite and every heading lies in (-pi, pi], it builds each pair's Poses
+    without their checks; otherwise it builds them checked, so a value that
+    is not finite raises Pose's ValueError and a heading outside the range
+    is wrapped first, and fits to the bits of its wrapped value. (The cv and
+    unicycle inverses take headings as given.) Interior rows use their
+    straddling pair (i-1, i+1), the
     endpoints their single adjacent pair; the bicycle inverse fits each
     distinct input once (see Bicycle.inverse_columns), so the rows of a
     stationary run, both rows of a two-pose track and repeats across tracks

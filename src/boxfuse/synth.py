@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .frames import MODEL_CODES, PARAM_WIDTH, DetectionColumns, Frame, model_groups, object_array, track_index
-from .geometry import EgoPose, Pose, clamp_columns, normalize_angles, transform_columns
+from .geometry import EgoPose, Pose, _require_number, clamp_columns, normalize_angles, transform_columns
 from .motion import (
     FitDivergence,
     MotionParams,
@@ -88,6 +88,14 @@ class TrajectorySpec:
     def __post_init__(self) -> None:
         # every check is written so that NaN fails it
         model = model_class(self.model)
+        for name in ("origin_span", "min_spacing", "duration", "frame_interval"):
+            _require_number(name, getattr(self, name))
+        if self.rear_axle is not None:
+            _require_number("rear_axle", self.rear_axle)
+        for name in ("speed_range", "radius_range", "heading_range", "box_size"):
+            values = getattr(self, name)
+            if values is not None and not all(type(v) is float or type(v) is int for v in values):
+                raise ValueError(f"{name} must hold numbers, got {values!r}")
         if not 0.0 < self.frame_interval < math.inf:
             raise ValueError("frame_interval must be positive and finite")
         if not self.frame_interval <= self.duration < math.inf:
@@ -152,6 +160,9 @@ class CorruptionSpec:
 
     def __post_init__(self) -> None:
         # every check is written so that NaN fails it
+        for name in ("sigma_xy", "sigma_yaw", "sigma_speed", "sigma_turn", "drop_prob", "burst_vehicle_frac",
+                     "score_mean", "score_sigma", "score_floor"):
+            _require_number(name, getattr(self, name))
         for name in ("sigma_xy", "sigma_yaw", "sigma_speed", "sigma_turn", "score_sigma"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be non-negative and finite")

@@ -11,7 +11,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 @pytest.mark.parametrize("name", ["01_motion_models.py", "02_weighted_fusion.py", "03_synthetic_benchmark.py",
-                                  "04_turning_iou.py"])
+                                  "04_turning_iou.py", "05_history_length.py"])
 def test_demo_runs(name, capsys):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     assert capsys.readouterr().out.strip()

@@ -939,6 +939,12 @@ class TestPresets:
         ("n_history", 2.5, "n_history must be an integer, got 2.5"),
         ("n_history", True, "n_history must be an integer, got True"),
         ("n_history", np.int64(4), f"n_history must be an integer, got {np.int64(4)!r}"),
+        # a float field takes a Python int or float: a bool is no JSON number, a numpy float no JSON value
+        ("weight_decay", True, "weight_decay must be a number, got True"),
+        ("iou_high", True, "iou_high must be a number, got True"),
+        ("frame_interval", True, "frame_interval must be a number, got True"),
+        ("weight_decay", np.float32(0.5), f"weight_decay must be a number, got {np.float32(0.5)!r}"),
+        ("history_score_floor", np.float64(0.1), f"history_score_floor must be a number, got {np.float64(0.1)!r}"),
     ])
     def test_interval_and_floor_must_be_finite(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

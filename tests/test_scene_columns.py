@@ -22,6 +22,7 @@ from boxfuse import (
     Box3D,
     ConstantVelocity,
     CorruptionSpec,
+    Detection,
     EgoPose,
     FitDivergence,
     Frame,
@@ -343,6 +344,43 @@ def test_a_failing_pair_repeated_in_a_later_track_names_the_earlier_track(monkey
     assert (raised.value.track, raised.value.pair) == (1, 3)
     # the good track's three pairs, then the failing pair, which both of its rows share
     assert len(calls) == 4
+
+
+# The bicycle fit builds its Poses unchecked when one check of the pose columns
+# shows them finite with headings in (-pi, pi]; every other column takes Pose's checks.
+
+
+def test_a_nan_x_still_meets_the_pose_check_and_names_its_track():
+    x, y, heading = pose_columns([Pose(0.0, 0.0, 0.0), Pose(1.0, 0.0, 0.0)] * 2)
+    x[2] = math.nan
+    with pytest.raises(ValueError, match=r"^x must be finite, got nan$") as raised:
+        estimate_param_columns([0.0, 0.1] * 2, x, y, heading, [2, 2], "bicycle", 1.2)
+    assert raised.value.track == 1
+
+
+@pytest.mark.parametrize("unwrapped", [3.5, -math.pi, 7.0])
+def test_an_unwrapped_heading_fits_as_its_wrapped_value(unwrapped):
+    # the bicycle's Pose wraps each heading; the unicycle wraps only their difference, to other bits
+    x, y = np.array([0.0, 0.9, 1.7]), np.array([0.0, 0.1, 0.3])
+    wrapped = normalize_angle(unwrapped)
+    args = [0.0, 0.1, 0.2], x, y
+    got = estimate_param_columns(*args, np.array([3.0, unwrapped, 3.1]), [3], "bicycle", 1.2)
+    expected = estimate_param_columns(*args, np.array([3.0, wrapped, 3.1]), [3], "bicycle", 1.2)
+    # repr tells -0.0 from 0.0, so equal reprs are equal bits
+    assert repr(got.tolist()) == repr(expected.tolist())
+
+
+def test_a_heading_of_pi_fits_as_the_reference():
+    poses = [Pose(0.0, 0.0, math.pi), Pose(-0.8, 0.05, math.pi), Pose(-1.7, 0.1, 3.0)]
+    times = [0.0, 0.1, 0.2]
+    expected = [repr(fit) for fit in estimate_params_from_track_reference(times, poses, "bicycle", 1.2)]
+    rows = estimate_param_columns(times, *pose_columns(poses), [3], "bicycle", 1.2)
+    assert [repr(Bicycle(*row)) for row in rows.tolist()] == expected
+    frames = [Frame(t, EgoPose.identity(), [Detection(Box3D(p.x, p.y, 0.0, 2.0, 4.8, 1.6, p.heading), 0.9, "car",
+                                                      ConstantVelocity(0.0, 0.0), track_id=3)])
+              for t, p in zip(times, poses)]
+    # the default arm is a quarter of the box length: 4.8 / 4 = 1.2
+    assert [repr(frame.detections[0].motion) for frame in reattach_params(frames, "bicycle")] == expected
 
 
 @st.composite

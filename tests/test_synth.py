@@ -3,8 +3,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import struct
 
+import numpy as np
 import pytest
 
 from boxfuse import (
@@ -130,6 +132,13 @@ class TestGenerateGroundTruth:
             TrajectorySpec(frame_interval=0.0)
         with pytest.raises(ValueError):
             TrajectorySpec(radius_range=(0.0, 10.0))
+        # a float field takes a Python int or float: a bool is no JSON number, a numpy float no JSON value
+        with pytest.raises(ValueError, match=r"^duration must be a number, got True$"):
+            TrajectorySpec(duration=True)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'rear_axle must be a number, got {np.float32(1.2)!r}')}$"):
+            TrajectorySpec(rear_axle=np.float32(1.2))
+        with pytest.raises(ValueError, match=re.escape("speed_range must hold numbers, got (True, 14.0)")):
+            TrajectorySpec(speed_range=(True, 14.0))
 
 
 class TestCorrupt:
@@ -220,6 +229,10 @@ class TestCorrupt:
             CorruptionSpec(drop_prob=1.5)
         with pytest.raises(ValueError):
             CorruptionSpec(sigma_xy=-0.1)
+        with pytest.raises(ValueError, match=r"^sigma_xy must be a number, got True$"):
+            CorruptionSpec(sigma_xy=True)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'score_mean must be a number, got {np.float64(0.8)!r}')}$"):
+            CorruptionSpec(score_mean=np.float64(0.8))
 
 
 # Frame lines (GT then detections, meta lines left out) of three small
