@@ -10,8 +10,9 @@ Per seed, the demo prints the turning subset's ΔAPH (fused minus raw) at IoU
 0.7 for each model and history length, and the bicycle's gain over cv.
 
 A longer history forwards boxes further, so the motion model matters more
-there. The demo checks nothing: a gate would need eight or more seeds to
-choose its threshold.
+there. Last it checks that on every seed the bicycle's gain over cv at 8
+frames exceeds its gain at 2 frames, and exits with the per-seed gaps
+otherwise. That held on each of seeds 1-8; the demo runs seeds 1-3.
 
 Run:  python3 demos/05_history_length.py
 """
@@ -47,6 +48,7 @@ print(f"turning dAPH@{IOU:g}")
 print(f"{'seed':>4} {'n_history':>9}" + "".join(f"{model:>10}" for model in MODELS) + f"{'bicycle-cv':>12}")
 with tempfile.TemporaryDirectory() as tmp:
     gt_path, det_path = Path(tmp) / "gt.jsonl", Path(tmp) / "det.jsonl"
+    gaps = {}
     for seed in SEEDS:
         gains = {}
         for model in MODELS:
@@ -58,5 +60,13 @@ with tempfile.TemporaryDirectory() as tmp:
             for n in HISTORIES:
                 gains[model, n] = turning_daph(gt, det, n)
         for n in HISTORIES:
+            gaps[seed, n] = gains["bicycle", n] - gains["cv", n]
             print(f"{seed:>4} {n:>9}" + "".join(f"{gains[model, n]:>+10.4f}" for model in MODELS)
-                  + f"{gains['bicycle', n] - gains['cv', n]:>+12.4f}")
+                  + f"{gaps[seed, n]:>+12.4f}")
+
+short = [seed for seed in SEEDS if not gaps[seed, 8] > gaps[seed, 2]]
+if short:
+    table = [f"{'seed':>4} {'gap n=2':>10} {'gap n=8':>10}"]
+    table += [f"{seed:>4} {gaps[seed, 2]:>+10.4f} {gaps[seed, 8]:>+10.4f}" for seed in SEEDS]
+    raise SystemExit(f"the bicycle - cv gap at n_history 8 must exceed the gap at 2 on every seed, not on {short}:\n"
+                     + "\n".join(table))

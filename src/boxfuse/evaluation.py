@@ -22,14 +22,18 @@ builds no Detection. A frame's IoU table is read only at or above a floor:
 the matching threshold, or for a report the smaller of it and the subset
 filter's IoU. Its pairs come from geometry.reachable_pairs, the overlap
 search that weighted NMS uses too, so it holds every same-label pair that
-can reach the floor. Each IoU comes from one call of the module global
-`bev_iou(gt box, det box)` on Box3Ds built once per frame, so a wrapper bound
-at that name sees every call: the benchmark's per-layer metrics count them,
-so clipping all pairs at once with geometry.pair_ious waits for a benchmark
-that counts pairs instead. The score ranking, AP events and heading weights,
-subset selection and per-track median speed and radius are array
-operations, checked to the bit against the frozen per-detection references
-in tests/oracles.py and statistics.median.
+can reach the floor. A report makes one search per frame, of the ground
+truth against the raw and fused detections together, and splits its pairs
+into one table per stream. Each IoU comes from one call of the module global
+`bev_iou(gt box, det box)` on Box3Ds built once per frame, raw pairs first,
+so a wrapper bound at that name sees every call: the benchmark's per-layer
+metrics count them, so clipping all pairs at once with geometry.pair_ious
+waits for a benchmark that counts pairs instead. Matching returns index
+arrays, and the score ranking, AP events and heading weights, subset
+selection and per-track median speed and radius are array operations,
+checked to the bit against the frozen per-detection references in
+tests/oracles.py and statistics.median. A subset restricts only the
+scores, yaws and IoU tables that it reads.
 """
 
 from __future__ import annotations
@@ -37,12 +41,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .frames import DetectionColumns, Frame, track_index
-from .geometry import Box3D, bev_iou, normalize_angles, reachable_pairs
+from .geometry import bev_iou, normalize_angles, reachable_pairs
 
 #: IoU used to associate detections with a ground-truth subset.
 SUBSET_FILTER_IOU = 0.5
@@ -76,25 +80,31 @@ class _Overlaps(NamedTuple):
     iou: np.ndarray
 
 
-def _frame_overlaps(
-    gt: DetectionColumns, det: DetectionColumns, floor: float, gt_boxes: list[Box3D] | None = None
-) -> _Overlaps:
-    """IoU table of one frame, calling bev_iou(gt box, det box) once per pair that can reach the floor.
+def _frame_overlaps(gt: DetectionColumns, dets: Sequence[DetectionColumns], floor: float) -> list[_Overlaps]:
+    """IoU table of each detection set against one frame's ground truth, from one overlap search.
 
-    The pairs are reachable_pairs(det, gt) at the floor, so the table holds
-    every pair with IoU >= floor (> 0 at floor 0). The calls go in table
-    order. gt_boxes are gt's Box3Ds when the caller has built them already.
+    The pairs are reachable_pairs of the sets, concatenated in order, against
+    gt at the floor, so each table holds every pair of its set with
+    IoU >= floor (> 0 at floor 0). The search decides each pair by its two
+    boxes alone, so a set's table is the one a search of that set alone gives.
+    bev_iou(gt box, det box) is called once per pair, set after set, each in
+    table order.
     """
-    det_index, gt_index = reachable_pairs(det.boxes, det.label, floor, gt.boxes, gt.label)
-    if gt_boxes is None:
-        gt_boxes = gt.box_objects()
-    det_boxes = det.box_objects()
+    starts = np.cumsum([0] + [len(det) for det in dets])
+    boxes = np.concatenate([det.boxes for det in dets])
+    label = np.concatenate([det.label for det in dets])
+    det_index, gt_index = reachable_pairs(boxes, label, floor, gt.boxes, gt.label)
+    gt_boxes = gt.box_objects()
+    det_boxes = [box for det in dets for box in det.box_objects()]
     iou = np.array(
         [bev_iou(gt_boxes[gi], det_boxes[di]) for di, gi in zip(det_index.tolist(), gt_index.tolist())],
         dtype=float,
     )
     hit = iou > 0.0
-    return _Overlaps(det_index[hit], gt_index[hit], iou[hit])
+    det_index, gt_index, iou = det_index[hit], gt_index[hit], iou[hit]
+    cuts = np.searchsorted(det_index, starts).tolist()
+    return [_Overlaps(det_index[lo:hi] - start, gt_index[lo:hi], iou[lo:hi])
+            for start, lo, hi in zip(starts.tolist(), cuts, cuts[1:])]
 
 
 def _require_aligned(*streams: Sequence[Frame]) -> None:
@@ -113,33 +123,33 @@ def _require_iou_threshold(value: float) -> None:
         raise ValueError(f"IoU threshold must be below 1, got {value!r}")
 
 
-def _greedy_match(score: np.ndarray, overlaps: _Overlaps, n_gt: int, iou_threshold: float) -> MatchResult:
+def _greedy_match(
+    score: np.ndarray, overlaps: _Overlaps, n_gt: int, iou_threshold: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """match_frame of detections with these scores against n_gt ground-truth boxes, given their IoU table.
 
-    The caller checks the threshold, and the table's floor is at most it.
+    Returns the matched ground-truth indices, detection indices and IoUs, in
+    match order. The caller checks the threshold, and the table's floor is at
+    most it.
     """
     bounds = np.searchsorted(overlaps.det, np.arange(len(score) + 1)).tolist()
     gt_index = overlaps.gt.tolist()
     ious = overlaps.iou.tolist()
     taken = [False] * n_gt
-    pairs = []
-    unmatched_det = []
+    matched = []
     # descending score, ties by input order
     for di in np.argsort(-score, kind="stable").tolist():
-        best_gi = -1
+        best_k = -1
         best_iou = iou_threshold
         for k in range(bounds[di], bounds[di + 1]):
-            gi = gt_index[k]
-            if not taken[gi] and ious[k] > best_iou:
+            if not taken[gt_index[k]] and ious[k] > best_iou:
                 best_iou = ious[k]
-                best_gi = gi
-        if best_gi >= 0:
-            taken[best_gi] = True
-            pairs.append((best_gi, di, best_iou))
-        else:
-            unmatched_det.append(di)
-    unmatched_gt = tuple(i for i, used in enumerate(taken) if not used)
-    return MatchResult(tuple(pairs), unmatched_gt, tuple(sorted(unmatched_det)))
+                best_k = k
+        if best_k >= 0:
+            taken[gt_index[best_k]] = True
+            matched.append(best_k)
+    matched = np.array(matched, dtype=np.int64)
+    return overlaps.gt[matched], overlaps.det[matched], overlaps.iou[matched]
 
 
 def match_frame(gt: Frame, det: Frame, iou_threshold: float) -> MatchResult:
@@ -152,8 +162,13 @@ def match_frame(gt: Frame, det: Frame, iou_threshold: float) -> MatchResult:
     """
     _require_iou_threshold(iou_threshold)
     gt_cols, det_cols = gt.detections, det.detections
-    overlaps = _frame_overlaps(gt_cols, det_cols, iou_threshold)
-    return _greedy_match(det_cols.score, overlaps, len(gt_cols), iou_threshold)
+    overlaps = _frame_overlaps(gt_cols, [det_cols], iou_threshold)[0]
+    gt_index, det_index, iou = _greedy_match(det_cols.score, overlaps, len(gt_cols), iou_threshold)
+    unmatched_gt, unmatched_det = np.ones(len(gt_cols), dtype=bool), np.ones(len(det_cols), dtype=bool)
+    unmatched_gt[gt_index] = False
+    unmatched_det[det_index] = False
+    return MatchResult(tuple(zip(gt_index.tolist(), det_index.tolist(), iou.tolist())),
+                       tuple(np.flatnonzero(unmatched_gt).tolist()), tuple(np.flatnonzero(unmatched_det).tolist()))
 
 
 @dataclass(frozen=True)
@@ -185,50 +200,48 @@ def average_precision(
     empty.
     """
     _require_aligned(gt_frames, det_frames)
-    matches = (match_frame(gt, det, iou_threshold) for gt, det in zip(gt_frames, det_frames))
-    return _average_precision([gt.detections for gt in gt_frames], [det.detections for det in det_frames],
-                              matches, with_curve=True)
+    events = []
+    for gt, det in zip(gt_frames, det_frames):
+        pairs = match_frame(gt, det, iou_threshold).pairs
+        det_cols = det.detections
+        events.append((det_cols.score, *_frame_events(gt.detections.boxes[:, 6], det_cols.boxes[:, 6],
+                                                      [p[0] for p in pairs], [p[1] for p in pairs])))
+    return _average_precision(sum(len(gt.detections) for gt in gt_frames), events, with_curve=True)
 
 
-def _frame_events(
-    gt: DetectionColumns, det: DetectionColumns, result: MatchResult
-) -> tuple[np.ndarray, np.ndarray]:
-    """Hit mask and heading weight of every detection of a frame, from its matches.
+def _frame_events(gt_yaw: np.ndarray, det_yaw: np.ndarray, gt_index, det_index) -> tuple[np.ndarray, np.ndarray]:
+    """Hit mask and heading weight of every detection of a frame, given the yaws and its matched index pairs.
 
     A hit weighs max(0, 1 - |yaw error| / pi), a miss 0.
     """
-    hit = np.zeros(len(det), dtype=bool)
-    weight = np.zeros(len(det))
-    if result.pairs:
-        gi, di, _ = (np.array(column) for column in zip(*result.pairs))
-        left = 1.0 - np.abs(normalize_angles(det.boxes[di, 6] - gt.boxes[gi, 6])) / math.pi
-        hit[di] = True
-        weight[di] = np.where(left > 0.0, left, 0.0)
+    hit = np.zeros(len(det_yaw), dtype=bool)
+    weight = np.zeros(len(det_yaw))
+    if len(det_index):
+        left = 1.0 - np.abs(normalize_angles(det_yaw[det_index] - gt_yaw[gt_index])) / math.pi
+        hit[det_index] = True
+        weight[det_index] = np.where(left > 0.0, left, 0.0)
     return hit, weight
 
 
 def _average_precision(
-    gts: Sequence[DetectionColumns],
-    dets: Sequence[DetectionColumns],
-    matches: Iterable[MatchResult],
-    with_curve: bool,
+    n_gt: int, events: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]], with_curve: bool
 ) -> APResult:
-    """AP / heading-weighted AP of aligned frames from their per-frame matches.
+    """AP / heading-weighted AP of n_gt ground-truth boxes, from each frame's detection events.
 
-    The precision-recall curve is built only when with_curve is set, and is
-    empty otherwise.
+    A frame's events are the score, hit mask and heading weight of each of
+    its detections. The precision-recall curve is built only when with_curve
+    is set, and is empty otherwise.
     """
-    n_gt = sum(map(len, gts))
     if n_gt == 0:
         raise ValueError("no ground-truth boxes to evaluate against")
-    hits, weights = zip(*map(_frame_events, gts, dets, matches))
-    score = np.concatenate([det.score for det in dets])
+    # ground truth is there, so there are frames
+    score, hit, weight = (np.concatenate(column) for column in zip(*events))
     if len(score) == 0:
         return APResult(0.0, 0.0, (), n_gt)
     # descending score, ties in frame and detection order
     order = np.argsort(-score, kind="stable")
-    tp = np.concatenate(hits)[order].astype(float)
-    hw = np.concatenate(weights)[order]
+    tp = hit[order].astype(float)
+    hw = weight[order]
     ranks = np.arange(1, len(score) + 1, dtype=float)
     cum_tp = np.cumsum(tp)
     precision = cum_tp / ranks
@@ -327,7 +340,7 @@ def filter_detections_to_subset(
     out = []
     for det, gt in zip(det_frames, subset_gt):
         cols = det.detections
-        overlaps = _frame_overlaps(gt.detections, cols, min_iou)
+        overlaps = _frame_overlaps(gt.detections, [cols], min_iou)[0]
         keep = _overlapping(len(cols), overlaps, overlaps.iou > min_iou)
         out.append(Frame(det.timestamp, det.ego, cols.take(keep)))
     return out
@@ -340,48 +353,46 @@ def _overlapping(n_det: int, overlaps: _Overlaps, pair_mask: np.ndarray) -> np.n
     return keep
 
 
-def _subset_detections(
-    det: DetectionColumns, overlaps: _Overlaps, in_subset: np.ndarray
-) -> tuple[DetectionColumns, _Overlaps]:
-    """One frame's detections and IoU table restricted to the ground-truth rows in_subset.
+def _subset_table(n_det: int, overlaps: _Overlaps, in_subset: np.ndarray) -> tuple[np.ndarray, _Overlaps]:
+    """Which of a frame's n_det detections a ground-truth subset keeps, and the IoU table restricted to it.
 
-    Detections are filtered as by filter_detections_to_subset, and the table
-    is re-indexed to the kept detections and the subset's ground-truth rows,
-    which keep their order.
+    in_subset is the frame's mask of the subset's ground-truth rows.
+    Detections are kept as by filter_detections_to_subset. The table holds
+    the pairs of kept detections with subset rows; its detection indices are
+    renumbered among the kept detections, its ground-truth indices are not.
     """
     pair_in_subset = in_subset[overlaps.gt]
-    matched = pair_in_subset & (overlaps.iou > SUBSET_FILTER_IOU)
-    keep = _overlapping(len(det), overlaps, matched)
+    keep = _overlapping(n_det, overlaps, pair_in_subset & (overlaps.iou > SUBSET_FILTER_IOU))
     pair_kept = pair_in_subset & keep[overlaps.det]
     # a kept row's new index is the number of kept rows before it
-    table = _Overlaps(
-        (np.cumsum(keep) - 1)[overlaps.det[pair_kept]],
-        (np.cumsum(in_subset) - 1)[overlaps.gt[pair_kept]],
-        overlaps.iou[pair_kept],
-    )
-    return det.take(keep), table
+    table = _Overlaps((np.cumsum(keep) - 1)[overlaps.det[pair_kept]], overlaps.gt[pair_kept], overlaps.iou[pair_kept])
+    return keep, table
 
 
 def _sequence_ap(
-    gts: Sequence[DetectionColumns],
+    gt_yaws: Sequence[np.ndarray],
     dets: Sequence[DetectionColumns],
     tables: Sequence[_Overlaps],
     in_subset: Sequence[np.ndarray] | None,
     iou_threshold: float,
 ) -> tuple[int, float, float]:
-    """(n_gt, AP, APH) of a sequence from its per-frame IoU tables.
+    """(n_gt, AP, APH) of a sequence from each frame's ground-truth yaws, detections and IoU table.
 
-    in_subset None means every box. Otherwise gts are already restricted to
-    a ground-truth subset, in_subset holds each full frame's mask of it, and
-    detections and tables are restricted here.
+    in_subset None means every box. Otherwise it holds each frame's mask of a
+    ground-truth subset, and the detections' scores, yaws and tables are
+    restricted to the subset here.
     """
-    if in_subset is not None:
-        dets, tables = zip(*map(_subset_detections, dets, tables, in_subset))
-    matches = (
-        _greedy_match(det.score, table, len(gt), iou_threshold) for gt, det, table in zip(gts, dets, tables)
-    )
-    result = _average_precision(gts, dets, matches, with_curve=False)
-    return result.n_gt, result.ap, result.aph
+    n_gt = sum(map(len, gt_yaws)) if in_subset is None else sum(int(np.count_nonzero(mask)) for mask in in_subset)
+    events = []
+    for frame, (gt_yaw, det, table) in enumerate(zip(gt_yaws, dets, tables)):
+        score, yaw = det.score, det.boxes[:, 6]
+        if in_subset is not None:
+            keep, table = _subset_table(len(score), table, in_subset[frame])
+            score, yaw = score[keep], yaw[keep]
+        gt_index, det_index, _ = _greedy_match(score, table, len(gt_yaw), iou_threshold)
+        events.append((score, *_frame_events(gt_yaw, yaw, gt_index, det_index)))
+    result = _average_precision(n_gt, events, with_curve=False)
+    return n_gt, result.ap, result.aph
 
 
 @dataclass(frozen=True)
@@ -454,25 +465,20 @@ def evaluate_enhancement(
     _require_aligned(gt_frames, raw_frames, fused_frames)
     labels = split_motion_state(gt_frames)
     gts, raws, fuseds = ([frame.detections for frame in frames] for frames in (gt_frames, raw_frames, fused_frames))
-    # one IoU table per frame and stream serves the all row and every subset,
-    # so it holds the pairs that the matching and the subset filter can read;
-    # a frame's ground-truth boxes are built once for both streams
+    # one overlap search per frame serves both streams, the all row and every
+    # subset, so its tables hold the pairs that the matching and the subset
+    # filter can read
     floor = min(iou_threshold, SUBSET_FILTER_IOU)
-    raw_tables, fused_tables = [], []
-    for gt, raw, fused in zip(gts, raws, fuseds):
-        boxes = gt.box_objects()
-        raw_tables.append(_frame_overlaps(gt, raw, floor, boxes))
-        fused_tables.append(_frame_overlaps(gt, fused, floor, boxes))
+    tables = [_frame_overlaps(gt, [raw, fused], floor) for gt, raw, fused in zip(gts, raws, fuseds)]
+    raw_tables, fused_tables = [table[0] for table in tables], [table[1] for table in tables]
+    gt_yaws = [gt.boxes[:, 6] for gt in gts]
     rows = []
     for name in ("all", "stationary", "straight", "turning"):
         ids = set(labels) if name == "all" else {t for t, lab in labels.items() if lab == name}
         if not ids and name != "all":
             continue
-        sub_gts, in_subset = gts, None
-        if name != "all":
-            in_subset = [_in_tracks(gt, ids) for gt in gts]
-            sub_gts = list(map(DetectionColumns.take, gts, in_subset))
-        n_gt, ap_raw, aph_raw = _sequence_ap(sub_gts, raws, raw_tables, in_subset, iou_threshold)
-        _, ap_fused, aph_fused = _sequence_ap(sub_gts, fuseds, fused_tables, in_subset, iou_threshold)
+        in_subset = None if name == "all" else [_in_tracks(gt, ids) for gt in gts]
+        n_gt, ap_raw, aph_raw = _sequence_ap(gt_yaws, raws, raw_tables, in_subset, iou_threshold)
+        _, ap_fused, aph_fused = _sequence_ap(gt_yaws, fuseds, fused_tables, in_subset, iou_threshold)
         rows.append(SubsetMetrics(name, n_gt, ap_raw, ap_fused, aph_raw, aph_fused))
     return EnhancementReport(iou_threshold, tuple(rows), _REPORT_NOTES)

@@ -172,10 +172,17 @@ class CorruptionSpec:
             raise ValueError("drop_prob must lie in [0, 1]")
         if not 0.0 <= self.burst_vehicle_frac <= 1.0:
             raise ValueError("burst_vehicle_frac must lie in [0, 1]")
+        if type(self.burst_frames) is not int:
+            raise ValueError(f"burst_frames must be an integer, got {self.burst_frames!r}")
         if self.burst_frames < 0:
             raise ValueError("burst_frames must be non-negative")
         if not 0.0 <= self.score_floor <= 1.0:
             raise ValueError("score_floor must lie in [0, 1]")
+        for name in ("frame_drop_overrides", "frame_score_scale"):
+            for frame, _ in getattr(self, name):
+                # a negative index matches no frame, so it would be ignored
+                if type(frame) is not int or frame < 0:
+                    raise ValueError(f"{name} frame indices must be non-negative integers, got {frame!r}")
         for _, p in self.frame_drop_overrides:
             if not 0.0 <= p <= 1.0:
                 raise ValueError("frame drop overrides must lie in [0, 1]")

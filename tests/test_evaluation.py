@@ -294,6 +294,13 @@ class TestEvaluateEnhancement:
         report = evaluate_enhancement(gt, gt, gt, 0.5)
         assert {r.subset for r in report.rows} == {"all", "stationary"}
 
+    @pytest.mark.parametrize("n_frames", [0, 2])
+    def test_ground_truth_without_boxes_is_rejected(self, n_frames):
+        gt = [frame([], t=0.1 * k) for k in range(n_frames)]
+        dets = [frame([det(1.0 * k)], t=0.1 * k) for k in range(n_frames)]
+        with pytest.raises(ValueError, match="^no ground-truth boxes to evaluate against$"):
+            evaluate_enhancement(gt, dets, dets, 0.5)
+
 
 class TestAlignment:
     ENTRY_POINTS = {
@@ -499,12 +506,45 @@ class TestColumns:
                 if det.label[di] == gt.label[gi] and bev_iou(g, d) > 0.0}
 
         def table(floor):
-            return set(zip(*(column.tolist() for column in evaluation._frame_overlaps(gt, det, floor))))
+            return set(zip(*(column.tolist() for column in evaluation._frame_overlaps(gt, [det], floor)[0])))
 
         floored = table(floor)
         assert table(0.0) == full
         assert floored <= full
         assert {pair for pair in full if pair[2] >= floor} <= floored
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), floor=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+           empty=st.sampled_from([None, "gt", "raw", "fused"]))
+    def test_one_search_gives_each_set_the_table_of_its_own(self, seed, floor, empty):
+        gt_frames, raw_frames = crowded_scene(seed, n_frames=1)
+        _, fused_frames = crowded_scene(seed + 1, n_frames=1)
+        sets = {name: frames[0].detections for name, frames in
+                (("gt", gt_frames), ("raw", raw_frames), ("fused", fused_frames))}
+        if empty is not None:
+            sets[empty] = sets[empty][:0]
+        gt, raw, fused = sets.values()
+        calls = []
+        bev_iou = evaluation.bev_iou
+
+        def recording(a, b):
+            calls.append((tuple(a.to_array()), tuple(b.to_array())))
+            return bev_iou(a, b)
+
+        evaluation.bev_iou = recording
+        try:
+            shared = evaluation._frame_overlaps(gt, [raw, fused], floor)
+            shared_calls, calls[:] = calls[:], []
+            alone = [evaluation._frame_overlaps(gt, [dets], floor)[0] for dets in (raw, fused)]
+        finally:
+            evaluation.bev_iou = bev_iou
+        # raw pairs first, then fused pairs, each set's in its table order
+        assert shared_calls == calls
+        assert len(shared) == 2
+        for got, want in zip(shared, alone):
+            for got_column, want_column in zip(got, want):
+                assert got_column.dtype == want_column.dtype
+                assert np.array_equal(got_column, want_column)
 
     # speeds and radii: non-negative, radii possibly infinite
     @given(groups=st.lists(st.tuples(st.integers(0, 4), st.floats(min_value=0.0)), min_size=1))

@@ -919,6 +919,10 @@ class TestSynthScene:
         ({"groups": [GROUP], "corruption": {"burst_frames": 1.5}}, "corruption", "'burst_frames'"),
         ({"groups": [GROUP], "corruption": {"frame_drop_overrides": [[1.5, 0.5]]}}, "corruption",
          "'frame_drop_overrides'"),
+        ({"groups": [GROUP], "corruption": {"frame_drop_overrides": [[-1, 0.5]]}}, "corruption",
+         "frame_drop_overrides frame indices must be non-negative integers, got -1"),
+        ({"groups": [GROUP], "corruption": {"frame_score_scale": [[-1, 0.5]]}}, "corruption",
+         "frame_score_scale frame indices must be non-negative integers, got -1"),
         ({"groups": [{"spec": {"model": "cv", "heading_range": [math.nan, 0.0]}, "count": 1}]}, "group 0", "'spec'"),
         ({"groups": []}, "--spec: ", "no vehicle groups"),
     ])

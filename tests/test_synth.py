@@ -233,6 +233,15 @@ class TestCorrupt:
             CorruptionSpec(sigma_xy=True)
         with pytest.raises(ValueError, match=f"^{re.escape(f'score_mean must be a number, got {np.float64(0.8)!r}')}$"):
             CorruptionSpec(score_mean=np.float64(0.8))
+        for value in (2.5, True, np.int64(2)):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'burst_frames must be an integer, got {value!r}')}$"):
+                CorruptionSpec(burst_frames=value, burst_vehicle_frac=0.5)
+        for name in ("frame_drop_overrides", "frame_score_scale"):
+            for index in (1.5, True, -1):
+                message = f"{name} frame indices must be non-negative integers, got {index!r}"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    CorruptionSpec(**{name: ((0, 0.5), (index, 0.5))})
+            CorruptionSpec(**{name: ((0, 0.5), (7, 0.5))})
 
 
 # Frame lines (GT then detections, meta lines left out) of three small

@@ -56,8 +56,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
-# below, at and above the subset filter's IoU of 0.5; 0.7 is the Waymo vehicle IoU
-EVAL_IOUS = ("0.3", "0.5", "0.7")
+# below, at and above the subset filter's IoU of 0.5; 0.7 is the Waymo vehicle IoU;
+# 0 keeps every pair that can overlap at all in the IoU tables
+EVAL_IOUS = ("0", "0.3", "0.5", "0.7")
 # straight, turning left at the default radius, turning right
 TRAJ_RADII = ("0", "20", "-15")
 # the moving-ego scene: the mix of this workload, and the ego's unicycle speed (m/s) and yaw rate (rad/s)
