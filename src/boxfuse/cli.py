@@ -5,11 +5,10 @@ destination where that differs from the flag name, and its type, default,
 choices and help. `_opt` resolves an option in one order: the flag, then the
 environment variable BOXFUSE_ plus the flag name (BOXFUSE_DECAY for --decay,
 BOXFUSE_L_R for --l-r), then the --config file (fuse only), then the
---preset or the table default. Environment and config values are checked
-with the flag's type and choices, and a config value keeps its JSON form.
-Every number of a --config or --spec file, and a vehicle count, is checked
-by the rule the frame reader applies to frame numbers (io.json_column), so
-one beyond float range is rejected as it is in a frame.
+--preset or the table default. An environment value is cast with the flag's
+type and checked against its choices. A --config or --spec value, arrays read
+as tuples, is checked against its field's annotation by the rule the config
+dataclasses run (geometry.require_type), and a config value keeps its JSON form.
 Exit codes: 0 success, 1 usage error, 2 data error. All commands are
 deterministic given their inputs, flags and seed; output files carry a meta
 header echoing the resolved configuration, and the fuse and inverse headers
@@ -28,7 +27,6 @@ import math
 import os
 import sys
 import time
-import typing
 from typing import Sequence
 
 import numpy as np
@@ -36,14 +34,13 @@ import numpy as np
 from . import __version__
 from .evaluation import evaluate_enhancement
 from .fusion import PRESETS, SCORE_STRATEGIES, FusionConfig, fuse_frames, sliding_windows
-from .geometry import Pose, normalize_angle, transform_box
+from .geometry import Pose, field_types, normalize_angle, require_type, transform_box
 from .io import (
     FrameFormatError,
     dumps_frame,
     dumps_line,
     frame_line,
     frame_to_obj,
-    is_number,
     iter_frames,
     json_column,
     read_frames,
@@ -178,7 +175,6 @@ _ROWS = {command: {row.dest: row for row in rows} for command, rows in OPTIONS.i
 #: is its destination
 _SPEC_DESTS = {"origin_span": ("span",), "speed_range": ("speed_min", "speed_max"),
                "radius_range": ("radius_min", "radius_max"), "n_frames": ("duration", "frame_interval")}
-_FUSION_KEYS = tuple(field.name for field in dataclasses.fields(FusionConfig))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -253,50 +249,12 @@ def _positive(value) -> bool:
     return 0.0 < value < math.inf
 
 
-_JSON_TYPES = {float: "a number", int: "an integer", str: "a non-empty string"}
-
-
-def _fits(value, hint, where: str) -> bool:
-    """Whether a parsed JSON value has the type `hint`: float (a JSON number),
-    int, str (non-empty), None, a union, or a tuple (a list of fixed length, or
-    of any length for tuple[X, ...]). A number for a float goes through the
-    frame reader's rule, whose ValueError names `where` when it is beyond float range."""
-    if hint is float:
-        return is_number(value) and json_column([value], lambda k: where) is not None
-    if hint is int:
-        return type(value) is int
-    if hint is str:
-        return type(value) is str and value != ""
-    if hint is type(None):
-        return value is None
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is tuple:
-        if type(value) is not list:
-            return False
-        if args[-1] is Ellipsis:
-            return all(_fits(item, args[0], where) for item in value)
-        return len(value) == len(args) and all(_fits(item, arg, where) for item, arg in zip(value, args))
-    return any(_fits(value, arg, where) for arg in args)
-
-
-def _check_json(value, hint, where: str, choices: tuple | None = None) -> None:
-    """ValueError naming `where` unless value fits `hint` (and is one of `choices`, if any)."""
-    if not _fits(value, hint, where) or (choices and value not in choices):
-        expected = f"one of {', '.join(choices)}" if choices else _JSON_TYPES.get(hint, str(hint))
-        raise ValueError(f"{where} must be {expected}, got {value!r}")
-
-
 def _fusion_config(args: argparse.Namespace) -> FusionConfig:
     preset = _checked(args, "preset", PRESETS.__contains__, f"one of {', '.join(sorted(PRESETS))}")
     base = dataclasses.asdict(PRESETS[preset]) if preset else {}
-    file_values = {}
     config_path = _opt(args, "config")
-    if config_path:
-        file_values = _known_keys(_json_file(config_path, "--config"), _FUSION_KEYS, "--config")
-        for key, value in file_values.items():
-            row = _ROWS["fuse"][key]
-            _check_json(value, row.type, f"--config: key {key!r}", row.choices)
-    return _settings(args, FusionConfig, {key: _opt(args, key, file_values, base) for key in _FUSION_KEYS},
+    file_values = _json_fields(FusionConfig, _json_file(config_path, "--config"), "--config") if config_path else {}
+    return _settings(args, FusionConfig, {key: _opt(args, key, file_values, base) for key in field_types(FusionConfig)},
                      file_values)
 
 
@@ -421,17 +379,27 @@ def _json_file(path: str, flag: str):
             raise ValueError(f"{flag}: {exc}") from None
 
 
-def _spec_from_obj(cls, obj, where: str):
-    """A TrajectorySpec or CorruptionSpec from its --spec object, each value
-    checked against its field's type as --config values are; ValueError names
-    `where` and the key."""
-    hints = typing.get_type_hints(cls)
-    values = _known_keys(obj, hints, where)
+def _tuples(value):
+    """A JSON value with every array, at any depth, as a tuple, the form of a config dataclass's tuple fields."""
+    return tuple(map(_tuples, value)) if type(value) is list else value
+
+
+def _json_fields(cls, obj, where: str) -> dict:
+    """The fields of the dataclass cls that the JSON object obj sets, arrays as tuples, each checked by
+    the type rule that cls's constructor runs; ValueError names `where` and the key."""
+    types = field_types(cls)
+    values = {key: _tuples(value) for key, value in _known_keys(obj, types, where).items()}
     for key, value in values.items():
-        _check_json(value, hints[key], f"{where}: key {key!r}")
+        require_type(f"{where}: key {key!r}", value, types[key])
+    return values
+
+
+def _spec_from_obj(cls, obj, where: str):
+    """A TrajectorySpec or CorruptionSpec from its --spec object; ValueError names `where`, and the key."""
+    values = _json_fields(cls, obj, where)
     try:
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
-    except (TypeError, ValueError) as exc:
+        return cls(**values)
+    except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 
@@ -467,9 +435,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         groups, cspec = _spec_scene(_json_file(spec_path, "--spec"))
     else:
         groups = _synth_groups(args, rear_axle)
-        cspec = _settings(args, CorruptionSpec, {field.name: _opt(args, field.name)
-                                                 for field in dataclasses.fields(CorruptionSpec)
-                                                 if field.name in _ROWS["synth"]})
+        cspec = _settings(args, CorruptionSpec, {name: _opt(args, name) for name in field_types(CorruptionSpec)
+                                                 if name in _ROWS["synth"]})
     gt_path = _opt(args, "output_gt")
     det_path = _opt(args, "output_det")
     gt = generate_mixed_scene(groups, seed)

@@ -40,11 +40,11 @@ import numpy as np
 from .frames import MODEL_CLASSES, PARAM_WIDTH, Detection, DetectionColumns, Frame
 from .geometry import (
     EgoPose,
-    _require_number,
     clamp_columns,
     normalize_angles,
     pair_ious,
     reachable_pairs,
+    require_field_types,
     transform_columns,
 )
 
@@ -54,7 +54,7 @@ SCORE_STRATEGIES = get_args(ScoreStrategy)
 
 @dataclass(frozen=True)
 class FusionConfig:
-    """Knobs for sliding-window weighted-NMS fusion.
+    """Knobs for sliding-window weighted-NMS fusion; `require_field_types` enforces each field's annotated type.
 
     The defaults are the primary single-detector tuning: confidence decay 0.8
     per frame interval, merge and suppression IoU both 0.7, four history
@@ -71,17 +71,11 @@ class FusionConfig:
     history_score_floor: float = 0.01
 
     def __post_init__(self) -> None:
+        require_field_types(self)
         # every check is written so that NaN fails it
-        # a Python int, as Detection's integer fields: not a bool, nor a float or numpy int, which the
-        # window deque or the JSON meta line rejects
-        if type(self.n_history) is not int:
-            raise ValueError(f"n_history must be an integer, got {self.n_history!r}")
         # sliding_windows holds n_history + 1 frames in a deque, whose length is a C ssize_t
         if not 0 <= self.n_history < 2**63 - 1:
             raise ValueError(f"n_history must lie in [0, {2**63 - 2}], got {self.n_history!r}")
-        for name in ("weight_decay", "iou_low", "iou_high", "frame_interval", "score_decay_factor",
-                     "history_score_floor"):
-            _require_number(name, getattr(self, name))
         if not 0.0 < self.weight_decay <= 1.0:
             raise ValueError("weight_decay must lie in (0, 1]")
         for name in ("iou_low", "iou_high"):
@@ -91,8 +85,6 @@ class FusionConfig:
             raise ValueError("iou_high must be at least iou_low")
         if not 0.0 < self.frame_interval < math.inf:
             raise ValueError("frame_interval must be positive and finite")
-        if self.score_strategy not in SCORE_STRATEGIES:
-            raise ValueError(f"unknown score strategy {self.score_strategy!r}")
         if not 0.0 < self.score_decay_factor <= 1.0:
             raise ValueError("score_decay_factor must lie in (0, 1]")
         if not 0.0 <= self.history_score_floor < math.inf:

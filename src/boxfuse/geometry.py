@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from dataclasses import dataclass, fields, replace
+from types import MappingProxyType, UnionType
+from typing import Literal, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -62,11 +64,64 @@ def _require_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _require_number(name: str, value) -> None:
-    """ValueError unless value is a Python int or float: a bool is an int to Python but not a
-    number to JSON, and json cannot write a numpy scalar."""
-    if type(value) is not float and type(value) is not int:
-        raise ValueError(f"{name} must be a number, got {value!r}")
+def _fits_float(value) -> bool:
+    # 2**1024 - 2**970 is the least integer that float() rounds beyond the largest float
+    return -2**1024 + 2**970 < value < 2**1024 - 2**970
+
+
+# each scalar type's words in a message, and its test
+_SCALARS = {int: ("an integer", lambda v: type(v) is int), float: ("a number", lambda v: type(v) in (float, int)),
+            str: ("a non-empty string", lambda v: type(v) is str and v != ""),
+            type(None): ("None", lambda v: v is None)}
+
+
+def _type_text(hint) -> str:
+    """The words for `hint` in a message; a union leaves out None, which means unset."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Literal:
+        return f"one of {', '.join(map(str, args))}"
+    if origin is tuple:
+        return f"a tuple ({', '.join('...' if arg is Ellipsis else _type_text(arg) for arg in args)})"
+    return " or ".join(_type_text(arg) for arg in args if arg is not type(None)) if args else _SCALARS[hint][0]
+
+
+def _fits(value, hint, name: str) -> bool:
+    """Whether value has the type `hint`; ValueError naming `name` for an int beyond float range for a float."""
+    if hint is float and type(value) is int and not _fits_float(value):
+        raise ValueError(f"{name} must fit in a float, got {value!r}")
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Literal:
+        return any(type(value) is type(arg) and value == arg for arg in args)
+    if origin is tuple:
+        items = args[:1] * len(value) if args[-1] is Ellipsis and type(value) is tuple else args
+        return (type(value) is tuple and len(value) == len(items)
+                and all(_fits(item, arg, name) for item, arg in zip(value, items)))
+    if origin is Union or origin is UnionType:
+        return any(_fits(value, arg, name) for arg in args)
+    return _SCALARS[hint][1](value)
+
+
+def require_type(name: str, value, hint) -> None:
+    """ValueError, beginning with name, unless value has the type `hint`: the one type rule of a config field.
+
+    int takes a Python int, not a bool or numpy integer; float a Python int or float, an int only within float
+    range; str a non-empty string; a Literal one of its values; a union any arm; tuple[X, Y] a tuple of that
+    length, tuple[X, ...] one of any length. Another hint raises KeyError."""
+    if not _fits(value, hint, name):
+        raise ValueError(f"{name} must be {_type_text(hint)}, got {value!r}")
+
+
+@functools.cache
+def field_types(cls) -> MappingProxyType:
+    """The annotation of each field of the dataclass cls, in field order: resolved once per class, so read-only."""
+    hints = get_type_hints(cls)
+    return MappingProxyType({field.name: hints[field.name] for field in fields(cls)})
+
+
+def require_field_types(obj) -> None:
+    """require_type over every field of the dataclass instance obj, in field order."""
+    for name, hint in field_types(type(obj)).items():
+        require_type(name, getattr(obj, name), hint)
 
 
 @dataclass(frozen=True)

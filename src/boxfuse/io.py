@@ -46,7 +46,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .frames import MODEL_CODES, MODEL_WIDTHS, PARAM_WIDTH, DetectionColumns, Frame, object_array
-from .geometry import EgoPose
+from .geometry import EgoPose, _fits_float
 from .motion import MODEL_NAMES, MODELS
 
 
@@ -189,11 +189,6 @@ def _is_object(value) -> bool:
 
 def _fits_int64(value) -> bool:
     return -2**63 <= value < 2**63
-
-
-def _fits_float(value) -> bool:
-    # 2**1024 - 2**970 is the least integer that float() rounds beyond the largest float
-    return -2**1024 + 2**970 < value < 2**1024 - 2**970
 
 
 _EXPECTED = {is_number: "be a number", _is_integer: "be an integer", _is_string: "be a string",

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .frames import MODEL_CODES, PARAM_WIDTH, DetectionColumns, Frame, model_groups, object_array, track_index
-from .geometry import EgoPose, Pose, _require_number, clamp_columns, normalize_angles, transform_columns
+from .geometry import EgoPose, Pose, clamp_columns, normalize_angles, require_field_types, transform_columns
 from .motion import (
     FitDivergence,
     MotionParams,
@@ -64,13 +64,13 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class TrajectorySpec:
-    """Population spec for a group of vehicles sharing one motion pattern.
+    """Population spec for a group of vehicles sharing one motion pattern, each field of its annotated type.
 
     radius_range None means straight motion (or standstill when the speed
     range is zero); otherwise turning radii are drawn uniformly and the turn
     direction is a random sign. Initial positions sit on a jittered lattice
     spanning origin_span so spawns keep min_spacing apart; headings are drawn
-    from heading_range.
+    from heading_range. `require_field_types` enforces the annotations.
     """
 
     model: str = "bicycle"
@@ -86,16 +86,9 @@ class TrajectorySpec:
     label: str = "vehicle"
 
     def __post_init__(self) -> None:
+        require_field_types(self)
         # every check is written so that NaN fails it
         model = model_class(self.model)
-        for name in ("origin_span", "min_spacing", "duration", "frame_interval"):
-            _require_number(name, getattr(self, name))
-        if self.rear_axle is not None:
-            _require_number("rear_axle", self.rear_axle)
-        for name in ("speed_range", "radius_range", "heading_range", "box_size"):
-            values = getattr(self, name)
-            if values is not None and not all(type(v) is float or type(v) is int for v in values):
-                raise ValueError(f"{name} must hold numbers, got {values!r}")
         if not 0.0 < self.frame_interval < math.inf:
             raise ValueError("frame_interval must be positive and finite")
         if not self.frame_interval <= self.duration < math.inf:
@@ -134,7 +127,7 @@ class TrajectorySpec:
 
 @dataclass(frozen=True)
 class CorruptionSpec:
-    """Detector-noise model applied to ground-truth frames.
+    """Detector-noise model applied to ground-truth frames, each field of its annotated type.
 
     Pose noise is additive Gaussian on (x, y) and yaw; motion-parameter noise
     is per component (sigma_speed on velocities, sigma_turn on yaw rate or
@@ -142,7 +135,8 @@ class CorruptionSpec:
     burst_vehicle_frac of the vehicles lose burst_frames consecutive frames
     entirely. Scores are Gaussian around score_mean, clipped to
     [score_floor, 0.999]. frame_drop_overrides / frame_score_scale override
-    the drop probability or scale scores on selected frame indices.
+    the drop probability or scale scores on selected frame indices, each
+    index at most once. `require_field_types` enforces the annotations.
     """
 
     sigma_xy: float = 0.0
@@ -159,10 +153,8 @@ class CorruptionSpec:
     frame_score_scale: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self) -> None:
+        require_field_types(self)
         # every check is written so that NaN fails it
-        for name in ("sigma_xy", "sigma_yaw", "sigma_speed", "sigma_turn", "drop_prob", "burst_vehicle_frac",
-                     "score_mean", "score_sigma", "score_floor"):
-            _require_number(name, getattr(self, name))
         for name in ("sigma_xy", "sigma_yaw", "sigma_speed", "sigma_turn", "score_sigma"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be non-negative and finite")
@@ -172,23 +164,21 @@ class CorruptionSpec:
             raise ValueError("drop_prob must lie in [0, 1]")
         if not 0.0 <= self.burst_vehicle_frac <= 1.0:
             raise ValueError("burst_vehicle_frac must lie in [0, 1]")
-        if type(self.burst_frames) is not int:
-            raise ValueError(f"burst_frames must be an integer, got {self.burst_frames!r}")
         if self.burst_frames < 0:
             raise ValueError("burst_frames must be non-negative")
         if not 0.0 <= self.score_floor <= 1.0:
             raise ValueError("score_floor must lie in [0, 1]")
-        for name in ("frame_drop_overrides", "frame_score_scale"):
-            for frame, _ in getattr(self, name):
-                # a negative index matches no frame, so it would be ignored
-                if type(frame) is not int or frame < 0:
+        # a negative frame index matches no frame, and corrupt would keep only the last value of a repeated one
+        for name, accept, requirement in (("frame_drop_overrides", lambda p: 0.0 <= p <= 1.0, "lie in [0, 1]"),
+                                          ("frame_score_scale", math.isfinite, "be finite")):
+            frames = [frame for frame, _ in getattr(self, name)]
+            for k, (frame, value) in enumerate(getattr(self, name)):
+                if frame < 0:
                     raise ValueError(f"{name} frame indices must be non-negative integers, got {frame!r}")
-        for _, p in self.frame_drop_overrides:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("frame drop overrides must lie in [0, 1]")
-        for _, scale in self.frame_score_scale:
-            if not math.isfinite(scale):
-                raise ValueError("frame score scales must be finite")
+                if frame in frames[:k]:
+                    raise ValueError(f"{name} repeats frame index {frame!r}")
+                if not accept(value):
+                    raise ValueError(f"{name} values must {requirement}, got {value!r}")
 
 
 def _lattice(n: int, span: float, spacing: float) -> tuple[list[tuple[float, float]], float]:

@@ -923,6 +923,14 @@ class TestSynthScene:
          "frame_drop_overrides frame indices must be non-negative integers, got -1"),
         ({"groups": [GROUP], "corruption": {"frame_score_scale": [[-1, 0.5]]}}, "corruption",
          "frame_score_scale frame indices must be non-negative integers, got -1"),
+        ({"groups": [GROUP], "corruption": {"frame_drop_overrides": [[1, True]]}}, "--spec: key 'corruption': ",
+         "key 'frame_drop_overrides' must be a tuple (a tuple (an integer, a number), ...), got ((1, True),)"),
+        ({"groups": [GROUP], "corruption": {"frame_score_scale": [[0, False]]}}, "--spec: key 'corruption': ",
+         "key 'frame_score_scale' must be a tuple (a tuple (an integer, a number), ...), got ((0, False),)"),
+        ({"groups": [GROUP], "corruption": {"frame_drop_overrides": [[1, 0.0], [1, 1.0]]}},
+         "--spec: key 'corruption': ", "frame_drop_overrides repeats frame index 1"),
+        ({"groups": [GROUP], "corruption": {"frame_score_scale": [[2, 0.5], [2, 0.5]]}},
+         "--spec: key 'corruption': ", "frame_score_scale repeats frame index 2"),
         ({"groups": [{"spec": {"model": "cv", "heading_range": [math.nan, 0.0]}, "count": 1}]}, "group 0", "'spec'"),
         ({"groups": []}, "--spec: ", "no vehicle groups"),
     ])

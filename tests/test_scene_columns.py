@@ -104,9 +104,11 @@ def corruptions(draw, n_frames: int):
         burst_vehicle_frac=draw(st.sampled_from([0.0, 0.5, 1.0])),
         score_mean=draw(st.floats(0.0, 1.2)),
         score_sigma=draw(st.sampled_from([0.0, 0.2, 1.0])),
+        # a frame index is named at most once per override field
         frame_drop_overrides=tuple(draw(st.lists(st.tuples(frames, st.sampled_from([0.0, 0.5, 1.0])),
-                                                 max_size=2))),
-        frame_score_scale=tuple(draw(st.lists(st.tuples(frames, st.sampled_from([0.0, 0.5, 3.0])), max_size=2))),
+                                                 max_size=2, unique_by=lambda pair: pair[0]))),
+        frame_score_scale=tuple(draw(st.lists(st.tuples(frames, st.sampled_from([0.0, 0.5, 3.0])), max_size=2,
+                                              unique_by=lambda pair: pair[0]))),
     )
 
 

@@ -137,7 +137,7 @@ class TestGenerateGroundTruth:
             TrajectorySpec(duration=True)
         with pytest.raises(ValueError, match=f"^{re.escape(f'rear_axle must be a number, got {np.float32(1.2)!r}')}$"):
             TrajectorySpec(rear_axle=np.float32(1.2))
-        with pytest.raises(ValueError, match=re.escape("speed_range must hold numbers, got (True, 14.0)")):
+        with pytest.raises(ValueError, match=re.escape("speed_range must be a tuple (a number, a number), got (True, 14.0)")):
             TrajectorySpec(speed_range=(True, 14.0))
 
 
@@ -237,11 +237,29 @@ class TestCorrupt:
             with pytest.raises(ValueError, match=f"^{re.escape(f'burst_frames must be an integer, got {value!r}')}$"):
                 CorruptionSpec(burst_frames=value, burst_vehicle_frac=0.5)
         for name in ("frame_drop_overrides", "frame_score_scale"):
-            for index in (1.5, True, -1):
-                message = f"{name} frame indices must be non-negative integers, got {index!r}"
+            for index in (1.5, True):
+                value = ((0, 0.5), (index, 0.5))
+                message = f"{name} must be a tuple (a tuple (an integer, a number), ...), got {value!r}"
                 with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                    CorruptionSpec(**{name: ((0, 0.5), (index, 0.5))})
+                    CorruptionSpec(**{name: value})
+            message = f"{name} frame indices must be non-negative integers, got -1"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                CorruptionSpec(**{name: ((0, 0.5), (-1, 0.5))})
+            # an override value is a number, never a bool, as JSON tells them apart
+            for value in (((1, True),), ((0, False),)):
+                message = f"{name} must be a tuple (a tuple (an integer, a number), ...), got {value!r}"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    CorruptionSpec(**{name: value})
+            # corrupt keeps one value per frame, so a frame may be named once
+            with pytest.raises(ValueError, match=f"^{name} repeats frame index 1$"):
+                CorruptionSpec(**{name: ((1, 0.0), (1, 1.0))})
             CorruptionSpec(**{name: ((0, 0.5), (7, 0.5))})
+        # a value's message begins with its field, as every CorruptionSpec message does
+        for name, value, message in (("frame_drop_overrides", 1.5, "lie in [0, 1]"),
+                                     ("frame_drop_overrides", math.nan, "lie in [0, 1]"),
+                                     ("frame_score_scale", math.inf, "be finite")):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{name} values must {message}, got {value!r}')}$"):
+                CorruptionSpec(**{name: ((0, value),)})
 
 
 # Frame lines (GT then detections, meta lines left out) of three small
