@@ -27,12 +27,13 @@ import math
 import os
 import sys
 import time
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import __version__
 from .evaluation import evaluate_enhancement
+from .frames import Frame
 from .fusion import PRESETS, SCORE_STRATEGIES, FusionConfig, fuse_frames, sliding_windows
 from .geometry import Pose, field_types, normalize_angle, require_type, transform_box
 from .io import (
@@ -370,13 +371,19 @@ def _known_keys(obj, allowed, where: str) -> dict:
     return obj
 
 
+@contextlib.contextmanager
+def _naming(flag: str):
+    """Prefix `flag` to a ValueError raised in the block: the file that flag named is malformed."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _json_file(path: str, flag: str):
     """The JSON value of the file at `path`, which `flag` named; ValueError names the flag when it is malformed."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise ValueError(f"{flag}: {exc}") from None
+    with open(path, "r", encoding="utf-8") as fh, _naming(flag):
+        return json.load(fh)
 
 
 def _tuples(value):
@@ -460,10 +467,20 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
     return 0
 
 
+def _frames_of(path: str, flag: str) -> Iterator[Frame]:
+    """iter_frames of the file at `path`, which `flag` named; ValueError names the flag when it is malformed."""
+    with _naming(flag):
+        yield from iter_frames(path)
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     threshold = _checked(args, "iou", lambda iou: iou >= 0.0, "non-negative")
     _checked(args, "iou", lambda iou: iou < 1.0, "below 1")
-    gt, raw, fused = (read_frames(_opt(args, dest)) for dest in ("gt", "raw", "fused"))
+    gt_path = _opt(args, "gt")
+    with _naming("--gt"):
+        gt = read_frames(gt_path)
+    # evaluation reads raw and fused one frame at a time
+    raw, fused = (_frames_of(_opt(args, dest), f"--{dest}") for dest in ("raw", "fused"))
     report = evaluate_enhancement(gt, raw, fused, threshold)
     print(report.to_text())
     output = _opt(args, "output")

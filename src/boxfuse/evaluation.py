@@ -4,7 +4,8 @@ AP follows the usual single-class protocol: detections are ranked by score
 across the whole sequence, matched greedily per frame, and the area under the
 interpolated precision-recall curve is accumulated over all points. The
 ground-truth, raw and fused streams must share timestamps frame by frame, or
-evaluation raises ValueError naming the first frame that differs. The
+evaluation raises ValueError naming the first frame that differs, as soon as
+it reads that frame. The
 heading-weighted variant discounts each true positive by
 max(0, 1 - |yaw error| / pi); it preserves the "heading error costs score"
 behaviour of benchmark APH metrics without claiming comparability to them.
@@ -34,14 +35,22 @@ selection and per-track median speed and radius are array operations,
 checked to the bit against the frozen per-detection references in
 tests/oracles.py and statistics.median. A subset restricts only the
 scores, yaws and IoU tables that it reads.
+
+A report is one pass. The ground truth is a sequence, held whole, because
+the motion-state split needs each track's whole run. The raw and fused
+streams are iterables, each consumed once: a frame of each is read beside
+its ground truth, searched, and matched for every subset, and only its
+detections' (score, hit, heading weight) events are kept. AP comes from the
+events at the end, so no raw or fused frame, nor its IoU table, is held once
+it is evaluated.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from itertools import zip_longest
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -107,11 +116,22 @@ def _frame_overlaps(gt: DetectionColumns, dets: Sequence[DetectionColumns], floo
             for start, lo, hi in zip(starts.tolist(), cuts, cuts[1:])]
 
 
-def _require_aligned(*streams: Sequence[Frame]) -> None:
-    """ValueError naming the first frame whose timestamps differ across the streams (None past an end)."""
-    for index, stamps in enumerate(zip_longest(*([frame.timestamp for frame in frames] for frames in streams))):
+def _aligned(*streams: Iterable[Frame]) -> Iterator[list[Frame]]:
+    """The streams' frames side by side, one frame of each per step, each stream consumed once.
+
+    ValueError names the first frame whose timestamps differ across the
+    streams (None past an end). A step holds no frame of an earlier step, so
+    a frame is released once its caller drops it.
+    """
+    iterators = [iter(stream) for stream in streams]
+    for index in itertools.count():
+        frames = [next(frames_of, None) for frames_of in iterators]
+        stamps = [None if frame is None else frame.timestamp for frame in frames]
         if len(set(stamps)) > 1:
-            raise ValueError(f"sequences must align, frame {index} has timestamps {list(stamps)}")
+            raise ValueError(f"sequences must align, frame {index} has timestamps {stamps}")
+        if frames[0] is None:
+            return
+        yield frames
 
 
 def _require_iou_threshold(value: float) -> None:
@@ -199,9 +219,9 @@ def average_precision(
     interpolated area is returned. Raises ValueError when the ground truth is
     empty.
     """
-    _require_aligned(gt_frames, det_frames)
     events = []
-    for gt, det in zip(gt_frames, det_frames):
+    # every frame is checked for alignment before any is matched
+    for gt, det in list(_aligned(gt_frames, det_frames)):
         pairs = match_frame(gt, det, iou_threshold).pairs
         det_cols = det.detections
         events.append((det_cols.score, *_frame_events(gt.detections.boxes[:, 6], det_cols.boxes[:, 6],
@@ -336,9 +356,8 @@ def filter_detections_to_subset(
 ) -> list[Frame]:
     """Keep detections overlapping some subset ground-truth box with IoU > min_iou (>= 0)."""
     _require_iou_threshold(min_iou)
-    _require_aligned(det_frames, subset_gt)
     out = []
-    for det, gt in zip(det_frames, subset_gt):
+    for det, gt in _aligned(det_frames, subset_gt):
         cols = det.detections
         overlaps = _frame_overlaps(gt.detections, [cols], min_iou)[0]
         keep = _overlapping(len(cols), overlaps, overlaps.iou > min_iou)
@@ -369,30 +388,21 @@ def _subset_table(n_det: int, overlaps: _Overlaps, in_subset: np.ndarray) -> tup
     return keep, table
 
 
-def _sequence_ap(
-    gt_yaws: Sequence[np.ndarray],
-    dets: Sequence[DetectionColumns],
-    tables: Sequence[_Overlaps],
-    in_subset: Sequence[np.ndarray] | None,
-    iou_threshold: float,
-) -> tuple[int, float, float]:
-    """(n_gt, AP, APH) of a sequence from each frame's ground-truth yaws, detections and IoU table.
+def _match_events(
+    gt_yaw: np.ndarray, det: DetectionColumns, table: _Overlaps, in_subset: np.ndarray | None, iou_threshold: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The AP events of one frame's detections: the score, hit mask and heading weight of each.
 
-    in_subset None means every box. Otherwise it holds each frame's mask of a
-    ground-truth subset, and the detections' scores, yaws and tables are
+    in_subset None means every box. Otherwise it is the frame's mask of a
+    ground-truth subset, and the detections' scores, yaws and table are
     restricted to the subset here.
     """
-    n_gt = sum(map(len, gt_yaws)) if in_subset is None else sum(int(np.count_nonzero(mask)) for mask in in_subset)
-    events = []
-    for frame, (gt_yaw, det, table) in enumerate(zip(gt_yaws, dets, tables)):
-        score, yaw = det.score, det.boxes[:, 6]
-        if in_subset is not None:
-            keep, table = _subset_table(len(score), table, in_subset[frame])
-            score, yaw = score[keep], yaw[keep]
-        gt_index, det_index, _ = _greedy_match(score, table, len(gt_yaw), iou_threshold)
-        events.append((score, *_frame_events(gt_yaw, yaw, gt_index, det_index)))
-    result = _average_precision(n_gt, events, with_curve=False)
-    return n_gt, result.ap, result.aph
+    score, yaw = det.score, det.boxes[:, 6]
+    if in_subset is not None:
+        keep, table = _subset_table(len(score), table, in_subset)
+        score, yaw = score[keep], yaw[keep]
+    gt_index, det_index, _ = _greedy_match(score, table, len(gt_yaw), iou_threshold)
+    return (score, *_frame_events(gt_yaw, yaw, gt_index, det_index))
 
 
 @dataclass(frozen=True)
@@ -452,33 +462,46 @@ _REPORT_NOTES = (
 
 def evaluate_enhancement(
     gt_frames: Sequence[Frame],
-    raw_frames: Sequence[Frame],
-    fused_frames: Sequence[Frame],
+    raw_frames: Iterable[Frame],
+    fused_frames: Iterable[Frame],
     iou_threshold: float = 0.5,
 ) -> EnhancementReport:
     """AP / heading-weighted AP over {all, stationary, straight, turning}, raw vs fused.
 
-    Subsets with no ground-truth vehicles are omitted from the table; ground
-    truth with no boxes raises ValueError, as average_precision does.
+    The ground truth is a sequence, read whole: the motion-state split needs
+    each track's whole run. raw_frames and fused_frames are iterables, each
+    consumed once in one pass beside the ground truth. As each frame is read
+    it is matched for every subset and both streams, and only the (score,
+    hit, heading weight) events of its detections are kept, so no raw or
+    fused frame is held once it is evaluated. AP is computed from the events
+    at the end. Subsets with no ground-truth vehicles are omitted from the
+    table; ground truth with no boxes raises ValueError, as average_precision
+    does, once the streams are read.
     """
     _require_iou_threshold(iou_threshold)
-    _require_aligned(gt_frames, raw_frames, fused_frames)
     labels = split_motion_state(gt_frames)
-    gts, raws, fuseds = ([frame.detections for frame in frames] for frames in (gt_frames, raw_frames, fused_frames))
+    subsets = {"all": None}
+    for name in ("stationary", "straight", "turning"):
+        ids = {t for t, lab in labels.items() if lab == name}
+        if ids:
+            subsets[name] = ids
+    n_gt = dict.fromkeys(subsets, 0)
+    events = {name: ([], []) for name in subsets}
     # one overlap search per frame serves both streams, the all row and every
     # subset, so its tables hold the pairs that the matching and the subset
     # filter can read
     floor = min(iou_threshold, SUBSET_FILTER_IOU)
-    tables = [_frame_overlaps(gt, [raw, fused], floor) for gt, raw, fused in zip(gts, raws, fuseds)]
-    raw_tables, fused_tables = [table[0] for table in tables], [table[1] for table in tables]
-    gt_yaws = [gt.boxes[:, 6] for gt in gts]
+    for gt_frame, raw, fused in _aligned(gt_frames, raw_frames, fused_frames):
+        gt, dets = gt_frame.detections, (raw.detections, fused.detections)
+        tables = _frame_overlaps(gt, dets, floor)
+        gt_yaw = gt.boxes[:, 6]
+        for name, ids in subsets.items():
+            in_subset = None if ids is None else _in_tracks(gt, ids)
+            n_gt[name] += len(gt) if in_subset is None else int(np.count_nonzero(in_subset))
+            for stream_events, det, table in zip(events[name], dets, tables):
+                stream_events.append(_match_events(gt_yaw, det, table, in_subset, iou_threshold))
     rows = []
-    for name in ("all", "stationary", "straight", "turning"):
-        ids = set(labels) if name == "all" else {t for t, lab in labels.items() if lab == name}
-        if not ids and name != "all":
-            continue
-        in_subset = None if name == "all" else [_in_tracks(gt, ids) for gt in gts]
-        n_gt, ap_raw, aph_raw = _sequence_ap(gt_yaws, raws, raw_tables, in_subset, iou_threshold)
-        _, ap_fused, aph_fused = _sequence_ap(gt_yaws, fuseds, fused_tables, in_subset, iou_threshold)
-        rows.append(SubsetMetrics(name, n_gt, ap_raw, ap_fused, aph_raw, aph_fused))
+    for name, stream_events in events.items():
+        raw_ap, fused_ap = (_average_precision(n_gt[name], per_frame, with_curve=False) for per_frame in stream_events)
+        rows.append(SubsetMetrics(name, n_gt[name], raw_ap.ap, fused_ap.ap, raw_ap.aph, fused_ap.aph))
     return EnhancementReport(iou_threshold, tuple(rows), _REPORT_NOTES)

@@ -45,7 +45,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import ClassVar, Sequence
+from typing import ClassVar, Literal, Sequence
 
 import numpy as np
 
@@ -392,6 +392,8 @@ class Bicycle(MotionParams):
 #: Every motion model by name; the only table the rest of the package consults.
 MODELS: dict[str, type[MotionParams]] = {c.name: c for c in (ConstantVelocity, Unicycle, Bicycle)}
 MODEL_NAMES = tuple(MODELS)
+#: A motion model's name, as the type of a config field.
+ModelName = Literal[MODEL_NAMES]
 
 
 def model_class(name: str) -> type[MotionParams]:

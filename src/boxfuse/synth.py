@@ -40,6 +40,7 @@ from .frames import MODEL_CODES, PARAM_WIDTH, DetectionColumns, Frame, model_gro
 from .geometry import EgoPose, Pose, clamp_columns, normalize_angles, require_field_types, transform_columns
 from .motion import (
     FitDivergence,
+    ModelName,
     MotionParams,
     default_rear_axle,
     estimate_param_columns,
@@ -73,7 +74,7 @@ class TrajectorySpec:
     from heading_range. `require_field_types` enforces the annotations.
     """
 
-    model: str = "bicycle"
+    model: ModelName = "bicycle"
     speed_range: tuple[float, float] = (6.0, 14.0)
     radius_range: tuple[float, float] | None = None
     rear_axle: float | None = None
@@ -102,7 +103,8 @@ class TrajectorySpec:
             raise ValueError(f"speed_range must have low <= high, got {self.speed_range!r}")
         if self.radius_range is not None:
             if not model.turns:
-                raise ValueError(f"{self.model} trajectories cannot turn")
+                raise ValueError(f"radius_range must be None, as {self.model} trajectories cannot turn, got "
+                                 f"{self.radius_range!r}")
             if not all(0.0 < v < math.inf for v in self.radius_range):
                 raise ValueError(f"radius_range must be positive and finite, got {self.radius_range!r}")
             if not self.radius_range[0] <= self.radius_range[1]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -31,7 +32,10 @@ from boxfuse import (
     strict_turning_tracks,
 )
 
+from boxfuse.cli import main
+from boxfuse.io import iter_frames, read_frames
 from oracles import ap_reference, filter_detections_to_subset_reference, match_frame_reference
+from test_synth import PINNED_SCENE_FLAGS, run_synth
 
 
 def det(x=0.0, y=0.0, yaw=0.0, score=0.9, label="vehicle", track_id=None, motion=None):
@@ -609,3 +613,71 @@ class TestPermutation:
         assert len(report.rows) > 1
         shuffled = evaluate_enhancement(gt_frames, permuted(raw_frames), permuted(fused_frames), 0.5)
         assert shuffled.rows == report.rows
+
+
+def one_shot(frames):
+    """The frames as a generator, which can be iterated only once."""
+    return (f for f in frames)
+
+
+def fresh_copies(frames, refs: list, alive: list):
+    """Yield a new Frame with new DetectionColumns per frame, keeping a weak reference to each.
+
+    Before yielding frame k, append to alive the indices of the earlier
+    copies whose Frame or DetectionColumns is still alive.
+    """
+    for f in frames:
+        alive.append([j for j, (frame_ref, cols_ref) in enumerate(refs)
+                      if frame_ref() is not None or cols_ref() is not None])
+        copy = Frame(f.timestamp, f.ego, f.detections.take(np.arange(len(f.detections))))
+        refs.append((weakref.ref(copy), weakref.ref(copy.detections)))
+        yield copy
+
+
+class TestStreaming:
+    """evaluate_enhancement consumes raw and fused once, frame by frame, and keeps no evaluated frame."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.7])
+    def test_one_shot_generators_give_the_report_of_lists_on_crowded_scenes(self, seed, threshold):
+        gt_frames, raw_frames = crowded_scene(seed)
+        _, fused_frames = crowded_scene(seed + 100)
+        report = evaluate_enhancement(gt_frames, raw_frames, fused_frames, threshold)
+        assert evaluate_enhancement(gt_frames, one_shot(raw_frames), one_shot(fused_frames), threshold) == report
+
+    @pytest.mark.parametrize("model", ["cv", "bicycle"])
+    def test_one_shot_generators_give_the_report_of_lists_on_the_pinned_scene(self, tmp_path, model):
+        gt, det = run_synth(tmp_path, "--model", model, *PINNED_SCENE_FLAGS)
+        fused = tmp_path / "fused.jsonl"
+        assert main(["fuse", "--input", str(det), "--output", str(fused), "--preset", "waymo-default"]) == 0
+        gt_frames, raw_frames, fused_frames = map(read_frames, (gt, det, fused))
+        report = evaluate_enhancement(gt_frames, raw_frames, fused_frames)
+        assert len(report.rows) == 4
+        assert evaluate_enhancement(gt_frames, one_shot(raw_frames), one_shot(fused_frames)) == report
+        assert evaluate_enhancement(gt_frames, iter_frames(det), iter_frames(fused)) == report
+
+    def test_a_frame_is_released_before_the_frame_two_after_it_is_read(self):
+        gt_frames, raw_frames = crowded_scene(0, n_frames=6)
+        _, fused_frames = crowded_scene(100, n_frames=6)
+        raw_refs, raw_alive, fused_refs, fused_alive = [], [], [], []
+        report = evaluate_enhancement(gt_frames, fresh_copies(raw_frames, raw_refs, raw_alive),
+                                      fresh_copies(fused_frames, fused_refs, fused_alive))
+        assert report == evaluate_enhancement(gt_frames, raw_frames, fused_frames)
+        for alive in (raw_alive, fused_alive):
+            assert len(alive) == 6
+            # when frame k is requested, only frame k - 1 may still be held
+            assert all(set(held) <= {k - 1} for k, held in enumerate(alive))
+
+    def test_misalignment_found_mid_stream_keeps_its_message(self):
+        gt = TestEvaluateEnhancement.scene()
+        stamps = [f.timestamp for f in gt]
+        last = len(gt) - 1
+        cases = [
+            (gt[:-1], f"frame {last} has timestamps [{stamps[last]!r}, {stamps[last]!r}, None]"),
+            (gt[1:] + gt[-1:], f"frame 0 has timestamps [{stamps[0]!r}, {stamps[0]!r}, {stamps[1]!r}]"),
+            (gt + gt[-1:], f"frame {last + 1} has timestamps [None, None, {stamps[last]!r}]"),
+        ]
+        for fused, where in cases:
+            with pytest.raises(ValueError) as excinfo:
+                evaluate_enhancement(gt, one_shot(gt), one_shot(fused))
+            assert str(excinfo.value) == f"sequences must align, {where}"

@@ -623,6 +623,32 @@ class TestCli:
         assert capsys.readouterr().err == "boxfuse: error: no ground-truth boxes to evaluate against\n"
         assert not csv_path.exists()
 
+    @pytest.mark.parametrize("flag", ["--gt", "--raw", "--fused"])
+    def test_eval_names_the_malformed_input(self, tmp_path, capsys, flag):
+        gt, det = run_synth(tmp_path)
+        lines = (gt if flag == "--gt" else det).read_text(encoding="utf-8").splitlines(keepends=True)
+        bad = tmp_path / "bad.jsonl"
+        paths = {"--gt": gt, "--raw": det, "--fused": det, flag: bad}
+        argv = ["eval", *(str(arg) for pair in paths.items() for arg in pair)]
+        # a file cut inside its meta line, then a malformed frame line after two good frames
+        for text, message in ((lines[0][:len('{"meta')], "line 1: invalid JSON: Unterminated string starting at"),
+                              ("".join(lines[:3]) + "{\n" + "".join(lines[4:]),
+                               "line 4: invalid JSON: Expecting property name enclosed in double quotes")):
+            bad.write_text(text, encoding="utf-8")
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"boxfuse: error: {flag}: {message}\n"
+
+    def test_eval_reports_a_misaligned_frame_before_a_later_malformed_line(self, tmp_path, capsys):
+        # raw and fused are read frame by frame, so the first frame that fails decides the error
+        gt, det = run_synth(tmp_path)
+        lines = det.read_text(encoding="utf-8").splitlines(keepends=True)
+        raw, late = tmp_path / "raw.jsonl", tmp_path / "late.jsonl"
+        raw.write_text("".join(lines[:3]) + "{\n" + "".join(lines[4:]), encoding="utf-8")
+        late.write_text(lines[0] + "".join(lines[2:]), encoding="utf-8")
+        assert main(["eval", "--gt", str(gt), "--raw", str(raw), "--fused", str(late)]) == 2
+        assert capsys.readouterr().err == (
+            "boxfuse: error: sequences must align, frame 0 has timestamps [0.0, 0.0, 0.1]\n")
+
     def test_traj_compare_ordering(self, tmp_path):
         out = tmp_path / "traj.csv"
         assert main(["traj-compare", "--speed", "10", "--radius", "20",
@@ -932,6 +958,10 @@ class TestSynthScene:
         ({"groups": [GROUP], "corruption": {"frame_score_scale": [[2, 0.5], [2, 0.5]]}},
          "--spec: key 'corruption': ", "frame_score_scale repeats frame index 2"),
         ({"groups": [{"spec": {"model": "cv", "heading_range": [math.nan, 0.0]}, "count": 1}]}, "group 0", "'spec'"),
+        ({"groups": [{"spec": {"model": "x"}, "count": 1}]}, "--spec group 0: key 'spec': ",
+         "key 'model' must be one of cv, unicycle, bicycle, got 'x'"),
+        ({"groups": [{"spec": {"model": "cv", "radius_range": [10, 20]}, "count": 1}]}, "--spec group 0: key 'spec': ",
+         "radius_range must be None, as cv trajectories cannot turn, got (10, 20)"),
         ({"groups": []}, "--spec: ", "no vehicle groups"),
     ])
     def test_malformed_spec_exit_2_naming_group_and_key(self, tmp_path, capsys, raw, where, key):

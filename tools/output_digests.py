@@ -11,7 +11,8 @@ and each seed, the commands run in process, in a temporary directory:
 - `boxfuse fuse` of the detections under every preset of `fusion.PRESETS`,
   so weighted NMS is covered at each preset's IoU thresholds;
 - `boxfuse eval` of the benchmark's preset: its text and CSV over the
-  benchmark's evaluation window, at each IoU of `EVAL_IOUS`;
+  benchmark's evaluation window, at each IoU of `EVAL_IOUS`, and its error
+  text when the fused window is cut one frame short or starts one frame late;
 - `boxfuse inverse` of the ground truth under each motion model;
 - `boxfuse inverse` of the detections under each motion model, whose noisy
   poses take multi-iteration bicycle fits and whose drops leave track gaps;
@@ -134,6 +135,12 @@ def workload_digests(main, models, presets, workload, preset: str, first: int, s
         suffix = "" if iou == "0.5" else f"-iou-{iou}"
         out[f"eval-text{suffix}"] = _digest(text.encode("utf-8"))
         out[f"eval-csv{suffix}"] = _digest(csv.read_bytes())
+    # misaligned fused windows: the error names the first frame that differs, past an end too
+    for key, cut in (("short", slice(first, first + workload.eval_frames - 1)),
+                     ("late", slice(first + 1, first + 1 + workload.eval_frames))):
+        cut_win = _window(fused, work / f"fused-window-{key}.jsonl", cut)
+        out[f"eval-error-fused-{key}"] = _run(main, ["eval", "--gt", str(gt_win), "--raw", str(raw_win),
+                                                     "--fused", str(cut_win)], data_error_ok=True)
     for model in models:
         for key, source in ((f"inverse-{model}", gt), (f"inverse-det-{model}", det)):
             inverse = work / f"{key}.jsonl"
