@@ -8,7 +8,7 @@ BOXFUSE_L_R for --l-r), then the --config file (fuse only), then the
 --preset or the table default. An environment value is cast with the flag's
 type and checked against its choices. A --config or --spec value, arrays read
 as tuples, is checked against its field's annotation by the rule the config
-dataclasses run (geometry.require_type), and a config value keeps its JSON form.
+dataclasses run (rules.require_type), and a config value keeps its JSON form.
 Exit codes: 0 success, 1 usage error, 2 data error. All commands are
 deterministic given their inputs, flags and seed; output files carry a meta
 header echoing the resolved configuration, and the fuse and inverse headers
@@ -35,7 +35,7 @@ from . import __version__
 from .evaluation import evaluate_enhancement
 from .frames import Frame
 from .fusion import PRESETS, SCORE_STRATEGIES, FusionConfig, fuse_frames, sliding_windows
-from .geometry import Pose, field_types, normalize_angle, require_type, transform_box
+from .geometry import Pose, normalize_angle, transform_box
 from .io import (
     FrameFormatError,
     dumps_frame,
@@ -58,6 +58,7 @@ from .synth import (
     reattach_params,
     reattach_scene_params,
 )
+from .rules import field_types, require_type
 
 # transform_box, _motion_in_ego and frame_to_obj are no longer called here, but
 # the benchmark's per-layer tracing binds them in this module (bench/tracing.py).

@@ -1,8 +1,10 @@
 """The frame data model: Detection, Frame and DetectionColumns, the numpy columns of a frame's detections.
 
-Columns build a row's Detection, Box3D and motion objects only when the row
-is read, with the checking constructors. io parses JSON straight into columns
-and writes them back, and fusion, synth and evaluation pass only columns.
+The value rules of a box, a motion model and a detection are tables (`rules`)
+that the row constructors check on one row and DetectionColumns over whole
+columns. Columns build a row's Detection, Box3D and motion objects only when
+the row is read, with the checking constructors. io parses JSON straight into
+columns and writes them back, and fusion, synth and evaluation pass only columns.
 """
 
 from __future__ import annotations
@@ -10,12 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from types import SimpleNamespace
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .geometry import MIN_BEV_AREA, Box3D, EgoPose, normalize_angles
+from .geometry import Box3D, EgoPose, normalize_angles
 from .motion import MODELS, MotionParams, param_rows
+from .rules import Rule, check, column_view, failures, field_types, first_failure, fits_float, type_fault
 
 
 @dataclass(frozen=True)
@@ -29,7 +33,8 @@ class Detection:
     current-frame members among them, from 0 to n_fused; n_current == 0 means
     history only. frame_lag, track_id, n_fused and n_current are Python
     ints, never bools or numpy integers; track_id may be None, and an
-    n_current of None becomes 1 exactly when frame_lag is 0.
+    n_current of None becomes 1 exactly when frame_lag is 0. label is a
+    non-empty str. The type rules (`_type_fault`) come before the value rules.
     """
 
     box: Box3D
@@ -42,39 +47,53 @@ class Detection:
     n_fused: int = 1
     n_current: int | None = None
 
+    #: The value rules of a detection, in the order they are checked; a weight of None is unassigned.
+    rules: ClassVar[tuple[Rule, ...]] = (
+        Rule(lambda d: (d.score >= 0.0) & (d.score <= 1.0), lambda d: f"score must lie in [0, 1], got {d.score!r}"),
+        Rule(lambda d: d.weight is None or (d.weight >= 0.0) & (d.weight <= 1.0),
+             lambda d: f"weight must lie in [0, 1], got {d.weight!r}"),
+        Rule(lambda d: d.frame_lag >= 0, lambda d: "frame_lag must be non-negative"),
+        Rule(lambda d: d.label != "", lambda d: "empty class label"),
+        Rule(lambda d: d.n_fused >= 1, lambda d: "n_fused must be at least 1"),
+        Rule(lambda d: (d.n_current >= 0) & (d.n_current <= d.n_fused),
+             lambda d: f"n_current must lie in [0, n_fused], got {d.n_current!r} with n_fused {d.n_fused!r}"),
+    )
+
     def __post_init__(self) -> None:
-        for name in ("frame_lag", "track_id", "n_fused", "n_current"):
-            value = getattr(self, name)
-            # a bool is an int to Python but not to JSON; track_id may be unset, n_current follows frame_lag
-            if type(value) is not int and not (value is None and name in ("track_id", "n_current")):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score must lie in [0, 1], got {self.score!r}")
-        if self.weight is not None and not 0.0 <= self.weight <= 1.0:
-            raise ValueError(f"weight must lie in [0, 1], got {self.weight!r}")
-        if self.frame_lag < 0:
-            raise ValueError("frame_lag must be non-negative")
-        if not self.label:
-            raise ValueError("empty class label")
-        if self.n_fused < 1:
-            raise ValueError("n_fused must be at least 1")
+        for name in _TYPED_FIELDS:
+            fault = _type_fault(name, getattr(self, name))
+            if fault is not None:
+                raise ValueError(fault)
         if self.n_current is None:
             object.__setattr__(self, "n_current", 1 if self.frame_lag == 0 else 0)
-        if not 0 <= self.n_current <= self.n_fused:
-            raise ValueError(f"n_current must lie in [0, n_fused], got {self.n_current!r} with n_fused "
-                             f"{self.n_fused!r}")
+        check(self.rules, self)
 
     @property
     def history_only(self) -> bool:
         return self.n_current == 0
 
 
+#: The fields of Detection with a type rule, in the order they are checked.
+_TYPED_FIELDS = ("frame_lag", "track_id", "n_fused", "n_current", "label")
+
+
+def _type_fault(name: str, value) -> str | None:
+    """The message of Detection field `name`'s type rule for value, None when it passes; it reads only the type.
+
+    A label is any str, whose value rule rejects the empty one; an integer field takes its annotation."""
+    if name == "label":
+        return None if type(value) is str else f"label must be a string, got {value!r}"
+    return None if type(value) is int else type_fault(name, value, field_types(Detection)[name])
+
+
 @dataclass(frozen=True)
 class Frame:
     """Timestamped detection set with the recording sensor's global pose.
 
-    The detections are always DetectionColumns: detections given as a list
-    of Detection become columns equal to that list.
+    The timestamp is a number the frame writer writes and its reader reads: a
+    float (numpy's float64 too) or an int, not a bool, finite and within float
+    range. The detections are always DetectionColumns: detections given as a
+    list of Detection become columns equal to that list.
     """
 
     timestamp: float
@@ -82,6 +101,13 @@ class Frame:
     detections: DetectionColumns = ()
 
     def __post_init__(self) -> None:
+        timestamp = self.timestamp
+        if type(timestamp) is bool or not isinstance(timestamp, (int, float)):
+            raise ValueError(f"timestamp must be a number, got {timestamp!r}")
+        if type(timestamp) is int and not fits_float(timestamp):
+            raise ValueError(f"timestamp must fit in a float, got {timestamp!r}")
+        if not abs(timestamp) < math.inf:
+            raise ValueError(f"non-finite timestamp {timestamp!r}")
         object.__setattr__(self, "detections", DetectionColumns.of(self.detections))
 
 
@@ -107,7 +133,8 @@ MODEL_CODES = {name: code for code, name in enumerate(MODELS)}
 MODEL_WIDTHS = np.array([len(model.json_keys) for model in MODEL_CLASSES])
 PARAM_WIDTH = int(MODEL_WIDTHS.max())
 
-_box_fields = attrgetter("x", "y", "z", "w", "l", "h", "yaw")
+_BOX_FIELDS = ("x", "y", "z", "w", "l", "h", "yaw")
+_box_fields = attrgetter(*_BOX_FIELDS)
 _set_field = object.__setattr__
 
 
@@ -136,14 +163,15 @@ class DetectionColumns(Sequence[Detection]):
     equal Detections, and to columns whose rows would be equal, which it
     tells from the columns (a NaN weight equals a NaN weight, -0.0 equals 0.0).
 
-    Every row is a valid Detection. The constructor makes, over whole
-    columns, every check that Box3D, Detection and the motion classes make on
-    construction (integer columns hold integers, and track_id Python ints or
-    None), wraps yaws to (-pi, pi] and raises ValueError naming the first row
-    that fails, with the message its Detection would raise.
-    Columns derived from checked ones (selections, concatenations, forwarded
-    boxes, new scores in [0, 1]) are made by `_derived` without a new check,
-    and rows are read with one, except by `box_objects`.
+    Every row is a valid Detection. The constructor checks the rules of Box3D,
+    the motion models and Detection over whole columns, wraps yaws to (-pi, pi]
+    and raises ValueError naming the first row that fails with the message of
+    its first failing rule, in the order its row is built: box, motion, then
+    detection. A NaN weight is unassigned, where a row rejects it, and the
+    integer columns must have an integer dtype. Columns derived from checked
+    ones (selections, concatenations, forwarded boxes, new scores in [0, 1])
+    are made by `_derived` without a new check, and rows are read with one,
+    except by `box_objects`.
     """
 
     boxes: np.ndarray
@@ -163,26 +191,30 @@ class DetectionColumns(Sequence[Detection]):
             getattr(self, name).shape != (n,) for name in _COLUMNS if name not in ("boxes", "params")
         ):
             raise ValueError("detection columns must have one row per detection")
-        boxes = self.boxes
-        with np.errstate(invalid="ignore", over="ignore"):
-            bad = ~np.isfinite(boxes).all(axis=1)
-            bad |= ~(boxes[:, 3:6] > 0.0).all(axis=1)
-            bad |= ~(boxes[:, 3] * boxes[:, 4] >= MIN_BEV_AREA)
-            bad |= ~((self.score >= 0.0) & (self.score <= 1.0))
-            bad |= (self.weight < 0.0) | (self.weight > 1.0)  # NaN is unassigned
-        bad |= (self.frame_lag < 0) | (self.n_fused < 1) | (self.label == "")
-        if any(getattr(self, name).dtype.kind not in "iu" for name in ("frame_lag", "n_fused", "n_current")):
-            bad[:] = True
-        ids = self.track_id.tolist()
-        if not set(map(type, ids)) <= {int, type(None)}:
-            bad |= [type(tid) is not int and tid is not None for tid in ids]
-        bad |= (self.n_current < 0) | (self.n_current > self.n_fused)
         if not ((self.model >= 0) & (self.model < len(MODEL_CLASSES))).all():
             raise ValueError(f"motion model codes must lie in [0, {len(MODEL_CLASSES)})")
-        for kind, rows in self.groups():
-            bad[rows] |= kind.invalid_columns(self.params_of(kind, rows))
-        if bad.any():
-            self._raise_for_row(int(np.argmax(bad)))
+        faults = failures(Box3D.rules, column_view(_BOX_FIELDS, self.boxes))
+        for code in np.flatnonzero(np.bincount(self.model, minlength=len(MODEL_CLASSES))).tolist():
+            kind, uses = MODEL_CLASSES[code], self.model == code
+            faults += [(fails & uses, message, columns)
+                       for fails, message, columns in failures(kind.rules, column_view(kind.json_keys, self.params))]
+        typed = SimpleNamespace(**{name: getattr(self, name) for name in _TYPED_FIELDS})
+        # a NaN weight is unassigned, as None is in a row, which the weight rule passes
+        values = SimpleNamespace(**vars(typed), score=self.score,
+                                 weight=np.where(np.isnan(self.weight), 0.0, self.weight))
+        for name in _TYPED_FIELDS:
+            fails = _type_faults(name, getattr(typed, name))
+            if fails is not None:
+                faults.append((fails, lambda row, name=name: _type_fault(name, getattr(row, name)), typed))
+                # the value rules read 1 where the type is wrong: the type rule comes first, and 1 passes them
+                setattr(values, name, np.where(fails, 1, getattr(typed, name)))
+        failed = first_failure(faults + failures(Detection.rules, values))
+        if failed is not None:
+            raise ValueError(f"detection {failed[0]}: {failed[1]}")
+        for name in ("frame_lag", "n_fused", "n_current"):
+            if getattr(self, name).dtype.kind not in "iu":
+                raise ValueError(f"{name} must be an integer column, got dtype {getattr(self, name).dtype}")
+        boxes = self.boxes
         yaw = boxes[:, 6]
         if not ((yaw > -math.pi) & (yaw <= math.pi)).all():
             boxes = boxes.copy()
@@ -190,14 +222,6 @@ class DetectionColumns(Sequence[Detection]):
             object.__setattr__(self, "boxes", boxes)
         for name in _COLUMNS:
             getattr(self, name).flags.writeable = False
-
-    def _raise_for_row(self, row: int) -> None:
-        """Build row `row` through `rows` and pass on what its checking constructors raise."""
-        try:
-            self.rows([row])
-        except ValueError as exc:
-            raise ValueError(f"detection {row}: {exc}") from None
-        raise ValueError(f"detection {row} fails a column check")
 
     @classmethod
     def _derived(cls, *columns: np.ndarray) -> DetectionColumns:
@@ -318,6 +342,20 @@ class DetectionColumns(Sequence[Detection]):
 
 
 _COLUMNS = tuple(f.name for f in fields(DetectionColumns))
+
+
+def _type_faults(name: str, column: np.ndarray) -> np.ndarray | None:
+    """The mask of the rows whose value fails the type rule of Detection field `name`; None when no row does.
+
+    The rule reads only the type, and a column of another dtype than object
+    reads as one type, so one value of each type settles it.
+    """
+    values = column.tolist() if column.dtype.kind == "O" else column[:1].tolist()
+    failing = {kind for kind in set(map(type, values))
+               if _type_fault(name, next(value for value in values if type(value) is kind)) is not None}
+    if not failing:
+        return None
+    return np.array([type(value) in failing for value in column.tolist()], dtype=bool)
 
 
 def model_groups(model: np.ndarray) -> list[tuple[type[MotionParams], np.ndarray]]:

@@ -44,9 +44,9 @@ from .geometry import (
     normalize_angles,
     pair_ious,
     reachable_pairs,
-    require_field_types,
     transform_columns,
 )
+from .rules import require_field_types
 
 ScoreStrategy = Literal["decay", "divide"]
 SCORE_STRATEGIES = get_args(ScoreStrategy)

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, fields, replace
-from types import MappingProxyType, UnionType
-from typing import Literal, NamedTuple, Union, get_args, get_origin, get_type_hints
+from dataclasses import dataclass, replace
+from typing import ClassVar, NamedTuple
 
 import numpy as np
+
+from .rules import Rule, check, finite
 
 TWO_PI = 2.0 * math.pi
 
@@ -50,6 +50,10 @@ def normalize_angles(angles: np.ndarray) -> np.ndarray:
     return out
 
 
+#: A planar centre's rule: x and y finite.
+_CENTRE_RULES = (finite("x"), finite("y"))
+
+
 def clamp_columns(values: np.ndarray, low: float, high: float) -> np.ndarray:
     """min(high, max(low, v)) elementwise, picking what Python's min and max pick.
 
@@ -57,71 +61,6 @@ def clamp_columns(values: np.ndarray, low: float, high: float) -> np.ndarray:
     """
     values = np.where(values > low, values, low)
     return np.where(values < high, values, high)
-
-
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def _fits_float(value) -> bool:
-    # 2**1024 - 2**970 is the least integer that float() rounds beyond the largest float
-    return -2**1024 + 2**970 < value < 2**1024 - 2**970
-
-
-# each scalar type's words in a message, and its test
-_SCALARS = {int: ("an integer", lambda v: type(v) is int), float: ("a number", lambda v: type(v) in (float, int)),
-            str: ("a non-empty string", lambda v: type(v) is str and v != ""),
-            type(None): ("None", lambda v: v is None)}
-
-
-def _type_text(hint) -> str:
-    """The words for `hint` in a message; a union leaves out None, which means unset."""
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is Literal:
-        return f"one of {', '.join(map(str, args))}"
-    if origin is tuple:
-        return f"a tuple ({', '.join('...' if arg is Ellipsis else _type_text(arg) for arg in args)})"
-    return " or ".join(_type_text(arg) for arg in args if arg is not type(None)) if args else _SCALARS[hint][0]
-
-
-def _fits(value, hint, name: str) -> bool:
-    """Whether value has the type `hint`; ValueError naming `name` for an int beyond float range for a float."""
-    if hint is float and type(value) is int and not _fits_float(value):
-        raise ValueError(f"{name} must fit in a float, got {value!r}")
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is Literal:
-        return any(type(value) is type(arg) and value == arg for arg in args)
-    if origin is tuple:
-        items = args[:1] * len(value) if args[-1] is Ellipsis and type(value) is tuple else args
-        return (type(value) is tuple and len(value) == len(items)
-                and all(_fits(item, arg, name) for item, arg in zip(value, items)))
-    if origin is Union or origin is UnionType:
-        return any(_fits(value, arg, name) for arg in args)
-    return _SCALARS[hint][1](value)
-
-
-def require_type(name: str, value, hint) -> None:
-    """ValueError, beginning with name, unless value has the type `hint`: the one type rule of a config field.
-
-    int takes a Python int, not a bool or numpy integer; float a Python int or float, an int only within float
-    range; str a non-empty string; a Literal one of its values; a union any arm; tuple[X, Y] a tuple of that
-    length, tuple[X, ...] one of any length. Another hint raises KeyError."""
-    if not _fits(value, hint, name):
-        raise ValueError(f"{name} must be {_type_text(hint)}, got {value!r}")
-
-
-@functools.cache
-def field_types(cls) -> MappingProxyType:
-    """The annotation of each field of the dataclass cls, in field order: resolved once per class, so read-only."""
-    hints = get_type_hints(cls)
-    return MappingProxyType({field.name: hints[field.name] for field in fields(cls)})
-
-
-def require_field_types(obj) -> None:
-    """require_type over every field of the dataclass instance obj, in field order."""
-    for name, hint in field_types(type(obj)).items():
-        require_type(name, getattr(obj, name), hint)
 
 
 @dataclass(frozen=True)
@@ -133,8 +72,7 @@ class Pose:
     heading: float
 
     def __post_init__(self) -> None:
-        _require_finite("x", self.x)
-        _require_finite("y", self.y)
+        check(_CENTRE_RULES, self)
         object.__setattr__(self, "heading", normalize_angle(self.heading))
 
 
@@ -147,8 +85,7 @@ class EgoPose:
     yaw: float
 
     def __post_init__(self) -> None:
-        _require_finite("x", self.x)
-        _require_finite("y", self.y)
+        check(_CENTRE_RULES, self)
         object.__setattr__(self, "yaw", normalize_angle(self.yaw))
 
     @classmethod
@@ -160,8 +97,9 @@ class EgoPose:
 class Box3D:
     """7-DoF detection box: center (x, y, z), size (w, l, h), yaw about +z.
 
-    Length runs along the heading axis and width across it. Sizes must be
-    strictly positive and the BEV footprint at least MIN_BEV_AREA.
+    Length runs along the heading axis and width across it. Every field must
+    be finite, sizes strictly positive and the BEV footprint at least
+    MIN_BEV_AREA (`rules`).
     """
 
     x: float
@@ -172,13 +110,16 @@ class Box3D:
     h: float
     yaw: float
 
+    #: The value rules of a box, in the order they are checked; yaw's is normalize_angle's.
+    rules: ClassVar[tuple[Rule, ...]] = (
+        *map(finite, ("x", "y", "z", "w", "l", "h")),
+        Rule(lambda b: (b.w > 0.0) & (b.l > 0.0) & (b.h > 0.0), lambda b: "box dimensions must be strictly positive"),
+        Rule(lambda b: b.w * b.l >= MIN_BEV_AREA, lambda b: f"degenerate BEV footprint: w*l = {b.w * b.l!r}"),
+        Rule(lambda b: abs(b.yaw) < math.inf, lambda b: f"angle must be finite, got {b.yaw!r}"),
+    )
+
     def __post_init__(self) -> None:
-        for name in ("x", "y", "z", "w", "l", "h"):
-            _require_finite(name, getattr(self, name))
-        if self.w <= 0.0 or self.l <= 0.0 or self.h <= 0.0:
-            raise ValueError("box dimensions must be strictly positive")
-        if self.w * self.l < MIN_BEV_AREA:
-            raise ValueError(f"degenerate BEV footprint: w*l = {self.w * self.l!r}")
+        check(self.rules, self)
         object.__setattr__(self, "yaw", normalize_angle(self.yaw))
 
     @property

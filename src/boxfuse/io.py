@@ -46,8 +46,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .frames import MODEL_CODES, MODEL_WIDTHS, PARAM_WIDTH, DetectionColumns, Frame, object_array
-from .geometry import EgoPose, _fits_float
+from .geometry import EgoPose
 from .motion import MODEL_NAMES, MODELS
+from .rules import fits_float
 
 
 class FrameFormatError(ValueError):
@@ -192,10 +193,10 @@ def _fits_int64(value) -> bool:
 
 
 _EXPECTED = {is_number: "be a number", _is_integer: "be an integer", _is_string: "be a string",
-             _is_object: "be a JSON object", _fits_int64: "fit in int64", _fits_float: "fit in a float"}
+             _is_object: "be a JSON object", _fits_int64: "fit in int64", fits_float: "fit in a float"}
 # the types each predicate accepts every value of; a range check accepts no type outright
 _ACCEPTED_TYPES = {is_number: {float, int}, _is_integer: {int}, _is_string: {str}, _is_object: {dict},
-                   _fits_int64: set(), _fits_float: set()}
+                   _fits_int64: set(), fits_float: set()}
 
 
 def _require(values: list, accept, name) -> None:
@@ -217,7 +218,7 @@ def _detection_key(key: str, rows=None, width: int = 1):
 
 
 # The JSON number rule, per column dtype: the JSON type check, then the range check where there is one.
-_NUMBER_RULES = {np.dtype(float): (is_number, _fits_float), np.dtype(np.int64): (_is_integer, _fits_int64),
+_NUMBER_RULES = {np.dtype(float): (is_number, fits_float), np.dtype(np.int64): (_is_integer, _fits_int64),
                  np.dtype(object): (_is_integer,)}
 
 
@@ -321,8 +322,6 @@ _FRAME_NUMBERS = ("timestamp", "ego x", "ego y", "ego yaw")
 
 def frame_from_obj(obj: dict) -> Frame:
     timestamp, *ego = json_column([obj["timestamp"], *_EGO(obj["ego"])], _FRAME_NUMBERS.__getitem__).tolist()
-    if not math.isfinite(timestamp):
-        raise ValueError(f"non-finite timestamp {timestamp!r}")
     return Frame(timestamp, EgoPose(*ego), detections_from_objs(obj["detections"]))
 
 

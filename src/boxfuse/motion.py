@@ -12,33 +12,33 @@ is needed.
 
 Each model is a frozen dataclass subclass of `MotionParams`, which holds the
 rules the models share; a model restates only what differs. By default a
-model turns (`turns`), its fields must be finite, fusion merges a cluster by
-a weighted mean per column and a change of ego frame keeps the parameters.
-Each model states its `name`, the JSON key of each field (`json_keys`, read
-by the columnar frame reader and writer, the only JSON form), construction
-from speed, heading and a signed turn radius (`from_motion`; positive turns
-left, None is straight) and its ODE (`rates`: from the fields, as floats with
-`math` or as columns with numpy, the time derivatives of x, y and heading as
-a function of heading, which the RK4 oracles integrate). The other rules are
-static methods over columns, with parameters as (n, k) rows in field order
-(`param_rows`): `invalid_columns` flags the rows that the class's own checks
-reject; `forward_columns`, `inverse_columns`, `speed_radius_columns` and
-`in_ego_columns` (rotation into an ego frame, which turns only the cv
-velocity) are the model's forward, inverse, speed and turn radius, and frame
-change; `noisy_columns` is detector noise on the parameters; and
-`merge_columns` is the fusion merge (the bicycle averages slip wrap-aware
-around the cluster seed's). The per-pose `forward` is a one-row call of
-`forward_columns`, and the pose-pair inverses `inverse_cv` and
-`inverse_unicycle` are one-row calls of their vectorized `inverse_columns`;
-the bicycle's fits each distinct pose pair once, keyed by the bits of its
-eight inputs (x0, y0, h0, x1, y1, h1, dt, arm), and copies the fit to the
-pair's repeats. Each fit goes through the module function `inverse_bicycle`,
-looked up at call time, so a wrapper bound at that name sees every distinct
-fit. `estimate_param_columns` estimates the pose pairs of many tracks at
-once. `MODELS` maps each name to its class; the rest of the package consults
-only that table.
+model turns (`turns`), fusion merges a cluster by a weighted mean per column
+and a change of ego frame keeps the parameters. A model's value rules
+(`rules`) are every field finite, built from `json_keys`, then its
+`range_rules` (the bicycle's slip and rear_axle); its constructor checks one
+row with them, and frames.DetectionColumns and `estimate_param_columns`
+check whole columns. Each model states its `name`, the JSON key of each
+field (`json_keys`, read by the columnar frame reader and writer, the only
+JSON form), construction from speed, heading and a signed turn radius
+(`from_motion`; positive turns left, None is straight) and its ODE (`rates`:
+from the fields, as floats with `math` or as columns with numpy, the time
+derivatives of x, y and heading as a function of heading, which the RK4
+oracles integrate). The other rules are static methods over columns, with
+parameters as (n, k) rows in field order (`param_rows`): `forward_columns`,
+`inverse_columns`, `speed_radius_columns` and `in_ego_columns` (rotation
+into an ego frame, which turns only the cv velocity) are the model's
+forward, inverse, speed and turn radius, and frame change; `noisy_columns`
+is detector noise on the parameters; and `merge_columns` is the fusion merge
+(the bicycle averages slip wrap-aware around the cluster seed's). The
+per-pose `forward` is a one-row call of `forward_columns`, and the pose-pair
+inverses `inverse_cv` and `inverse_unicycle` are one-row calls of their
+vectorized `inverse_columns`; the bicycle's fits each distinct pose pair
+once (see `Bicycle.inverse_columns`), each through the module function
+`inverse_bicycle`, looked up at call time, so a wrapper bound at that name
+sees every distinct fit. `estimate_param_columns` estimates the pose pairs
+of many tracks at once. `MODELS` maps each name to its class; the rest of
+the package consults only that table.
 """
-
 from __future__ import annotations
 
 import math
@@ -49,15 +49,8 @@ from typing import ClassVar, Literal, Sequence
 
 import numpy as np
 
-from .geometry import (
-    Box3D,
-    EgoPose,
-    Pose,
-    _require_finite,
-    clamp_columns,
-    normalize_angle,
-    normalize_angles,
-)
+from .geometry import Box3D, EgoPose, Pose, clamp_columns, normalize_angle, normalize_angles
+from .rules import Rule, check, column_view, failures, finite, first_failure
 
 HALF_PI = 0.5 * math.pi
 
@@ -151,16 +144,17 @@ class MotionParams:
     name: ClassVar[str]
     turns: ClassVar[bool] = True
     json_keys: ClassVar[dict[str, str]]
+    #: The value rules beyond every field being finite, which a model states where it has any.
+    range_rules: ClassVar[tuple[Rule, ...]] = ()
+    #: The model's value rules in the order they are checked: each field finite, then its range rules.
+    rules: ClassVar[tuple[Rule, ...]]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.rules = (*map(finite, cls.json_keys), *cls.range_rules)
 
     def __post_init__(self) -> None:
-        for field in self.json_keys:
-            value = getattr(self, field)
-            if not math.isfinite(value):  # tested inline: a call per field slows construction by a fifth
-                _require_finite(field, value)
-
-    @staticmethod
-    def invalid_columns(params: np.ndarray) -> np.ndarray:
-        return ~np.isfinite(params).all(axis=1)
+        check(self.rules, self)
 
     @staticmethod
     def merge_columns(params: np.ndarray, seeds: np.ndarray, cluster: np.ndarray, wavg) -> np.ndarray:
@@ -294,20 +288,15 @@ class Bicycle(MotionParams):
 
     name: ClassVar[str] = "bicycle"
     json_keys: ClassVar[dict[str, str]] = {"speed": "v", "slip": "beta", "rear_axle": "l_r"}
+    range_rules: ClassVar[tuple[Rule, ...]] = (
+        Rule(lambda m: (m.slip >= -HALF_PI) & (m.slip <= HALF_PI),
+             lambda m: f"slip must lie in [-pi/2, pi/2], got {m.slip!r}"),
+        Rule(lambda m: m.rear_axle > 0.0, lambda m: "rear_axle must be positive"),
+    )
 
     speed: float
     slip: float
     rear_axle: float
-
-    def __post_init__(self) -> None:
-        # written out, not super(): the fit builds one per distinct pose pair
-        _require_finite("speed", self.speed)
-        _require_finite("slip", self.slip)
-        _require_finite("rear_axle", self.rear_axle)
-        if not -HALF_PI <= self.slip <= HALF_PI:
-            raise ValueError(f"slip must lie in [-pi/2, pi/2], got {self.slip!r}")
-        if self.rear_axle <= 0.0:
-            raise ValueError("rear_axle must be positive")
 
     @classmethod
     def from_motion(cls, speed: float, heading: float, radius: float | None, rear_axle: float):
@@ -371,11 +360,6 @@ class Bicycle(MotionParams):
     def rates(speed, slip, rear_axle, lib=np):
         rate = speed * lib.sin(slip) / rear_axle
         return lambda phi: (speed * lib.cos(phi + slip), speed * lib.sin(phi + slip), rate)
-
-    @staticmethod
-    def invalid_columns(params: np.ndarray) -> np.ndarray:
-        slip, rear_axle = params[:, 1], params[:, 2]
-        return MotionParams.invalid_columns(params) | ~((slip >= -HALF_PI) & (slip <= HALF_PI)) | ~(rear_axle > 0.0)
 
     @staticmethod
     def forward_columns(x, y, heading, params: np.ndarray, t: float):
@@ -727,16 +711,12 @@ def estimate_param_columns(times, x, y, heading, counts, model: str, rear_axle=N
         arm = np.broadcast_to(np.asarray(arm, dtype=float), counts.shape)[track]
     x, y, heading = (np.asarray(v, dtype=float) for v in (x, y, heading))
     try:
-        # an overflowing fit is caught by the row check below
+        # an overflowing fit is caught by the rule check below
         with np.errstate(over="ignore", invalid="ignore"):
             params = kind.inverse_columns(x[a], y[a], heading[a], x[b], y[b], heading[b], times[b] - times[a], arm)
-        bad = kind.invalid_columns(params)
-        if bad.any():
-            pair = int(np.argmax(bad))
-            try:
-                kind(*params[pair].tolist())
-            except ValueError as exc:
-                raise _at_pair(exc, pair) from None
+        rejected = first_failure(failures(kind.rules, column_view(kind.json_keys, params)))
+        if rejected is not None:
+            raise _at_pair(ValueError(rejected[1]), rejected[0])
     except (ValueError, FitDivergence) as exc:
         if hasattr(exc, "pair"):
             exc.track = int(track[exc.pair])

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .frames import MODEL_CODES, PARAM_WIDTH, DetectionColumns, Frame, model_groups, object_array, track_index
-from .geometry import EgoPose, Pose, clamp_columns, normalize_angles, require_field_types, transform_columns
+from .geometry import EgoPose, Pose, clamp_columns, normalize_angles, transform_columns
 from .motion import (
     FitDivergence,
     ModelName,
@@ -50,6 +50,7 @@ from .motion import (
     model_name,
     param_rows,
 )
+from .rules import require_field_types
 
 # estimate_params_from_track is no longer called here, but the benchmark's
 # per-layer tracing binds it in this module (bench/tracing.py).

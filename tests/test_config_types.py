@@ -1,7 +1,7 @@
 """One type rule for every config field: the annotations of FusionConfig, TrajectorySpec and CorruptionSpec.
 
-Each constructor runs geometry.require_field_types over its fields first, and
-`--config` and `--spec` values go through geometry.require_type with the same
+Each constructor runs rules.require_field_types over its fields first, and
+`--config` and `--spec` values go through rules.require_type with the same
 annotations, so a Python caller and a file meet the same rule and the same words.
 """
 
@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from boxfuse.cli import _json_fields, _tuples
 from boxfuse.fusion import FusionConfig
-from boxfuse.geometry import _type_text, field_types, require_type
+from boxfuse.rules import _type_text, field_types, require_type
 from boxfuse.synth import CorruptionSpec, TrajectorySpec
 
 CONFIGS = (FusionConfig, TrajectorySpec, CorruptionSpec)

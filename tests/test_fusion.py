@@ -833,6 +833,8 @@ class TestDetectionColumns:
         ("n_current", 1, -1, "n_current must lie in [0, n_fused], got -1 with n_fused 1"),
         ("n_current", 3, 2, "n_current must lie in [0, n_fused], got 2 with n_fused 1"),
         ("label", 0, "", "empty class label"),
+        ("label", 1, None, "label must be a string, got None"),
+        ("label", 4, 0, "label must be a string, got 0"),
         ("boxes", 3, (1.0, 2.0, 0.5, 0.0, 4.0, 1.0, 0.0), "box dimensions must be strictly positive"),
         ("boxes", 2, (1.0, 2.0, 0.5, 1e-4, 1e-3, 1.0, 0.0), f"degenerate BEV footprint: w*l = {1e-4 * 1e-3!r}"),
         ("boxes", 1, (math.nan, 2.0, 0.5, 2.0, 4.0, 1.0, 0.0), "x must be finite, got nan"),

@@ -1,4 +1,4 @@
-"""The package's layering: geometry -> motion -> frames -> {io, fusion, synth, evaluation} -> cli."""
+"""The package's layering: rules -> geometry -> motion -> frames -> {io, fusion, synth, evaluation} -> cli."""
 
 from __future__ import annotations
 
@@ -23,8 +23,13 @@ def relative_imports(module: str) -> dict[str, set[str]]:
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
 
-def test_frames_builds_on_geometry_and_motion_only():
-    assert set(relative_imports("frames")) == {"geometry", "motion"}
+def test_rules_is_the_bottom_layer_and_geometry_builds_on_it_only():
+    assert relative_imports("rules") == {}
+    assert set(relative_imports("geometry")) == {"rules"}
+
+
+def test_frames_builds_on_rules_geometry_and_motion_only():
+    assert set(relative_imports("frames")) == {"rules", "geometry", "motion"}
 
 
 def test_io_evaluation_and_synth_do_not_import_the_fusion_algorithm():

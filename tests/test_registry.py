@@ -60,9 +60,8 @@ def test_speed_radius_columns_equal_the_scalar_form(name, data):
 
 
 #: The rules MotionParams states once, and the ones each model restates because it differs there.
-SHARED_RULES = ("turns", "__post_init__", "invalid_columns", "merge_columns", "in_ego_columns")
-RESTATED = {"cv": {"turns", "in_ego_columns"}, "unicycle": set(),
-            "bicycle": {"__post_init__", "invalid_columns", "merge_columns"}}
+SHARED_RULES = ("turns", "__post_init__", "range_rules", "merge_columns", "in_ego_columns")
+RESTATED = {"cv": {"turns", "in_ego_columns"}, "unicycle": set(), "bicycle": {"range_rules", "merge_columns"}}
 
 
 @pytest.mark.parametrize("name", list(MODELS))
@@ -70,6 +69,9 @@ def test_every_model_restates_only_where_it_differs_from_the_base(name):
     cls = MODELS[name]
     assert isinstance(MotionParams, type) and issubclass(cls, MotionParams)
     assert {rule for rule in SHARED_RULES if rule in vars(cls)} == RESTATED[name]
+    # one value-rule table per model, which rows and columns both check: each field finite, then the range rules
+    assert not hasattr(cls, "invalid_columns")
+    assert cls.rules[len(cls.json_keys):] == cls.range_rules
 
 
 def _subcommand_choices(command: str, dest: str):
