@@ -43,7 +43,6 @@ from .io import (
     frame_line,
     frame_to_obj,
     iter_frames,
-    json_column,
     read_frames,
     write_frames,
 )
@@ -122,14 +121,14 @@ OPTIONS: dict[str, tuple[_Option, ...]] = {
         _Option("--spec", help="JSON scene spec file (overrides the scene flags)"),
         _Option("--seed", int, 0),
         _Option("--vehicles", int, 50),
-        _Option("--duration", float, 2.0),
-        _Option("--interval", float, 0.1, dest="frame_interval"),
-        _Option("--span", float, 120.0),
+        _Option("--duration", float, TrajectorySpec.duration),
+        _Option("--interval", float, TrajectorySpec.frame_interval, dest="frame_interval"),
+        _Option("--span", float, 120.0),  # wider than TrajectorySpec.origin_span, on purpose
         _Option("--stationary-frac", float, 0.63),
         _Option("--straight-frac", float, 0.31),
         _Option("--turning-frac", float, 0.05),
-        _Option("--speed-min", float, 6.0),
-        _Option("--speed-max", float, 14.0),
+        _Option("--speed-min", float, TrajectorySpec.speed_range[0]),
+        _Option("--speed-max", float, TrajectorySpec.speed_range[1]),
         _Option("--radius-min", float, 10.0),
         _Option("--radius-max", float, 24.0),
         _Option("--model", str, "cv", "motion parameters attached to the detection stream", choices=MODEL_NAMES),
@@ -344,7 +343,7 @@ def _allocate_counts(total: int, fractions: Sequence[float]) -> list[int]:
 def _synth_groups(args: argparse.Namespace, rear_axle: float | None) -> list[tuple[TrajectorySpec, int]]:
     total = _checked(args, "vehicles", lambda n: n >= 1, "at least 1")
     try:
-        json_column([total], lambda k: "vehicles")  # the allocation takes the count as a float
+        require_type("vehicles", total, float)  # the allocation takes the count as a float
     except ValueError as exc:
         raise _option_error(args, ("vehicles",), exc) from None
     mix = ("stationary_frac", "straight_frac", "turning_frac")
@@ -373,12 +372,12 @@ def _known_keys(obj, allowed, where: str) -> dict:
 
 
 @contextlib.contextmanager
-def _naming(flag: str):
-    """Prefix `flag` to a ValueError raised in the block: the file that flag named is malformed."""
+def _naming(where: str):
+    """Prefix `where` to a ValueError raised in the block: the flag whose file is malformed, or the part of it."""
     try:
         yield
     except ValueError as exc:
-        raise ValueError(f"{flag}: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _json_file(path: str, flag: str):
@@ -405,10 +404,8 @@ def _json_fields(cls, obj, where: str) -> dict:
 def _spec_from_obj(cls, obj, where: str):
     """A TrajectorySpec or CorruptionSpec from its --spec object; ValueError names `where`, and the key."""
     values = _json_fields(cls, obj, where)
-    try:
+    with _naming(where):
         return cls(**values)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
 
 
 def _spec_scene(raw) -> tuple[list[tuple[TrajectorySpec, int]], CorruptionSpec]:
@@ -428,7 +425,7 @@ def _spec_scene(raw) -> tuple[list[tuple[TrajectorySpec, int]], CorruptionSpec]:
         count = _known_keys(group, ("spec", "count"), where).get("count")
         if type(count) is not int or count < 0:
             raise ValueError(f"{where}: key 'count' must be a JSON integer >= 0, got {count!r}")
-        json_column([count], lambda k: f"{where}: key 'count'")  # the scene lays vehicles out with float counts
+        require_type(f"{where}: key 'count'", count, float)  # the scene lays vehicles out with float counts
         groups.append((_spec_from_obj(TrajectorySpec, group.get("spec"), f"{where}: key 'spec'"), count))
     return groups, _spec_from_obj(CorruptionSpec, raw.get("corruption", {}), "--spec: key 'corruption'")
 

@@ -169,9 +169,8 @@ class DetectionColumns(Sequence[Detection]):
     its first failing rule, in the order its row is built: box, motion, then
     detection. A NaN weight is unassigned, where a row rejects it, and the
     integer columns must have an integer dtype. Columns derived from checked
-    ones (selections, concatenations, forwarded boxes, new scores in [0, 1])
-    are made by `_derived` without a new check, and rows are read with one,
-    except by `box_objects`.
+    ones are made by `_derived` without a new check (fusion's new rows after
+    `check_columns`), and rows are read with one, except by `box_objects`.
     """
 
     boxes: np.ndarray
@@ -193,24 +192,18 @@ class DetectionColumns(Sequence[Detection]):
             raise ValueError("detection columns must have one row per detection")
         if not ((self.model >= 0) & (self.model < len(MODEL_CLASSES))).all():
             raise ValueError(f"motion model codes must lie in [0, {len(MODEL_CLASSES)})")
-        faults = failures(Box3D.rules, column_view(_BOX_FIELDS, self.boxes))
-        for code in np.flatnonzero(np.bincount(self.model, minlength=len(MODEL_CLASSES))).tolist():
-            kind, uses = MODEL_CLASSES[code], self.model == code
-            faults += [(fails & uses, message, columns)
-                       for fails, message, columns in failures(kind.rules, column_view(kind.json_keys, self.params))]
         typed = SimpleNamespace(**{name: getattr(self, name) for name in _TYPED_FIELDS})
         # a NaN weight is unassigned, as None is in a row, which the weight rule passes
         values = SimpleNamespace(**vars(typed), score=self.score,
                                  weight=np.where(np.isnan(self.weight), 0.0, self.weight))
+        faults = []
         for name in _TYPED_FIELDS:
             fails = _type_faults(name, getattr(typed, name))
             if fails is not None:
                 faults.append((fails, lambda row, name=name: _type_fault(name, getattr(row, name)), typed))
                 # the value rules read 1 where the type is wrong: the type rule comes first, and 1 passes them
                 setattr(values, name, np.where(fails, 1, getattr(typed, name)))
-        failed = first_failure(faults + failures(Detection.rules, values))
-        if failed is not None:
-            raise ValueError(f"detection {failed[0]}: {failed[1]}")
+        check_columns(self.boxes, self.model, self.params, faults + failures(Detection.rules, values))
         for name in ("frame_lag", "n_fused", "n_current"):
             if getattr(self, name).dtype.kind not in "iu":
                 raise ValueError(f"{name} must be an integer column, got dtype {getattr(self, name).dtype}")
@@ -342,6 +335,19 @@ class DetectionColumns(Sequence[Detection]):
 
 
 _COLUMNS = tuple(f.name for f in fields(DetectionColumns))
+
+
+def check_columns(boxes: np.ndarray, model: np.ndarray, params: np.ndarray, faults: Sequence = ()) -> None:
+    """The one check of the box and motion tables over columns: ValueError "detection k: <message>" for the first
+    row k failing Box3D.rules, its model's rules or a further fault of `rules.failures`, with its first failing rule."""
+    table = failures(Box3D.rules, column_view(_BOX_FIELDS, boxes))
+    for code in np.flatnonzero(np.bincount(model, minlength=len(MODEL_CLASSES))).tolist():
+        kind, uses = MODEL_CLASSES[code], model == code
+        table += [(fails & uses, message, columns)
+                  for fails, message, columns in failures(kind.rules, column_view(kind.json_keys, params))]
+    failed = first_failure([*table, *faults])
+    if failed is not None:
+        raise ValueError(f"detection {failed[0]}: {failed[1]}")
 
 
 def _type_faults(name: str, column: np.ndarray) -> np.ndarray | None:

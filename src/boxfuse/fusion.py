@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, Literal, Sequence, get_args
 
 import numpy as np
 
-from .frames import MODEL_CLASSES, PARAM_WIDTH, Detection, DetectionColumns, Frame
+from .frames import MODEL_CLASSES, PARAM_WIDTH, Detection, DetectionColumns, Frame, check_columns
 from .geometry import (
     EgoPose,
     clamp_columns,
@@ -118,8 +118,9 @@ def forward_frame(
     turns them by the yaw change (only a cv velocity changes). Weights are set
     to the decayed confidence and frame_lag is the gap in frame intervals
     (rounded). Every output is a history box (n_current=0), even when the gap
-    rounds to zero intervals. Raises ValueError when a forwarded box or turned
-    velocity is not finite or the lag does not fit in int64.
+    rounds to zero intervals. The output rows go through `check_columns`, whose
+    ValueError names the first row that overflows ("detection 1: x must be
+    finite, got inf"); a lag that does not fit in int64 raises ValueError too.
     """
     dt = target_time - frame.timestamp
     if dt < 0.0:
@@ -127,14 +128,12 @@ def forward_frame(
     cols = frame.detections
     boxes = cols.boxes.copy()
     x, y, yaw = boxes[:, 0], boxes[:, 1], boxes[:, 6]
-    # overflow is caught by the finiteness checks below
+    # overflow is caught by the rule check below
     with np.errstate(over="ignore", invalid="ignore"):
         if dt != 0.0 and len(cols):
             for model, rows in cols.groups():
                 params = cols.params_of(model, rows)
                 x[rows], y[rows], yaw[rows] = model.forward_columns(x[rows], y[rows], yaw[rows], params, dt)
-            if not (np.isfinite(x).all() and np.isfinite(y).all()):
-                raise ValueError("forwarded box centre is not finite")
             yaw[:] = normalize_angles(yaw)
         boxes[:, 0], boxes[:, 1], boxes[:, 6] = transform_columns(x, y, yaw, frame.ego, target_ego)
         if frame.ego.yaw != target_ego.yaw:
@@ -142,9 +141,8 @@ def forward_frame(
             params = cols.params.copy()
             for model, rows in cols.groups():
                 params[rows, : len(model.json_keys)] = model.in_ego_columns(cols.params_of(model, rows), turn)
-            if not np.isfinite(params).all():
-                raise ValueError("turned motion parameters are not finite")
             cols = cols._with(params=params)
+    check_columns(boxes, cols.model, cols.params)
     lag = dt / cfg.frame_interval
     if not lag < 2.0**63:
         raise ValueError(f"frame lag of {dt!r} s at frame_interval {cfg.frame_interval!r} s does not fit in int64")
@@ -205,7 +203,7 @@ def _merge_clusters(cols: DetectionColumns, rows: np.ndarray, cluster: np.ndarra
     seeds come first, in cluster order, then the other members in visiting
     order. bincount adds from left to right, so every weighted sum adds the
     members in the order a Python sum over [seed, *members] would. The
-    merged rows are checked like new Detections (ValueError).
+    merged rows go through `check_columns`; Detection's rules hold by construction.
     """
     if n_clusters == 0:
         return cols.take(rows)
@@ -237,8 +235,9 @@ def _merge_clusters(cols: DetectionColumns, rows: np.ndarray, cluster: np.ndarra
     params = cols.params_of(model, rows)
     motion = np.zeros((n_clusters, PARAM_WIDTH))
     motion[:, : len(model.json_keys)] = model.merge_columns(params, params[:n_clusters], cluster, wavg)
-    return DetectionColumns(merged, score, cols.label[seeds], cols.model[seeds], motion, weight, frame_lag,
-                            cols.track_id[seeds], n_fused, n_current)
+    check_columns(merged, cols.model[seeds], motion)
+    return DetectionColumns._derived(merged, score, cols.label[seeds], cols.model[seeds], motion, weight, frame_lag,
+                                     cols.track_id[seeds], n_fused, n_current)
 
 
 def weighted_nms(detections: Sequence[Detection], cfg: FusionConfig) -> DetectionColumns:

@@ -380,12 +380,10 @@ def bev_iou(a: Box3D, b: Box3D) -> float:
     is symmetric in its arguments only up to rounding: bev_iou(a, b) and
     bev_iou(b, a) may differ in the last bits. Callers that need
     reproducible outputs fix the order: evaluation passes the ground truth
-    first, weighted NMS the seed. Raises ValueError on a degenerate footprint.
+    first, weighted NMS the seed. Box3D's area rule keeps both footprints non-degenerate.
     """
     area_a = a.w * a.l
     area_b = b.w * b.l
-    if area_a < MIN_BEV_AREA or area_b < MIN_BEV_AREA:
-        raise ValueError("degenerate box in IoU")
     # identical footprints clip to themselves exactly
     if a.x == b.x and a.y == b.y and a.w == b.w and a.l == b.l and a.yaw == b.yaw:
         return 1.0
@@ -543,7 +541,7 @@ def transform_box(box: Box3D, src: EgoPose, dst: EgoPose) -> Box3D:
 
     Composes the src -> global -> dst planar rigid transforms. z and size are
     carried unchanged; yaw shifts by the rotation difference and is rewrapped.
-    One row of transform_columns, with its bits.
+    One row of transform_columns, with its bits; Box3D rejects a centre that overflows ("x must be finite, got inf").
     """
     with np.errstate(over="ignore", invalid="ignore"):
         x, y, yaw = transform_columns(np.array([box.x]), np.array([box.y]), np.array([box.yaw]), src, dst)
@@ -553,7 +551,7 @@ def transform_box(box: Box3D, src: EgoPose, dst: EgoPose) -> Box3D:
 def transform_columns(x, y, yaw, src: EgoPose, dst: EgoPose):
     """Boxes given in `src` ego coordinates re-expressed in `dst`, as columns of centres and yaws.
 
-    Returns new (x, y, yaw) arrays; ValueError when a result is not finite.
+    Returns new (x, y, yaw) arrays; an overflowing centre is left for the caller's table or row constructor to reject.
     """
     if src == dst:
         return x, y, yaw
@@ -567,6 +565,4 @@ def transform_columns(x, y, yaw, src: EgoPose, dst: EgoPose):
     ry = gy - dst.y
     out_x = cd * rx + sd * ry
     out_y = -sd * rx + cd * ry
-    if not (np.isfinite(out_x).all() and np.isfinite(out_y).all()):
-        raise ValueError("transformed box centre is not finite")
     return out_x, out_y, normalize_angles(yaw + src.yaw - dst.yaw)

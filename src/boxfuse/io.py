@@ -28,10 +28,11 @@ Every number the reader takes, in a detection, a timestamp or the ego pose,
 goes through one conversion, json_column: its JSON type first (a number is
 an int or float, never a string or boolean; integer fields take integral
 values only), then its range (float range; int64 for the integer fields but
-track_id). The CLI checks the numbers of --config and --spec files with it
-too. The reader also checks that the class is a string and every value a
-Detection would check, and names the line and detection of the first
-fault, in row order whatever each row's motion model.
+track_id). The CLI checks the numbers of --config and --spec files with
+the config type rule instead (rules.require_type). The reader also checks
+that the class is a string and every value a Detection would check, and
+names the line and detection of the first fault, in row order whatever
+each row's motion model.
 """
 
 from __future__ import annotations

@@ -373,11 +373,10 @@ def _reattach(frames: Sequence[Frame], model: str, rear_axle: float | None, fit:
         fit = np.ones(len(ids), dtype=bool)
     columns = [frame.detections for frame in frames]
     identity = EgoPose.identity()
-    world = np.concatenate([
-        np.stack(transform_columns(cols.boxes[:, 0], cols.boxes[:, 1], cols.boxes[:, 6], frame.ego, identity),
-                 axis=1)
-        for frame, cols in zip(frames, columns)
-    ])
+    # a world centre that overflows fails the fit's rules, which name its track
+    with np.errstate(over="ignore", invalid="ignore"):
+        world = np.concatenate([np.stack(transform_columns(*cols.boxes[:, [0, 1, 6]].T, frame.ego, identity), axis=1)
+                                for frame, cols in zip(frames, columns)])
     sizes = [len(cols) for cols in columns]
     times = np.repeat([frame.timestamp for frame in frames], sizes).astype(float)
     counts = np.bincount(track, minlength=len(ids))

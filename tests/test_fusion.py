@@ -290,8 +290,11 @@ class TestForwardFrame:
         (fused,) = fuse_frames([Frame(0.0, EgoPose.identity(), [cv]), Frame(0.1, target, [])], CFG).detections
         assert fused.n_current == 0 and fused.motion == out[0].motion
 
-    @pytest.mark.parametrize("case", ["forward", "transform", "turn"])
-    def test_overflow_to_infinity_rejected(self, case):
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case,message", [("forward", "x must be finite, got inf"),
+                                              ("transform", "x must be finite, got inf"),
+                                              ("turn", "vx must be finite, got inf")])
+    def test_overflow_to_infinity_rejected(self, case, message):
         t = 10.0
         if case == "forward":
             det, ego = make_det(x=1e308, motion=ConstantVelocity(1e308, 0.0)), EgoPose.identity()
@@ -301,8 +304,10 @@ class TestForwardFrame:
             # the velocity turned by 45 degrees into the target frame overflows
             det, ego, t = make_det(motion=ConstantVelocity(1.5e308, 1.5e308)), EgoPose(0.0, 0.0, -math.pi / 4), 1e-300
         frame = Frame(0.0, ego, [make_det(x=5.0), det])
-        with pytest.raises(ValueError):
+        # the forwarded rows go through the box and motion tables, which name the row
+        with pytest.raises(ValueError) as err:
             forward_frame(frame, t, EgoPose.identity(), CFG)
+        assert str(err.value) == f"detection 1: {message}"
 
 
 class TestWeightedNms:

@@ -385,13 +385,22 @@ class TestCli:
         assert capsys.readouterr().err == f"boxfuse: error: {message}\n"
 
     @pytest.mark.filterwarnings("error")
-    def test_far_field_overflow_exit_2_with_one_error_line(self, tmp_path, capsys):
-        # the IoU bound and the clipping of two boxes at x = 1.5e308 overflow, with no numpy warning
-        det = Detection(Box3D(1.5e308, 0.0, 0.0, 2.0, 4.0, 1.5, 0.0), 0.9, "car", ConstantVelocity(0.0, 0.0))
+    @pytest.mark.parametrize("case,row", [("merge", 0), ("forward", 1)])
+    def test_far_field_overflow_exit_2_with_one_error_line(self, tmp_path, capsys, case, row):
+        # with no numpy warning, either the IoU bound, the clipping and the merge of two boxes at x = 1.5e308
+        # overflow, or frame 0's second box, forwarded over 1 s at 1e308 m/s, leaves float range
+        def det(x, vx):
+            return Detection(Box3D(x, 0.0, 0.0, 2.0, 4.0, 1.5, 0.0), 0.9, "car", ConstantVelocity(vx, 0.0))
+
+        if case == "merge":
+            frames = [Frame(t, EgoPose(1.5e308, 0.0, 0.0), [det(1.5e308, 0.0)]) for t in (0.0, 0.1)]
+        else:
+            frames = [Frame(0.0, EgoPose.identity(), [det(5.0, 0.0), det(1e308, 1e308)]),
+                      Frame(1.0, EgoPose.identity(), [])]
         src = tmp_path / "far.jsonl"
-        write_frames(src, [Frame(t, EgoPose(1.5e308, 0.0, 0.0), [det]) for t in (0.0, 0.1)])
+        write_frames(src, frames)
         assert main(["fuse", "--input", str(src), "--output", str(tmp_path / "o.jsonl")]) == 2
-        assert capsys.readouterr().err == "boxfuse: error: line 2: detection 0: x must be finite, got inf\n"
+        assert capsys.readouterr().err == f"boxfuse: error: line 2: detection {row}: x must be finite, got inf\n"
 
     @pytest.mark.parametrize("fault", ["mixed models", "repeated timestamp"])
     def test_failed_fuse_leaves_the_output_as_it_was(self, tmp_path, fault):
@@ -530,18 +539,25 @@ class TestCli:
         assert type(err.value) is ValueError and str(err.value) == message
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("model,field", [("cv", "vx"), ("unicycle", "speed"), ("bicycle", "speed")])
-    def test_inverse_names_the_track_whose_fit_overflows(self, tmp_path, capsys, model, field):
-        # the velocity over the gap of 1e-320 s overflows, with no numpy warning
-        frames = [Frame(t, EgoPose.identity(), [
-            Detection(Box3D(float(k), 0.0, 0.0, 2.0, 4.5, 1.6, 0.0), 0.9, "car", ConstantVelocity(0.0, 0.0),
-                      track_id=4)]) for k, t in enumerate((0.0, 1e-320, 1.0))]
-        src = tmp_path / "tiny_gap.jsonl"
+    @pytest.mark.parametrize("scene,model,message", [
+        ("tiny gap", "cv", "vx must be finite, got inf"), ("tiny gap", "unicycle", "speed must be finite, got inf"),
+        ("tiny gap", "bicycle", "speed must be finite, got inf"), ("far field", "cv", "vx must be finite, got nan"),
+        ("far field", "unicycle", "speed must be finite, got nan"), ("far field", "bicycle", "x must be finite, got inf"),
+    ])
+    def test_inverse_names_the_track_whose_fit_overflows(self, tmp_path, capsys, scene, model, message):
+        # with no numpy warning, either the velocity over the gap of 1e-320 s overflows, or the world
+        # centre of an ego and box at x = 1.5e308 does
+        if scene == "tiny gap":
+            poses = [(t, EgoPose.identity(), float(k)) for k, t in enumerate((0.0, 1e-320, 1.0))]
+        else:
+            poses = [(t, EgoPose(1.5e308, 0.0, 0.0), 1.5e308) for t in (0.0, 0.1, 0.2)]
+        frames = [Frame(t, ego, [Detection(Box3D(x, 0.0, 0.0, 2.0, 4.5, 1.6, 0.0), 0.9, "car",
+                                           ConstantVelocity(0.0, 0.0), track_id=4)]) for t, ego, x in poses]
+        src = tmp_path / "overflow.jsonl"
         write_frames(src, frames)
         out = tmp_path / "o.jsonl"
         assert main(["inverse", "--input", str(src), "--output", str(out), "--model", model]) == 2
-        message = f"track 4, first seen on frame 0: {field} must be finite, got inf"
-        assert capsys.readouterr().err == f"boxfuse: error: {message}\n"
+        assert capsys.readouterr().err == f"boxfuse: error: track 4, first seen on frame 0: {message}\n"
         assert not out.exists()
 
     def test_bicycle_divergence_names_its_track(self, tmp_path, monkeypatch, capsys):

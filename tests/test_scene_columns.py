@@ -185,6 +185,22 @@ def test_one_row_paths_equal_the_per_pose_references(pose, params, t, box, src, 
     assert repr(_motion_in_ego(params, dst)) == repr(motion_in_ego_reference(params, dst))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("box,src", [
+    (Box3D(1.5e308, 0.0, 0.0, 2.0, 4.0, 1.5, 0.0), EgoPose(1.5e308, 0.0, 0.0)),
+    (Box3D(0.0, 1.5e308, 0.0, 2.0, 4.0, 1.5, 0.0), EgoPose(0.0, 1.5e308, 0.0)),
+    (Box3D(1.5e308, 1.5e308, 0.0, 2.0, 4.0, 1.5, 0.0), EgoPose(0.0, 0.0, math.pi / 4)),
+])
+def test_an_overflowing_transform_raises_what_the_reference_raises(box, src):
+    # the box's own rule rejects the centre, so the column path and the reference agree on the message
+    with pytest.raises(ValueError) as expected:
+        transform_box_reference(box, src, EgoPose.identity())
+    with pytest.raises(ValueError) as err:
+        transform_box(box, src, EgoPose.identity())
+    assert str(err.value) == str(expected.value)
+    assert str(err.value).startswith(("x must be finite", "y must be finite"))
+
+
 @pytest.mark.parametrize("call", [lambda p: forward(Pose(0.0, 0.0, 0.0), p, 1.0),
                                   lambda p: forward_box(Box3D(0.0, 0.0, 0.0, 2.0, 4.0, 1.5, 0.0), p, 1.0),
                                   lambda p: _motion_in_ego(p, EgoPose(0.0, 0.0, 0.5))])

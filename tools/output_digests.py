@@ -33,6 +33,11 @@ Once, under `traj-compare`, it also records `boxfuse traj-compare` for every
 `--gen-model` at the radii in `TRAJ_RADII` (a cv trajectory cannot turn, so
 there the error text stands in place of a digest).
 
+Once, under `far-field`, it records the error text of commands whose values
+leave float range: `boxfuse fuse` of a two-frame stream whose forward
+overflows (key `fuse-forward`), and `boxfuse inverse` under each motion
+model of a track whose ego and box sit at x = `FAR` (keys `inverse-<model>`).
+
 Every file is digested whole, meta line included. Each frame file is
 digested a second time (key suffix `/frame_to_obj`) with every frame line
 re-written by the dict writer, `dumps_line(frame_to_obj(frame_from_obj(...)))`,
@@ -65,6 +70,8 @@ TRAJ_RADII = ("0", "20", "-15")
 # the moving-ego scene: the mix of this workload, and the ego's unicycle speed (m/s) and yaw rate (rad/s)
 MOVING_EGO_WORKLOAD = "turning-200"
 EGO_MOTION = (8.0, 0.3)
+# a coordinate whose sum with itself overflows
+FAR = 1.5e308
 
 
 def _load_bench():
@@ -193,6 +200,29 @@ def traj_compare_digests(main, models, work: Path) -> dict[str, str]:
     return out
 
 
+def far_field_errors(main, models, work: Path) -> dict[str, str]:
+    """The error text of fuse and inverse on frames whose forwarded or world centres overflow."""
+    from boxfuse.frames import Detection, Frame
+    from boxfuse.geometry import Box3D, EgoPose
+    from boxfuse.io import write_frames
+    from boxfuse.motion import ConstantVelocity
+
+    def det(x: float, vx: float) -> Detection:
+        return Detection(Box3D(x, 0.0, 0.8, 2.0, 4.5, 1.6, 0.0), 0.9, "vehicle", ConstantVelocity(vx, 0.0),
+                         track_id=1)
+
+    src, out = work / "far.jsonl", work / "far-out.jsonl"
+    # the second box moves 1e308 m in the 1 s to the next frame
+    write_frames(src, [Frame(0.0, EgoPose.identity(), [det(5.0, 0.0), det(1e308, 1e308)]),
+                       Frame(1.0, EgoPose.identity(), [])])
+    errors = {"fuse-forward": _run(main, ["fuse", "--input", str(src), "--output", str(out)], data_error_ok=True)}
+    write_frames(src, [Frame(t, EgoPose(FAR, 0.0, 0.0), [det(FAR, 0.0)]) for t in (0.0, 0.1, 0.2)])
+    for model in models:
+        errors[f"inverse-{model}"] = _run(main, ["inverse", "--input", str(src), "--output", str(out),
+                                                 "--model", model], data_error_ok=True)
+    return errors
+
+
 def main() -> int:
     bench = _load_bench()
     sys.path.insert(0, str(ROOT / "src"))
@@ -212,6 +242,7 @@ def main() -> int:
             digests[f"moving-ego/seed-{seed}"] = moving_ego_digests(
                 boxfuse_main, MODEL_NAMES, sorted(PRESETS), bench.WORKLOADS[MOVING_EGO_WORKLOAD], seed, Path(tmp))
         digests["traj-compare"] = traj_compare_digests(boxfuse_main, MODEL_NAMES, Path(tmp))
+        digests["far-field"] = far_field_errors(boxfuse_main, MODEL_NAMES, Path(tmp))
     print(json.dumps(digests, indent=2, sort_keys=True))
     return 0
 
