@@ -165,12 +165,15 @@ class DetectionColumns(Sequence[Detection]):
 
     Every row is a valid Detection. The constructor checks the rules of Box3D,
     the motion models and Detection over whole columns, wraps yaws to (-pi, pi]
-    and raises ValueError naming the first row that fails with the message of
-    its first failing rule, in the order its row is built: box, motion, then
-    detection. A NaN weight is unassigned, where a row rejects it, and the
-    integer columns must have an integer dtype. Columns derived from checked
-    ones are made by `_derived` without a new check (fusion's new rows after
-    `check_columns`), and rows are read with one, except by `box_objects`.
+    and raises RowError, a ValueError, naming the first row that fails with the
+    message of its first failing rule, in the order its row is built: box,
+    motion, then detection. A NaN weight is unassigned, where a row rejects it,
+    and the integer columns must have an integer dtype. Columns derived from
+    checked ones are made by `_derived` without a new check: `take` and
+    `concat` of checked rows, fusion's new rows after `check_columns`, and
+    synth's scene blocks after one check of all their rows, whose frames are
+    row slices of the block (`take` of a slice, a view). Rows are read with a
+    check, except by `box_objects`.
     """
 
     boxes: np.ndarray
@@ -259,7 +262,7 @@ class DetectionColumns(Sequence[Detection]):
         return cls._derived(*(np.concatenate([getattr(part, name) for part in parts]) for name in _COLUMNS))
 
     def take(self, index) -> DetectionColumns:
-        """The rows selected by an index array or boolean mask."""
+        """The rows selected by an index array or boolean mask, or by a slice, whose columns are views of these."""
         return self._derived(*(getattr(self, name)[index] for name in _COLUMNS))
 
     def entering(self, boxes: np.ndarray, weight: np.ndarray, frame_lag: int, n_current: int) -> DetectionColumns:
@@ -337,17 +340,28 @@ class DetectionColumns(Sequence[Detection]):
 _COLUMNS = tuple(f.name for f in fields(DetectionColumns))
 
 
-def check_columns(boxes: np.ndarray, model: np.ndarray, params: np.ndarray, faults: Sequence = ()) -> None:
-    """The one check of the box and motion tables over columns: ValueError "detection k: <message>" for the first
-    row k failing Box3D.rules, its model's rules or a further fault of `rules.failures`, with its first failing rule."""
-    table = failures(Box3D.rules, column_view(_BOX_FIELDS, boxes))
+class RowError(ValueError):
+    """A row of columns that fails a rule: "detection k: <message>", where `row` is k and `reason` the message."""
+
+    def __init__(self, reason: str, row: int) -> None:
+        super().__init__(f"detection {row}: {reason}")
+        self.reason = reason
+        self.row = row
+
+
+def check_columns(boxes: np.ndarray | None, model: np.ndarray, params: np.ndarray, faults: Sequence = ()) -> None:
+    """The one check of the box and motion tables over columns: RowError for the first row k failing Box3D.rules,
+    its model's rules or a further fault of `rules.failures`, with the message of its first failing rule.
+
+    boxes None leaves out the box table, for new parameters of rows whose boxes were checked."""
+    table = [] if boxes is None else failures(Box3D.rules, column_view(_BOX_FIELDS, boxes))
     for code in np.flatnonzero(np.bincount(model, minlength=len(MODEL_CLASSES))).tolist():
         kind, uses = MODEL_CLASSES[code], model == code
         table += [(fails & uses, message, columns)
                   for fails, message, columns in failures(kind.rules, column_view(kind.json_keys, params))]
     failed = first_failure([*table, *faults])
     if failed is not None:
-        raise ValueError(f"detection {failed[0]}: {failed[1]}")
+        raise RowError(failed[1], failed[0])
 
 
 def _type_faults(name: str, column: np.ndarray) -> np.ndarray | None:

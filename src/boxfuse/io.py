@@ -21,8 +21,9 @@ The reader parses straight into a frame's frames.DetectionColumns and the
 writers write from them, with no per-detection objects, so the numbers of
 Detections given to a Frame are written as floats. dumps_frame writes a
 frame line from the columns with one %-format per row pattern (the motion
-model and the optional keys written); frame_to_obj is the frame as a dict,
-and dumps_line(frame_to_obj(frame)) gives the same bytes.
+model and the optional keys written) and raises json's own ValueError for a
+value that is not finite; frame_to_obj is the frame as a dict, and
+dumps_line(frame_to_obj(frame)) gives the same bytes.
 
 Every number the reader takes, in a detection, a timestamp or the ego pose,
 goes through one conversion, json_column: its JSON type first (a number is
@@ -128,18 +129,39 @@ def _row_format(pattern: int) -> tuple[str, list[str], list[int]]:
     return _object_format(fields), sorted(fields), sorted(range(len(keys)), key=keys.__getitem__)
 
 
+def _first_non_finite(dets: DetectionColumns) -> float | None:
+    """The first value written for dets that is not finite, in the order json writes them; None when none is.
+
+    json writes a row's keys sorted: its box, then its motion fields, its
+    score and its weight (a NaN weight is unassigned and not written).
+    """
+    written = np.arange(PARAM_WIDTH) < MODEL_WIDTHS[dets.model][:, None]
+    bad = (~np.isfinite(dets.boxes).all(axis=1) | ~(np.isfinite(dets.params) | ~written).all(axis=1)
+           | ~np.isfinite(dets.score) | np.isinf(dets.weight))
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    motion = dict(zip(MODELS[MODEL_NAMES[dets.model[row]]].json_keys.values(), dets.params[row].tolist()))
+    weight = float(dets.weight[row])
+    values = [*dets.boxes[row].tolist(), *(motion[key] for key in sorted(motion)), float(dets.score[row]),
+              *([] if math.isnan(weight) else [weight])]
+    return next(value for value in values if not math.isfinite(value))
+
+
 def dumps_frame(frame: Frame) -> str:
     """dumps_line(frame_to_obj(frame)) byte for byte, formatted from the columns without per-row dicts.
 
     Rows that write the same keys share one %-format. Floats go through %r,
     the float.__repr__ that json writes, and each distinct class is quoted
-    once by dumps_line. A frame holding a non-finite float goes through
-    dumps_line(frame_to_obj(frame)), so it raises the ValueError json raises.
+    once by dumps_line. A frame that writes a non-finite float raises the
+    ValueError json raises for the first one it would meet.
     """
     dets = frame.detections
     if not (np.isfinite(dets.boxes).all() and np.isfinite(dets.score).all() and np.isfinite(dets.params).all()
             and not np.isinf(dets.weight).any()):
-        return dumps_line(frame_to_obj(frame))
+        value = _first_non_finite(dets)
+        if value is not None:
+            dumps_line(value)  # raises json's ValueError for that value
     pattern = dets.model
     for written in _written(dets).values():
         pattern = pattern << 1 | written

@@ -560,6 +560,20 @@ class TestCli:
         assert capsys.readouterr().err == f"boxfuse: error: track 4, first seen on frame 0: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flags,message", [
+        (["--sigma-xy", "1e308", "--duration", "0.5"], "detection 3: y must be finite, got -inf"),
+        (["--speed-min", "1e308", "--speed-max", "1.5e308", "--duration", "2.0"],
+         "track 3, first seen on frame 0: vx must be finite, got -inf"),
+    ])
+    def test_synth_whose_values_overflow_exits_2_with_one_error_line(self, tmp_path, capsys, flags, message):
+        # with no numpy warning: the noise of a box, or the pose of a generated track, leaves float range
+        gt, det = tmp_path / "gt.jsonl", tmp_path / "det.jsonl"
+        argv = ["synth", "--output-gt", str(gt), "--output-det", str(det), "--vehicles", "5", "--seed", "1", *flags]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"boxfuse: error: {message}\n"
+        assert not gt.exists() and not det.exists()
+
     def test_bicycle_divergence_names_its_track(self, tmp_path, monkeypatch, capsys):
         src, frames = self.half_turn_track(tmp_path)
         real = motion.inverse_bicycle

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -461,3 +462,79 @@ def test_track_checks_keep_their_messages(times, message):
     good = [Pose(0.0, 0.0, 0.0), Pose(1.0, 0.0, 0.0)]
     with pytest.raises(ValueError, match=message):
         estimate_param_columns([0.0, 0.1, *times], *pose_columns(good + poses), [2, len(times)], "cv")
+
+
+# A stage checks the new rows of the whole scene at once, and an error names the
+# first failing row as its frame's own check would: within its frame. The frozen
+# references build a row's Box3D or motion before its Detection, so they raise
+# the bare rule message; each case also shows that the reference reaches that
+# row first, by running it on the scene cut just before and just after the row.
+
+
+def cut_after(frames, frame, rows):
+    """frames up to `frame`, keeping only the first `rows` detections of that frame."""
+    last = frames[frame]
+    return [*frames[:frame], Frame(last.timestamp, last.ego, list(last.detections)[:rows])]
+
+
+def far_box(x: float, t: float, ego: EgoPose = EgoPose.identity()) -> Box3D:
+    return transform_box_reference(Box3D(x, x, 0.8, 2.0, 4.5, 1.6, 0.25 + t), EgoPose.identity(), ego)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_corruption_overflowing_in_a_later_frame_names_the_row_in_its_frame():
+    # noise of up to about 5e307 m keeps boxes near the origin finite, and pushes some of the boxes at
+    # +-1.75e308 out of float range: at seed 1 the first of them is row 2 of frame 1, row 5 of the scene
+    near = [Detection(Box3D(float(k), 0.0, 0.8, 2.0, 4.5, 1.6, 0.0), 0.9, "car", ConstantVelocity(1.0, 0.0),
+                      track_id=k) for k in range(3)]
+    far = [Detection(Box3D(x, 0.0, 0.8, 2.0, 4.5, 1.6, 0.0), 0.9, "car", ConstantVelocity(1.0, 0.0), track_id=k)
+           for k, x in enumerate((0.0, 1.75e308, -1.75e308, 1.75e308))]
+    frames = [Frame(0.0, EgoPose.identity(), near), Frame(0.1, EgoPose.identity(), far)]
+    spec = CorruptionSpec(sigma_xy=1e307)
+    with pytest.raises(ValueError) as expected:
+        corrupt_reference(cut_after(frames, 1, 3), spec, 1)
+    corrupt_reference(cut_after(frames, 1, 2), spec, 1)
+    with pytest.raises(ValueError) as raised:
+        corrupt(frames, spec, 1)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == f"detection 2: {expected.value}" == "detection 2: x must be finite, got -inf"
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_scene_overflowing_in_a_later_frame_names_the_row_in_its_frame():
+    # the ego backs away at 1e308 m/s while the second group drives off at 1e308 m/s, so from t = 0.9 s
+    # their distance leaves float range; its first vehicle is row 2 of frame 9, row 20 of the scene
+    common = dict(model="cv", heading_range=(0.0, 0.0), origin_span=10.0, duration=1.0, frame_interval=0.1)
+    groups = [(TrajectorySpec(speed_range=(0.0, 0.0), **common), 2),
+              (TrajectorySpec(speed_range=(1e308, 1e308), **common), 2)]
+    ego = ConstantVelocity(-1e308, 0.0)
+    with pytest.raises(ValueError) as expected:
+        generate_mixed_scene_reference(groups, 1, ego_motion=ego)
+    # the frames up to t = 0.8 s stay in range, as do the stationary group's rows of frame 9
+    generate_mixed_scene_reference([(replace(spec, duration=0.8), count) for spec, count in groups], 1, ego_motion=ego)
+    generate_mixed_scene_reference(groups[:1], 1, ego_motion=ego)
+    with pytest.raises(ValueError) as raised:
+        generate_mixed_scene(groups, 1, ego_motion=ego)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == f"detection 2: {expected.value}" == "detection 2: x must be finite, got inf"
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_refit_overflowing_in_a_later_frame_names_the_row_in_its_frame():
+    # track 2 moves at 1.5e308 m/s along x and y; turned into the frames of an ego at yaw -pi/4 its
+    # velocity leaves float range, so row 1 of frame 1, row 3 of the scene, is the first to fail
+    turned = EgoPose(0.0, 0.0, -math.pi / 4)
+    frames = []
+    for k, ego in enumerate((EgoPose.identity(), turned, turned)):
+        t = 0.1 * k
+        frames.append(Frame(t, ego, [
+            Detection(far_box(float(k), t, ego), 0.9, "car", ConstantVelocity(0.0, 0.0), track_id=1),
+            Detection(far_box(1.5e307 * k, t, ego), 0.9, "car", ConstantVelocity(0.0, 0.0), track_id=2)]))
+    with pytest.raises(ValueError) as expected:
+        reattach_params_reference(frames, "cv", None)
+    # track 1 is slow, and frame 0 is seen from the identity, which turns nothing
+    reattach_params_reference([Frame(f.timestamp, f.ego, list(f.detections)[:1]) for f in frames], "cv", None)
+    with pytest.raises(ValueError) as raised:
+        reattach_params(frames, "cv")
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == f"detection 1: {expected.value}" == "detection 1: vy must be finite, got inf"

@@ -164,6 +164,18 @@ def test_dumps_frame_raises_what_json_raises_on_a_non_finite_value(name, index, 
     assert type(raised.value) is type(expected.value) and str(raised.value) == str(expected.value)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_dumps_frame_writes_a_frame_whose_only_non_finite_value_is_parameter_padding(value):
+    # a unicycle row has two parameter columns; the third is padding, which no writer writes
+    dets = [Detection(Box3D(float(k), 0.0, 0.8, 1.9, 4.5, 1.6, 0.0), 0.5, "car", Unicycle(2.0, 0.1)) for k in range(2)]
+    cols = DetectionColumns.of(dets)
+    params = cols.params.copy()
+    params[1, 2] = value
+    frame = Frame(0.0, EgoPose.identity(), cols._with(params=params))
+    line = dumps_frame(frame)
+    assert line == dumps_line(frame_to_obj(frame)) == ref_dumps_frame(Frame(0.0, EgoPose.identity(), dets))
+
+
 @settings(max_examples=60, deadline=None)
 @given(lists=st.lists(st.lists(detections(), max_size=6), max_size=4), ego=st.builds(EgoPose, COORD, COORD, YAW))
 def test_a_frame_holds_columns_equal_to_its_list_that_round_trip(lists, ego):

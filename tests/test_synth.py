@@ -24,6 +24,7 @@ from boxfuse import (
 )
 from boxfuse import motion
 from boxfuse.cli import _spec_scene, main
+from boxfuse.frames import DetectionColumns, check_columns
 from boxfuse.geometry import EgoPose, Pose
 from boxfuse.io import dumps_line, frame_to_obj, read_frames, read_meta
 
@@ -408,3 +409,29 @@ def test_bicycle_synth_fits_each_track_once(tmp_path, monkeypatch, spec, rear_ax
     assert sorted(got) == sorted(key for keys in fits.values() for key in keys)
     # a moving track of n >= 3 poses has n distinct pose pairs, each fitted once
     assert moving and all(len(set(keys)) == len(frames) for keys in moving)
+
+
+@pytest.mark.parametrize("model", ["cv", "bicycle"])
+def test_synth_checks_each_stage_once_over_the_whole_scene(tmp_path, monkeypatch, model):
+    # generation, the refit and corrupt each check every row of the scene, dropped rows included, with one
+    # check_columns (the refit checks only the parameters it made), and none builds a checked DetectionColumns
+    checked, built = [], []
+    real_init = DetectionColumns.__post_init__
+
+    def counted_check(boxes, model, params, *args):
+        checked.append(len(params))
+        return check_columns(boxes, model, params, *args)
+
+    def counted_init(self):
+        built.append(len(self))
+        return real_init(self)
+
+    for module in ("boxfuse.frames", "boxfuse.synth"):
+        monkeypatch.setattr(f"{module}.check_columns", counted_check)
+    monkeypatch.setattr(DetectionColumns, "__post_init__", counted_init)
+    gt, det = run_synth(tmp_path, "--model", model, *PINNED_SCENE_FLAGS)
+    monkeypatch.undo()
+    rows = sum(len(frame.detections) for frame in read_frames(gt))
+    assert rows == 12 * 9
+    assert checked == [rows] * 3 and built == []
+    assert sum(len(frame.detections) for frame in read_frames(det)) < rows

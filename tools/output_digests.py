@@ -35,8 +35,10 @@ there the error text stands in place of a digest).
 
 Once, under `far-field`, it records the error text of commands whose values
 leave float range: `boxfuse fuse` of a two-frame stream whose forward
-overflows (key `fuse-forward`), and `boxfuse inverse` under each motion
-model of a track whose ego and box sit at x = `FAR` (keys `inverse-<model>`).
+overflows (key `fuse-forward`), `boxfuse inverse` under each motion
+model of a track whose ego and box sit at x = `FAR` (keys `inverse-<model>`),
+and `boxfuse synth` whose detector noise (key `synth-noise`) or whose
+vehicle speeds (key `synth-speed`) overflow, as `SYNTH_OVERFLOWS` gives them.
 
 Every file is digested whole, meta line included. Each frame file is
 digested a second time (key suffix `/frame_to_obj`) with every frame line
@@ -72,6 +74,12 @@ MOVING_EGO_WORKLOAD = "turning-200"
 EGO_MOTION = (8.0, 0.3)
 # a coordinate whose sum with itself overflows
 FAR = 1.5e308
+# synth flags whose noisy boxes, and whose generated poses, leave float range
+SYNTH_OVERFLOWS = {
+    "synth-noise": ["--vehicles", "5", "--seed", "1", "--sigma-xy", "1e308", "--duration", "0.5"],
+    "synth-speed": ["--vehicles", "5", "--seed", "1", "--speed-min", "1e308", "--speed-max", "1.5e308",
+                    "--duration", "2.0"],
+}
 
 
 def _load_bench():
@@ -201,7 +209,8 @@ def traj_compare_digests(main, models, work: Path) -> dict[str, str]:
 
 
 def far_field_errors(main, models, work: Path) -> dict[str, str]:
-    """The error text of fuse and inverse on frames whose forwarded or world centres overflow."""
+    """The error text of fuse and inverse on frames whose forwarded or world centres overflow, and of synth
+    whose noise or speeds overflow."""
     from boxfuse.frames import Detection, Frame
     from boxfuse.geometry import Box3D, EgoPose
     from boxfuse.io import write_frames
@@ -220,6 +229,9 @@ def far_field_errors(main, models, work: Path) -> dict[str, str]:
     for model in models:
         errors[f"inverse-{model}"] = _run(main, ["inverse", "--input", str(src), "--output", str(out),
                                                  "--model", model], data_error_ok=True)
+    for key, flags in SYNTH_OVERFLOWS.items():
+        errors[key] = _run(main, ["synth", "--output-gt", str(src), "--output-det", str(out), *flags],
+                           data_error_ok=True)
     return errors
 
 
