@@ -2,9 +2,11 @@
 
 The value rules of a box, a motion model and a detection are tables (`rules`)
 that the row constructors check on one row and DetectionColumns over whole
-columns. Columns build a row's Detection, Box3D and motion objects only when
-the row is read, with the checking constructors. io parses JSON straight into
-columns and writes them back, and fusion, synth and evaluation pass only columns.
+columns; Detection's type rules are stated only in its constructor, which
+columns of other than row types run row by row. Columns build a row's
+Detection, Box3D and motion objects only when the row is read, with the
+checking constructors. io parses JSON straight into columns and writes them
+back, and fusion, synth and evaluation pass only columns.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .geometry import Box3D, EgoPose, normalize_angles
 from .motion import MODELS, MotionParams, param_rows
-from .rules import Rule, check, column_view, failures, field_types, first_failure, fits_float, type_fault
+from .rules import Rule, check, column_view, failures, field_types, first_failure, fits_float, require_type
 
 
 @dataclass(frozen=True)
@@ -34,7 +36,9 @@ class Detection:
     history only. frame_lag, track_id, n_fused and n_current are Python
     ints, never bools or numpy integers; track_id may be None, and an
     n_current of None becomes 1 exactly when frame_lag is 0. label is a
-    non-empty str. The type rules (`_type_fault`) come before the value rules.
+    non-empty str. The type rules, stated only here, come before the value
+    rules: each integer field takes its annotation (`rules.require_type`),
+    then a label must be a str.
     """
 
     box: Box3D
@@ -60,10 +64,12 @@ class Detection:
     )
 
     def __post_init__(self) -> None:
-        for name in _TYPED_FIELDS:
-            fault = _type_fault(name, getattr(self, name))
-            if fault is not None:
-                raise ValueError(fault)
+        for name in ("frame_lag", "track_id", "n_fused", "n_current"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                require_type(name, value, field_types(Detection)[name])
+        if type(self.label) is not str:
+            raise ValueError(f"label must be a string, got {self.label!r}")
         if self.n_current is None:
             object.__setattr__(self, "n_current", 1 if self.frame_lag == 0 else 0)
         check(self.rules, self)
@@ -71,19 +77,6 @@ class Detection:
     @property
     def history_only(self) -> bool:
         return self.n_current == 0
-
-
-#: The fields of Detection with a type rule, in the order they are checked.
-_TYPED_FIELDS = ("frame_lag", "track_id", "n_fused", "n_current", "label")
-
-
-def _type_fault(name: str, value) -> str | None:
-    """The message of Detection field `name`'s type rule for value, None when it passes; it reads only the type.
-
-    A label is any str, whose value rule rejects the empty one; an integer field takes its annotation."""
-    if name == "label":
-        return None if type(value) is str else f"label must be a string, got {value!r}"
-    return None if type(value) is int else type_fault(name, value, field_types(Detection)[name])
 
 
 @dataclass(frozen=True)
@@ -163,9 +156,12 @@ class DetectionColumns(Sequence[Detection]):
     equal Detections, and to columns whose rows would be equal, which it
     tells from the columns (a NaN weight equals a NaN weight, -0.0 equals 0.0).
 
-    Every row is a valid Detection. The constructor checks the rules of Box3D,
-    the motion models and Detection over whole columns, wraps yaws to (-pi, pi]
-    and raises RowError, a ValueError, naming the first row that fails with the
+    Every row is a valid Detection. When the columns hold only row types
+    (integer dtypes, str labels, int or None track ids), as every frame the
+    reader builds does, the constructor checks the value rules of Box3D, the
+    motion models and Detection over whole columns; other columns are built
+    row by row through Detection's type rules. It wraps yaws to (-pi, pi] and
+    raises RowError, a ValueError, naming the first row that fails with the
     message of its first failing rule, in the order its row is built: box,
     motion, then detection. A NaN weight is unassigned, where a row rejects it,
     and the integer columns must have an integer dtype. Columns derived from
@@ -195,19 +191,22 @@ class DetectionColumns(Sequence[Detection]):
             raise ValueError("detection columns must have one row per detection")
         if not ((self.model >= 0) & (self.model < len(MODEL_CLASSES))).all():
             raise ValueError(f"motion model codes must lie in [0, {len(MODEL_CLASSES)})")
-        typed = SimpleNamespace(**{name: getattr(self, name) for name in _TYPED_FIELDS})
-        # a NaN weight is unassigned, as None is in a row, which the weight rule passes
-        values = SimpleNamespace(**vars(typed), score=self.score,
-                                 weight=np.where(np.isnan(self.weight), 0.0, self.weight))
-        faults = []
-        for name in _TYPED_FIELDS:
-            fails = _type_faults(name, getattr(typed, name))
-            if fails is not None:
-                faults.append((fails, lambda row, name=name: _type_fault(name, getattr(row, name)), typed))
-                # the value rules read 1 where the type is wrong: the type rule comes first, and 1 passes them
-                setattr(values, name, np.where(fails, 1, getattr(typed, name)))
-        check_columns(self.boxes, self.model, self.params, faults + failures(Detection.rules, values))
-        for name in ("frame_lag", "n_fused", "n_current"):
+        if (all(getattr(self, name).dtype.kind in "iu" for name in _INTEGER_COLUMNS)
+                and set(map(type, self.label.tolist())) <= {str}
+                and set(map(type, self.track_id.tolist())) <= {int, type(None)}):
+            # a NaN weight is unassigned, as None is in a row, which the weight rule passes
+            values = SimpleNamespace(score=self.score, label=self.label, track_id=self.track_id,
+                                     weight=np.where(np.isnan(self.weight), 0.0, self.weight),
+                                     **{name: getattr(self, name) for name in _INTEGER_COLUMNS})
+            check_columns(self.boxes, self.model, self.params, failures(Detection.rules, values))
+        else:
+            # columns built by hand with other types: the first row whose Detection fails names it
+            for k in range(n):
+                try:
+                    self.rows([k])
+                except ValueError as exc:
+                    raise RowError(str(exc), k) from None
+        for name in _INTEGER_COLUMNS:
             if getattr(self, name).dtype.kind not in "iu":
                 raise ValueError(f"{name} must be an integer column, got dtype {getattr(self, name).dtype}")
         boxes = self.boxes
@@ -287,7 +286,7 @@ class DetectionColumns(Sequence[Detection]):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return self.take(np.arange(len(self))[index])
+            return self.take(index)
         return self.rows([range(len(self))[index]])[0]
 
     def __iter__(self) -> Iterator[Detection]:
@@ -338,6 +337,7 @@ class DetectionColumns(Sequence[Detection]):
 
 
 _COLUMNS = tuple(f.name for f in fields(DetectionColumns))
+_INTEGER_COLUMNS = ("frame_lag", "n_fused", "n_current")
 
 
 class RowError(ValueError):
@@ -362,20 +362,6 @@ def check_columns(boxes: np.ndarray | None, model: np.ndarray, params: np.ndarra
     failed = first_failure([*table, *faults])
     if failed is not None:
         raise RowError(failed[1], failed[0])
-
-
-def _type_faults(name: str, column: np.ndarray) -> np.ndarray | None:
-    """The mask of the rows whose value fails the type rule of Detection field `name`; None when no row does.
-
-    The rule reads only the type, and a column of another dtype than object
-    reads as one type, so one value of each type settles it.
-    """
-    values = column.tolist() if column.dtype.kind == "O" else column[:1].tolist()
-    failing = {kind for kind in set(map(type, values))
-               if _type_fault(name, next(value for value in values if type(value) is kind)) is not None}
-    if not failing:
-        return None
-    return np.array([type(value) in failing for value in column.tolist()], dtype=bool)
 
 
 def model_groups(model: np.ndarray) -> list[tuple[type[MotionParams], np.ndarray]]:

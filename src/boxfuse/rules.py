@@ -1,4 +1,4 @@
-"""The rules the data model checks, each stated once: tables of value rules, and the type rule of a config field.
+"""The rules the data model checks, each stated once: tables of value rules, and the type rule of a field.
 
 A table of Rules checks a row object (`check`) and a namespace of columns
 (`failures`, `first_failure`) alike: each test reads fields as attributes and
@@ -100,20 +100,14 @@ def _fits(value, hint, name: str) -> bool:
     return _SCALARS[hint][1](value)
 
 
-def type_fault(name: str, value, hint) -> str | None:
-    """require_type's message for value, None when value has the type `hint`."""
-    return None if _fits(value, hint, name) else f"{name} must be {_type_text(hint)}, got {value!r}"
-
-
 def require_type(name: str, value, hint) -> None:
-    """ValueError, beginning with name, unless value has the type `hint`: the one type rule of a config field.
+    """ValueError, beginning with name, unless value has the type `hint`: the type rule of config and Detection fields.
 
     int takes a Python int, not a bool or numpy integer; float a Python int or float, an int only within float
     range; str a non-empty string; a Literal one of its values; a union any arm; tuple[X, Y] a tuple of that
     length, tuple[X, ...] one of any length. Another hint raises KeyError."""
-    fault = type_fault(name, value, hint)
-    if fault is not None:
-        raise ValueError(fault)
+    if not _fits(value, hint, name):
+        raise ValueError(f"{name} must be {_type_text(hint)}, got {value!r}")
 
 
 @functools.cache

@@ -718,6 +718,15 @@ class TestCli:
         gt, _ = run_synth(tmp_path)
         assert read_meta(gt)["groups"][0]["spec"]["origin_span"] == 0.0
 
+    def test_explicit_zero_fuse_thresholds_are_kept(self, tmp_path, monkeypatch):
+        _, det = run_synth(tmp_path)
+        out = tmp_path / "fused.jsonl"
+        monkeypatch.setenv("BOXFUSE_IOU_LOW", "0")
+        assert main(["fuse", "--input", str(det), "--output", str(out), "--history-floor", "0"]) == 0
+        config = read_meta(out)["config"]
+        # the defaults are 0.01 and 0.7
+        assert config["history_score_floor"] == 0.0 and config["iou_low"] == 0.0
+
     @pytest.mark.parametrize("argv,flag", [
         (["synth", "--vehicles", "0"], "--vehicles"),
         (["traj-compare", "--l-r", "0"], "--l-r"),

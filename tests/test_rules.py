@@ -4,7 +4,9 @@ Box3D, the motion models and Detection each hold a table of value rules,
 which a row object checks on construction and DetectionColumns over whole
 columns; the two forms accept the same rows and raise the same message.
 A Frame's timestamp rule and a detection's label rule hold for every frame
-the writer and reader pass.
+the writer and reader pass. Columns of other than row types (a float or
+bool frame_lag, a numpy integer track id or numpy string label) raise the
+message of their first row whose Detection fails.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boxfuse import Box3D, ConstantVelocity, Detection, EgoPose, Frame
-from boxfuse.frames import MODEL_CODES, PARAM_WIDTH, DetectionColumns, object_array
+from boxfuse.frames import MODEL_CODES, PARAM_WIDTH, DetectionColumns, RowError, object_array
 from boxfuse.io import FrameFormatError, read_frames, write_frames
 from boxfuse.motion import MODELS
 
@@ -120,6 +122,35 @@ def test_a_nan_weight_is_unassigned_in_columns_and_rejected_by_a_row():
     assert math.isnan(cols.weight[0]) and cols[0].weight is None
     with pytest.raises(ValueError, match=r"^weight must lie in \[0, 1\], got nan$"):
         dataclasses.replace(det, weight=math.nan)
+
+
+def two_rows() -> DetectionColumns:
+    det = Detection(Box3D(1.0, 2.0, 0.5, 2.0, 4.0, 1.5, 0.3), 0.5, "car", ConstantVelocity(1.0, 2.0), track_id=7)
+    return DetectionColumns.of([det, dataclasses.replace(det, track_id=8)])
+
+
+# columns that only hand-built columns hold: a float64 or bool frame_lag, an np.int64 track id, an np.str_ label
+@pytest.mark.parametrize("name, column, row", [
+    ("frame_lag", np.array([0.0, 1.0]), 0),
+    ("frame_lag", np.array([False, True]), 0),
+    ("track_id", object_array([7, np.int64(8)]), 1),
+    ("label", object_array(["car", np.str_("car")]), 1),
+])
+def test_columns_of_other_types_raise_what_their_first_failing_row_raises(name, column, row):
+    cols = two_rows()
+    with pytest.raises(ValueError) as expected:
+        dataclasses.replace(cols[row], **{name: column.tolist()[row]})
+    with pytest.raises(RowError) as err:
+        dataclasses.replace(cols, **{name: column})
+    assert str(err.value) == f"detection {row}: {expected.value}" and err.value.row == row
+
+
+@pytest.mark.parametrize("name", ["frame_lag", "n_fused", "n_current"])
+def test_an_object_column_of_python_ints_is_not_an_integer_column(name):
+    cols = two_rows()
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(cols, **{name: object_array(getattr(cols, name).tolist())})
+    assert str(err.value) == f"{name} must be an integer column, got dtype object"
 
 
 LABELS = st.one_of(st.text(max_size=4), st.integers(-2, 6), st.none(), st.booleans(), st.just(b"car"))
